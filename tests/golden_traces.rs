@@ -1,0 +1,183 @@
+//! Golden traces: the JobTracker's observable behaviour, pinned across
+//! commits.
+//!
+//! `chaos-soak --verify-trace` compares a run with *itself*; the
+//! `BENCH_*.json` sections never enter the retry, blacklist or
+//! speculation code. This file closes that gap: every chaos pack × seeds
+//! 0..3 (all three scheduler policies via `seed % 3`, speculation, codec,
+//! retries, blacklists) must reproduce the trace hash committed in
+//! `tests/golden/chaos_traces.txt`, and three hand-built jobs pin a digest
+//! of their whole `JobReport` for the corners no committed number covers.
+//! A restructuring of the engine that moves any of these changed
+//! behaviour; a mismatch prints the replacement line.
+
+use hadoop_lab::chaos::{ChaosRunner, ScenarioPack};
+use hadoop_lab::cluster::node::{ClusterSpec, HeterogeneousClusterSpec};
+use hadoop_lab::common::config::keys;
+use hadoop_lab::common::hash::fnv1a;
+use hadoop_lab::common::prelude::*;
+use hadoop_lab::datagen::CorpusGen;
+use hadoop_lab::mapreduce::api::NoCombiner;
+use hadoop_lab::mapreduce::job::Job;
+use hadoop_lab::mapreduce::report::JobReport;
+use hadoop_lab::mapreduce::speculate::SpecOutcome;
+use hadoop_lab::mapreduce::MrCluster;
+use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
+
+const GOLDEN: &str = include_str!("golden/chaos_traces.txt");
+
+#[test]
+fn chaos_trace_hashes_match_the_committed_table() {
+    let mut actual = String::new();
+    for pack in ScenarioPack::ALL {
+        for seed in 0..3u64 {
+            let report = ChaosRunner::run(pack, seed).expect("chaos harness sets up");
+            assert!(report.ok(), "{report}: {:?}", report.violations);
+            actual.push_str(&format!("{} {seed} {:#018x}\n", pack.name(), report.trace_hash));
+        }
+    }
+    for (want, got) in GOLDEN.lines().zip(actual.lines()) {
+        assert_eq!(want, got, "trace moved; replacement line for chaos_traces.txt: {got}");
+    }
+    assert_eq!(GOLDEN.lines().count(), actual.lines().count(), "full table:\n{actual}");
+}
+
+/// FNV-1a over a rendering of everything the report says about *how* the
+/// job ran: every task summary, every counter, every speculative attempt,
+/// the per-job blacklist and the finish time.
+fn digest(report: &JobReport) -> u64 {
+    let mut text = format!("finished_at {}\n", report.finished_at.0);
+    for t in &report.tasks {
+        text.push_str(&format!("{t:?}\n"));
+    }
+    for (group, name, value) in report.counters.iter() {
+        text.push_str(&format!("{group}/{name} {value}\n"));
+    }
+    for a in &report.spec_attempts {
+        text.push_str(&format!("{a:?}\n"));
+    }
+    text.push_str(&format!("blacklisted {:?}\n", report.blacklisted_trackers));
+    fnv1a(text.as_bytes())
+}
+
+fn small_block_config() -> Configuration {
+    let mut config = Configuration::with_defaults();
+    config.set(keys::DFS_BLOCK_SIZE, 4096u64);
+    config
+}
+
+fn stage(cluster: &mut MrCluster, words: usize) {
+    cluster.dfs.namenode.mkdirs("/in").unwrap();
+    let (corpus, _) = CorpusGen::new(42).generate(words);
+    let t = cluster.now;
+    let put =
+        cluster.dfs.put(&mut cluster.net, t, "/in/corpus.txt", corpus.as_bytes(), None).unwrap();
+    cluster.now = put.completed_at;
+}
+
+type WcJob = Job<WcMapper, WcReducer, NoCombiner<String, u64>>;
+
+fn wc(output: &str, reduces: usize) -> WcJob {
+    wordcount("/in/corpus.txt", output, reduces)
+}
+
+fn assert_digest(case: &str, report: &JobReport, golden: u64) {
+    let got = digest(report);
+    assert_eq!(got, golden, "{case}: JobReport digest moved; replacement value: {got:#018x}");
+}
+
+/// Map *and* reduce speculation on the library's `skewed` preset, with
+/// all four race outcomes present: map and reduce backups that beat their
+/// primaries, and map and reduce backups killed at the primary's commit.
+#[test]
+fn speculation_on_a_skewed_cluster_is_pinned() {
+    let mut config = small_block_config();
+    config.set(keys::MAPRED_REDUCE_SLOTS, 2);
+    // Job output stays on the reducer's own disk: the engine charges every
+    // primary before any backup, so a replicated commit's pipeline would
+    // occupy the NICs a later-charged backup shuffle needs and no reduce
+    // backup could ever win.
+    config.set(keys::DFS_REPLICATION, 1u64);
+    let spec = HeterogeneousClusterSpec::skewed(ClusterSpec::course_hadoop(6), 6);
+    let mut cluster = MrCluster::new_heterogeneous(&spec, config).unwrap();
+    // The preset's noisy window and decay ramp open 10–90 s in; start the
+    // job inside them so all three skew models shape it.
+    cluster.now = SimTime(100_000_000);
+    // The input, though, lives on every node, so a map rescue attempt
+    // reads locally instead of queueing on the straggler's disk.
+    cluster.dfs.namenode.mkdirs("/in").unwrap();
+    let (corpus, _) = CorpusGen::new(42).generate(24_000);
+    let t = cluster.now;
+    let put = cluster
+        .dfs
+        .put_with_replication(&mut cluster.net, t, "/in/corpus.txt", corpus.as_bytes(), None, 6)
+        .unwrap();
+    cluster.now = put.completed_at;
+
+    let mut job = wc("/out/spec", 12);
+    job.conf = job.conf.speculative(true).speculative_reduces(true);
+    // Test timescale: tasks run for seconds, so the progress heartbeat
+    // must tick well inside that; CPU-bound reduces make the throttled
+    // tier straggle in the reduce phase too.
+    job.conf.spec_heartbeat = SimDuration::from_millis(100);
+    job.conf.spec_cap_pct = 50;
+    job.conf.reduce_cpu_per_record = SimDuration::from_micros(500);
+    let report = cluster.run_job(&job).unwrap();
+
+    for reduce in [false, true] {
+        for outcome in [SpecOutcome::Won, SpecOutcome::Killed] {
+            assert!(
+                report.spec_attempts.iter().any(|a| a.reduce == reduce && a.outcome == outcome),
+                "no {outcome:?} race with reduce = {reduce}: {:?}",
+                report.spec_attempts
+            );
+        }
+    }
+    assert_digest("skewed speculation", &report, GOLDEN_SPECULATION);
+}
+
+/// A tracker with no map slots whose JVM OOMs on the first task it hosts
+/// — a *reduce*: the attempt migrates, and with
+/// `mapred.max.tracker.failures = 1` the job blacklists the tracker from
+/// inside the reduce phase.
+#[test]
+fn reduce_phase_blacklisting_is_pinned() {
+    let mut config = small_block_config();
+    config.set(keys::MAPRED_MAX_TRACKER_FAILURES, 1u32);
+    let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
+    stage(&mut cluster, 2_000);
+    // Node 0 is the reduce phase's first pick (earliest-free, lowest id).
+    let victim = NodeId(0);
+    let tracker = cluster.tracker_mut(victim).unwrap();
+    tracker.map_slots = 0;
+    tracker.health.heap.leak_per_buggy_task = tracker.health.heap.heap_limit;
+    let mut job = wc("/out/black", 4);
+    job.conf = job.conf.speculative(false).leaking(true);
+    let report = cluster.run_job(&job).unwrap();
+
+    assert_eq!(report.blacklisted_trackers, vec![victim]);
+    assert!(!cluster.tracker(victim).unwrap().health.alive);
+    let (maps, reduces): (Vec<_>, Vec<_>) = report.tasks.iter().partition(|t| t.locality.is_some());
+    assert!(maps.iter().all(|t| t.attempts == 1), "no map may have failed");
+    assert!(reduces.iter().any(|t| t.attempts == 2), "a reduce must have retried");
+    assert_digest("reduce-phase blacklist", &report, GOLDEN_REDUCE_BLACKLIST);
+}
+
+/// `fail_first_attempts = 1`: every map's first attempt fails, burns its
+/// startup, and retries on the earliest remaining slot.
+#[test]
+fn injected_first_attempt_failures_are_pinned() {
+    let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), small_block_config()).unwrap();
+    stage(&mut cluster, 2_000);
+    let mut job = wc("/out/flaky", 2);
+    job.conf = job.conf.fail_first_attempts(1);
+    let report = cluster.run_job(&job).unwrap();
+
+    assert!(report.tasks.iter().filter(|t| t.locality.is_some()).all(|t| t.attempts == 2));
+    assert_digest("fail_first_attempts = 1", &report, GOLDEN_FAIL_FIRST);
+}
+
+// Values are the parent commit's (PR 11, 18bbdf3).
+const GOLDEN_SPECULATION: u64 = 0xe6e9_4622_21de_0ce6;
+const GOLDEN_REDUCE_BLACKLIST: u64 = 0x6020_8e19_e234_9cad;
+const GOLDEN_FAIL_FIRST: u64 = 0xf075_68a1_8c10_458b;
