@@ -5,7 +5,7 @@
 //! `cargo bench` records both the ablation data and harness overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hl_cluster::node::ClusterSpec;
+use hl_cluster::node::{ClusterSpec, DegradeModel, PerfProfile};
 use hl_common::config::{keys, Configuration};
 use hl_common::counters::TaskCounter;
 use hl_common::prelude::*;
@@ -71,7 +71,8 @@ fn ablation_speculation(c: &mut Criterion) {
         config.set(keys::DFS_BLOCK_SIZE, 16 * 1024u64);
         config.set(keys::MAPRED_MAP_SLOTS, 2);
         let mut cl = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
-        cl.set_slow_node(NodeId(7), 40.0);
+        // The 40x straggler: CPU, local disk and NIC at 2.5% of nominal.
+        cl.net.set_node_model(NodeId(7), DegradeModel::Static(PerfProfile::uniform(250)));
         stage(&mut cl, "/in/c.txt", &text);
         let mut job = wordcount::wordcount("/in/c.txt", "/out", 2);
         job.conf.speculative = speculative;

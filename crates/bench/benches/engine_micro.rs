@@ -13,7 +13,7 @@ use hl_common::SimTime;
 use hl_datagen::corpus::CorpusGen;
 use hl_mapreduce::api::{NoCombiner, SideFiles};
 use hl_mapreduce::local::LocalRunner;
-use hl_mapreduce::merge::{merge_groups, merge_runs};
+use hl_mapreduce::merge::merge_groups;
 use hl_mapreduce::sortbuf::{SortBuffer, SortedRun};
 use hl_mapreduce::split::LineReader;
 use hl_workloads::wordcount;
@@ -79,10 +79,6 @@ fn bench_merge(c: &mut Criterion) {
             }
             std::hint::black_box((groups, bytes))
         })
-    });
-    // The owned-output collector kept for small runners and tests.
-    group.bench_function("kway_8x10k_collect_owned", |b| {
-        b.iter(|| std::hint::black_box(merge_runs(&runs)))
     });
     group.finish();
 }

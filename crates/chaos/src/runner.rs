@@ -404,7 +404,8 @@ impl ChaosRunner {
             Fault::GhostDaemon { node, port } => self.ghost_daemon(node, port),
             Fault::RestartNameNode => self.restart_namenode(),
             Fault::SlowNode { node, factor_pct } => {
-                self.cluster.set_slow_node(node, f64::from(factor_pct) / 100.0);
+                let slow = PerfProfile::uniform(slow_node_bp(factor_pct));
+                self.cluster.net.set_node_model(node, DegradeModel::Static(slow));
             }
             Fault::RestartDaemons => self.restart_daemons(),
             Fault::KillPipelineDatanode { after_stores } => {
@@ -694,9 +695,28 @@ impl ChaosRunner {
     }
 }
 
+/// A `SlowNode` fault's `factor_pct` (250 = everything 2.5x slower) as a
+/// uniform basis-point multiplier, in integers: 10 000 / (pct / 100)
+/// rounded half up. Under 100 % clamps to nominal; the result is never 0.
+fn slow_node_bp(factor_pct: u32) -> u32 {
+    let pct = u64::from(factor_pct.max(100));
+    let bp = (u64::from(PerfProfile::NOMINAL_BP) * 100 + pct / 2) / pct;
+    u32::try_from(bp).unwrap_or(PerfProfile::NOMINAL_BP).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slow_node_bp_matches_the_float_formula_it_replaced() {
+        for pct in 0..=5_000u32 {
+            let factor = f64::from(pct) / 100.0;
+            let bp = (f64::from(PerfProfile::NOMINAL_BP) / factor.max(1.0)).round().max(1.0);
+            assert_eq!(f64::from(slow_node_bp(pct)), bp, "factor_pct {pct}");
+        }
+        assert_eq!(slow_node_bp(u32::MAX), 1);
+    }
 
     #[test]
     fn quiet_plan_runs_clean() {

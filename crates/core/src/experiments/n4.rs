@@ -73,9 +73,6 @@ pub fn run(scale: Scale) -> N4Result {
     c.now = put.completed_at;
     let staging = put.completed_at.since(t0);
     let report = c.run_job(&airline::avg_delay_combiner("/in/2008.csv", "/out")).unwrap();
-    if std::env::var("N4_DEBUG").is_ok() {
-        eprintln!("{report}");
-    }
     let mut cluster_out: Vec<String> =
         c.read_output("/out").unwrap().lines().map(str::to_string).collect();
     cluster_out.sort();

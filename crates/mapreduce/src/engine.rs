@@ -17,33 +17,34 @@
 //! * submission is refused while the NameNode is in safe mode — the
 //!   "corrupted Hadoop cluster that stopped all the new jobs".
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+
+use bytes::Bytes;
+use hl_codec::CodecId;
 
 use hl_cluster::failure::{DaemonHealth, DaemonKind};
 use hl_cluster::network::ClusterNet;
-use hl_cluster::node::{ClusterSpec, DegradeModel, HeterogeneousClusterSpec, PerfProfile};
+use hl_cluster::node::{ClusterSpec, HeterogeneousClusterSpec, PerfProfile};
 use hl_cluster::trace::EventLog;
 use hl_common::counters::{Counters, FileSystemCounter, TaskCounter};
-use hl_common::keys::SortableKey;
 use hl_common::prelude::*;
 use hl_common::topology::Locality;
-use hl_common::writable::Writable;
 use hl_dfs::client::Dfs;
+use hl_dfs::BlockId;
 use hl_metrics::{MetricsRegistry, MetricsSnapshot};
 
-use crate::api::{
-    Combiner, MapContext, MapOutputSink, Mapper, ReduceContext, Reducer, SideFiles, TaskScope,
-};
+use crate::api::{Combiner, Mapper, Reducer, SideFiles};
 use crate::history::JobHistory;
-use crate::job::Job;
-use crate::merge::merge_groups;
+use crate::job::{Job, JobConf};
 use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{
     scheduler_from_config, JobView, Scheduler, SchedulerEnv, SlotState, UniformEnv,
 };
-use crate::sortbuf::{MapOutput, SortBuffer};
+use crate::sortbuf::MapOutput;
 use crate::speculate::{RunningTask, SpecAttempt, SpecOutcome, Speculator};
-use crate::split::{compute_splits, InputSplit, LineReader};
+use crate::split::{compute_splits, InputSplit};
+use crate::task::{run_map_task, run_reduce_task};
 
 /// One TaskTracker daemon.
 #[derive(Debug, Clone)]
@@ -181,15 +182,6 @@ impl MrCluster {
         Ok(cluster)
     }
 
-    /// Mark `node` as a straggler: everything it does — CPU, local disk,
-    /// NIC — runs `factor`× slower (a uniform static degrade profile).
-    pub fn set_slow_node(&mut self, node: NodeId, factor: f64) {
-        let bp = (f64::from(PerfProfile::NOMINAL_BP) / factor.max(1.0)).round().max(1.0);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let bp = bp as u32;
-        self.net.set_node_model(node, DegradeModel::Static(PerfProfile::uniform(bp)));
-    }
-
     /// Tracker state (tests/experiments).
     pub fn tracker(&self, node: NodeId) -> Option<&Tracker> {
         self.trackers.get(&node)
@@ -300,25 +292,17 @@ impl MrCluster {
         Ok(())
     }
 
-    fn map_slots(&self) -> Vec<Slot> {
+    /// One slot per configured `kind` slot on every live tracker that is not
+    /// globally blacklisted, all free from `free_at`.
+    fn slots(&self, kind: TaskKind, free_at: SimTime) -> Vec<Slot> {
         let mut slots = Vec::new();
         for (&node, t) in &self.trackers {
             if t.health.alive && !self.is_globally_blacklisted(node) {
-                for _ in 0..t.map_slots {
-                    slots.push(Slot { node, free_at: self.now });
-                }
-            }
-        }
-        slots
-    }
-
-    fn reduce_slots(&self, not_before: SimTime) -> Vec<Slot> {
-        let mut slots = Vec::new();
-        for (&node, t) in &self.trackers {
-            if t.health.alive && !self.is_globally_blacklisted(node) {
-                for _ in 0..t.reduce_slots {
-                    slots.push(Slot { node, free_at: not_before });
-                }
+                let count = match kind {
+                    TaskKind::Map => t.map_slots,
+                    TaskKind::Reduce => t.reduce_slots,
+                };
+                slots.extend((0..count).map(|_| Slot { node, free_at }));
             }
         }
         slots
@@ -359,6 +343,21 @@ impl MrCluster {
         match result {
             Ok(report) => {
                 self.now = report.finished_at;
+                // Only *successful* jobs convert their per-job blacklistings
+                // into global strikes (a failing job is as likely the job's
+                // fault as the tracker's — Hadoop 1.x drew the same line).
+                for &node in &report.blacklisted_trackers {
+                    let strikes = self.blacklist_strikes.entry(node).or_insert(0);
+                    *strikes += 1;
+                    if *strikes == self.max_tracker_blacklists {
+                        let (n, at) = (*strikes, report.finished_at);
+                        self.log.log_with(at, "jobtracker", || {
+                            format!(
+                                "tracker on {node} blacklisted cluster-wide after {n} strike(s)"
+                            )
+                        });
+                    }
+                }
                 self.record_job_metrics(&report);
                 self.history.record(&report);
                 let (now, elapsed) = (self.now, report.elapsed());
@@ -437,561 +436,72 @@ impl MrCluster {
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
         C: Combiner<K = M::KOut, V = M::VOut>,
     {
-        let mut counters = Counters::new();
-        let mut tasks: Vec<TaskSummary> = Vec::new();
-        let mut peak_buffer = 0usize;
-        // Per-job tracker blacklist: a tracker that eats too many failed
-        // attempts stops receiving this job's tasks. Each *successful* job
-        // that blacklisted a tracker adds a global strike; enough strikes
-        // and the JobTracker stops scheduling on it entirely.
-        let mut job_failures: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut job_blacklist: Vec<NodeId> = Vec::new();
+        let mut run = JobRun::default();
+        let phase = Phase {
+            job_id,
+            conf: &job.conf,
+            submitted_at,
+            kind: TaskKind::Map,
+            noun: "map",
+            runnable_at: submitted_at,
+            failure_burn: job.conf.task_startup + SimDuration::from_secs(10),
+            speculates: job.conf.speculative,
+        };
 
         // ------------------------------------------------------ map phase
-        let mut slots = self.map_slots();
+        let slots = self.slots(TaskKind::Map, submitted_at);
         if slots.is_empty() {
             return Err(HlError::DaemonDown("no live tasktrackers".into()));
         }
-        let mut pending: Vec<u32> = (0..splits.len() as u32).collect();
-        let mut outputs: Vec<Option<(NodeId, MapOutput, SimTime)>> = vec![None; splits.len()];
         // The policy sees splits only through their locality distance.
         let topo = self.net.topology().clone();
         let env = MapSchedEnv { topo: &topo, splits: &splits, locality_aware: self.locality_aware };
-
-        while !pending.is_empty() {
-            if slots.is_empty() {
-                return Err(HlError::JobFailed(format!(
-                    "{job_id}: every tasktracker died mid-job"
-                )));
-            }
-            // One heartbeat round: the policy matches the earliest-free
-            // slot with a task from the runnable job set (here: this job).
-            let view = JobView {
-                user: &job.conf.user,
-                pool: &job.conf.pool,
-                priority: job.conf.priority,
-                submitted_at,
-                pending: &pending,
-                running: &[],
-            };
-            let decision = self.scheduler.next_assignment(submitted_at, &slots, &[view], &env);
-            let assignment = match decision {
-                Some(a) if a.job == 0 && a.slot < slots.len() && pending.contains(&a.task) => a,
-                Some(_) => {
-                    self.metrics.incr("jobtracker", "sched.invalid", 1);
-                    return Err(HlError::JobFailed(format!(
-                        "{job_id}: scheduler {} returned an invalid map assignment",
-                        self.scheduler.name()
-                    )));
-                }
-                None => {
-                    self.metrics.incr("jobtracker", "sched.invalid", 1);
-                    return Err(HlError::JobFailed(format!(
-                        "{job_id}: scheduler {} stalled with {} pending map task(s)",
-                        self.scheduler.name(),
-                        pending.len()
-                    )));
-                }
-            };
-            self.metrics.incr("jobtracker", "sched.decisions", 1);
-            let si = assignment.slot;
-            let split_idx = assignment.task as usize;
-            if let Some(pi) = pending.iter().position(|&t| t == assignment.task) {
-                pending.swap_remove(pi);
-            }
-            let split = splits[split_idx].clone();
-
-            let mut attempts = 0u32;
-            let mut cur = si;
-            loop {
-                attempts += 1;
-                let node = slots[cur].node;
-                let start = slots[cur].free_at;
-                match self.exec_map_attempt(job, &split, node, start, attempts) {
-                    Ok(MapAttempt { output, end, locality, counters: task_counters, peak }) => {
-                        counters.merge(&task_counters);
-                        peak_buffer = peak_buffer.max(peak);
-                        counters.incr("Job Counters", locality_counter(locality), 1);
-                        tasks.push(TaskSummary {
-                            id: split_idx as u32,
-                            kind: TaskKind::Map,
-                            node,
-                            start,
-                            end,
-                            attempts,
-                            locality: Some(locality),
-                            speculative: false,
-                        });
-                        slots[cur].free_at = end;
-                        outputs[split_idx] = Some((node, output, end));
-                        break;
-                    }
-                    Err(e) => {
-                        self.log.log_with(start, "jobtracker", || {
-                            format!(
-                                "{job_id} m_{split_idx:05} attempt {attempts} failed on {node}: {e}"
-                            )
-                        });
-                        if attempts >= job.conf.max_attempts {
-                            return Err(HlError::JobFailed(format!(
-                                "{job_id}: task m_{split_idx:05} failed {attempts} attempts: {e}"
-                            )));
-                        }
-                        // The failed attempt still burned startup + a bit.
-                        let burn = job.conf.task_startup + SimDuration::from_secs(10);
-                        slots[cur].free_at += burn;
-                        // A crashed tracker takes its slots out of the pool;
-                        // the retry migrates to the earliest remaining slot.
-                        if !self.trackers[&node].health.alive {
-                            slots.retain(|s| s.node != node);
-                        }
-                        // Blacklist the tracker for this job once it eats
-                        // too many failed attempts (crashed or not).
-                        let strikes = job_failures.entry(node).or_insert(0);
-                        *strikes += 1;
-                        if *strikes >= self.max_tracker_failures && !job_blacklist.contains(&node) {
-                            job_blacklist.push(node);
-                            counters.incr("Job Counters", "Trackers blacklisted", 1);
-                            let n = *strikes;
-                            self.log.log_with(start, "jobtracker", || {
-                                format!(
-                                    "{job_id} blacklisted tracker on {node} after {n} failed attempt(s)"
-                                )
-                            });
-                            slots.retain(|s| s.node != node);
-                        }
-                        if slots.is_empty() {
-                            return Err(HlError::JobFailed(format!(
-                                "{job_id}: every tasktracker died mid-job"
-                            )));
-                        }
-                        cur = (0..slots.len())
-                            .min_by_key(|&i| (slots[i].free_at, slots[i].node.0))
-                            .unwrap_or(0); // non-empty: checked just above
-                    }
-                }
-            }
-        }
-
-        // -------------------------------------- speculative execution: maps
-        //
-        // The Speculator replays the JobTracker's heartbeat view: each time
-        // a slot frees up, the tasks whose commits lie beyond that instant
-        // are "still running", and their heartbeat-quantized progress rates
-        // estimate a finish time. Proposals are validated exactly like
-        // scheduler assignments — a bad one increments `spec.invalid` and
-        // is refused (it never corrupts the job) — then raced for real,
-        // with the loser's burned time charged to `spec.wasted_us`.
-        let speculator = Speculator::from_conf(&job.conf);
-        let mut spec_attempts: Vec<SpecAttempt> = Vec::new();
-        if job.conf.speculative {
-            // Primary attempt (node, start, end) per map task.
-            let mut primaries: Vec<Option<(NodeId, SimTime, SimTime)>> = vec![None; splits.len()];
-            for t in tasks.iter().filter(|t| t.kind == TaskKind::Map) {
-                if let Some(p) = primaries.get_mut(t.id as usize) {
-                    *p = Some((t.node, t.start, t.end));
-                }
-            }
-            let cap = speculator.cap(splits.len());
-            let mut speculated: BTreeSet<u32> = BTreeSet::new();
-            // Visit slots in the order they free up (ties by node id) —
-            // the late-binding part: the earliest idle slot gets first
-            // pick of the stragglers.
-            let mut order: Vec<usize> = (0..slots.len()).collect();
-            order.sort_by_key(|&i| (slots[i].free_at, slots[i].node.0));
-            for si in order {
-                if speculated.len() >= cap {
-                    break;
-                }
-                let node = slots[si].node;
-                let now = slots[si].free_at;
-                if !self.trackers.get(&node).is_some_and(|t| t.health.alive) {
-                    continue;
-                }
-                let mut completed: Vec<u64> = primaries
-                    .iter()
-                    .flatten()
-                    .filter(|(_, _, end)| *end <= now)
-                    .map(|(_, start, end)| end.since(*start).0)
-                    .collect();
-                let running: Vec<RunningTask> = primaries
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(id, p)| p.map(|(n, s, e)| (id, n, s, e)))
-                    .filter(|&(_, _, _, end)| end > now)
-                    .map(|(id, n, s, e)| RunningTask {
-                        task: u32::try_from(id).unwrap_or(u32::MAX),
-                        node: n,
-                        start: s,
-                        progress_bp: speculator.observed_progress(s, e, now).unwrap_or(0),
-                    })
-                    .collect();
-                let Some(task) =
-                    speculator.propose(now, node, &mut completed, &running, &speculated)
-                else {
-                    continue;
-                };
-                // Validate the proposal like a scheduler decision before
-                // acting on it: the task must still be running here and
-                // now, on a different node, un-speculated.
-                let valid = primaries.get(task as usize).copied().flatten().is_some_and(
-                    |(p_node, _, p_end)| {
-                        p_end > now && p_node != node && !speculated.contains(&task)
-                    },
-                );
-                if !valid {
-                    self.metrics.incr("jobtracker", "spec.invalid", 1);
-                    continue;
-                }
-                // Checked valid just above, so the primary exists.
-                let Some((p_node, p_start, p_end)) = primaries[task as usize] else {
-                    continue;
-                };
-                speculated.insert(task);
-                self.metrics.incr("jobtracker", "spec.launched", 1);
-                match self.exec_map_attempt(job, &splits[task as usize], node, now, 1) {
-                    Ok(attempt) if attempt.end < p_end => {
-                        // The racer wins: kill the primary at this instant.
-                        // Its whole runtime was wasted work, but its slot
-                        // frees early — that's the makespan speculation buys.
-                        self.metrics.incr("jobtracker", "spec.won", 1);
-                        self.metrics.incr(
-                            "jobtracker",
-                            "spec.wasted_us",
-                            attempt.end.since(p_start).0,
-                        );
-                        counters.incr("Job Counters", "Speculative map attempts won", 1);
-                        if let Some(ps) =
-                            slots.iter_mut().find(|s| s.node == p_node && s.free_at == p_end)
-                        {
-                            ps.free_at = attempt.end;
-                        }
-                        slots[si].free_at = attempt.end;
-                        outputs[task as usize] = Some((node, attempt.output, attempt.end));
-                        if let Some(summary) =
-                            tasks.iter_mut().find(|t| t.kind == TaskKind::Map && t.id == task)
-                        {
-                            summary.node = node;
-                            summary.start = now;
-                            summary.end = attempt.end;
-                            summary.speculative = true;
-                        }
-                        primaries[task as usize] = Some((node, now, attempt.end));
-                        spec_attempts.push(SpecAttempt {
-                            task,
-                            reduce: false,
-                            node: node.0,
-                            start: now,
-                            end: attempt.end,
-                            outcome: SpecOutcome::Won,
-                        });
-                    }
-                    Ok(_) => {
-                        // The primary committed first: the racer is killed
-                        // at that commit and everything it ran is waste.
-                        self.metrics.incr("jobtracker", "spec.killed", 1);
-                        self.metrics.incr("jobtracker", "spec.wasted_us", p_end.since(now).0);
-                        slots[si].free_at = p_end;
-                        spec_attempts.push(SpecAttempt {
-                            task,
-                            reduce: false,
-                            node: node.0,
-                            start: now,
-                            end: p_end,
-                            outcome: SpecOutcome::Killed,
-                        });
-                    }
-                    Err(_) => {
-                        // The racer died on its own (injected failure, OOM):
-                        // no race to settle, just the burned startup.
-                        let burn = job.conf.task_startup + SimDuration::from_secs(10);
-                        self.metrics.incr("jobtracker", "spec.lost", 1);
-                        self.metrics.incr("jobtracker", "spec.wasted_us", burn.0);
-                        slots[si].free_at = now + burn;
-                        spec_attempts.push(SpecAttempt {
-                            task,
-                            reduce: false,
-                            node: node.0,
-                            start: now,
-                            end: now + burn,
-                            outcome: SpecOutcome::Lost,
-                        });
-                    }
-                }
-            }
-        }
-
-        let maps_done =
-            outputs.iter().flatten().map(|(_, _, end)| *end).max().unwrap_or(submitted_at);
+        let maps = self.run_phase(
+            &phase,
+            &env,
+            slots,
+            splits.len(),
+            &mut run,
+            &mut |cluster, task, node, start, attempt, _commit| {
+                cluster.exec_map_attempt(job, &splits[task as usize], node, start, attempt)
+            },
+        )?;
+        let maps_done = maps.iter().flatten().map(|m| m.end).max().unwrap_or(submitted_at);
 
         // --------------------------------------------------- reduce phase
-        let num_reduces = job.conf.num_reduces;
-        let mut reduce_slots = self.reduce_slots(maps_done);
-        if reduce_slots.is_empty() {
+        //
+        // Reduces are locality-blind (their input is everywhere); the
+        // policy still picks the slot and the next task.
+        let slots = self.slots(TaskKind::Reduce, maps_done);
+        if slots.is_empty() {
             return Err(HlError::JobFailed(format!("{job_id}: no live tasktrackers for reduce")));
         }
+        let phase = Phase {
+            kind: TaskKind::Reduce,
+            noun: "reduce",
+            runnable_at: maps_done,
+            failure_burn: job.conf.task_startup,
+            // `mapred.reduce.tasks.speculative.execution` gates only this pass.
+            speculates: job.conf.speculative && job.conf.speculative_reduces,
+            ..phase
+        };
         let mut output_files = Vec::new();
-        let mut finished_at = maps_done;
-        // Primary attempt (node, start, commit end, compute end) per reduce.
-        let mut reduce_prim: Vec<Option<(NodeId, SimTime, SimTime, SimTime)>> =
-            vec![None; num_reduces];
-
-        let mut pending_reduces: Vec<u32> = (0..num_reduces as u32).collect();
-        while !pending_reduces.is_empty() {
-            // Reduces are locality-blind (their input is everywhere); the
-            // policy still picks the slot and the next task.
-            let view = JobView {
-                user: &job.conf.user,
-                pool: &job.conf.pool,
-                priority: job.conf.priority,
-                submitted_at,
-                pending: &pending_reduces,
-                running: &[],
-            };
-            let decision =
-                self.scheduler.next_assignment(maps_done, &reduce_slots, &[view], &UniformEnv);
-            let assignment = match decision {
-                Some(a)
-                    if a.job == 0
-                        && a.slot < reduce_slots.len()
-                        && pending_reduces.contains(&a.task) =>
-                {
-                    a
-                }
-                Some(_) => {
-                    self.metrics.incr("jobtracker", "sched.invalid", 1);
-                    return Err(HlError::JobFailed(format!(
-                        "{job_id}: scheduler {} returned an invalid reduce assignment",
-                        self.scheduler.name()
-                    )));
-                }
-                None => {
-                    self.metrics.incr("jobtracker", "sched.invalid", 1);
-                    return Err(HlError::JobFailed(format!(
-                        "{job_id}: scheduler {} stalled with {} pending reduce task(s)",
-                        self.scheduler.name(),
-                        pending_reduces.len()
-                    )));
-                }
-            };
-            self.metrics.incr("jobtracker", "sched.decisions", 1);
-            let r = assignment.task as usize;
-            if let Some(pi) = pending_reduces.iter().position(|&t| t == assignment.task) {
-                pending_reduces.swap_remove(pi);
-            }
-            let mut si = assignment.slot;
-            let mut attempts = 0u32;
-            loop {
-                attempts += 1;
-                let node = reduce_slots[si].node;
-                let start = reduce_slots[si].free_at;
-                match self.exec_reduce_attempt(job, &outputs, r, node, start, true) {
-                    Ok(ReduceAttempt { end, compute_end, counters: task_counters, out_path }) => {
-                        counters.merge(&task_counters);
-                        tasks.push(TaskSummary {
-                            id: r as u32,
-                            kind: TaskKind::Reduce,
-                            node,
-                            start,
-                            end,
-                            attempts,
-                            locality: None,
-                            speculative: false,
-                        });
-                        reduce_slots[si].free_at = end;
-                        finished_at = finished_at.max(end);
-                        reduce_prim[r] = Some((node, start, end, compute_end));
-                        if let Some(p) = out_path {
-                            output_files.push(p);
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        if attempts >= job.conf.max_attempts {
-                            return Err(HlError::JobFailed(format!(
-                                "{job_id}: task r_{r:05} failed {attempts} attempts: {e}"
-                            )));
-                        }
-                        reduce_slots[si].free_at += job.conf.task_startup;
-                        // A crashed tracker takes its slots out of the pool;
-                        // the retry migrates to the earliest remaining slot.
-                        if !self.trackers[&node].health.alive {
-                            reduce_slots.retain(|s| s.node != node);
-                        }
-                        let strikes = job_failures.entry(node).or_insert(0);
-                        *strikes += 1;
-                        if *strikes >= self.max_tracker_failures && !job_blacklist.contains(&node) {
-                            job_blacklist.push(node);
-                            counters.incr("Job Counters", "Trackers blacklisted", 1);
-                            let n = *strikes;
-                            self.log.log_with(start, "jobtracker", || {
-                                format!(
-                                    "{job_id} blacklisted tracker on {node} after {n} failed attempt(s)"
-                                )
-                            });
-                            reduce_slots.retain(|s| s.node != node);
-                        }
-                        if reduce_slots.is_empty() {
-                            return Err(HlError::JobFailed(format!(
-                                "{job_id}: every tasktracker died mid-job"
-                            )));
-                        }
-                        si = (0..reduce_slots.len())
-                            .min_by_key(|&i| (reduce_slots[i].free_at, reduce_slots[i].node.0))
-                            .unwrap_or(0); // non-empty: checked just above
-                    }
-                }
-            }
-        }
-
-        // ----------------------------------- speculative execution: reduces
-        //
-        // Same estimator, one twist: the racer never commits (the primary
-        // owns `part-r-NNNNN`; the racer's bytes are identical), so its
-        // race position is its compute finish plus the primary's observed
-        // commit-write cost.
-        if job.conf.speculative && job.conf.speculative_reduces {
-            let cap = speculator.cap(num_reduces.max(1));
-            let mut speculated: BTreeSet<u32> = BTreeSet::new();
-            let mut order: Vec<usize> = (0..reduce_slots.len()).collect();
-            order.sort_by_key(|&i| (reduce_slots[i].free_at, reduce_slots[i].node.0));
-            for si in order {
-                if speculated.len() >= cap {
-                    break;
-                }
-                let node = reduce_slots[si].node;
-                let now = reduce_slots[si].free_at;
-                if !self.trackers.get(&node).is_some_and(|t| t.health.alive) {
-                    continue;
-                }
-                let mut completed: Vec<u64> = reduce_prim
-                    .iter()
-                    .flatten()
-                    .filter(|(_, _, end, _)| *end <= now)
-                    .map(|(_, start, end, _)| end.since(*start).0)
-                    .collect();
-                let running: Vec<RunningTask> = reduce_prim
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(id, p)| p.map(|(n, s, e, _)| (id, n, s, e)))
-                    .filter(|&(_, _, _, end)| end > now)
-                    .map(|(id, n, s, e)| RunningTask {
-                        task: u32::try_from(id).unwrap_or(u32::MAX),
-                        node: n,
-                        start: s,
-                        progress_bp: speculator.observed_progress(s, e, now).unwrap_or(0),
-                    })
-                    .collect();
-                let Some(task) =
-                    speculator.propose(now, node, &mut completed, &running, &speculated)
-                else {
-                    continue;
-                };
-                let valid = reduce_prim.get(task as usize).copied().flatten().is_some_and(
-                    |(p_node, _, p_end, _)| {
-                        p_end > now && p_node != node && !speculated.contains(&task)
-                    },
-                );
-                if !valid {
-                    self.metrics.incr("jobtracker", "spec.invalid", 1);
-                    continue;
-                }
-                // Checked valid just above, so the primary exists.
-                let Some((p_node, p_start, p_end, p_compute)) = reduce_prim[task as usize] else {
-                    continue;
-                };
-                speculated.insert(task);
-                self.metrics.incr("jobtracker", "spec.launched", 1);
-                match self.exec_reduce_attempt(job, &outputs, task as usize, node, now, false) {
-                    Ok(attempt) => {
-                        let commit_cost = p_end.since(p_compute);
-                        let spec_end = attempt.compute_end + commit_cost;
-                        if spec_end < p_end {
-                            self.metrics.incr("jobtracker", "spec.won", 1);
-                            self.metrics.incr(
-                                "jobtracker",
-                                "spec.wasted_us",
-                                spec_end.since(p_start).0,
-                            );
-                            counters.incr("Job Counters", "Speculative reduce attempts won", 1);
-                            if let Some(ps) = reduce_slots
-                                .iter_mut()
-                                .find(|s| s.node == p_node && s.free_at == p_end)
-                            {
-                                ps.free_at = spec_end;
-                            }
-                            reduce_slots[si].free_at = spec_end;
-                            if let Some(summary) = tasks
-                                .iter_mut()
-                                .find(|t| t.kind == TaskKind::Reduce && t.id == task)
-                            {
-                                summary.node = node;
-                                summary.start = now;
-                                summary.end = spec_end;
-                                summary.speculative = true;
-                            }
-                            reduce_prim[task as usize] =
-                                Some((node, now, spec_end, attempt.compute_end));
-                            spec_attempts.push(SpecAttempt {
-                                task,
-                                reduce: true,
-                                node: node.0,
-                                start: now,
-                                end: spec_end,
-                                outcome: SpecOutcome::Won,
-                            });
-                        } else {
-                            self.metrics.incr("jobtracker", "spec.killed", 1);
-                            self.metrics.incr("jobtracker", "spec.wasted_us", p_end.since(now).0);
-                            reduce_slots[si].free_at = p_end;
-                            spec_attempts.push(SpecAttempt {
-                                task,
-                                reduce: true,
-                                node: node.0,
-                                start: now,
-                                end: p_end,
-                                outcome: SpecOutcome::Killed,
-                            });
-                        }
-                    }
-                    Err(_) => {
-                        let burn = job.conf.task_startup;
-                        self.metrics.incr("jobtracker", "spec.lost", 1);
-                        self.metrics.incr("jobtracker", "spec.wasted_us", burn.0);
-                        reduce_slots[si].free_at = now + burn;
-                        spec_attempts.push(SpecAttempt {
-                            task,
-                            reduce: true,
-                            node: node.0,
-                            start: now,
-                            end: now + burn,
-                            outcome: SpecOutcome::Lost,
-                        });
-                    }
-                }
-            }
-            // Wins pull reduce commits earlier; re-derive the job's finish.
-            finished_at = tasks
-                .iter()
-                .filter(|t| t.kind == TaskKind::Reduce)
-                .map(|t| t.end)
-                .max()
-                .unwrap_or(maps_done);
-        }
-
-        // Only *successful* jobs convert their per-job blacklistings into
-        // global strikes (a failing job is as likely the job's fault as
-        // the tracker's — Hadoop 1.x drew the same line).
-        for &node in &job_blacklist {
-            let strikes = self.blacklist_strikes.entry(node).or_insert(0);
-            *strikes += 1;
-            if *strikes == self.max_tracker_blacklists {
-                let (n, at) = (*strikes, finished_at);
-                self.log.log_with(at, "jobtracker", || {
-                    format!("tracker on {node} blacklisted cluster-wide after {n} strike(s)")
-                });
-            }
-        }
+        let reduces = self.run_phase(
+            &phase,
+            &UniformEnv,
+            slots,
+            job.conf.num_reduces,
+            &mut run,
+            &mut |cluster, task, node, start, _attempt, commit| {
+                let (attempt, out_path) =
+                    cluster.exec_reduce_attempt(job, &maps, task as usize, node, start, commit)?;
+                output_files.extend(out_path);
+                Ok(attempt)
+            },
+        )?;
+        // Speculative wins pull reduce commits earlier, so the job's
+        // finish is read off the standing attempts, not the primaries.
+        let finished_at = reduces.iter().flatten().map(|r| r.end).max().unwrap_or(maps_done);
 
         Ok(JobReport {
             job_id: job_id.to_string(),
@@ -999,13 +509,372 @@ impl MrCluster {
             submitted_at,
             finished_at,
             success: true,
-            counters,
-            tasks,
+            counters: run.counters,
+            tasks: run.tasks,
             output_files,
-            blacklisted_trackers: job_blacklist,
-            peak_mapper_buffer: peak_buffer,
-            spec_attempts,
+            blacklisted_trackers: run.blacklist,
+            peak_mapper_buffer: run.peak_buffer,
+            spec_attempts: run.spec_attempts,
         })
+    }
+
+    /// One phase of one job: the assign-on-heartbeat loop until every task
+    /// has a committed attempt, then the speculation pass. Maps and
+    /// reduces differ only in `phase`'s facts, the scheduler `env`, and
+    /// what `exec` runs.
+    fn run_phase<T>(
+        &mut self,
+        phase: &Phase<'_>,
+        env: &dyn SchedulerEnv,
+        mut slots: Vec<Slot>,
+        num_tasks: usize,
+        run: &mut JobRun,
+        exec: &mut ExecAttempt<'_, T>,
+    ) -> Result<Vec<Option<Attempt<T>>>> {
+        let mut pending: Vec<u32> = (0..num_tasks as u32).collect();
+        let mut standing: Vec<Option<Attempt<T>>> = Vec::new();
+        standing.resize_with(num_tasks, || None);
+        while !pending.is_empty() {
+            // One heartbeat round: the policy matches the earliest-free
+            // slot with a task from the runnable job set (here: this job).
+            let view = JobView {
+                user: &phase.conf.user,
+                pool: &phase.conf.pool,
+                priority: phase.conf.priority,
+                submitted_at: phase.submitted_at,
+                pending: &pending,
+                running: &[],
+            };
+            let decision = self.scheduler.next_assignment(phase.runnable_at, &slots, &[view], env);
+            // Validate before acting: a bad decision fails the job, it
+            // never corrupts it.
+            let a = match decision {
+                Some(a) if a.job == 0 && a.slot < slots.len() && pending.contains(&a.task) => a,
+                bad => {
+                    self.metrics.incr("jobtracker", "sched.invalid", 1);
+                    let (n, noun) = (pending.len(), phase.noun);
+                    let complaint = match bad {
+                        Some(_) => format!("returned an invalid {noun} assignment"),
+                        None => format!("stalled with {n} pending {noun} task(s)"),
+                    };
+                    return Err(HlError::JobFailed(format!(
+                        "{}: scheduler {} {complaint}",
+                        phase.job_id,
+                        self.scheduler.name()
+                    )));
+                }
+            };
+            self.metrics.incr("jobtracker", "sched.decisions", 1);
+            if let Some(pi) = pending.iter().position(|&t| t == a.task) {
+                pending.swap_remove(pi);
+            }
+            standing[a.task as usize] =
+                Some(self.run_attempts(phase, &mut slots, a.slot, a.task, run, exec)?);
+        }
+        if phase.speculates {
+            self.speculate(phase, &mut slots, &mut standing, run, exec);
+        }
+        Ok(standing)
+    }
+
+    /// Run `task` to a committed attempt, starting on `slots[cur]`: a
+    /// failed attempt burns its slot, strikes its tracker (per-job
+    /// blacklisting), and the retry migrates to the earliest remaining
+    /// slot, up to `max_attempts`.
+    fn run_attempts<T>(
+        &mut self,
+        phase: &Phase<'_>,
+        slots: &mut Vec<Slot>,
+        mut cur: usize,
+        task: u32,
+        run: &mut JobRun,
+        exec: &mut ExecAttempt<'_, T>,
+    ) -> Result<Attempt<T>> {
+        let job_id = phase.job_id;
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            let Slot { node, free_at: start } = slots[cur];
+            let e = match exec(self, task, node, start, attempts, true) {
+                Ok(a) => {
+                    run.counters.merge(&a.counters);
+                    run.peak_buffer = run.peak_buffer.max(a.peak_buffered);
+                    if let Some(l) = a.locality {
+                        run.counters.incr("Job Counters", locality_counter(l), 1);
+                    }
+                    run.tasks.push(TaskSummary {
+                        id: task,
+                        kind: phase.kind,
+                        node,
+                        start,
+                        end: a.end,
+                        attempts,
+                        locality: a.locality,
+                        speculative: false,
+                    });
+                    slots[cur].free_at = a.end;
+                    return Ok(a);
+                }
+                Err(e) => e,
+            };
+            let name = match phase.kind {
+                TaskKind::Map => format!("m_{task:05}"),
+                TaskKind::Reduce => format!("r_{task:05}"),
+            };
+            if phase.kind == TaskKind::Map {
+                self.log.log_with(start, "jobtracker", || {
+                    format!("{job_id} {name} attempt {attempts} failed on {node}: {e}")
+                });
+            }
+            if attempts >= phase.conf.max_attempts {
+                return Err(HlError::JobFailed(format!(
+                    "{job_id}: task {name} failed {attempts} attempts: {e}"
+                )));
+            }
+            // The failed attempt still burned startup + a bit.
+            slots[cur].free_at += phase.failure_burn;
+            // A crashed tracker takes its slots out of the pool;
+            // the retry migrates to the earliest remaining slot.
+            if !self.trackers[&node].health.alive {
+                slots.retain(|s| s.node != node);
+            }
+            // Blacklist the tracker for this job once it eats
+            // too many failed attempts (crashed or not).
+            let strikes = run.failures.entry(node).or_insert(0);
+            *strikes += 1;
+            if *strikes >= self.max_tracker_failures && !run.blacklist.contains(&node) {
+                run.blacklist.push(node);
+                run.counters.incr("Job Counters", "Trackers blacklisted", 1);
+                let n = *strikes;
+                self.log.log_with(start, "jobtracker", || {
+                    format!("{job_id} blacklisted tracker on {node} after {n} failed attempt(s)")
+                });
+                slots.retain(|s| s.node != node);
+            }
+            if slots.is_empty() {
+                return Err(HlError::JobFailed(format!(
+                    "{job_id}: every tasktracker died mid-job"
+                )));
+            }
+            // Non-empty (checked just above), so a minimum exists.
+            let earliest = (0..slots.len()).min_by_key(|&i| (slots[i].free_at, slots[i].node.0));
+            cur = earliest.unwrap_or(0);
+        }
+    }
+
+    /// Speculative execution, one pass per phase.
+    ///
+    /// The Speculator replays the JobTracker's heartbeat view: each time
+    /// a slot frees up, the tasks whose commits lie beyond that instant
+    /// are "still running", and their heartbeat-quantized progress rates
+    /// estimate a finish time. Proposals are validated exactly like
+    /// scheduler assignments — a bad one increments `spec.invalid` and
+    /// is refused (it never corrupts the job) — then raced for real,
+    /// with the loser's burned time charged to `spec.wasted_us`.
+    fn speculate<T>(
+        &mut self,
+        phase: &Phase<'_>,
+        slots: &mut [Slot],
+        standing: &mut [Option<Attempt<T>>],
+        run: &mut JobRun,
+        exec: &mut ExecAttempt<'_, T>,
+    ) {
+        let speculator = Speculator::from_conf(phase.conf);
+        let cap = speculator.cap(standing.len());
+        let mut speculated: BTreeSet<u32> = BTreeSet::new();
+        // Visit slots in the order they free up (ties by node id) —
+        // the late-binding part: the earliest idle slot gets first
+        // pick of the stragglers.
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_by_key(|&i| (slots[i].free_at, slots[i].node.0));
+        for si in order {
+            if speculated.len() >= cap {
+                break;
+            }
+            let Slot { node, free_at: now } = slots[si];
+            if !self.trackers.get(&node).is_some_and(|t| t.health.alive) {
+                continue;
+            }
+            // The heartbeat view at `now`: attempts that have committed
+            // (their durations feed the median) and those still running.
+            let (mut completed, mut running) = (Vec::new(), Vec::new());
+            for (id, s) in standing.iter().enumerate() {
+                match s {
+                    Some(s) if s.end <= now => completed.push(s.end.since(s.start).0),
+                    Some(s) => running.push(RunningTask {
+                        task: u32::try_from(id).unwrap_or(u32::MAX),
+                        node: s.node,
+                        start: s.start,
+                        progress_bp: speculator.observed_progress(s.start, s.end, now).unwrap_or(0),
+                    }),
+                    None => {}
+                }
+            }
+            let Some(task) = speculator.propose(now, node, &mut completed, &running, &speculated)
+            else {
+                continue;
+            };
+            // Validate the proposal like a scheduler decision before
+            // acting on it: the task must still be running here and
+            // now, on a different node, un-speculated.
+            let primary = standing
+                .get(task as usize)
+                .and_then(Option::as_ref)
+                .filter(|p| p.end > now && p.node != node && !speculated.contains(&task));
+            let Some(p) = primary else {
+                self.metrics.incr("jobtracker", "spec.invalid", 1);
+                continue;
+            };
+            let (p_node, p_start, p_end) = (p.node, p.start, p.end);
+            // The racer never commits (the primary owns `part-r-NNNNN`;
+            // the racer's bytes are identical), so its race position is
+            // its compute finish plus the primary's observed commit-write
+            // cost — zero for a map, which commits nothing.
+            let commit_cost = p.end.since(p.compute_end);
+            speculated.insert(task);
+            self.metrics.incr("jobtracker", "spec.launched", 1);
+            let (outcome, metric, end, wasted) = match exec(self, task, node, now, 1, false) {
+                Ok(mut a) if a.compute_end + commit_cost < p_end => {
+                    // The racer wins: kill the primary at this instant.
+                    // Its whole runtime was wasted work, but its slot
+                    // frees early — that's the makespan speculation buys.
+                    let end = a.compute_end + commit_cost;
+                    a.end = end;
+                    let won = format!("Speculative {} attempts won", phase.noun);
+                    run.counters.incr("Job Counters", &won, 1);
+                    if let Some(ps) =
+                        slots.iter_mut().find(|s| s.node == p_node && s.free_at == p_end)
+                    {
+                        ps.free_at = end;
+                    }
+                    if let Some(summary) =
+                        run.tasks.iter_mut().find(|t| t.kind == phase.kind && t.id == task)
+                    {
+                        summary.node = node;
+                        summary.start = now;
+                        summary.end = end;
+                        summary.speculative = true;
+                    }
+                    standing[task as usize] = Some(a);
+                    (SpecOutcome::Won, "spec.won", end, end.since(p_start))
+                }
+                // The primary committed first: the racer is killed
+                // at that commit and everything it ran is waste.
+                Ok(_) => (SpecOutcome::Killed, "spec.killed", p_end, p_end.since(now)),
+                // The racer died on its own (injected failure, OOM):
+                // no race to settle, just the burned startup.
+                Err(_) => {
+                    let burn = phase.failure_burn;
+                    (SpecOutcome::Lost, "spec.lost", now + burn, burn)
+                }
+            };
+            self.metrics.incr("jobtracker", metric, 1);
+            self.metrics.incr("jobtracker", "spec.wasted_us", wasted.0);
+            slots[si].free_at = end;
+            run.spec_attempts.push(SpecAttempt {
+                task,
+                reduce: phase.kind == TaskKind::Reduce,
+                node: node.0,
+                start: now,
+                end,
+                outcome,
+            });
+        }
+    }
+
+    /// How a map attempt's bytes arrive: the split's block through the DFS
+    /// client, decoded if the file has a codec, with the boundary lines
+    /// stitched from the neighbouring blocks. Advances `t` past every
+    /// charge and returns `(byte before the split, data, logical length)`.
+    fn read_split(
+        &mut self,
+        split: &InputSplit,
+        node: NodeId,
+        t: &mut SimTime,
+        cpu_mult: u32,
+    ) -> Result<(Option<u8>, Vec<u8>, usize)> {
+        // Read the split's block through the DFS client (charged, verified,
+        // locality-aware).
+        let read = self.dfs.read_block(&mut self.net, *t, split.block, Some(node), &split.path)?;
+        *t = read.completed_at;
+        // Compressed input: each block holds whole hl-codec frames (the
+        // writer cuts blocks on frame boundaries), so this split decodes
+        // independently of its neighbors. The disk and NIC moved only the
+        // stored bytes; inflating them is a CPU charge on this node.
+        let input_codec = self.dfs.file_codec(&split.path)?;
+        let mut data = logical_bytes(input_codec, &read.value)?.into_owned();
+        if input_codec != CodecId::Null {
+            *t += PerfProfile::scale_dur(
+                SimDuration::for_transfer(data.len() as u64, hl_codec::DECOMPRESS_BYTES_PER_SEC),
+                cpu_mult,
+            );
+        }
+        // The split's logical extent: decoded length for compressed input,
+        // the stored block length otherwise.
+        let logical_len = data.len();
+
+        // Stitch the boundary line: previous block's last byte decides
+        // whether our first partial line is ours; following block(s) finish
+        // our last line.
+        let file_blocks = self.dfs.file_blocks(&split.path)?;
+        let my_pos = file_blocks
+            .iter()
+            .position(|(b, _, _)| *b == split.block)
+            .ok_or_else(|| HlError::Internal("split block vanished".into()))?;
+        let prev_byte = match my_pos.checked_sub(1) {
+            None => None,
+            Some(prev) => {
+                let stored = self.neighbour_block(t, file_blocks[prev].0, node, &split.path)?;
+                logical_bytes(input_codec, &stored)?.last().copied()
+            }
+        };
+        let mut next = my_pos + 1;
+        while !data[logical_len..].contains(&b'\n') && next < file_blocks.len() {
+            let stored = self.neighbour_block(t, file_blocks[next].0, node, &split.path)?;
+            data.extend_from_slice(&logical_bytes(input_codec, &stored)?);
+            next += 1;
+        }
+        Ok((prev_byte, data, logical_len))
+    }
+
+    /// A neighbouring block's stored bytes, for stitching the line that
+    /// crosses a split boundary. Peek is free but refuses checksum-failing
+    /// replicas; when every clean replica is gone, fall back to the
+    /// charged, verified read path (advancing `t`), which quarantines the
+    /// rot and errors honestly (a silent break here would truncate the
+    /// boundary line and corrupt output).
+    fn neighbour_block(
+        &mut self,
+        t: &mut SimTime,
+        block: BlockId,
+        node: NodeId,
+        path: &str,
+    ) -> Result<Bytes> {
+        if let Some(stored) = self.dfs.peek_block_bytes(block) {
+            return Ok(stored);
+        }
+        let got = self.dfs.read_block(&mut self.net, *t, block, Some(node), path)?;
+        *t = got.completed_at;
+        Ok(got.value)
+    }
+
+    /// The paper's heap-leak mechanism, run once per finished attempt
+    /// (map or reduce) at its compute end `t`: a buggy task can OOM the
+    /// TaskTracker, which takes the colocated DataNode with it.
+    fn charge_heap(&mut self, leaks: bool, node: NodeId, t: SimTime) -> Result<()> {
+        let Some(tracker) = self.trackers.get_mut(&node) else {
+            return Err(HlError::DaemonDown(format!("no tasktracker registered on {node}")));
+        };
+        if tracker.health.host_task(leaks) {
+            self.dfs.crash_datanode(node);
+            self.log.log(
+                t,
+                &format!("tasktracker/{node}"),
+                "java.lang.OutOfMemoryError: Java heap space — daemon exiting",
+            );
+            return Err(HlError::TaskFailed(format!("tasktracker on {node} crashed (OOM)")));
+        }
+        Ok(())
     }
 
     fn exec_map_attempt<M, R, C>(
@@ -1015,7 +884,7 @@ impl MrCluster {
         node: NodeId,
         start: SimTime,
         attempt: u32,
-    ) -> Result<MapAttempt>
+    ) -> Result<Attempt<MapOutput>>
     where
         M: Mapper,
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
@@ -1032,121 +901,22 @@ impl MrCluster {
         let profile = self.net.node_profile(node, start);
         let mut t = start + PerfProfile::scale_dur(job.conf.task_startup, profile.cpu_mult);
 
-        // Read the split's block through the DFS client (charged, verified,
-        // locality-aware).
-        let read = self.dfs.read_block(&mut self.net, t, split.block, Some(node), &split.path)?;
-        let block_bytes = read.value;
-        t = read.completed_at;
         let locality =
             self.net.topology().best_locality(node, &split.holders).unwrap_or(Locality::OffRack);
-
-        // Compressed input: each block holds whole hl-codec frames (the
-        // writer cuts blocks on frame boundaries), so this split decodes
-        // independently of its neighbors. The disk and NIC moved only the
-        // stored bytes; inflating them is a CPU charge on this node.
-        let input_codec = self.dfs.file_codec(&split.path)?;
-        let mut data = if input_codec == hl_codec::CodecId::Null {
-            block_bytes.to_vec()
-        } else {
-            let raw = hl_codec::decompress_container(&block_bytes)?;
-            t += PerfProfile::scale_dur(
-                SimDuration::for_transfer(raw.len() as u64, hl_codec::DECOMPRESS_BYTES_PER_SEC),
-                profile.cpu_mult,
-            );
-            raw
-        };
-        // The split's logical extent: decoded length for compressed input,
-        // the stored block length otherwise.
-        let logical_len = data.len() as u64;
-
-        // Stitch the boundary line: previous block's last byte decides
-        // whether our first partial line is ours; following block(s) finish
-        // our last line.
-        let file_blocks = self.dfs.file_blocks(&split.path)?;
-        let my_pos = file_blocks
-            .iter()
-            .position(|(b, _, _)| *b == split.block)
-            .ok_or_else(|| HlError::Internal("split block vanished".into()))?;
-        // Peek is free but refuses checksum-failing replicas; when every
-        // clean replica is gone, fall back to the charged, verified read
-        // path, which quarantines the rot and errors honestly (a silent
-        // break here would truncate the boundary line and corrupt output).
-        let prev_byte = if my_pos == 0 {
-            None
-        } else {
-            let prev = file_blocks[my_pos - 1].0;
-            let stored = match self.dfs.peek_block_bytes(prev) {
-                Some(b) => b,
-                None => {
-                    let got =
-                        self.dfs.read_block(&mut self.net, t, prev, Some(node), &split.path)?;
-                    t = got.completed_at;
-                    got.value
-                }
-            };
-            if input_codec == hl_codec::CodecId::Null {
-                stored.last().copied()
-            } else {
-                hl_codec::decompress_container(&stored)?.last().copied()
-            }
-        };
-        let mut next = my_pos + 1;
-        while !data[logical_len as usize..].contains(&b'\n') && next < file_blocks.len() {
-            let stored = match self.dfs.peek_block_bytes(file_blocks[next].0) {
-                Some(b) => b,
-                None => {
-                    let got = self.dfs.read_block(
-                        &mut self.net,
-                        t,
-                        file_blocks[next].0,
-                        Some(node),
-                        &split.path,
-                    )?;
-                    t = got.completed_at;
-                    got.value
-                }
-            };
-            if input_codec == hl_codec::CodecId::Null {
-                data.extend_from_slice(&stored);
-            } else {
-                data.extend_from_slice(&hl_codec::decompress_container(&stored)?);
-            }
-            next += 1;
-        }
+        let (prev_byte, data, logical_len) =
+            self.read_split(split, node, &mut t, profile.cpu_mult)?;
 
         // Run the mapper for real.
-        let mut scope = TaskScope::new(self.side_files.clone(), self.spec.node.disk_bw);
-        // Register always-reported counters up front so the job report
-        // shows the group even for empty map output.
-        let mut sink_counters = Counters::new();
-        sink_counters.touch_task(TaskCounter::MapOutputBytes);
-        let mut sink: SpillSink<M::KOut, M::VOut, C> = SpillSink {
-            buf: SortBuffer::new(job.conf.num_reduces, job.conf.sort_buffer_bytes)
-                .with_partitioner(job.partitioner.clone()),
-            combiner: job.combiner.as_ref().map(|f| f()),
-            counters: sink_counters,
-        };
-        let mut mapper = (job.mapper)();
-        let mut records = 0u64;
-        {
-            let mut ctx = MapContext::new(&mut scope, &mut sink);
-            mapper.setup(&mut ctx);
-            for (off, line) in LineReader::new(prev_byte, &data, logical_len as usize, split.offset)
-            {
-                records += 1;
-                mapper.map(off, &line, &mut ctx);
-            }
-            mapper.cleanup(&mut ctx);
-        }
-        let peak = sink.buf.peak_buffered;
-        let mut task_counters = sink.counters;
-        let mut output = {
-            let mut combiner = sink.combiner;
-            sink.buf.finish(combiner.as_mut(), &mut task_counters)
-        };
-        task_counters.merge(&scope.counters);
-        task_counters.incr_task(TaskCounter::MapInputRecords, records);
-        task_counters.incr_task(TaskCounter::MapOutputBytes, output.total_bytes());
+        let done = run_map_task(
+            job,
+            &self.side_files,
+            self.spec.node.disk_bw,
+            prev_byte,
+            &data,
+            logical_len,
+            split.offset,
+        );
+        let (mut output, mut task_counters, records) = (done.output, done.counters, done.records);
         task_counters.incr_fs(FileSystemCounter::HdfsBytesRead, split.len);
         if locality != Locality::NodeLocal {
             task_counters.incr_fs(FileSystemCounter::RemoteBytesRead, split.len);
@@ -1194,10 +964,10 @@ impl MrCluster {
         // the "increased map task run time" students observed).
         let combine_in = task_counters.task(TaskCounter::CombineInputRecords);
         let cpu = PerfProfile::scale_dur(
-            job.conf.map_cpu_per_byte * logical_len
+            job.conf.map_cpu_per_byte * logical_len as u64
                 + job.conf.map_cpu_per_record * records
                 + job.conf.combine_cpu_per_record * combine_in
-                + scope.extra_time,
+                + done.extra_time,
             profile.cpu_mult,
         );
         t += cpu;
@@ -1225,39 +995,28 @@ impl MrCluster {
             self.metrics.incr("jobtracker", "merge.bytes", output.spill_bytes_read);
         }
 
-        // The paper's heap-leak mechanism: a buggy task can OOM the
-        // TaskTracker, which takes the colocated DataNode with it.
-        let Some(tracker) = self.trackers.get_mut(&node) else {
-            return Err(HlError::DaemonDown(format!("no tasktracker registered on {node}")));
-        };
-        if tracker.health.host_task(job.conf.leaks_memory) {
-            self.dfs.crash_datanode(node);
-            self.log.log(
-                t,
-                &format!("tasktracker/{node}"),
-                "java.lang.OutOfMemoryError: Java heap space — daemon exiting",
-            );
-            return Err(HlError::TaskFailed(format!("tasktracker on {node} crashed (OOM)")));
-        }
-
-        if std::env::var("MR_DEBUG_TASKS").is_ok() {
-            eprintln!(
-                "task on {node}: start={start} read_end={} cpu={cpu} spill_w={} spill_r={} end={t}",
-                read.completed_at, output.spill_bytes_written, output.spill_bytes_read
-            );
-        }
-        Ok(MapAttempt { output, end: t, locality, counters: task_counters, peak })
+        self.charge_heap(job.conf.leaks_memory, node, t)?;
+        Ok(Attempt {
+            node,
+            start,
+            end: t,
+            compute_end: t,
+            counters: task_counters,
+            locality: Some(locality),
+            peak_buffered: done.peak_buffered,
+            payload: output,
+        })
     }
 
     fn exec_reduce_attempt<M, R, C>(
         &mut self,
         job: &Job<M, R, C>,
-        outputs: &[Option<(NodeId, MapOutput, SimTime)>],
+        maps: &[Option<Attempt<MapOutput>>],
         r: usize,
         node: NodeId,
         start: SimTime,
         commit: bool,
-    ) -> Result<ReduceAttempt>
+    ) -> Result<(Attempt<()>, Option<String>)>
     where
         M: Mapper,
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
@@ -1274,7 +1033,7 @@ impl MrCluster {
         // Decoded at the reducer before the merge when the map side
         // compressed its output (raw bytes, for the decompress charge).
         let mut inflate_bytes = 0u64;
-        for (map_node, out, _) in outputs.iter().flatten() {
+        for Attempt { node: map_node, payload: out, .. } in maps.iter().flatten() {
             // Compressed map output crosses the wire framed; the counter
             // records what actually moved, which is the combiner-style
             // "fewer shuffle bytes" trade students measure.
@@ -1282,7 +1041,7 @@ impl MrCluster {
             // O(1): runs are Arc-backed, so this bumps two refcounts and
             // copies no record bytes. Do NOT mem::take the partition out of
             // the map output — a failed attempt is retried against the same
-            // `outputs` slice, which must still hold the data.
+            // `maps` slice, which must still hold the data.
             let run = out.partitions[r].clone();
             if bytes > 0 && *map_node != node {
                 let c = self.net.transfer(t0, *map_node, node, bytes);
@@ -1301,52 +1060,17 @@ impl MrCluster {
             );
         }
 
-        // Merge + group (streaming — groups materialize one at a time) and
-        // reduce for real.
-        let mut scope = TaskScope::new(self.side_files.clone(), self.spec.node.disk_bw);
-        let mut lines = Vec::new();
-        let mut reducer = (job.reducer)();
-        let mut records = 0u64;
-        let mut num_groups = 0u64;
-        {
-            let mut ctx = ReduceContext::new(&mut scope, &mut lines);
-            reducer.setup(&mut ctx);
-            for (kbytes, vbytes_list) in merge_groups(&runs) {
-                num_groups += 1;
-                let mut ks = kbytes;
-                let key = M::KOut::decode_ordered(&mut ks)
-                    .map_err(|e| HlError::Codec(format!("reduce key: {e}")))?;
-                let values: Result<Vec<M::VOut>> =
-                    vbytes_list.iter().map(|b| M::VOut::from_bytes(b)).collect();
-                let values = values?;
-                records += values.len() as u64;
-                reducer.reduce(key, values, &mut ctx);
-            }
-            reducer.cleanup(&mut ctx);
-        }
-        task_counters.incr_task(TaskCounter::ReduceInputGroups, num_groups);
-        task_counters.merge(&scope.counters);
-        task_counters.incr_task(TaskCounter::ReduceInputRecords, records);
+        // Merge, group and reduce for real.
+        let done = run_reduce_task(job, &self.side_files, self.spec.node.disk_bw, &runs)?;
+        task_counters.merge(&done.counters);
+        let lines = done.lines;
 
         let cpu = PerfProfile::scale_dur(
-            job.conf.reduce_cpu_per_record * records + scope.extra_time,
+            job.conf.reduce_cpu_per_record * done.records + done.extra_time,
             profile.cpu_mult,
         );
         let mut t = shuffle_done + cpu;
-
-        // Heap hook for reduces too.
-        let Some(tracker) = self.trackers.get_mut(&node) else {
-            return Err(HlError::DaemonDown(format!("no tasktracker registered on {node}")));
-        };
-        if tracker.health.host_task(job.conf.leaks_memory) {
-            self.dfs.crash_datanode(node);
-            self.log.log(
-                t,
-                &format!("tasktracker/{node}"),
-                "java.lang.OutOfMemoryError: Java heap space — daemon exiting",
-            );
-            return Err(HlError::TaskFailed(format!("tasktracker on {node} crashed (OOM)")));
-        }
+        self.charge_heap(job.conf.leaks_memory, node, t)?;
 
         // Write part file to HDFS (real bytes, charged, replicated). A
         // speculative attempt racing a live primary never commits — the
@@ -1365,7 +1089,17 @@ impl MrCluster {
             Some(path)
         };
 
-        Ok(ReduceAttempt { end: t, compute_end, counters: task_counters, out_path })
+        let attempt = Attempt {
+            node,
+            start,
+            end: t,
+            compute_end,
+            counters: task_counters,
+            locality: None,
+            peak_buffered: 0,
+            payload: (),
+        };
+        Ok((attempt, out_path))
     }
 
     /// Read a job's full text output (all part files concatenated, charged).
@@ -1405,34 +1139,79 @@ impl SchedulerEnv for MapSchedEnv<'_> {
     }
 }
 
-struct MapAttempt {
-    output: MapOutput,
-    end: SimTime,
-    locality: Locality,
+/// Per-job state both phases write: what the job report is built from,
+/// plus the tracker strikes that outlive a phase.
+#[derive(Default)]
+struct JobRun {
     counters: Counters,
-    peak: usize,
+    tasks: Vec<TaskSummary>,
+    peak_buffer: usize,
+    spec_attempts: Vec<SpecAttempt>,
+    /// Per-job tracker blacklist: a tracker that eats too many failed
+    /// attempts stops receiving this job's tasks. Each *successful* job
+    /// that blacklisted a tracker adds a global strike; enough strikes
+    /// and the JobTracker stops scheduling on it entirely.
+    failures: BTreeMap<NodeId, u32>,
+    blacklist: Vec<NodeId>,
 }
 
-struct ReduceAttempt {
+/// The per-kind facts of one phase: everything the shared driver does
+/// differently for a job's maps and for its reduces.
+#[derive(Clone, Copy)]
+struct Phase<'a> {
+    job_id: &'a str,
+    conf: &'a JobConf,
+    submitted_at: SimTime,
+    kind: TaskKind,
+    /// `map` / `reduce`, as error messages and counter names spell it.
+    noun: &'static str,
+    /// The `now` handed to the scheduler, and the instant the phase's
+    /// slots are free from: maps are runnable at submission, reduces once
+    /// the last map has committed.
+    runnable_at: SimTime,
+    /// What a failed attempt (or a speculative racer that died on its
+    /// own) burns on its slot: JVM startup, plus for a map the stretch of
+    /// input it got through.
+    failure_burn: SimDuration,
+    /// Whether the phase ends with a speculation pass.
+    speculates: bool,
+}
+
+/// Runs one attempt of a task for the phase driver:
+/// `(cluster, task, node, start, attempt number, commit)`. Injected
+/// first-attempt failures count the attempt number (maps only); `commit`
+/// is `false` for a speculative racer, which must leave job output alone.
+type ExecAttempt<'a, T> =
+    dyn FnMut(&mut MrCluster, u32, NodeId, SimTime, u32, bool) -> Result<Attempt<T>> + 'a;
+
+/// One successful task attempt, as the phase driver sees it. A task's
+/// *standing* attempt is its primary, or the backup that beat it.
+struct Attempt<T> {
+    node: NodeId,
+    start: SimTime,
+    /// When the attempt's slot frees up (HDFS commit included).
     end: SimTime,
-    /// When reduce compute finished, before the HDFS commit write —
-    /// what a speculative (non-committing) attempt's race is judged on.
+    /// When compute finished, before the HDFS commit write — what a
+    /// speculative (non-committing) attempt's race is judged on. Equals
+    /// `end` for a map, which commits nothing.
     compute_end: SimTime,
     counters: Counters,
-    out_path: Option<String>,
+    /// Input locality (maps only).
+    locality: Option<Locality>,
+    /// Sort-buffer high-water mark (maps only).
+    peak_buffered: usize,
+    /// What the rest of the job needs from the attempt: a map's output;
+    /// nothing for a reduce, whose part file is already in HDFS.
+    payload: T,
 }
 
-struct SpillSink<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>> {
-    buf: SortBuffer<K, V>,
-    combiner: Option<C>,
-    counters: Counters,
-}
-
-impl<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>> MapOutputSink<K, V>
-    for SpillSink<K, V, C>
-{
-    fn collect(&mut self, key: K, value: V) {
-        self.buf.collect(&key, &value, self.combiner.as_mut(), &mut self.counters);
+/// A stored block's logical bytes: a plain file's blocks are their own
+/// bytes; a file with a codec holds whole hl-codec frames per block.
+fn logical_bytes(codec: CodecId, stored: &[u8]) -> Result<Cow<'_, [u8]>> {
+    if codec == CodecId::Null {
+        Ok(Cow::Borrowed(stored))
+    } else {
+        hl_codec::decompress_container(stored).map(Cow::Owned)
     }
 }
 
@@ -1447,7 +1226,8 @@ fn locality_counter(l: Locality) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobConf;
+    use crate::api::{MapContext, ReduceContext};
+    use hl_cluster::node::DegradeModel;
 
     // -- A tiny WordCount used across engine tests -----------------------
 
@@ -1761,6 +1541,59 @@ mod tests {
         assert!(!cluster.dfs.namenode.namespace().exists("/out/doomed"));
     }
 
+    /// FIFO until the sabotaged phase, then one bad decision: a slot past
+    /// the end of the slot vector (maps) or a task that is not pending
+    /// (reduces).
+    struct Rogue(TaskKind);
+    impl Scheduler for Rogue {
+        fn name(&self) -> &'static str {
+            "rogue"
+        }
+        fn next_assignment(
+            &mut self,
+            now: SimTime,
+            slots: &[SlotState],
+            jobs: &[JobView<'_>],
+            env: &dyn SchedulerEnv,
+        ) -> Option<crate::scheduler::Assignment> {
+            // Reduces become runnable only after the last map commits.
+            let in_reduce_phase = now > jobs[0].submitted_at;
+            match (self.0, in_reduce_phase) {
+                (TaskKind::Map, false) => Some(crate::scheduler::Assignment {
+                    slot: slots.len(),
+                    job: 0,
+                    task: jobs[0].pending[0],
+                }),
+                (TaskKind::Reduce, true) => {
+                    Some(crate::scheduler::Assignment { slot: 0, job: 0, task: u32::MAX })
+                }
+                _ => crate::scheduler::FifoScheduler.next_assignment(now, slots, jobs, env),
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_scheduler_decisions_fail_the_job_in_either_phase() {
+        for (kind, noun) in [(TaskKind::Map, "map"), (TaskKind::Reduce, "reduce")] {
+            let mut cluster = small_cluster();
+            stage(&mut cluster, "/in/data.txt", &corpus(500));
+            cluster.set_scheduler(Box::new(Rogue(kind)));
+            let job = Job::new(
+                JobConf::new("rogue").input("/in/data.txt").output("/out/rogue").reduces(2),
+                || WcMap,
+                || WcReduce,
+            );
+            let err = cluster.run_job(&job).unwrap_err();
+            let want = format!("job_0001: scheduler rogue returned an invalid {noun} assignment");
+            assert!(matches!(&err, HlError::JobFailed(m) if *m == want), "{noun}: {err}");
+            let snap = cluster.metrics_snapshot();
+            assert_eq!(snap.counter("jobtracker", "sched.invalid"), 1, "{noun}");
+            assert_eq!(snap.counter("jobtracker", "jobs.failed"), 1, "{noun}");
+            // The reduce-phase sabotage only fires after every map ran.
+            assert_eq!(snap.counter("jobtracker", "sched.decisions") > 0, kind == TaskKind::Reduce);
+        }
+    }
+
     #[test]
     fn leaking_jobs_crash_trackers_and_datanodes() {
         let mut cluster = small_cluster();
@@ -1823,7 +1656,8 @@ mod tests {
         config.set(hl_common::config::keys::MAPRED_MAP_SLOTS, 2);
         let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
         stage(&mut cluster, "/in/data.txt", &corpus(20_000));
-        cluster.set_slow_node(NodeId(3), 50.0);
+        // A 50x straggler: CPU, local disk and NIC all at 2% of nominal.
+        cluster.net.set_node_model(NodeId(3), DegradeModel::Static(PerfProfile::uniform(200)));
 
         let slow_job = Job::new(
             JobConf::new("no-spec").input("/in/data.txt").output("/out/nospec").speculative(false),

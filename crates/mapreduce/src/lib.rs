@@ -45,6 +45,7 @@ pub mod scheduler;
 pub mod sortbuf;
 pub mod speculate;
 pub mod split;
+mod task;
 
 pub use api::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
 pub use engine::MrCluster;

@@ -3,21 +3,21 @@
 //! "The first assignment has the students run their final jars using only
 //! serial Java commands without any HDFS support": the same mapper,
 //! combiner, and reducer types run over local files, single-threaded, with
-//! virtual time charged against one node's disk and CPU. An optional
-//! rayon-parallel mode shows what thread-level parallelism buys *before*
-//! distribution — the contrast the Version-2 redesign teaches.
+//! virtual time charged against one node's disk and CPU. The task bodies
+//! are the cluster engine's own (the crate-private `task` module), so the
+//! two modes cannot drift apart; only the byte source, the file-system
+//! counters and the pricing live here. An optional rayon-parallel mode
+//! shows what thread-level parallelism buys *before* distribution — the
+//! contrast the Version-2 redesign teaches.
 
-use hl_common::counters::{Counters, FileSystemCounter, TaskCounter};
+use hl_common::counters::{Counters, FileSystemCounter};
 use hl_common::prelude::*;
 use rayon::prelude::*;
 
-use crate::api::{
-    Combiner, MapContext, MapOutputSink, Mapper, ReduceContext, Reducer, SideFiles, TaskScope,
-};
+use crate::api::{Combiner, Mapper, Reducer, SideFiles};
 use crate::job::Job;
-use crate::merge::merge_groups;
-use crate::sortbuf::{SortBuffer, SortedRun};
-use crate::split::LineReader;
+use crate::sortbuf::{MapOutput, SortedRun};
+use crate::task::{run_map_task, run_reduce_task, ReduceTaskOutput};
 
 /// Result of a local run.
 #[derive(Debug, Clone)]
@@ -80,24 +80,13 @@ impl LocalRunner {
     {
         let num_reduces = job.conf.num_reduces;
 
-        // Carve inputs into splits.
-        struct LocalSplit<'a> {
-            data: &'a [u8],
-            offset: usize,
-            len: usize,
-            prev_byte: Option<u8>,
-        }
-        let mut splits = Vec::new();
+        // Carve inputs into `(file bytes, offset, length)` splits.
+        let mut splits: Vec<(&[u8], usize, usize)> = Vec::new();
         for (_, bytes) in inputs {
             let mut off = 0;
             while off < bytes.len() {
                 let len = self.split_bytes.min(bytes.len() - off);
-                splits.push(LocalSplit {
-                    data: &bytes[off..],
-                    offset: off,
-                    len,
-                    prev_byte: if off == 0 { None } else { Some(bytes[off - 1]) },
-                });
+                splits.push((bytes, off, len));
                 off += len;
             }
         }
@@ -107,65 +96,40 @@ impl LocalRunner {
             .num_threads(self.threads)
             .build()
             .map_err(|e| HlError::Internal(format!("rayon pool: {e}")))?;
-        let map_results: Vec<Result<MapTaskResult<M::KOut>>> = pool.install(|| {
+        let map_results: Vec<(MapOutput, Counters, SimDuration)> = pool.install(|| {
             splits
                 .par_iter()
-                .map(|split| {
-                    let mut scope = TaskScope::new(side.clone(), self.disk_bw);
-                    // Register always-reported counters up front so the job
-                    // report shows the group even for empty map output.
-                    let mut task_counters = Counters::new();
-                    task_counters.touch_task(TaskCounter::MapOutputBytes);
-                    let mut sink = LocalSink {
-                        buf: SortBuffer::new(num_reduces, job.conf.sort_buffer_bytes)
-                            .with_partitioner(job.partitioner.clone()),
-                        combiner: job.combiner.as_ref().map(|f| f()),
-                        counters: task_counters,
-                    };
-                    let mut mapper = (job.mapper)();
-                    let mut records = 0u64;
-                    {
-                        let mut ctx = MapContext::new(&mut scope, &mut sink);
-                        mapper.setup(&mut ctx);
-                        for (off, line) in LineReader::new(
-                            split.prev_byte,
-                            split.data,
-                            split.len,
-                            split.offset as u64,
-                        ) {
-                            records += 1;
-                            mapper.map(off, &line, &mut ctx);
-                        }
-                        mapper.cleanup(&mut ctx);
-                    }
-                    let mut counters = sink.counters;
-                    let output = {
-                        let mut c = sink.combiner;
-                        sink.buf.finish(c.as_mut(), &mut counters)
-                    };
-                    counters.merge(&scope.counters);
-                    counters.incr_task(TaskCounter::MapInputRecords, records);
-                    counters.incr_task(TaskCounter::MapOutputBytes, output.total_bytes());
-                    counters.incr_fs(FileSystemCounter::FileBytesRead, split.len as u64);
+                .map(|&(file, off, len)| {
+                    let prev_byte = off.checked_sub(1).map(|i| file[i]);
+                    let done = run_map_task(
+                        job,
+                        side,
+                        self.disk_bw,
+                        prev_byte,
+                        &file[off..],
+                        len,
+                        off as u64,
+                    );
+                    let mut counters = done.counters;
+                    counters.incr_fs(FileSystemCounter::FileBytesRead, len as u64);
 
                     // Virtual cost: disk read + declared CPU + explicit charges.
-                    let vt = SimDuration::for_transfer(split.len as u64, self.disk_bw)
-                        + job.conf.map_cpu_per_byte * split.len as u64
-                        + job.conf.map_cpu_per_record * records
-                        + scope.extra_time;
-                    Ok(MapTaskResult::new(output, counters, vt))
+                    let vt = SimDuration::for_transfer(len as u64, self.disk_bw)
+                        + job.conf.map_cpu_per_byte * len as u64
+                        + job.conf.map_cpu_per_record * done.records
+                        + done.extra_time;
+                    (done.output, counters, vt)
                 })
                 .collect()
         });
 
         let mut counters = Counters::new();
-        let mut map_outputs: Vec<crate::sortbuf::MapOutput> = Vec::with_capacity(map_results.len());
+        let mut map_outputs = Vec::with_capacity(map_results.len());
         let mut map_times = Vec::with_capacity(map_results.len());
-        for r in map_results {
-            let r = r?;
-            counters.merge(&r.counters);
-            map_times.push(r.virtual_time);
-            map_outputs.push(r.output);
+        for (output, task_counters, vt) in map_results {
+            counters.merge(&task_counters);
+            map_times.push(vt);
+            map_outputs.push(output);
         }
         // Greedy lane scheduling: virtual map phase time with `threads` lanes.
         let map_virtual = schedule_lanes(&map_times, self.threads);
@@ -177,97 +141,23 @@ impl LocalRunner {
         let runs_by_reduce: Vec<Vec<SortedRun>> = (0..num_reduces)
             .map(|r| map_outputs.iter_mut().map(|o| o.take_partition(r)).collect())
             .collect();
-        let reduce_results: Vec<Result<(Vec<String>, Counters, SimDuration)>> =
-            pool.install(|| {
-                runs_by_reduce
-                    .into_par_iter()
-                    .map(|runs| {
-                        let mut task_counters = Counters::new();
-                        let mut scope = TaskScope::new(side.clone(), self.disk_bw);
-                        let mut lines = Vec::new();
-                        let mut reducer = (job.reducer)();
-                        let mut records = 0u64;
-                        let mut groups = 0u64;
-                        {
-                            let mut ctx = ReduceContext::new(&mut scope, &mut lines);
-                            reducer.setup(&mut ctx);
-                            for (kbytes, vlist) in merge_groups(&runs) {
-                                groups += 1;
-                                let mut ks = kbytes;
-                                let key =
-                                    <M::KOut as hl_common::keys::SortableKey>::decode_ordered(
-                                        &mut ks,
-                                    )?;
-                                let values: Result<Vec<M::VOut>> = vlist
-                                    .iter()
-                                    .map(|b| {
-                                        <M::VOut as hl_common::writable::Writable>::from_bytes(b)
-                                    })
-                                    .collect();
-                                let values = values?;
-                                records += values.len() as u64;
-                                reducer.reduce(key, values, &mut ctx);
-                            }
-                            reducer.cleanup(&mut ctx);
-                        }
-                        task_counters.incr_task(TaskCounter::ReduceInputGroups, groups);
-                        task_counters.merge(&scope.counters);
-                        task_counters.incr_task(TaskCounter::ReduceInputRecords, records);
-                        let vt = job.conf.reduce_cpu_per_record * records + scope.extra_time;
-                        Ok((lines, task_counters, vt))
-                    })
-                    .collect()
-            });
+        let reduce_results: Vec<Result<ReduceTaskOutput>> = pool.install(|| {
+            runs_by_reduce
+                .into_par_iter()
+                .map(|runs| run_reduce_task(job, side, self.disk_bw, &runs))
+                .collect()
+        });
         let mut output = Vec::new();
         let mut reduce_times = Vec::with_capacity(num_reduces);
         for res in reduce_results {
-            let (lines, c, vt) = res?;
-            counters.merge(&c);
-            reduce_times.push(vt);
-            output.extend(lines);
+            let done = res?;
+            counters.merge(&done.counters);
+            reduce_times.push(job.conf.reduce_cpu_per_record * done.records + done.extra_time);
+            output.extend(done.lines);
         }
         let reduce_virtual = schedule_lanes(&reduce_times, self.threads);
 
         Ok(LocalReport { output, counters, virtual_time: map_virtual + reduce_virtual })
-    }
-}
-
-struct MapTaskResult<K> {
-    output: crate::sortbuf::MapOutput,
-    counters: Counters,
-    virtual_time: SimDuration,
-    // K appears in MapOutput only as serialized bytes; keep the type tied.
-    _marker: std::marker::PhantomData<fn() -> K>,
-}
-
-impl<K> MapTaskResult<K> {
-    fn new(
-        output: crate::sortbuf::MapOutput,
-        counters: Counters,
-        virtual_time: SimDuration,
-    ) -> Self {
-        MapTaskResult { output, counters, virtual_time, _marker: std::marker::PhantomData }
-    }
-}
-
-struct LocalSink<
-    K: hl_common::keys::SortableKey,
-    V: hl_common::writable::Writable,
-    C: Combiner<K = K, V = V>,
-> {
-    buf: SortBuffer<K, V>,
-    combiner: Option<C>,
-    counters: Counters,
-}
-
-impl<
-        K: hl_common::keys::SortableKey,
-        V: hl_common::writable::Writable,
-        C: Combiner<K = K, V = V>,
-    > MapOutputSink<K, V> for LocalSink<K, V, C>
-{
-    fn collect(&mut self, key: K, value: V) {
-        self.buf.collect(&key, &value, self.combiner.as_mut(), &mut self.counters);
     }
 }
 
@@ -291,7 +181,9 @@ pub fn schedule_lanes(durations: &[SimDuration], lanes: usize) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{MapContext, ReduceContext};
     use crate::job::JobConf;
+    use hl_common::counters::TaskCounter;
 
     struct WcMap;
     impl Mapper for WcMap {

@@ -144,15 +144,6 @@ pub fn merge_groups(runs: &[SortedRun]) -> GroupIter<'_> {
     GroupIter { inner: MergeIter::new(runs), pending: None }
 }
 
-/// Collect the streaming merge into owned `(key, values)` groups.
-/// Convenience for tests and small runners; hot paths iterate
-/// [`merge_groups`] directly.
-pub fn merge_runs(runs: &[SortedRun]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
-    merge_groups(runs)
-        .map(|(k, vs)| (k.to_vec(), vs.into_iter().map(<[u8]>::to_vec).collect()))
-        .collect()
-}
-
 /// Total serialized bytes of a set of runs (charging helper).
 pub fn runs_bytes(runs: &[SortedRun]) -> u64 {
     runs.iter().map(SortedRun::bytes).sum()
@@ -162,6 +153,13 @@ pub fn runs_bytes(runs: &[SortedRun]) -> u64 {
 mod tests {
     use super::*;
     use hl_common::keys::SortableKey;
+
+    /// The streaming merge collected into owned `(key, values)` groups.
+    fn merge_runs(runs: &[SortedRun]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+        merge_groups(runs)
+            .map(|(k, vs)| (k.to_vec(), vs.into_iter().map(<[u8]>::to_vec).collect()))
+            .collect()
+    }
 
     fn run(pairs: &[(&str, u64)]) -> SortedRun {
         SortedRun::from_pairs(
