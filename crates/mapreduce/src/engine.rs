@@ -372,7 +372,7 @@ impl MrCluster {
                     self.dfs.namenode.delete(&job.conf.output_path, true).unwrap_or_default();
                 let now = self.now;
                 self.dfs.apply_commands(&mut self.net, now, &cmds);
-                let now = self.now;
+                self.history.record_failed(&job_id, &job.conf.name, submitted_at, now);
                 self.log.log_with(now, "jobtracker", || format!("{job_id} FAILED: {e}"));
                 Err(e)
             }
@@ -1539,6 +1539,13 @@ mod tests {
         assert!(matches!(cluster.run_job(&job), Err(HlError::JobFailed(_))));
         // Failed jobs clean up their output directory.
         assert!(!cluster.dfs.namenode.namespace().exists("/out/doomed"));
+        // They still reach the history page, as FAILED.
+        let entry = &cluster.history.entries()[0];
+        assert_eq!((entry.job_id.as_str(), entry.name.as_str()), ("job_0001", "doomed"));
+        assert!(!entry.success);
+        assert_eq!((entry.maps, entry.reduces), (0, 0));
+        assert_eq!(cluster.history.succeeded(), 0);
+        assert!(cluster.history.to_string().contains("FAILED"));
     }
 
     /// FIFO until the sabotaged phase, then one bad decision: a slot past

@@ -72,9 +72,35 @@ impl JobHistory {
         JobHistory { entries: Vec::new(), retain: retain.max(1) }
     }
 
-    /// Record a finished job.
+    /// Record a completed job.
     pub fn record(&mut self, report: &JobReport) {
-        self.entries.push(HistoryEntry::from_report(report));
+        self.push(HistoryEntry::from_report(report));
+    }
+
+    /// Record a job that failed outright at `failed_at`: no report exists,
+    /// so the entry carries no task counts or counters.
+    pub fn record_failed(
+        &mut self,
+        job_id: &str,
+        name: &str,
+        submitted_at: SimTime,
+        failed_at: SimTime,
+    ) {
+        self.push(HistoryEntry {
+            job_id: job_id.to_string(),
+            name: name.to_string(),
+            success: false,
+            submitted_at,
+            elapsed: failed_at.since(submitted_at),
+            maps: 0,
+            reduces: 0,
+            shuffle_bytes: 0,
+            input_records: 0,
+        });
+    }
+
+    fn push(&mut self, entry: HistoryEntry) {
+        self.entries.push(entry);
         if self.entries.len() > self.retain {
             let drop = self.entries.len() - self.retain;
             self.entries.drain(..drop);
