@@ -445,6 +445,7 @@ impl MrCluster {
             noun: "map",
             runnable_at: submitted_at,
             failure_burn: job.conf.task_startup + SimDuration::from_secs(10),
+            logs_failures: true,
             speculates: job.conf.speculative,
         };
 
@@ -481,6 +482,7 @@ impl MrCluster {
             noun: "reduce",
             runnable_at: maps_done,
             failure_burn: job.conf.task_startup,
+            logs_failures: false,
             // `mapred.reduce.tasks.speculative.execution` gates only this pass.
             speculates: job.conf.speculative && job.conf.speculative_reduces,
             ..phase
@@ -519,9 +521,8 @@ impl MrCluster {
     }
 
     /// One phase of one job: the assign-on-heartbeat loop until every task
-    /// has a committed attempt, then the speculation pass. Maps and
-    /// reduces differ only in `phase`'s facts, the scheduler `env`, and
-    /// what `exec` runs.
+    /// has a committed attempt, then the speculation pass. Maps and reduces
+    /// differ only in `phase`'s facts, the scheduler `env`, and `exec`.
     fn run_phase<T>(
         &mut self,
         phase: &Phase<'_>,
@@ -548,26 +549,24 @@ impl MrCluster {
             let decision = self.scheduler.next_assignment(phase.runnable_at, &slots, &[view], env);
             // Validate before acting: a bad decision fails the job, it
             // never corrupts it.
-            let a = match decision {
-                Some(a) if a.job == 0 && a.slot < slots.len() && pending.contains(&a.task) => a,
-                bad => {
-                    self.metrics.incr("jobtracker", "sched.invalid", 1);
-                    let (n, noun) = (pending.len(), phase.noun);
-                    let complaint = match bad {
-                        Some(_) => format!("returned an invalid {noun} assignment"),
-                        None => format!("stalled with {n} pending {noun} task(s)"),
-                    };
-                    return Err(HlError::JobFailed(format!(
-                        "{}: scheduler {} {complaint}",
-                        phase.job_id,
-                        self.scheduler.name()
-                    )));
-                }
+            let valid = decision
+                .filter(|a| a.job == 0 && a.slot < slots.len())
+                .and_then(|a| Some((a, pending.iter().position(|&t| t == a.task)?)));
+            let Some((a, pi)) = valid else {
+                self.metrics.incr("jobtracker", "sched.invalid", 1);
+                let (n, noun) = (pending.len(), phase.noun);
+                let complaint = match decision {
+                    Some(_) => format!("returned an invalid {noun} assignment"),
+                    None => format!("stalled with {n} pending {noun} task(s)"),
+                };
+                return Err(HlError::JobFailed(format!(
+                    "{}: scheduler {} {complaint}",
+                    phase.job_id,
+                    self.scheduler.name()
+                )));
             };
             self.metrics.incr("jobtracker", "sched.decisions", 1);
-            if let Some(pi) = pending.iter().position(|&t| t == a.task) {
-                pending.swap_remove(pi);
-            }
+            pending.swap_remove(pi);
             standing[a.task as usize] =
                 Some(self.run_attempts(phase, &mut slots, a.slot, a.task, run, exec)?);
         }
@@ -577,10 +576,9 @@ impl MrCluster {
         Ok(standing)
     }
 
-    /// Run `task` to a committed attempt, starting on `slots[cur]`: a
-    /// failed attempt burns its slot, strikes its tracker (per-job
-    /// blacklisting), and the retry migrates to the earliest remaining
-    /// slot, up to `max_attempts`.
+    /// Run `task` to a committed attempt, starting on `slots[cur]`: a failed
+    /// attempt burns its slot and strikes its tracker, and the retry
+    /// migrates to the earliest remaining slot, up to `max_attempts`.
     fn run_attempts<T>(
         &mut self,
         phase: &Phase<'_>,
@@ -621,7 +619,7 @@ impl MrCluster {
                 TaskKind::Map => format!("m_{task:05}"),
                 TaskKind::Reduce => format!("r_{task:05}"),
             };
-            if phase.kind == TaskKind::Map {
+            if phase.logs_failures {
                 self.log.log_with(start, "jobtracker", || {
                     format!("{job_id} {name} attempt {attempts} failed on {node}: {e}")
                 });
@@ -1139,8 +1137,7 @@ impl SchedulerEnv for MapSchedEnv<'_> {
     }
 }
 
-/// Per-job state both phases write: what the job report is built from,
-/// plus the tracker strikes that outlive a phase.
+/// Per-job state both phases write: the job report's raw material.
 #[derive(Default)]
 struct JobRun {
     counters: Counters,
@@ -1169,18 +1166,18 @@ struct Phase<'a> {
     /// slots are free from: maps are runnable at submission, reduces once
     /// the last map has committed.
     runnable_at: SimTime,
-    /// What a failed attempt (or a speculative racer that died on its
-    /// own) burns on its slot: JVM startup, plus for a map the stretch of
-    /// input it got through.
+    /// What a failed attempt (or a racer that died on its own) burns on
+    /// its slot: JVM startup, plus for a map the input it got through.
     failure_burn: SimDuration,
+    /// Whether a failed attempt writes a `jobtracker` log line.
+    logs_failures: bool,
     /// Whether the phase ends with a speculation pass.
     speculates: bool,
 }
 
-/// Runs one attempt of a task for the phase driver:
-/// `(cluster, task, node, start, attempt number, commit)`. Injected
-/// first-attempt failures count the attempt number (maps only); `commit`
-/// is `false` for a speculative racer, which must leave job output alone.
+/// Runs one attempt for the phase driver: `(cluster, task, node, start,
+/// attempt number, commit)`. Injected first-attempt failures (maps only)
+/// count the attempt number; a speculative racer passes `commit = false`.
 type ExecAttempt<'a, T> =
     dyn FnMut(&mut MrCluster, u32, NodeId, SimTime, u32, bool) -> Result<Attempt<T>> + 'a;
 
@@ -1192,16 +1189,14 @@ struct Attempt<T> {
     /// When the attempt's slot frees up (HDFS commit included).
     end: SimTime,
     /// When compute finished, before the HDFS commit write — what a
-    /// speculative (non-committing) attempt's race is judged on. Equals
-    /// `end` for a map, which commits nothing.
+    /// (non-committing) racer is judged on. Equals `end` for a map.
     compute_end: SimTime,
     counters: Counters,
     /// Input locality (maps only).
     locality: Option<Locality>,
     /// Sort-buffer high-water mark (maps only).
     peak_buffered: usize,
-    /// What the rest of the job needs from the attempt: a map's output;
-    /// nothing for a reduce, whose part file is already in HDFS.
+    /// A map's output; nothing for a reduce (its part file is in HDFS).
     payload: T,
 }
 

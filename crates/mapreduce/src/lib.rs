@@ -16,7 +16,8 @@
 //! * [`merge`] — k-way merge of sorted runs with key grouping;
 //! * [`engine`] — `MrCluster`: TaskTracker slots, locality-aware
 //!   JobTracker scheduling, the shuffle, speculative execution, task
-//!   retries, and virtual-time accounting;
+//!   retries, and virtual-time accounting — one phase driver that the
+//!   map and the reduce phase are handed to as data;
 //! * [`scheduler`] — the pluggable `Scheduler` trait with FIFO, Fair,
 //!   and Capacity policies (Hadoop's multi-tenant evolution);
 //! * [`speculate`] — LATE-style speculative execution policy: progress
@@ -24,7 +25,8 @@
 //!   won/lost/killed accounting;
 //! * [`local`] — the `LocalJobRunner` (assignment 1's "serial Java
 //!   commands without any HDFS support"), with an optional rayon-parallel
-//!   mode;
+//!   mode; it and the engine run user code through the same two task
+//!   bodies (the private `task` module), so the modes cannot drift;
 //! * [`report`] — the job report and "JobTracker web UI" rendering the
 //!   combiner lecture has students read.
 //!

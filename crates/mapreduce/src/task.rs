@@ -2,11 +2,11 @@
 //!
 //! The course runs *the same jars* twice — serially with no HDFS, then on
 //! the cluster — and so does this crate: [`crate::local::LocalRunner`] and
-//! [`crate::engine::MrCluster`] both execute user code through the two
-//! functions here, so "local ≡ cluster" holds by construction rather than
-//! between two copies. What differs stays with the callers: how the input
-//! bytes arrive (a local slice vs a charged, stitched, decoded DFS block),
-//! which file-system counters that bumps, and every virtual-time charge.
+//! [`crate::engine::MrCluster`] both run user code through the two
+//! functions here, so "local ≡ cluster" holds by construction. The callers
+//! keep what differs: how input bytes arrive (a local slice vs a charged,
+//! stitched, decoded DFS block), the file-system counters that bumps, and
+//! every virtual-time charge.
 
 use hl_common::counters::{Counters, TaskCounter};
 use hl_common::keys::SortableKey;

@@ -66,12 +66,22 @@ fn small_block_config() -> Configuration {
     config
 }
 
-fn stage(cluster: &mut MrCluster, words: usize) {
+/// Stage the shared corpus at `/in/corpus.txt` with `replication` copies.
+fn stage(cluster: &mut MrCluster, words: usize, replication: u32) {
     cluster.dfs.namenode.mkdirs("/in").unwrap();
     let (corpus, _) = CorpusGen::new(42).generate(words);
     let t = cluster.now;
-    let put =
-        cluster.dfs.put(&mut cluster.net, t, "/in/corpus.txt", corpus.as_bytes(), None).unwrap();
+    let put = cluster
+        .dfs
+        .put_with_replication(
+            &mut cluster.net,
+            t,
+            "/in/corpus.txt",
+            corpus.as_bytes(),
+            None,
+            replication,
+        )
+        .unwrap();
     cluster.now = put.completed_at;
 }
 
@@ -105,14 +115,7 @@ fn speculation_on_a_skewed_cluster_is_pinned() {
     cluster.now = SimTime(100_000_000);
     // The input, though, lives on every node, so a map rescue attempt
     // reads locally instead of queueing on the straggler's disk.
-    cluster.dfs.namenode.mkdirs("/in").unwrap();
-    let (corpus, _) = CorpusGen::new(42).generate(24_000);
-    let t = cluster.now;
-    let put = cluster
-        .dfs
-        .put_with_replication(&mut cluster.net, t, "/in/corpus.txt", corpus.as_bytes(), None, 6)
-        .unwrap();
-    cluster.now = put.completed_at;
+    stage(&mut cluster, 24_000, 6);
 
     let mut job = wc("/out/spec", 12);
     job.conf = job.conf.speculative(true).speculative_reduces(true);
@@ -145,7 +148,7 @@ fn reduce_phase_blacklisting_is_pinned() {
     let mut config = small_block_config();
     config.set(keys::MAPRED_MAX_TRACKER_FAILURES, 1u32);
     let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
-    stage(&mut cluster, 2_000);
+    stage(&mut cluster, 2_000, 3);
     // Node 0 is the reduce phase's first pick (earliest-free, lowest id).
     let victim = NodeId(0);
     let tracker = cluster.tracker_mut(victim).unwrap();
@@ -168,7 +171,7 @@ fn reduce_phase_blacklisting_is_pinned() {
 #[test]
 fn injected_first_attempt_failures_are_pinned() {
     let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), small_block_config()).unwrap();
-    stage(&mut cluster, 2_000);
+    stage(&mut cluster, 2_000, 3);
     let mut job = wc("/out/flaky", 2);
     job.conf = job.conf.fail_first_attempts(1);
     let report = cluster.run_job(&job).unwrap();
