@@ -6,16 +6,21 @@
 //! encodings, so this is both the cheapest and the correct comparison.
 //!
 //! The merge is a tournament tree over run cursors (Hadoop's
-//! `Merger.MergeQueue` plays the same game): each pop replays exactly one
+//! `Merger.MergeQueue` plays the same game): a pop replays one
 //! leaf-to-root path of ⌈log₂ k⌉ comparisons on **borrowed key slices** —
 //! no per-record key copies, no heap node churn. Ties go to the
 //! lowest-numbered run, so group values keep run order then intra-run
 //! order, which students observe as deterministic reducer input.
+//!
+//! A run whose next key repeats the key it just yielded keeps the
+//! tournament without a replay: it was the lowest-numbered run holding the
+//! smallest key, and it still is. Uncombined wordcount runs are mostly
+//! such repeats.
 
 use crate::sortbuf::SortedRun;
 
 /// Marks an empty leaf in a tournament tree padded to a power of two.
-const NO_RUN: u32 = u32::MAX;
+const NO_RUN: usize = usize::MAX;
 
 /// Streaming record-level merge: yields `(key, value)` slices in
 /// ascending key order, borrowing from the input runs.
@@ -31,7 +36,11 @@ pub struct MergeIter<'a> {
     /// Winner tree as a 1-based array: `tree[1]` is the champion,
     /// `tree[leaves + r]` is leaf `r`. Internal nodes hold the run index
     /// winning that sub-tournament.
-    tree: Vec<u32>,
+    tree: Vec<usize>,
+    /// The champion also won the previous replay, so its next key is worth
+    /// one comparison against the key it just yielded. Runs without
+    /// duplicate keys rarely win twice in a row and never pay for it.
+    streak: bool,
 }
 
 impl<'a> MergeIter<'a> {
@@ -40,11 +49,12 @@ impl<'a> MergeIter<'a> {
         let leaves = runs.len().next_power_of_two().max(1);
         let mut tree = vec![NO_RUN; 2 * leaves];
         for r in 0..runs.len() {
-            tree[leaves + r] = r as u32;
+            tree[leaves + r] = r;
         }
         let heads =
             runs.iter().map(|run| if run.is_empty() { None } else { Some(run.key(0)) }).collect();
-        let mut it = MergeIter { runs, pos: vec![0; runs.len()], heads, leaves, tree };
+        let mut it =
+            MergeIter { runs, pos: vec![0; runs.len()], heads, leaves, tree, streak: false };
         for n in (1..leaves).rev() {
             it.tree[n] = it.play(it.tree[2 * n], it.tree[2 * n + 1]);
         }
@@ -53,11 +63,11 @@ impl<'a> MergeIter<'a> {
 
     /// Current key of run `r`, or `None` when exhausted / empty leaf.
     #[inline]
-    fn key_at(&self, r: u32) -> Option<&'a [u8]> {
+    fn key_at(&self, r: usize) -> Option<&'a [u8]> {
         if r == NO_RUN {
             None
         } else {
-            self.heads[r as usize]
+            self.heads[r]
         }
     }
 
@@ -65,7 +75,7 @@ impl<'a> MergeIter<'a> {
     /// go to the lower run index (left operand — left subtrees hold
     /// lower-numbered leaves).
     #[inline]
-    fn play(&self, a: u32, b: u32) -> u32 {
+    fn play(&self, a: usize, b: usize) -> usize {
         match (self.key_at(a), self.key_at(b)) {
             (Some(ka), Some(kb)) => {
                 if ka <= kb {
@@ -78,31 +88,39 @@ impl<'a> MergeIter<'a> {
             (None, _) => b,
         }
     }
-}
 
-impl<'a> Iterator for MergeIter<'a> {
-    type Item = (&'a [u8], &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let w = self.tree[1];
-        self.key_at(w)?;
-        let r = w as usize;
-        let item = self.runs[r].get(self.pos[r]);
+    /// The next record as its contiguous key+value bytes and the key's
+    /// length — `next` without the split, for a merge that only copies.
+    pub(crate) fn next_record(&mut self) -> Option<(&'a [u8], usize)> {
+        let r = self.tree[1];
+        self.key_at(r)?;
+        let run = &self.runs[r];
+        let (record, key_len) = run.record(self.pos[r]);
+        let key = &record[..key_len];
         self.pos[r] += 1;
-        self.heads[r] = if self.pos[r] < self.runs[r].len() {
-            let k = self.runs[r].key(self.pos[r]);
-            debug_assert!(k >= item.0, "run {r} not sorted");
-            Some(k)
-        } else {
-            None
-        };
+        self.heads[r] = (self.pos[r] < run.len()).then(|| run.key(self.pos[r]));
+        debug_assert!(self.heads[r].is_none_or(|k| k >= key), "run {r} not sorted");
+        if self.streak && self.heads[r] == Some(key) {
+            // Still the lowest-numbered run holding the smallest key:
+            // every match on its path would come out as it did.
+            return Some((record, key_len));
+        }
         // Replay only the path from this run's leaf to the root.
         let mut n = self.leaves + r;
         while n > 1 {
             n /= 2;
             self.tree[n] = self.play(self.tree[2 * n], self.tree[2 * n + 1]);
         }
-        Some(item)
+        self.streak = self.tree[1] == r;
+        Some((record, key_len))
+    }
+}
+
+impl<'a> Iterator for MergeIter<'a> {
+    type Item = (&'a [u8], &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_record().map(|(record, key_len)| record.split_at(key_len))
     }
 }
 
@@ -219,6 +237,51 @@ mod tests {
             .map(|v| u64::from_be_bytes(v.as_slice().try_into().unwrap()))
             .collect();
         assert_eq!(values, vec![1, 2, 3, 4]);
+    }
+
+    /// Values of `key` in merge order, from the record iterator and from
+    /// the group iterator; the two must agree.
+    fn values_of(runs: &[SortedRun], key: &str) -> Vec<u64> {
+        let want = key.to_string().ordered_bytes();
+        let value = |v: &[u8]| u64::from_be_bytes(v.try_into().unwrap());
+        let streamed: Vec<u64> =
+            merge_iter(runs).filter(|(k, _)| *k == want).map(|(_, v)| value(v)).collect();
+        let grouped: Vec<u64> = merge_groups(runs)
+            .filter(|(k, _)| *k == want)
+            .flat_map(|(_, vs)| vs.into_iter().map(value))
+            .collect();
+        assert_eq!(streamed, grouped, "merge_iter and merge_groups disagree on {key}");
+        streamed
+    }
+
+    #[test]
+    fn duplicates_inside_and_across_runs_keep_run_then_arrival_order() {
+        // "k" repeats inside runs 0, 2 and 3 and across all of them, an
+        // exhausted run sits between them, and smaller and larger keys
+        // force real replays before and after each held stretch.
+        let runs = vec![
+            run(&[("a", 1), ("k", 10), ("k", 11), ("k", 12), ("z", 2)]),
+            SortedRun::default(),
+            run(&[("k", 20), ("k", 21), ("m", 3)]),
+            run(&[("b", 4), ("k", 30), ("k", 31)]),
+        ];
+        assert_eq!(values_of(&runs, "k"), vec![10, 11, 12, 20, 21, 30, 31]);
+        let keys: Vec<String> = merge_iter(&runs).map(|(k, _)| key(k)).collect();
+        assert_eq!(keys, ["a", "b", "k", "k", "k", "k", "k", "k", "k", "m", "z"]);
+    }
+
+    #[test]
+    fn duplicates_ending_a_run_hand_over_to_the_next_run() {
+        // Run 0 ends inside its stretch of "k": the exhausted head must
+        // lose the replay it finally triggers, not repeat or drop a record.
+        let runs = vec![run(&[("j", 1), ("k", 10), ("k", 11)]), run(&[("k", 20), ("l", 2)])];
+        assert_eq!(values_of(&runs, "k"), vec![10, 11, 20]);
+        assert_eq!(merge_iter(&runs).count(), 5);
+        // A run that is nothing but one key, alone and beside another.
+        let only = vec![run(&[("k", 1), ("k", 2), ("k", 3)])];
+        assert_eq!(values_of(&only, "k"), vec![1, 2, 3]);
+        let pair = vec![run(&[("k", 1), ("k", 2)]), run(&[("k", 3)])];
+        assert_eq!(values_of(&pair, "k"), vec![1, 2, 3]);
     }
 
     #[test]

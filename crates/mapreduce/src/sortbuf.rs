@@ -8,12 +8,38 @@
 //! mechanism behind the lecture's "combiner trades map time for shuffle
 //! bytes" observation.
 //!
-//! Layout follows Hadoop's `MapOutputBuffer` kvbuffer design: one flat
-//! byte arena holds every serialized record back to back, and a compact
-//! index array of `(partition, key_off, key_len, val_off, val_len)`
-//! entries is what gets sorted — comparisons touch only the raw key
-//! slices, and no per-record `Vec` allocations happen on the collect path.
+//! Layout follows Hadoop's `MapOutputBuffer` kvbuffer/kvmeta split: one
+//! flat byte arena holds every serialized record back to back (key, then
+//! its value), and two parallel arrays describe it — a 12-byte `KvSlot`
+//! per record (where it lies) and a 16-byte `SortKey` per record (its
+//! partition, its first eight key bytes as a big-endian word, its arrival
+//! number). No per-record `Vec` is allocated on the collect path.
+//!
+//! A spill orders the `SortKey`s with a **stable LSD radix sort** on
+//! `(partition, prefix)`: one read histograms all eight prefix bytes, each
+//! byte whose histogram has more than one non-empty bucket is one scatter
+//! pass (least significant first), and the partition is the last, most
+//! significant pass, which also yields the partition boundaries. Only the
+//! sort keys move; the slots are gathered once at the end. What the prefix
+//! cannot decide is left to a **tie pass** over runs of equal
+//! `(partition, prefix)`: a run whose keys all have one length ≤ 8 holds
+//! identical keys, already in arrival order, and is skipped; any other run
+//! (keys longer than the prefix, `"a"` beside `"a\0"`, the empty key) is
+//! stable-sorted by full key slice. Raw-byte order is key order because
+//! keys encode order-preserving, and the stability of every pass is what
+//! keeps equal keys in collect order.
+//!
+//! Degradation: keys that all share their first eight bytes (URLs, `Pair`
+//! keys with a constant head) skip every digit pass and are ordered by the
+//! tie pass alone — one stable comparison sort over key slices per
+//! partition, which is what the whole spill sort was before the radix
+//! passes existed.
+//!
+//! A spilled run is written out like the spill file it stands for: its
+//! records back to back in sorted order in an arena of its own, so the
+//! map-side and reduce-side merges read memory forwards.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use hl_common::counters::{Counters, TaskCounter};
@@ -23,30 +49,64 @@ use hl_common::writable::Writable;
 
 use crate::api::{Combiner, PartitionFn};
 
-/// One record's location inside a run arena. Offsets are `u32` to keep
-/// the sorted index at 20 bytes per record; the buffer force-spills
-/// before the arena could outgrow them.
+/// An arena offset, a length, a partition or a record number as the index
+/// structs store it. Panics instead of wrapping: the collect buffer
+/// force-spills long before, so only a run built past 4 GiB gets here.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("sort buffer offsets, lengths and record numbers fit in u32")
+}
+
+/// The way back; lossless on every supported target.
+fn to_usize(n: u32) -> usize {
+    usize::try_from(n).expect("u32 fits in usize")
+}
+
+/// One record's location inside a run arena: the key starts at `off` and
+/// the value follows it directly, in every arena this module builds.
+/// Offsets are `u32` to keep the slot at 12 bytes per record; the buffer
+/// force-spills before the arena could outgrow them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct KvSlot {
-    key_off: u32,
+    off: u32,
     key_len: u32,
-    val_off: u32,
     val_len: u32,
 }
 
 impl KvSlot {
+    /// Slot of a record whose key starts at `key_off`, whose value starts
+    /// at `val_off`, and which ends at `end`.
+    fn new(key_off: usize, val_off: usize, end: usize) -> Self {
+        let (off, val_off, end) = (to_u32(key_off), to_u32(val_off), to_u32(end));
+        KvSlot { off, key_len: val_off - off, val_len: end - val_off }
+    }
+
     fn bytes(&self) -> u64 {
-        (self.key_len + self.val_len) as u64
+        u64::from(self.key_len) + u64::from(self.val_len)
+    }
+
+    fn key_len(&self) -> usize {
+        to_usize(self.key_len)
+    }
+
+    fn key_range(&self) -> Range<usize> {
+        let off = to_usize(self.off);
+        off..off + self.key_len()
+    }
+
+    /// Key and value bytes together.
+    fn record_range(&self) -> Range<usize> {
+        let off = to_usize(self.off);
+        off..off + self.key_len() + to_usize(self.val_len)
     }
 }
 
 /// A sorted run of serialized `(key, value)` records for one partition,
-/// backed by a shared byte arena.
+/// laid out back to back in sorted order in a byte arena.
 ///
-/// Records are exposed as borrowed slices — merging and shuffling never
-/// copy key/value bytes. `Clone` is O(1) (two `Arc` bumps), which is what
-/// lets the engine hand a map task's partition to a reduce attempt
-/// without duplicating the payload.
+/// Records are exposed as borrowed slices — reading a run for a merge or
+/// the shuffle never copies key/value bytes. `Clone` is O(1) (two `Arc`
+/// bumps), which is what lets the engine hand a map task's partition to a
+/// reduce attempt without duplicating the payload.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRun {
     arena: Arc<Vec<u8>>,
@@ -56,15 +116,10 @@ pub struct SortedRun {
 }
 
 impl SortedRun {
-    fn from_parts(arena: Arc<Vec<u8>>, slots: Vec<KvSlot>) -> Self {
-        let data_bytes = slots.iter().map(KvSlot::bytes).sum();
-        SortedRun { arena, slots: Arc::new(slots), data_bytes }
-    }
-
     /// Build a run from owned pairs of already-serialized bytes, sorting
     /// them by raw key (stable, so equal keys keep insertion order).
     /// Convenience for tests and benchmarks; the hot path builds runs
-    /// straight from the spill arena.
+    /// from the collect buffer.
     pub fn from_pairs(mut pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         let mut b = RunBuilder::new();
@@ -92,17 +147,20 @@ impl SortedRun {
 
     /// Borrow record `i` as `(key, value)` slices.
     pub fn get(&self, i: usize) -> (&[u8], &[u8]) {
+        let (rec, key_len) = self.record(i);
+        rec.split_at(key_len)
+    }
+
+    /// Borrow record `i` as its contiguous key+value bytes and the key's
+    /// length (what a merge copies).
+    pub(crate) fn record(&self, i: usize) -> (&[u8], usize) {
         let s = &self.slots[i];
-        (
-            &self.arena[s.key_off as usize..(s.key_off + s.key_len) as usize],
-            &self.arena[s.val_off as usize..(s.val_off + s.val_len) as usize],
-        )
+        (&self.arena[s.record_range()], s.key_len())
     }
 
     /// Borrow just the key of record `i` (merge comparisons).
     pub fn key(&self, i: usize) -> &[u8] {
-        let s = &self.slots[i];
-        &self.arena[s.key_off as usize..(s.key_off + s.key_len) as usize]
+        &self.arena[self.slots[i].key_range()]
     }
 
     /// Iterate `(key, value)` slices in sorted order.
@@ -119,7 +177,8 @@ impl SortedRun {
 
 /// Accumulates serialized records into a fresh arena, in push order.
 /// Used for combiner output and merge output, where records are produced
-/// already sorted.
+/// already sorted. Panics rather than wrap once the arena would pass
+/// `u32::MAX` bytes.
 #[derive(Debug, Default)]
 pub struct RunBuilder {
     arena: Vec<u8>,
@@ -132,46 +191,49 @@ impl RunBuilder {
         Self::default()
     }
 
+    /// Empty builder with room for `records` records of `bytes` serialized
+    /// bytes in total (a merge knows both exactly).
+    pub fn with_capacity(bytes: u64, records: usize) -> Self {
+        let bytes = usize::try_from(bytes).expect("run bytes fit in memory");
+        RunBuilder { arena: Vec::with_capacity(bytes), slots: Vec::with_capacity(records) }
+    }
+
     /// Append one record from raw serialized bytes.
     pub fn push_raw(&mut self, key: &[u8], value: &[u8]) {
-        let key_off = self.arena.len() as u32;
+        let key_off = self.arena.len();
         self.arena.extend_from_slice(key);
-        let val_off = self.arena.len() as u32;
+        let val_off = self.arena.len();
         self.arena.extend_from_slice(value);
-        self.slots.push(KvSlot {
-            key_off,
-            key_len: key.len() as u32,
-            val_off,
-            val_len: value.len() as u32,
-        });
+        self.slots.push(KvSlot::new(key_off, val_off, self.arena.len()));
+    }
+
+    /// Append one record given as contiguous key+value bytes.
+    pub(crate) fn push_record(&mut self, record: &[u8], key_len: usize) {
+        let key_off = self.arena.len();
+        self.arena.extend_from_slice(record);
+        self.slots.push(KvSlot::new(key_off, key_off + key_len, self.arena.len()));
     }
 
     /// Append one record with raw key bytes and a `Writable` value
     /// serialized in place (combiner output path — no temp `Vec`).
     pub fn push_value<V: Writable>(&mut self, key: &[u8], value: &V) {
-        let key_off = self.arena.len() as u32;
+        let key_off = self.arena.len();
         self.arena.extend_from_slice(key);
-        let val_off = self.arena.len() as u32;
+        let val_off = self.arena.len();
         value.write(&mut self.arena);
-        self.slots.push(KvSlot {
-            key_off,
-            key_len: key.len() as u32,
-            val_off,
-            val_len: (self.arena.len() - val_off as usize) as u32,
-        });
+        self.slots.push(KvSlot::new(key_off, val_off, self.arena.len()));
     }
 
     /// Seal into a run. Records must have been pushed in sorted key order.
     pub fn finish(self) -> SortedRun {
         debug_assert!(
-            self.slots.windows(2).all(|w| {
-                let ka = &self.arena[w[0].key_off as usize..(w[0].key_off + w[0].key_len) as usize];
-                let kb = &self.arena[w[1].key_off as usize..(w[1].key_off + w[1].key_len) as usize];
-                ka <= kb
-            }),
+            self.slots
+                .windows(2)
+                .all(|w| self.arena[w[0].key_range()] <= self.arena[w[1].key_range()]),
             "RunBuilder records not pushed in sorted order"
         );
-        SortedRun::from_parts(Arc::new(self.arena), self.slots)
+        let data_bytes = self.slots.iter().map(KvSlot::bytes).sum();
+        SortedRun { arena: Arc::new(self.arena), slots: Arc::new(self.slots), data_bytes }
     }
 }
 
@@ -227,28 +289,29 @@ impl MapOutput {
     }
 }
 
-/// One record in the collect buffer: its partition, its arena slot, and
-/// the first 8 key bytes cached inline. The spill sort permutes these
-/// compact entries, never the record bytes, and most comparisons resolve
-/// on the single `prefix` word — the arena is only touched when two
-/// prefixes tie.
-#[derive(Debug, Clone, Copy)]
-struct KvEntry {
-    partition: u32,
+/// What the spill sort reads of one buffered record. The radix passes
+/// permute these 16-byte entries only — never the slots, never the record
+/// bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct SortKey {
     /// Big-endian load of the first `min(8, key_len)` key bytes, zero
-    /// padded. Zero padding orders a short key before any longer key with
-    /// the same leading bytes *unless* the longer key continues with 0x00
-    /// bytes — and equal prefixes always fall back to a full key compare,
-    /// so the filter agrees with `memcmp` either way.
+    /// padded. Two different prefixes order their keys as `memcmp` would;
+    /// equal prefixes decide nothing (zero padding makes `"a"` and
+    /// `"a\0"` collide) and are left to the tie pass.
     prefix: u64,
-    slot: KvSlot,
+    partition: u32,
+    /// Arrival number: index of this record's [`KvSlot`].
+    record: u32,
 }
+
+/// Number of leading key bytes a [`SortKey`] caches.
+const PREFIX_LEN: usize = 8;
 
 /// The sortable prefix of a key slice.
 #[inline]
 fn key_prefix(k: &[u8]) -> u64 {
-    let mut p = [0u8; 8];
-    let n = k.len().min(8);
+    let mut p = [0u8; PREFIX_LEN];
+    let n = k.len().min(PREFIX_LEN);
     p[..n].copy_from_slice(&k[..n]);
     u64::from_be_bytes(p)
 }
@@ -264,8 +327,12 @@ pub struct SortBuffer<K: SortableKey, V: Writable> {
     /// Flat kvbuffer: every buffered record's key and value bytes, back
     /// to back in collect order.
     arena: Vec<u8>,
-    /// One compact entry per buffered record; sorting happens here.
-    index: Vec<KvEntry>,
+    /// Where each buffered record lies in `arena`, in collect order.
+    slots: Vec<KvSlot>,
+    /// One sort entry per buffered record; sorting happens here.
+    keys: Vec<SortKey>,
+    /// The radix sort's second buffer, kept between spills.
+    scratch: Vec<SortKey>,
     /// High-water mark of buffered bytes (the in-mapper-combining memory
     /// comparison in experiment N2 reads this).
     pub peak_buffered: usize,
@@ -283,7 +350,9 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
             num_partitions,
             buffer_limit: buffer_limit.clamp(1, MAX_ARENA),
             arena: Vec::new(),
-            index: Vec::new(),
+            slots: Vec::new(),
+            keys: Vec::new(),
+            scratch: Vec::new(),
             peak_buffered: 0,
             spills: Vec::new(),
             spill_bytes_written: 0,
@@ -308,22 +377,21 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
     ) where
         C: Combiner<K = K, V = V>,
     {
-        let key_off = self.arena.len() as u32;
+        let key_off = self.arena.len();
         key.encode_ordered(&mut self.arena);
-        let val_off = self.arena.len() as u32;
+        let val_off = self.arena.len();
         value.write(&mut self.arena);
-        let slot = KvSlot {
-            key_off,
-            key_len: val_off - key_off,
-            val_off,
-            val_len: (self.arena.len() - val_off as usize) as u32,
-        };
-        let kbytes = &self.arena[key_off as usize..val_off as usize];
+        let kbytes = &self.arena[key_off..val_off];
         let p = match &self.partitioner {
             Some(f) => f(key, kbytes, self.num_partitions).min(self.num_partitions - 1),
             None => default_partition(kbytes, self.num_partitions),
         };
-        self.index.push(KvEntry { partition: p as u32, prefix: key_prefix(kbytes), slot });
+        self.keys.push(SortKey {
+            prefix: key_prefix(kbytes),
+            partition: to_u32(p),
+            record: to_u32(self.slots.len()),
+        });
+        self.slots.push(KvSlot::new(key_off, val_off, self.arena.len()));
         self.peak_buffered = self.peak_buffered.max(self.arena.len());
         if self.arena.len() >= self.buffer_limit {
             self.spill(combiner, counters);
@@ -335,62 +403,32 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
     where
         C: Combiner<K = K, V = V>,
     {
-        if self.index.is_empty() {
+        if self.keys.is_empty() {
             return;
         }
-        let arena = std::mem::take(&mut self.arena);
-        let index = std::mem::take(&mut self.index);
-        counters.incr_task(TaskCounter::SpilledRecords, index.len() as u64);
+        counters.incr_task(TaskCounter::SpilledRecords, self.keys.len() as u64);
 
-        // Bucket by partition with a stable counting sort, then order each
-        // partition's entries by (key bytes, arrival order). Raw-byte
-        // compare is correct because keys encode order-preserving; the
-        // cached prefix word settles most comparisons without touching the
-        // arena, and the key_off tiebreak makes the unstable sort
-        // deterministic and equivalent to a stable by-key sort (offsets
-        // grow in collect order).
         let np = self.num_partitions;
-        let mut starts = vec![0usize; np + 1];
-        for e in &index {
-            starts[e.partition as usize + 1] += 1;
-        }
-        for p in 0..np {
-            starts[p + 1] += starts[p];
-        }
-        let mut cursors = starts.clone();
-        let mut ordered = index.clone(); // sized buffer; every slot rewritten below
-        for e in &index {
-            ordered[cursors[e.partition as usize]] = *e;
-            cursors[e.partition as usize] += 1;
-        }
-        drop(index);
-        for p in 0..np {
-            ordered[starts[p]..starts[p + 1]].sort_unstable_by(|a, b| {
-                a.prefix
-                    .cmp(&b.prefix)
-                    .then_with(|| key_slice(&arena, &a.slot).cmp(key_slice(&arena, &b.slot)))
-                    .then_with(|| a.slot.key_off.cmp(&b.slot.key_off))
-            });
-        }
+        let starts = radix_sort(&mut self.keys, &mut self.scratch, np);
+        let mut ordered: Vec<KvSlot> =
+            self.keys.iter().map(|k| self.slots[to_usize(k.record)]).collect();
+        sort_ties(&self.keys, &mut ordered, &self.arena);
 
-        let arena = Arc::new(arena);
         let mut combiner = combiner;
         let mut spill: Vec<SortedRun> = Vec::with_capacity(np);
         for p in 0..np {
             let entries = &ordered[starts[p]..starts[p + 1]];
             let run = match combiner.as_deref_mut() {
-                // Combined runs reserialize into a fresh arena.
-                Some(c) => combine_entries::<K, V, C>(&arena, entries, c, counters),
-                // Without a combiner the run just references the shared
-                // spill arena — zero copying.
-                None => {
-                    SortedRun::from_parts(arena.clone(), entries.iter().map(|e| e.slot).collect())
-                }
+                Some(c) => combine_entries::<K, V, C>(&self.arena, entries, c, counters),
+                None => copy_entries(&self.arena, entries),
             };
             self.spill_bytes_written += run.bytes();
             spill.push(run);
         }
         self.spills.push(spill);
+        self.arena.clear();
+        self.slots.clear();
+        self.keys.clear();
     }
 
     /// Final spill + merge of all spills into one sorted run per partition.
@@ -400,7 +438,7 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
     {
         let mut combiner = combiner;
         self.spill(combiner.as_deref_mut(), counters);
-        let num_spills = self.spills.len() as u32;
+        let num_spills = u32::try_from(self.spills.len()).expect("spill count fits in u32");
         let mut merged: Vec<SortedRun> = Vec::with_capacity(self.num_partitions);
         let mut merge_read = 0u64;
         let mut merge_written = 0u64;
@@ -415,19 +453,28 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
             } else {
                 // Multi-spill merge re-reads and re-writes everything, and
                 // the combiner runs once more over merged groups.
-                merge_read += crate::merge::runs_bytes(&runs);
+                let read = crate::merge::runs_bytes(&runs);
+                merge_read += read;
                 let out = match combiner.as_deref_mut() {
                     Some(c) => {
                         let mut b = RunBuilder::new();
                         for (kbytes, vlist) in crate::merge::merge_groups(&runs) {
-                            combine_group::<K, V, C>(kbytes, &vlist, c, counters, &mut b);
+                            combine_group::<K, V, C>(
+                                kbytes,
+                                vlist.iter().copied(),
+                                c,
+                                counters,
+                                &mut b,
+                            );
                         }
                         b.finish()
                     }
                     None => {
-                        let mut b = RunBuilder::new();
-                        for (k, v) in crate::merge::merge_iter(&runs) {
-                            b.push_raw(k, v);
+                        let records = runs.iter().map(SortedRun::len).sum();
+                        let mut b = RunBuilder::with_capacity(read, records);
+                        let mut merge = crate::merge::merge_iter(&runs);
+                        while let Some((record, key_len)) = merge.next_record() {
+                            b.push_record(record, key_len);
                         }
                         b.finish()
                     }
@@ -448,19 +495,100 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
     }
 }
 
-fn key_slice<'a>(arena: &'a [u8], s: &KvSlot) -> &'a [u8] {
-    &arena[s.key_off as usize..(s.key_off + s.key_len) as usize]
+/// Stable LSD radix sort of `keys` by `(partition, prefix)`, byte digits.
+/// Returns the partition boundaries: partition `p` ends up in
+/// `keys[starts[p]..starts[p + 1]]`. `scratch` is the second buffer the
+/// passes ping-pong through; its contents on return are meaningless.
+fn radix_sort(keys: &mut Vec<SortKey>, scratch: &mut Vec<SortKey>, np: usize) -> Vec<usize> {
+    let n = keys.len();
+    let mut digits = [[0usize; 256]; PREFIX_LEN];
+    let mut starts = vec![0usize; np + 1];
+    for k in keys.iter() {
+        for (hist, b) in digits.iter_mut().zip(k.prefix.to_be_bytes()) {
+            hist[usize::from(b)] += 1;
+        }
+        starts[to_usize(k.partition)] += 1;
+    }
+    scratch.resize(n, SortKey::default());
+
+    // Least significant prefix byte first. A digit on which every key
+    // agrees would copy the array onto itself, so it costs nothing.
+    for (d, hist) in digits.iter_mut().enumerate().rev() {
+        if hist.contains(&n) {
+            continue;
+        }
+        exclusive_sum(hist);
+        for k in keys.iter() {
+            let cursor = &mut hist[usize::from(k.prefix.to_be_bytes()[d])];
+            scratch[*cursor] = *k;
+            *cursor += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+
+    // The partition is the most significant digit.
+    let single = starts.contains(&n);
+    exclusive_sum(&mut starts);
+    if !single {
+        let mut cursors = starts.clone();
+        for k in keys.iter() {
+            let cursor = &mut cursors[to_usize(k.partition)];
+            scratch[*cursor] = *k;
+            *cursor += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+    starts
 }
 
-fn val_slice<'a>(arena: &'a [u8], s: &KvSlot) -> &'a [u8] {
-    &arena[s.val_off as usize..(s.val_off + s.val_len) as usize]
+/// Turn bucket counts into bucket start offsets, in place.
+fn exclusive_sum(counts: &mut [usize]) {
+    let mut sum = 0;
+    for c in counts {
+        sum += std::mem::replace(c, sum);
+    }
 }
 
-/// Run the combiner over consecutive equal-key spans of sorted index
-/// entries, serializing its output into a fresh run.
+/// The tie pass: `keys` is sorted by `(partition, prefix)` and `ordered`
+/// holds the matching slots; finish the job inside each run of equal
+/// `(partition, prefix)`, where the radix passes left arrival order.
+fn sort_ties(keys: &[SortKey], ordered: &mut [KvSlot], arena: &[u8]) {
+    let mut i = 0;
+    while i < keys.len() {
+        let (prefix, partition) = (keys[i].prefix, keys[i].partition);
+        let mut j = i + 1;
+        while j < keys.len() && keys[j].prefix == prefix && keys[j].partition == partition {
+            j += 1;
+        }
+        let run = &mut ordered[i..j];
+        // An equal zero-padded prefix plus one equal length within the
+        // prefix means identical bytes: nothing to order.
+        let len = run[0].key_len;
+        let identical = to_usize(len) <= PREFIX_LEN && run.iter().all(|s| s.key_len == len);
+        if !identical && run.len() > 1 {
+            run.sort_by(|a, b| arena[a.key_range()].cmp(&arena[b.key_range()]));
+        }
+        i = j;
+    }
+}
+
+/// Write the records of sorted slots out back to back, as a spill file
+/// would hold them: every merge that reads the run then walks memory
+/// forwards instead of gathering over the collect arena.
+fn copy_entries(arena: &[u8], entries: &[KvSlot]) -> SortedRun {
+    let bytes = entries.iter().map(KvSlot::bytes).sum();
+    let mut out = RunBuilder::with_capacity(bytes, entries.len());
+    for s in entries {
+        out.push_record(&arena[s.record_range()], s.key_len());
+    }
+    out.finish()
+}
+
+/// Run the combiner over consecutive equal-key spans of sorted slots,
+/// serializing its output into a fresh run.
 fn combine_entries<K, V, C>(
     arena: &[u8],
-    entries: &[KvEntry],
+    entries: &[KvSlot],
     combiner: &mut C,
     counters: &mut Counters,
 ) -> SortedRun
@@ -472,13 +600,13 @@ where
     let mut out = RunBuilder::new();
     let mut i = 0usize;
     while i < entries.len() {
-        let kbytes = key_slice(arena, &entries[i].slot);
+        let kbytes = &arena[entries[i].key_range()];
         let mut j = i + 1;
-        while j < entries.len() && key_slice(arena, &entries[j].slot) == kbytes {
+        while j < entries.len() && &arena[entries[j].key_range()] == kbytes {
             j += 1;
         }
-        let vlist: Vec<&[u8]> = entries[i..j].iter().map(|e| val_slice(arena, &e.slot)).collect();
-        combine_group::<K, V, C>(kbytes, &vlist, combiner, counters, &mut out);
+        let values = entries[i..j].iter().map(|s| &arena[s.record_range()][s.key_len()..]);
+        combine_group::<K, V, C>(kbytes, values, combiner, counters, &mut out);
         i = j;
     }
     out.finish()
@@ -486,9 +614,9 @@ where
 
 /// Decode one `(key, values)` group, fold it through the combiner, and
 /// push the folded records (same key bytes, new values) onto `out`.
-fn combine_group<K, V, C>(
+fn combine_group<'a, K, V, C>(
     kbytes: &[u8],
-    vlist: &[&[u8]],
+    values: impl Iterator<Item = &'a [u8]>,
     combiner: &mut C,
     counters: &mut Counters,
     out: &mut RunBuilder,
@@ -500,7 +628,7 @@ fn combine_group<K, V, C>(
     let mut kslice = kbytes;
     let key = K::decode_ordered(&mut kslice).expect("combiner key round-trip");
     let values: Vec<V> =
-        vlist.iter().map(|b| V::from_bytes(b).expect("combiner value round-trip")).collect();
+        values.map(|b| V::from_bytes(b).expect("combiner value round-trip")).collect();
     counters.incr_task(TaskCounter::CombineInputRecords, values.len() as u64);
     let mut folded = Vec::new();
     combiner.combine(&key, values, &mut folded);
@@ -560,8 +688,8 @@ mod tests {
 
     #[test]
     fn equal_keys_keep_collect_order() {
-        // The index sort tiebreaks on arena offset, so equal keys come
-        // out in arrival order — the stability Hadoop's stable sort gives.
+        // Every pass of the spill sort is stable, so equal keys come out
+        // in arrival order — what Hadoop's stable sort gives.
         let mut counters = Counters::new();
         let mut buf: SortBuffer<String, u64> = SortBuffer::new(1, usize::MAX >> 1);
         collect_all(&mut buf, &[("k", 3), ("k", 1), ("k", 2)], &mut counters);
@@ -679,6 +807,13 @@ mod tests {
         assert_eq!(run.get(0).0, b"a");
         assert!(Arc::ptr_eq(&run.arena, &dup.arena), "clone must not copy bytes");
         assert_eq!(run.bytes(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in u32")]
+    fn slots_refuse_an_arena_past_u32_instead_of_wrapping() {
+        let past = usize::try_from(u32::MAX).unwrap() + 1;
+        let _ = KvSlot::new(past - 8, past - 4, past);
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! merge) and drives both with the same inputs:
 //!
 //! * a seeded deterministic sweep (always runs), and
-//! * a `proptest` property over random inputs.
+//! * a `proptest` property over random inputs,
+//!
+//! each once over wordcount-shaped keys and once over keys the sort's
+//! cached 8-byte prefix cannot decide (longer than the prefix, equal up
+//! to it, containing `0x00`, empty).
 //!
 //! A second property checks that the parallel reduce phase of the
 //! `LocalRunner` produces exactly the serial runner's output and counters.
@@ -188,23 +192,31 @@ fn ref_combine<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>>(
 // Driving both pipelines
 // ---------------------------------------------------------------------------
 
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type K = String;
+struct SumCombiner<K>(std::marker::PhantomData<fn() -> K>);
+impl<K: SortableKey + Send> Combiner for SumCombiner<K> {
+    type K = K;
     type V = u64;
-    fn combine(&mut self, _k: &String, values: Vec<u64>, out: &mut Vec<u64>) {
+    fn combine(&mut self, _k: &K, values: Vec<u64>, out: &mut Vec<u64>) {
         out.push(values.into_iter().sum());
     }
 }
 
 /// Run the arena pipeline and the reference pipeline over the same input
 /// and assert byte-identical output plus identical accounting.
-fn assert_equivalent(pairs: &[(String, u64)], parts: usize, limit: usize, combine: bool) {
-    let ctx = format!("parts={parts} limit={limit} combine={combine} n={}", pairs.len());
+fn check_against_reference<K, C>(
+    pairs: &[(K, u64)],
+    parts: usize,
+    limit: usize,
+    combiner: impl Fn() -> Option<C>,
+) where
+    K: SortableKey,
+    C: Combiner<K = K, V = u64>,
+{
+    let mut c1 = combiner();
+    let ctx = format!("parts={parts} limit={limit} combine={} n={}", c1.is_some(), pairs.len());
 
     let mut counters = Counters::new();
-    let mut buf: SortBuffer<String, u64> = SortBuffer::new(parts, limit);
-    let mut c1 = combine.then_some(SumCombiner);
+    let mut buf: SortBuffer<K, u64> = SortBuffer::new(parts, limit);
     for (k, v) in pairs {
         buf.collect(k, v, c1.as_mut(), &mut counters);
     }
@@ -213,7 +225,7 @@ fn assert_equivalent(pairs: &[(String, u64)], parts: usize, limit: usize, combin
 
     let mut ref_counters = Counters::new();
     let mut rbuf = RefBuffer::new(parts, limit);
-    let mut c2 = combine.then_some(SumCombiner);
+    let mut c2 = combiner();
     for (k, v) in pairs {
         rbuf.collect(k, v, c2.as_mut(), &mut ref_counters);
     }
@@ -230,27 +242,21 @@ fn assert_equivalent(pairs: &[(String, u64)], parts: usize, limit: usize, combin
     assert_eq!(counters, ref_counters, "counters: {ctx}");
 }
 
-fn no_combiner_equivalent(pairs: &[(String, u64)], parts: usize, limit: usize) {
-    // Same as assert_equivalent but through the NoCombiner path.
-    let mut counters = Counters::new();
-    let mut buf: SortBuffer<String, u64> = SortBuffer::new(parts, limit);
-    for (k, v) in pairs {
-        buf.collect::<NoCombiner<String, u64>>(k, v, None, &mut counters);
-    }
-    let out = buf.finish::<NoCombiner<String, u64>>(None, &mut counters);
+/// Both pipelines with the summing combiner (`combine`) or without one.
+fn assert_equivalent<K: SortableKey + Send>(
+    pairs: &[(K, u64)],
+    parts: usize,
+    limit: usize,
+    combine: bool,
+) {
+    check_against_reference(pairs, parts, limit, || {
+        combine.then_some(SumCombiner(std::marker::PhantomData))
+    });
+}
 
-    let mut ref_counters = Counters::new();
-    let mut rbuf = RefBuffer::new(parts, limit);
-    for (k, v) in pairs {
-        rbuf.collect::<String, u64, NoCombiner<String, u64>>(k, v, None, &mut ref_counters);
-    }
-    let rout = rbuf.finish::<String, u64, NoCombiner<String, u64>>(None, &mut ref_counters);
-    for p in 0..parts {
-        assert_eq!(out.partitions[p].to_pairs(), rout.partitions[p], "partition {p}");
-    }
-    assert_eq!(out.spill_bytes_written, rout.spill_bytes_written);
-    assert_eq!(out.spill_bytes_read, rout.spill_bytes_read);
-    assert_eq!(counters, ref_counters);
+/// Both pipelines through the `NoCombiner` type.
+fn no_combiner_equivalent<K: SortableKey + Send>(pairs: &[(K, u64)], parts: usize, limit: usize) {
+    check_against_reference(pairs, parts, limit, || None::<NoCombiner<K, u64>>);
 }
 
 /// splitmix64 — deterministic inputs without a rand dependency.
@@ -290,9 +296,9 @@ fn seeded_sweep_matches_reference() {
 
 #[test]
 fn single_record_and_empty_edge_cases() {
-    assert_equivalent(&[], 3, 64, true);
-    assert_equivalent(&[("only".into(), 7)], 1, 1, true);
-    no_combiner_equivalent(&[("only".into(), 7)], 2, 1);
+    assert_equivalent::<String>(&[], 3, 64, true);
+    assert_equivalent(&[("only".to_string(), 7)], 1, 1, true);
+    no_combiner_equivalent(&[("only".to_string(), 7)], 2, 1);
     // Every record forces a spill: num_spills == records, merge re-reads.
     let pairs: Vec<(String, u64)> = (0..20).map(|i| (format!("k{}", i % 3), i)).collect();
     assert_equivalent(&pairs, 2, 1, true);
@@ -308,6 +314,129 @@ proptest::proptest! {
         combine in proptest::prelude::any::<bool>(),
     ) {
         let pairs: Vec<(String, u64)> = raw;
+        if combine {
+            assert_equivalent(&pairs, parts, limit, true);
+        } else {
+            no_combiner_equivalent(&pairs, parts, limit);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Keys the 8-byte sort prefix cannot decide
+// ---------------------------------------------------------------------------
+
+/// A key that is its own encoding, so a test can put any bytes — `0x00`,
+/// nothing at all — into the sort buffer. (Not self-delimiting, which the
+/// buffer never needs: it hands `decode_ordered` exactly one key.)
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct RawKey(Vec<u8>);
+
+impl Writable for RawKey {
+    fn write(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0);
+    }
+    fn read(buf: &mut &[u8]) -> hl_common::error::Result<Self> {
+        Ok(RawKey(std::mem::take(buf).to_vec()))
+    }
+}
+
+impl SortableKey for RawKey {
+    fn encode_ordered(&self, buf: &mut Vec<u8>) {
+        self.write(buf);
+    }
+    fn decode_ordered(buf: &mut &[u8]) -> hl_common::error::Result<Self> {
+        Self::read(buf)
+    }
+}
+
+/// A key over `{0x00, 'a', 'b'}` of length 0..=12, bare or behind the
+/// eight bytes of `"prefixed"`: empty keys, keys that differ only past the
+/// prefix, and `"a"` beside `"a\0"`, whose zero-padded prefixes collide.
+fn adversarial_key(symbols: &[u8], prefixed: bool) -> RawKey {
+    let mut key = if prefixed { b"prefixed".to_vec() } else { Vec::new() };
+    key.extend(symbols.iter().map(|s| [0x00, b'a', b'b'][usize::from(*s) % 3]));
+    RawKey(key)
+}
+
+fn gen_adversarial(rng: &mut Prng, n: usize) -> Vec<(RawKey, u64)> {
+    (0..n)
+        .map(|_| {
+            let len = (rng.next() % 13) as usize;
+            let symbols: Vec<u8> = (0..len).map(|_| (rng.next() % 3) as u8).collect();
+            (adversarial_key(&symbols, rng.next().is_multiple_of(3)), rng.next() % 1000)
+        })
+        .collect()
+}
+
+#[test]
+fn adversarial_keys_match_reference() {
+    // Sizes on both sides of every power of two a sort might switch
+    // strategy at; limits from "every record spills" to "never spills".
+    const SIZES: [usize; 14] = [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 255, 256, 257, 1500];
+    const LIMITS: [usize; 6] = [1, 13, 64, 700, 4096, usize::MAX >> 1];
+    let mut rng = Prng(0xAD7E_25A1);
+    for case in 0..168usize {
+        let pairs = gen_adversarial(&mut rng, SIZES[case % SIZES.len()]);
+        let parts = 1 + case % 4;
+        let limit = LIMITS[(rng.next() % 6) as usize];
+        match case % 3 {
+            0 => assert_equivalent(&pairs, parts, limit, true),
+            1 => assert_equivalent(&pairs, parts, limit, false),
+            _ => no_combiner_equivalent(&pairs, parts, limit),
+        }
+    }
+}
+
+#[test]
+fn prefix_collisions_keep_byte_order_and_arrival_order() {
+    // One spill holding every ordering the prefix gets wrong or leaves
+    // open; values record arrival so stability is visible in the bytes.
+    let keys: [&[u8]; 9] =
+        [b"a\0", b"a", b"", b"prefixedb", b"prefixed", b"a", b"prefixeda", b"", b"a\0\0"];
+    let pairs: Vec<(RawKey, u64)> =
+        keys.iter().zip(0u64..).map(|(k, i)| (RawKey(k.to_vec()), i)).collect();
+    for parts in 1..=4 {
+        no_combiner_equivalent(&pairs, parts, usize::MAX >> 1);
+        assert_equivalent(&pairs, parts, 1, true);
+    }
+}
+
+#[test]
+fn i64_keys_sort_by_the_prefix_alone() {
+    // An i64 encodes to exactly eight bytes: the prefix is the whole key
+    // and the tie pass has nothing to compare.
+    let mut rng = Prng(64);
+    let edges = [i64::MIN, -1, 0, 1, i64::MAX];
+    let pairs: Vec<(i64, u64)> = (0..600)
+        .map(|i| {
+            let k = match rng.next() % 3 {
+                0 => edges[(rng.next() % 5) as usize],
+                1 => (rng.next() % 7) as i64 - 3,
+                _ => rng.next() as i64,
+            };
+            (k, i)
+        })
+        .collect();
+    for (parts, limit) in [(1, usize::MAX >> 1), (3, 512), (4, 1)] {
+        assert_equivalent(&pairs, parts, limit, true);
+        no_combiner_equivalent(&pairs, parts, limit);
+    }
+}
+
+proptest::proptest! {
+    #[test]
+    fn prop_adversarial_keys_match_reference(
+        raw in proptest::collection::vec(
+            (proptest::collection::vec(0u8..3, 0..13), proptest::prelude::any::<bool>(), 0u64..500),
+            0..300,
+        ),
+        parts in 1usize..5,
+        limit in proptest::prop_oneof![1usize..64, 64usize..8192, proptest::strategy::Just(usize::MAX >> 1)],
+        combine in proptest::prelude::any::<bool>(),
+    ) {
+        let pairs: Vec<(RawKey, u64)> =
+            raw.iter().map(|(symbols, prefixed, v)| (adversarial_key(symbols, *prefixed), *v)).collect();
         if combine {
             assert_equivalent(&pairs, parts, limit, true);
         } else {
