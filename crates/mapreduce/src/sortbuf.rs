@@ -232,7 +232,8 @@ impl RunBuilder {
                 .all(|w| self.arena[w[0].key_range()] <= self.arena[w[1].key_range()]),
             "RunBuilder records not pushed in sorted order"
         );
-        let data_bytes = self.slots.iter().map(KvSlot::bytes).sum();
+        // The arena holds the records and nothing else.
+        let data_bytes = self.arena.len() as u64;
         SortedRun { arena: Arc::new(self.arena), slots: Arc::new(self.slots), data_bytes }
     }
 }
