@@ -519,27 +519,33 @@ fn radix_sort(keys: &mut Vec<SortKey>, scratch: &mut Vec<SortKey>, np: usize) ->
             continue;
         }
         exclusive_sum(hist);
-        for k in keys.iter() {
-            let cursor = &mut hist[usize::from(k.prefix.to_be_bytes()[d])];
-            scratch[*cursor] = *k;
-            *cursor += 1;
-        }
-        std::mem::swap(keys, scratch);
+        scatter(keys, scratch, hist, |k| usize::from(k.prefix.to_be_bytes()[d]));
     }
 
     // The partition is the most significant digit.
     let single = starts.contains(&n);
     exclusive_sum(&mut starts);
     if !single {
-        let mut cursors = starts.clone();
-        for k in keys.iter() {
-            let cursor = &mut cursors[to_usize(k.partition)];
-            scratch[*cursor] = *k;
-            *cursor += 1;
-        }
-        std::mem::swap(keys, scratch);
+        scatter(keys, scratch, &mut starts.clone(), |k| to_usize(k.partition));
     }
     starts
+}
+
+/// One stable counting-sort pass: move every key to the next free place
+/// of its bucket in `scratch`, then make `scratch` the current array.
+/// `cursors` holds each bucket's start offset and is used up.
+fn scatter(
+    keys: &mut Vec<SortKey>,
+    scratch: &mut Vec<SortKey>,
+    cursors: &mut [usize],
+    bucket: impl Fn(&SortKey) -> usize,
+) {
+    for k in keys.iter() {
+        let cursor = &mut cursors[bucket(k)];
+        scratch[*cursor] = *k;
+        *cursor += 1;
+    }
+    std::mem::swap(keys, scratch);
 }
 
 /// Turn bucket counts into bucket start offsets, in place.
@@ -566,7 +572,7 @@ fn sort_ties(keys: &[SortKey], ordered: &mut [KvSlot], arena: &[u8]) {
         // prefix means identical bytes: nothing to order.
         let len = run[0].key_len;
         let identical = to_usize(len) <= PREFIX_LEN && run.iter().all(|s| s.key_len == len);
-        if !identical && run.len() > 1 {
+        if !identical {
             run.sort_by(|a, b| arena[a.key_range()].cmp(&arena[b.key_range()]));
         }
         i = j;
