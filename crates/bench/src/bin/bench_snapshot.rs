@@ -38,6 +38,7 @@
 
 use std::process::ExitCode;
 
+use hl_bench::{extract, sections_json, Layout};
 use hl_cluster::node::{ClusterSpec, DegradeModel, HeterogeneousClusterSpec, PerfProfile};
 use hl_common::config::keys;
 use hl_common::prelude::*;
@@ -324,27 +325,6 @@ fn run_codec() -> Result<Snapshot> {
     })
 }
 
-/// Extract `"metric": N` from the named workload's object in the baseline
-/// JSON. The format is the one this binary writes — a flat object per
-/// workload — so a scan to the workload key and then to the metric key
-/// inside its braces is a complete parse.
-fn extract(json: &str, workload: &str, metric: &str) -> Option<u64> {
-    let start = json.find(&format!("\"{workload}\""))?;
-    let body = &json[start..];
-    let open = body.find('{')?;
-    let close = body[open..].find('}')? + open;
-    let section = &body[open..close];
-    let at = section.find(&format!("\"{metric}\""))?;
-    let rest = &section[at..];
-    let colon = rest.find(':')?;
-    let digits: String = rest[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Compare a fresh snapshot against the baseline; returns the list of
 /// human-readable regression lines (empty = gate passes).
 fn check(snapshots: &[Snapshot], baseline: &str) -> Vec<String> {
@@ -374,19 +354,8 @@ fn check(snapshots: &[Snapshot], baseline: &str) -> Vec<String> {
 }
 
 fn combined_json(snapshots: &[Snapshot]) -> String {
-    let mut out = String::from("{\n");
-    for (i, s) in snapshots.iter().enumerate() {
-        let body: Vec<String> =
-            s.metrics.iter().map(|(name, value)| format!("\"{name}\": {value}")).collect();
-        out.push_str(&format!(
-            "  \"{}\": {{ {} }}{}\n",
-            s.workload,
-            body.join(", "),
-            if i + 1 < snapshots.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("}\n");
-    out
+    let sections: Vec<_> = snapshots.iter().map(|s| (s.workload, &s.metrics)).collect();
+    sections_json(&sections, Layout::OneLine)
 }
 
 fn main() -> ExitCode {

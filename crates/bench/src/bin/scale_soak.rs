@@ -32,6 +32,7 @@
 use std::process::ExitCode;
 use std::time::Instant; // lint:allow(R2): wall-clock benchmark harness, not sim logic
 
+use hl_bench::{extract, sections_json, Layout};
 use hl_cluster::event::{EventQueue, TimerWheel};
 use hl_common::config::keys;
 use hl_common::prelude::*;
@@ -75,20 +76,19 @@ impl ScaleStats {
         ]
     }
 
-    fn to_json_entry(&self) -> String {
-        format!(
-            "  \"{}\": {{\n    \"nn_ops_per_sec\": {},\n    \"block_report_mean_us\": {},\n    \"block_report_p99_us\": {},\n    \"des_events_per_sec\": {},\n    \"restart_recovery_us\": {},\n    \"des_events_total\": {},\n    \"restart_tail_ops\": {},\n    \"report_replicas_total\": {},\n    \"fsimage_bytes\": {}\n  }}",
-            self.key,
-            self.nn_ops_per_sec,
-            self.block_report_mean_us,
-            self.block_report_p99_us,
-            self.des_events_per_sec,
-            self.restart_recovery_us,
-            self.des_events_total,
-            self.restart_tail_ops,
-            self.report_replicas_total,
-            self.fsimage_bytes
-        )
+    /// Every measurement, in `BENCH_scale.json` order.
+    fn metrics(&self) -> [(&'static str, u64); 9] {
+        [
+            ("nn_ops_per_sec", self.nn_ops_per_sec),
+            ("block_report_mean_us", self.block_report_mean_us),
+            ("block_report_p99_us", self.block_report_p99_us),
+            ("des_events_per_sec", self.des_events_per_sec),
+            ("restart_recovery_us", self.restart_recovery_us),
+            ("des_events_total", self.des_events_total),
+            ("restart_tail_ops", self.restart_tail_ops),
+            ("report_replicas_total", self.report_replicas_total),
+            ("fsimage_bytes", self.fsimage_bytes),
+        ]
     }
 }
 
@@ -285,25 +285,6 @@ fn run_config(nodes: u64, blocks: u64) -> Result<ScaleStats> {
     })
 }
 
-/// Extract `"metric": N` from the named config's object in the baseline
-/// JSON (the flat format this binary writes).
-fn extract(json: &str, key: &str, metric: &str) -> Option<u64> {
-    let start = json.find(&format!("\"{key}\""))?;
-    let body = &json[start..];
-    let open = body.find('{')?;
-    let close = body[open..].find('}')? + open;
-    let section = &body[open..close];
-    let at = section.find(&format!("\"{metric}\""))?;
-    let rest = &section[at..];
-    let colon = rest.find(':')?;
-    let digits: String = rest[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Two-sided gate: a deterministic counter drifting past the band in
 /// either direction means the workload or format changed silently.
 fn check(stats: &[ScaleStats], baseline: &str) -> Vec<String> {
@@ -333,13 +314,8 @@ fn check(stats: &[ScaleStats], baseline: &str) -> Vec<String> {
 }
 
 fn combined_json(stats: &[ScaleStats]) -> String {
-    let mut out = String::from("{\n");
-    for (i, s) in stats.iter().enumerate() {
-        out.push_str(&s.to_json_entry());
-        out.push_str(if i + 1 < stats.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
+    let sections: Vec<_> = stats.iter().map(|s| (s.key.as_str(), s.metrics())).collect();
+    sections_json(&sections, Layout::Indented)
 }
 
 fn main() -> ExitCode {

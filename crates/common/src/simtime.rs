@@ -96,11 +96,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Whole seconds, truncating.
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
 }
 
 impl Add<SimDuration> for SimTime {

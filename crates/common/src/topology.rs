@@ -80,11 +80,6 @@ impl Topology {
         Self::striped(num_nodes, 1)
     }
 
-    /// Explicit rack assignment per node.
-    pub fn from_racks(rack_of: Vec<RackId>) -> Self {
-        Topology { rack_of }
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.rack_of.len()

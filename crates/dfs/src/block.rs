@@ -215,7 +215,8 @@ pub fn split_into_blocks(data: &[u8], block_size: u64) -> Vec<BlockPayload> {
     if data.is_empty() {
         return Vec::new();
     }
-    data.chunks(block_size as usize)
+    // A block wider than the address space is one chunk.
+    data.chunks(usize::try_from(block_size).unwrap_or(usize::MAX))
         .map(|c| BlockPayload::real(Bytes::copy_from_slice(c)))
         .collect()
 }
@@ -247,6 +248,16 @@ mod tests {
         assert_eq!(blocks[2].len(), 44);
         assert!(blocks.iter().all(|b| b.is_real()));
         assert!(split_into_blocks(&[], 128).is_empty());
+    }
+
+    #[test]
+    fn block_size_above_data_len_is_one_block() {
+        let data = vec![7u8; 300];
+        for block_size in [301, u64::MAX] {
+            let blocks = split_into_blocks(&data, block_size);
+            assert_eq!(blocks.len(), 1);
+            assert_eq!(blocks[0].len(), 300);
+        }
     }
 
     #[test]

@@ -1045,6 +1045,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_block_size_is_rejected_at_format() {
+        let spec = ClusterSpec::course_hadoop(3);
+        let mut config = Configuration::with_defaults();
+        config.set(hl_common::config::keys::DFS_BLOCK_SIZE, 0u64);
+        assert!(matches!(Dfs::format(&config, &spec), Err(HlError::Config(_))));
+    }
+
+    #[test]
     fn pipeline_kill_recovers_write_and_invalidates_stale_replica() {
         let (mut dfs, mut net, _) = setup(5);
         dfs.namenode.mkdirs("/d").unwrap();

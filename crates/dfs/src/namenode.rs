@@ -194,6 +194,10 @@ impl NameNode {
         let lease_hard =
             SimDuration::from_secs(config.get_u64(keys::DFS_LEASE_HARD_LIMIT_SECS, 300)?);
         let checkpoint_ops = config.get_u64(keys::DFS_CHECKPOINT_OPS, 10_000)?;
+        let default_block_size = config.get_u64(keys::DFS_BLOCK_SIZE, 64 * 1024 * 1024)?;
+        if default_block_size == 0 {
+            return Err(HlError::Config(format!("{} must be positive", keys::DFS_BLOCK_SIZE)));
+        }
         // A freshly formatted NameNode's image: empty tree, allocation
         // counters at their starting marks.
         let format_image =
@@ -222,7 +226,7 @@ impl NameNode {
             heartbeat_interval: SimDuration::from_secs(heartbeat_secs),
             dead_after: SimDuration::from_secs(heartbeat_secs * dead_after_beats),
             default_replication: config.get_u32(keys::DFS_REPLICATION, 3)?,
-            default_block_size: config.get_u64(keys::DFS_BLOCK_SIZE, 64 * 1024 * 1024)?,
+            default_block_size,
         })
     }
 

@@ -4,16 +4,13 @@
 //! ghost daemons) only reproduce credibly if the NameNode/DataNode/
 //! JobTracker analogs *degrade* instead of panicking, and if the cluster
 //! simulator is deterministic enough to replay them. This crate enforces
-//! those properties as machine-checked invariants with a ratcheted
-//! baseline: pre-existing violations are grandfathered in
-//! `lint-baseline.toml`, new ones fail CI, and the baseline may only
-//! shrink.
+//! those properties as machine-checked invariants: any violation without
+//! a `// lint:allow(Rn): reason` waiver on its site fails CI.
 //!
 //! Run it with `cargo run -p lint --release -- check`. See
 //! `DESIGN.md` § "Invariants & lint" for the rule catalog and waiver
 //! policy.
 
-pub mod baseline;
 pub mod confkeys;
 pub mod items;
 pub mod lexer;
@@ -23,7 +20,6 @@ pub mod scan;
 pub mod toml_subset;
 pub mod workspace;
 
-use baseline::Baseline;
 use manifest::Manifest;
 use rules::{RuleId, Violation};
 use scan::ScannedFile;
@@ -67,7 +63,7 @@ pub struct WorkspaceLint {
 }
 
 impl WorkspaceLint {
-    /// The violations that count against the baseline.
+    /// The unwaived violations: `check` fails when there is one.
     pub fn active(&self) -> Vec<Violation> {
         self.violations.iter().filter(|v| !v.waived).cloned().collect()
     }
@@ -75,11 +71,6 @@ impl WorkspaceLint {
     /// Active-violation count for one rule.
     pub fn rule_count(&self, rule: RuleId) -> usize {
         self.violations.iter().filter(|v| !v.waived && v.rule == rule).count()
-    }
-
-    /// Build the baseline this state would ratchet to.
-    pub fn to_baseline(&self) -> Baseline {
-        Baseline::from_violations(&self.active())
     }
 }
 

@@ -1,37 +1,32 @@
 //! CLI for `hadooplab-lint`.
 //!
 //! ```text
-//! cargo run -p lint --release -- check              # enforce the ratchet
+//! cargo run -p lint --release -- check              # fail on any unwaived violation
 //! cargo run -p lint --release -- check --format=github  # CI annotations
 //! cargo run -p lint --release -- check --format=json    # machine-readable
-//! cargo run -p lint --release -- baseline           # re-tighten lint-baseline.toml
-//! cargo run -p lint --release -- stats              # per-rule burndown table
 //! cargo run -p lint --release -- dump FILE          # all-rules report for one file
 //! ```
 //!
-//! Exit codes: 0 clean / ratchet respected, 1 regression, 2 usage or I/O
+//! Exit codes: 0 no unwaived violation, 1 at least one, 2 usage or I/O
 //! error.
 
-use lint::baseline::Baseline;
 use lint::manifest::Manifest;
 use lint::rules::{RuleId, Violation};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-const BASELINE_FILE: &str = "lint-baseline.toml";
 
 /// Output mode for `check`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     /// Human-readable report (the default).
     Text,
-    /// GitHub Actions workflow commands: every violation in a regressed
-    /// bucket becomes an `::error file=..,line=..,col=..` annotation on
-    /// the diff, followed by the plain-text summary (Actions ignores
-    /// non-command lines).
+    /// GitHub Actions workflow commands: every unwaived violation becomes
+    /// an `::error file=..,line=..,col=..` annotation on the diff,
+    /// followed by the plain-text summary (Actions ignores non-command
+    /// lines).
     Github,
-    /// One JSON object on stdout: counts, per-rule totals, regressions,
-    /// and every violation with its span.
+    /// One JSON object on stdout: counts, per-rule totals, and every
+    /// violation with its span.
     Json,
 }
 
@@ -39,7 +34,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut root: Option<PathBuf> = None;
-    let mut force_grow = false;
     let mut dump_file = None;
     let mut format = Format::Text;
     let mut i = 0;
@@ -49,7 +43,6 @@ fn main() -> ExitCode {
                 i += 1;
                 root = args.get(i).map(PathBuf::from);
             }
-            "--force-grow" => force_grow = true,
             "--format" => {
                 i += 1;
                 match args.get(i).map(String::as_str).and_then(parse_format) {
@@ -61,7 +54,7 @@ fn main() -> ExitCode {
                 Some(f) => format = f,
                 None => return usage(),
             },
-            "check" | "baseline" | "stats" if cmd.is_none() => cmd = Some(args[i].clone()),
+            "check" if cmd.is_none() => cmd = Some("check".to_string()),
             "dump" if cmd.is_none() => {
                 cmd = Some("dump".into());
                 i += 1;
@@ -87,8 +80,6 @@ fn main() -> ExitCode {
 
     match cmd.as_deref() {
         Some("check") => cmd_check(&root, format),
-        Some("baseline") => cmd_baseline(&root, force_grow),
-        Some("stats") => cmd_stats(&root),
         Some("dump") => match dump_file {
             Some(f) => cmd_dump(&f),
             None => usage(),
@@ -107,19 +98,8 @@ fn parse_format(s: &str) -> Option<Format> {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: hadooplab-lint [--root DIR] \
-         <check [--format=text|github|json] | baseline [--force-grow] | stats | dump FILE>"
-    );
+    eprintln!("usage: hadooplab-lint [--root DIR] <check [--format=text|github|json] | dump FILE>");
     ExitCode::from(2)
-}
-
-fn load_baseline(root: &std::path::Path) -> Result<Baseline, String> {
-    let path = root.join(BASELINE_FILE);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
-        Err(_) => Ok(Baseline::default()),
-    }
 }
 
 fn cmd_check(root: &std::path::Path, format: Format) -> ExitCode {
@@ -130,85 +110,54 @@ fn cmd_check(root: &std::path::Path, format: Format) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = match load_baseline(root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("hadooplab-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
     let active = ws.active();
-    let report = baseline.compare(&active);
+    let verdict = if active.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
 
     if format == Format::Json {
-        print_json(&ws, &baseline, &active, &report);
-        return if report.regressions.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        print_json(&ws, &active);
+        return verdict;
     }
 
     if format == Format::Github {
         // Annotations first: Actions picks `::error` lines out of the log
         // and pins them to the diff at file/line/col.
-        for (rule, file, _, _) in &report.regressions {
-            for v in active.iter().filter(|v| v.rule == *rule && &v.file == file) {
-                println!(
-                    "::error file={},line={},col={},title=hadooplab-lint {} [{}]::{}",
-                    gh_property(&v.file),
-                    v.line,
-                    v.col,
-                    v.rule,
-                    v.rule.name(),
-                    gh_message(&v.message)
-                );
-            }
+        for v in &active {
+            println!(
+                "::error file={},line={},col={},title=hadooplab-lint {} [{}]::{}",
+                gh_property(&v.file),
+                v.line,
+                v.col,
+                v.rule,
+                v.rule.name(),
+                gh_message(&v.message)
+            );
         }
     }
 
-    let waived = ws.violations.len() - active.len();
     println!(
-        "hadooplab-lint: scanned {} files — {} active violations ({} grandfathered allowed), {} waived",
+        "hadooplab-lint: scanned {} files — {} active violations, {} waived",
         ws.files_scanned,
         active.len(),
-        baseline.total(),
-        waived
+        ws.violations.len() - active.len()
     );
     for rule in RuleId::all() {
-        println!(
-            "  {rule} [{}]: {} active / {} allowed",
-            rule.name(),
-            ws.rule_count(rule),
-            baseline.rule_total(rule)
-        );
+        println!("  {rule} [{}]: {} active", rule.name(), ws.rule_count(rule));
     }
 
-    if !report.improvements.is_empty() {
-        println!("\nratchet can be tightened ({} buckets improved):", report.improvements.len());
-        for (rule, file, base, cur) in &report.improvements {
-            println!("  {rule} {file}: {base} -> {cur}");
-        }
-        println!("  run `cargo run -p lint -- baseline` and commit the shrunken file");
+    if active.is_empty() {
+        println!("\nOK: no unwaived violations");
+        return verdict;
     }
 
-    if report.regressions.is_empty() {
-        println!("\nOK: no new violations");
-        return ExitCode::SUCCESS;
-    }
-
-    println!("\nFAIL: new violations beyond the baseline:");
-    for (rule, file, base, cur) in &report.regressions {
-        println!("  {rule} {file}: {cur} found, {base} allowed — new sites:");
-        // Show each active violation in the regressed bucket; the newest
-        // ones are indistinguishable from grandfathered ones at token
-        // level, so print all with a count header.
-        for v in active.iter().filter(|v| v.rule == *rule && &v.file == file) {
-            println!("    {v}");
-        }
+    println!("\nFAIL: unwaived violations:");
+    for v in &active {
+        println!("  {v}");
     }
     println!(
-        "\nfix the new sites, add `// lint:allow(Rn): reason` waivers where the\n\
-         invariant genuinely cannot hold, or (for deliberate policy changes)\n\
-         regenerate with `cargo run -p lint -- baseline --force-grow`"
+        "\nfix each site, or add a `// lint:allow(Rn): reason` waiver where the\n\
+         invariant genuinely cannot hold"
     );
-    ExitCode::FAILURE
+    verdict
 }
 
 /// Escape a workflow-command property value (`file=` etc.).
@@ -244,45 +193,24 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn print_json(
-    ws: &lint::WorkspaceLint,
-    baseline: &Baseline,
-    active: &[Violation],
-    report: &lint::baseline::RatchetReport,
-) {
+fn print_json(ws: &lint::WorkspaceLint, active: &[Violation]) {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", ws.files_scanned));
     out.push_str(&format!("  \"active\": {},\n", active.len()));
     out.push_str(&format!("  \"waived\": {},\n", ws.violations.len() - active.len()));
-    out.push_str(&format!("  \"grandfathered\": {},\n", baseline.total()));
     out.push_str("  \"rules\": [\n");
     let rules: Vec<String> = RuleId::all()
         .iter()
         .map(|&r| {
             format!(
-                "    {{\"rule\": {}, \"name\": {}, \"active\": {}, \"allowed\": {}}}",
+                "    {{\"rule\": {}, \"name\": {}, \"active\": {}}}",
                 json_str(&r.to_string()),
                 json_str(r.name()),
-                ws.rule_count(r),
-                baseline.rule_total(r)
+                ws.rule_count(r)
             )
         })
         .collect();
     out.push_str(&rules.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"regressions\": [\n");
-    let regs: Vec<String> = report
-        .regressions
-        .iter()
-        .map(|(rule, file, allowed, found)| {
-            format!(
-                "    {{\"rule\": {}, \"file\": {}, \"allowed\": {allowed}, \"found\": {found}}}",
-                json_str(&rule.to_string()),
-                json_str(file)
-            )
-        })
-        .collect();
-    out.push_str(&regs.join(",\n"));
     out.push_str("\n  ],\n");
     out.push_str("  \"violations\": [\n");
     let vs: Vec<String> = ws
@@ -304,89 +232,6 @@ fn print_json(
     out.push_str(&vs.join(",\n"));
     out.push_str("\n  ]\n}");
     println!("{out}");
-}
-
-fn cmd_baseline(root: &std::path::Path, force_grow: bool) -> ExitCode {
-    let ws = match lint::lint_workspace(root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("hadooplab-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let old = match load_baseline(root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("hadooplab-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let new = ws.to_baseline();
-    let grown = old.growth_against(&new);
-    if !grown.is_empty() && !force_grow {
-        eprintln!("hadooplab-lint: refusing to grow the ratchet (fix these or pass --force-grow):");
-        for (rule, file, was, now) in grown {
-            eprintln!("  {rule} {file}: {was} -> {now}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let path = root.join(BASELINE_FILE);
-    if let Err(e) = std::fs::write(&path, new.serialize()) {
-        eprintln!("hadooplab-lint: writing {}: {e}", path.display());
-        return ExitCode::from(2);
-    }
-    println!(
-        "wrote {} ({} grandfathered violations, was {})",
-        path.display(),
-        new.total(),
-        old.total()
-    );
-    ExitCode::SUCCESS
-}
-
-/// The burndown table: per-rule active vs grandfathered counts plus the
-/// bucket list, as markdown (pastes straight into a CI job summary).
-fn cmd_stats(root: &std::path::Path) -> ExitCode {
-    let ws = match lint::lint_workspace(root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("hadooplab-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match load_baseline(root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("hadooplab-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!("### hadooplab-lint burndown\n");
-    println!("| rule | invariant | active | grandfathered | status |");
-    println!("|------|-----------|-------:|--------------:|--------|");
-    for rule in RuleId::all() {
-        let active = ws.rule_count(rule) as u64;
-        let allowed = baseline.rule_total(rule);
-        let status = if active == 0 && allowed == 0 {
-            "clean".to_string()
-        } else if active < allowed {
-            format!("{allowed} to burn down (ratchet can tighten)")
-        } else {
-            format!("{allowed} to burn down")
-        };
-        println!("| {rule} | {} | {active} | {allowed} | {status} |", rule.name());
-    }
-    let buckets = baseline.entries();
-    println!(
-        "\n{} grandfathered violation(s) across {} bucket(s); {} file(s) scanned.",
-        baseline.total(),
-        buckets.len(),
-        ws.files_scanned
-    );
-    for (rule, file, count) in buckets {
-        println!("- `{file}`: {count} × {rule}");
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_dump(file: &str) -> ExitCode {

@@ -28,7 +28,7 @@ use crate::lexer::{TokKind, Token};
 use crate::scan::ScannedFile;
 use std::fmt;
 
-/// Stable rule identifier (what baselines and waivers reference).
+/// Stable rule identifier (what waivers reference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
     R1,

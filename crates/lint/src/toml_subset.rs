@@ -1,8 +1,7 @@
-//! A minimal reader/writer for the TOML subset the lint's data files use:
+//! A minimal reader for the TOML subset `writable-manifest.toml` uses:
 //! top-level `key = value` pairs and `[[table]]` arrays whose entries hold
-//! string and integer values. Both `lint-baseline.toml` and
-//! `writable-manifest.toml` are machine-written in exactly this shape, so
-//! a full TOML implementation (an external dependency) buys nothing.
+//! string and integer values. The file is kept in exactly this shape, so a
+//! full TOML implementation (an external dependency) buys nothing.
 
 use std::collections::BTreeMap;
 
@@ -61,11 +60,6 @@ fn parse_value(v: &str) -> Option<String> {
     None
 }
 
-/// Quote a string value.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn quote_round_trips() {
-        let q = quote("a \"b\" \\ c");
-        assert_eq!(parse_value(&q).unwrap(), "a \"b\" \\ c");
+    fn quoted_strings_unescape() {
+        assert_eq!(parse_value(r#""a \"b\" \\ c""#).unwrap(), "a \"b\" \\ c");
     }
 }

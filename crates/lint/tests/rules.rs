@@ -205,28 +205,41 @@ fn fixture_suite_reports_all_eight_rule_ids() {
     assert_eq!(seen.into_iter().collect::<Vec<_>>(), RuleId::all().to_vec());
 }
 
-/// Regenerating a baseline from the same violations — in any input
-/// order, or after a parse round-trip — must produce identical bytes,
-/// so `lint baseline` never churns the checked-in file.
-#[test]
-fn baseline_regeneration_is_byte_stable() {
-    use lint::baseline::Baseline;
-    let mut all = Vec::new();
-    for name in ["r6_violation.rs", "r7_violation.rs", "r8_violation.rs", "r1_violation.rs"] {
-        all.extend(lint::lint_source_all_rules(name, &fixture(name), &fixture_manifest()));
-    }
-    let first = Baseline::from_violations(&all).serialize();
-    all.reverse();
-    let reversed = Baseline::from_violations(&all).serialize();
-    assert_eq!(first, reversed, "bucket order must not depend on input order");
-    let reparsed = Baseline::parse(&first).expect("own output parses").serialize();
-    assert_eq!(first, reparsed, "serialize → parse → serialize must be a fixed point");
-}
-
 /// Violations render as `file:line:col: Rn [name] message`.
 #[test]
 fn violation_display_format() {
     let vs = active("r1_violation.rs", RuleId::R1);
     let line = vs[0].to_string();
     assert!(line.starts_with("r1_violation.rs:3:15: R1 [panic-free-daemons]"), "{line}");
+}
+
+/// `check` has one rule: with no baseline file anywhere, a single unwaived
+/// violation fails it (exit 1) and a reasoned waiver on that site passes
+/// it (exit 0).
+#[test]
+fn check_fails_on_one_unwaived_violation() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("check_verdict");
+    let src_dir = root.join("crates/dfs/src");
+    std::fs::create_dir_all(&src_dir).expect("creating the scratch workspace");
+    let check = |body: &str| {
+        std::fs::write(src_dir.join("lib.rs"), body).expect("writing the scratch source");
+        std::process::Command::new(env!("CARGO_BIN_EXE_hadooplab-lint"))
+            .arg("--root")
+            .arg(&root)
+            .arg("check")
+            .output()
+            .expect("running hadooplab-lint")
+    };
+
+    let out = check("pub fn f(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.contains("1 active violations, 0 waived"), "{text}");
+    assert!(text.contains("crates/dfs/src/lib.rs:2:7: R1"), "{text}");
+
+    let out =
+        check("pub fn f(o: Option<u8>) -> u8 {\n    o.unwrap() // lint:allow(R1): fixture\n}\n");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    assert!(text.contains("0 active violations, 1 waived"), "{text}");
 }

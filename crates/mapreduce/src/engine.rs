@@ -157,11 +157,6 @@ impl MrCluster {
         self.scheduler = scheduler;
     }
 
-    /// Name of the active scheduling policy.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     /// The course's 8-node dedicated cluster with default config.
     pub fn course_default() -> Result<Self> {
         MrCluster::new(ClusterSpec::course_hadoop(8), Configuration::with_defaults())

@@ -24,9 +24,9 @@
 //!   rates over heartbeats, late-binding launch thresholds, and closed
 //!   won/lost/killed accounting;
 //! * [`local`] — the `LocalJobRunner` (assignment 1's "serial Java
-//!   commands without any HDFS support"), with an optional rayon-parallel
-//!   mode; it and the engine run user code through the same two task
-//!   bodies (the private `task` module), so the modes cannot drift;
+//!   commands without any HDFS support"); it and the engine run user code
+//!   through the same two task bodies (the private `task` module), so the
+//!   modes cannot drift;
 //! * [`report`] — the job report and "JobTracker web UI" rendering the
 //!   combiner lecture has students read.
 //!

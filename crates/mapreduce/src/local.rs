@@ -2,22 +2,19 @@
 //!
 //! "The first assignment has the students run their final jars using only
 //! serial Java commands without any HDFS support": the same mapper,
-//! combiner, and reducer types run over local files, single-threaded, with
-//! virtual time charged against one node's disk and CPU. The task bodies
-//! are the cluster engine's own (the crate-private `task` module), so the
-//! two modes cannot drift apart; only the byte source, the file-system
-//! counters and the pricing live here. An optional rayon-parallel mode
-//! shows what thread-level parallelism buys *before* distribution — the
-//! contrast the Version-2 redesign teaches.
+//! combiner, and reducer types run over local files, one task after
+//! another on one thread, with virtual time charged against one node's
+//! disk and CPU. The task bodies are the cluster engine's own (the
+//! crate-private `task` module), so the two modes cannot drift apart; only
+//! the byte source, the file-system counters and the pricing live here.
 
 use hl_common::counters::{Counters, FileSystemCounter};
 use hl_common::prelude::*;
-use rayon::prelude::*;
 
 use crate::api::{Combiner, Mapper, Reducer, SideFiles};
 use crate::job::Job;
-use crate::sortbuf::{MapOutput, SortedRun};
-use crate::task::{run_map_task, run_reduce_task, ReduceTaskOutput};
+use crate::sortbuf::SortedRun;
+use crate::task::{run_map_task, run_reduce_task};
 
 /// Result of a local run.
 #[derive(Debug, Clone)]
@@ -26,19 +23,17 @@ pub struct LocalReport {
     pub output: Vec<String>,
     /// Aggregated counters.
     pub counters: Counters,
-    /// Modeled (virtual) runtime on the student's machine. This is the
-    /// only clock the local runner reads: timings are a pure function of
-    /// the input and the cost model, so runs replay bit-identically under
-    /// the simulator (invariant R2 — no wall-clock reads in sim-facing
-    /// code).
+    /// Modeled (virtual) runtime on the student's machine: the sum of the
+    /// task times. This is the only clock the local runner reads: timings
+    /// are a pure function of the input and the cost model, so runs replay
+    /// bit-identically under the simulator (invariant R2 — no wall-clock
+    /// reads in sim-facing code).
     pub virtual_time: SimDuration,
 }
 
-/// The local runner: one machine, `threads` worker lanes.
+/// The local runner: one machine, one task at a time.
 #[derive(Debug, Clone)]
 pub struct LocalRunner {
-    /// Concurrent map lanes (1 = the serial assignment-1 mode).
-    pub threads: usize,
     /// Disk bandwidth of the local machine, bytes/s.
     pub disk_bw: u64,
     /// Split size for carving local inputs into map tasks.
@@ -52,14 +47,9 @@ impl Default for LocalRunner {
 }
 
 impl LocalRunner {
-    /// Single-threaded, laptop-class disk (~100 MiB/s), 8 MiB splits.
+    /// Laptop-class disk (~100 MiB/s), 8 MiB splits.
     pub fn serial() -> Self {
-        LocalRunner { threads: 1, disk_bw: 100 * 1024 * 1024, split_bytes: 8 * 1024 * 1024 }
-    }
-
-    /// `threads`-way parallel local runner.
-    pub fn parallel(threads: usize) -> Self {
-        LocalRunner { threads: threads.max(1), ..Self::serial() }
+        LocalRunner { disk_bw: 100 * 1024 * 1024, split_bytes: 8 * 1024 * 1024 }
     }
 
     /// Run `job` over in-memory input files `(name, bytes)`. All user code
@@ -75,9 +65,10 @@ impl LocalRunner {
         M: Mapper,
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
         C: Combiner<K = M::KOut, V = M::VOut>,
-        M::KOut: Send,
-        M::VOut: Send,
     {
+        if self.split_bytes == 0 {
+            return Err(HlError::Config("LocalRunner.split_bytes must be positive".into()));
+        }
         let num_reduces = job.conf.num_reduces;
 
         // Carve inputs into `(file bytes, offset, length)` splits.
@@ -91,91 +82,41 @@ impl LocalRunner {
             }
         }
 
-        // Map phase (really parallel when threads > 1).
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .map_err(|e| HlError::Internal(format!("rayon pool: {e}")))?;
-        let map_results: Vec<(MapOutput, Counters, SimDuration)> = pool.install(|| {
-            splits
-                .par_iter()
-                .map(|&(file, off, len)| {
-                    let prev_byte = off.checked_sub(1).map(|i| file[i]);
-                    let done = run_map_task(
-                        job,
-                        side,
-                        self.disk_bw,
-                        prev_byte,
-                        &file[off..],
-                        len,
-                        off as u64,
-                    );
-                    let mut counters = done.counters;
-                    counters.incr_fs(FileSystemCounter::FileBytesRead, len as u64);
-
-                    // Virtual cost: disk read + declared CPU + explicit charges.
-                    let vt = SimDuration::for_transfer(len as u64, self.disk_bw)
-                        + job.conf.map_cpu_per_byte * len as u64
-                        + job.conf.map_cpu_per_record * done.records
-                        + done.extra_time;
-                    (done.output, counters, vt)
-                })
-                .collect()
-        });
-
         let mut counters = Counters::new();
-        let mut map_outputs = Vec::with_capacity(map_results.len());
-        let mut map_times = Vec::with_capacity(map_results.len());
-        for (output, task_counters, vt) in map_results {
-            counters.merge(&task_counters);
-            map_times.push(vt);
-            map_outputs.push(output);
-        }
-        // Greedy lane scheduling: virtual map phase time with `threads` lanes.
-        let map_virtual = schedule_lanes(&map_times, self.threads);
+        let mut virtual_time = SimDuration::ZERO;
 
-        // Reduce phase — runs on the same rayon pool as the map phase.
-        // Each partition is consumed exactly once (the local runner has no
-        // task retries), so move the runs out instead of cloning; deliver
-        // output in partition order regardless of completion order.
-        let runs_by_reduce: Vec<Vec<SortedRun>> = (0..num_reduces)
-            .map(|r| map_outputs.iter_mut().map(|o| o.take_partition(r)).collect())
-            .collect();
-        let reduce_results: Vec<Result<ReduceTaskOutput>> = pool.install(|| {
-            runs_by_reduce
-                .into_par_iter()
-                .map(|runs| run_reduce_task(job, side, self.disk_bw, &runs))
-                .collect()
-        });
-        let mut output = Vec::new();
-        let mut reduce_times = Vec::with_capacity(num_reduces);
-        for res in reduce_results {
-            let done = res?;
+        // Map phase.
+        let mut map_outputs = Vec::with_capacity(splits.len());
+        for &(file, off, len) in &splits {
+            let prev_byte = off.checked_sub(1).map(|i| file[i]);
+            let done =
+                run_map_task(job, side, self.disk_bw, prev_byte, &file[off..], len, off as u64);
             counters.merge(&done.counters);
-            reduce_times.push(job.conf.reduce_cpu_per_record * done.records + done.extra_time);
+            counters.incr_fs(FileSystemCounter::FileBytesRead, len as u64);
+
+            // Virtual cost: disk read + declared CPU + explicit charges.
+            virtual_time += SimDuration::for_transfer(len as u64, self.disk_bw)
+                + job.conf.map_cpu_per_byte * len as u64
+                + job.conf.map_cpu_per_record * done.records
+                + done.extra_time;
+            map_outputs.push(done.output);
+        }
+
+        // Reduce phase, in partition order. Each partition is consumed
+        // exactly once (the local runner has no task retries), so move the
+        // runs out instead of cloning.
+        let mut output = Vec::new();
+        for r in 0..num_reduces {
+            let runs: Vec<SortedRun> =
+                map_outputs.iter_mut().map(|o| o.take_partition(r)).collect();
+            let done = run_reduce_task(job, side, self.disk_bw, &runs)?;
+            counters.merge(&done.counters);
+            virtual_time += job.conf.reduce_cpu_per_record * done.records + done.extra_time;
             output.extend(done.lines);
         }
-        let reduce_virtual = schedule_lanes(&reduce_times, self.threads);
 
-        Ok(LocalReport { output, counters, virtual_time: map_virtual + reduce_virtual })
+        Ok(LocalReport { output, counters, virtual_time })
     }
-}
-
-/// Longest-processing-time-first greedy schedule of task durations onto
-/// `lanes` parallel lanes; returns the makespan. The least-loaded lane is
-/// tracked in a min-heap, so scheduling is O(n log lanes) instead of the
-/// O(n · lanes) linear scan.
-pub fn schedule_lanes(durations: &[SimDuration], lanes: usize) -> SimDuration {
-    let lanes = lanes.max(1);
-    let mut sorted: Vec<SimDuration> = durations.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut lane_loads: std::collections::BinaryHeap<std::cmp::Reverse<SimDuration>> =
-        (0..lanes).map(|_| std::cmp::Reverse(SimDuration::ZERO)).collect();
-    for d in sorted {
-        let std::cmp::Reverse(load) = lane_loads.pop().unwrap();
-        lane_loads.push(std::cmp::Reverse(load + d));
-    }
-    lane_loads.into_iter().map(|std::cmp::Reverse(d)| d).max().unwrap_or(SimDuration::ZERO)
 }
 
 #[cfg(test)]
@@ -237,27 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_output_and_is_virtually_faster() {
-        let data = text(20_000);
-        let job = Job::new(conf(), || WcMap, || WcReduce);
-        let mut runner = LocalRunner::serial();
-        runner.split_bytes = 8 * 1024; // force many map tasks
-        let serial = runner
-            .run(&job, &[("in.txt".into(), data.clone().into_bytes())], &SideFiles::new())
-            .unwrap();
-        let mut prunner = LocalRunner::parallel(8);
-        prunner.split_bytes = 8 * 1024;
-        let parallel =
-            prunner.run(&job, &[("in.txt".into(), data.into_bytes())], &SideFiles::new()).unwrap();
-        let mut a = serial.output.clone();
-        let mut b = parallel.output.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert!(parallel.virtual_time < serial.virtual_time);
-    }
-
-    #[test]
     fn multiple_input_files() {
         let job = Job::new(conf(), || WcMap, || WcReduce);
         let report = LocalRunner::serial()
@@ -281,15 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_lanes_makespan() {
-        let d = |s| SimDuration::from_secs(s);
-        assert_eq!(schedule_lanes(&[d(4), d(2), d(2)], 1), d(8));
-        assert_eq!(schedule_lanes(&[d(4), d(2), d(2)], 2), d(4));
-        assert_eq!(schedule_lanes(&[], 4), SimDuration::ZERO);
-        // LPT: 5,4,3,3,3 on 2 lanes -> lanes {5,3} {4,3,3} = 10 ... LPT gives
-        // 5+3=8 / 4+3+3=10 -> makespan 9? compute: sorted 5,4,3,3,3;
-        // lane1=5, lane2=4, lane2? min is lane2(4)->+3=7, lane1(5)->+3=8,
-        // lane2(7)->+3=10 => makespan 10.
-        assert_eq!(schedule_lanes(&[d(5), d(4), d(3), d(3), d(3)], 2), d(10));
+    fn zero_split_bytes_is_a_config_error() {
+        let job = Job::new(conf(), || WcMap, || WcReduce);
+        let runner = LocalRunner { split_bytes: 0, ..LocalRunner::serial() };
+        let err = runner.run(&job, &[("in.txt".into(), b"x y\n".to_vec())], &SideFiles::new());
+        assert!(matches!(err, Err(HlError::Config(_))), "{err:?}");
     }
 }

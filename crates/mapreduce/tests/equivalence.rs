@@ -13,19 +13,12 @@
 //! each once over wordcount-shaped keys and once over keys the sort's
 //! cached 8-byte prefix cannot decide (longer than the prefix, equal up
 //! to it, containing `0x00`, empty).
-//!
-//! A second property checks that the parallel reduce phase of the
-//! `LocalRunner` produces exactly the serial runner's output and counters.
 
 use hl_common::counters::{Counters, TaskCounter};
 use hl_common::hash::default_partition;
 use hl_common::keys::SortableKey;
 use hl_common::writable::Writable;
-use hl_mapreduce::api::{
-    Combiner, MapContext, Mapper, NoCombiner, ReduceContext, Reducer, SideFiles,
-};
-use hl_mapreduce::job::{Job, JobConf};
-use hl_mapreduce::local::LocalRunner;
+use hl_mapreduce::api::{Combiner, NoCombiner};
 use hl_mapreduce::sortbuf::SortBuffer;
 
 // ---------------------------------------------------------------------------
@@ -443,55 +436,4 @@ proptest::proptest! {
             no_combiner_equivalent(&pairs, parts, limit);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel reduce == serial reduce
-// ---------------------------------------------------------------------------
-
-struct WcMap;
-impl Mapper for WcMap {
-    type KOut = String;
-    type VOut = u64;
-    fn map(&mut self, _o: u64, line: &str, ctx: &mut MapContext<String, u64>) {
-        for w in line.split_whitespace() {
-            ctx.emit(w.to_string(), 1);
-        }
-    }
-}
-struct WcReduce;
-impl Reducer for WcReduce {
-    type KIn = String;
-    type VIn = u64;
-    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-        ctx.emit(key, values.into_iter().sum::<u64>());
-    }
-}
-
-#[test]
-fn parallel_reduce_equals_serial_exactly() {
-    let mut rng = Prng(42);
-    let mut text = String::new();
-    for i in 0..30_000u64 {
-        text.push_str(&format!("word{:03}", rng.next() % 500));
-        text.push(if i % 9 == 8 { '\n' } else { ' ' });
-    }
-    let conf = JobConf::new("wc-par").input("i").output("o").reduces(4);
-    let job = Job::new(conf, || WcMap, || WcReduce);
-    let inputs = vec![("in.txt".to_string(), text.into_bytes())];
-
-    let mut serial = LocalRunner::serial();
-    serial.split_bytes = 16 * 1024; // many map tasks
-    let s = serial.run(&job, &inputs, &SideFiles::new()).unwrap();
-
-    let mut parallel = LocalRunner::parallel(8);
-    parallel.split_bytes = 16 * 1024;
-    let p = parallel.run(&job, &inputs, &SideFiles::new()).unwrap();
-
-    // Output must match *in order*, not just as a multiset: reduce results
-    // are delivered in partition index order regardless of which lane
-    // finished first.
-    assert_eq!(s.output, p.output);
-    assert_eq!(s.counters, p.counters);
-    assert!(p.virtual_time <= s.virtual_time, "more lanes never slower in virtual time");
 }
