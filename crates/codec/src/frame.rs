@@ -23,7 +23,7 @@ use hl_common::checksum::Crc32;
 use hl_common::prelude::*;
 use hl_common::writable::{read_vu64, write_vu64, Writable};
 
-use crate::{codec_for, CodecId};
+use crate::{lz, CodecId};
 
 /// Frame boundary marker. Like a SequenceFile sync marker, it is a fixed
 /// improbable byte string; candidates are verified by fully parsing (and
@@ -72,41 +72,71 @@ impl Writable for FrameHeader {
     }
 }
 
-/// Encode one chunk as a complete frame (marker + header + payload).
-/// Falls back to a stored ([`CodecId::Null`]) frame when the codec fails
-/// to shrink the chunk, so incompressible data costs only header overhead.
-pub fn encode_frame(id: CodecId, chunk: &[u8]) -> Vec<u8> {
-    let packed = codec_for(id).compress_block(chunk);
-    let (method, payload) =
-        if packed.len() < chunk.len() { (id, packed) } else { (CodecId::Null, chunk.to_vec()) };
-    let header = FrameHeader {
-        method,
-        raw_len: chunk.len() as u64,
-        comp_len: payload.len() as u64,
-        crc: Crc32::checksum(chunk),
-    };
-    let mut frame = Vec::with_capacity(SYNC_MARKER.len() + 16 + payload.len());
-    frame.extend_from_slice(&SYNC_MARKER);
-    header.write(&mut frame);
-    frame.extend_from_slice(&payload);
-    frame
+/// Writes frames. One encoder serves a whole container (or a whole DFS
+/// file): it owns the matcher's hash table and the buffer a chunk is
+/// packed into before its header — which carries the packed length — can
+/// be written, so a frame costs no allocation of its own.
+#[derive(Debug, Clone)]
+pub struct FrameEncoder {
+    id: CodecId,
+    matcher: lz::Encoder,
+    packed: Vec<u8>,
 }
 
-/// Split `data` into [`FRAME_RAW_CHUNK`]-sized chunks and encode each as
-/// its own frame. Empty input yields zero frames.
-pub fn compress_to_frames(id: CodecId, data: &[u8]) -> Vec<Vec<u8>> {
-    data.chunks(FRAME_RAW_CHUNK).map(|chunk| encode_frame(id, chunk)).collect()
+impl FrameEncoder {
+    /// An encoder whose frames use codec `id`.
+    pub fn new(id: CodecId) -> Self {
+        FrameEncoder { id, matcher: lz::Encoder::new(), packed: Vec::new() }
+    }
+
+    /// Append one chunk to `out` as a complete frame (marker + header +
+    /// payload). Falls back to a stored ([`CodecId::Null`]) frame when the
+    /// codec fails to shrink the chunk, so incompressible data costs only
+    /// header overhead.
+    pub fn encode_frame_into(&mut self, chunk: &[u8], out: &mut Vec<u8>) {
+        let method = match self.id {
+            CodecId::Null => CodecId::Null,
+            CodecId::Hlz => {
+                self.packed.clear();
+                self.matcher.compress_block_into(chunk, &mut self.packed);
+                if self.packed.len() < chunk.len() {
+                    CodecId::Hlz
+                } else {
+                    CodecId::Null
+                }
+            }
+        };
+        let payload = match method {
+            CodecId::Null => chunk,
+            CodecId::Hlz => self.packed.as_slice(),
+        };
+        let header = FrameHeader {
+            method,
+            raw_len: chunk.len() as u64,
+            comp_len: payload.len() as u64,
+            crc: Crc32::checksum(chunk),
+        };
+        out.extend_from_slice(&SYNC_MARKER);
+        header.write(out);
+        out.extend_from_slice(payload);
+    }
 }
 
-/// Compress `data` into a single contiguous container (the frames,
-/// concatenated).
+/// Compress `data` into a single contiguous container: one frame per
+/// [`FRAME_RAW_CHUNK`]-sized chunk, back to back. Empty input yields an
+/// empty container.
 pub fn compress_container(id: CodecId, data: &[u8]) -> Vec<u8> {
-    compress_to_frames(id, data).concat()
+    let mut encoder = FrameEncoder::new(id);
+    let mut out = Vec::with_capacity(data.len() / 2);
+    for chunk in data.chunks(FRAME_RAW_CHUNK) {
+        encoder.encode_frame_into(chunk, &mut out);
+    }
+    out
 }
 
 /// Parse the frame starting exactly at `at`. Returns the header, the
 /// payload slice, and the offset one past the frame. Does *not* CRC-check
-/// the payload — [`decode_frame`] does.
+/// the payload — [`decode_frame_into`] does.
 pub fn parse_frame(bytes: &[u8], at: usize) -> Result<(FrameHeader, &[u8], usize)> {
     let rest = bytes.get(at..).ok_or_else(|| HlError::Codec("frame offset past the end".into()))?;
     if rest.len() < SYNC_MARKER.len() || rest[..SYNC_MARKER.len()] != SYNC_MARKER {
@@ -131,37 +161,53 @@ pub fn parse_frame(bytes: &[u8], at: usize) -> Result<(FrameHeader, &[u8], usize
     Ok((header, payload, at + payload_at + comp_len))
 }
 
-/// Decode one parsed frame to its uncompressed bytes, verifying the CRC.
-pub fn decode_frame(header: &FrameHeader, payload: &[u8]) -> Result<Vec<u8>> {
+/// Decode one parsed frame onto the end of `out`, verifying the CRC. On
+/// any error `out` is left at the length it came in with.
+pub fn decode_frame_into(header: &FrameHeader, payload: &[u8], out: &mut Vec<u8>) -> Result<()> {
     let raw_len = usize::try_from(header.raw_len)
         .map_err(|_| HlError::Codec("frame raw_len overflows usize".into()))?;
-    let raw = codec_for(header.method).decompress_block(payload, raw_len)?;
-    let crc = Crc32::checksum(&raw);
+    let start = out.len();
+    match header.method {
+        CodecId::Null if payload.len() != raw_len => {
+            return Err(HlError::Codec(format!(
+                "stored payload is {} bytes, frame declared {raw_len}",
+                payload.len()
+            )));
+        }
+        CodecId::Null => out.extend_from_slice(payload),
+        CodecId::Hlz => lz::decompress_block_into(payload, raw_len, out)?,
+    }
+    let crc = Crc32::checksum(&out[start..]);
     if crc != header.crc {
+        out.truncate(start);
         return Err(HlError::Codec(format!(
             "frame CRC mismatch: header says {:08x}, decoded bytes hash to {crc:08x}",
             header.crc
         )));
     }
-    Ok(raw)
+    Ok(())
 }
 
 /// Decode every frame from offset `at` (which must be a frame boundary)
-/// to the end of `bytes`. `decompress_container` is the `at == 0` case.
-pub fn decode_frames_from(bytes: &[u8], at: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
+/// to the end of `bytes`, onto the end of `out`. A DFS block of a
+/// codec-framed file is such a run of whole frames, so a reader decodes
+/// block after block into one buffer. On error `out` keeps the frames
+/// that decoded before the bad one.
+pub fn decode_frames_into(bytes: &[u8], at: usize, out: &mut Vec<u8>) -> Result<()> {
     let mut pos = at;
     while pos < bytes.len() {
         let (header, payload, next) = parse_frame(bytes, pos)?;
-        out.extend_from_slice(&decode_frame(&header, payload)?);
+        decode_frame_into(&header, payload, out)?;
         pos = next;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decode a whole container back to its original bytes.
 pub fn decompress_container(bytes: &[u8]) -> Result<Vec<u8>> {
-    decode_frames_from(bytes, 0)
+    let mut out = Vec::new();
+    decode_frames_into(bytes, 0, &mut out)?;
+    Ok(out)
 }
 
 /// Find the first *valid* frame boundary at or after `from`: the next
@@ -170,11 +216,13 @@ pub fn decompress_container(bytes: &[u8]) -> Result<Vec<u8>> {
 /// a reader dropped past the last boundary owns nothing of this container
 /// (the standard splittable-container contract).
 pub fn find_sync(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut scratch = Vec::new();
     let mut pos = from;
     while pos + SYNC_MARKER.len() <= bytes.len() {
         if bytes[pos..pos + SYNC_MARKER.len()] == SYNC_MARKER {
             if let Ok((header, payload, _)) = parse_frame(bytes, pos) {
-                if decode_frame(&header, payload).is_ok() {
+                scratch.clear();
+                if decode_frame_into(&header, payload, &mut scratch).is_ok() {
                     return Some(pos);
                 }
             }
@@ -187,7 +235,22 @@ pub fn find_sync(bytes: &[u8], from: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz_cases;
     use proptest::prelude::*;
+
+    /// Offsets at which the container's frames start, plus its length.
+    fn frame_boundaries(container: &[u8]) -> Vec<usize> {
+        let mut at = vec![0];
+        while *at.last().unwrap() < container.len() {
+            at.push(parse_frame(container, *at.last().unwrap()).unwrap().2);
+        }
+        at
+    }
+
+    fn decode_frames_from(bytes: &[u8], at: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        decode_frames_into(bytes, at, &mut out).map(|()| out)
+    }
 
     #[test]
     fn frame_header_round_trips() {
@@ -263,23 +326,21 @@ mod tests {
 
     #[test]
     fn find_sync_skips_lookalike_markers_inside_payloads() {
-        // A payload that *contains* the sync marker as literal bytes.
+        // A payload that *contains* the sync marker as literal bytes, long
+        // enough to need a second frame.
         let mut data = Vec::new();
-        for _ in 0..50 {
+        while data.len() <= FRAME_RAW_CHUNK {
             data.extend_from_slice(&SYNC_MARKER);
             data.extend_from_slice(b"decoy");
         }
-        let frames = compress_to_frames(CodecId::Null, &data);
-        let container = frames.concat();
+        let container = compress_container(CodecId::Null, &data);
+        let boundaries = frame_boundaries(&container);
+        assert_eq!(boundaries.len(), 3);
         // From offset 1 the scan passes every embedded decoy (their
         // "frames" fail to parse/verify) and lands on the next real frame.
         assert_eq!(find_sync(&container, 0), Some(0));
-        let second_frame_at = frames[0].len();
-        if frames.len() > 1 {
-            assert_eq!(find_sync(&container, 1), Some(second_frame_at));
-        } else {
-            assert_eq!(find_sync(&container, 1), None);
-        }
+        assert_eq!(find_sync(&container, 1), Some(boundaries[1]));
+        assert_eq!(find_sync(&container, boundaries[1] + 1), None);
     }
 
     fn chunked_suffix(data: &[u8], frame_index: usize) -> &[u8] {
@@ -289,22 +350,16 @@ mod tests {
     #[test]
     fn split_boundary_decode_recovers_every_suffix() {
         let data = b"every frame is independently decodable ".repeat(12_000);
-        let frames = compress_to_frames(CodecId::Hlz, &data);
-        let container = frames.concat();
-        let mut boundary = 0usize;
-        for (k, frame) in frames.iter().enumerate() {
-            assert_eq!(find_sync(&container, boundary), Some(boundary));
+        let container = compress_container(CodecId::Hlz, &data);
+        let boundaries = frame_boundaries(&container);
+        assert_eq!(boundaries.len() - 1, data.len().div_ceil(FRAME_RAW_CHUNK));
+        for (k, &boundary) in boundaries.iter().enumerate() {
+            if boundary < container.len() {
+                assert_eq!(find_sync(&container, boundary), Some(boundary));
+            }
             assert_eq!(decode_frames_from(&container, boundary).unwrap(), chunked_suffix(&data, k));
-            boundary += frame.len();
         }
         assert_eq!(find_sync(&container, container.len().saturating_sub(7)), None);
-    }
-
-    /// Local case budget, overridable by `PROPTEST_CASES` so the CI
-    /// `codec-fuzz` job can soak the same properties much harder than a
-    /// developer `cargo test` does.
-    fn fuzz_cases(default_cases: u32) -> u32 {
-        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
     }
 
     proptest! {
@@ -342,8 +397,8 @@ mod tests {
                 None => {
                     // No frame boundary at/after the cut: the cut sits
                     // inside the final frame (or past the end).
-                    let frames = compress_to_frames(CodecId::Hlz, &data);
-                    let last_boundary = container.len() - frames.last().map_or(0, |f| f.len());
+                    let boundaries = frame_boundaries(&container);
+                    let last_boundary = boundaries[boundaries.len().saturating_sub(2)];
                     prop_assert!(cut > last_boundary);
                 }
                 Some(at) => {

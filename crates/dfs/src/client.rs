@@ -446,15 +446,19 @@ impl Dfs {
         if codec == CodecId::Null {
             return self.put(net, now, path, data, writer);
         }
-        let frames = hl_codec::compress_to_frames(codec, data);
         let block_size = self.namenode.default_block_size();
+        let mut encoder = hl_codec::FrameEncoder::new(codec);
         let mut payloads = Vec::new();
+        // Frames go straight into the block being filled; the one that
+        // overflows it is moved to open the next block.
         let mut current: Vec<u8> = Vec::new();
-        for frame in &frames {
-            if !current.is_empty() && (current.len() + frame.len()) as u64 > block_size {
-                payloads.push(BlockPayload::real(std::mem::take(&mut current)));
+        for chunk in data.chunks(hl_codec::FRAME_RAW_CHUNK) {
+            let frame_at = current.len();
+            encoder.encode_frame_into(chunk, &mut current);
+            if frame_at > 0 && current.len() as u64 > block_size {
+                let frame = current.split_off(frame_at);
+                payloads.push(BlockPayload::real(std::mem::replace(&mut current, frame)));
             }
-            current.extend_from_slice(frame);
         }
         if !current.is_empty() {
             payloads.push(BlockPayload::real(current));
@@ -580,18 +584,21 @@ impl Dfs {
         let mut t = now;
         for id in &file.blocks {
             let block = self.read_block(net, t, *id, reader, path)?;
-            out.extend_from_slice(&block.value);
             t = block.completed_at;
+            // A codec-framed file's blocks each hold whole frames, so a
+            // block decodes on its own, straight onto the output.
+            match file.codec {
+                CodecId::Null => out.extend_from_slice(&block.value),
+                CodecId::Hlz => hl_codec::decode_frames_into(&block.value, 0, &mut out)?,
+            }
         }
         if file.codec != CodecId::Null {
-            let raw = hl_codec::decompress_container(&out)?;
             let mut cost =
-                SimDuration::for_transfer(raw.len() as u64, hl_codec::DECOMPRESS_BYTES_PER_SEC);
+                SimDuration::for_transfer(out.len() as u64, hl_codec::DECOMPRESS_BYTES_PER_SEC);
             if let Some(r) = reader {
                 cost = PerfProfile::scale_dur(cost, net.node_profile(r, t).cpu_mult);
             }
             t += cost;
-            out = raw;
         }
         Ok(Timed { value: out, completed_at: t })
     }
@@ -858,7 +865,7 @@ mod tests {
         for (id, _, _) in dfs.file_blocks("/data/f.hlz").unwrap() {
             let bytes = dfs.peek_block_bytes(id).unwrap();
             assert_eq!(hl_codec::find_sync(&bytes, 0), Some(0));
-            assert!(hl_codec::decode_frames_from(&bytes, 0).is_ok());
+            assert!(hl_codec::decompress_container(&bytes).is_ok());
         }
         // Transparent decode returns the logical bytes.
         let got = dfs.read(&mut net, put.completed_at, "/data/f.hlz", None).unwrap();

@@ -27,6 +27,9 @@ pub struct DataNode {
     /// Whether the daemon process is up.
     pub alive: bool,
     blocks: BTreeMap<BlockId, StoredBlock>,
+    /// Sum of the held replicas' lengths, kept in step with `blocks` so a
+    /// store does not have to walk every replica to find out.
+    used: u64,
     /// Replicas stored or re-stamped since the last drained delta report.
     pending_received: BTreeSet<BlockId>,
     /// Replicas dropped since the last drained delta report.
@@ -52,6 +55,7 @@ impl DataNode {
             capacity,
             alive: true,
             blocks: BTreeMap::new(),
+            used: 0,
             pending_received: BTreeSet::new(),
             pending_deleted: BTreeSet::new(),
         }
@@ -75,14 +79,17 @@ impl DataNode {
             return Err(HlError::DaemonDown(format!("datanode/{}", self.node)));
         }
         let len = payload.len();
-        if self.used_bytes() + len > self.capacity {
+        // Re-storing a held id overwrites that replica: its bytes are not
+        // on the disk beside the new ones.
+        let replaced = self.blocks.get(&id).map_or(0, |old| old.payload.len());
+        let used = self.used - replaced + len;
+        if used > self.capacity {
             return Err(HlError::Io(format!(
                 "datanode/{}: disk full ({} used of {})",
-                self.node,
-                self.used_bytes(),
-                self.capacity
+                self.node, self.used, self.capacity
             )));
         }
+        self.used = used;
         self.blocks.insert(id, StoredBlock::with_gen_stamp(id, payload, gen_stamp));
         self.pending_received.insert(id);
         self.pending_deleted.remove(&id);
@@ -136,17 +143,16 @@ impl DataNode {
 
     /// Drop a replica (NameNode invalidation command).
     pub fn delete_block(&mut self, id: BlockId) -> bool {
-        let deleted = self.blocks.remove(&id).is_some();
-        if deleted {
-            self.pending_received.remove(&id);
-            self.pending_deleted.insert(id);
-        }
-        deleted
+        let Some(removed) = self.blocks.remove(&id) else { return false };
+        self.used -= removed.payload.len();
+        self.pending_received.remove(&id);
+        self.pending_deleted.insert(id);
+        true
     }
 
     /// Bytes currently stored.
     pub fn used_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.payload.len()).sum()
+        self.used
     }
 
     /// Remaining capacity.
@@ -210,9 +216,7 @@ impl DataNode {
             }
         }
         for id in &corrupt {
-            self.blocks.remove(id);
-            self.pending_received.remove(id);
-            self.pending_deleted.insert(*id);
+            self.delete_block(*id);
         }
         ScanReport { clean: self.blocks.len(), corrupt, bytes_scanned }
     }
@@ -237,6 +241,7 @@ impl DataNode {
     pub fn wipe(&mut self) {
         let ids: Vec<BlockId> = self.blocks.keys().copied().collect();
         self.blocks.clear();
+        self.used = 0;
         self.pending_received.clear();
         self.pending_deleted.extend(ids);
     }
@@ -264,6 +269,7 @@ impl DataNode {
 mod tests {
     use super::*;
     use hl_common::units::ByteSize;
+    use proptest::prelude::*;
 
     fn dn() -> DataNode {
         DataNode::new(NodeId(0), 10 * ByteSize::MIB)
@@ -289,7 +295,25 @@ mod tests {
         ));
         // Synthetic payloads also count against capacity.
         assert!(d.store_block(BlockId(3), BlockPayload::synthetic(300)).is_err());
+        assert!(d.store_block(BlockId(3), BlockPayload::synthetic(201)).is_err());
         assert!(d.store_block(BlockId(4), BlockPayload::synthetic(200)).is_ok());
+        assert_eq!((d.used_bytes(), d.free_bytes()), (1000, 0));
+        // A failed store changes nothing.
+        assert!(d.store_block(BlockId(5), BlockPayload::synthetic(1)).is_err());
+        assert_eq!((d.used_bytes(), d.num_blocks()), (1000, 2));
+    }
+
+    #[test]
+    fn restoring_a_held_id_replaces_its_bytes() {
+        let mut d = DataNode::new(NodeId(0), 1000);
+        d.store_block(BlockId(1), BlockPayload::real(vec![0u8; 800])).unwrap();
+        // The new copy overwrites the old one: only the new length counts.
+        d.store_block(BlockId(1), BlockPayload::real(vec![1u8; 900])).unwrap();
+        assert_eq!(d.used_bytes(), 900);
+        d.store_block_stamped(BlockId(1), BlockPayload::synthetic(1000), 1001).unwrap();
+        assert_eq!((d.used_bytes(), d.free_bytes(), d.num_blocks()), (1000, 0, 1));
+        assert!(d.store_block(BlockId(1), BlockPayload::synthetic(1001)).is_err());
+        assert_eq!(d.gen_stamp_of(BlockId(1)), Some(1001), "a refused re-store keeps the replica");
     }
 
     #[test]
@@ -411,6 +435,68 @@ mod tests {
         assert!(d.drain_incremental().is_none());
         d.restart();
         assert_eq!(d.drain_incremental().unwrap().received.len(), 1);
+    }
+
+    proptest! {
+        /// The running total is the sum it replaced, whatever happens to
+        /// the replicas, and the disk fills at exactly `capacity`.
+        #[test]
+        fn prop_used_bytes_is_the_sum_of_held_replicas(
+            ops in proptest::collection::vec((0u8..8, 0u64..10, 0u64..500), 1..80),
+        ) {
+            let capacity = 2000;
+            let mut d = DataNode::new(NodeId(0), capacity);
+            let mut held: BTreeMap<u64, u64> = BTreeMap::new();
+            for (op, id, len) in ops {
+                let used: u64 = held.values().sum();
+                match op {
+                    // Store or re-store; even lengths carry real bytes.
+                    0..=3 => {
+                        let payload = if len % 2 == 0 {
+                            BlockPayload::real(vec![id as u8; len as usize])
+                        } else {
+                            BlockPayload::synthetic(len)
+                        };
+                        let fits = used - held.get(&id).copied().unwrap_or(0) + len <= capacity;
+                        let stored = d.store_block(BlockId(id), payload);
+                        prop_assert_eq!(stored.is_ok(), d.alive && fits);
+                        if stored.is_ok() {
+                            held.insert(id, len);
+                        }
+                    }
+                    4 => {
+                        prop_assert_eq!(
+                            d.delete_block(BlockId(id)),
+                            held.remove(&id).is_some()
+                        );
+                    }
+                    5 => {
+                        if d.corrupt_block(BlockId(id), len as usize) {
+                            held.remove(&id);
+                        }
+                        let report = d.scan_blocks();
+                        prop_assert_eq!(report.clean, held.len());
+                    }
+                    6 => {
+                        d.wipe();
+                        held.clear();
+                    }
+                    _ => {
+                        if d.alive {
+                            d.crash();
+                        } else {
+                            d.restart();
+                        }
+                    }
+                }
+                let used: u64 = held.values().sum();
+                prop_assert_eq!(d.used_bytes(), used);
+                prop_assert_eq!(d.free_bytes(), capacity - used);
+                prop_assert_eq!(d.num_blocks(), held.len());
+                let reported: u64 = d.block_report().iter().map(|r| r.len).sum();
+                prop_assert_eq!(reported, used);
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! tests, and downstream users have a single dependency:
 //!
 //! * [`common`] — configuration, Writable serialization, counters, sim time
+//! * [`codec`] — the splittable LZ77 block codec on the DFS and shuffle byte paths
 //! * [`cluster`] — discrete-event cluster simulator + PBS-like batch scheduler
 //! * [`dfs`] — the HDFS analog (NameNode, DataNodes, replication, fsck)
 //! * [`hbase`] — an HBase-flavored table store over the DFS (the
@@ -51,6 +52,7 @@
 
 pub use hl_chaos as chaos;
 pub use hl_cluster as cluster;
+pub use hl_codec as codec;
 pub use hl_common as common;
 pub use hl_core as core;
 pub use hl_datagen as datagen;
