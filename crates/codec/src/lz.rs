@@ -74,26 +74,7 @@ fn emit_final(literals: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(literals);
 }
 
-/// The greedy matcher, holding the one piece of state worth keeping
-/// between blocks: its hash table. A container of many frames reuses one
-/// `Encoder`, so a frame costs no allocation and no 32 KiB clear.
-///
-/// Output is a function of the block alone. A slot holds
-/// `base + position + 1`, and `base` moves past every position of a block
-/// once it is done, so whatever an earlier block left in the table reads
-/// as empty — exactly what a freshly zeroed table would say.
-#[derive(Debug, Clone)]
-pub struct Encoder {
-    table: Box<[u32; 1 << HASH_BITS]>,
-    base: u32,
-}
-
-impl Default for Encoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
+/// The four bytes at `at` as one little-endian word.
 #[inline]
 fn load32(src: &[u8], at: usize) -> u32 {
     let bytes: [u8; 4] = src[at..at + 4].try_into().expect("a four-byte slice");
@@ -115,6 +96,26 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         n += 8;
     }
     n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
+}
+
+/// The greedy matcher, holding the one piece of state worth keeping
+/// between blocks: its hash table. A container of many frames reuses one
+/// `Encoder`, so a frame costs no allocation and no 32 KiB clear.
+///
+/// Output is a function of the block alone. A slot holds
+/// `base + position + 1`, and `base` moves past every position of a block
+/// once it is done, so whatever an earlier block left in the table reads
+/// as empty — exactly what a freshly zeroed table would say.
+#[derive(Debug, Clone)]
+pub struct Encoder {
+    table: Box<[u32; 1 << HASH_BITS]>,
+    base: u32,
+}
+
+impl Default for Encoder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Encoder {
@@ -257,9 +258,14 @@ fn decode(src: &[u8], dst: &mut [u8]) -> Result<()> {
         }
         let from = o - offset;
         if offset >= mlen {
-            // Source and destination are disjoint.
+            // The bytes owed are disjoint from their source. A wide copy's
+            // excess may not be, so it loads all sixteen bytes before it
+            // stores any (and as a load and a store it is several times
+            // cheaper than a `copy_within` of the same sixteen bytes).
             if mlen <= WIDE && o + WIDE <= dst.len() {
-                dst.copy_within(from..from + WIDE, o);
+                let wide: [u8; WIDE] =
+                    dst[from..from + WIDE].try_into().expect("a WIDE-byte slice");
+                dst[o..o + WIDE].copy_from_slice(&wide);
             } else {
                 dst.copy_within(from..from + mlen, o);
             }
