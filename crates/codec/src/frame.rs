@@ -286,16 +286,7 @@ mod tests {
 
     #[test]
     fn incompressible_chunks_fall_back_to_stored_frames() {
-        // LCG byte soup the matcher can't compress.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..40_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (state >> 56) as u8
-            })
-            .collect();
+        let data = crate::lcg_bytes(0x9E37_79B9_7F4A_7C15, 40_000);
         let packed = compress_container(CodecId::Hlz, &data);
         let (header, _, _) = parse_frame(&packed, 0).unwrap();
         assert_eq!(header.method, CodecId::Null, "stored fallback must engage");
@@ -313,6 +304,12 @@ mod tests {
         let mid = packed.len() / 2;
         rotted[mid] ^= 0xA5;
         assert!(decompress_container(&rotted).is_err());
+        // Decoding onto a buffer keeps what was there and the whole frames
+        // before the bad one; the bad frame leaves nothing behind.
+        let mut out = b"kept".to_vec();
+        assert!(decode_frames_into(&rotted, 0, &mut out).is_err());
+        assert!(out.starts_with(b"kept") && out[4..] == data[..out.len() - 4]);
+        assert_eq!((out.len() - 4) % FRAME_RAW_CHUNK, 0);
         // Truncation is caught too.
         assert!(decompress_container(&packed[..packed.len() - 1]).is_err());
         // A header that lies about raw_len is an allocation-guarded error.

@@ -100,6 +100,20 @@ pub(crate) fn fuzz_cases(default_cases: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
 }
 
+/// Deterministic test bytes the matcher cannot compress (an LCG's top byte).
+#[cfg(test)]
+pub(crate) fn lcg_bytes(seed: u64, n: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -290,6 +290,7 @@ fn decode(src: &[u8], dst: &mut [u8]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lcg_bytes as lcg;
     use proptest::prelude::*;
 
     /// The kernels this module had before they were rewritten for speed:
@@ -475,18 +476,6 @@ mod tests {
         shared.compress_block_into(&a, &mut out);
         assert_eq!(out, reference::compress_block(&a));
         assert_eq!(shared.base as usize, a.len());
-    }
-
-    fn lcg(seed: u64, n: usize) -> Vec<u8> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (state >> 56) as u8
-            })
-            .collect()
     }
 
     /// One sequence: `lit` literal bytes, then a match.

@@ -130,6 +130,14 @@ fn fold(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
+/// The four equal quarters of `data`, whose length is a multiple of four.
+fn quarters(data: &[u8]) -> [&[u8]; 4] {
+    let (ab, cd) = data.split_at(data.len() / 2);
+    let (a, b) = ab.split_at(ab.len() / 2);
+    let (c, d) = cd.split_at(cd.len() / 2);
+    [a, b, c, d]
+}
+
 /// Four raw states through four equally long stretches, in lock-step, so
 /// the four dependency chains overlap.
 fn fold4(mut crc: [u32; 4], data: [&[u8]; 4]) -> [u32; 4] {
@@ -142,12 +150,7 @@ fn fold4(mut crc: [u32; 4], data: [&[u8]; 4]) -> [u32; 4] {
         crc[2] = fold8(crc[2], &c[at..at + 8]);
         crc[3] = fold8(crc[3], &d[at..at + 8]);
     }
-    [
-        fold(crc[0], &a[main..]),
-        fold(crc[1], &b[main..]),
-        fold(crc[2], &c[main..]),
-        fold(crc[3], &d[main..]),
-    ]
+    std::array::from_fn(|k| fold(crc[k], &data[k][main..len]))
 }
 
 /// Advance a raw state through [`LANE`] zero bytes.
@@ -180,10 +183,7 @@ impl Crc32 {
         let mut crc = self.state;
         let mut rounds = data.chunks_exact(4 * LANE);
         for round in &mut rounds {
-            let (a, rest) = round.split_at(LANE);
-            let (b, rest) = rest.split_at(LANE);
-            let (c, d) = rest.split_at(LANE);
-            let lanes = fold4([crc, 0, 0, 0], [a, b, c, d]);
+            let lanes = fold4([crc, 0, 0, 0], quarters(round));
             crc = lanes[0];
             for lane in &lanes[1..] {
                 crc = shift_lane(crc) ^ lane;
@@ -222,10 +222,7 @@ pub struct ChunkedChecksum {
 fn each_chunk_crc(data: &[u8], chunk_size: usize, mut visit: impl FnMut(u32) -> bool) {
     let mut batches = data.chunks_exact(chunk_size.saturating_mul(4));
     for batch in &mut batches {
-        let (a, rest) = batch.split_at(chunk_size);
-        let (b, rest) = rest.split_at(chunk_size);
-        let (c, d) = rest.split_at(chunk_size);
-        for crc in fold4([0xFFFF_FFFF; 4], [a, b, c, d]) {
+        for crc in fold4([0xFFFF_FFFF; 4], quarters(batch)) {
             if !visit(crc ^ 0xFFFF_FFFF) {
                 return;
             }
@@ -340,20 +337,16 @@ mod tests {
         // Streaming: wherever the input is cut, and whether a piece takes
         // the lane path or not, the state carries across.
         let want = crc32_bitwise(&data);
-        let mut cuts = noise(64).into_iter().map(usize::from);
+        let mut cuts = noise(4096).into_iter().map(usize::from).cycle();
+        let mut cut = move || cuts.next().unwrap_or(1);
         for _ in 0..8 {
             let mut c = Crc32::new();
             let mut rest = data.as_slice();
             while !rest.is_empty() {
-                let a = cuts.next().unwrap_or(1);
-                let b = cuts.next().unwrap_or(1);
                 // Pieces from one byte to tens of KiB.
-                let take = (1 + a * b / 6 * 7).min(rest.len());
+                let take = (1 + cut() * cut() / 6 * 7).min(rest.len());
                 c.update(&rest[..take]);
                 rest = &rest[take..];
-                if cuts.len() < 2 {
-                    cuts = noise(64).into_iter().map(usize::from);
-                }
             }
             assert_eq!(c.finish(), want);
         }

@@ -448,7 +448,6 @@ mod tests {
             let mut d = DataNode::new(NodeId(0), capacity);
             let mut held: BTreeMap<u64, u64> = BTreeMap::new();
             for (op, id, len) in ops {
-                let used: u64 = held.values().sum();
                 match op {
                     // Store or re-store; even lengths carry real bytes.
                     0..=3 => {
@@ -457,6 +456,7 @@ mod tests {
                         } else {
                             BlockPayload::synthetic(len)
                         };
+                        let used: u64 = held.values().sum();
                         let fits = used - held.get(&id).copied().unwrap_or(0) + len <= capacity;
                         let stored = d.store_block(BlockId(id), payload);
                         prop_assert_eq!(stored.is_ok(), d.alive && fits);
