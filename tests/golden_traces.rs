@@ -22,9 +22,12 @@ use hadoop_lab::mapreduce::job::Job;
 use hadoop_lab::mapreduce::report::JobReport;
 use hadoop_lab::mapreduce::speculate::SpecOutcome;
 use hadoop_lab::mapreduce::MrCluster;
+use hadoop_lab::datagen::google_trace::GoogleTraceGen;
+use hadoop_lab::workloads::replay::{load_trace, replay, ReplayPolicy, ReplaySetup};
 use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
 
 const GOLDEN: &str = include_str!("golden/chaos_traces.txt");
+const GOLDEN_REPLAY: &str = include_str!("golden/replay_hashes.txt");
 
 #[test]
 fn chaos_trace_hashes_match_the_committed_table() {
@@ -40,6 +43,33 @@ fn chaos_trace_hashes_match_the_committed_table() {
         assert_eq!(want, got, "trace moved; replacement line for chaos_traces.txt: {got}");
     }
     assert_eq!(GOLDEN.lines().count(), actual.lines().count(), "full table:\n{actual}");
+}
+
+/// The Google-trace replay, 3 policies × {uncontended, contended}: the
+/// assignment log and the metrics snapshot of a 120-job trace must hash to
+/// the committed values, so a change to the scheduling loop that moves a
+/// decision shows up here before it shows up in a lecture table.
+#[test]
+fn replay_hashes_match_the_committed_table() {
+    let (log, _) = GoogleTraceGen::new(42).with_jobs(120, 6).generate();
+    let jobs = load_trace(&log);
+    let mut actual = String::new();
+    for (label, setup) in
+        [("uncontended", ReplaySetup::default()), ("contended", ReplaySetup::contended())]
+    {
+        for policy in [ReplayPolicy::Fifo, ReplayPolicy::Fair, ReplayPolicy::Capacity] {
+            let out = replay(&jobs, policy, &setup);
+            assert!(out.violations.is_empty(), "{label} {policy:?}: {:?}", out.violations);
+            actual.push_str(&format!(
+                "{label} {} {:#018x} {:#018x}\n",
+                out.policy, out.assignment_hash, out.metrics_hash
+            ));
+        }
+    }
+    for (want, got) in GOLDEN_REPLAY.lines().zip(actual.lines()) {
+        assert_eq!(want, got, "replay moved; replacement line for replay_hashes.txt: {got}");
+    }
+    assert_eq!(GOLDEN_REPLAY.lines().count(), actual.lines().count(), "full table:\n{actual}");
 }
 
 /// FNV-1a over a rendering of everything the report says about *how* the
