@@ -511,24 +511,25 @@ pub fn replay(jobs: &[ReplayJob], policy: ReplayPolicy, setup: &ReplaySetup) -> 
 
         // 4. Assign free slots until the policy declines.
         loop {
-            let free: Vec<usize> = (0..total_slots).filter(|&s| slot_free[s] <= now).collect();
-            if free.is_empty() {
+            if slot_free.iter().all(|&f| f > now) {
                 break;
             }
-            let free_states: Vec<SlotState> = free
-                .iter()
-                .map(|&s| SlotState {
+            // Every slot, as `SlotState` documents: idle ones free at
+            // `now`, busy ones at their future `free_at`.
+            let slot_states: Vec<SlotState> = (0..total_slots)
+                .map(|s| SlotState {
                     node: NodeId(s as u32 / setup.slots_per_node.max(1)),
-                    free_at: now,
+                    free_at: slot_free[s].max(now),
                 })
                 .collect();
             let the_views = views!();
-            let Some(a) = scheduler.next_assignment(now, &free_states, &the_views, &UniformEnv)
+            let Some(a) = scheduler.next_assignment(now, &slot_states, &the_views, &UniformEnv)
             else {
                 break;
             };
             drop(the_views);
-            let (Some(&slot), Some(&j)) = (free.get(a.slot), active.get(a.job)) else {
+            let idle = Some(a.slot).filter(|&s| slot_free.get(s).is_some_and(|&f| f <= now));
+            let (Some(slot), Some(&j)) = (idle, active.get(a.job)) else {
                 violations.push(format!("invalid assignment {a:?}"));
                 metrics.incr("scheduler", "invalid", 1);
                 break;
