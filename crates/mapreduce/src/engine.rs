@@ -34,17 +34,16 @@ use hl_dfs::client::Dfs;
 use hl_dfs::BlockId;
 use hl_metrics::{MetricsRegistry, MetricsSnapshot};
 
-use crate::api::{Combiner, Mapper, Reducer, SideFiles};
+use crate::api::SideFiles;
 use crate::history::JobHistory;
-use crate::job::{Job, JobConf};
+use crate::job::JobConf;
+use crate::jobtracker::{Flight, JobTracker, Launch, TaskBody};
 use crate::report::{JobReport, TaskKind, TaskSummary};
-use crate::scheduler::{
-    scheduler_from_config, JobView, Scheduler, SchedulerEnv, SlotState, UniformEnv,
-};
+use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
 use crate::sortbuf::MapOutput;
 use crate::speculate::{RunningTask, SpecAttempt, SpecOutcome, Speculator};
 use crate::split::{compute_splits, InputSplit};
-use crate::task::{run_map_task, run_reduce_task};
+use crate::task::JobCode;
 
 /// One TaskTracker daemon.
 #[derive(Debug, Clone)]
@@ -303,75 +302,50 @@ impl MrCluster {
         slots
     }
 
-    /// Run a job to completion. Errors when submission is impossible
+    /// Run one job to completion: a batch of one (see
+    /// [`MrCluster::run_jobs`]). Errors when submission is impossible
     /// (safe mode, dead JobTracker, bad conf, output exists) or when a
     /// task exhausts its attempts.
-    pub fn run_job<M, R, C>(&mut self, job: &Job<M, R, C>) -> Result<JobReport>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-    {
-        job.conf.validate()?;
-        if !self.jobtracker.alive {
-            return Err(HlError::DaemonDown("jobtracker".into()));
-        }
-        if self.dfs.namenode.safemode.is_on() {
-            let (r, e) = self.dfs.namenode.block_census();
-            return Err(HlError::SafeMode(self.dfs.namenode.safemode.status(r, e)));
-        }
-        if self.dfs.namenode.namespace().exists(&job.conf.output_path) {
-            return Err(HlError::AlreadyExists(job.conf.output_path.clone()));
-        }
-        let job_id = format!("job_{:04}", self.next_job_id);
-        self.next_job_id += 1;
-        self.metrics.incr("jobtracker", "jobs.submitted", 1);
-        let submitted_at = self.now;
-        self.log.log_with(submitted_at, "jobtracker", || {
-            format!("{job_id} ({}) submitted", job.conf.name)
-        });
+    pub fn run_job(&mut self, job: &dyn JobCode) -> Result<JobReport> {
+        let now = self.now;
+        let mut results = self.run_jobs(&[(now, job)]);
+        results.pop().unwrap_or_else(|| Err(HlError::Internal("empty batch".into())))
+    }
 
-        self.dfs.namenode.mkdirs(&job.conf.output_path)?;
-        let splits = compute_splits(&self.dfs, &job.conf.input_paths)?;
-
-        let result = self.run_phases(job, &job_id, submitted_at, splits);
-        match result {
-            Ok(report) => {
-                self.now = report.finished_at;
-                // Only *successful* jobs convert their per-job blacklistings
-                // into global strikes (a failing job is as likely the job's
-                // fault as the tracker's — Hadoop 1.x drew the same line).
-                for &node in &report.blacklisted_trackers {
-                    let strikes = self.blacklist_strikes.entry(node).or_insert(0);
-                    *strikes += 1;
-                    if *strikes == self.max_tracker_blacklists {
-                        let (n, at) = (*strikes, report.finished_at);
-                        self.log.log_with(at, "jobtracker", || {
-                            format!(
-                                "tracker on {node} blacklisted cluster-wide after {n} strike(s)"
-                            )
-                        });
-                    }
-                }
-                self.record_job_metrics(&report);
-                self.history.record(&report);
-                let (now, elapsed) = (self.now, report.elapsed());
-                self.log.log_with(now, "jobtracker", || format!("{job_id} completed in {elapsed}"));
-                Ok(report)
-            }
-            Err(e) => {
-                // Failed jobs clean their output directory.
-                self.failed_jobs += 1;
-                self.metrics.incr("jobtracker", "jobs.failed", 1);
-                let cmds =
-                    self.dfs.namenode.delete(&job.conf.output_path, true).unwrap_or_default();
-                let now = self.now;
-                self.dfs.apply_commands(&mut self.net, now, &cmds);
-                self.history.record_failed(&job_id, &job.conf.name, submitted_at, now);
-                self.log.log_with(now, "jobtracker", || format!("{job_id} FAILED: {e}"));
-                Err(e)
+    /// Run a batch of jobs, each arriving at its own instant (no earlier
+    /// than `now`), to completion through the one JobTracker loop: the
+    /// jobs share the slot tables, and the configured policy decides whose
+    /// task gets each idle slot. One result per job, in batch order.
+    ///
+    /// Submission work (conf and safe-mode checks, job id, output
+    /// directory, splits) is done up front in batch order; the slot
+    /// tables are built once, so a tracker blacklisted cluster-wide by one
+    /// job of the batch stays usable for the others until the next batch.
+    pub fn run_jobs(&mut self, batch: &[(SimTime, &dyn JobCode)]) -> Vec<Result<JobReport>> {
+        // The loop owns the policy for the run and hands it back after.
+        let scheduler = std::mem::replace(&mut self.scheduler, Box::new(FifoScheduler));
+        let now = self.now;
+        let mut jt = JobTracker::new(
+            scheduler,
+            self.slots(TaskKind::Map, now),
+            self.slots(TaskKind::Reduce, now),
+        );
+        let mut body = ClusterBody { cluster: self, jobs: Vec::new() };
+        let mut results: Vec<Option<Result<JobReport>>> = Vec::new();
+        results.resize_with(batch.len(), || None);
+        for (i, &(arrival, job)) in batch.iter().enumerate() {
+            if let Err(e) = body.submit(&mut jt, i, arrival, job) {
+                results[i] = Some(Err(e));
             }
         }
+        while jt.step(&mut body).is_some() {}
+        body.fail_unfinished(&mut jt);
+        for rj in body.jobs {
+            results[rj.batch_index] = rj.result;
+        }
+        self.scheduler = jt.into_scheduler();
+        let lost = || Err(HlError::Internal("job left the batch without a result".into()));
+        results.into_iter().map(|r| r.unwrap_or_else(lost)).collect()
     }
 
     /// Fold one completed job's report into the "jobtracker" instruments:
@@ -419,185 +393,59 @@ impl MrCluster {
         snap
     }
 
-    fn run_phases<M, R, C>(
+    /// One launched task, to its flight: run it to a committed attempt
+    /// and, when it was the phase's last pending task, run the phase's
+    /// speculation pass over everything now standing.
+    fn run_task<T>(
         &mut self,
-        job: &Job<M, R, C>,
-        job_id: &str,
-        submitted_at: SimTime,
-        splits: Vec<InputSplit>,
-    ) -> Result<JobReport>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-    {
-        let mut run = JobRun::default();
-        let phase = Phase {
-            job_id,
-            conf: &job.conf,
-            submitted_at,
-            kind: TaskKind::Map,
-            noun: "map",
-            runnable_at: submitted_at,
-            failure_burn: job.conf.task_startup + SimDuration::from_secs(10),
-            logs_failures: true,
-            speculates: job.conf.speculative,
-        };
-
-        // ------------------------------------------------------ map phase
-        let slots = self.slots(TaskKind::Map, submitted_at);
-        if slots.is_empty() {
-            return Err(HlError::DaemonDown("no live tasktrackers".into()));
-        }
-        // The policy sees splits only through their locality distance.
-        let topo = self.net.topology().clone();
-        let env = MapSchedEnv { topo: &topo, splits: &splits, locality_aware: self.locality_aware };
-        let maps = self.run_phase(
-            &phase,
-            &env,
-            slots,
-            splits.len(),
-            &mut run,
-            &mut |cluster, task, node, start, attempt, _commit| {
-                cluster.exec_map_attempt(job, &splits[task as usize], node, start, attempt)
-            },
-        )?;
-        let maps_done = maps.iter().flatten().map(|m| m.end).max().unwrap_or(submitted_at);
-
-        // --------------------------------------------------- reduce phase
-        //
-        // Reduces are locality-blind (their input is everywhere); the
-        // policy still picks the slot and the next task.
-        let slots = self.slots(TaskKind::Reduce, maps_done);
-        if slots.is_empty() {
-            return Err(HlError::JobFailed(format!("{job_id}: no live tasktrackers for reduce")));
-        }
-        let phase = Phase {
-            kind: TaskKind::Reduce,
-            noun: "reduce",
-            runnable_at: maps_done,
-            failure_burn: job.conf.task_startup,
-            logs_failures: false,
-            // `mapred.reduce.tasks.speculative.execution` gates only this pass.
-            speculates: job.conf.speculative && job.conf.speculative_reduces,
-            ..phase
-        };
-        let mut output_files = Vec::new();
-        let reduces = self.run_phase(
-            &phase,
-            &UniformEnv,
-            slots,
-            job.conf.num_reduces,
-            &mut run,
-            &mut |cluster, task, node, start, _attempt, commit| {
-                let (attempt, out_path) =
-                    cluster.exec_reduce_attempt(job, &maps, task as usize, node, start, commit)?;
-                output_files.extend(out_path);
-                Ok(attempt)
-            },
-        )?;
-        // Speculative wins pull reduce commits earlier, so the job's
-        // finish is read off the standing attempts, not the primaries.
-        let finished_at = reduces.iter().flatten().map(|r| r.end).max().unwrap_or(maps_done);
-
-        Ok(JobReport {
-            job_id: job_id.to_string(),
-            name: job.conf.name.clone(),
-            submitted_at,
-            finished_at,
-            success: true,
-            counters: run.counters,
-            tasks: run.tasks,
-            output_files,
-            blacklisted_trackers: run.blacklist,
-            peak_mapper_buffer: run.peak_buffer,
-            spec_attempts: run.spec_attempts,
-        })
-    }
-
-    /// One phase of one job: the assign-on-heartbeat loop until every task
-    /// has a committed attempt, then the speculation pass. Maps and reduces
-    /// differ only in `phase`'s facts, the scheduler `env`, and `exec`.
-    fn run_phase<T>(
-        &mut self,
+        jt: &mut JobTracker,
+        l: &Launch,
         phase: &Phase<'_>,
-        env: &dyn SchedulerEnv,
-        mut slots: Vec<Slot>,
-        num_tasks: usize,
+        standing: &mut [Option<Attempt<T>>],
         run: &mut JobRun,
         exec: &mut ExecAttempt<'_, T>,
-    ) -> Result<Vec<Option<Attempt<T>>>> {
-        let mut pending: Vec<u32> = (0..num_tasks as u32).collect();
-        let mut standing: Vec<Option<Attempt<T>>> = Vec::new();
-        standing.resize_with(num_tasks, || None);
-        while !pending.is_empty() {
-            // One heartbeat round: the policy matches the earliest-free
-            // slot with a task from the runnable job set (here: this job).
-            let view = JobView {
-                user: &phase.conf.user,
-                pool: &phase.conf.pool,
-                priority: phase.conf.priority,
-                submitted_at: phase.submitted_at,
-                pending: &pending,
-                running: &[],
-            };
-            let decision = self.scheduler.next_assignment(phase.runnable_at, &slots, &[view], env);
-            // Validate before acting: a bad decision fails the job, it
-            // never corrupts it.
-            let valid = decision
-                .filter(|a| a.job == 0 && a.slot < slots.len())
-                .and_then(|a| Some((a, pending.iter().position(|&t| t == a.task)?)));
-            let Some((a, pi)) = valid else {
-                self.metrics.incr("jobtracker", "sched.invalid", 1);
-                let (n, noun) = (pending.len(), phase.noun);
-                let complaint = match decision {
-                    Some(_) => format!("returned an invalid {noun} assignment"),
-                    None => format!("stalled with {n} pending {noun} task(s)"),
-                };
-                return Err(HlError::JobFailed(format!(
-                    "{}: scheduler {} {complaint}",
-                    phase.job_id,
-                    self.scheduler.name()
-                )));
-            };
-            self.metrics.incr("jobtracker", "sched.decisions", 1);
-            pending.swap_remove(pi);
-            standing[a.task as usize] =
-                Some(self.run_attempts(phase, &mut slots, a.slot, a.task, run, exec)?);
+    ) -> Result<Flight> {
+        let attempt = self.run_attempts(jt, l, phase, run, exec)?;
+        let gone = || HlError::Internal(format!("{}: task {} has no slot", phase.job_id, l.task));
+        *standing.get_mut(l.task as usize).ok_or_else(gone)? = Some(attempt);
+        if phase.speculates && jt.jobs[l.job].pending.is_empty() {
+            self.speculate(jt, l.job, phase, standing, run, exec);
         }
-        if phase.speculates {
-            self.speculate(phase, &mut slots, &mut standing, run, exec);
-        }
-        Ok(standing)
+        // Read back after the pass: a backup may already have beaten it.
+        let s = standing.get(l.task as usize).and_then(Option::as_ref).ok_or_else(gone)?;
+        Ok(Flight::new(s.slot, s.start, s.end, true))
     }
 
-    /// Run `task` to a committed attempt, starting on `slots[cur]`: a failed
-    /// attempt burns its slot and strikes its tracker, and the retry
-    /// migrates to the earliest remaining slot, up to `max_attempts`.
+    /// Run `l.task` to a committed attempt, starting on slot `l.slot`: a
+    /// failed attempt burns its slot and strikes its tracker, and the retry
+    /// migrates to the earliest slot the job may still use — reserving it
+    /// from its `free_at` when that lies in the future — up to
+    /// `max_attempts`.
     fn run_attempts<T>(
         &mut self,
+        jt: &mut JobTracker,
+        l: &Launch,
         phase: &Phase<'_>,
-        slots: &mut Vec<Slot>,
-        mut cur: usize,
-        task: u32,
         run: &mut JobRun,
         exec: &mut ExecAttempt<'_, T>,
     ) -> Result<Attempt<T>> {
-        let job_id = phase.job_id;
+        let (job_id, kind, task) = (phase.job_id, phase.kind, l.task);
+        let mut cur = l.slot;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let Slot { node, free_at: start } = slots[cur];
+            let Slot { node, free_at: start } = jt.slot(kind, cur);
             let e = match exec(self, task, node, start, attempts, true) {
-                Ok(a) => {
-                    run.counters.merge(&a.counters);
+                Ok(mut a) => {
+                    a.slot = cur;
+                    let mut counters = std::mem::take(&mut a.counters);
                     run.peak_buffer = run.peak_buffer.max(a.peak_buffered);
                     if let Some(l) = a.locality {
-                        run.counters.incr("Job Counters", locality_counter(l), 1);
+                        counters.incr("Job Counters", locality_counter(l), 1);
                     }
                     run.tasks.push(TaskSummary {
                         id: task,
-                        kind: phase.kind,
+                        kind,
                         node,
                         start,
                         end: a.end,
@@ -605,12 +453,13 @@ impl MrCluster {
                         locality: a.locality,
                         speculative: false,
                     });
-                    slots[cur].free_at = a.end;
+                    run.task_counters.push(counters);
+                    jt.occupy(kind, cur, a.end);
                     return Ok(a);
                 }
                 Err(e) => e,
             };
-            let name = match phase.kind {
+            let name = match kind {
                 TaskKind::Map => format!("m_{task:05}"),
                 TaskKind::Reduce => format!("r_{task:05}"),
             };
@@ -624,12 +473,14 @@ impl MrCluster {
                     "{job_id}: task {name} failed {attempts} attempts: {e}"
                 )));
             }
-            // The failed attempt still burned startup + a bit.
-            slots[cur].free_at += phase.failure_burn;
+            // The failed attempt still burned startup + a bit; no flight
+            // ends then, so ask the loop to look at the slot again.
+            jt.occupy(kind, cur, start + phase.failure_burn);
+            jt.wake_at(start + phase.failure_burn, l.job, task);
             // A crashed tracker takes its slots out of the pool;
             // the retry migrates to the earliest remaining slot.
-            if !self.trackers[&node].health.alive {
-                slots.retain(|s| s.node != node);
+            if !self.trackers.get(&node).is_some_and(|t| t.health.alive) {
+                jt.drop_node(node);
             }
             // Blacklist the tracker for this job once it eats
             // too many failed attempts (crashed or not).
@@ -637,21 +488,23 @@ impl MrCluster {
             *strikes += 1;
             if *strikes >= self.max_tracker_failures && !run.blacklist.contains(&node) {
                 run.blacklist.push(node);
+                jt.jobs[l.job].blacklist.push(node);
                 run.counters.incr("Job Counters", "Trackers blacklisted", 1);
                 let n = *strikes;
                 self.log.log_with(start, "jobtracker", || {
                     format!("{job_id} blacklisted tracker on {node} after {n} failed attempt(s)")
                 });
-                slots.retain(|s| s.node != node);
             }
-            if slots.is_empty() {
+            let earliest = jt.usable(kind, l.job).into_iter().min_by_key(|&i| {
+                let s = jt.slot(kind, i);
+                (s.free_at, s.node.0)
+            });
+            let Some(earliest) = earliest else {
                 return Err(HlError::JobFailed(format!(
                     "{job_id}: every tasktracker died mid-job"
                 )));
-            }
-            // Non-empty (checked just above), so a minimum exists.
-            let earliest = (0..slots.len()).min_by_key(|&i| (slots[i].free_at, slots[i].node.0));
-            cur = earliest.unwrap_or(0);
+            };
+            cur = earliest;
         }
     }
 
@@ -666,25 +519,27 @@ impl MrCluster {
     /// with the loser's burned time charged to `spec.wasted_us`.
     fn speculate<T>(
         &mut self,
+        jt: &mut JobTracker,
+        job: usize,
         phase: &Phase<'_>,
-        slots: &mut [Slot],
         standing: &mut [Option<Attempt<T>>],
         run: &mut JobRun,
         exec: &mut ExecAttempt<'_, T>,
     ) {
+        let kind = phase.kind;
         let speculator = Speculator::from_conf(phase.conf);
         let cap = speculator.cap(standing.len());
         let mut speculated: BTreeSet<u32> = BTreeSet::new();
         // Visit slots in the order they free up (ties by node id) —
         // the late-binding part: the earliest idle slot gets first
         // pick of the stragglers.
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_by_key(|&i| (slots[i].free_at, slots[i].node.0));
+        let mut order = jt.usable(kind, job);
+        order.sort_by_key(|&i| (jt.slot(kind, i).free_at, jt.slot(kind, i).node.0));
         for si in order {
             if speculated.len() >= cap {
                 break;
             }
-            let Slot { node, free_at: now } = slots[si];
+            let Slot { node, free_at: now } = jt.slot(kind, si);
             if !self.trackers.get(&node).is_some_and(|t| t.health.alive) {
                 continue;
             }
@@ -718,7 +573,7 @@ impl MrCluster {
                 self.metrics.incr("jobtracker", "spec.invalid", 1);
                 continue;
             };
-            let (p_node, p_start, p_end) = (p.node, p.start, p.end);
+            let (p_slot, p_start, p_end) = (p.slot, p.start, p.end);
             // The racer never commits (the primary owns `part-r-NNNNN`;
             // the racer's bytes are identical), so its race position is
             // its compute finish plus the primary's observed commit-write
@@ -733,21 +588,23 @@ impl MrCluster {
                     // frees early — that's the makespan speculation buys.
                     let end = a.compute_end + commit_cost;
                     a.end = end;
+                    a.slot = si;
                     let won = format!("Speculative {} attempts won", phase.noun);
                     run.counters.incr("Job Counters", &won, 1);
-                    if let Some(ps) =
-                        slots.iter_mut().find(|s| s.node == p_node && s.free_at == p_end)
-                    {
-                        ps.free_at = end;
+                    if jt.slot(kind, p_slot).free_at == p_end {
+                        jt.occupy(kind, p_slot, end);
                     }
                     if let Some(summary) =
-                        run.tasks.iter_mut().find(|t| t.kind == phase.kind && t.id == task)
+                        run.tasks.iter_mut().find(|t| t.kind == kind && t.id == task)
                     {
                         summary.node = node;
                         summary.start = now;
                         summary.end = end;
                         summary.speculative = true;
                     }
+                    // The primary's `AttemptFinished` is already queued
+                    // for `p_end`; the task now ends with the backup.
+                    jt.reflight(job, task, Flight::new(si, now, end, true));
                     standing[task as usize] = Some(a);
                     (SpecOutcome::Won, "spec.won", end, end.since(p_start))
                 }
@@ -758,15 +615,16 @@ impl MrCluster {
                 // no race to settle, just the burned startup.
                 Err(_) => {
                     let burn = phase.failure_burn;
+                    jt.wake_at(now + burn, job, task);
                     (SpecOutcome::Lost, "spec.lost", now + burn, burn)
                 }
             };
             self.metrics.incr("jobtracker", metric, 1);
             self.metrics.incr("jobtracker", "spec.wasted_us", wasted.0);
-            slots[si].free_at = end;
+            jt.occupy(kind, si, end);
             run.spec_attempts.push(SpecAttempt {
                 task,
-                reduce: phase.kind == TaskKind::Reduce,
+                reduce: kind == TaskKind::Reduce,
                 node: node.0,
                 start: now,
                 end,
@@ -870,20 +728,16 @@ impl MrCluster {
         Ok(())
     }
 
-    fn exec_map_attempt<M, R, C>(
+    fn exec_map_attempt(
         &mut self,
-        job: &Job<M, R, C>,
+        job: &dyn JobCode,
         split: &InputSplit,
         node: NodeId,
         start: SimTime,
         attempt: u32,
-    ) -> Result<Attempt<MapOutput>>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-    {
-        if job.conf.fail_first_attempts >= attempt {
+    ) -> Result<Attempt<MapOutput>> {
+        let conf = job.conf();
+        if conf.fail_first_attempts >= attempt {
             return Err(HlError::TaskFailed(format!(
                 "injected failure (attempt {attempt} of task on {node})"
             )));
@@ -892,7 +746,7 @@ impl MrCluster {
         // CPU-bound charges scale here; disk and NIC charges scale inside
         // the network layer at their own charge instants.
         let profile = self.net.node_profile(node, start);
-        let mut t = start + PerfProfile::scale_dur(job.conf.task_startup, profile.cpu_mult);
+        let mut t = start + PerfProfile::scale_dur(conf.task_startup, profile.cpu_mult);
 
         let locality =
             self.net.topology().best_locality(node, &split.holders).unwrap_or(Locality::OffRack);
@@ -900,8 +754,7 @@ impl MrCluster {
             self.read_split(split, node, &mut t, profile.cpu_mult)?;
 
         // Run the mapper for real.
-        let done = run_map_task(
-            job,
+        let done = job.map_task(
             &self.side_files,
             self.spec.node.disk_bw,
             prev_byte,
@@ -920,7 +773,7 @@ impl MrCluster {
         // stays byte-identical — but the spill-disk and shuffle-wire
         // charges shrink to the framed sizes, paid for with compress CPU
         // here and decompress CPU at each reducer.
-        if job.conf.compress_map_output {
+        if conf.compress_map_output {
             let raw = output.total_bytes();
             let mut wire = Vec::with_capacity(output.partitions.len());
             let mut packed_total = 0u64;
@@ -930,7 +783,7 @@ impl MrCluster {
                     plain.extend_from_slice(k);
                     plain.extend_from_slice(v);
                 }
-                let packed = hl_codec::compress_container(job.conf.map_output_codec, &plain);
+                let packed = hl_codec::compress_container(conf.map_output_codec, &plain);
                 packed_total += packed.len() as u64;
                 wire.push(packed.len() as u64);
             }
@@ -957,9 +810,9 @@ impl MrCluster {
         // the "increased map task run time" students observed).
         let combine_in = task_counters.task(TaskCounter::CombineInputRecords);
         let cpu = PerfProfile::scale_dur(
-            job.conf.map_cpu_per_byte * logical_len as u64
-                + job.conf.map_cpu_per_record * records
-                + job.conf.combine_cpu_per_record * combine_in
+            conf.map_cpu_per_byte * logical_len as u64
+                + conf.map_cpu_per_record * records
+                + conf.combine_cpu_per_record * combine_in
                 + done.extra_time,
             profile.cpu_mult,
         );
@@ -988,8 +841,9 @@ impl MrCluster {
             self.metrics.incr("jobtracker", "merge.bytes", output.spill_bytes_read);
         }
 
-        self.charge_heap(job.conf.leaks_memory, node, t)?;
+        self.charge_heap(conf.leaks_memory, node, t)?;
         Ok(Attempt {
+            slot: 0,
             node,
             start,
             end: t,
@@ -1001,22 +855,18 @@ impl MrCluster {
         })
     }
 
-    fn exec_reduce_attempt<M, R, C>(
+    fn exec_reduce_attempt(
         &mut self,
-        job: &Job<M, R, C>,
+        job: &dyn JobCode,
         maps: &[Option<Attempt<MapOutput>>],
         r: usize,
         node: NodeId,
         start: SimTime,
         commit: bool,
-    ) -> Result<(Attempt<()>, Option<String>)>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-    {
+    ) -> Result<(Attempt<()>, Option<String>)> {
+        let conf = job.conf();
         let profile = self.net.node_profile(node, start);
-        let t0 = start + PerfProfile::scale_dur(job.conf.task_startup, profile.cpu_mult);
+        let t0 = start + PerfProfile::scale_dur(conf.task_startup, profile.cpu_mult);
         let mut task_counters = Counters::new();
 
         // Shuffle: fetch this reduce's partition from every map's node.
@@ -1054,16 +904,16 @@ impl MrCluster {
         }
 
         // Merge, group and reduce for real.
-        let done = run_reduce_task(job, &self.side_files, self.spec.node.disk_bw, &runs)?;
+        let done = job.reduce_task(&self.side_files, self.spec.node.disk_bw, &runs)?;
         task_counters.merge(&done.counters);
         let lines = done.lines;
 
         let cpu = PerfProfile::scale_dur(
-            job.conf.reduce_cpu_per_record * done.records + done.extra_time,
+            conf.reduce_cpu_per_record * done.records + done.extra_time,
             profile.cpu_mult,
         );
         let mut t = shuffle_done + cpu;
-        self.charge_heap(job.conf.leaks_memory, node, t)?;
+        self.charge_heap(conf.leaks_memory, node, t)?;
 
         // Write part file to HDFS (real bytes, charged, replicated). A
         // speculative attempt racing a live primary never commits — the
@@ -1075,7 +925,7 @@ impl MrCluster {
         } else {
             let mut text = lines.join("\n");
             text.push('\n');
-            let path = format!("{}/part-r-{:05}", job.conf.output_path, r);
+            let path = part_path(conf, r);
             let put = self.dfs.put(&mut self.net, t, &path, text.as_bytes(), Some(node))?;
             t = put.completed_at;
             task_counters.incr_fs(FileSystemCounter::HdfsBytesWritten, text.len() as u64);
@@ -1083,6 +933,7 @@ impl MrCluster {
         };
 
         let attempt = Attempt {
+            slot: 0,
             node,
             start,
             end: t,
@@ -1110,39 +961,333 @@ impl MrCluster {
     }
 }
 
-/// How the map phase answers the scheduler's placement questions: a map
-/// task's distance is its split's best replica locality from the node
-/// (node-local 0 < rack-local < off-rack), or 0 everywhere when the
-/// locality-ablation arm is on.
-struct MapSchedEnv<'a> {
-    topo: &'a hl_common::topology::Topology,
-    splits: &'a [InputSplit],
-    locality_aware: bool,
+/// One job of a [`MrCluster::run_jobs`] batch: what the real
+/// [`TaskBody`] keeps per entry of the loop's table.
+struct RealJob<'a> {
+    batch_index: usize,
+    job: &'a dyn JobCode,
+    job_id: String,
+    submitted_at: SimTime,
+    splits: Vec<InputSplit>,
+    run: JobRun,
+    /// Standing attempts: a task's primary, or the backup that beat it.
+    maps: Vec<Option<Attempt<MapOutput>>>,
+    reduces: Vec<Option<Attempt<()>>>,
+    /// When the last standing map committed; `None` during the map phase.
+    maps_done: Option<SimTime>,
+    output_files: Vec<String>,
+    result: Option<Result<JobReport>>,
 }
 
-impl SchedulerEnv for MapSchedEnv<'_> {
-    fn distance(&self, node: NodeId, _job: usize, task: u32) -> u32 {
-        if !self.locality_aware {
-            return 0; // FIFO ablation: ignore locations entirely
+/// The real [`TaskBody`]: user code over real bytes on the cluster, with
+/// inline retries and the per-phase speculation pass.
+struct ClusterBody<'a> {
+    cluster: &'a mut MrCluster,
+    jobs: Vec<RealJob<'a>>,
+}
+
+impl<'a> ClusterBody<'a> {
+    /// Everything `run_job` does before the first task: refuse, or name
+    /// the job, create its output directory, compute its splits and enter
+    /// it in the loop's table.
+    fn submit(
+        &mut self,
+        jt: &mut JobTracker,
+        batch_index: usize,
+        arrival: SimTime,
+        job: &'a dyn JobCode,
+    ) -> Result<()> {
+        let c = &mut *self.cluster;
+        let conf = job.conf();
+        conf.validate()?;
+        if !c.jobtracker.alive {
+            return Err(HlError::DaemonDown("jobtracker".into()));
         }
-        let Some(s) = self.splits.get(task as usize) else {
+        if c.dfs.namenode.safemode.is_on() {
+            let (r, e) = c.dfs.namenode.block_census();
+            return Err(HlError::SafeMode(c.dfs.namenode.safemode.status(r, e)));
+        }
+        if c.dfs.namenode.namespace().exists(&conf.output_path) {
+            return Err(HlError::AlreadyExists(conf.output_path.clone()));
+        }
+        let job_id = format!("job_{:04}", c.next_job_id);
+        c.next_job_id += 1;
+        c.metrics.incr("jobtracker", "jobs.submitted", 1);
+        let submitted_at = arrival.max(c.now);
+        c.log
+            .log_with(submitted_at, "jobtracker", || format!("{job_id} ({}) submitted", conf.name));
+
+        c.dfs.namenode.mkdirs(&conf.output_path)?;
+        let splits = compute_splits(&c.dfs, &conf.input_paths)?;
+
+        let j = jt.submit(
+            submitted_at,
+            &conf.user,
+            &conf.pool,
+            conf.priority,
+            TaskKind::Map,
+            splits.len(),
+        );
+        let mut maps = Vec::new();
+        maps.resize_with(splits.len(), || None);
+        let no_maps = splits.is_empty();
+        self.jobs.push(RealJob {
+            batch_index,
+            job,
+            job_id,
+            submitted_at,
+            splits,
+            run: JobRun::default(),
+            maps,
+            reduces: Vec::new(),
+            maps_done: None,
+            output_files: Vec::new(),
+            result: None,
+        });
+        if jt.usable(TaskKind::Map, j).is_empty() {
+            self.fail(jt, j, HlError::DaemonDown("no live tasktrackers".into()));
+        } else if no_maps {
+            self.start_reduces(jt, j, submitted_at);
+        }
+        Ok(())
+    }
+
+    /// The job's last standing map committed at `maps_done`: its reduces
+    /// are runnable from this instant.
+    fn start_reduces(&mut self, jt: &mut JobTracker, j: usize, maps_done: SimTime) {
+        let rj = &mut self.jobs[j];
+        let n = rj.job.conf().num_reduces;
+        rj.maps_done = Some(maps_done);
+        rj.reduces.resize_with(n, || None);
+        jt.start_phase(j, TaskKind::Reduce, n);
+        if jt.usable(TaskKind::Reduce, j).is_empty() {
+            let e = format!("{}: no live tasktrackers for reduce", rj.job_id);
+            self.fail(jt, j, HlError::JobFailed(e));
+        }
+    }
+
+    /// The job's last standing reduce committed: write the report and do
+    /// the JobTracker's bookkeeping for a successful job.
+    fn complete(&mut self, j: usize) {
+        let c = &mut *self.cluster;
+        let rj = &mut self.jobs[j];
+        let run = std::mem::take(&mut rj.run);
+        // Speculative wins pull reduce commits earlier, so the job's
+        // finish is read off the standing attempts, not the primaries.
+        let ends = rj.reduces.iter().flatten().map(|r| r.end);
+        let finished_at = ends.max().or(rj.maps_done).unwrap_or(rj.submitted_at);
+        let mut counters = run.counters;
+        for task in &run.task_counters {
+            counters.merge(task);
+        }
+        let report = JobReport {
+            job_id: rj.job_id.clone(),
+            name: rj.job.conf().name.clone(),
+            submitted_at: rj.submitted_at,
+            finished_at,
+            success: true,
+            counters,
+            tasks: run.tasks,
+            output_files: std::mem::take(&mut rj.output_files),
+            blacklisted_trackers: run.blacklist,
+            peak_mapper_buffer: run.peak_buffer,
+            spec_attempts: run.spec_attempts,
+        };
+        rj.maps = Vec::new();
+        c.now = c.now.max(finished_at);
+        // Only *successful* jobs convert their per-job blacklistings
+        // into global strikes (a failing job is as likely the job's
+        // fault as the tracker's — Hadoop 1.x drew the same line).
+        for &node in &report.blacklisted_trackers {
+            let strikes = c.blacklist_strikes.entry(node).or_insert(0);
+            *strikes += 1;
+            if *strikes == c.max_tracker_blacklists {
+                let (n, at) = (*strikes, finished_at);
+                c.log.log_with(at, "jobtracker", || {
+                    format!("tracker on {node} blacklisted cluster-wide after {n} strike(s)")
+                });
+            }
+        }
+        c.record_job_metrics(&report);
+        c.history.record(&report);
+        let (now, elapsed, job_id) = (c.now, report.elapsed(), &rj.job_id);
+        c.log.log_with(now, "jobtracker", || format!("{job_id} completed in {elapsed}"));
+        rj.result = Some(Ok(report));
+    }
+
+    /// The job failed after submission: drop what it has in the loop,
+    /// clean its output directory and record it as FAILED.
+    fn fail(&mut self, jt: &mut JobTracker, j: usize, e: HlError) {
+        jt.abort(j);
+        let c = &mut *self.cluster;
+        let rj = &mut self.jobs[j];
+        let conf = rj.job.conf();
+        c.failed_jobs += 1;
+        c.metrics.incr("jobtracker", "jobs.failed", 1);
+        let cmds = c.dfs.namenode.delete(&conf.output_path, true).unwrap_or_default();
+        let now = c.now;
+        c.dfs.apply_commands(&mut c.net, now, &cmds);
+        c.history.record_failed(&rj.job_id, &conf.name, rj.submitted_at, now);
+        let job_id = &rj.job_id;
+        c.log.log_with(now, "jobtracker", || format!("{job_id} FAILED: {e}"));
+        rj.maps = Vec::new();
+        rj.result = Some(Err(e));
+    }
+
+    /// The loop ran dry: whoever has no result yet was starved by the
+    /// policy, or the policy made an invalid decision and the loop stopped.
+    fn fail_unfinished(&mut self, jt: &mut JobTracker) {
+        if jt.invalid().is_some() {
+            self.cluster.metrics.incr("jobtracker", "sched.invalid", 1);
+        }
+        for j in 0..self.jobs.len() {
+            if self.jobs[j].result.is_some() {
+                continue;
+            }
+            let jip = &jt.jobs[j];
+            let noun = if jip.kind == TaskKind::Map { "map" } else { "reduce" };
+            let complaint = match jt.invalid() {
+                Some(what) => what.to_string(),
+                None => format!("stalled with {} pending {noun} task(s)", jip.pending.len()),
+            };
+            let e = format!("{}: scheduler {} {complaint}", self.jobs[j].job_id, jt.policy());
+            self.fail(jt, j, HlError::JobFailed(e));
+        }
+    }
+}
+
+impl TaskBody for ClusterBody<'_> {
+    fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<Flight> {
+        let c = &mut *self.cluster;
+        c.metrics.incr("jobtracker", "sched.decisions", 1);
+        if l.rerun {
+            c.metrics.incr("jobtracker", "sched.rerun", 1);
+        }
+        let RealJob { job, job_id, splits, run, maps, reduces, output_files, .. } =
+            &mut self.jobs[l.job];
+        let (job, kind) = (*job, jt.jobs[l.job].kind);
+        let phase = Phase::of(job_id, job.conf(), kind);
+        let flight = match kind {
+            TaskKind::Map => c.run_task(
+                jt,
+                &l,
+                &phase,
+                maps,
+                run,
+                &mut |c, task, node, start, attempt, _commit| {
+                    let split = splits.get(task as usize).ok_or_else(|| {
+                        HlError::Internal(format!("{job_id}: map {task} has no split"))
+                    })?;
+                    c.exec_map_attempt(job, split, node, start, attempt)
+                },
+            ),
+            // Reduces are locality-blind (their input is everywhere); the
+            // policy still picks the slot and the next task.
+            TaskKind::Reduce => c.run_task(
+                jt,
+                &l,
+                &phase,
+                reduces,
+                run,
+                &mut |c, task, node, start, _attempt, commit| {
+                    let (attempt, out_path) =
+                        c.exec_reduce_attempt(job, maps, task as usize, node, start, commit)?;
+                    output_files.extend(out_path);
+                    Ok(attempt)
+                },
+            ),
+        };
+        match flight {
+            Ok(flight) => Some(flight),
+            Err(e) => {
+                self.fail(jt, l.job, e);
+                None
+            }
+        }
+    }
+
+    fn finished(&mut self, jt: &mut JobTracker, job: usize, _task: u32, flight: &Flight) {
+        let jip = &jt.jobs[job];
+        if !(jip.pending.is_empty() && jip.running.is_empty()) {
+            return;
+        }
+        match jip.kind {
+            TaskKind::Map => self.start_reduces(jt, job, flight.end),
+            TaskKind::Reduce => self.complete(job),
+        }
+    }
+
+    /// A preempted attempt already ran (attempts execute at launch), so
+    /// take back what it left: its summary and counters, its map output or
+    /// its committed part file. The re-run produces them again.
+    fn preempted(&mut self, jt: &mut JobTracker, job: usize, task: u32, flight: &Flight) {
+        let c = &mut *self.cluster;
+        c.metrics.incr("jobtracker", "sched.preempted", 1);
+        c.metrics.incr("jobtracker", "sched.requeued", 1);
+        let rj = &mut self.jobs[job];
+        let kind = jt.jobs[job].kind;
+        if let Some(i) = rj.run.tasks.iter().position(|t| t.kind == kind && t.id == task) {
+            rj.run.tasks.remove(i);
+            rj.run.task_counters.remove(i);
+        }
+        let now = jt.now();
+        match kind {
+            TaskKind::Map => {
+                if let Some(m) = rj.maps.get_mut(task as usize) {
+                    *m = None;
+                }
+            }
+            TaskKind::Reduce => {
+                if let Some(r) = rj.reduces.get_mut(task as usize) {
+                    *r = None;
+                }
+                let path = part_path(rj.job.conf(), task as usize);
+                if let Some(i) = rj.output_files.iter().position(|p| *p == path) {
+                    rj.output_files.remove(i);
+                    let cmds = c.dfs.namenode.delete(&path, false).unwrap_or_default();
+                    c.dfs.apply_commands(&mut c.net, now, &cmds);
+                }
+            }
+        }
+        let (job_id, ran) = (&rj.job_id, now.since(flight.start));
+        c.log.log_with(now, "jobtracker", || {
+            format!("{job_id} task {task} preempted after {ran}; re-queued")
+        });
+    }
+
+    /// A map task's distance is its split's best replica locality from the
+    /// node (node-local 0 < rack-local < off-rack); reduces, and every
+    /// task when the locality-ablation arm is on, are 0 everywhere.
+    fn distance(&self, node: NodeId, job: usize, task: u32) -> u32 {
+        let Some(rj) = self.jobs.get(job) else { return u32::MAX };
+        if rj.maps_done.is_some() || !self.cluster.locality_aware {
+            return 0;
+        }
+        let Some(s) = rj.splits.get(task as usize) else {
             return u32::MAX;
         };
-        self.topo.best_locality(node, &s.holders).map(|l| l.distance()).unwrap_or(u32::MAX)
+        let topo = self.cluster.net.topology();
+        topo.best_locality(node, &s.holders).map(|l| l.distance()).unwrap_or(u32::MAX)
     }
 }
 
 /// Per-job state both phases write: the job report's raw material.
 #[derive(Default)]
 struct JobRun {
+    /// Job-level counters (blacklistings, speculative wins).
     counters: Counters,
     tasks: Vec<TaskSummary>,
+    /// `tasks[i]`'s counters, merged into the report when the job
+    /// completes; kept apart until then so a preempted attempt's can be
+    /// taken back.
+    task_counters: Vec<Counters>,
     peak_buffer: usize,
     spec_attempts: Vec<SpecAttempt>,
     /// Per-job tracker blacklist: a tracker that eats too many failed
-    /// attempts stops receiving this job's tasks. Each *successful* job
-    /// that blacklisted a tracker adds a global strike; enough strikes
-    /// and the JobTracker stops scheduling on it entirely.
+    /// attempts stops receiving this job's tasks for the rest of the
+    /// phase. Each *successful* job that blacklisted a tracker adds a
+    /// global strike; enough strikes and the JobTracker stops scheduling
+    /// on it entirely.
     failures: BTreeMap<NodeId, u32>,
     blacklist: Vec<NodeId>,
 }
@@ -1153,14 +1298,9 @@ struct JobRun {
 struct Phase<'a> {
     job_id: &'a str,
     conf: &'a JobConf,
-    submitted_at: SimTime,
     kind: TaskKind,
     /// `map` / `reduce`, as error messages and counter names spell it.
     noun: &'static str,
-    /// The `now` handed to the scheduler, and the instant the phase's
-    /// slots are free from: maps are runnable at submission, reduces once
-    /// the last map has committed.
-    runnable_at: SimTime,
     /// What a failed attempt (or a racer that died on its own) burns on
     /// its slot: JVM startup, plus for a map the input it got through.
     failure_burn: SimDuration,
@@ -1168,6 +1308,24 @@ struct Phase<'a> {
     logs_failures: bool,
     /// Whether the phase ends with a speculation pass.
     speculates: bool,
+}
+
+impl<'a> Phase<'a> {
+    fn of(job_id: &'a str, conf: &'a JobConf, kind: TaskKind) -> Self {
+        let map = kind == TaskKind::Map;
+        let input_read = SimDuration::from_secs(if map { 10 } else { 0 });
+        Phase {
+            job_id,
+            conf,
+            kind,
+            noun: if map { "map" } else { "reduce" },
+            failure_burn: conf.task_startup + input_read,
+            logs_failures: map,
+            // `mapred.reduce.tasks.speculative.execution` gates only the
+            // reduce pass.
+            speculates: conf.speculative && (map || conf.speculative_reduces),
+        }
+    }
 }
 
 /// Runs one attempt for the phase driver: `(cluster, task, node, start,
@@ -1179,6 +1337,8 @@ type ExecAttempt<'a, T> =
 /// One successful task attempt, as the phase driver sees it. A task's
 /// *standing* attempt is its primary, or the backup that beat it.
 struct Attempt<T> {
+    /// Index into the kind's slot table (filled in by the phase driver).
+    slot: usize,
     node: NodeId,
     start: SimTime,
     /// When the attempt's slot frees up (HDFS commit included).
@@ -1186,6 +1346,7 @@ struct Attempt<T> {
     /// When compute finished, before the HDFS commit write — what a
     /// (non-committing) racer is judged on. Equals `end` for a map.
     compute_end: SimTime,
+    /// Taken by the phase driver when the attempt is booked.
     counters: Counters,
     /// Input locality (maps only).
     locality: Option<Locality>,
@@ -1193,6 +1354,11 @@ struct Attempt<T> {
     peak_buffered: usize,
     /// A map's output; nothing for a reduce (its part file is in HDFS).
     payload: T,
+}
+
+/// Where reduce `r` of a job commits its output.
+fn part_path(conf: &JobConf, r: usize) -> String {
+    format!("{}/part-r-{:05}", conf.output_path, r)
 }
 
 /// A stored block's logical bytes: a plain file's blocks are their own
@@ -1216,7 +1382,9 @@ fn locality_counter(l: Locality) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{MapContext, ReduceContext};
+    use crate::api::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+    use crate::job::Job;
+    use crate::scheduler::{JobView, SchedulerEnv};
     use hl_cluster::node::DegradeModel;
 
     // -- A tiny WordCount used across engine tests -----------------------
@@ -1553,8 +1721,8 @@ mod tests {
             jobs: &[JobView<'_>],
             env: &dyn SchedulerEnv,
         ) -> Option<crate::scheduler::Assignment> {
-            // Reduces become runnable only after the last map commits.
-            let in_reduce_phase = now > jobs[0].submitted_at;
+            // The course cluster has 8 map and 4 reduce slots per node.
+            let in_reduce_phase = slots.len() == 4 * 4;
             match (self.0, in_reduce_phase) {
                 (TaskKind::Map, false) => Some(crate::scheduler::Assignment {
                     slot: slots.len(),

@@ -1,0 +1,487 @@
+//! The JobTracker loop: one `JobInProgress` table, one slot table per task
+//! kind, one [`Scheduler`], one loop over [`EventQueue`].
+//!
+//! Everything that runs more than zero jobs goes through [`JobTracker::step`]:
+//! [`crate::engine::MrCluster::run_jobs`] submits real jobs (user code over
+//! real bytes, every cost charged to the virtual clock) and the Google-trace
+//! replay in `hl-workloads` submits its 600 scripted jobs. At each instant
+//! the loop admits the jobs that arrived, retires the attempts that ended,
+//! applies the policy's preemptions, then assigns idle slots until the
+//! policy declines. Every [`Assignment`] and [`Preemption`] is validated
+//! here and nowhere else, and the policy is always handed every slot of the
+//! kind (idle ones free at `now`, busy ones at their `free_at`) and the true
+//! `running` lists.
+//!
+//! What an attempt *does* is the [`TaskBody`]'s business. An attempt is
+//! executed eagerly when it is launched: the body runs it to its end, books
+//! the slot until then and returns a [`Flight`]; the loop schedules the
+//! `AttemptFinished` for that end. A body may later move an end it has
+//! already reported (a speculative backup won, [`JobTracker::reflight`]) or
+//! the policy may preempt the attempt; `EventQueue` has no cancel, so the
+//! superseded launch is remembered and its event dropped when it pops.
+
+use std::collections::BTreeSet;
+
+use hl_cluster::event::EventQueue;
+use hl_common::prelude::*;
+
+use crate::report::TaskKind;
+use crate::scheduler::{Assignment, JobView, Preemption, Scheduler, SchedulerEnv, SlotState};
+
+/// One submitted job as the loop and the policy see it.
+#[derive(Debug)]
+pub struct JobInProgress {
+    /// Submission time.
+    pub arrival: SimTime,
+    /// Submitting user.
+    pub user: String,
+    /// Fair-scheduler pool / Capacity queue.
+    pub pool: String,
+    /// Larger runs earlier within a policy's tie-breaks.
+    pub priority: u32,
+    /// Slot kind of the job's current phase.
+    pub kind: TaskKind,
+    /// Task ids of the current phase waiting for a slot.
+    pub pending: Vec<u32>,
+    /// Task ids of the current phase in flight, ascending.
+    pub running: Vec<u32>,
+    /// Nodes this job has blacklisted in its current phase: their slots are
+    /// hidden from it, and from it only.
+    pub blacklist: Vec<NodeId>,
+    /// `running[i]`'s attempt.
+    flights: Vec<Flight>,
+}
+
+/// One launched attempt: where it runs, until when, and how it ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flight {
+    /// Index into the kind's slot table.
+    pub slot: usize,
+    /// When the attempt started.
+    pub start: SimTime,
+    /// When it ends and its `AttemptFinished` fires.
+    pub end: SimTime,
+    /// Whether the task is done at `end`; otherwise it re-queues then.
+    pub commits: bool,
+    /// Which launch this is; a moved or preempted attempt's event is stale.
+    launch: u64,
+}
+
+impl Flight {
+    /// An attempt on `slot` over `[start, end)`.
+    pub fn new(slot: usize, start: SimTime, end: SimTime, commits: bool) -> Self {
+        Flight { slot, start, end, commits, launch: 0 }
+    }
+}
+
+/// One validated scheduler decision handed to the body.
+#[derive(Debug, Clone, Copy)]
+pub struct Launch {
+    /// Index into [`JobTracker::jobs`].
+    pub job: usize,
+    /// Task id, already moved from `pending`.
+    pub task: u32,
+    /// Index into the kind's slot table; idle at [`JobTracker::now`].
+    pub slot: usize,
+    /// Whether this task was preempted earlier and is now run again.
+    pub rerun: bool,
+}
+
+/// What a task attempt does. Two implementations: the engine's (real user
+/// code, charged I/O, retries, speculation) and the trace replay's
+/// (duration and terminal read off the trace row).
+pub trait TaskBody {
+    /// Execute the attempt now, book its slot ([`JobTracker::occupy`]) and
+    /// report its flight; `None` when the body aborted the job instead.
+    fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<Flight>;
+
+    /// `flight` ended: the task committed, or (`!flight.commits`) is back in
+    /// `pending`. A body with a next phase starts it here
+    /// ([`JobTracker::start_phase`]); a job left with nothing pending and
+    /// nothing running is complete.
+    fn finished(&mut self, jt: &mut JobTracker, job: usize, task: u32, flight: &Flight);
+
+    /// The policy preempted `flight` at [`JobTracker::now`]; the task is
+    /// back in `pending` and the slot is free.
+    fn preempted(&mut self, jt: &mut JobTracker, job: usize, task: u32, flight: &Flight);
+
+    /// Locality distance of running `job`'s `task` on `node`.
+    fn distance(&self, _node: NodeId, _job: usize, _task: u32) -> u32 {
+        0
+    }
+}
+
+enum Event {
+    JobSubmitted(usize),
+    /// Also scheduled, with a launch no flight carries, for the end of a
+    /// failed attempt's burn: it retires nothing but the slot is idle.
+    AttemptFinished {
+        job: usize,
+        task: u32,
+        launch: u64,
+    },
+}
+
+/// Decision counters, for the bodies' metrics and the accounting oracles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Valid assignments launched.
+    pub decisions: u64,
+    /// Attempts preempted (each re-queued its task).
+    pub preempted: u64,
+    /// Preempted tasks launched again.
+    pub rerun: u64,
+}
+
+/// The table and the loop.
+pub struct JobTracker {
+    scheduler: Box<dyn Scheduler>,
+    /// Every submitted job, by submission index.
+    pub jobs: Vec<JobInProgress>,
+    /// Map slots, then reduce slots; indices are stable for the run.
+    slots: [Vec<SlotState>; 2],
+    /// Nodes whose tracker died: hidden from every job.
+    dead: Vec<NodeId>,
+    queue: EventQueue<Event>,
+    /// Arrived, incomplete jobs in admission order.
+    active: Vec<usize>,
+    launches: u64,
+    superseded: BTreeSet<u64>,
+    owed_rerun: BTreeSet<(usize, u32)>,
+    /// Decision counters so far.
+    pub tally: Tally,
+    invalid: Option<String>,
+}
+
+impl JobTracker {
+    /// A tracker over the given map and reduce slot tables.
+    pub fn new(
+        scheduler: Box<dyn Scheduler>,
+        map_slots: Vec<SlotState>,
+        reduce_slots: Vec<SlotState>,
+    ) -> Self {
+        JobTracker {
+            scheduler,
+            jobs: Vec::new(),
+            slots: [map_slots, reduce_slots],
+            dead: Vec::new(),
+            queue: EventQueue::new(),
+            active: Vec::new(),
+            launches: 0,
+            superseded: BTreeSet::new(),
+            owed_rerun: BTreeSet::new(),
+            tally: Tally::default(),
+            invalid: None,
+        }
+    }
+
+    /// Give the policy back once the run is over.
+    pub fn into_scheduler(self) -> Box<dyn Scheduler> {
+        self.scheduler
+    }
+
+    /// The policy's name.
+    pub fn policy(&self) -> &'static str {
+        self.scheduler.name()
+    }
+
+    /// The instant being processed (the last event popped).
+    pub fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    /// Arrived, incomplete jobs in admission order.
+    pub fn active(&self) -> &[usize] {
+        &self.active
+    }
+
+    /// The invalid decision that stopped the loop, if one did.
+    pub fn invalid(&self) -> Option<&str> {
+        self.invalid.as_deref()
+    }
+
+    /// Submit a job arriving at `arrival` whose first phase has `tasks`
+    /// tasks of `kind`; returns its index in [`JobTracker::jobs`].
+    pub fn submit(
+        &mut self,
+        arrival: SimTime,
+        user: &str,
+        pool: &str,
+        priority: u32,
+        kind: TaskKind,
+        tasks: usize,
+    ) -> usize {
+        let job = self.jobs.len();
+        self.jobs.push(JobInProgress {
+            arrival,
+            user: user.to_string(),
+            pool: pool.to_string(),
+            priority,
+            kind,
+            pending: Vec::new(),
+            running: Vec::new(),
+            blacklist: Vec::new(),
+            flights: Vec::new(),
+        });
+        self.start_phase(job, kind, tasks);
+        self.queue.schedule_at(arrival, Event::JobSubmitted(job));
+        job
+    }
+
+    /// Make `tasks` tasks of `kind` runnable for `job` from now on. The new
+    /// phase starts with every live tracker usable again.
+    pub fn start_phase(&mut self, job: usize, kind: TaskKind, tasks: usize) {
+        let j = &mut self.jobs[job];
+        j.kind = kind;
+        j.blacklist.clear();
+        j.pending = (0..u32::try_from(tasks).unwrap_or(u32::MAX)).collect();
+    }
+
+    /// Drop everything `job` still has queued or in flight (it failed).
+    pub fn abort(&mut self, job: usize) {
+        let j = &mut self.jobs[job];
+        j.pending.clear();
+        j.running.clear();
+        self.superseded.extend(j.flights.drain(..).map(|f| f.launch));
+        self.active.retain(|&a| a != job);
+    }
+
+    /// One slot of `kind`'s table.
+    pub fn slot(&self, kind: TaskKind, slot: usize) -> SlotState {
+        self.slots[kind as usize][slot]
+    }
+
+    /// Table indices of the `kind` slots `job` may use: live trackers it
+    /// has not blacklisted.
+    pub fn usable(&self, kind: TaskKind, job: usize) -> Vec<usize> {
+        let hidden = &self.jobs[job].blacklist;
+        let slots = &self.slots[kind as usize];
+        (0..slots.len())
+            .filter(|&i| !self.dead.contains(&slots[i].node) && !hidden.contains(&slots[i].node))
+            .collect()
+    }
+
+    /// Book `slot` until `until`.
+    pub fn occupy(&mut self, kind: TaskKind, slot: usize, until: SimTime) {
+        self.slots[kind as usize][slot].free_at = until;
+    }
+
+    /// A failed attempt of `job`'s `task` holds its slot until `t`: visit
+    /// that instant although no flight ends then.
+    pub fn wake_at(&mut self, t: SimTime, job: usize, task: u32) {
+        self.launches += 1;
+        self.queue.schedule_at(t, Event::AttemptFinished { job, task, launch: self.launches });
+    }
+
+    /// `node`'s tracker died: its slots leave the pool for every job.
+    pub fn drop_node(&mut self, node: NodeId) {
+        if !self.dead.contains(&node) {
+            self.dead.push(node);
+        }
+    }
+
+    /// The in-flight attempt of `job`'s `task` is now `flight` (a backup
+    /// beat the primary): the old end's event becomes stale.
+    pub fn reflight(&mut self, job: usize, task: u32, flight: Flight) {
+        if let Ok(i) = self.jobs[job].running.binary_search(&task) {
+            self.superseded.insert(self.jobs[job].flights[i].launch);
+            self.jobs[job].flights[i] = self.schedule(job, task, flight);
+        }
+    }
+
+    fn schedule(&mut self, job: usize, task: u32, flight: Flight) -> Flight {
+        self.launches += 1;
+        let launch = self.launches;
+        self.queue.schedule_at(flight.end, Event::AttemptFinished { job, task, launch });
+        Flight { launch, ..flight }
+    }
+
+    /// Process the next instant: admit, retire, preempt, assign. Returns
+    /// the instant, or `None` when no event is left (or a decision was
+    /// invalid — see [`JobTracker::invalid`]); jobs still incomplete then
+    /// were starved by the policy.
+    pub fn step(&mut self, body: &mut dyn TaskBody) -> Option<SimTime> {
+        if self.invalid.is_some() {
+            return None;
+        }
+        let now = self.queue.peek_time()?;
+        let mut due = Vec::new();
+        let mut live = false;
+        while self.queue.peek_time() == Some(now) {
+            match self.queue.pop() {
+                Some((_, Event::JobSubmitted(job))) => {
+                    self.active.push(job);
+                    live = true;
+                }
+                Some((_, Event::AttemptFinished { job, task, launch })) => {
+                    if !self.superseded.remove(&launch) {
+                        due.push((job, task, launch));
+                        live = true;
+                    }
+                }
+                None => break,
+            }
+        }
+        if !live {
+            return Some(now);
+        }
+        // An idle slot has been free "since now" as far as any policy or
+        // body can tell.
+        for s in self.slots.iter_mut().flatten() {
+            s.free_at = s.free_at.max(now);
+        }
+        due.sort_unstable();
+        for (job, task, launch) in due {
+            self.retire(body, job, task, launch);
+        }
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            self.preempt(body, kind);
+            self.assign(body, kind);
+        }
+        Some(now)
+    }
+
+    fn retire(&mut self, body: &mut dyn TaskBody, job: usize, task: u32, launch: u64) {
+        let j = &mut self.jobs[job];
+        let Ok(i) = j.running.binary_search(&task) else { return };
+        if j.flights[i].launch != launch {
+            return;
+        }
+        j.running.remove(i);
+        let flight = j.flights.remove(i);
+        if !flight.commits {
+            j.pending.push(task);
+        }
+        body.finished(self, job, task, &flight);
+        let j = &self.jobs[job];
+        if j.pending.is_empty() && j.running.is_empty() {
+            self.active.retain(|&a| a != job);
+        }
+    }
+
+    fn preempt(&mut self, body: &mut dyn TaskBody, kind: TaskKind) {
+        let now = self.now();
+        let (ids, views) = views(&self.jobs, &self.active, kind);
+        if ids.is_empty() {
+            return;
+        }
+        let total = self.slots[kind as usize].len();
+        let planned = self.scheduler.preemptions(now, total, &views);
+        for Preemption { job, task } in planned {
+            let found = ids
+                .get(job)
+                .and_then(|&j| Some((j, self.jobs[j].running.binary_search(&task).ok()?)));
+            let Some((j, i)) = found else {
+                self.invalid =
+                    Some(format!("preempted a task that is not running ({job}, {task})"));
+                return;
+            };
+            let jip = &mut self.jobs[j];
+            jip.running.remove(i);
+            let flight = jip.flights.remove(i);
+            jip.pending.push(task);
+            self.superseded.insert(flight.launch);
+            let slot = &mut self.slots[kind as usize][flight.slot];
+            if slot.free_at == flight.end {
+                slot.free_at = now;
+            }
+            self.owed_rerun.insert((j, task));
+            self.tally.preempted += 1;
+            body.preempted(self, j, task, &flight);
+        }
+    }
+
+    /// Assign idle `kind` slots until the policy declines.
+    fn assign(&mut self, body: &mut dyn TaskBody, kind: TaskKind) {
+        let now = self.now();
+        let k = kind as usize;
+        // Slots a job was offered but has blacklisted, this round.
+        let mut declined: Vec<usize> = Vec::new();
+        loop {
+            let (ids, views) = views(&self.jobs, &self.active, kind);
+            // A node is hidden from the policy only when no job with work
+            // could use it; with one job that is the job's own slot list.
+            let wanting: Vec<&JobInProgress> =
+                ids.iter().map(|&j| &self.jobs[j]).filter(|j| !j.pending.is_empty()).collect();
+            let hidden = |node: NodeId| {
+                self.dead.contains(&node) || wanting.iter().all(|j| j.blacklist.contains(&node))
+            };
+            let table = &self.slots[k];
+            let shown: Vec<usize> = (0..table.len())
+                .filter(|i| !hidden(table[*i].node) && !declined.contains(i))
+                .collect();
+            if wanting.is_empty() || !shown.iter().any(|&i| table[i].free_at <= now) {
+                return;
+            }
+            let states: Vec<SlotState> = shown.iter().map(|&i| table[i]).collect();
+            let env = ViewEnv { body: &*body, ids: &ids };
+            let Some(a) = self.scheduler.next_assignment(now, &states, &views, &env) else {
+                return;
+            };
+            let Assignment { slot, job, task } = a;
+            let valid = shown.get(slot).filter(|&&s| table[s].free_at <= now).and_then(|&s| {
+                let j = *ids.get(job)?;
+                Some((s, j, self.jobs[j].pending.iter().position(|&t| t == task)?))
+            });
+            let Some((slot, job, pi)) = valid else {
+                let noun = if kind == TaskKind::Map { "map" } else { "reduce" };
+                self.invalid = Some(format!("returned an invalid {noun} assignment"));
+                return;
+            };
+            if self.jobs[job].blacklist.contains(&table[slot].node) {
+                declined.push(slot);
+                continue;
+            }
+            let jip = &mut self.jobs[job];
+            jip.pending.swap_remove(pi);
+            let rerun = self.owed_rerun.remove(&(job, task));
+            self.tally.decisions += 1;
+            self.tally.rerun += u64::from(rerun);
+            if let Some(flight) = body.launch(self, Launch { job, task, slot, rerun }) {
+                let flight = self.schedule(job, task, flight);
+                let jip = &mut self.jobs[job];
+                let at = jip.running.binary_search(&task).unwrap_or_else(|i| i);
+                jip.running.insert(at, task);
+                jip.flights.insert(at, flight);
+            }
+        }
+    }
+}
+
+/// Active jobs whose current phase is `kind`, as the policy sees them, and
+/// their table indices.
+fn views<'a>(
+    jobs: &'a [JobInProgress],
+    active: &[usize],
+    kind: TaskKind,
+) -> (Vec<usize>, Vec<JobView<'a>>) {
+    let ids: Vec<usize> = active.iter().copied().filter(|&j| jobs[j].kind == kind).collect();
+    let views = ids
+        .iter()
+        .map(|&j| {
+            let j = &jobs[j];
+            JobView {
+                user: &j.user,
+                pool: &j.pool,
+                priority: j.priority,
+                submitted_at: j.arrival,
+                pending: &j.pending,
+                running: &j.running,
+            }
+        })
+        .collect();
+    (ids, views)
+}
+
+/// The body's locality answers, re-indexed from the policy's job slice to
+/// the table.
+struct ViewEnv<'a> {
+    body: &'a dyn TaskBody,
+    ids: &'a [usize],
+}
+
+impl SchedulerEnv for ViewEnv<'_> {
+    fn distance(&self, node: NodeId, job: usize, task: u32) -> u32 {
+        self.ids.get(job).map_or(u32::MAX, |&j| self.body.distance(node, j, task))
+    }
+}

@@ -40,6 +40,7 @@ pub mod api;
 pub mod engine;
 pub mod history;
 pub mod job;
+pub mod jobtracker;
 pub mod local;
 pub mod merge;
 pub mod report;
@@ -58,3 +59,4 @@ pub use scheduler::{
     PoolSpec, Preemption, QueueSpec, Scheduler, SchedulerEnv, SlotState, UniformEnv,
 };
 pub use speculate::{SpecAttempt, SpecOutcome, Speculator};
+pub use task::JobCode;

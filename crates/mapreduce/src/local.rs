@@ -14,7 +14,7 @@ use hl_common::prelude::*;
 use crate::api::{Combiner, Mapper, Reducer, SideFiles};
 use crate::job::Job;
 use crate::sortbuf::SortedRun;
-use crate::task::{run_map_task, run_reduce_task};
+use crate::task::JobCode;
 
 /// Result of a local run.
 #[derive(Debug, Clone)]
@@ -89,8 +89,7 @@ impl LocalRunner {
         let mut map_outputs = Vec::with_capacity(splits.len());
         for &(file, off, len) in &splits {
             let prev_byte = off.checked_sub(1).map(|i| file[i]);
-            let done =
-                run_map_task(job, side, self.disk_bw, prev_byte, &file[off..], len, off as u64);
+            let done = job.map_task(side, self.disk_bw, prev_byte, &file[off..], len, off as u64);
             counters.merge(&done.counters);
             counters.incr_fs(FileSystemCounter::FileBytesRead, len as u64);
 
@@ -109,7 +108,7 @@ impl LocalRunner {
         for r in 0..num_reduces {
             let runs: Vec<SortedRun> =
                 map_outputs.iter_mut().map(|o| o.take_partition(r)).collect();
-            let done = run_reduce_task(job, side, self.disk_bw, &runs)?;
+            let done = job.reduce_task(side, self.disk_bw, &runs)?;
             counters.merge(&done.counters);
             virtual_time += job.conf.reduce_cpu_per_record * done.records + done.extra_time;
             output.extend(done.lines);

@@ -30,9 +30,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hl_common::prelude::*;
 use hl_datagen::google_trace::{event, parse_event_full};
+use hl_mapreduce::jobtracker::{Flight, JobTracker, Launch, TaskBody};
+use hl_mapreduce::report::TaskKind;
 use hl_mapreduce::scheduler::{
-    CapacityScheduler, FairScheduler, FifoScheduler, JobView, Preemption, QueueSpec, Scheduler,
-    SlotState, UniformEnv,
+    CapacityScheduler, FairScheduler, FifoScheduler, QueueSpec, Scheduler, SlotState,
 };
 use hl_metrics::MetricsRegistry;
 
@@ -342,310 +343,164 @@ impl ReplayOutcome {
     }
 }
 
-struct Running {
-    slot: usize,
-    started: SimTime,
-    finish: SimTime,
+/// The trace [`TaskBody`]: an attempt runs for the duration its trace row
+/// recorded and ends the way the row ended. Also the run's bookkeeping —
+/// the assignment log, the metrics and the per-job/per-pool tallies all
+/// hang off the three moments the loop reports.
+struct TraceBody<'a> {
+    jobs: &'a [ReplayJob],
+    duration_scale: u64,
+    /// Per job: the next attempt index of each task that has re-queued.
+    next_attempt: Vec<BTreeMap<u32, usize>>,
+    /// Per job: tasks finished.
+    done: Vec<usize>,
+    first_assigned: Vec<bool>,
+    completed: usize,
+    makespan: SimTime,
+    waits: Vec<SimDuration>,
+    trace_requeues: BTreeMap<u64, u64>,
+    evict_requeues: BTreeMap<u64, u64>,
+    pool_busy: BTreeMap<String, u64>,
+    metrics: MetricsRegistry,
+    log: String,
 }
 
-struct JobState {
-    pending: Vec<u32>,
-    running: Vec<u32>,
-    next_attempt: BTreeMap<u32, usize>,
-    first_assigned: Option<SimTime>,
-    done: usize,
+impl TraceBody<'_> {
+    fn attempt(&self, job: usize, task: u32) -> Option<Attempt> {
+        let ai = self.next_attempt[job].get(&task).copied().unwrap_or(0);
+        self.jobs[job].tasks[task as usize].attempts.get(ai).copied()
+    }
 }
 
-/// Replay `jobs` under `policy` on `setup`'s slot farm. Deterministic:
-/// same inputs, byte-identical [`ReplayOutcome::assignment_log`].
-pub fn replay(jobs: &[ReplayJob], policy: ReplayPolicy, setup: &ReplaySetup) -> ReplayOutcome {
-    let (mut scheduler, bounds) = build_policy(policy, setup);
-    let total_slots = setup.total_slots();
-    let mut metrics = MetricsRegistry::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut log = String::new();
-
-    // Arrival order: (scaled arrival, job index).
-    let arrival_of = |j: &ReplayJob| SimTime(j.arrival.0 / setup.arrival_div.max(1));
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| (arrival_of(&jobs[i]), i));
-    let mut next_arrival = 0usize;
-
-    let mut states: Vec<JobState> = jobs
-        .iter()
-        .map(|j| JobState {
-            pending: (0..j.tasks.len() as u32).collect(),
-            running: Vec::new(),
-            next_attempt: BTreeMap::new(),
-            first_assigned: None,
-            done: 0,
-        })
-        .collect();
-    let mut active: Vec<usize> = Vec::new(); // arrived, incomplete; admission order
-    let mut slot_free: Vec<SimTime> = vec![SimTime::ZERO; total_slots];
-    let mut running: BTreeMap<(usize, u32), Running> = BTreeMap::new();
-    // Policy-preempted (job, task) pairs owed a re-run.
-    let mut owed_rerun: BTreeSet<(usize, u32)> = BTreeSet::new();
-    let mut trace_requeues: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut evict_requeues: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut pool_busy: BTreeMap<String, u64> = BTreeMap::new();
-    let mut waits: Vec<SimDuration> = Vec::new();
-    let mut decisions = 0u64;
-    let mut preempted = 0u64;
-    let mut requeued = 0u64;
-    let mut rerun = 0u64;
-    let mut now = SimTime::ZERO;
-    let mut makespan = SimTime::ZERO;
-    let mut completed = 0usize;
-    let mut rounds = 0u64;
-    // Generous backstop: a correct run takes ~2 rounds per attempt.
-    let max_rounds: u64 = 20_000
-        + 8 * jobs
-            .iter()
-            .map(|j| j.tasks.iter().map(|t| t.attempts.len() as u64).sum::<u64>())
-            .sum::<u64>();
-
-    while completed < jobs.len() {
-        rounds += 1;
-        if rounds > max_rounds {
-            violations.push(format!(
-                "starvation: {} of {} jobs incomplete after {rounds} rounds (policy {})",
-                jobs.len() - completed,
-                jobs.len(),
-                policy.name()
-            ));
-            break;
+impl TaskBody for TraceBody<'_> {
+    fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<Flight> {
+        let (now, job) = (jt.now(), &self.jobs[l.job]);
+        let row = self.attempt(l.job, l.task);
+        let dur = row.map_or(SimDuration(1), |a| SimDuration(a.duration.0 * self.duration_scale));
+        jt.occupy(TaskKind::Map, l.slot, now + dur);
+        if !std::mem::replace(&mut self.first_assigned[l.job], true) {
+            let wait = now.since(jt.jobs[l.job].arrival);
+            self.waits.push(wait);
+            self.metrics.observe("scheduler", "job.wait_ms", wait.0 / 1000);
+            self.metrics.observe("scheduler", &format!("pool.{}.wait_ms", job.pool), wait.0 / 1000);
         }
-
-        // 1. Admit arrivals.
-        while next_arrival < order.len() && arrival_of(&jobs[order[next_arrival]]) <= now {
-            active.push(order[next_arrival]);
-            next_arrival += 1;
+        if l.rerun {
+            self.metrics.incr("scheduler", "rerun", 1);
         }
-
-        // 2. Retire finished attempts.
-        let due: Vec<(usize, u32)> =
-            running.iter().filter(|(_, r)| r.finish <= now).map(|(&k, _)| k).collect();
-        for (j, task) in due {
-            let Some(r) = running.remove(&(j, task)) else { continue };
-            slot_free[r.slot] = now;
-            let st = &mut states[j];
-            st.running.retain(|&t| t != task);
-            *pool_busy.entry(jobs[j].pool.clone()).or_default() += r.finish.since(r.started).0;
-            let ai = st.next_attempt.get(&task).copied().unwrap_or(0);
-            let outcome = jobs[j].tasks[task as usize].attempts.get(ai).map(|a| a.outcome);
-            if outcome == Some(event::FINISH) || outcome.is_none() {
-                st.done += 1;
-                if st.done == jobs[j].tasks.len() {
-                    completed += 1;
-                    makespan = makespan.max(now);
-                    active.retain(|&a| a != j);
-                    log.push_str(&format!("t={} job={} done\n", now.0, jobs[j].job_id));
-                }
-            } else {
-                // Trace terminal: EVICT/FAIL/KILL/LOST → resubmission.
-                st.next_attempt.insert(task, ai + 1);
-                st.pending.push(task);
-                *trace_requeues.entry(jobs[j].job_id).or_default() += 1;
-                metrics.incr("scheduler", "trace.requeued", 1);
-                if outcome == Some(event::EVICT) {
-                    *evict_requeues.entry(jobs[j].job_id).or_default() += 1;
-                    metrics.incr("scheduler", "trace.evicted", 1);
-                }
-                log.push_str(&format!(
-                    "t={} job={} task={task} requeue ev={}\n",
-                    now.0,
-                    jobs[j].job_id,
-                    outcome.unwrap_or(0)
-                ));
-            }
-        }
-
-        // Views: every arrived, incomplete job, in admission order.
-        // (Closure-free so the borrows stay simple.)
-        macro_rules! views {
-            () => {{
-                active
-                    .iter()
-                    .map(|&j| JobView {
-                        user: &jobs[j].user,
-                        pool: &jobs[j].pool,
-                        priority: jobs[j].priority,
-                        submitted_at: arrival_of(&jobs[j]),
-                        pending: &states[j].pending,
-                        running: &states[j].running,
-                    })
-                    .collect::<Vec<JobView>>()
-            }};
-        }
-
-        // 3. Policy preemptions (Fair min-share enforcement).
-        let planned = {
-            let the_views = views!();
-            scheduler.preemptions(now, total_slots, &the_views)
-        };
-        for Preemption { job, task } in planned {
-            let Some(&j) = active.get(job) else {
-                violations.push(format!("preemption names unknown job index {job}"));
-                continue;
-            };
-            let Some(r) = running.remove(&(j, task)) else {
-                violations.push(format!(
-                    "preemption names non-running task {task} of job {}",
-                    jobs[j].job_id
-                ));
-                continue;
-            };
-            slot_free[r.slot] = now;
-            let st = &mut states[j];
-            st.running.retain(|&t| t != task);
-            st.pending.push(task);
-            *pool_busy.entry(jobs[j].pool.clone()).or_default() += now.since(r.started).0;
-            owed_rerun.insert((j, task));
-            preempted += 1;
-            requeued += 1;
-            metrics.incr("scheduler", "preempted", 1);
-            metrics.incr("scheduler", "requeued", 1);
-            log.push_str(&format!("t={} job={} task={task} preempted\n", now.0, jobs[j].job_id));
-        }
-
-        // 4. Assign free slots until the policy declines.
-        loop {
-            if slot_free.iter().all(|&f| f > now) {
-                break;
-            }
-            // Every slot, as `SlotState` documents: idle ones free at
-            // `now`, busy ones at their future `free_at`.
-            let slot_states: Vec<SlotState> = (0..total_slots)
-                .map(|s| SlotState {
-                    node: NodeId(s as u32 / setup.slots_per_node.max(1)),
-                    free_at: slot_free[s].max(now),
-                })
-                .collect();
-            let the_views = views!();
-            let Some(a) = scheduler.next_assignment(now, &slot_states, &the_views, &UniformEnv)
-            else {
-                break;
-            };
-            drop(the_views);
-            let idle = Some(a.slot).filter(|&s| slot_free.get(s).is_some_and(|&f| f <= now));
-            let (Some(slot), Some(&j)) = (idle, active.get(a.job)) else {
-                violations.push(format!("invalid assignment {a:?}"));
-                metrics.incr("scheduler", "invalid", 1);
-                break;
-            };
-            let st = &mut states[j];
-            let Some(pi) = st.pending.iter().position(|&t| t == a.task) else {
-                violations.push(format!(
-                    "assignment names non-pending task {} of job {}",
-                    a.task, jobs[j].job_id
-                ));
-                metrics.incr("scheduler", "invalid", 1);
-                break;
-            };
-            st.pending.swap_remove(pi);
-            st.running.push(a.task);
-            st.running.sort_unstable();
-            let ai = st.next_attempt.get(&a.task).copied().unwrap_or(0);
-            let dur = jobs[j].tasks[a.task as usize]
-                .attempts
-                .get(ai)
-                .map(|at| SimDuration(at.duration.0 * setup.duration_scale.max(1)))
-                .unwrap_or(SimDuration(1));
-            slot_free[slot] = now + dur;
-            running.insert((j, a.task), Running { slot, started: now, finish: now + dur });
-            if st.first_assigned.is_none() {
-                st.first_assigned = Some(now);
-                let wait = now.since(arrival_of(&jobs[j]));
-                waits.push(wait);
-                metrics.observe("scheduler", "job.wait_ms", wait.0 / 1000);
-                metrics.observe(
-                    "scheduler",
-                    &format!("pool.{}.wait_ms", jobs[j].pool),
-                    wait.0 / 1000,
-                );
-            }
-            if owed_rerun.remove(&(j, a.task)) {
-                rerun += 1;
-                metrics.incr("scheduler", "rerun", 1);
-            }
-            decisions += 1;
-            metrics.incr("scheduler", "decisions", 1);
-            metrics.incr("scheduler", &format!("user.{}.tasks", jobs[j].user), 1);
-            log.push_str(&format!(
-                "t={} job={} task={} slot={slot}\n",
-                now.0, jobs[j].job_id, a.task
-            ));
-        }
-
-        // 5. Quota conservation oracle.
-        let mut per_pool: BTreeMap<&str, u64> = BTreeMap::new();
-        for &j in &active {
-            *per_pool.entry(jobs[j].pool.as_str()).or_default() += states[j].running.len() as u64;
-        }
-        for (pool, &used) in &per_pool {
-            if let Some(&cap) = bounds.leaf.get(*pool) {
-                if used > cap {
-                    violations.push(format!(
-                        "quota: pool {pool} runs {used} > bound {cap} at t={}",
-                        now.0
-                    ));
-                }
-            }
-        }
-        for (parent, members, cap) in &bounds.parents {
-            let used: u64 =
-                members.iter().map(|m| per_pool.get(m.as_str()).copied().unwrap_or(0)).sum();
-            if used > *cap {
-                violations.push(format!(
-                    "quota: queue {parent} runs {used} > bound {cap} at t={}",
-                    now.0
-                ));
-            }
-        }
-
-        // 6. Advance the clock to the next event.
-        let next_finish = running.values().map(|r| r.finish).min();
-        let next_arr = order.get(next_arrival).map(|&i| arrival_of(&jobs[i]));
-        match (next_finish, next_arr) {
-            (Some(f), Some(ar)) => now = f.min(ar),
-            (Some(f), None) => now = f,
-            (None, Some(ar)) => {
-                // Nothing running: if pending work exists the policy
-                // refused every free slot — that's starvation, unless a
-                // future arrival will change the job set.
-                if active.iter().any(|&j| !states[j].pending.is_empty()) && ar <= now {
-                    violations
-                        .push(format!("starvation: pending work but no assignment at t={}", now.0));
-                    break;
-                }
-                now = now.max(ar);
-            }
-            (None, None) => {
-                if completed < jobs.len() {
-                    violations.push(format!(
-                        "starvation: {} job(s) stuck with no runnable work at t={}",
-                        jobs.len() - completed,
-                        now.0
-                    ));
-                }
-                break;
-            }
-        }
+        self.metrics.incr("scheduler", "decisions", 1);
+        self.metrics.incr("scheduler", &format!("user.{}.tasks", job.user), 1);
+        self.log
+            .push_str(&format!("t={} job={} task={} slot={}\n", now.0, job.job_id, l.task, l.slot));
+        let commits = row.is_none_or(|a| a.outcome == event::FINISH);
+        Some(Flight::new(l.slot, now, now + dur, commits))
     }
 
-    // Preemption accounting oracle: the three counts must agree with
-    // each other and with the registry.
-    if !(preempted == requeued && requeued == rerun) {
-        violations.push(format!(
-            "preemption accounting: preempted={preempted} requeued={requeued} rerun={rerun}"
+    fn finished(&mut self, jt: &mut JobTracker, j: usize, task: u32, flight: &Flight) {
+        let (now, job) = (jt.now(), &self.jobs[j]);
+        *self.pool_busy.entry(job.pool.clone()).or_default() += flight.end.since(flight.start).0;
+        if flight.commits {
+            self.done[j] += 1;
+            if self.done[j] == job.tasks.len() {
+                self.completed += 1;
+                self.makespan = self.makespan.max(now);
+                self.log.push_str(&format!("t={} job={} done\n", now.0, job.job_id));
+            }
+            return;
+        }
+        // Trace terminal: EVICT/FAIL/KILL/LOST → resubmission.
+        let outcome = self.attempt(j, task).map_or(0, |a| a.outcome);
+        *self.next_attempt[j].entry(task).or_default() += 1;
+        *self.trace_requeues.entry(job.job_id).or_default() += 1;
+        self.metrics.incr("scheduler", "trace.requeued", 1);
+        if outcome == event::EVICT {
+            *self.evict_requeues.entry(job.job_id).or_default() += 1;
+            self.metrics.incr("scheduler", "trace.evicted", 1);
+        }
+        self.log.push_str(&format!(
+            "t={} job={} task={task} requeue ev={outcome}\n",
+            now.0, job.job_id
         ));
     }
+
+    /// A policy preemption does not consume the attempt: the same trace
+    /// row runs again in full.
+    fn preempted(&mut self, jt: &mut JobTracker, j: usize, task: u32, flight: &Flight) {
+        let (now, job) = (jt.now(), &self.jobs[j]);
+        *self.pool_busy.entry(job.pool.clone()).or_default() += now.since(flight.start).0;
+        self.metrics.incr("scheduler", "preempted", 1);
+        self.metrics.incr("scheduler", "requeued", 1);
+        self.log.push_str(&format!("t={} job={} task={task} preempted\n", now.0, job.job_id));
+    }
+}
+
+/// Replay `jobs` under `policy` on `setup`'s slot farm: submit every job
+/// to the JobTracker loop at its (scaled) trace arrival and step it dry.
+/// Deterministic: same inputs, byte-identical
+/// [`ReplayOutcome::assignment_log`].
+pub fn replay(jobs: &[ReplayJob], policy: ReplayPolicy, setup: &ReplaySetup) -> ReplayOutcome {
+    let (scheduler, bounds) = build_policy(policy, setup);
+    let farm = (0..setup.total_slots())
+        .map(|s| SlotState {
+            node: NodeId(s as u32 / setup.slots_per_node.max(1)),
+            free_at: SimTime::ZERO,
+        })
+        .collect();
+    let mut jt = JobTracker::new(scheduler, farm, Vec::new());
+    for j in jobs {
+        let arrival = SimTime(j.arrival.0 / setup.arrival_div.max(1));
+        jt.submit(arrival, &j.user, &j.pool, j.priority, TaskKind::Map, j.tasks.len());
+    }
+    let mut body = TraceBody {
+        jobs,
+        duration_scale: setup.duration_scale.max(1),
+        next_attempt: vec![BTreeMap::new(); jobs.len()],
+        done: vec![0; jobs.len()],
+        first_assigned: vec![false; jobs.len()],
+        completed: 0,
+        makespan: SimTime::ZERO,
+        waits: Vec::new(),
+        trace_requeues: BTreeMap::new(),
+        evict_requeues: BTreeMap::new(),
+        pool_busy: BTreeMap::new(),
+        metrics: MetricsRegistry::new(),
+        log: String::new(),
+    };
+    let mut violations: Vec<String> = Vec::new();
+    let mut now = SimTime::ZERO;
+    while let Some(t) = jt.step(&mut body) {
+        now = t;
+        check_quota(&jt, &bounds, &mut violations);
+    }
+
+    // No-starvation oracle: the loop ran dry, so whoever is incomplete
+    // was refused by the policy (or the policy's decision was refused).
+    if let Some(what) = jt.invalid() {
+        violations.push(format!("policy {} {what}", policy.name()));
+    }
+    if body.completed < jobs.len() {
+        violations.push(format!(
+            "starvation: {} of {} jobs incomplete at t={} (policy {})",
+            jobs.len() - body.completed,
+            jobs.len(),
+            now.0,
+            policy.name()
+        ));
+    }
+    // Preemption accounting oracle: every preempted attempt was re-queued
+    // and re-run, and the registry saw what the loop counted.
+    let tally = jt.tally;
+    if tally.preempted != tally.rerun {
+        violations.push(format!(
+            "preemption accounting: preempted={} requeued={} rerun={}",
+            tally.preempted, tally.preempted, tally.rerun
+        ));
+    }
+    let TraceBody { mut metrics, waits, pool_busy, .. } = body;
     for (name, local) in [
-        ("preempted", preempted),
-        ("requeued", requeued),
-        ("rerun", rerun),
-        ("decisions", decisions),
+        ("preempted", tally.preempted),
+        ("requeued", tally.preempted),
+        ("rerun", tally.rerun),
+        ("decisions", tally.decisions),
     ] {
         let metered = metrics.counter("scheduler", name);
         if metered != local {
@@ -676,18 +531,45 @@ pub fn replay(jobs: &[ReplayJob], policy: ReplayPolicy, setup: &ReplaySetup) -> 
         policy: policy.name(),
         jobs: jobs.len(),
         users: users.len(),
-        makespan: makespan.since(SimTime::ZERO),
+        makespan: body.makespan.since(SimTime::ZERO),
         mean_wait,
         p99_wait,
-        decisions,
-        policy_preemptions: preempted,
-        trace_requeues_by_job: trace_requeues,
-        evict_requeues_by_job: evict_requeues,
+        decisions: tally.decisions,
+        policy_preemptions: tally.preempted,
+        trace_requeues_by_job: body.trace_requeues,
+        evict_requeues_by_job: body.evict_requeues,
         pool_busy_us: pool_busy,
-        assignment_hash: fnv1a(log.as_bytes()),
-        assignment_log: log,
+        assignment_hash: fnv1a(body.log.as_bytes()),
+        assignment_log: body.log,
         metrics_hash,
         violations,
+    }
+}
+
+/// Quota conservation oracle, read off the loop's table between steps: no
+/// pool and no parent queue runs more tasks than its elastic bound.
+fn check_quota(jt: &JobTracker, bounds: &QuotaBounds, violations: &mut Vec<String>) {
+    let now = jt.now();
+    let mut per_pool: BTreeMap<&str, u64> = BTreeMap::new();
+    for &j in jt.active() {
+        let job = &jt.jobs[j];
+        *per_pool.entry(job.pool.as_str()).or_default() += job.running.len() as u64;
+    }
+    for (pool, &used) in &per_pool {
+        if let Some(&cap) = bounds.leaf.get(*pool) {
+            if used > cap {
+                violations
+                    .push(format!("quota: pool {pool} runs {used} > bound {cap} at t={}", now.0));
+            }
+        }
+    }
+    for (parent, members, cap) in &bounds.parents {
+        let used: u64 =
+            members.iter().map(|m| per_pool.get(m.as_str()).copied().unwrap_or(0)).sum();
+        if used > *cap {
+            violations
+                .push(format!("quota: queue {parent} runs {used} > bound {cap} at t={}", now.0));
+        }
     }
 }
 

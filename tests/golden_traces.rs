@@ -16,13 +16,13 @@ use hadoop_lab::cluster::node::{ClusterSpec, HeterogeneousClusterSpec};
 use hadoop_lab::common::config::keys;
 use hadoop_lab::common::hash::fnv1a;
 use hadoop_lab::common::prelude::*;
+use hadoop_lab::datagen::google_trace::GoogleTraceGen;
 use hadoop_lab::datagen::CorpusGen;
 use hadoop_lab::mapreduce::api::NoCombiner;
 use hadoop_lab::mapreduce::job::Job;
 use hadoop_lab::mapreduce::report::JobReport;
 use hadoop_lab::mapreduce::speculate::SpecOutcome;
 use hadoop_lab::mapreduce::MrCluster;
-use hadoop_lab::datagen::google_trace::GoogleTraceGen;
 use hadoop_lab::workloads::replay::{load_trace, replay, ReplayPolicy, ReplaySetup};
 use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
 
