@@ -1680,6 +1680,21 @@ mod tests {
         let report = cluster.run_job(&job).unwrap();
         assert!(report.success);
         assert!(report.tasks.iter().any(|t| t.attempts == 3));
+
+        // Maps long enough that a failed attempt's burn ends while the
+        // retry is still running: that instant must not retire the retry.
+        let mut slow = Job::new(
+            JobConf::new("slow").input("/in/data.txt").output("/out/slow").fail_first_attempts(1),
+            || WcMap,
+            || WcReduce,
+        );
+        slow.conf.map_cpu_per_record = SimDuration::from_secs(1);
+        let report = cluster.run_job(&slow).unwrap();
+        let (maps, reduces): (Vec<_>, Vec<_>) =
+            report.tasks.iter().partition(|t| t.kind == TaskKind::Map);
+        let maps_done = maps.iter().map(|t| t.end).max().unwrap();
+        assert!(maps.iter().all(|t| t.duration() > SimDuration::from_secs(11)));
+        assert!(reduces.iter().all(|t| t.start == maps_done), "{reduces:?} vs {maps_done:?}");
     }
 
     #[test]
@@ -1942,6 +1957,213 @@ mod tests {
         // The operator restart pass forgives everything.
         cluster.restart_dead_trackers();
         assert!(cluster.blacklisted_trackers().is_empty());
+    }
+
+    // -- Two jobs at once ---------------------------------------------------
+
+    /// Wraps a policy and notes whether any decision saw a job with tasks
+    /// in flight.
+    struct Watch<S>(S, std::sync::Arc<std::sync::atomic::AtomicBool>);
+    impl<S: Scheduler> Scheduler for Watch<S> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn next_assignment(
+            &mut self,
+            now: SimTime,
+            slots: &[SlotState],
+            jobs: &[JobView<'_>],
+            env: &dyn SchedulerEnv,
+        ) -> Option<crate::scheduler::Assignment> {
+            if jobs.iter().any(|j| !j.running.is_empty()) {
+                self.1.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.0.next_assignment(now, slots, jobs, env)
+        }
+        fn preemptions(
+            &mut self,
+            now: SimTime,
+            total_slots: usize,
+            jobs: &[JobView<'_>],
+        ) -> Vec<crate::scheduler::Preemption> {
+            self.0.preemptions(now, total_slots, jobs)
+        }
+    }
+
+    /// Four nodes with one map and one reduce slot each, so two jobs have
+    /// to share; two corpora staged as `/in/a.txt` and `/in/b.txt`.
+    fn contended_cluster() -> (MrCluster, String, String) {
+        let mut config = Configuration::with_defaults();
+        config.set(hl_common::config::keys::DFS_BLOCK_SIZE, 4096u64);
+        config.set(hl_common::config::keys::MAPRED_MAP_SLOTS, 1);
+        config.set(hl_common::config::keys::MAPRED_REDUCE_SLOTS, 1);
+        let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
+        let (a, b) = (corpus(9000), corpus(7000).replace("fox", "vixen"));
+        stage(&mut cluster, "/in/a.txt", &a);
+        stage(&mut cluster, "/in/b.txt", &b);
+        (cluster, a, b)
+    }
+
+    fn wc_job(name: &str, user: &str, pool: &str) -> Job<WcMap, WcReduce, WcCombine> {
+        let conf = JobConf::new(name)
+            .input(format!("/in/{name}.txt"))
+            .output(format!("/out/{name}"))
+            .reduces(4)
+            .speculative(false);
+        let mut job = Job::with_combiner(conf, || WcMap, || WcReduce, || WcCombine);
+        job.conf.user = user.into();
+        job.conf.pool = pool.into();
+        job
+    }
+
+    /// What `LocalRunner::serial()` makes of the same wordcount.
+    fn serial_counts(text: &str) -> std::collections::BTreeMap<String, u64> {
+        let reference = wc_job("ref", "u", "p");
+        let local = crate::local::LocalRunner::serial()
+            .run(&reference, &[("in.txt".to_string(), text.as_bytes().to_vec())], &SideFiles::new())
+            .unwrap();
+        parse_counts(&(local.output.join("\n") + "\n"))
+    }
+
+    #[test]
+    fn two_jobs_overlap_and_the_policy_decides_the_interleaving() {
+        let mut interleavings = Vec::new();
+        for policy in ["fifo", "fair"] {
+            let (mut cluster, a_text, b_text) = contended_cluster();
+            let saw_running = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let inner: Box<dyn Scheduler> = match policy {
+                "fifo" => Box::new(Watch(FifoScheduler, saw_running.clone())),
+                _ => Box::new(Watch(
+                    crate::scheduler::FairScheduler::new(SimDuration::from_secs(30)),
+                    saw_running.clone(),
+                )),
+            };
+            cluster.set_scheduler(inner);
+            let (a, b) = (wc_job("a", "alice", "research"), wc_job("b", "bob", "teaching"));
+            let t0 = cluster.now;
+            let results = cluster.run_jobs(&[(t0, &a), (t0 + SimDuration::from_millis(300), &b)]);
+            let reports: Vec<JobReport> = results.into_iter().map(|r| r.unwrap()).collect();
+            // The jobs really overlapped, and each is still right.
+            assert!(reports[1].submitted_at < reports[0].finished_at, "{policy}");
+            assert!(saw_running.load(std::sync::atomic::Ordering::Relaxed), "{policy}");
+            let a_out = parse_counts(&cluster.read_output("/out/a").unwrap());
+            let b_out = parse_counts(&cluster.read_output("/out/b").unwrap());
+            assert_eq!(a_out, serial_counts(&a_text), "{policy}");
+            assert_eq!(b_out, serial_counts(&b_text), "{policy}");
+            assert_eq!(cluster.history.len(), 2);
+            // Which job's map got each successive slot.
+            let mut maps: Vec<(SimTime, usize)> = reports
+                .iter()
+                .enumerate()
+                .flat_map(|(j, r)| {
+                    r.tasks.iter().filter(|t| t.kind == TaskKind::Map).map(move |t| (t.start, j))
+                })
+                .collect();
+            maps.sort();
+            interleavings.push(maps.into_iter().map(|(_, j)| j).collect::<Vec<_>>());
+        }
+        // FIFO drains job a's maps before job b's first; Fair alternates.
+        let first_b = interleavings[0].iter().position(|&j| j == 1).unwrap();
+        assert!(interleavings[0][first_b..].iter().all(|&j| j == 1), "{:?}", interleavings[0]);
+        assert_ne!(interleavings[0], interleavings[1]);
+    }
+
+    #[test]
+    fn fair_min_share_preempts_a_real_reduce_and_reruns_it() {
+        let (mut cluster, a_text, _) = contended_cluster();
+        stage(&mut cluster, "/in/empty.txt", "");
+        cluster.set_scheduler(Box::new(
+            crate::scheduler::FairScheduler::new(SimDuration::from_secs(1)).pool("prod", 1, 2),
+        ));
+        // Job a's reduces hold all four reduce slots for minutes. Job b is
+        // guaranteed two; its input is empty, so it arrives with its
+        // reduces already runnable (a job b that read input would queue
+        // behind the commit writes job a's reduces have already booked on
+        // the disks: attempts execute when launched).
+        let mut a = wc_job("a", "alice", "adhoc");
+        a.conf.reduce_cpu_per_record = SimDuration::from_secs(4);
+        let b = wc_job("empty", "bob", "prod");
+        let t0 = cluster.now;
+        let results = cluster.run_jobs(&[(t0, &a), (t0 + SimDuration::from_secs(8), &b)]);
+        let reports: Vec<JobReport> = results.into_iter().map(|r| r.unwrap()).collect();
+
+        // The first instant after the timeout is job a's first reduce
+        // commit; reduces of job a still running then are killed for job b.
+        let snap = cluster.metrics_snapshot();
+        let preempted = snap.counter("jobtracker", "sched.preempted");
+        assert!(preempted >= 2, "{preempted} preemption(s)");
+        assert_eq!(snap.counter("jobtracker", "sched.requeued"), preempted);
+        assert_eq!(snap.counter("jobtracker", "sched.rerun"), preempted);
+        // A killed reduce had already committed its part file; the re-run
+        // could only write it again because the kill removed it.
+        let mut parts = reports[0].output_files.clone();
+        parts.sort();
+        parts.dedup();
+        assert_eq!(parts.len(), reports[0].output_files.len(), "a part file is listed twice");
+        let reduces: Vec<_> =
+            reports[0].tasks.iter().filter(|t| t.kind == TaskKind::Reduce).collect();
+        assert_eq!(reduces.len(), 4, "one standing attempt per reduce");
+        assert!(reduces.iter().any(|t| t.start > reports[1].submitted_at), "no reduce re-ran");
+        let a_out = parse_counts(&cluster.read_output("/out/a").unwrap());
+        assert_eq!(a_out, serial_counts(&a_text));
+        assert_eq!(cluster.read_output("/out/empty").unwrap(), "");
+        assert!(reports[1].finished_at < reports[0].finished_at);
+    }
+
+    #[test]
+    fn a_blacklisted_node_is_hidden_from_that_job_only() {
+        let mut config = Configuration::with_defaults();
+        config.set(hl_common::config::keys::DFS_BLOCK_SIZE, 4096u64);
+        config.set(hl_common::config::keys::MAPRED_MAX_TRACKER_FAILURES, 1u32);
+        let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
+        stage(&mut cluster, "/in/a.txt", &corpus(1500));
+        stage(&mut cluster, "/in/b.txt", &corpus(20_000));
+        // Every first attempt of job a fails, and one failure blacklists
+        // the tracker for job a; job b arrives at the same instant.
+        let mut a = wc_job("a", "alice", "default");
+        a.conf.fail_first_attempts = 1;
+        let b = wc_job("b", "bob", "default");
+        let t0 = cluster.now;
+        let reports: Vec<JobReport> =
+            cluster.run_jobs(&[(t0, &a), (t0, &b)]).into_iter().map(|r| r.unwrap()).collect();
+        // Each of job a's maps burned its first attempt on a tracker job a
+        // had not yet given up on, so every map banned a fresh one: offered
+        // a banned node again, a map would have struck it a second time.
+        let banned = &reports[0].blacklisted_trackers;
+        assert_eq!(reports[0].num_maps(), 2);
+        assert_eq!(banned.len(), 2, "{banned:?}");
+        let b_maps_there = reports[1]
+            .tasks
+            .iter()
+            .filter(|t| t.kind == TaskKind::Map && banned.contains(&t.node))
+            .count();
+        assert!(b_maps_there > 0, "job b lost the nodes job a blacklisted");
+        assert!(reports[1].blacklisted_trackers.is_empty());
+    }
+
+    #[test]
+    fn a_speculative_win_ends_the_task_early_and_the_old_end_is_ignored() {
+        let mut config = Configuration::with_defaults();
+        config.set(hl_common::config::keys::DFS_BLOCK_SIZE, 4096u64);
+        config.set(hl_common::config::keys::MAPRED_MAP_SLOTS, 2);
+        let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
+        stage(&mut cluster, "/in/data.txt", &corpus(20_000));
+        cluster.net.set_node_model(NodeId(3), DegradeModel::Static(PerfProfile::uniform(200)));
+        let job = Job::new(
+            JobConf::new("spec").input("/in/data.txt").output("/out/spec").speculative(true),
+            || WcMap,
+            || WcReduce,
+        );
+        let report = cluster.run_job(&job).unwrap();
+        let (maps, reduces): (Vec<_>, Vec<_>) =
+            report.tasks.iter().partition(|t| t.kind == TaskKind::Map);
+        assert!(maps.iter().any(|t| t.speculative), "no backup won");
+        // The killed primaries' `AttemptFinished` events are still queued
+        // for their original, later ends; the reduces must not wait for
+        // them, and nothing may retire the task a second time.
+        let maps_done = maps.iter().map(|t| t.end).max().unwrap();
+        assert!(reduces.iter().all(|t| t.start == maps_done), "{reduces:?} vs {maps_done:?}");
+        assert_eq!(report.num_reduces(), 1);
     }
 
     #[test]

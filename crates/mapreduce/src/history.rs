@@ -155,9 +155,9 @@ impl fmt::Display for JobHistory {
         for e in &self.entries {
             writeln!(
                 f,
-                "  {:<10} {:<28} {:>9} {:>6} {:>7} {:>12} {:>12}",
+                "  {:<10} {:<28.28} {:>9} {:>6} {:>7} {:>12} {:>12}",
                 e.job_id,
-                if e.name.len() > 28 { &e.name[..28] } else { &e.name },
+                e.name,
                 if e.success { "SUCCEEDED" } else { "FAILED" },
                 e.maps,
                 e.reduces,
@@ -237,5 +237,12 @@ mod tests {
         assert!(text.contains("SUCCEEDED"));
         assert!(text.contains("1m 01s"));
         assert!(text.contains("2.0 KiB"));
+        // Long names are cut to the column's 28 characters — characters,
+        // not bytes: byte 28 of the second name is inside its `ü`.
+        h.record(&report(8, "wörter-zählen-über-alle-bücher-2014", 5));
+        h.record(&report(9, "wörter-zählen-über-alle-übungen-2014", 5));
+        let text = h.to_string();
+        assert!(text.contains(" wörter-zählen-über-alle-büch SUCCEEDED"), "{text}");
+        assert!(text.contains(" wörter-zählen-über-alle-übun SUCCEEDED"), "{text}");
     }
 }

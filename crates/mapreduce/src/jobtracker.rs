@@ -17,8 +17,9 @@
 //! the slot until then and returns a [`Flight`]; the loop schedules the
 //! `AttemptFinished` for that end. A body may later move an end it has
 //! already reported (a speculative backup won, [`JobTracker::reflight`]) or
-//! the policy may preempt the attempt; `EventQueue` has no cancel, so the
-//! superseded launch is remembered and its event dropped when it pops.
+//! the policy may preempt the attempt; `EventQueue` has no cancel, so every
+//! launch is numbered and an event whose number the table no longer holds
+//! is stale: it retires nothing and the instant it pops at is not visited.
 
 use std::collections::BTreeSet;
 
@@ -113,14 +114,17 @@ pub trait TaskBody {
 
 enum Event {
     JobSubmitted(usize),
-    /// Also scheduled, with a launch no flight carries, for the end of a
-    /// failed attempt's burn: it retires nothing but the slot is idle.
+    /// `launch` is the flight's number, or [`FAILED`] for the end of a
+    /// failed attempt's burn: nothing to retire, but a slot is idle again.
     AttemptFinished {
         job: usize,
         task: u32,
         launch: u64,
     },
 }
+
+/// The launch number no flight carries.
+const FAILED: u64 = 0;
 
 /// Decision counters, for the bodies' metrics and the accounting oracles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -146,7 +150,6 @@ pub struct JobTracker {
     /// Arrived, incomplete jobs in admission order.
     active: Vec<usize>,
     launches: u64,
-    superseded: BTreeSet<u64>,
     owed_rerun: BTreeSet<(usize, u32)>,
     /// Decision counters so far.
     pub tally: Tally,
@@ -168,7 +171,6 @@ impl JobTracker {
             queue: EventQueue::new(),
             active: Vec::new(),
             launches: 0,
-            superseded: BTreeSet::new(),
             owed_rerun: BTreeSet::new(),
             tally: Tally::default(),
             invalid: None,
@@ -242,7 +244,7 @@ impl JobTracker {
         let j = &mut self.jobs[job];
         j.pending.clear();
         j.running.clear();
-        self.superseded.extend(j.flights.drain(..).map(|f| f.launch));
+        j.flights.clear();
         self.active.retain(|&a| a != job);
     }
 
@@ -269,8 +271,7 @@ impl JobTracker {
     /// A failed attempt of `job`'s `task` holds its slot until `t`: visit
     /// that instant although no flight ends then.
     pub fn wake_at(&mut self, t: SimTime, job: usize, task: u32) {
-        self.launches += 1;
-        self.queue.schedule_at(t, Event::AttemptFinished { job, task, launch: self.launches });
+        self.queue.schedule_at(t, Event::AttemptFinished { job, task, launch: FAILED });
     }
 
     /// `node`'s tracker died: its slots leave the pool for every job.
@@ -284,7 +285,6 @@ impl JobTracker {
     /// beat the primary): the old end's event becomes stale.
     pub fn reflight(&mut self, job: usize, task: u32, flight: Flight) {
         if let Ok(i) = self.jobs[job].running.binary_search(&task) {
-            self.superseded.insert(self.jobs[job].flights[i].launch);
             self.jobs[job].flights[i] = self.schedule(job, task, flight);
         }
     }
@@ -313,17 +313,12 @@ impl JobTracker {
                     self.active.push(job);
                     live = true;
                 }
+                Some((_, Event::AttemptFinished { launch: FAILED, .. })) => live = true,
                 Some((_, Event::AttemptFinished { job, task, launch })) => {
-                    if !self.superseded.remove(&launch) {
-                        due.push((job, task, launch));
-                        live = true;
-                    }
+                    due.push((job, task, launch));
                 }
                 None => break,
             }
-        }
-        if !live {
-            return Some(now);
         }
         // An idle slot has been free "since now" as far as any policy or
         // body can tell.
@@ -332,20 +327,24 @@ impl JobTracker {
         }
         due.sort_unstable();
         for (job, task, launch) in due {
-            self.retire(body, job, task, launch);
+            live |= self.retire(body, job, task, launch);
         }
-        for kind in [TaskKind::Map, TaskKind::Reduce] {
-            self.preempt(body, kind);
-            self.assign(body, kind);
+        if live {
+            for kind in [TaskKind::Map, TaskKind::Reduce] {
+                self.preempt(body, kind);
+                self.assign(body, kind);
+            }
         }
         Some(now)
     }
 
-    fn retire(&mut self, body: &mut dyn TaskBody, job: usize, task: u32, launch: u64) {
+    /// Retire the flight launched as `launch`, unless it has been moved,
+    /// preempted or aborted since: then the event is stale.
+    fn retire(&mut self, body: &mut dyn TaskBody, job: usize, task: u32, launch: u64) -> bool {
         let j = &mut self.jobs[job];
-        let Ok(i) = j.running.binary_search(&task) else { return };
+        let Ok(i) = j.running.binary_search(&task) else { return false };
         if j.flights[i].launch != launch {
-            return;
+            return false;
         }
         j.running.remove(i);
         let flight = j.flights.remove(i);
@@ -357,6 +356,7 @@ impl JobTracker {
         if j.pending.is_empty() && j.running.is_empty() {
             self.active.retain(|&a| a != job);
         }
+        true
     }
 
     fn preempt(&mut self, body: &mut dyn TaskBody, kind: TaskKind) {
@@ -380,7 +380,6 @@ impl JobTracker {
             jip.running.remove(i);
             let flight = jip.flights.remove(i);
             jip.pending.push(task);
-            self.superseded.insert(flight.launch);
             let slot = &mut self.slots[kind as usize][flight.slot];
             if slot.free_at == flight.end {
                 slot.free_at = now;

@@ -17,6 +17,9 @@
 //!    finish) no leaf queue, parent queue, or single user ever exceeds
 //!    its maximum-capacity slot bound, recomputed here independently
 //!    from the configured percentages.
+//! 4. **The loop keeps the contract** — a recording policy driven by the
+//!    real JobTracker loop is always handed every slot of the kind and the
+//!    true `running` lists.
 
 use std::collections::BTreeMap;
 
@@ -362,5 +365,90 @@ proptest! {
         }
         // The default queue has no ceiling below the farm itself.
         prop_assert!(log.len() <= num_slots * 100);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 4. What the JobTracker loop hands a policy
+// ---------------------------------------------------------------------------
+
+/// FIFO, noting for every call how many slots it was shown, whether any of
+/// them was busy, and whether any job had a task in flight.
+struct Recording(std::sync::Arc<std::sync::Mutex<Vec<(usize, bool, bool)>>>);
+
+impl Scheduler for Recording {
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+    fn next_assignment(
+        &mut self,
+        now: SimTime,
+        slots: &[SlotState],
+        jobs: &[JobView<'_>],
+        env: &dyn SchedulerEnv,
+    ) -> Option<hl_mapreduce::Assignment> {
+        let busy = slots.iter().any(|s| s.free_at > now);
+        let running = jobs.iter().any(|j| !j.running.is_empty());
+        self.0.lock().expect("recorder lock").push((slots.len(), busy, running));
+        FifoScheduler.next_assignment(now, slots, jobs, env)
+    }
+}
+
+struct Words;
+impl hl_mapreduce::Mapper for Words {
+    type KOut = String;
+    type VOut = u64;
+    fn map(&mut self, _o: u64, line: &str, ctx: &mut hl_mapreduce::MapContext<String, u64>) {
+        for w in line.split_whitespace() {
+            ctx.emit(w.to_string(), 1);
+        }
+    }
+}
+struct Sum;
+impl hl_mapreduce::Reducer for Sum {
+    type KIn = String;
+    type VIn = u64;
+    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut hl_mapreduce::ReduceContext) {
+        ctx.emit(key, values.into_iter().sum::<u64>());
+    }
+}
+
+#[test]
+fn the_loop_hands_the_policy_every_slot_and_the_true_running_lists() {
+    use hl_common::config::keys;
+    let (nodes, map_slots, reduce_slots) = (4usize, 2usize, 1usize);
+    let mut config = Configuration::with_defaults();
+    config.set(keys::DFS_BLOCK_SIZE, 4096u64);
+    config.set(keys::MAPRED_MAP_SLOTS, map_slots);
+    config.set(keys::MAPRED_REDUCE_SLOTS, reduce_slots);
+    let spec = hl_cluster::node::ClusterSpec::course_hadoop(nodes);
+    let mut cluster = hl_mapreduce::MrCluster::new(spec, config).unwrap();
+    cluster.dfs.namenode.mkdirs("/in").unwrap();
+    let text = "the quick brown fox jumps over the lazy dog\n".repeat(1500);
+    let t = cluster.now;
+    let put = cluster.dfs.put(&mut cluster.net, t, "/in/t.txt", text.as_bytes(), None).unwrap();
+    cluster.now = put.completed_at;
+
+    let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    cluster.set_scheduler(Box::new(Recording(calls.clone())));
+    // No retries and no backups: a busy slot is an attempt in flight.
+    let job = |out: &str| {
+        let conf = hl_mapreduce::JobConf::new(out).input("/in/t.txt").output(out).reduces(3);
+        hl_mapreduce::Job::new(conf.speculative(false), || Words, || Sum)
+    };
+    let (a, b) = (job("/out/a"), job("/out/b"));
+    let now = cluster.now;
+    for r in cluster.run_jobs(&[(now, &a), (now + SimDuration::from_millis(500), &b)]) {
+        r.unwrap();
+    }
+
+    let calls = calls.lock().unwrap();
+    assert!(calls.iter().any(|&(_, busy, _)| busy), "the jobs never had to wait for a slot");
+    for &(shown, busy, running) in calls.iter() {
+        assert!(
+            shown == nodes * map_slots || shown == nodes * reduce_slots,
+            "the policy was shown {shown} slots"
+        );
+        assert!(!busy || running, "a slot was busy but every `running` list was empty");
     }
 }

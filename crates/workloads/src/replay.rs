@@ -616,4 +616,49 @@ mod tests {
             assert_eq!(out.jobs, 60);
         }
     }
+
+    /// A preempted attempt's `AttemptFinished` stays queued for its old end
+    /// (the queue has no cancel). Here it pops while the same task's re-run
+    /// is in flight; it must retire nothing.
+    #[test]
+    fn a_preempted_attempts_old_end_does_not_retire_its_rerun() {
+        let secs = SimDuration::from_secs;
+        let job = |id: u64, user: &str, pool: &str, arrival: u64, durations: &[u64]| ReplayJob {
+            job_id: id,
+            user: user.into(),
+            pool: pool.into(),
+            priority: 0,
+            arrival: SimTime::ZERO + secs(arrival),
+            tasks: durations
+                .iter()
+                .map(|&d| ReplayTask {
+                    attempts: vec![Attempt { duration: secs(d), outcome: event::FINISH }],
+                })
+                .collect(),
+        };
+        let jobs = [
+            // Holds both slots until t=100 s.
+            job(1, "ann", "pool-0", 0, &[100, 100]),
+            // Starved from t=5 s; the arrival at t=20 s is the first instant
+            // past the 1 s timeout, so job 1's task 1 is killed for it then.
+            job(2, "bob", "pool-1", 5, &[10]),
+            job(3, "cyd", "pool-0", 20, &[1]),
+        ];
+        let setup = ReplaySetup {
+            nodes: 1,
+            slots_per_node: 2,
+            fair_timeout: secs(1),
+            ..ReplaySetup::default()
+        };
+        let out = replay(&jobs, ReplayPolicy::Fair, &setup);
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert_eq!(out.policy_preemptions, 1);
+        // Job 2 runs 20..30 s, job 3 (the pool's idle user) 30..31 s, and
+        // task 1 again in full, 31..131 s: its first launch's end, t=100 s,
+        // passes while it runs.
+        assert!(out.assignment_log.contains("t=20000000 job=1 task=1 preempted\n"));
+        assert!(out.assignment_log.contains("t=31000000 job=1 task=1 slot=1\n"));
+        assert!(out.assignment_log.ends_with("t=131000000 job=1 done\n"), "{}", out.assignment_log);
+        assert_eq!(out.makespan, secs(131));
+    }
 }
