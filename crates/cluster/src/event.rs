@@ -69,11 +69,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedule `event` after a delay from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Pop the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.heap.pop()?;
@@ -125,7 +120,7 @@ pub struct TimerWheel<K> {
     granularity: SimDuration,
     /// round index -> keys due in that round, in key order.
     rounds: BTreeMap<u64, BTreeSet<K>>,
-    /// key -> its scheduled round, for O(log n) cancel/reschedule.
+    /// key -> its scheduled round, for O(log n) reschedule.
     slot: BTreeMap<K, u64>,
 }
 
@@ -161,20 +156,6 @@ impl<K: Ord + Copy> TimerWheel<K> {
         self.rounds.entry(round).or_default().insert(key);
     }
 
-    /// Drop `key`'s pending timer, if any. Returns true if one existed.
-    pub fn cancel(&mut self, key: &K) -> bool {
-        let Some(round) = self.slot.remove(key) else {
-            return false;
-        };
-        if let Some(keys) = self.rounds.get_mut(&round) {
-            keys.remove(key);
-            if keys.is_empty() {
-                self.rounds.remove(&round);
-            }
-        }
-        true
-    }
-
     /// The fire time of the earliest non-empty round. This is what the
     /// driver schedules its single queue event at.
     pub fn next_due(&self) -> Option<SimTime> {
@@ -207,12 +188,6 @@ impl<K: Ord + Copy> TimerWheel<K> {
     pub fn is_empty(&self) -> bool {
         self.slot.is_empty()
     }
-
-    /// Number of distinct rounds with pending timers — the count of queue
-    /// entries the driver actually needs.
-    pub fn rounds_pending(&self) -> usize {
-        self.rounds.len()
-    }
 }
 
 #[cfg(test)]
@@ -238,16 +213,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(100), "first");
-        q.pop();
-        q.schedule_in(SimDuration::from_micros(50), "second");
-        let (t, e) = q.pop().unwrap();
-        assert_eq!((t, e), (SimTime(150), "second"));
     }
 
     #[test]
@@ -280,7 +245,6 @@ mod tests {
             w.schedule(node, at);
         }
         assert_eq!(w.len(), 1000);
-        assert_eq!(w.rounds_pending(), 2); // O(rounds), not O(nodes)
         assert_eq!(w.next_due(), Some(SimTime(200)));
 
         // Nothing due before the round boundary.
@@ -321,16 +285,5 @@ mod tests {
         w.schedule(3, SimTime(11));
         w.schedule(3, SimTime(19));
         assert_eq!(w.pop_due(SimTime(20)), vec![3]);
-    }
-
-    #[test]
-    fn wheel_cancel_removes_pending_timer() {
-        let mut w: TimerWheel<u8> = TimerWheel::new(SimDuration::from_micros(10));
-        w.schedule(1, SimTime(10));
-        w.schedule(2, SimTime(10));
-        assert!(w.cancel(&1));
-        assert!(!w.cancel(&1));
-        assert_eq!(w.pop_due(SimTime(10)), vec![2]);
-        assert_eq!(w.rounds_pending(), 0);
     }
 }

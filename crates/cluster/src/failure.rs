@@ -75,19 +75,6 @@ impl HeapLeakModel {
         self.current > self.heap_limit
     }
 
-    /// Current modeled resident heap.
-    pub fn current_heap(&self) -> u64 {
-        self.current
-    }
-
-    /// How many consecutive buggy tasks a fresh daemon survives.
-    pub fn buggy_tasks_to_crash(&self) -> u64 {
-        if self.leak_per_buggy_task == 0 {
-            return u64::MAX;
-        }
-        (self.heap_limit - self.base_heap) / self.leak_per_buggy_task + 1
-    }
-
     /// Restart the JVM: heap back to base.
     pub fn restart(&mut self) {
         self.current = self.base_heap;
@@ -180,8 +167,7 @@ mod tests {
     #[test]
     fn heap_leak_crashes_after_expected_tasks() {
         let mut m = HeapLeakModel::hadoop1_default();
-        // (1024 - 200) / 64 + 1 = 13.875 -> 13 + 1... integer: 824/64=12 +1 = 13
-        assert_eq!(m.buggy_tasks_to_crash(), 13);
+        // (1024 - 200) / 64 = 12 tasks fit under the limit; the 13th crashes.
         let mut crashed_at = None;
         for i in 1..=20 {
             if m.host_task(true) {
@@ -198,7 +184,7 @@ mod tests {
         for _ in 0..10_000 {
             assert!(!m.host_task(false));
         }
-        assert_eq!(m.current_heap(), 200 * ByteSize::MIB);
+        assert_eq!(m.current, 200 * ByteSize::MIB);
     }
 
     #[test]
@@ -207,9 +193,9 @@ mod tests {
         for _ in 0..5 {
             m.host_task(true);
         }
-        assert!(m.current_heap() > m.base_heap);
+        assert!(m.current > m.base_heap);
         m.restart();
-        assert_eq!(m.current_heap(), m.base_heap);
+        assert_eq!(m.current, m.base_heap);
     }
 
     #[test]

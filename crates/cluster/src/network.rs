@@ -120,11 +120,6 @@ impl ClusterNet {
         self.degrades.insert(node.0, model);
     }
 
-    /// Restore a node to nominal performance.
-    pub fn clear_node_model(&mut self, node: NodeId) {
-        self.degrades.remove(&node.0);
-    }
-
     /// The node's effective performance profile at `now`.
     pub fn node_profile(&self, node: NodeId, now: SimTime) -> PerfProfile {
         self.degrades.get(&node.0).map_or(PerfProfile::NOMINAL, |m| m.profile_at(now))
@@ -136,11 +131,6 @@ impl ClusterNet {
 
     fn nic_mult(&self, node: NodeId, now: SimTime) -> u32 {
         self.degrades.get(&node.0).map_or(PerfProfile::NOMINAL_BP, |m| m.profile_at(now).nic_mult)
-    }
-
-    /// True for Figure 1(a) clusters.
-    pub fn has_shared_storage(&self) -> bool {
-        self.shared_storage.is_some()
     }
 
     /// Sequential read from a node's local disk.
@@ -249,11 +239,6 @@ impl ClusterNet {
         self.remote_bytes
     }
 
-    /// Bytes moved through a node's NIC.
-    pub fn nic_bytes(&self, node: NodeId) -> u64 {
-        self.nics[node.0 as usize].total_bytes()
-    }
-
     /// Bytes served by the shared parallel FS (zero on Hadoop clusters).
     pub fn shared_storage_bytes(&self) -> u64 {
         self.shared_storage.as_ref().map_or(0, |s| s.total_bytes())
@@ -317,7 +302,7 @@ mod tests {
         let c = net.read_remote(SimTime::ZERO, NodeId(0), NodeId(0), 120 * ByteSize::MIB);
         assert_eq!(c.end, SimTime(1_000_000)); // 120 MiB at 120 MiB/s disk
         assert_eq!(net.remote_bytes(), 0);
-        assert_eq!(net.nic_bytes(NodeId(0)), 0);
+        assert_eq!(net.nics[0].total_bytes(), 0);
     }
 
     #[test]
@@ -357,7 +342,7 @@ mod tests {
     fn shared_storage_serializes_the_whole_cluster() {
         let spec = ClusterSpec::hpc_shared_storage(8, 200 * ByteSize::MIB);
         let mut net = ClusterNet::new(&spec);
-        assert!(net.has_shared_storage());
+        assert!(net.shared_storage.is_some());
         // 8 nodes each read 200 MiB concurrently: aggregate pipe serves them
         // one at a time, so the last finishes at ~8 s even though each
         // node's NIC could take it in ~1.7 s.
@@ -388,7 +373,7 @@ mod tests {
         assert!(net.write_shared_storage(SimTime::ZERO, NodeId(0), 1).is_err());
         // The failed write must not count against any pipe.
         assert_eq!(net.remote_bytes(), 0);
-        assert_eq!(net.nic_bytes(NodeId(0)), 0);
+        assert_eq!(net.nics[0].total_bytes(), 0);
     }
 
     #[test]
@@ -455,8 +440,6 @@ mod tests {
         );
         let after = net.read_local_disk(SimTime(30_000_000), NodeId(0), bytes);
         assert_eq!(after.end.since(after.start), SimDuration::from_secs(1));
-        net.clear_node_model(NodeId(0));
-        assert!(net.node_profile(NodeId(0), SimTime(15_000_000)).is_nominal());
     }
 
     #[test]
@@ -466,6 +449,6 @@ mod tests {
         assert!(net.remote_bytes() > 0);
         net.reset_accounting();
         assert_eq!(net.remote_bytes(), 0);
-        assert_eq!(net.nic_bytes(NodeId(0)), 0);
+        assert_eq!(net.nics[0].total_bytes(), 0);
     }
 }

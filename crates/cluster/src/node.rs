@@ -40,18 +40,6 @@ impl NodeSpec {
     pub fn hpc_compute_2013() -> Self {
         NodeSpec { disk_bytes: 0, ..Self::palmetto_2013() }
     }
-
-    /// The throttled virtual machine from the paper's Version-1 setup: the
-    /// supercomputer's virtualization limited the virtual NIC to ~1 MB/s.
-    pub fn throttled_vm() -> Self {
-        NodeSpec {
-            cores: 4,
-            ram_bytes: 8 * ByteSize::GIB,
-            disk_bytes: 100 * ByteSize::GIB,
-            disk_bw: 80 * ByteSize::MIB,
-            nic_bw: ByteSize::MIB, // the fatal 1 MB/s
-        }
-    }
 }
 
 /// A per-node performance multiplier layered over [`NodeSpec`], in basis
@@ -399,11 +387,6 @@ mod tests {
         assert_eq!(n.cores, 16);
         assert_eq!(n.ram_bytes, 64 * ByteSize::GIB);
         assert_eq!(n.disk_bytes, 850 * ByteSize::GIB);
-    }
-
-    #[test]
-    fn throttled_vm_has_1mbs_nic() {
-        assert_eq!(NodeSpec::throttled_vm().nic_bw, ByteSize::MIB);
     }
 
     #[test]

@@ -98,13 +98,6 @@ impl PortRegistry {
         n
     }
 
-    /// The scheduler's cleanup script: sweep all ghost bindings on `node`.
-    pub fn cleanup_node(&mut self, node: NodeId) -> usize {
-        let before = self.bindings.len();
-        self.bindings.retain(|(n, _), b| *n != node || b.owner_alive);
-        before - self.bindings.len()
-    }
-
     /// Cleanup every node (the 15-minute cron pass).
     pub fn cleanup_all(&mut self) -> usize {
         let before = self.bindings.len();
@@ -181,7 +174,7 @@ mod tests {
         let err = reg.bind(SimTime(1), NodeId(3), well_known::TASKTRACKER_HTTP, "bob");
         assert!(err.is_err());
         // Cleanup sweeps the ghost; now Bob can start.
-        assert_eq!(reg.cleanup_node(NodeId(3)), 1);
+        assert_eq!(reg.cleanup_all(), 1);
         reg.bind(SimTime(2), NodeId(3), well_known::TASKTRACKER_HTTP, "bob").unwrap();
     }
 

@@ -31,13 +31,6 @@ pub struct Charge {
     pub end: SimTime,
 }
 
-impl Charge {
-    /// Queue wait plus service time.
-    pub fn latency_from(&self, requested: SimTime) -> SimDuration {
-        self.end.since(requested)
-    }
-}
-
 impl PipeResource {
     /// New idle pipe.
     pub fn new(name: impl Into<String>, bytes_per_sec: u64) -> Self {
@@ -83,15 +76,6 @@ impl PipeResource {
         Charge { start, end }
     }
 
-    /// Charge a fixed-duration occupancy (seek, daemon startup, fsync).
-    pub fn charge_time(&mut self, now: SimTime, dur: SimDuration) -> Charge {
-        let start = now.max(self.free_at);
-        let end = start + dur;
-        self.free_at = end;
-        self.busy += dur;
-        Charge { start, end }
-    }
-
     /// Earliest instant a new charge could start.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -101,11 +85,6 @@ impl PipeResource {
     /// Figure 1 experiment).
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Total busy time (for utilization reports).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 
     /// Utilization in `[0,1]` over the window ending at `now`.
@@ -158,16 +137,7 @@ mod tests {
         let mut pipe = PipeResource::new("nic", mib(1));
         pipe.charge(SimTime::ZERO, mib(10)); // busy 10 s
         let c = pipe.charge(SimTime(1_000_000), mib(1));
-        assert_eq!(c.latency_from(SimTime(1_000_000)), SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn charge_time_occupies_without_bytes() {
-        let mut pipe = PipeResource::new("disk", mib(100));
-        let c = pipe.charge_time(SimTime::ZERO, SimDuration::from_secs(2));
-        assert_eq!(c.end, SimTime(2_000_000));
-        assert_eq!(pipe.total_bytes(), 0);
-        assert_eq!(pipe.busy_time(), SimDuration::from_secs(2));
+        assert_eq!(c.end.since(SimTime(1_000_000)), SimDuration::from_secs(10));
     }
 
     #[test]

@@ -201,16 +201,6 @@ impl BatchScheduler {
         self.running.get(&id)
     }
 
-    /// Number of free nodes.
-    pub fn free_nodes(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Number of queued (not yet started) requests.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Overall utilization: busy nodes / total (the paper cites ~90% on the
     /// shared machine).
     pub fn utilization(&self) -> f64 {
@@ -243,7 +233,7 @@ mod tests {
         assert_eq!(out.started.len(), 2);
         assert_eq!(out.started[0].nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(out.started[1].nodes, vec![NodeId(3), NodeId(4), NodeId(5), NodeId(6)]);
-        assert_eq!(s.free_nodes(), 1);
+        assert_eq!(s.free.len(), 1);
         assert!((s.utilization() - 7.0 / 8.0).abs() < 1e-12);
     }
 
@@ -257,7 +247,7 @@ mod tests {
         let out = s.tick(SimTime(1));
         // Even though tiny would fit nothing starts: huge blocks the head.
         assert!(out.started.is_empty());
-        assert_eq!(s.queue_len(), 2);
+        assert_eq!(s.queue.len(), 2);
     }
 
     #[test]
@@ -267,10 +257,10 @@ mod tests {
         r.walltime = SimDuration::from_mins(30);
         s.submit(SimTime::ZERO, r);
         s.tick(SimTime::ZERO);
-        assert_eq!(s.free_nodes(), 0);
+        assert_eq!(s.free.len(), 0);
         let out = s.tick(SimTime::ZERO + SimDuration::from_mins(31));
         assert_eq!(out.expired.len(), 1);
-        assert_eq!(s.free_nodes(), 2);
+        assert_eq!(s.free.len(), 2);
     }
 
     #[test]
@@ -279,7 +269,7 @@ mod tests {
         s.submit(SimTime::ZERO, req("alice", 4));
         s.submit(SimTime::ZERO, req("bob", 4));
         s.tick(SimTime::ZERO);
-        assert_eq!(s.free_nodes(), 0);
+        assert_eq!(s.free.len(), 0);
         s.submit(
             SimTime(10),
             ReservationRequest {
@@ -324,7 +314,7 @@ mod tests {
         assert!(s.running(id).is_some());
         let res = s.release(id).unwrap();
         assert_eq!(res.request.user, "alice");
-        assert_eq!(s.free_nodes(), 4);
+        assert_eq!(s.free.len(), 4);
         assert!(s.release(id).is_none());
     }
 
@@ -384,7 +374,7 @@ mod tests {
                         allocated += r.nodes.len();
                     }
                 }
-                proptest::prop_assert_eq!(s.free_nodes() + allocated, total);
+                proptest::prop_assert_eq!(s.free.len() + allocated, total);
             }
         }
     }

@@ -34,11 +34,6 @@ impl EventLog {
         EventLog { entries: Vec::new(), enabled: true }
     }
 
-    /// A disabled log (zero overhead apart from the branch).
-    pub fn disabled() -> Self {
-        EventLog { entries: Vec::new(), enabled: false }
-    }
-
     /// Append a line.
     ///
     /// Disabled logs return before allocating anything, but the caller has
@@ -126,14 +121,14 @@ mod tests {
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = EventLog::disabled();
+        let mut log = EventLog { enabled: false, ..EventLog::new() };
         log.log(SimTime::ZERO, "x", "y");
         assert!(log.is_empty());
     }
 
     #[test]
     fn disabled_log_never_builds_lazy_messages() {
-        let mut log = EventLog::disabled();
+        let mut log = EventLog { enabled: false, ..EventLog::new() };
         let mut built = false;
         log.log_with(SimTime::ZERO, "x", || {
             built = true;

@@ -137,11 +137,6 @@ impl Configuration {
         self
     }
 
-    /// Remove a key; returns the previous value if any.
-    pub fn unset(&mut self, key: &str) -> Option<String> {
-        self.values.remove(key)
-    }
-
     /// Raw string lookup.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
@@ -279,14 +274,5 @@ mod tests {
         let mut c = Configuration::new();
         c.set("b", 2).set("a", 1);
         assert_eq!(c.to_string(), "a=1\nb=2\n");
-    }
-
-    #[test]
-    fn unset_removes() {
-        let mut c = Configuration::new();
-        c.set("x", 1);
-        assert_eq!(c.unset("x"), Some("1".into()));
-        assert_eq!(c.get("x"), None);
-        assert!(c.is_empty());
     }
 }

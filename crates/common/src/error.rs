@@ -116,22 +116,6 @@ impl From<std::io::Error> for HlError {
     }
 }
 
-impl HlError {
-    /// True when retrying the same operation later could succeed (the class
-    /// of error students were told to just resubmit on — which is exactly
-    /// what melted the Version-1 cluster).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            HlError::SafeMode(_)
-                | HlError::InsufficientReplication { .. }
-                | HlError::PortInUse { .. }
-                | HlError::ResourcesUnavailable(_)
-                | HlError::TaskFailed(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,14 +126,6 @@ mod tests {
         assert_eq!(e.to_string(), "Could not obtain block blk_42 of /data/x: no live replicas");
         let e = HlError::PortInUse { node: "node003".into(), port: 50070 };
         assert!(e.to_string().contains("node003:50070"));
-    }
-
-    #[test]
-    fn retryability_classification() {
-        assert!(HlError::SafeMode("starting up".into()).is_retryable());
-        assert!(HlError::PortInUse { node: "n".into(), port: 1 }.is_retryable());
-        assert!(!HlError::FileNotFound("/x".into()).is_retryable());
-        assert!(!HlError::Internal("bug".into()).is_retryable());
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl SimDuration {
         SimDuration(h * 3600 * 1_000_000)
     }
 
-    /// From fractional seconds; negative inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 || !s.is_finite() {
-            return SimDuration::ZERO;
-        }
-        SimDuration((s * 1e6).round() as u64)
-    }
-
     /// Time to move `bytes` at `bytes_per_sec` (the core of the cost model).
     /// A zero/absurd bandwidth charges nothing rather than dividing by zero.
     pub fn for_transfer(bytes: u64, bytes_per_sec: u64) -> Self {
@@ -209,13 +201,6 @@ mod tests {
         let gige = SimDuration::for_transfer(gb171, 117 * 1024 * 1024);
         assert!(gige > SimDuration::from_mins(20) && gige < SimDuration::from_mins(30));
         assert_eq!(SimDuration::for_transfer(123, 0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn from_secs_f64_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(1.5), SimDuration::from_millis(1500));
     }
 
     #[test]

@@ -103,15 +103,6 @@ impl Topology {
         (0..self.rack_of.len() as u32).map(NodeId)
     }
 
-    /// Nodes in a given rack.
-    pub fn nodes_in_rack(&self, rack: RackId) -> impl Iterator<Item = NodeId> + '_ {
-        self.rack_of
-            .iter()
-            .enumerate()
-            .filter(move |(_, r)| **r == rack)
-            .map(|(i, _)| NodeId(i as u32))
-    }
-
     /// Locality class between two nodes.
     pub fn locality(&self, a: NodeId, b: NodeId) -> Locality {
         if a == b {
@@ -141,7 +132,7 @@ mod tests {
         assert_eq!(t.rack(NodeId(0)), RackId(0));
         assert_eq!(t.rack(NodeId(1)), RackId(1));
         assert_eq!(t.rack(NodeId(2)), RackId(0));
-        let rack0: Vec<_> = t.nodes_in_rack(RackId(0)).collect();
+        let rack0: Vec<_> = t.nodes().filter(|&n| t.rack(n) == RackId(0)).collect();
         assert_eq!(rack0, vec![NodeId(0), NodeId(2), NodeId(4), NodeId(6)]);
     }
 

@@ -40,16 +40,6 @@ impl Scale {
     }
 }
 
-/// Render a simple aligned two-column table (label, value).
-pub fn kv_table(rows: &[(String, String)]) -> String {
-    let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (k, v) in rows {
-        out.push_str(&format!("  {k:<width$}  {v}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,12 +48,5 @@ mod tests {
     fn scale_pick() {
         assert_eq!(Scale::Quick.pick(1, 2), 1);
         assert_eq!(Scale::Paper.pick(1, 2), 2);
-    }
-
-    #[test]
-    fn kv_table_aligns() {
-        let t = kv_table(&[("a".into(), "1".into()), ("longer".into(), "2".into())]);
-        assert!(t.contains("  a       1\n"));
-        assert!(t.contains("  longer  2\n"));
     }
 }

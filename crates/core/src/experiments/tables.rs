@@ -21,13 +21,6 @@ pub struct Cell {
     pub paper: (f64, f64),
 }
 
-impl Cell {
-    /// Absolute error of the mean.
-    pub fn mean_error(&self) -> f64 {
-        (self.measured.0 - self.paper.0).abs()
-    }
-}
-
 /// All four survey tables, recomputed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SurveyTables {
@@ -132,6 +125,13 @@ impl fmt::Display for SurveyTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cell {
+        /// Absolute error of the mean.
+        fn mean_error(&self) -> f64 {
+            (self.measured.0 - self.paper.0).abs()
+        }
+    }
 
     #[test]
     fn every_cell_is_close_to_paper() {

@@ -150,11 +150,6 @@ impl BlockPayload {
         self.len() == 0
     }
 
-    /// True when actual bytes are available.
-    pub fn is_real(&self) -> bool {
-        matches!(self, BlockPayload::Real { .. })
-    }
-
     /// Verify stored checksums; synthetic payloads are vacuously clean.
     /// Returns the first corrupt chunk index if any.
     pub fn verify(&self) -> Option<usize> {
@@ -246,7 +241,7 @@ mod tests {
         assert_eq!(blocks[0].len(), 128);
         assert_eq!(blocks[1].len(), 128);
         assert_eq!(blocks[2].len(), 44);
-        assert!(blocks.iter().all(|b| b.is_real()));
+        assert!(blocks.iter().all(|b| matches!(b, BlockPayload::Real { .. })));
         assert!(split_into_blocks(&[], 128).is_empty());
     }
 

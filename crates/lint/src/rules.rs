@@ -3,7 +3,8 @@
 //!
 //! | id | name                       | scope (production code only)            |
 //! |----|----------------------------|-----------------------------------------|
-//! | R1 | panic-free-daemons         | dfs, cluster, provision, mapreduce::engine |
+//! | R1 | panic-free-daemons         | dfs, cluster, provision,                |
+//! |    |                            | mapreduce::{engine, jobtracker}         |
 //! | R2 | sim-time                   | sim-facing crates (dfs, cluster,        |
 //! |    |                            | mapreduce, provision, hbase, core,      |
 //! |    |                            | chaos, metrics)                         |
@@ -131,7 +132,8 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     let daemon_crate = path.starts_with("crates/dfs/src/")
         || path.starts_with("crates/cluster/src/")
         || path.starts_with("crates/provision/src/")
-        || path == "crates/mapreduce/src/engine.rs";
+        || path == "crates/mapreduce/src/engine.rs"
+        || path == "crates/mapreduce/src/jobtracker.rs";
     if daemon_crate {
         rules.push(RuleId::R1);
     }

@@ -131,11 +131,6 @@ impl JobHistory {
     pub fn total_tasks(&self) -> usize {
         self.entries.iter().map(|e| e.maps + e.reduces).sum()
     }
-
-    /// Busiest job by elapsed time.
-    pub fn longest(&self) -> Option<&HistoryEntry> {
-        self.entries.iter().max_by_key(|e| e.elapsed)
-    }
 }
 
 impl fmt::Display for JobHistory {
@@ -212,7 +207,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert_eq!(h.succeeded(), 2);
         assert_eq!(h.total_tasks(), 2);
-        assert_eq!(h.longest().unwrap().job_id, "job_0002");
         assert_eq!(h.entries()[0].input_records, 100);
         assert_eq!(h.entries()[0].shuffle_bytes, 2048);
     }

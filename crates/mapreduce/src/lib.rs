@@ -56,7 +56,7 @@ pub use job::{Job, JobConf};
 pub use report::JobReport;
 pub use scheduler::{
     scheduler_from_config, Assignment, CapacityScheduler, FairScheduler, FifoScheduler, JobView,
-    PoolSpec, Preemption, QueueSpec, Scheduler, SchedulerEnv, SlotState, UniformEnv,
+    PoolSpec, Preemption, QueueSpec, Scheduler, SchedulerEnv, SlotState,
 };
 pub use speculate::{SpecAttempt, SpecOutcome, Speculator};
 pub use task::JobCode;

@@ -87,16 +87,6 @@ pub trait SchedulerEnv {
     fn distance(&self, node: NodeId, job: usize, task: u32) -> u32;
 }
 
-/// A locality-blind environment: every placement is equally good.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniformEnv;
-
-impl SchedulerEnv for UniformEnv {
-    fn distance(&self, _node: NodeId, _job: usize, _task: u32) -> u32 {
-        0
-    }
-}
-
 /// A task-assignment policy. Implementations must be deterministic: the
 /// same call sequence yields the same decisions, byte for byte.
 pub trait Scheduler: Send {
@@ -640,6 +630,15 @@ pub fn scheduler_from_config(conf: &Configuration) -> Result<Box<dyn Scheduler>>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A locality-blind environment: every placement is equally good.
+    struct UniformEnv;
+
+    impl SchedulerEnv for UniformEnv {
+        fn distance(&self, _node: NodeId, _job: usize, _task: u32) -> u32 {
+            0
+        }
+    }
 
     fn t(us: u64) -> SimTime {
         SimTime(us)

@@ -278,11 +278,6 @@ impl MapOutput {
         self.partitions.iter().map(SortedRun::bytes).sum()
     }
 
-    /// Total records across all partitions.
-    pub fn total_records(&self) -> u64 {
-        self.partitions.iter().map(|p| p.len() as u64).sum()
-    }
-
     /// Move partition `r` out, leaving an empty run (single-consumer
     /// runners that will not retry the reduce).
     pub fn take_partition(&mut self, r: usize) -> SortedRun {
@@ -690,7 +685,7 @@ mod tests {
             .collect();
         assert_eq!(keys, vec!["apple", "apple", "mango", "pear"]);
         assert_eq!(out.num_spills, 1);
-        assert_eq!(out.total_records(), 4);
+        assert_eq!(out.partitions.iter().map(|p| p.len() as u64).sum::<u64>(), 4);
     }
 
     #[test]
@@ -716,7 +711,7 @@ mod tests {
         }
         let out = buf.finish::<NoC>(None, &mut counters);
         assert_eq!(out.partitions.len(), 4);
-        assert_eq!(out.total_records(), 100);
+        assert_eq!(out.partitions.iter().map(|p| p.len() as u64).sum::<u64>(), 100);
         // Each partition's run is sorted by raw key bytes.
         for p in &out.partitions {
             let keys: Vec<&[u8]> = (0..p.len()).map(|i| p.key(i)).collect();
@@ -765,7 +760,7 @@ mod tests {
             assert_eq!(totals[w], 50, "{w}");
         }
         // With a working final-merge combine, each word is a single record.
-        assert_eq!(out.total_records(), 4);
+        assert_eq!(out.partitions.iter().map(|p| p.len() as u64).sum::<u64>(), 4);
     }
 
     #[test]
@@ -776,7 +771,7 @@ mod tests {
             buf.collect::<NoC>(&"k".to_string(), &i, None, &mut counters);
         }
         let out = buf.finish::<NoC>(None, &mut counters);
-        assert_eq!(out.total_records(), 100);
+        assert_eq!(out.partitions.iter().map(|p| p.len() as u64).sum::<u64>(), 100);
         let values: std::collections::BTreeSet<u64> =
             out.partitions[0].iter().map(|(_, v)| u64::from_bytes(v).unwrap()).collect();
         assert_eq!(values.len(), 100, "no values lost or duplicated");

@@ -233,18 +233,6 @@ impl MetricsRegistry {
         self.entries.insert((daemon.to_string(), name.to_string()), MetricValue::Gauge(level));
     }
 
-    /// Add (possibly negative) `delta` to a gauge, creating it at 0 first.
-    pub fn add_gauge(&mut self, daemon: &str, name: &str, delta: i64) {
-        let e = self
-            .entries
-            .entry((daemon.to_string(), name.to_string()))
-            .or_insert(MetricValue::Gauge(0));
-        match e {
-            MetricValue::Gauge(v) => *v = v.saturating_add(delta),
-            _ => *e = MetricValue::Gauge(delta),
-        }
-    }
-
     /// Record one sample into a histogram, creating it empty first.
     pub fn observe(&mut self, daemon: &str, name: &str, sample: u64) {
         let e = self
@@ -334,8 +322,7 @@ mod tests {
         r.incr("namenode", "rpc.mkdirs", 2);
         r.incr("namenode", "rpc.mkdirs", 1);
         r.set_gauge("namenode", "safemode.on", 1);
-        r.add_gauge("namenode", "leases.open", 3);
-        r.add_gauge("namenode", "leases.open", -1);
+        r.set_gauge("namenode", "leases.open", 2);
         r.observe("jobtracker", "map.duration_ms", 900);
         assert_eq!(r.counter("namenode", "rpc.mkdirs"), 3);
         assert_eq!(r.gauge("namenode", "safemode.on"), 1);
