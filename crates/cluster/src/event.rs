@@ -1,10 +1,12 @@
 //! A deterministic discrete-event queue.
 //!
-//! The composition layer (`hl-core`) drives daemon protocols — heartbeats,
-//! block reports, task polls — by popping `(time, event)` pairs in order.
-//! Ties break by insertion sequence, so two events scheduled for the same
+//! A driver schedules `(time, event)` pairs and pops them in order. Ties
+//! break by insertion sequence, so two events scheduled for the same
 //! instant always replay in the order they were scheduled: determinism is
 //! what makes every experiment in EXPERIMENTS.md exactly repeatable.
+//! Inside the library the JobTracker loop (`hl-mapreduce::jobtracker`) is
+//! the [`EventQueue`]'s caller; the NameNode scale harnesses (`scale-soak`,
+//! `benchmark/`) keep DataNode timers on the [`TimerWheel`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -112,9 +114,7 @@ impl<E> EventQueue<E> {
 /// `O(nodes)`.
 ///
 /// Determinism is preserved: keys within a round are stored in a
-/// `BTreeSet`, so [`TimerWheel::pop_due`] always yields them in key order —
-/// the same tie-break the composition layer already uses for same-instant
-/// events.
+/// `BTreeSet`, so [`TimerWheel::pop_due`] always yields them in key order.
 #[derive(Debug)]
 pub struct TimerWheel<K> {
     granularity: SimDuration,

@@ -14,10 +14,13 @@
 //! * [`sortbuf`] — the map-side collect/sort/spill buffer (combiner runs
 //!   at each spill, exactly like Hadoop);
 //! * [`merge`] — k-way merge of sorted runs with key grouping;
-//! * [`engine`] — `MrCluster`: TaskTracker slots, locality-aware
-//!   JobTracker scheduling, the shuffle, speculative execution, task
-//!   retries, and virtual-time accounting — one phase driver that the
-//!   map and the reduce phase are handed to as data;
+//! * [`engine`] — `MrCluster`: TaskTracker slots, the shuffle, task
+//!   retries, speculative execution and virtual-time accounting — what a
+//!   real task attempt does and costs;
+//! * [`jobtracker`] — the one scheduling loop: a `JobInProgress` table on
+//!   the cluster's `EventQueue` that admits jobs, retires attempts, and
+//!   asks the policy for every assignment and preemption; real jobs
+//!   (`MrCluster::run_jobs`) and the trace replay both run on it;
 //! * [`scheduler`] — the pluggable `Scheduler` trait with FIFO, Fair,
 //!   and Capacity policies (Hadoop's multi-tenant evolution);
 //! * [`speculate`] — LATE-style speculative execution policy: progress

@@ -5,15 +5,16 @@
 //! hundreds of jobs from 131 distinct users with staggered submit times,
 //! per-attempt durations, and EVICT/FAIL/KILL/LOST terminals — everything
 //! a scheduler shoot-out needs. This module parses those rows into
-//! [`ReplayJob`]s and drives them through any
-//! [`Scheduler`](hl_mapreduce::scheduler::Scheduler) policy on a virtual
-//! slot farm:
+//! [`ReplayJob`]s and submits them to the JobTracker loop
+//! ([`hl_mapreduce::jobtracker`], the same loop real jobs run on) over a
+//! one-kind slot farm, under any
+//! [`Scheduler`](hl_mapreduce::scheduler::Scheduler) policy:
 //!
-//! * arrivals admit jobs at their (normalized) trace submit time;
+//! * a job is submitted at its (normalized, scaled) trace submit time;
 //! * each task attempt runs for its trace duration (scaled for
 //!   contention studies); a non-FINISH terminal re-queues the task and
 //!   consumes the attempt — the trace's resubmission semantics, EVICT
-//!   included, finally exercised;
+//!   included;
 //! * Fair-scheduler min-share preemptions stop a running task *without*
 //!   consuming its attempt: the same attempt later re-runs in full;
 //! * three inline oracles run as the simulation goes: **no starvation**
