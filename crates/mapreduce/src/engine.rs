@@ -287,8 +287,8 @@ impl MrCluster {
     }
 
     /// One slot per configured `kind` slot on every live tracker that is not
-    /// globally blacklisted, all free from `free_at`.
-    fn slots(&self, kind: TaskKind, free_at: SimTime) -> Vec<Slot> {
+    /// globally blacklisted, all free.
+    fn slots(&self, kind: TaskKind) -> Vec<Slot> {
         let mut slots = Vec::new();
         for (&node, t) in &self.trackers {
             if t.health.alive && !self.is_globally_blacklisted(node) {
@@ -296,7 +296,7 @@ impl MrCluster {
                     TaskKind::Map => t.map_slots,
                     TaskKind::Reduce => t.reduce_slots,
                 };
-                slots.extend((0..count).map(|_| Slot { node, free_at }));
+                slots.extend((0..count).map(|_| Slot { node, free_at: self.now }));
             }
         }
         slots
@@ -324,12 +324,8 @@ impl MrCluster {
     pub fn run_jobs(&mut self, batch: &[(SimTime, &dyn JobCode)]) -> Vec<Result<JobReport>> {
         // The loop owns the policy for the run and hands it back after.
         let scheduler = std::mem::replace(&mut self.scheduler, Box::new(FifoScheduler));
-        let now = self.now;
-        let mut jt = JobTracker::new(
-            scheduler,
-            self.slots(TaskKind::Map, now),
-            self.slots(TaskKind::Reduce, now),
-        );
+        let mut jt =
+            JobTracker::new(scheduler, self.slots(TaskKind::Map), self.slots(TaskKind::Reduce));
         let mut body = ClusterBody { cluster: self, jobs: Vec::new() };
         let mut results: Vec<Option<Result<JobReport>>> = Vec::new();
         results.resize_with(batch.len(), || None);
@@ -1028,8 +1024,7 @@ impl<'a> ClusterBody<'a> {
             TaskKind::Map,
             splits.len(),
         );
-        let mut maps = Vec::new();
-        maps.resize_with(splits.len(), || None);
+        let maps = splits.iter().map(|_| None).collect();
         let no_maps = splits.is_empty();
         self.jobs.push(RealJob {
             batch_index,
@@ -1232,15 +1227,9 @@ impl TaskBody for ClusterBody<'_> {
         }
         let now = jt.now();
         match kind {
-            TaskKind::Map => {
-                if let Some(m) = rj.maps.get_mut(task as usize) {
-                    *m = None;
-                }
-            }
+            TaskKind::Map => rj.maps[task as usize] = None,
             TaskKind::Reduce => {
-                if let Some(r) = rj.reduces.get_mut(task as usize) {
-                    *r = None;
-                }
+                rj.reduces[task as usize] = None;
                 let path = part_path(rj.job.conf(), task as usize);
                 if let Some(i) = rj.output_files.iter().position(|p| *p == path) {
                     rj.output_files.remove(i);

@@ -402,6 +402,9 @@ impl JobTracker {
             // could use it; with one job that is the job's own slot list.
             let wanting: Vec<&JobInProgress> =
                 ids.iter().map(|&j| &self.jobs[j]).filter(|j| !j.pending.is_empty()).collect();
+            if wanting.is_empty() {
+                return;
+            }
             let hidden = |node: NodeId| {
                 self.dead.contains(&node) || wanting.iter().all(|j| j.blacklist.contains(&node))
             };
@@ -409,7 +412,7 @@ impl JobTracker {
             let shown: Vec<usize> = (0..table.len())
                 .filter(|i| !hidden(table[*i].node) && !declined.contains(i))
                 .collect();
-            if wanting.is_empty() || !shown.iter().any(|&i| table[i].free_at <= now) {
+            if !shown.iter().any(|&i| table[i].free_at <= now) {
                 return;
             }
             let states: Vec<SlotState> = shown.iter().map(|&i| table[i]).collect();

@@ -351,11 +351,7 @@ impl ReplayOutcome {
 struct TraceBody<'a> {
     jobs: &'a [ReplayJob],
     duration_scale: u64,
-    /// Per job: the next attempt index of each task that has re-queued.
-    next_attempt: Vec<BTreeMap<u32, usize>>,
-    /// Per job: tasks finished.
-    done: Vec<usize>,
-    first_assigned: Vec<bool>,
+    progress: Vec<Progress>,
     completed: usize,
     makespan: SimTime,
     waits: Vec<SimDuration>,
@@ -366,9 +362,19 @@ struct TraceBody<'a> {
     log: String,
 }
 
+/// How far one job has got.
+#[derive(Clone, Default)]
+struct Progress {
+    /// The next attempt index of each task that has re-queued.
+    next_attempt: BTreeMap<u32, usize>,
+    /// Tasks finished.
+    done: usize,
+    assigned: bool,
+}
+
 impl TraceBody<'_> {
     fn attempt(&self, job: usize, task: u32) -> Option<Attempt> {
-        let ai = self.next_attempt[job].get(&task).copied().unwrap_or(0);
+        let ai = self.progress[job].next_attempt.get(&task).copied().unwrap_or(0);
         self.jobs[job].tasks[task as usize].attempts.get(ai).copied()
     }
 }
@@ -379,7 +385,7 @@ impl TaskBody for TraceBody<'_> {
         let row = self.attempt(l.job, l.task);
         let dur = row.map_or(SimDuration(1), |a| SimDuration(a.duration.0 * self.duration_scale));
         jt.occupy(TaskKind::Map, l.slot, now + dur);
-        if !std::mem::replace(&mut self.first_assigned[l.job], true) {
+        if !std::mem::replace(&mut self.progress[l.job].assigned, true) {
             let wait = now.since(jt.jobs[l.job].arrival);
             self.waits.push(wait);
             self.metrics.observe("scheduler", "job.wait_ms", wait.0 / 1000);
@@ -400,8 +406,8 @@ impl TaskBody for TraceBody<'_> {
         let (now, job) = (jt.now(), &self.jobs[j]);
         *self.pool_busy.entry(job.pool.clone()).or_default() += flight.end.since(flight.start).0;
         if flight.commits {
-            self.done[j] += 1;
-            if self.done[j] == job.tasks.len() {
+            self.progress[j].done += 1;
+            if self.progress[j].done == job.tasks.len() {
                 self.completed += 1;
                 self.makespan = self.makespan.max(now);
                 self.log.push_str(&format!("t={} job={} done\n", now.0, job.job_id));
@@ -410,7 +416,7 @@ impl TaskBody for TraceBody<'_> {
         }
         // Trace terminal: EVICT/FAIL/KILL/LOST → resubmission.
         let outcome = self.attempt(j, task).map_or(0, |a| a.outcome);
-        *self.next_attempt[j].entry(task).or_default() += 1;
+        *self.progress[j].next_attempt.entry(task).or_default() += 1;
         *self.trace_requeues.entry(job.job_id).or_default() += 1;
         self.metrics.incr("scheduler", "trace.requeued", 1);
         if outcome == event::EVICT {
@@ -454,9 +460,7 @@ pub fn replay(jobs: &[ReplayJob], policy: ReplayPolicy, setup: &ReplaySetup) -> 
     let mut body = TraceBody {
         jobs,
         duration_scale: setup.duration_scale.max(1),
-        next_attempt: vec![BTreeMap::new(); jobs.len()],
-        done: vec![0; jobs.len()],
-        first_assigned: vec![false; jobs.len()],
+        progress: vec![Progress::default(); jobs.len()],
         completed: 0,
         makespan: SimTime::ZERO,
         waits: Vec::new(),
