@@ -1,125 +1,116 @@
-//! The committed-baseline file format shared by `bench-snapshot` and
-//! `scale-soak`: one JSON object of named sections, each a flat object of
-//! unsigned integer metrics. Both bins write it with [`sections_json`] and
-//! read single values back with [`extract`]; how far a value may drift
-//! from its baseline is each bin's own `check`.
+//! The simulated numbers a lecture may quote, as one text table.
+//!
+//! [`sim_numbers`] runs five pinned MapReduce sections ([`sections`]) and
+//! the NameNode scale driver at 200 DataNodes x 100 000 blocks ([`scale`])
+//! and returns one `section/metric value` row per number. Every value is a
+//! pure function of the engine's cost model and the DFS formats, so the
+//! table is pinned exactly: `tests/golden/sim_numbers.txt` is its
+//! committed output, `tests/golden_traces.rs` compares the two with
+//! [`table_diff`], and `bench-snapshot > tests/golden/sim_numbers.txt`
+//! re-pins after an intended change.
 
-/// How [`sections_json`] lays out each section's metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// `"name": { "a": 1, "b": 2 }` — `BENCH_baseline.json`.
-    OneLine,
-    /// One metric per line, indented under the section — `BENCH_scale.json`.
-    Indented,
-}
+use std::collections::BTreeMap;
 
-/// Render `sections` as `{ "name": { "metric": N, ... }, ... }`.
-pub fn sections_json<M: AsRef<[(&'static str, u64)]>>(
-    sections: &[(&str, M)],
-    layout: Layout,
-) -> String {
-    let (open, sep, close) = match layout {
-        Layout::OneLine => ("{ ", ", ", " }"),
-        Layout::Indented => ("{\n    ", ",\n    ", "\n  }"),
-    };
-    let mut out = String::from("{\n");
-    for (i, (name, metrics)) in sections.iter().enumerate() {
-        let body: Vec<String> = metrics
-            .as_ref()
-            .iter()
-            .map(|(metric, value)| format!("\"{metric}\": {value}"))
-            .collect();
-        out.push_str(&format!(
-            "  \"{name}\": {open}{}{close}{}\n",
-            body.join(sep),
-            if i + 1 < sections.len() { "," } else { "" }
-        ));
+use hl_common::prelude::*;
+
+mod scale;
+mod sections;
+
+pub use scale::scale_numbers;
+
+/// One section's `(metric, value)` rows, in table order.
+type Metrics = Vec<(&'static str, u64)>;
+
+/// The tier-1 table: the five MapReduce sections, then the scale counters
+/// at 200 x 100 000. A section whose shape gate fails is an error.
+pub fn sim_numbers() -> Result<String> {
+    let sections = [
+        ("wordcount", sections::wc_section(false)?),
+        ("terasort", sections::wc_section(true)?),
+        ("sched", sections::sched_section()?),
+        ("tpcxhs", sections::tpcxhs_section()?),
+        ("codec", sections::codec_section()?),
+    ];
+    let mut table = String::new();
+    for (section, metrics) in sections {
+        for (metric, value) in metrics {
+            table.push_str(&format!("{section}/{metric} {value}\n"));
+        }
     }
-    out.push_str("}\n");
-    out
+    table.push_str(&scale_numbers(200, 100_000)?);
+    Ok(table)
 }
 
-/// Extract `"metric": N` from the named section of a baseline file. The
-/// format is the one [`sections_json`] writes — a flat object per section
-/// — so a scan to the quoted section key and then to the quoted metric key
-/// inside its braces is a complete parse.
-pub fn extract(json: &str, section: &str, metric: &str) -> Option<u64> {
-    let start = json.find(&format!("\"{section}\""))?;
-    let body = &json[start..];
-    let open = body.find('{')?;
-    let close = body[open..].find('}')? + open;
-    let section = &body[open..close];
-    let at = section.find(&format!("\"{metric}\""))?;
-    let rest = &section[at..];
-    let colon = rest.find(':')?;
-    let digits: String = rest[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// Compare a freshly produced table with the committed one, exactly and in
+/// both directions. Returns one line per row that moved, vanished or
+/// appeared, each naming the row and carrying the text to commit; empty
+/// means the tables agree. Row order does not matter.
+pub fn table_diff(golden: &str, actual: &str) -> Vec<String> {
+    fn rows(table: &str) -> BTreeMap<&str, &str> {
+        table.lines().map(|line| line.split_once(' ').unwrap_or((line, ""))).collect()
+    }
+    let (golden, actual) = (rows(golden), rows(actual));
+    let mut moved = Vec::new();
+    for (name, want) in &golden {
+        match actual.get(name) {
+            Some(got) if got == want => {}
+            Some(got) => moved
+                .push(format!("{name}: pinned {want}, now {got}; replacement line: {name} {got}")),
+            None => moved.push(format!("{name}: pinned {want}, no longer produced")),
+        }
+    }
+    for (name, got) in &actual {
+        if !golden.contains_key(name) {
+            moved.push(format!("{name}: produced but not pinned; add the line: {name} {got}"));
+        }
+    }
+    moved
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<(&'static str, Vec<(&'static str, u64)>)> {
-        vec![
-            ("wordcount", vec![("wall_time_us", 2_169_649), ("shuffle_bytes", 2_550_000)]),
-            ("codec", vec![("wc_codec_shuffle_bytes", 230_317), ("hs_codec_wall_us", 4_168_453)]),
-        ]
-    }
+    const GOLDEN: &str = "wordcount/wall_time_us 2169649\n\
+                          wordcount/shuffle_bytes 2550000\n\
+                          scale_200x100000/fsimage_bytes 1171617\n";
 
     #[test]
-    fn extract_reads_back_what_either_layout_writes() {
-        for layout in [Layout::OneLine, Layout::Indented] {
-            let json = sections_json(&sample(), layout);
-            for (section, metrics) in sample() {
-                for (metric, value) in metrics {
-                    assert_eq!(extract(&json, section, metric), Some(value), "{section}/{metric}");
-                }
-            }
+    fn equal_tables_have_no_diff_in_any_row_order() {
+        assert!(table_diff(GOLDEN, GOLDEN).is_empty());
+        let reversed: String = GOLDEN.lines().rev().map(|l| format!("{l}\n")).collect();
+        assert!(table_diff(GOLDEN, &reversed).is_empty());
+    }
+
+    /// The ±10 % band passed a value that fell (bench-snapshot's check was
+    /// one-sided) and let `fsimage_bytes` grow a byte per file unseen.
+    #[test]
+    fn a_value_off_by_one_in_either_direction_names_its_row() {
+        for (drifted, now) in [("1171618", "up"), ("1171616", "down")] {
+            let actual = GOLDEN.replace("1171617", drifted);
+            let diff = table_diff(GOLDEN, &actual);
+            assert_eq!(diff.len(), 1, "{now}: {diff:?}");
+            assert!(diff[0].starts_with("scale_200x100000/fsimage_bytes: pinned 1171617"));
+            assert!(diff[0].ends_with(&format!("scale_200x100000/fsimage_bytes {drifted}")));
         }
     }
 
+    /// The old `check` walked only the rows a run produced, so a pinned
+    /// row the run had stopped producing went unnoticed.
     #[test]
-    fn layouts_are_the_committed_file_formats() {
-        let one = [("a", vec![("x", 1), ("y", 2)]), ("b", vec![("z", 3)])];
-        assert_eq!(
-            sections_json(&one, Layout::OneLine),
-            "{\n  \"a\": { \"x\": 1, \"y\": 2 },\n  \"b\": { \"z\": 3 }\n}\n"
-        );
-        assert_eq!(
-            sections_json(&one, Layout::Indented),
-            "{\n  \"a\": {\n    \"x\": 1,\n    \"y\": 2\n  },\n  \"b\": {\n    \"z\": 3\n  }\n}\n"
-        );
+    fn a_pinned_row_no_longer_produced_names_itself() {
+        let actual = GOLDEN.replace("wordcount/shuffle_bytes 2550000\n", "");
+        let diff = table_diff(GOLDEN, &actual);
+        assert_eq!(diff.len(), 1, "{diff:?}");
+        assert!(diff[0].starts_with("wordcount/shuffle_bytes: pinned 2550000, no longer produced"));
     }
 
     #[test]
-    fn missing_section_or_metric_is_none() {
-        let json = sections_json(&sample(), Layout::OneLine);
-        assert_eq!(extract(&json, "terasort", "wall_time_us"), None);
-        assert_eq!(extract(&json, "wordcount", "spill_bytes"), None);
-        // A metric of a later section is not found through an earlier one.
-        assert_eq!(extract(&json, "wordcount", "hs_codec_wall_us"), None);
-    }
-
-    #[test]
-    fn a_metric_name_containing_a_section_name_is_not_that_section() {
-        // `wc_codec_shuffle_bytes` appears before the `codec` section here;
-        // the quoted match must skip it.
-        let json = "{\n  \"first\": { \"wc_codec_shuffle_bytes\": 7 },\n  \"codec\": { \"wc_codec_shuffle_bytes\": 9 }\n}\n";
-        assert_eq!(extract(json, "codec", "wc_codec_shuffle_bytes"), Some(9));
-        // Nor does a metric match as the suffix of a longer metric name.
-        assert_eq!(extract(json, "codec", "shuffle_bytes"), None);
-    }
-
-    #[test]
-    fn whitespace_after_the_colon_is_skipped() {
-        let json = "{ \"s\": { \"a\":1, \"b\":   22, \"c\":\n\t333 } }";
-        assert_eq!(extract(json, "s", "a"), Some(1));
-        assert_eq!(extract(json, "s", "b"), Some(22));
-        assert_eq!(extract(json, "s", "c"), Some(333));
+    fn a_produced_row_that_is_not_pinned_names_itself() {
+        let actual = format!("{GOLDEN}wordcount/spill_bytes 2550000\n");
+        let diff = table_diff(GOLDEN, &actual);
+        assert_eq!(diff.len(), 1, "{diff:?}");
+        assert!(diff[0].starts_with("wordcount/spill_bytes: produced but not pinned"));
+        assert!(diff[0].ends_with("wordcount/spill_bytes 2550000"));
     }
 }
