@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# bench-guard: keep perf-baseline moves auditable.
+# bench-guard: keep pinned-table moves auditable.
 #
-# Every commit that touches a BENCH_*.json snapshot must carry the
-# "[bench-baseline]" marker in its subject — baselines are regenerated in
-# their own commit, never smuggled in with code changes, so the perf-gate
-# history stays a readable record of deliberate cost-model moves.
+# Every commit that touches a golden table under tests/golden/ must carry
+# the "[bench-baseline]" marker in its subject — pinned numbers and trace
+# hashes are regenerated in their own commit, never smuggled in with code
+# changes, so the history of tests/golden/ stays a readable record of
+# deliberate cost-model and behaviour moves.
 #
 # Usage: scripts/bench_guard.sh [<rev-range>]
 #   With no range: origin/$GITHUB_BASE_REF...HEAD on pull requests,
@@ -24,7 +25,7 @@ fi
 bad=0
 for commit in $(git rev-list "$range" 2>/dev/null); do
   files=$(git diff-tree --no-commit-id --name-only -r "$commit" \
-    | grep -E '^BENCH_[A-Za-z0-9_]+\.json$' || true)
+    | grep -E '^tests/golden/' || true)
   [ -z "$files" ] && continue
   subject=$(git log -1 --format=%s "$commit")
   case "$subject" in
@@ -37,7 +38,7 @@ for commit in $(git rev-list "$range" 2>/dev/null); do
 done
 
 if [ "$bad" -ne 0 ]; then
-  echo "bench-guard: regenerate BENCH_*.json in a dedicated commit whose subject contains [bench-baseline]"
+  echo "bench-guard: regenerate tests/golden/ tables in a dedicated commit whose subject contains [bench-baseline]"
   exit 1
 fi
-echo "bench-guard: all BENCH_*.json changes in $range carry the [bench-baseline] marker"
+echo "bench-guard: all tests/golden/ changes in $range carry the [bench-baseline] marker"

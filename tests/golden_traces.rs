@@ -1,15 +1,27 @@
-//! Golden traces: the JobTracker's observable behaviour, pinned across
-//! commits.
+//! Golden tables: every simulated number and every JobTracker trace the
+//! repo quotes, pinned across commits by one mechanism — a committed text
+//! table under `tests/golden/`, an exact compare, and a mismatch that
+//! prints the replacement line.
 //!
-//! `chaos-soak --verify-trace` compares a run with *itself*; the
-//! `BENCH_*.json` sections never enter the retry, blacklist or
-//! speculation code. This file closes that gap: every chaos pack × seeds
-//! 0..3 (all three scheduler policies via `seed % 3`, speculation, codec,
-//! retries, blacklists) must reproduce the trace hash committed in
-//! `tests/golden/chaos_traces.txt`, and three hand-built jobs pin a digest
-//! of their whole `JobReport` for the corners no committed number covers.
-//! A restructuring of the engine that moves any of these changed
-//! behaviour; a mismatch prints the replacement line.
+//! * `chaos_traces.txt` — every chaos pack × seeds 0..3 (all three
+//!   scheduler policies via `seed % 3`, speculation, codec, retries,
+//!   blacklists) must reproduce its trace hash; `chaos-soak
+//!   --verify-trace` only compares a run with *itself*.
+//! * `replay_hashes.txt` — the Google-trace replay, 3 policies ×
+//!   {uncontended, contended}.
+//! * `sim_numbers.txt` — `hl_bench::sim_numbers()`: makespans, spill and
+//!   shuffle bytes, queue waits, the TPCx-HS 2×2 and the codec ablation,
+//!   plus the NameNode scale counters at 200 × 100 000 (and at 1000 × 1M
+//!   in an ignored arm the nightly workflow runs). Compared in both
+//!   directions: a value that falls, a row that vanishes and a row that
+//!   appears all fail. `bench-snapshot > tests/golden/sim_numbers.txt`
+//!   re-pins.
+//! * three hand-built jobs pin a digest of their whole `JobReport` for the
+//!   corners no committed number covers.
+//!
+//! A restructuring that moves any of these changed behaviour; only accept
+//! the replacement for an *intended* change, in a `[bench-baseline]`
+//! commit (`scripts/bench_guard.sh`).
 
 use hadoop_lab::chaos::{ChaosRunner, ScenarioPack};
 use hadoop_lab::cluster::node::{ClusterSpec, HeterogeneousClusterSpec};
@@ -25,9 +37,13 @@ use hadoop_lab::mapreduce::speculate::SpecOutcome;
 use hadoop_lab::mapreduce::MrCluster;
 use hadoop_lab::workloads::replay::{load_trace, replay, ReplayPolicy, ReplaySetup};
 use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
+use hl_bench::{scale_numbers, sim_numbers, table_diff};
 
 const GOLDEN: &str = include_str!("golden/chaos_traces.txt");
 const GOLDEN_REPLAY: &str = include_str!("golden/replay_hashes.txt");
+const GOLDEN_SIM: &str = include_str!("golden/sim_numbers.txt");
+/// Rows of `sim_numbers.txt` that only the ignored nightly arm produces.
+const NIGHTLY_ROWS: &str = "scale_1000x1000000/";
 
 #[test]
 fn chaos_trace_hashes_match_the_committed_table() {
@@ -70,6 +86,33 @@ fn replay_hashes_match_the_committed_table() {
         assert_eq!(want, got, "replay moved; replacement line for replay_hashes.txt: {got}");
     }
     assert_eq!(GOLDEN_REPLAY.lines().count(), actual.lines().count(), "full table:\n{actual}");
+}
+
+/// The committed rows the nightly arm (`nightly = true`) or the tier-1
+/// arm is responsible for.
+fn pinned_sim_rows(nightly: bool) -> String {
+    GOLDEN_SIM
+        .lines()
+        .filter(|row| row.starts_with(NIGHTLY_ROWS) == nightly)
+        .map(|row| format!("{row}\n"))
+        .collect()
+}
+
+/// The five pinned MapReduce sections and the NameNode scale counters at
+/// 200 × 100 000: every value equals its committed row, and no row is
+/// missing or extra on either side.
+#[test]
+fn sim_numbers_match_the_committed_table() {
+    let moved = table_diff(&pinned_sim_rows(false), &sim_numbers().expect("shape gates hold"));
+    assert!(moved.is_empty(), "sim_numbers.txt moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+#[ignore = "1000 DataNodes x 1M blocks, ~5 s: the nightly workflow runs it"]
+fn sim_numbers_at_a_million_blocks_match_the_committed_table() {
+    let actual = scale_numbers(1000, 1_000_000).expect("census holds");
+    let moved = table_diff(&pinned_sim_rows(true), &actual);
+    assert!(moved.is_empty(), "sim_numbers.txt moved:\n{}", moved.join("\n"));
 }
 
 /// FNV-1a over a rendering of everything the report says about *how* the
