@@ -1,7 +1,7 @@
 //! Hadoop-style string-keyed configuration.
 //!
 //! Hadoop 1.x configures everything through `*-site.xml` key/value pairs
-//! (`dfs.block.size`, `dfs.replication`, `mapred.reduce.tasks`, ...). The
+//! (`dfs.block.size`, `dfs.replication`, `mapred.jobtracker.scheduler`, ...). The
 //! course's myHadoop scripts work by rewriting exactly these keys, so the
 //! reproduction keeps the same shape: a `Configuration` is an ordered map of
 //! string keys to string values with typed accessors and defaults.
@@ -31,28 +31,6 @@ pub mod keys {
     pub const MAPRED_MAP_SLOTS: &str = "mapred.tasktracker.map.tasks.maximum";
     /// Reduce slots per TaskTracker.
     pub const MAPRED_REDUCE_SLOTS: &str = "mapred.tasktracker.reduce.tasks.maximum";
-    /// Number of reduce tasks for a job.
-    pub const MAPRED_REDUCE_TASKS: &str = "mapred.reduce.tasks";
-    /// Map-side sort buffer in bytes (io.sort.mb in Hadoop).
-    pub const IO_SORT_BYTES: &str = "io.sort.bytes";
-    /// Whether speculative execution is enabled.
-    pub const MAPRED_SPECULATIVE: &str = "mapred.map.tasks.speculative.execution";
-    /// Whether reduce tasks may also be speculated (Hadoop 1.x gates maps
-    /// and reduces separately; both default on).
-    pub const MAPRED_REDUCE_SPECULATIVE: &str = "mapred.reduce.tasks.speculative.execution";
-    /// Late-binding launch threshold, percent: a running task becomes a
-    /// speculation candidate when its progress-rate-estimated total
-    /// duration exceeds this percentage of the median completed-task
-    /// duration (default 150).
-    pub const MAPRED_SPECULATIVE_SLOWTASK_PCT: &str = "mapred.speculative.slowtaskthreshold";
-    /// Cap on speculative attempts per phase, percent of the phase's task
-    /// count (floor 1; Hadoop's speculativecap analog).
-    pub const MAPRED_SPECULATIVE_CAP_PCT: &str = "mapred.speculative.cap";
-    /// Progress-report quantum in seconds: the estimator only sees task
-    /// progress at heartbeat boundaries.
-    pub const MAPRED_SPECULATIVE_HEARTBEAT_SECS: &str = "mapred.speculative.heartbeat";
-    /// Max attempts per task before the job fails (default 4).
-    pub const MAPRED_MAX_ATTEMPTS: &str = "mapred.map.max.attempts";
     /// Write-lease soft limit in seconds: past this another client may
     /// recover the lease (HDFS hardcodes 60 s; we expose it for tests).
     pub const DFS_LEASE_SOFT_LIMIT_SECS: &str = "dfs.lease.soft.limit";
@@ -79,11 +57,6 @@ pub mod keys {
     /// Capacity scheduler: per-user share of one queue, in percent of the
     /// queue's slots (`minimum-user-limit-percent`).
     pub const MAPRED_CAPACITY_USER_LIMIT_PCT: &str = "mapred.capacity.user-limit-percent";
-    /// Whether map outputs (spills + shuffle transfers) are compressed.
-    pub const MAPRED_COMPRESS_MAP_OUTPUT: &str = "mapred.compress.map.output";
-    /// Which codec compresses map outputs and job-output files when
-    /// compression is on (`none` or `hlz`; the LZO-class analog).
-    pub const MAPRED_OUTPUT_COMPRESSION_CODEC: &str = "mapred.output.compression.codec";
 }
 
 /// An ordered string key/value configuration with typed accessors.
@@ -109,14 +82,6 @@ impl Configuration {
         c.set(keys::DFS_HEARTBEAT_DEAD_AFTER, "200");
         c.set(keys::MAPRED_MAP_SLOTS, "8");
         c.set(keys::MAPRED_REDUCE_SLOTS, "4");
-        c.set(keys::MAPRED_REDUCE_TASKS, "1");
-        c.set(keys::IO_SORT_BYTES, (100 * ByteSize::MIB).to_string());
-        c.set(keys::MAPRED_SPECULATIVE, "true");
-        c.set(keys::MAPRED_REDUCE_SPECULATIVE, "true");
-        c.set(keys::MAPRED_SPECULATIVE_SLOWTASK_PCT, "150");
-        c.set(keys::MAPRED_SPECULATIVE_CAP_PCT, "10");
-        c.set(keys::MAPRED_SPECULATIVE_HEARTBEAT_SECS, "3");
-        c.set(keys::MAPRED_MAX_ATTEMPTS, "4");
         c.set(keys::DFS_LEASE_SOFT_LIMIT_SECS, "60");
         c.set(keys::DFS_LEASE_HARD_LIMIT_SECS, "300");
         c.set(keys::DFS_CHECKPOINT_OPS, "10000");
@@ -126,8 +91,6 @@ impl Configuration {
         c.set(keys::MAPRED_FAIR_PREEMPTION_TIMEOUT_SECS, "30");
         c.set(keys::MAPRED_CAPACITY_MAX_PCT, "100");
         c.set(keys::MAPRED_CAPACITY_USER_LIMIT_PCT, "100");
-        c.set(keys::MAPRED_COMPRESS_MAP_OUTPUT, "false");
-        c.set(keys::MAPRED_OUTPUT_COMPRESSION_CODEC, "hlz");
         c
     }
 
@@ -241,7 +204,7 @@ mod tests {
         let c = Configuration::with_defaults();
         assert_eq!(c.get_u64(keys::DFS_BLOCK_SIZE, 0).unwrap(), 64 * 1024 * 1024);
         assert_eq!(c.get_u32(keys::DFS_REPLICATION, 0).unwrap(), 3);
-        assert!(c.get_bool(keys::MAPRED_SPECULATIVE, false).unwrap());
+        assert_eq!(c.get_u32(keys::MAPRED_MAP_SLOTS, 0).unwrap(), 8);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use hl_cluster::network::ClusterNet;
 use hl_common::prelude::*;
 use hl_common::units::ByteSize;
 
-use crate::client::Dfs;
+use crate::client::{Dfs, Timed};
 
 /// One DataNode row of the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,7 +240,7 @@ pub fn decommission_node(
     net: &mut ClusterNet,
     now: SimTime,
     node: NodeId,
-) -> Result<Timed> {
+) -> Result<Timed<()>> {
     dfs.namenode.start_decommission(node);
     let step = dfs.namenode.heartbeat_interval();
     // Give the drain a generous virtual-time budget: the worst case is
@@ -271,14 +271,7 @@ pub fn decommission_node(
     // include file; the NameNode forgets it completely.
     dfs.crash_datanode(node);
     dfs.namenode.unregister_datanode(node);
-    Ok(Timed { completed_at: t })
-}
-
-/// Completion time marker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Timed {
-    /// When the drain finished.
-    pub completed_at: SimTime,
+    Ok(Timed { value: (), completed_at: t })
 }
 
 #[cfg(test)]

@@ -106,33 +106,6 @@ impl JobConf {
         }
     }
 
-    /// A named job whose mapred knobs come from a cluster
-    /// [`Configuration`] — the `mapred-site.xml` path: reduce count,
-    /// speculative execution, attempt limit, and the map-side sort
-    /// buffer (`io.sort.bytes`) override the course defaults; malformed
-    /// values are a config error at job-build time, not mid-run.
-    pub fn from_configuration(name: impl Into<String>, conf: &Configuration) -> Result<Self> {
-        use hl_common::config::keys;
-        let mut jc = JobConf::new(name);
-        jc.num_reduces = conf.get_usize(keys::MAPRED_REDUCE_TASKS, jc.num_reduces)?.max(1);
-        jc.speculative = conf.get_bool(keys::MAPRED_SPECULATIVE, jc.speculative)?;
-        jc.speculative_reduces =
-            conf.get_bool(keys::MAPRED_REDUCE_SPECULATIVE, jc.speculative_reduces)?;
-        jc.spec_slowtask_pct =
-            conf.get_u32(keys::MAPRED_SPECULATIVE_SLOWTASK_PCT, jc.spec_slowtask_pct)?.max(100);
-        jc.spec_cap_pct = conf.get_u32(keys::MAPRED_SPECULATIVE_CAP_PCT, jc.spec_cap_pct)?;
-        jc.spec_heartbeat = SimDuration::from_secs(
-            conf.get_u64(keys::MAPRED_SPECULATIVE_HEARTBEAT_SECS, 3)?.max(1),
-        );
-        jc.max_attempts = conf.get_u32(keys::MAPRED_MAX_ATTEMPTS, jc.max_attempts)?;
-        jc.sort_buffer_bytes = conf.get_usize(keys::IO_SORT_BYTES, jc.sort_buffer_bytes)?.max(1024);
-        jc.compress_map_output =
-            conf.get_bool(keys::MAPRED_COMPRESS_MAP_OUTPUT, jc.compress_map_output)?;
-        jc.map_output_codec =
-            hl_codec::CodecId::parse(conf.get_or(keys::MAPRED_OUTPUT_COMPRESSION_CODEC, "hlz"))?;
-        Ok(jc)
-    }
-
     /// Add an input path.
     pub fn input(mut self, path: impl Into<String>) -> Self {
         self.input_paths.push(path.into());
@@ -344,42 +317,6 @@ mod tests {
     #[test]
     fn reduces_clamps_to_one() {
         assert_eq!(JobConf::new("x").reduces(0).num_reduces, 1);
-    }
-
-    #[test]
-    fn from_configuration_reads_mapred_keys() {
-        use hl_common::config::keys;
-        let mut site = Configuration::with_defaults();
-        site.set(keys::MAPRED_REDUCE_TASKS, 6)
-            .set(keys::MAPRED_SPECULATIVE, false)
-            .set(keys::MAPRED_REDUCE_SPECULATIVE, false)
-            .set(keys::MAPRED_SPECULATIVE_SLOWTASK_PCT, 200)
-            .set(keys::MAPRED_SPECULATIVE_CAP_PCT, 25)
-            .set(keys::MAPRED_SPECULATIVE_HEARTBEAT_SECS, 5)
-            .set(keys::MAPRED_MAX_ATTEMPTS, 2)
-            .set(keys::IO_SORT_BYTES, 1 << 20)
-            .set(keys::MAPRED_COMPRESS_MAP_OUTPUT, true);
-        let conf = JobConf::from_configuration("wc", &site).unwrap();
-        assert_eq!(conf.num_reduces, 6);
-        assert!(!conf.speculative);
-        assert!(!conf.speculative_reduces);
-        assert_eq!(conf.spec_slowtask_pct, 200);
-        assert_eq!(conf.spec_cap_pct, 25);
-        assert_eq!(conf.spec_heartbeat, SimDuration::from_secs(5));
-        assert_eq!(conf.max_attempts, 2);
-        assert_eq!(conf.sort_buffer_bytes, 1 << 20);
-        assert!(conf.compress_map_output);
-        assert_eq!(conf.map_output_codec, hl_codec::CodecId::Hlz);
-        // Unset keys keep the course defaults; garbage is an error.
-        let empty = JobConf::from_configuration("wc", &Configuration::new()).unwrap();
-        assert_eq!(empty.num_reduces, 1);
-        assert!(!empty.compress_map_output);
-        let mut bad = Configuration::new();
-        bad.set(keys::MAPRED_REDUCE_TASKS, "lots");
-        assert!(JobConf::from_configuration("wc", &bad).is_err());
-        let mut badcodec = Configuration::new();
-        badcodec.set(keys::MAPRED_OUTPUT_COMPRESSION_CODEC, "snappy");
-        assert!(JobConf::from_configuration("wc", &badcodec).is_err());
     }
 
     #[test]
