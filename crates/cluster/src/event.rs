@@ -5,8 +5,9 @@
 //! instant always replay in the order they were scheduled: determinism is
 //! what makes every experiment in EXPERIMENTS.md exactly repeatable.
 //! Inside the library the JobTracker loop (`hl-mapreduce::jobtracker`) is
-//! the [`EventQueue`]'s caller; the NameNode scale harnesses (`scale-soak`,
-//! `benchmark/`) keep DataNode timers on the [`TimerWheel`].
+//! the [`EventQueue`]'s caller; the NameNode scale harnesses
+//! (`hl_bench::scale_numbers`, `benchmark/`) keep DataNode timers on the
+//! [`TimerWheel`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};

@@ -23,9 +23,9 @@
 //! against [`expected_digest`] computed from the generator's truth table
 //! without re-sorting anything.
 //!
-//! The `tpcxhs` cell of `bench-snapshot` runs the suite 2×2 — speculative
-//! execution on/off × homogeneous/skewed cluster — which is the
-//! degraded-mode ablation in EXPERIMENTS.md.
+//! The `tpcxhs` section of `hl_bench::sim_numbers` runs the suite 2×2 —
+//! speculative execution on/off × homogeneous/skewed cluster — which is
+//! the degraded-mode ablation in EXPERIMENTS.md.
 
 use std::collections::BTreeMap;
 
