@@ -1,7 +1,7 @@
 //! The simulated numbers a lecture may quote, as one text table.
 //!
-//! [`sim_numbers`] runs five pinned MapReduce sections ([`sections`]) and
-//! the NameNode scale driver at 200 DataNodes x 100 000 blocks ([`scale`])
+//! [`sim_numbers`] runs five pinned MapReduce sections (`sections.rs`) and
+//! the NameNode scale driver at 200 DataNodes x 100 000 blocks (`scale.rs`)
 //! and returns one `section/metric value` row per number. Every value is a
 //! pure function of the engine's cost model and the DFS formats, so the
 //! table is pinned exactly: `tests/golden/sim_numbers.txt` is its
@@ -16,29 +16,31 @@ use hl_common::prelude::*;
 mod scale;
 mod sections;
 
-pub use scale::scale_numbers;
-
-/// One section's `(metric, value)` rows, in table order.
+/// One section's `(metric, value)` pairs, in table order.
 type Metrics = Vec<(&'static str, u64)>;
+
+fn rows(section: &str, metrics: &[(&'static str, u64)]) -> String {
+    metrics.iter().map(|(metric, value)| format!("{section}/{metric} {value}\n")).collect()
+}
 
 /// The tier-1 table: the five MapReduce sections, then the scale counters
 /// at 200 x 100 000. A section whose shape gate fails is an error.
 pub fn sim_numbers() -> Result<String> {
-    let sections = [
-        ("wordcount", sections::wc_section(false)?),
-        ("terasort", sections::wc_section(true)?),
-        ("sched", sections::sched_section()?),
-        ("tpcxhs", sections::tpcxhs_section()?),
-        ("codec", sections::codec_section()?),
-    ];
-    let mut table = String::new();
-    for (section, metrics) in sections {
-        for (metric, value) in metrics {
-            table.push_str(&format!("{section}/{metric} {value}\n"));
-        }
-    }
-    table.push_str(&scale_numbers(200, 100_000)?);
-    Ok(table)
+    Ok([
+        rows("wordcount", &sections::wc_section(false)?),
+        rows("terasort", &sections::wc_section(true)?),
+        rows("sched", &sections::sched_section()?),
+        rows("tpcxhs", &sections::tpcxhs_section()?),
+        rows("codec", &sections::codec_section()?),
+        scale_numbers(200, 100_000)?,
+    ]
+    .concat())
+}
+
+/// The four scale counters at `nodes` DataNodes and `blocks` blocks, as
+/// `scale_<nodes>x<blocks>/counter value` rows.
+pub fn scale_numbers(nodes: u64, blocks: u64) -> Result<String> {
+    Ok(rows(&format!("scale_{nodes}x{blocks}"), &scale::counters(nodes, blocks)?))
 }
 
 /// Compare a freshly produced table with the committed one, exactly and in
@@ -46,10 +48,10 @@ pub fn sim_numbers() -> Result<String> {
 /// appeared, each naming the row and carrying the text to commit; empty
 /// means the tables agree. Row order does not matter.
 pub fn table_diff(golden: &str, actual: &str) -> Vec<String> {
-    fn rows(table: &str) -> BTreeMap<&str, &str> {
+    fn parse(table: &str) -> BTreeMap<&str, &str> {
         table.lines().map(|line| line.split_once(' ').unwrap_or((line, ""))).collect()
     }
-    let (golden, actual) = (rows(golden), rows(actual));
+    let (golden, actual) = (parse(golden), parse(actual));
     let mut moved = Vec::new();
     for (name, want) in &golden {
         match actual.get(name) {

@@ -26,6 +26,8 @@ use hl_common::prelude::*;
 use hl_dfs::block::ReplicaMeta;
 use hl_dfs::namenode::NameNode;
 
+use crate::Metrics;
+
 /// Blocks per file during bulk load — many blocks, few namespace entries,
 /// like a real ingest of large files.
 const BLOCKS_PER_FILE: u64 = 100;
@@ -39,9 +41,8 @@ fn node_id(i: u64) -> NodeId {
     NodeId(u32::try_from(i).unwrap_or(u32::MAX))
 }
 
-/// Run the four phases at `nodes` DataNodes and `blocks` blocks; one
-/// `scale_<nodes>x<blocks>/counter value` row per counter.
-pub fn scale_numbers(nodes: u64, blocks: u64) -> Result<String> {
+/// Run the four phases at `nodes` DataNodes and `blocks` blocks.
+pub(crate) fn counters(nodes: u64, blocks: u64) -> Result<Metrics> {
     let mut config = Configuration::with_defaults();
     config.set(keys::DFS_BLOCK_SIZE, 2048u64);
     config.set(keys::DFS_SAFEMODE_EXTENSION_SECS, 0u64);
@@ -137,7 +138,7 @@ pub fn scale_numbers(nodes: u64, blocks: u64) -> Result<String> {
 
     // Phase 4: checkpoint, tail edits, restart.
     nn.checkpoint();
-    let fsimage_bytes = nn.fsimage_bytes().len();
+    let fsimage_bytes = u64::try_from(nn.fsimage_bytes().len()).unwrap_or(u64::MAX);
     let now = horizon;
     nn.mkdirs("/tail")?;
     for f in 0..TAIL_FILES {
@@ -148,7 +149,7 @@ pub fn scale_numbers(nodes: u64, blocks: u64) -> Result<String> {
         }
         nn.complete_file(&path)?;
     }
-    let restart_tail_ops = nn.editlog.len();
+    let restart_tail_ops = u64::try_from(nn.editlog.len()).unwrap_or(u64::MAX);
     nn.shutdown();
     nn.restart(now + SimDuration::from_secs(1))?;
 
@@ -161,10 +162,10 @@ pub fn scale_numbers(nodes: u64, blocks: u64) -> Result<String> {
         )));
     }
 
-    Ok(format!(
-        "scale_{nodes}x{blocks}/des_events_total {des_events_total}\n\
-         scale_{nodes}x{blocks}/restart_tail_ops {restart_tail_ops}\n\
-         scale_{nodes}x{blocks}/report_replicas_total {report_replicas_total}\n\
-         scale_{nodes}x{blocks}/fsimage_bytes {fsimage_bytes}\n"
-    ))
+    Ok(vec![
+        ("des_events_total", des_events_total),
+        ("restart_tail_ops", restart_tail_ops),
+        ("report_replicas_total", report_replicas_total),
+        ("fsimage_bytes", fsimage_bytes),
+    ])
 }

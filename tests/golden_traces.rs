@@ -88,14 +88,17 @@ fn replay_hashes_match_the_committed_table() {
     assert_eq!(GOLDEN_REPLAY.lines().count(), actual.lines().count(), "full table:\n{actual}");
 }
 
-/// The committed rows the nightly arm (`nightly = true`) or the tier-1
-/// arm is responsible for.
-fn pinned_sim_rows(nightly: bool) -> String {
-    GOLDEN_SIM
+/// `actual` must equal, row for row and in both directions, the committed
+/// rows its arm answers for: the 1000 × 1M rows when `nightly`, all the
+/// others otherwise.
+fn assert_sim_rows(nightly: bool, actual: &str) {
+    let pinned: String = GOLDEN_SIM
         .lines()
         .filter(|row| row.starts_with(NIGHTLY_ROWS) == nightly)
         .map(|row| format!("{row}\n"))
-        .collect()
+        .collect();
+    let moved = table_diff(&pinned, actual);
+    assert!(moved.is_empty(), "sim_numbers.txt moved:\n{}", moved.join("\n"));
 }
 
 /// The five pinned MapReduce sections and the NameNode scale counters at
@@ -103,16 +106,13 @@ fn pinned_sim_rows(nightly: bool) -> String {
 /// missing or extra on either side.
 #[test]
 fn sim_numbers_match_the_committed_table() {
-    let moved = table_diff(&pinned_sim_rows(false), &sim_numbers().expect("shape gates hold"));
-    assert!(moved.is_empty(), "sim_numbers.txt moved:\n{}", moved.join("\n"));
+    assert_sim_rows(false, &sim_numbers().expect("shape gates hold"));
 }
 
 #[test]
 #[ignore = "1000 DataNodes x 1M blocks, ~5 s: the nightly workflow runs it"]
 fn sim_numbers_at_a_million_blocks_match_the_committed_table() {
-    let actual = scale_numbers(1000, 1_000_000).expect("census holds");
-    let moved = table_diff(&pinned_sim_rows(true), &actual);
-    assert!(moved.is_empty(), "sim_numbers.txt moved:\n{}", moved.join("\n"));
+    assert_sim_rows(true, &scale_numbers(1000, 1_000_000).expect("census holds"));
 }
 
 /// FNV-1a over a rendering of everything the report says about *how* the
