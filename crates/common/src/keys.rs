@@ -151,41 +151,43 @@ impl SortableKey for String {
     /// and never requires lookahead past the terminator, so a following
     /// composite field may begin with any byte.
     fn encode_ordered(&self, buf: &mut Vec<u8>) {
-        for &b in self.as_bytes() {
-            match b {
-                0x00 => buf.extend_from_slice(&[0x01, 0x01]),
-                0x01 => buf.extend_from_slice(&[0x01, 0x02]),
-                _ => buf.push(b),
-            }
+        let mut rest = self.as_bytes();
+        while let Some(i) = rest.iter().position(|&b| b <= 0x01) {
+            buf.extend_from_slice(&rest[..i]);
+            buf.extend_from_slice(&[0x01, rest[i] + 1]);
+            rest = &rest[i + 1..];
         }
+        buf.extend_from_slice(rest);
         buf.push(0);
     }
 
     fn decode_ordered(buf: &mut &[u8]) -> Result<Self> {
         let mut out = Vec::new();
         loop {
-            let (&b, rest) = buf
-                .split_first()
+            // Only the terminator and the escape lead are `<= 0x01`; a
+            // string without escapes is the one stretch before the first.
+            let i = buf
+                .iter()
+                .position(|&b| b <= 0x01)
                 .ok_or_else(|| HlError::Codec("unterminated ordered string".into()))?;
+            out.extend_from_slice(&buf[..i]);
+            let terminated = buf[i] == 0x00;
+            *buf = &buf[i + 1..];
+            if terminated {
+                break;
+            }
+            let (&esc, rest) = buf
+                .split_first()
+                .ok_or_else(|| HlError::Codec("dangling escape in ordered string".into()))?;
             *buf = rest;
-            match b {
-                0x00 => break,
-                0x01 => {
-                    let (&esc, rest2) = buf.split_first().ok_or_else(|| {
-                        HlError::Codec("dangling escape in ordered string".into())
-                    })?;
-                    *buf = rest2;
-                    match esc {
-                        0x01 => out.push(0x00),
-                        0x02 => out.push(0x01),
-                        other => {
-                            return Err(HlError::Codec(format!(
-                                "invalid ordered-string escape 0x01 0x{other:02x}"
-                            )))
-                        }
-                    }
+            match esc {
+                0x01 => out.push(0x00),
+                0x02 => out.push(0x01),
+                other => {
+                    return Err(HlError::Codec(format!(
+                        "invalid ordered-string escape 0x01 0x{other:02x}"
+                    )))
                 }
-                _ => out.push(b),
             }
         }
         String::from_utf8(out).map_err(|e| HlError::Codec(format!("ordered string UTF-8: {e}")))
@@ -317,6 +319,112 @@ mod tests {
         assert_eq!(p1.cmp(&p2), p1.ordered_bytes().cmp(&p2.ordered_bytes()));
     }
 
+    /// The byte-at-a-time ordered-string encoder the stretch-copying one
+    /// replaced.
+    fn encode_string_bytewise(s: &str, buf: &mut Vec<u8>) {
+        for &b in s.as_bytes() {
+            match b {
+                0x00 => buf.extend_from_slice(&[0x01, 0x01]),
+                0x01 => buf.extend_from_slice(&[0x01, 0x02]),
+                _ => buf.push(b),
+            }
+        }
+        buf.push(0);
+    }
+
+    /// The byte-at-a-time decoder, likewise.
+    fn decode_string_bytewise(buf: &mut &[u8]) -> Result<String> {
+        let mut out = Vec::new();
+        loop {
+            let (&b, rest) = buf
+                .split_first()
+                .ok_or_else(|| HlError::Codec("unterminated ordered string".into()))?;
+            *buf = rest;
+            match b {
+                0x00 => break,
+                0x01 => {
+                    let (&esc, rest2) = buf.split_first().ok_or_else(|| {
+                        HlError::Codec("dangling escape in ordered string".into())
+                    })?;
+                    *buf = rest2;
+                    match esc {
+                        0x01 => out.push(0x00),
+                        0x02 => out.push(0x01),
+                        other => {
+                            return Err(HlError::Codec(format!(
+                                "invalid ordered-string escape 0x01 0x{other:02x}"
+                            )))
+                        }
+                    }
+                }
+                _ => out.push(b),
+            }
+        }
+        String::from_utf8(out).map_err(|e| HlError::Codec(format!("ordered string UTF-8: {e}")))
+    }
+
+    /// Both escaped bytes, the smallest unescaped byte, a letter and a
+    /// two-byte character.
+    const PIECES: [&str; 5] = ["\0", "\x01", "\x02", "a", "\u{e9}"];
+
+    /// Every string of up to `max` pieces.
+    fn piece_strings(max: usize) -> Vec<String> {
+        let mut all = vec![String::new()];
+        let mut from = 0;
+        for _ in 0..max {
+            let upto = all.len();
+            for i in from..upto {
+                for p in PIECES {
+                    let longer = format!("{}{p}", all[i]);
+                    all.push(longer);
+                }
+            }
+            from = upto;
+        }
+        all
+    }
+
+    #[test]
+    fn string_codec_matches_the_bytewise_reference_exhaustively() {
+        let strings = piece_strings(4);
+        assert_eq!(strings.len(), 1 + 5 + 25 + 125 + 625);
+        let encoded: Vec<Vec<u8>> = strings.iter().map(SortableKey::ordered_bytes).collect();
+        for (s, enc) in strings.iter().zip(&encoded) {
+            let mut reference = Vec::new();
+            encode_string_bytewise(s, &mut reference);
+            assert_eq!(enc, &reference, "{s:?}");
+            // Followed by another field: decoding stops at the terminator.
+            let mut framed = enc.clone();
+            framed.push(0x01);
+            let mut slice = framed.as_slice();
+            assert_eq!(&String::decode_ordered(&mut slice).unwrap(), s);
+            assert_eq!(slice, [0x01]);
+            // Every proper prefix lacks the terminator.
+            for cut in 0..enc.len() {
+                let mut slice = &enc[..cut];
+                let err = String::decode_ordered(&mut slice).unwrap_err();
+                assert!(matches!(err, HlError::Codec(_)), "{s:?} cut at {cut}: {err:?}");
+            }
+        }
+        for (a, ea) in strings.iter().zip(&encoded) {
+            for (b, eb) in strings.iter().zip(&encoded) {
+                assert_eq!(a.cmp(b), ea.cmp(eb), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_decode_rejects_bad_escapes() {
+        for bad in [&[0x01, 0x00][..], &[0x01, 0x03, 0x00], &[b'a', 0x01, b'a', 0x00], &[0x01]] {
+            let mut slice = bad;
+            let err = String::decode_ordered(&mut slice).unwrap_err();
+            assert!(matches!(err, HlError::Codec(_)), "{bad:?}: {err:?}");
+        }
+        // Escapes decode to bytes, so they can spell invalid UTF-8.
+        let mut slice = &[0xC3, 0x01, 0x01, 0x00][..];
+        assert!(matches!(String::decode_ordered(&mut slice), Err(HlError::Codec(_))));
+    }
+
     proptest! {
         #[test]
         fn prop_i64_order(a: i64, b: i64) {
@@ -343,6 +451,40 @@ mod tests {
             let mut slice = bytes.as_slice();
             prop_assert_eq!(String::decode_ordered(&mut slice).unwrap(), s);
             prop_assert!(slice.is_empty());
+        }
+
+        #[test]
+        fn prop_string_codec_matches_bytewise_reference(
+            pieces in proptest::collection::vec(0usize..PIECES.len() + 2, 0..40),
+        ) {
+            // Long escape-free stretches between the interesting pieces.
+            let s: String = pieces
+                .iter()
+                .map(|&i| PIECES.get(i).copied().unwrap_or("plain stretch "))
+                .collect();
+            let mut reference = Vec::new();
+            encode_string_bytewise(&s, &mut reference);
+            let enc = s.ordered_bytes();
+            prop_assert_eq!(&enc, &reference);
+            let mut slice = enc.as_slice();
+            prop_assert_eq!(String::decode_ordered(&mut slice).unwrap(), s);
+            prop_assert!(slice.is_empty());
+        }
+
+        #[test]
+        fn prop_string_decode_matches_bytewise_reference_on_any_bytes(
+            picks in proptest::collection::vec(0usize..8, 0..12),
+        ) {
+            // Mostly malformed: stray escapes, bad UTF-8, no terminator.
+            let bytes: Vec<u8> =
+                picks.iter().map(|&i| [0x00, 0x01, 0x01, 0x02, 0x03, b'a', 0xC3, 0xA9][i]).collect();
+            let (mut new, mut old) = (bytes.as_slice(), bytes.as_slice());
+            let got = String::decode_ordered(&mut new).map_err(|e| e.to_string());
+            let want = decode_string_bytewise(&mut old).map_err(|e| e.to_string());
+            if want.is_ok() {
+                prop_assert_eq!(new, old, "bytes consumed");
+            }
+            prop_assert_eq!(got, want);
         }
 
         #[test]
