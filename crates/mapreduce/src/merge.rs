@@ -131,15 +131,17 @@ pub struct GroupIter<'a> {
     pending: Option<(&'a [u8], &'a [u8])>,
 }
 
-impl<'a> Iterator for GroupIter<'a> {
-    type Item = (&'a [u8], Vec<&'a [u8]>);
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> GroupIter<'a> {
+    /// The next group's key, with `values` emptied and refilled with the
+    /// group's values: a caller that keeps one `values` across the whole
+    /// merge allocates for the largest group only.
+    pub fn next_into(&mut self, values: &mut Vec<&'a [u8]>) -> Option<&'a [u8]> {
+        values.clear();
         let (k, v) = match self.pending.take() {
             Some(kv) => kv,
             None => self.inner.next()?,
         };
-        let mut values = vec![v];
+        values.push(v);
         for (k2, v2) in self.inner.by_ref() {
             if k2 == k {
                 values.push(v2);
@@ -148,6 +150,17 @@ impl<'a> Iterator for GroupIter<'a> {
                 break;
             }
         }
+        Some(k)
+    }
+}
+
+/// [`GroupIter::next_into`] with a fresh `Vec` per group.
+impl<'a> Iterator for GroupIter<'a> {
+    type Item = (&'a [u8], Vec<&'a [u8]>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut values = Vec::new();
+        let k = self.next_into(&mut values)?;
         Some((k, values))
     }
 }

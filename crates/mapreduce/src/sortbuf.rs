@@ -410,16 +410,19 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
             self.keys.iter().map(|k| self.slots[to_usize(k.record)]).collect();
         sort_ties(&self.keys, &mut ordered, &self.arena);
 
-        let mut combiner = combiner;
+        let mut combining = combiner.map(Combining::new);
         let mut spill: Vec<SortedRun> = Vec::with_capacity(np);
         for p in 0..np {
             let entries = &ordered[starts[p]..starts[p + 1]];
-            let run = match combiner.as_deref_mut() {
-                Some(c) => combine_entries::<K, V, C>(&self.arena, entries, c, counters),
+            let run = match combining.as_mut() {
+                Some(c) => c.entries(&self.arena, entries),
                 None => copy_entries(&self.arena, entries),
             };
             self.spill_bytes_written += run.bytes();
             spill.push(run);
+        }
+        if let Some(c) = combining {
+            c.count(counters);
         }
         self.spills.push(spill);
         self.arena.clear();
@@ -438,6 +441,7 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
         let mut merged: Vec<SortedRun> = Vec::with_capacity(self.num_partitions);
         let mut merge_read = 0u64;
         let mut merge_written = 0u64;
+        let mut combining = combiner.map(Combining::new);
 
         for p in 0..self.num_partitions {
             let runs: Vec<SortedRun> =
@@ -451,17 +455,13 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
                 // the combiner runs once more over merged groups.
                 let read = crate::merge::runs_bytes(&runs);
                 merge_read += read;
-                let out = match combiner.as_deref_mut() {
+                let out = match combining.as_mut() {
                     Some(c) => {
                         let mut b = RunBuilder::new();
-                        for (kbytes, vlist) in crate::merge::merge_groups(&runs) {
-                            combine_group::<K, V, C>(
-                                kbytes,
-                                vlist.iter().copied(),
-                                c,
-                                counters,
-                                &mut b,
-                            );
+                        let mut groups = crate::merge::merge_groups(&runs);
+                        let mut values = Vec::new();
+                        while let Some(kbytes) = groups.next_into(&mut values) {
+                            c.group(kbytes, values.iter().copied(), &mut b);
                         }
                         b.finish()
                     }
@@ -479,6 +479,9 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
                 out
             };
             merged.push(out);
+        }
+        if let Some(c) = combining {
+            c.count(counters);
         }
 
         MapOutput {
@@ -586,57 +589,69 @@ fn copy_entries(arena: &[u8], entries: &[KvSlot]) -> SortedRun {
     out.finish()
 }
 
-/// Run the combiner over consecutive equal-key spans of sorted slots,
-/// serializing its output into a fresh run.
-fn combine_entries<K, V, C>(
-    arena: &[u8],
-    entries: &[KvSlot],
-    combiner: &mut C,
-    counters: &mut Counters,
-) -> SortedRun
-where
-    K: SortableKey,
-    V: Writable,
-    C: Combiner<K = K, V = V>,
-{
-    let mut out = RunBuilder::new();
-    let mut i = 0usize;
-    while i < entries.len() {
-        let kbytes = &arena[entries[i].key_range()];
-        let mut j = i + 1;
-        while j < entries.len() && &arena[entries[j].key_range()] == kbytes {
-            j += 1;
-        }
-        let values = entries[i..j].iter().map(|s| &arena[s.record_range()][s.key_len()..]);
-        combine_group::<K, V, C>(kbytes, values, combiner, counters, &mut out);
-        i = j;
-    }
-    out.finish()
+/// One pass of the combiner — a spill, or the final merge — with what the
+/// pass keeps between groups, so a group costs only what
+/// [`Combiner::combine`]'s signature demands (the decoded key, the by-value
+/// `Vec` of values).
+struct Combining<'c, C: Combiner> {
+    combiner: &'c mut C,
+    /// The combiner's output for the group in hand; empty between groups.
+    folded: Vec<C::V>,
+    /// Records fed to and emitted by the combiner so far in this pass.
+    input_records: u64,
+    output_records: u64,
 }
 
-/// Decode one `(key, values)` group, fold it through the combiner, and
-/// push the folded records (same key bytes, new values) onto `out`.
-fn combine_group<'a, K, V, C>(
-    kbytes: &[u8],
-    values: impl Iterator<Item = &'a [u8]>,
-    combiner: &mut C,
-    counters: &mut Counters,
-    out: &mut RunBuilder,
-) where
-    K: SortableKey,
-    V: Writable,
-    C: Combiner<K = K, V = V>,
-{
-    let mut kslice = kbytes;
-    let key = K::decode_ordered(&mut kslice).expect("combiner key round-trip");
-    let values: Vec<V> =
-        values.map(|b| V::from_bytes(b).expect("combiner value round-trip")).collect();
-    counters.incr_task(TaskCounter::CombineInputRecords, values.len() as u64);
-    let mut folded = Vec::new();
-    combiner.combine(&key, values, &mut folded);
-    counters.incr_task(TaskCounter::CombineOutputRecords, folded.len() as u64);
-    for v in folded {
-        out.push_value(kbytes, &v);
+impl<'c, C: Combiner> Combining<'c, C> {
+    fn new(combiner: &'c mut C) -> Self {
+        Combining { combiner, folded: Vec::new(), input_records: 0, output_records: 0 }
+    }
+
+    /// Run the combiner over consecutive equal-key spans of sorted slots,
+    /// serializing its output into a fresh run.
+    fn entries(&mut self, arena: &[u8], entries: &[KvSlot]) -> SortedRun {
+        let mut out = RunBuilder::new();
+        let mut i = 0usize;
+        while i < entries.len() {
+            let kbytes = &arena[entries[i].key_range()];
+            let mut j = i + 1;
+            while j < entries.len() && &arena[entries[j].key_range()] == kbytes {
+                j += 1;
+            }
+            let values = entries[i..j].iter().map(|s| &arena[s.record_range()][s.key_len()..]);
+            self.group(kbytes, values, &mut out);
+            i = j;
+        }
+        out.finish()
+    }
+
+    /// Decode one `(key, values)` group, fold it through the combiner, and
+    /// push the folded records (same key bytes, new values) onto `out`.
+    fn group<'a>(
+        &mut self,
+        kbytes: &[u8],
+        values: impl Iterator<Item = &'a [u8]>,
+        out: &mut RunBuilder,
+    ) {
+        let mut kslice = kbytes;
+        let key = C::K::decode_ordered(&mut kslice).expect("combiner key round-trip");
+        let values: Vec<C::V> =
+            values.map(|b| C::V::from_bytes(b).expect("combiner value round-trip")).collect();
+        self.input_records += values.len() as u64;
+        self.combiner.combine(&key, values, &mut self.folded);
+        self.output_records += self.folded.len() as u64;
+        for v in self.folded.drain(..) {
+            out.push_value(kbytes, &v);
+        }
+    }
+
+    /// Add the pass's totals to the task's counters. A pass that saw no
+    /// group registers nothing, as counting group by group would not.
+    fn count(self, counters: &mut Counters) {
+        if self.input_records > 0 {
+            counters.incr_task(TaskCounter::CombineInputRecords, self.input_records);
+            counters.incr_task(TaskCounter::CombineOutputRecords, self.output_records);
+        }
     }
 }
 

@@ -10,6 +10,8 @@
 //! split was itself a newline), and the last record of a split is read
 //! *past* the split boundary to its terminating newline.
 
+use std::borrow::Cow;
+
 use hl_common::prelude::*;
 use hl_dfs::client::Dfs;
 use hl_dfs::BlockId;
@@ -88,12 +90,11 @@ impl<'a> LineReader<'a> {
         }
         reader
     }
-}
 
-impl<'a> Iterator for LineReader<'a> {
-    type Item = (u64, String);
-
-    fn next(&mut self) -> Option<(u64, String)> {
+    /// The next record as `(file offset of its first byte, line)`, the line
+    /// borrowed from the split's bytes. Only a line that is not valid
+    /// UTF-8 is copied (lossily, as `TextInputFormat` decodes it).
+    pub fn next_line(&mut self) -> Option<(u64, Cow<'a, str>)> {
         if self.pos >= self.split_len {
             return None;
         }
@@ -115,7 +116,16 @@ impl<'a> Iterator for LineReader<'a> {
         if line.is_empty() && line_end == self.data.len() && start == line_end {
             return None; // trailing EOF with no content
         }
-        Some((self.offset + start as u64, String::from_utf8_lossy(line).into_owned()))
+        Some((self.offset + start as u64, String::from_utf8_lossy(line)))
+    }
+}
+
+/// The owned form of [`LineReader::next_line`].
+impl<'a> Iterator for LineReader<'a> {
+    type Item = (u64, String);
+
+    fn next(&mut self) -> Option<(u64, String)> {
+        self.next_line().map(|(offset, line)| (offset, line.into_owned()))
     }
 }
 
@@ -133,8 +143,18 @@ mod tests {
             let start = i * block_size;
             let split_len = block_size.min(bytes.len() - start);
             let prev_byte = if i == 0 { None } else { Some(bytes[start - 1]) };
-            let reader = LineReader::new(prev_byte, &bytes[start..], split_len, start as u64);
-            lines.extend(reader.map(|(_, l)| l));
+            let split = || LineReader::new(prev_byte, &bytes[start..], split_len, start as u64);
+            // The borrowing reader and the owned iterator over it see the
+            // same records.
+            let mut borrowing = split();
+            let borrowed: Vec<(u64, String)> = std::iter::from_fn(|| borrowing.next_line())
+                .map(|(o, l)| {
+                    assert!(matches!(l, Cow::Borrowed(_)), "valid UTF-8 is not copied");
+                    (o, l.into_owned())
+                })
+                .collect();
+            assert_eq!(borrowed, split().collect::<Vec<_>>(), "block_size={block_size}");
+            lines.extend(borrowed.into_iter().map(|(_, l)| l));
         }
         let expected: Vec<String> = text.lines().map(str::to_string).collect();
         assert_eq!(lines, expected, "block_size={block_size} text={text:?}");
@@ -179,6 +199,23 @@ mod tests {
         let reader = LineReader::new(None, text.as_bytes(), text.len(), 0);
         let lines: Vec<String> = reader.map(|(_, l)| l).collect();
         assert_eq!(lines, vec!["a", "bb"]);
+        // `str::lines` drops the `\r` too, so the whole cut matrix applies.
+        let text = "the quick\r\nbrown fox\r\n\r\njumps\r\n";
+        for bs in 1..=text.len() + 1 {
+            check_split_reading(text, bs);
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_decoded_lossily_into_an_owned_line() {
+        let bytes = b"ok\nb\xFFd\nok again\n";
+        let mut reader = LineReader::new(None, bytes, bytes.len(), 100);
+        assert_eq!(reader.next_line(), Some((100, Cow::Borrowed("ok"))));
+        let (offset, line) = reader.next_line().unwrap();
+        assert_eq!((offset, line.as_ref()), (103, "b\u{FFFD}d"));
+        assert!(matches!(line, Cow::Owned(_)));
+        assert_eq!(reader.next(), Some((107, "ok again".to_string())));
+        assert_eq!(reader.next_line(), None);
     }
 
     #[test]

@@ -133,7 +133,8 @@ where
         {
             let mut ctx = MapContext::new(&mut scope, &mut sink);
             mapper.setup(&mut ctx);
-            for (off, line) in LineReader::new(prev_byte, data, split_len, offset) {
+            let mut reader = LineReader::new(prev_byte, data, split_len, offset);
+            while let Some((off, line)) = reader.next_line() {
                 records += 1;
                 mapper.map(off, &line, &mut ctx);
             }
@@ -165,14 +166,18 @@ where
         {
             let mut ctx = ReduceContext::new(&mut scope, &mut lines);
             reducer.setup(&mut ctx);
-            for (kbytes, vbytes_list) in merge_groups(runs) {
+            let mut groups = merge_groups(runs);
+            let mut vbytes_list = Vec::new();
+            while let Some(kbytes) = groups.next_into(&mut vbytes_list) {
                 num_groups += 1;
                 let mut ks = kbytes;
                 let key = M::KOut::decode_ordered(&mut ks)
                     .map_err(|e| HlError::Codec(format!("reduce key: {e}")))?;
-                let values: Result<Vec<M::VOut>> =
-                    vbytes_list.iter().map(|b| M::VOut::from_bytes(b)).collect();
-                let values = values?;
+                // Sized up front: collecting `Result`s grows push by push.
+                let mut values = Vec::with_capacity(vbytes_list.len());
+                for b in &vbytes_list {
+                    values.push(M::VOut::from_bytes(b)?);
+                }
                 records += values.len() as u64;
                 reducer.reduce(key, values, &mut ctx);
             }

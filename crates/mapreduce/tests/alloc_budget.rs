@@ -1,0 +1,125 @@
+//! The record path's allocation budget.
+//!
+//! The framework's share of the per-record and per-group work — counters,
+//! line reading, collect, combine and reduce grouping — allocates nothing;
+//! what is left per record or per group is what the user signatures demand
+//! (`WcMapper`'s `word.to_string()`, the decoded key, the by-value `Vec` of
+//! values, the output line). One `incr(group, name)` with owned strings in
+//! a loop, or one owned line per record, breaks these budgets by a factor,
+//! not by a margin.
+//!
+//! One test, because the counter is process-wide: a second test on
+//! another thread would be counted into this one.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use hl_common::counters::TaskCounter;
+use hl_common::hash::fnv1a;
+use hl_datagen::corpus::CorpusGen;
+use hl_mapreduce::api::{MapContext, Mapper, ReduceContext, Reducer, SideFiles};
+use hl_mapreduce::job::{Job, JobConf};
+use hl_mapreduce::JobCode;
+use hl_workloads::wordcount::{WcCombiner, WcMapper, WcReducer};
+
+/// Counts fresh blocks. Growing a block in place or by moving it
+/// (`realloc`) is not counted: the block was when it was first handed out.
+struct Counting;
+
+static BLOCKS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no memory the
+// allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations for `alloc` are `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the number of blocks allocated while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BLOCKS.load(Ordering::Relaxed);
+    let out = f();
+    (out, BLOCKS.load(Ordering::Relaxed) - before)
+}
+
+/// One fixed-width record per word, nothing owned: the framework's own
+/// cost with no user allocation on top.
+struct HashMapper;
+
+impl Mapper for HashMapper {
+    type KOut = u64;
+    type VOut = u64;
+    fn map(&mut self, _offset: u64, line: &str, ctx: &mut MapContext<u64, u64>) {
+        for word in line.split_whitespace() {
+            ctx.emit(fnv1a(word.as_bytes()), 1);
+        }
+    }
+}
+
+struct HashReducer;
+
+impl Reducer for HashReducer {
+    type KIn = u64;
+    type VIn = u64;
+    fn reduce(&mut self, key: u64, values: Vec<u64>, ctx: &mut ReduceContext) {
+        ctx.emit(key, values.len());
+    }
+}
+
+#[test]
+fn record_path_stays_within_its_allocation_budget() {
+    let (text, _) = CorpusGen::new(42).generate_bytes(1 << 20);
+    let data = text.as_bytes();
+    let conf = || JobConf::new("alloc-budget").reduces(4).sort_buffer(64 << 10);
+    let side = SideFiles::new();
+    let map = |job: &dyn JobCode| counted(|| job.map_task(&side, 1, None, data, data.len(), 0));
+
+    let (hashed, blocks) = map(&Job::new(conf(), || HashMapper, || HashReducer));
+    let records = hashed.counters.task(TaskCounter::MapOutputRecords);
+    assert!(records > 100_000 && hashed.output.num_spills > 10, "{records} records");
+    assert!(blocks < records / 20, "u64 keys: {blocks} blocks for {records} records");
+
+    let (plain, plain_blocks) = map(&Job::new(conf(), || WcMapper, || WcReducer));
+    assert_eq!(plain.counters.task(TaskCounter::MapOutputRecords), records);
+    assert!(
+        plain_blocks <= records + records / 20,
+        "WcMapper: {plain_blocks} blocks for {records} records"
+    );
+
+    let combining = Job::with_combiner(conf(), || WcMapper, || WcReducer, || WcCombiner);
+    let (combined, blocks) = map(&combining);
+    // `WcCombiner` emits one record per group.
+    let groups = combined.counters.task(TaskCounter::CombineOutputRecords);
+    assert!(groups > 10_000, "{groups} combine groups");
+    assert!(
+        blocks <= records + records / 20 + 2 * groups,
+        "WcMapper + WcCombiner: {blocks} blocks for {records} records in {groups} groups"
+    );
+
+    // Reduce side, over partition 0 of the uncombined output: many values
+    // per group.
+    let runs = [plain.output.partitions[0].clone()];
+    let (reduced, blocks) = counted(|| combining.reduce_task(&side, 1, &runs).unwrap());
+    let groups = reduced.counters.task(TaskCounter::ReduceInputGroups);
+    let lines = reduced.lines.len() as u64;
+    assert!(groups > 1_000 && reduced.records > 5 * groups, "{groups} groups");
+    assert!(
+        blocks <= 3 * groups + lines,
+        "reduce: {blocks} blocks for {groups} groups and {lines} lines"
+    );
+}
