@@ -7,6 +7,7 @@
 //! table, tracks exact ground-truth counts, and emits plain text lines.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -54,13 +55,12 @@ impl CorpusGen {
         let total = acc;
 
         let mut text = String::with_capacity(num_words * 9);
-        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+        let mut by_rank = vec![0u64; self.vocab_size];
         for i in 0..num_words {
             let u: f64 = rng.gen_range(0.0..total);
             let rank = cdf.partition_point(|&c| c < u); // 0-based rank
-            let w = self.word(rank);
-            *counts.entry(w.clone()).or_default() += 1;
-            text.push_str(&w);
+            by_rank[rank] += 1;
+            write!(text, "w{rank:07}").expect("writing to a String cannot fail");
             if (i + 1) % self.words_per_line == 0 {
                 text.push('\n');
             } else {
@@ -70,6 +70,12 @@ impl CorpusGen {
         if !text.ends_with('\n') && !text.is_empty() {
             text.push('\n');
         }
+        let counts = by_rank
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(rank, &n)| (self.word(rank), n))
+            .collect();
         (text, counts)
     }
 
@@ -83,6 +89,7 @@ impl CorpusGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hl_common::hash::fnv1a;
 
     #[test]
     fn ground_truth_matches_text() {
@@ -94,6 +101,29 @@ mod tests {
         }
         assert_eq!(recount, counts);
         assert_eq!(counts.values().sum::<u64>(), 5_000);
+    }
+
+    /// FNV-1a of the text, then of every `word=count\n` in map order.
+    fn fingerprint(text: &str, counts: &BTreeMap<String, u64>) -> (u64, u64) {
+        let listing: String = counts.iter().map(|(w, n)| format!("{w}={n}\n")).collect();
+        (fnv1a(text.as_bytes()), fnv1a(listing.as_bytes()))
+    }
+
+    #[test]
+    fn output_bytes_are_pinned() {
+        // Taken from the per-word `format!` + `BTreeMap` probe generator
+        // this one replaced: the benchmark's inputs and every golden table
+        // built on a corpus depend on these bytes.
+        let (text, counts) = CorpusGen::new(42).generate(150_000);
+        assert_eq!(
+            fingerprint(&text, &counts),
+            (16_185_704_488_222_857_511, 14_428_606_836_913_486_680)
+        );
+        let (text, counts) = CorpusGen::new(7).with_vocab(100).generate(5_000);
+        assert_eq!(
+            fingerprint(&text, &counts),
+            (17_750_040_100_705_690_022, 8_134_034_269_677_090_249)
+        );
     }
 
     #[test]
