@@ -231,16 +231,8 @@ impl Counters {
     /// Merge another counter set into this one (summing), the task→job
     /// aggregation step.
     pub fn merge(&mut self, other: &Counters) {
-        for (mine, theirs) in self.task.iter_mut().zip(other.task) {
-            if let Some(v) = theirs {
-                *mine.get_or_insert(0) += v;
-            }
-        }
-        for (mine, theirs) in self.fs.iter_mut().zip(other.fs) {
-            if let Some(v) = theirs {
-                *mine.get_or_insert(0) += v;
-            }
-        }
+        merge_slots(&mut self.task, &other.task);
+        merge_slots(&mut self.fs, &other.fs);
         for (group, counters) in &other.user {
             for (name, value) in counters {
                 *self.user_entry(group, name) += value;
@@ -251,25 +243,43 @@ impl Counters {
     /// Iterate `(group, counter, value)` in display order: groups by name,
     /// counters by name inside their group.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        let task =
-            TaskCounter::ALL.into_iter().zip(self.task).map(|(c, v)| (TASK_GROUP, c.name(), v));
-        let fs =
-            FileSystemCounter::ALL.into_iter().zip(self.fs).map(|(c, v)| (FS_GROUP, c.name(), v));
+        self.rows().into_iter()
+    }
+
+    /// What [`Counters::iter`] yields and `Display` prints.
+    fn rows(&self) -> Vec<(&str, &str, u64)> {
+        let task = TaskCounter::ALL
+            .into_iter()
+            .zip(self.task)
+            .filter_map(|(c, v)| Some((TASK_GROUP, c.name(), v?)));
+        let fs = FileSystemCounter::ALL
+            .into_iter()
+            .zip(self.fs)
+            .filter_map(|(c, v)| Some((FS_GROUP, c.name(), v?)));
         let user = self
             .user
             .iter()
             .flat_map(|(g, cs)| cs.iter().map(move |(c, v)| (g.as_str(), c.as_str(), *v)));
-        let mut rows: Vec<(&str, &str, u64)> =
-            task.chain(fs).filter_map(|(g, c, v)| Some((g, c, v?))).chain(user).collect();
+        let mut rows: Vec<(&str, &str, u64)> = task.chain(fs).chain(user).collect();
         // No `(group, counter)` repeats, so this is one total order: the
         // order one nested map keyed by the same strings would walk.
         rows.sort_unstable_by_key(|&(g, c, _)| (g, c));
-        rows.into_iter()
+        rows
     }
 
     /// True when nothing has been counted.
     pub fn is_empty(&self) -> bool {
         self.user.is_empty() && self.task.iter().chain(&self.fs).all(Option::is_none)
+    }
+}
+
+/// Sum `theirs` into `mine`, slot by slot; a slot they never registered
+/// leaves mine as it is.
+fn merge_slots(mine: &mut [Option<u64>], theirs: &[Option<u64>]) {
+    for (mine, theirs) in mine.iter_mut().zip(theirs) {
+        if let Some(v) = theirs {
+            *mine.get_or_insert(0) += v;
+        }
     }
 }
 
@@ -282,7 +292,7 @@ impl fmt::Display for Counters {
     ///     Map input records=1000
     /// ```
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let rows: Vec<_> = self.iter().collect();
+        let rows = self.rows();
         writeln!(f, "Counters: {}", rows.len())?;
         let mut current = None;
         for (group, name, value) in rows {
