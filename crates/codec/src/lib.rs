@@ -61,15 +61,6 @@ impl CodecId {
             CodecId::Hlz => "hlz",
         }
     }
-
-    /// Parse a configuration-file name.
-    pub fn parse(name: &str) -> Result<Self> {
-        match name {
-            "none" | "null" => Ok(CodecId::Null),
-            "hlz" => Ok(CodecId::Hlz),
-            other => Err(HlError::Config(format!("unknown compression codec {other:?}"))),
-        }
-    }
 }
 
 impl std::fmt::Display for CodecId {
@@ -122,11 +113,8 @@ mod tests {
     fn codec_id_round_trips() {
         for id in [CodecId::Null, CodecId::Hlz] {
             assert_eq!(CodecId::from_bytes(&id.to_bytes()).unwrap(), id);
-            assert_eq!(CodecId::parse(id.name()).unwrap(), id);
         }
         assert!(CodecId::from_bytes(&[7]).is_err());
-        assert!(CodecId::parse("lzo2").is_err());
-        assert_eq!(CodecId::parse("null").unwrap(), CodecId::Null);
         assert_eq!(CodecId::default(), CodecId::Null);
     }
 }

@@ -3,14 +3,20 @@
 //! Real HDFS persists every namespace change to the edit log and merges it
 //! into the fsimage at checkpoints; the combination is what lets a
 //! restarted NameNode rebuild its in-RAM metadata. The course's restart
-//! story depends on this existing, so we implement the journal + replay
-//! (fsimage is simply a cloned `Namespace`).
+//! story depends on this existing, so we implement the journal, and
+//! [`EditOp::apply`] is the only place that says what a journaled op does:
+//! the live RPCs, [`EditLog::replay`] and `NameNode::restart` all go
+//! through it.
+
+use std::collections::BTreeMap;
 
 use hl_codec::CodecId;
 use hl_common::prelude::*;
 use hl_common::writable::{read_vu64, write_vu64, Writable};
 
 use crate::block::BlockId;
+use crate::lease::LeaseManager;
+use crate::namenode::BlockInfo;
 use crate::namespace::Namespace;
 
 /// One journaled namespace mutation.
@@ -44,7 +50,108 @@ pub enum EditOp {
     SetCodec { path: String, codec: CodecId },
 }
 
+/// The recoverable NameNode state that lives beside the namespace tree:
+/// block metadata, the lease table and both allocation marks. Borrowed
+/// field by field, so the live NameNode and the state a restart is still
+/// building go through the same [`EditOp::apply`].
+pub(crate) struct Ledger<'a> {
+    pub blocks: &'a mut BTreeMap<BlockId, BlockInfo>,
+    pub leases: &'a mut LeaseManager,
+    pub next_block_id: &'a mut u64,
+    pub next_gen_stamp: &'a mut u64,
+}
+
+/// The allocation mark a journaled id or stamp implies: one past it.
+fn mark_after(stored: u64) -> Result<u64> {
+    stored
+        .checked_add(1)
+        .ok_or_else(|| HlError::Codec(format!("journaled id {stored} leaves no next id")))
+}
+
 impl EditOp {
+    /// The one transition: what this op does to the recoverable state.
+    /// `ledger` is `None` for a namespace-only replay. Returns the blocks
+    /// the op dropped from the ledger, with whatever the NameNode knew of
+    /// them, so a live caller can invalidate their replicas. An `Err`
+    /// means the op does not fit the state (a corrupt journal, or an RPC
+    /// its guards should have refused).
+    pub(crate) fn apply(
+        &self,
+        ns: &mut Namespace,
+        mut ledger: Option<&mut Ledger<'_>>,
+    ) -> Result<Vec<(BlockId, BlockInfo)>> {
+        let mut freed = Vec::new();
+        match self {
+            EditOp::Mkdirs { path } => ns.mkdirs(path)?,
+            EditOp::Create { path, replication, block_size, at, holder } => {
+                ns.create_file(path, *replication, *block_size, *at)?;
+                if let Some(l) = &mut ledger {
+                    l.leases.acquire(*at, path, holder);
+                }
+            }
+            EditOp::AddBlock { path, block, len, gen_stamp } => {
+                let (next_block_id, next_gen_stamp) =
+                    (mark_after(block.0)?, mark_after(*gen_stamp)?);
+                let replication = ns.append_block(path, *block, *len)?;
+                if let Some(l) = &mut ledger {
+                    l.blocks.insert(*block, BlockInfo::unreported(*len, replication, *gen_stamp));
+                    *l.next_block_id = next_block_id.max(*l.next_block_id);
+                    *l.next_gen_stamp = next_gen_stamp.max(*l.next_gen_stamp);
+                }
+            }
+            EditOp::Close { path } => {
+                ns.complete_file(path)?;
+                if let Some(l) = &mut ledger {
+                    l.leases.release(path);
+                }
+            }
+            EditOp::Delete { path, recursive } => {
+                let ids = ns.delete(path, *recursive)?;
+                if let Some(l) = &mut ledger {
+                    l.leases.release_under(path);
+                    freed
+                        .extend(ids.into_iter().filter_map(|id| Some((id, l.blocks.remove(&id)?))));
+                }
+            }
+            EditOp::Rename { src, dst } => {
+                ns.rename(src, dst)?;
+                if let Some(l) = &mut ledger {
+                    l.leases.rename(src, dst);
+                }
+            }
+            EditOp::SetReplication { path, replication } => {
+                let file = ns.file_mut(path)?;
+                file.replication = *replication;
+                if let Some(l) = &mut ledger {
+                    for id in &file.blocks {
+                        if let Some(info) = l.blocks.get_mut(id) {
+                            info.expected_replication = *replication;
+                        }
+                    }
+                }
+            }
+            // Generation stamps live in the block map, not the tree.
+            EditOp::BumpGenStamp { block, gen_stamp } => {
+                let next_gen_stamp = mark_after(*gen_stamp)?;
+                if let Some(l) = &mut ledger {
+                    let info = l.blocks.get_mut(block).ok_or_else(|| {
+                        HlError::Internal(format!("gen-stamp bump of unknown {block}"))
+                    })?;
+                    info.gen_stamp = *gen_stamp;
+                    *l.next_gen_stamp = next_gen_stamp.max(*l.next_gen_stamp);
+                }
+            }
+            EditOp::AbandonBlock { path, block, len } => {
+                ns.abandon_block(path, *block, *len)?;
+                if let Some(l) = &mut ledger {
+                    freed.extend(l.blocks.remove(block).map(|info| (*block, info)));
+                }
+            }
+            EditOp::SetCodec { path, codec } => ns.file_mut(path)?.codec = *codec,
+        }
+        Ok(freed)
+    }
+
     fn tag(&self) -> u8 {
         match self {
             EditOp::Mkdirs { .. } => 0,
@@ -169,9 +276,7 @@ impl EditLog {
         self.ops.is_empty()
     }
 
-    /// The journaled ops since the last checkpoint, oldest first. The
-    /// NameNode replays these itself for state (generation stamps) that
-    /// lives outside the namespace tree.
+    /// The journaled ops since the last checkpoint, oldest first.
     pub fn ops(&self) -> &[EditOp] {
         &self.ops
     }
@@ -204,30 +309,7 @@ impl EditLog {
     /// NameNode lost. Errors indicate a corrupt journal.
     pub fn replay(&self, ns: &mut Namespace) -> Result<()> {
         for op in &self.ops {
-            match op {
-                EditOp::Mkdirs { path } => ns.mkdirs(path)?,
-                EditOp::Create { path, replication, block_size, at, .. } => {
-                    ns.create_file(path, *replication, *block_size, *at)?
-                }
-                EditOp::AddBlock { path, block, len, .. } => ns.append_block(path, *block, *len)?,
-                EditOp::Close { path } => ns.complete_file(path)?,
-                EditOp::Delete { path, recursive } => {
-                    ns.delete(path, *recursive)?;
-                }
-                EditOp::Rename { src, dst } => ns.rename(src, dst)?,
-                EditOp::SetReplication { path, replication } => {
-                    ns.file_mut(path)?.replication = *replication;
-                }
-                // Generation stamps live in the NameNode's block map, not
-                // the namespace tree; `NameNode::restart` applies them.
-                EditOp::BumpGenStamp { .. } => {}
-                EditOp::AbandonBlock { path, block, len } => {
-                    ns.abandon_block(path, *block, *len)?
-                }
-                EditOp::SetCodec { path, codec } => {
-                    ns.file_mut(path)?.codec = *codec;
-                }
-            }
+            op.apply(ns, None)?;
         }
         Ok(())
     }

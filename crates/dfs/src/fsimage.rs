@@ -65,29 +65,7 @@ pub struct FsImage {
     pub leases: Vec<Lease>,
 }
 
-impl FsImage {
-    /// Deserialize everything *except* the block records, which sit at the
-    /// end of the image exactly so recovery can stop short of them: the
-    /// namespace, allocation marks, and leases are what a restart must
-    /// have, while the (much larger) block section exists to make the
-    /// image self-contained and is only fully parsed when verifying it.
-    /// The returned image has an empty `blocks` vec.
-    pub fn prefix_from_bytes(bytes: &[u8]) -> Result<Self> {
-        let buf = &mut &bytes[..];
-        Ok(FsImage {
-            namespace: Namespace::read(buf)?,
-            next_block_id: read_vu64(buf)?,
-            next_gen_stamp: read_vu64(buf)?,
-            leases: Vec::<Lease>::read(buf)?,
-            blocks: Vec::new(),
-        })
-    }
-}
-
 impl Writable for FsImage {
-    // Field order is load-bearing: the block records go last so
-    // [`FsImage::prefix_from_bytes`] can deserialize the recovery-critical
-    // prefix without touching them.
     fn write(&self, buf: &mut Vec<u8>) {
         self.namespace.write(buf);
         write_vu64(self.next_block_id, buf);
@@ -148,13 +126,6 @@ mod tests {
         };
         let bytes = image.to_bytes();
         assert_eq!(FsImage::from_bytes(&bytes).unwrap(), image);
-        // The prefix parse recovers everything but the block records.
-        let prefix = FsImage::prefix_from_bytes(&bytes).unwrap();
-        assert_eq!(prefix.namespace, image.namespace);
-        assert_eq!(prefix.next_block_id, image.next_block_id);
-        assert_eq!(prefix.next_gen_stamp, image.next_gen_stamp);
-        assert_eq!(prefix.leases, image.leases);
-        assert!(prefix.blocks.is_empty());
         let record = image.blocks[1];
         assert_eq!(BlockRecord::from_bytes(&record.to_bytes()).unwrap(), record);
 

@@ -91,6 +91,11 @@ impl Writable for Lease {
     }
 }
 
+/// True when `path` is `root` (no trailing `/`) or lies under it.
+fn at_or_under(path: &str, root: &str) -> bool {
+    path.strip_prefix(root).is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
 /// The NameNode's lease table.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseManager {
@@ -134,8 +139,8 @@ impl LeaseManager {
     /// Drop the lease on `path` and on everything under it (recursive
     /// delete of a directory with files open for write).
     pub fn release_under(&mut self, path: &str) {
-        let prefix = format!("{}/", path.trim_end_matches('/'));
-        self.leases.retain(|p, _| p != path && !p.starts_with(&prefix));
+        let root = path.trim_end_matches('/');
+        self.leases.retain(|p, _| !at_or_under(p, root));
     }
 
     /// Drop every lease (NameNode restart: the table is rebuilt from the
@@ -144,11 +149,17 @@ impl LeaseManager {
         self.leases.clear();
     }
 
-    /// Rename bookkeeping: a lease follows its file.
+    /// Rename bookkeeping: a lease follows its file, and a renamed
+    /// directory carries the lease of every file open for write under it.
     pub fn rename(&mut self, src: &str, dst: &str) {
-        if let Some(mut lease) = self.leases.remove(src) {
-            lease.path = dst.to_string();
-            self.leases.insert(dst.to_string(), lease);
+        let (src, dst) = (src.trim_end_matches('/'), dst.trim_end_matches('/'));
+        let moved: Vec<String> =
+            self.leases.keys().filter(|p| at_or_under(p, src)).cloned().collect();
+        for old in moved {
+            if let Some(mut lease) = self.leases.remove(&old) {
+                lease.path = format!("{dst}{}", &old[src.len()..]);
+                self.leases.insert(lease.path.clone(), lease);
+            }
         }
     }
 
@@ -301,5 +312,14 @@ mod tests {
         assert_eq!(lm.len(), 1);
         assert!(lm.release("/new").is_some());
         assert!(lm.is_empty());
+
+        // A renamed directory carries every lease under it, and only those.
+        lm.acquire(SimTime::ZERO, "/a/f", "w1");
+        lm.acquire(SimTime::ZERO, "/a/sub/g", "w2");
+        lm.acquire(SimTime::ZERO, "/a-b/h", "w3");
+        lm.rename("/a/", "/b");
+        let paths: Vec<&str> = lm.leases().map(|l| l.path.as_str()).collect();
+        assert_eq!(paths, ["/a-b/h", "/b/f", "/b/sub/g"]);
+        assert_eq!(lm.lease("/b/sub/g").map(|l| l.holder.as_str()), Some("w2"));
     }
 }

@@ -23,6 +23,16 @@
 //! * the fsimage is a serialized [`FsImage`] checkpoint (auto-written
 //!   every `fs.checkpoint.txns` journal ops), so restart loads the image
 //!   and replays only the edit-log *tail* instead of all history.
+//!
+//! ## Durable state
+//!
+//! Namespace, per-block `(len, expected_replication, gen_stamp)`, the
+//! lease table and the two allocation marks are what the image and the
+//! journal hold. Only [`EditOp::apply`] changes them: an RPC checks its
+//! guards, builds the op, applies it, does its volatile side effects and
+//! journals it; a restart applies the same ops to what the image held.
+//! Replica locations, `pending_replicas`, the decommission set and lease
+//! renewal times are RAM only.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,7 +41,7 @@ use hl_common::prelude::*;
 use hl_metrics::MetricsRegistry;
 
 use crate::block::{BlockId, IncrementalBlockReport, ReplicaMeta, FIRST_GEN_STAMP};
-use crate::editlog::{EditLog, EditOp};
+use crate::editlog::{EditLog, EditOp, Ledger};
 use crate::fsimage::{BlockRecord, FsImage};
 use crate::lease::{Lease, LeaseManager};
 use crate::namespace::{FileStatus, Namespace};
@@ -47,14 +57,27 @@ pub struct BlockInfo {
     pub len: u64,
     /// Live replica locations, per the latest reports. Kept sorted: a
     /// replica set is tiny (~replication factor), so a sorted vec beats a
-    /// tree everywhere — and `clear()` keeps its allocation, which is what
-    /// lets a restart reset a million blocks without a million frees.
+    /// tree everywhere.
     pub locations: Vec<NodeId>,
     /// Re-replications currently in flight (prevents duplicate work).
     pub pending_replicas: u32,
     /// Current generation stamp; replicas reporting an older stamp were
     /// left behind by pipeline recovery and get invalidated.
     pub gen_stamp: u64,
+}
+
+impl BlockInfo {
+    /// A block as the image or the journal describes it: no replica has
+    /// reported yet.
+    pub(crate) fn unreported(len: u64, expected_replication: u32, gen_stamp: u64) -> Self {
+        BlockInfo {
+            expected_replication,
+            len,
+            locations: Vec::new(),
+            pending_replicas: 0,
+            gen_stamp,
+        }
+    }
 }
 
 /// Per-DataNode registration state.
@@ -166,8 +189,8 @@ pub struct NameNode {
     leases: LeaseManager,
     /// Journal ops between automatic checkpoints (0 disables the trigger).
     checkpoint_every: usize,
-    /// True between [`Self::shutdown`] and [`Self::restart`] — lets the
-    /// teardown walk run exactly once per restart cycle.
+    /// True between [`Self::shutdown`] and a successful [`Self::restart`]:
+    /// the process holds no state and refuses every guarded RPC.
     down: bool,
     /// Safe-mode state machine.
     pub safemode: SafeMode,
@@ -275,9 +298,40 @@ impl NameNode {
         &self.fsimage
     }
 
+    /// Apply `op` to the live recoverable state and drop the blocks it
+    /// freed from every derived index. Returns them so the caller can
+    /// invalidate their replicas.
+    fn apply(&mut self, op: &EditOp) -> Result<Vec<(BlockId, BlockInfo)>> {
+        let mut ledger = Ledger {
+            blocks: &mut self.blocks,
+            leases: &mut self.leases,
+            next_block_id: &mut self.next_block_id,
+            next_gen_stamp: &mut self.next_gen_stamp,
+        };
+        let freed = op.apply(&mut self.namespace, Some(&mut ledger))?;
+        for (id, info) in &freed {
+            if !info.locations.is_empty() {
+                self.reported_count = self.reported_count.saturating_sub(1);
+            }
+            self.total_location_count = self
+                .total_location_count
+                .saturating_sub(u64::try_from(info.locations.len()).unwrap_or(0));
+            for node in &info.locations {
+                if let Some(held) = self.node_blocks.get_mut(node) {
+                    if let Ok(at) = held.binary_search(id) {
+                        held.remove(at);
+                    }
+                }
+            }
+            self.under.remove(*id);
+            self.over.remove(id);
+        }
+        Ok(freed)
+    }
+
     /// Append one op to the edit log, count it, and checkpoint when the
     /// journal tail reaches `fs.checkpoint.txns` ops. Every caller must
-    /// have finished mutating namespace/block/lease state *before*
+    /// have applied the op and renewed the leases it renews *before*
     /// journaling, so the auto-checkpoint always snapshots a consistent
     /// image.
     fn journal(&mut self, op: EditOp) {
@@ -289,7 +343,9 @@ impl NameNode {
     }
 
     fn guard_safemode(&self) -> Result<()> {
-        if self.safemode.is_on() {
+        if self.down {
+            Err(HlError::DaemonDown("namenode".into()))
+        } else if self.safemode.is_on() {
             let (reported, expected) = self.block_census();
             Err(HlError::SafeMode(self.safemode.status(reported, expected)))
         } else {
@@ -360,29 +416,6 @@ impl NameNode {
         }
         self.reassess(id);
         true
-    }
-
-    /// Drop a block from the map and every derived index (deletion, lease
-    /// recovery). Returns the forgotten info so callers can invalidate its
-    /// replicas.
-    fn forget_block(&mut self, id: BlockId) -> Option<BlockInfo> {
-        let info = self.blocks.remove(&id)?;
-        if !info.locations.is_empty() {
-            self.reported_count = self.reported_count.saturating_sub(1);
-        }
-        self.total_location_count = self
-            .total_location_count
-            .saturating_sub(u64::try_from(info.locations.len()).unwrap_or(0));
-        for node in &info.locations {
-            if let Some(held) = self.node_blocks.get_mut(node) {
-                if let Ok(at) = held.binary_search(&id) {
-                    held.remove(at);
-                }
-            }
-        }
-        self.under.remove(id);
-        self.over.remove(&id);
-        Some(info)
     }
 
     /// Recompute `id`'s membership in the under/over indexes from its
@@ -496,13 +529,27 @@ impl NameNode {
         self.datanodes.iter().filter(|(_, i)| i.alive).map(|(&n, _)| n).collect()
     }
 
+    /// The verdict on one reported replica, shared by full and delta
+    /// reports: a block the NameNode no longer knows (deleted while the
+    /// node was down) is queued for invalidation; a stale generation stamp
+    /// (pipeline recovery happened without this node) is not a location
+    /// and is invalidated too; anything else is a live replica. Returns
+    /// `true` when the replica counts as a location.
+    fn judge_replica(&mut self, node: NodeId, r: &ReplicaMeta) -> bool {
+        let live = self.blocks.get(&r.id).is_some_and(|info| r.gen_stamp >= info.gen_stamp);
+        if live {
+            self.add_location(r.id, node);
+        } else {
+            self.remove_location(r.id, node);
+            self.invalidations.push((r.id, node));
+        }
+        live
+    }
+
     /// Process a full block report from `node`: an O(report + previously
-    /// known replicas on `node`) diff against the per-node index. Replicas
-    /// carrying a stale generation stamp (pipeline recovery happened
-    /// without this node) are not counted as locations and get queued for
-    /// invalidation, as do replicas of blocks the NameNode no longer knows
-    /// (deleted while the node was down). Returns `true` when this report
-    /// (or its safe-mode consequence) exits safe mode.
+    /// known replicas on `node`) diff against the per-node index, each
+    /// replica judged by [`Self::judge_replica`]. Returns `true` when this
+    /// report (or its safe-mode consequence) exits safe mode.
     pub fn process_block_report(
         &mut self,
         now: SimTime,
@@ -513,16 +560,8 @@ impl NameNode {
         let before: Vec<BlockId> = self.node_blocks.get(&node).cloned().unwrap_or_default();
         let mut confirmed: BTreeSet<BlockId> = BTreeSet::new();
         for r in report {
-            match self.blocks.get(&r.id) {
-                None => self.invalidations.push((r.id, node)),
-                Some(info) if r.gen_stamp < info.gen_stamp => {
-                    self.remove_location(r.id, node);
-                    self.invalidations.push((r.id, node));
-                }
-                Some(_) => {
-                    self.add_location(r.id, node);
-                    confirmed.insert(r.id);
-                }
+            if self.judge_replica(node, r) {
+                confirmed.insert(r.id);
             }
         }
         // Anything we believed this node held but it no longer reports.
@@ -535,9 +574,9 @@ impl NameNode {
     }
 
     /// Process a delta report from `node`: replicas received and deleted
-    /// since its last report. O(delta). Stale stamps and unknown blocks
-    /// get the same treatment as in a full report; `deleted` entries only
-    /// retract locations (the DataNode already dropped the bytes).
+    /// since its last report. O(delta). Received replicas are judged as in
+    /// a full report; `deleted` entries only retract locations (the
+    /// DataNode already dropped the bytes).
     pub fn process_incremental_report(
         &mut self,
         now: SimTime,
@@ -546,16 +585,7 @@ impl NameNode {
     ) -> bool {
         self.metrics.incr("namenode", "rpc.incremental_block_report", 1);
         for r in &report.received {
-            match self.blocks.get(&r.id) {
-                None => self.invalidations.push((r.id, node)),
-                Some(info) if r.gen_stamp < info.gen_stamp => {
-                    self.remove_location(r.id, node);
-                    self.invalidations.push((r.id, node));
-                }
-                Some(_) => {
-                    self.add_location(r.id, node);
-                }
-            }
+            self.judge_replica(node, r);
         }
         for &id in &report.deleted {
             self.remove_location(id, node);
@@ -612,8 +642,9 @@ impl NameNode {
     pub fn mkdirs(&mut self, path: &str) -> Result<()> {
         self.metrics.incr("namenode", "rpc.mkdirs", 1);
         self.guard_safemode()?;
-        self.namespace.mkdirs(path)?;
-        self.journal(EditOp::Mkdirs { path: path.to_string() });
+        let op = EditOp::Mkdirs { path: path.to_string() };
+        self.apply(&op)?;
+        self.journal(op);
         Ok(())
     }
 
@@ -628,17 +659,15 @@ impl NameNode {
     ) -> Result<()> {
         self.metrics.incr("namenode", "rpc.create_file", 1);
         self.guard_safemode()?;
-        let replication = replication.unwrap_or(self.default_replication);
-        let block_size = block_size.unwrap_or(self.default_block_size);
-        self.namespace.create_file(path, replication, block_size, now)?;
-        self.leases.acquire(now, path, holder);
-        self.journal(EditOp::Create {
+        let op = EditOp::Create {
             path: path.to_string(),
-            replication,
-            block_size,
+            replication: replication.unwrap_or(self.default_replication),
+            block_size: block_size.unwrap_or(self.default_block_size),
             at: now,
             holder: holder.to_string(),
-        });
+        };
+        self.apply(&op)?;
+        self.journal(op);
         Ok(())
     }
 
@@ -674,23 +703,16 @@ impl NameNode {
         if targets.is_empty() {
             return Err(HlError::InsufficientReplication { wanted: replication, available: 0 });
         }
-        self.namespace.append_block(path, id, len)?;
-        self.next_block_id += 1;
-        let gen_stamp = self.next_gen_stamp;
-        self.next_gen_stamp += 1;
-        self.blocks.insert(
-            id,
-            BlockInfo {
-                expected_replication: replication,
-                len,
-                locations: Vec::new(),
-                pending_replicas: 0,
-                gen_stamp,
-            },
-        );
+        let op = EditOp::AddBlock {
+            path: path.to_string(),
+            block: id,
+            len,
+            gen_stamp: self.next_gen_stamp,
+        };
+        self.apply(&op)?;
         self.reassess(id);
         self.leases.renew(now, path);
-        self.journal(EditOp::AddBlock { path: path.to_string(), block: id, len, gen_stamp });
+        self.journal(op);
         Ok((id, targets))
     }
 
@@ -700,15 +722,11 @@ impl NameNode {
     /// Counts as writer progress, so the lease renews too.
     pub fn bump_gen_stamp(&mut self, now: SimTime, path: &str, id: BlockId) -> Result<u64> {
         self.metrics.incr("namenode", "rpc.bump_gen_stamp", 1);
-        let info = self
-            .blocks
-            .get_mut(&id)
-            .ok_or_else(|| HlError::Internal(format!("gen-stamp bump of unknown {id}")))?;
         let gen_stamp = self.next_gen_stamp;
-        self.next_gen_stamp += 1;
-        info.gen_stamp = gen_stamp;
+        let op = EditOp::BumpGenStamp { block: id, gen_stamp };
+        self.apply(&op)?;
         self.leases.renew(now, path);
-        self.journal(EditOp::BumpGenStamp { block: id, gen_stamp });
+        self.journal(op);
         Ok(gen_stamp)
     }
 
@@ -716,9 +734,9 @@ impl NameNode {
     pub fn complete_file(&mut self, path: &str) -> Result<()> {
         self.metrics.incr("namenode", "rpc.complete_file", 1);
         self.guard_safemode()?;
-        self.namespace.complete_file(path)?;
-        self.leases.release(path);
-        self.journal(EditOp::Close { path: path.to_string() });
+        let op = EditOp::Close { path: path.to_string() };
+        self.apply(&op)?;
+        self.journal(op);
         Ok(())
     }
 
@@ -726,17 +744,13 @@ impl NameNode {
     pub fn delete(&mut self, path: &str, recursive: bool) -> Result<Vec<DnCommand>> {
         self.metrics.incr("namenode", "rpc.delete", 1);
         self.guard_safemode()?;
-        let freed = self.namespace.delete(path, recursive)?;
-        self.leases.release_under(path);
+        let op = EditOp::Delete { path: path.to_string(), recursive };
         let mut commands = Vec::new();
-        for id in freed {
-            if let Some(info) = self.forget_block(id) {
-                for node in info.locations {
-                    commands.push(DnCommand::Invalidate { block: id, node });
-                }
-            }
+        for (block, info) in self.apply(&op)? {
+            commands
+                .extend(info.locations.iter().map(|&node| DnCommand::Invalidate { block, node }));
         }
-        self.journal(EditOp::Delete { path: path.to_string(), recursive });
+        self.journal(op);
         Ok(commands)
     }
 
@@ -749,16 +763,13 @@ impl NameNode {
         if replication == 0 {
             return Err(HlError::Config("replication must be >= 1".into()));
         }
-        let file = self.namespace.file_mut(path)?;
-        file.replication = replication;
-        let blocks = file.blocks.clone();
-        for id in &blocks {
-            if let Some(info) = self.blocks.get_mut(id) {
-                info.expected_replication = replication;
-            }
-            self.reassess(*id);
+        let op = EditOp::SetReplication { path: path.to_string(), replication };
+        self.apply(&op)?;
+        let blocks = self.namespace.file(path)?.blocks.clone();
+        for &id in &blocks {
+            self.reassess(id);
         }
-        self.journal(EditOp::SetReplication { path: path.to_string(), replication });
+        self.journal(op);
         Ok(blocks)
     }
 
@@ -768,18 +779,20 @@ impl NameNode {
     pub fn set_file_codec(&mut self, path: &str, codec: hl_codec::CodecId) -> Result<()> {
         self.metrics.incr("namenode", "rpc.set_codec", 1);
         self.guard_safemode()?;
-        self.namespace.file_mut(path)?.codec = codec;
-        self.journal(EditOp::SetCodec { path: path.to_string(), codec });
+        let op = EditOp::SetCodec { path: path.to_string(), codec };
+        self.apply(&op)?;
+        self.journal(op);
         Ok(())
     }
 
-    /// Rename a path (an open file's lease follows it).
+    /// Rename a path. An open file's lease follows it, and so does the
+    /// lease of every open file under a renamed directory.
     pub fn rename(&mut self, src: &str, dst: &str) -> Result<()> {
         self.metrics.incr("namenode", "rpc.rename", 1);
         self.guard_safemode()?;
-        self.namespace.rename(src, dst)?;
-        self.leases.rename(src, dst);
-        self.journal(EditOp::Rename { src: src.to_string(), dst: dst.to_string() });
+        let op = EditOp::Rename { src: src.to_string(), dst: dst.to_string() };
+        self.apply(&op)?;
+        self.journal(op);
         Ok(())
     }
 
@@ -855,26 +868,26 @@ impl NameNode {
         // Only the tail can be unconfirmed: pipelines write in order.
         let mut tail: Vec<BlockId> = file.blocks.clone();
         while let Some(&last) = tail.last() {
-            let confirmed = self
-                .blocks
-                .get(&last)
-                .map(|b| !b.locations.is_empty() || b.pending_replicas > 0)
-                .unwrap_or(false);
-            if confirmed {
+            let info = self.blocks.get(&last);
+            if info.is_some_and(|b| !b.locations.is_empty() || b.pending_replicas > 0) {
                 break;
             }
-            let len = self.blocks.get(&last).map(|b| b.len).unwrap_or(0);
-            if self.namespace.abandon_block(path, last, len).is_err() {
+            let abandon = EditOp::AbandonBlock {
+                path: path.to_string(),
+                block: last,
+                len: info.map_or(0, |b| b.len),
+            };
+            if self.apply(&abandon).is_err() {
                 break;
             }
-            self.forget_block(last);
-            self.journal(EditOp::AbandonBlock { path: path.to_string(), block: last, len });
+            self.journal(abandon);
             tail.pop();
         }
-        let closed = self.namespace.complete_file(path).is_ok();
-        self.leases.release(path);
-        if closed {
-            self.journal(EditOp::Close { path: path.to_string() });
+        let close = EditOp::Close { path: path.to_string() };
+        if self.apply(&close).is_ok() {
+            self.journal(close);
+        } else {
+            self.leases.release(path);
         }
         true
     }
@@ -1078,24 +1091,22 @@ impl NameNode {
         self.metrics.incr("namenode", "checkpoints", 1);
     }
 
-    /// The NameNode process dies. Every index the block reports built —
-    /// replica locations, the per-node reverse index, census counters,
-    /// replication queues — is gone with it, and every DataNode is unknown
-    /// until it re-registers. Pure teardown, no journaling: this is the
-    /// half of a restart that costs no downtime in real life (the dying
-    /// process's memory is simply reclaimed), split out so the scale
-    /// benchmark can time recovery proper. Idempotent; [`Self::restart`]
-    /// is the only way back up.
+    /// The NameNode process dies and its RAM goes with it: the namespace,
+    /// the block map, the lease table, every index the block reports built
+    /// — replica locations, the per-node reverse index, census counters,
+    /// replication queues — and every DataNode is unknown until it
+    /// re-registers. What survives is the fsimage and the edit log. Pure
+    /// teardown, no journaling: this is the half of a restart that costs
+    /// no downtime in real life (the dying process's memory is simply
+    /// reclaimed), split out so the scale benchmark can time recovery
+    /// proper. Idempotent; [`Self::restart`] is the only way back up.
     pub fn shutdown(&mut self) {
         if self.down {
             return;
         }
-        // `Vec::clear` keeps each block's small allocation, so this is a
-        // linear walk over the map, not a million frees.
-        for b in self.blocks.values_mut() {
-            b.locations.clear();
-            b.pending_replicas = 0;
-        }
+        self.namespace = Namespace::new();
+        self.blocks.clear();
+        self.leases.clear();
         self.invalidations.clear();
         for held in self.node_blocks.values_mut() {
             held.clear();
@@ -1111,163 +1122,60 @@ impl NameNode {
     }
 
     /// Simulate a full NameNode restart: tear the process down (unless
-    /// [`Self::shutdown`] already did), deserialize the fsimage, replay
-    /// only the edit-log *tail* written since the last checkpoint, rebuild
-    /// leases for still-open files, and enter safe mode. Block reports
+    /// [`Self::shutdown`] already did), deserialize the fsimage into
+    /// namespace, block map, leases and allocation marks, apply the
+    /// edit-log *tail* written since the last checkpoint, re-acquire the
+    /// lease of every file still open, and enter safe mode. Block reports
     /// must stream back in before the cluster is usable again.
     ///
-    /// The image *prefix* (namespace, allocation counters, leases) is what
-    /// recovery genuinely deserializes. The block-record section makes the
-    /// image self-contained; debug builds parse it too and verify that
-    /// image + tail reproduces the live block map entry-for-entry, while
-    /// release builds trust the journal-verified map (the restart fidelity
-    /// the simulator has always had) and keep recovery O(namespace + tail)
-    /// instead of O(blocks).
+    /// What comes back is a function of the image and the journal alone,
+    /// in every build. An `Err` (corrupt image, a journal that does not
+    /// fit it) leaves the NameNode down and empty, never half-loaded.
     pub fn restart(&mut self, now: SimTime) -> Result<()> {
         self.shutdown();
-        let image = FsImage::prefix_from_bytes(&self.fsimage)?;
+        let image = FsImage::from_bytes(&self.fsimage)?;
         let mut ns = image.namespace;
-        let mut next_block_id = image.next_block_id;
-        let mut next_gen_stamp = image.next_gen_stamp;
-        // path → lease holder, from the image plus the journaled tail.
-        let mut holders: BTreeMap<String, String> =
-            image.leases.into_iter().map(|l| (l.path, l.holder)).collect();
-        // Debug-only shadow rebuild of the block map from the image's
-        // records, checked against the live map after the tail replay.
-        let mut rebuilt: Option<BTreeMap<BlockId, BlockInfo>> = if cfg!(debug_assertions) {
-            Some(
-                FsImage::from_bytes(&self.fsimage)?
-                    .blocks
-                    .iter()
-                    .map(|r| {
-                        (
-                            r.id,
-                            BlockInfo {
-                                expected_replication: r.expected_replication,
-                                len: r.len,
-                                locations: Vec::new(),
-                                pending_replicas: 0,
-                                gen_stamp: r.gen_stamp,
-                            },
-                        )
-                    })
-                    .collect(),
-            )
-        } else {
-            None
+        let mut blocks: BTreeMap<BlockId, BlockInfo> = image
+            .blocks
+            .iter()
+            .map(|r| (r.id, BlockInfo::unreported(r.len, r.expected_replication, r.gen_stamp)))
+            .collect();
+        // Emptied by `shutdown`, so the clone carries only the limits.
+        let mut leases = self.leases.clone();
+        for l in &image.leases {
+            leases.acquire(l.renewed_at, &l.path, &l.holder);
+        }
+        let (mut next_block_id, mut next_gen_stamp) = (image.next_block_id, image.next_gen_stamp);
+        let mut ledger = Ledger {
+            blocks: &mut blocks,
+            leases: &mut leases,
+            next_block_id: &mut next_block_id,
+            next_gen_stamp: &mut next_gen_stamp,
         };
         for op in self.editlog.ops() {
-            match op {
-                EditOp::Mkdirs { path } => ns.mkdirs(path)?,
-                EditOp::Create { path, replication, block_size, at, holder } => {
-                    ns.create_file(path, *replication, *block_size, *at)?;
-                    holders.insert(path.clone(), holder.clone());
-                }
-                EditOp::AddBlock { path, block, len, gen_stamp } => {
-                    let replication = ns.file(path)?.replication;
-                    ns.append_block(path, *block, *len)?;
-                    if let Some(m) = rebuilt.as_mut() {
-                        m.insert(
-                            *block,
-                            BlockInfo {
-                                expected_replication: replication,
-                                len: *len,
-                                locations: Vec::new(),
-                                pending_replicas: 0,
-                                gen_stamp: *gen_stamp,
-                            },
-                        );
-                    }
-                    next_block_id = next_block_id.max(block.0 + 1);
-                    next_gen_stamp = next_gen_stamp.max(*gen_stamp + 1);
-                }
-                EditOp::Close { path } => {
-                    ns.complete_file(path)?;
-                    holders.remove(path);
-                }
-                EditOp::Delete { path, recursive } => {
-                    for id in ns.delete(path, *recursive)? {
-                        if let Some(m) = rebuilt.as_mut() {
-                            m.remove(&id);
-                        }
-                    }
-                    let prefix = format!("{path}/");
-                    holders.retain(|p, _| p != path && !p.starts_with(&prefix));
-                }
-                EditOp::Rename { src, dst } => {
-                    ns.rename(src, dst)?;
-                    let prefix = format!("{src}/");
-                    let moved: Vec<String> = holders
-                        .keys()
-                        .filter(|p| *p == src || p.starts_with(&prefix))
-                        .cloned()
-                        .collect();
-                    for p in moved {
-                        if let Some(h) = holders.remove(&p) {
-                            holders.insert(format!("{dst}{}", &p[src.len()..]), h);
-                        }
-                    }
-                }
-                EditOp::SetReplication { path, replication } => {
-                    let file = ns.file_mut(path)?;
-                    file.replication = *replication;
-                    let ids = file.blocks.clone();
-                    if let Some(m) = rebuilt.as_mut() {
-                        for id in ids {
-                            if let Some(info) = m.get_mut(&id) {
-                                info.expected_replication = *replication;
-                            }
-                        }
-                    }
-                }
-                EditOp::BumpGenStamp { block, gen_stamp } => {
-                    if let Some(m) = rebuilt.as_mut() {
-                        if let Some(info) = m.get_mut(block) {
-                            info.gen_stamp = (*gen_stamp).max(info.gen_stamp);
-                        }
-                    }
-                    next_gen_stamp = next_gen_stamp.max(*gen_stamp + 1);
-                }
-                EditOp::AbandonBlock { path, block, len } => {
-                    ns.abandon_block(path, *block, *len)?;
-                    if let Some(m) = rebuilt.as_mut() {
-                        m.remove(block);
-                    }
-                }
-                EditOp::SetCodec { path, codec } => {
-                    ns.file_mut(path)?.codec = *codec;
-                }
-            }
+            op.apply(&mut ns, Some(&mut ledger))?;
         }
-        debug_assert_eq!(ns, self.namespace, "fsimage + tail must reproduce live namespace");
-        if let Some(m) = &rebuilt {
-            debug_assert_eq!(
-                m.iter()
-                    .map(|(&id, b)| (id, b.len, b.expected_replication, b.gen_stamp))
-                    .collect::<Vec<_>>(),
-                self.blocks
-                    .iter()
-                    .map(|(&id, b)| (id, b.len, b.expected_replication, b.gen_stamp))
-                    .collect::<Vec<_>>(),
-                "fsimage + tail must reproduce block metadata"
-            );
-        }
-        // Files still open for write regain their leases (holder survives
-        // via the image/journal) so the lease monitor can recover them.
-        let mut open: Vec<(String, String)> = Vec::new();
-        for (path, file) in ns.files_under("/")? {
-            if !file.complete {
-                let holder = holders.get(&path).cloned().unwrap_or_else(|| "recovery".to_string());
-                open.push((path, holder));
-            }
+        // Files still open for write regain their leases at `now` (the
+        // holder survives via the image/journal) so the lease monitor can
+        // recover them.
+        let open: Vec<(String, String)> = ns
+            .files_under("/")?
+            .into_iter()
+            .filter(|(_, file)| !file.complete)
+            .map(|(path, _)| {
+                let holder = leases.lease(&path).map_or("recovery", |l| l.holder.as_str());
+                (path, holder.to_string())
+            })
+            .collect();
+        leases.clear();
+        for (path, holder) in open {
+            leases.acquire(now, &path, &holder);
         }
         self.namespace = ns;
+        self.blocks = blocks;
+        self.leases = leases;
         self.next_block_id = next_block_id;
         self.next_gen_stamp = next_gen_stamp;
-        self.leases.clear();
-        for (path, holder) in open {
-            self.leases.acquire(now, &path, &holder);
-        }
         self.safemode = SafeMode::new(self.safemode.threshold, self.safemode.extension);
         self.down = false;
         // Restart semantics: point-in-time gauges died with the process,
@@ -1712,5 +1620,185 @@ mod tests {
         let new = nn.lease("/data/new").expect("tail-created file regains its lease");
         assert_eq!(new.holder, "writer-tail");
         assert!(nn.lease("/data/f").is_none());
+    }
+
+    #[test]
+    fn directory_rename_carries_open_file_leases_across_restart() {
+        let mut nn = nn(4);
+        nn.mkdirs("/a").unwrap();
+        nn.create_file(SimTime::ZERO, "/a/f", None, None, "writer").unwrap();
+        nn.rename("/a", "/b").unwrap();
+        let check = |nn: &NameNode| {
+            assert_eq!(nn.lease("/b/f").map(|l| l.holder.as_str()), Some("writer"));
+            assert!(nn.lease("/a/f").is_none());
+        };
+        check(&nn);
+        nn.restart(SimTime(1)).unwrap();
+        check(&nn);
+    }
+
+    /// A short life whose image holds an open file, a bumped stamp, a
+    /// codec flag and a lease, and whose journal tail holds all ten op
+    /// kinds.
+    fn busy_life(nn: &mut NameNode) {
+        let t = SimTime(1);
+        let confirmed_block = |nn: &mut NameNode, path: &str| {
+            let (id, targets) = nn.add_block(t, path, 64, None).unwrap();
+            for node in targets {
+                nn.block_received(t, node, id);
+            }
+            id
+        };
+        nn.mkdirs("/img").unwrap();
+        nn.create_file(t, "/img/open", Some(2), None, "writer-img").unwrap();
+        let id = confirmed_block(nn, "/img/open");
+        nn.bump_gen_stamp(t, "/img/open", id).unwrap();
+        nn.create_file(t, "/img/packed", None, None, "packer").unwrap();
+        nn.complete_file("/img/packed").unwrap();
+        nn.set_file_codec("/img/packed", hl_codec::CodecId::Hlz).unwrap();
+        nn.checkpoint();
+
+        nn.mkdirs("/tail/dir").unwrap();
+        nn.create_file(t, "/tail/dir/f", None, None, "writer-tail").unwrap();
+        let id = confirmed_block(nn, "/tail/dir/f");
+        nn.add_block(t, "/tail/dir/f", 10, None).unwrap();
+        nn.bump_gen_stamp(t, "/tail/dir/f", id).unwrap();
+        nn.set_replication("/tail/dir/f", 2).unwrap();
+        nn.rename("/tail/dir", "/tail/moved").unwrap();
+        // Lease recovery abandons the unconfirmed block and closes.
+        assert!(!nn.recover_lease("/tail/moved/f").unwrap());
+        assert_eq!(nn.check_leases(t), vec!["/tail/moved/f".to_string()]);
+        nn.set_file_codec("/tail/moved/f", hl_codec::CodecId::Hlz).unwrap();
+        nn.create_file(t, "/tail/still-open", None, None, "writer-open").unwrap();
+        nn.create_file(t, "/tail/gone", None, None, "writer-gone").unwrap();
+        nn.delete("/tail/gone", false).unwrap();
+        let kinds: BTreeSet<u8> = nn.editlog.ops().iter().map(|op| op.to_bytes()[0]).collect();
+        assert_eq!(kinds.len(), 10, "the tail must hold every op kind");
+    }
+
+    /// Everything a restart must recover.
+    fn durable(nn: &NameNode) -> impl PartialEq + std::fmt::Debug {
+        (
+            nn.namespace.clone(),
+            nn.blocks
+                .iter()
+                .map(|(&id, b)| (id, b.len, b.expected_replication, b.gen_stamp))
+                .collect::<Vec<_>>(),
+            nn.leases.leases().map(|l| (l.path.clone(), l.holder.clone())).collect::<Vec<_>>(),
+            nn.next_block_id,
+            nn.next_gen_stamp,
+        )
+    }
+
+    /// A NameNode that was never told anything, handed `image` and
+    /// `journal` the way a secondary's copies would be.
+    fn from_durable_bytes(image: &[u8], journal: EditLog) -> NameNode {
+        let mut fresh = NameNode::new(&Configuration::with_defaults(), Topology::flat(4)).unwrap();
+        fresh.fsimage = image.to_vec();
+        fresh.editlog = journal;
+        fresh
+    }
+
+    #[test]
+    fn restart_is_a_pure_function_of_image_and_journal() {
+        let mut nn = nn(4);
+        busy_life(&mut nn);
+        let before = durable(&nn);
+        let journal = EditLog::deserialize(&nn.editlog.serialize()).unwrap();
+        let mut rebuilt = from_durable_bytes(nn.fsimage_bytes(), journal);
+
+        nn.restart(SimTime(9)).unwrap();
+        assert_eq!(durable(&nn), before);
+        assert_eq!(nn.block_census(), (0, nn.blocks.len()), "locations are not durable");
+        rebuilt.restart(SimTime(9)).unwrap();
+        assert_eq!(durable(&rebuilt), before);
+        assert_eq!(rebuilt.open_files(), nn.open_files());
+    }
+
+    #[test]
+    fn journaled_numbers_at_the_u64_ceiling_are_codec_errors() {
+        let mut nn = nn(4);
+        nn.mkdirs("/d").unwrap();
+        nn.create_file(SimTime::ZERO, "/d/f", None, None, "w").unwrap();
+        let (id, _) = nn.add_block(SimTime::ZERO, "/d/f", 1, None).unwrap();
+        for op in [
+            EditOp::AddBlock {
+                path: "/d/f".into(),
+                block: BlockId(u64::MAX),
+                len: 1,
+                gen_stamp: 7,
+            },
+            EditOp::AddBlock {
+                path: "/d/f".into(),
+                block: BlockId(9),
+                len: 1,
+                gen_stamp: u64::MAX,
+            },
+            EditOp::BumpGenStamp { block: id, gen_stamp: u64::MAX },
+            EditOp::AddBlock {
+                path: "/d/f".into(),
+                block: BlockId(9),
+                len: u64::MAX,
+                gen_stamp: 7,
+            },
+        ] {
+            let mut crashed = nn.clone();
+            crashed.editlog.append(op);
+            // The journal itself is decodable; the overflow is in the replay.
+            let journal = EditLog::deserialize(&crashed.editlog.serialize()).unwrap();
+            assert!(matches!(journal.replay(&mut Namespace::new()), Err(HlError::Codec(_))));
+            assert!(matches!(crashed.restart(SimTime(1)), Err(HlError::Codec(_))));
+        }
+    }
+
+    /// ROADMAP 4(b), first slice: every truncation and every single-bit
+    /// flip of a small populated image and journal goes through the
+    /// decoders and `restart`. `Ok` or `HlError`, never a panic, and an
+    /// `Err` leaves the NameNode down and empty.
+    #[test]
+    fn corrupt_durable_bytes_never_panic_and_never_half_load() {
+        fn corruptions(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+            let truncations = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+            let flips = (0..bytes.len() * 8).map(|bit| {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            });
+            truncations.chain(flips)
+        }
+        let mut nn = nn(4);
+        busy_life(&mut nn);
+        let (image, journal) = (nn.fsimage_bytes().to_vec(), nn.editlog.serialize());
+
+        let mut victims = Vec::new();
+        for bad in corruptions(&image) {
+            // Decodes or not, it must not panic; `restart` decodes it again.
+            let _ = FsImage::from_bytes(&bad);
+            victims.push(from_durable_bytes(&bad, nn.editlog.clone()));
+        }
+        for bad in corruptions(&journal) {
+            if let Ok(log) = EditLog::deserialize(&bad) {
+                victims.push(from_durable_bytes(&image, log));
+            }
+        }
+        let (mut came_up, mut stayed_down) = (0, 0);
+        for mut victim in victims {
+            match victim.restart(SimTime(9)) {
+                Ok(()) => {
+                    came_up += 1;
+                    assert!(!victim.down && victim.safemode.is_on());
+                }
+                Err(_) => {
+                    stayed_down += 1;
+                    assert!(victim.down);
+                    assert_eq!(victim.namespace, Namespace::new());
+                    assert!(victim.blocks.is_empty() && victim.leases.is_empty());
+                    assert!(matches!(victim.mkdirs("/x"), Err(HlError::DaemonDown(_))));
+                }
+            }
+        }
+        // Both outcomes occur: a flipped length or timestamp still loads,
+        // a flipped tag or a cut-off record does not.
+        assert!(came_up > 0 && stayed_down > 0, "{came_up} up, {stayed_down} down");
     }
 }

@@ -180,15 +180,19 @@ impl Namespace {
         Ok(())
     }
 
-    /// Append an allocated block to an incomplete file.
-    pub fn append_block(&mut self, path: &str, block: BlockId, len: u64) -> Result<()> {
+    /// Append an allocated block to an incomplete file. Returns the file's
+    /// replication target, which the new block inherits.
+    pub fn append_block(&mut self, path: &str, block: BlockId, len: u64) -> Result<u32> {
         let file = self.file_mut(path)?;
         if file.complete {
             return Err(HlError::Internal(format!("append to completed file {path}")));
         }
+        file.len = file
+            .len
+            .checked_add(len)
+            .ok_or_else(|| HlError::Codec(format!("block of {len} bytes overflows {path}")))?;
         file.blocks.push(block);
-        file.len += len;
-        Ok(())
+        Ok(file.replication)
     }
 
     /// Mark a file complete (writer closed it).

@@ -7,16 +7,18 @@
 //!    reports) must converge to exactly the state a NameNode fed one
 //!    final full report per node reaches — same locations, same census,
 //!    same replication queues.
-//! 2. **Fsimage + edit-log tail ≡ full journal replay.** A NameNode that
-//!    checkpoints aggressively (short tails) and one that never
-//!    checkpoints (restart replays every op since format) must recover
-//!    identical metadata from the same op sequence.
+//! 2. **Fsimage + edit-log tail ≡ full journal replay ≡ the pre-crash
+//!    state.** A NameNode that checkpoints aggressively (short tails) and
+//!    one that never checkpoints (restart applies every op since format)
+//!    must recover identical metadata from the same op sequence, and it
+//!    must be the metadata they held before the crash.
 
 use proptest::prelude::*;
 
 use hl_common::config::keys;
 use hl_common::prelude::*;
 use hl_dfs::block::{IncrementalBlockReport, ReplicaMeta};
+use hl_dfs::fsimage::FsImage;
 use hl_dfs::namenode::NameNode;
 use hl_dfs::BlockId;
 
@@ -62,7 +64,7 @@ fn replication_state(nn: &NameNode, ids: &[BlockId]) -> impl PartialEq + std::fm
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(64), ..ProptestConfig::default() })]
 
     /// Claim 1: drive one NameNode with per-step deltas (plus a periodic
     /// full report as anti-entropy), drive its twin with nothing but one
@@ -132,68 +134,124 @@ fn full_report(nn: &NameNode, ids: &[BlockId], held: &[bool]) -> Vec<ReplicaMeta
         .collect()
 }
 
-/// Claim 2: the same op sequence — touching every edit-op kind — recovers
-/// identically whether restart loads a recent fsimage and replays a short
-/// tail (checkpoint every 4 ops) or replays the whole journal from the
-/// format image (checkpointing disabled).
-#[test]
-fn fsimage_plus_tail_equals_full_replay() {
-    let run_ops = |nn: &mut NameNode| {
-        let t = SimTime(1);
-        nn.mkdirs("/a/b").unwrap();
-        for f in 0..6 {
-            let path = format!("/a/b/f{f}");
-            nn.create_file(t, &path, Some(2), None, "writer").unwrap();
-            for _ in 0..3 {
-                nn.add_block(t, &path, 700, None).unwrap();
+/// `PROPTEST_CASES` lets the CI fuzz job soak both claims much harder than
+/// a developer `cargo test` does.
+fn cases(default_cases: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
+}
+
+/// Everything a restart must recover: namespace, per-block `(id, len,
+/// expected_replication, gen_stamp)`, `(path, holder)` per lease, and both
+/// allocation marks (read off the image a checkpoint of a copy writes —
+/// they have no accessor).
+fn durable(nn: &NameNode) -> impl PartialEq + std::fmt::Debug {
+    let blocks: Vec<(BlockId, u64, u32, u64)> = nn
+        .block_manifest()
+        .iter()
+        .map(|&(id, len, replication)| (id, len, replication, nn.block(id).unwrap().gen_stamp))
+        .collect();
+    let leases: Vec<(String, String)> =
+        nn.open_files().iter().map(|l| (l.path.clone(), l.holder.clone())).collect();
+    let mut copy = nn.clone();
+    copy.checkpoint();
+    let image = FsImage::from_bytes(copy.fsimage_bytes()).unwrap();
+    (nn.namespace().clone(), blocks, leases, image.next_block_id, image.next_gen_stamp)
+}
+
+/// One step of a NameNode life: `(kind, dir, file, other dir, small
+/// number)` over three directories of two files, so steps collide —
+/// renames land on open files, deletes on directories holding them.
+/// Writes are drawn more often than deletes so files live long enough to
+/// be renamed, re-stamped and recovered.
+type Step = (u8, usize, usize, usize, u32);
+
+/// Run `step`; `true` when the NameNode accepted it. Twins fed the same
+/// steps must agree on that.
+fn run_step(nn: &mut NameNode, t: SimTime, (kind, d, f, d2, x): Step) -> bool {
+    let (dir, file) = (format!("/d{d}"), format!("/d{d}/f{f}"));
+    match kind {
+        0 => nn.mkdirs(&dir).is_ok(),
+        1..=3 => nn.create_file(t, &file, Some(x % 3 + 1), None, &format!("writer{x}")).is_ok(),
+        // Half the blocks get confirmed replicas; lease recovery abandons
+        // the rest.
+        4..=7 => nn.add_block(t, &file, 100 + u64::from(x), None).is_ok_and(|(id, targets)| {
+            for n in targets.into_iter().filter(|_| x % 2 == 0) {
+                nn.block_received(t, n, id);
             }
-            if f % 2 == 0 {
-                nn.complete_file(&path).unwrap();
+            true
+        }),
+        8 => nn.complete_file(&file).is_ok(),
+        9 => nn.rename(&dir, &format!("/d{d2}")).is_ok(),
+        10 => nn.rename(&file, &format!("/d{d2}/f{}", x % 2)).is_ok(),
+        11 => nn.set_replication(&file, x % 3 + 1).is_ok(),
+        12 | 13 => {
+            let last = nn.namespace().file(&file).ok().and_then(|f| f.blocks.last().copied());
+            last.is_some_and(|id| nn.bump_gen_stamp(t, &file, id).is_ok())
+        }
+        14 => nn.set_file_codec(&file, hl_codec::CodecId::Hlz).is_ok(),
+        15 => nn.delete(&dir, true).is_ok(),
+        16 => nn.delete(&file, false).is_ok(),
+        _ => {
+            let open = nn.recover_lease(&file) == Ok(false);
+            nn.check_leases(t);
+            open
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: cases(64), ..ProptestConfig::default() })]
+
+    /// Claim 2: the same life — every journaled op kind, directory renames
+    /// and recursive deletes over open files, lease-recovery abandons —
+    /// recovers identically whether restart loads a recent fsimage and
+    /// applies a short tail (checkpoint every few ops) or applies the whole
+    /// journal to the format image (checkpointing disabled), and what it
+    /// recovers is what the NameNode held before the crash. Runs the same
+    /// in dev and release.
+    #[test]
+    fn fsimage_plus_tail_equals_full_replay(
+        checkpoint_ops in 1u64..6,
+        steps in proptest::collection::vec((0u8..20, 0usize..3, 0usize..2, 0usize..3, 0u32..6), 8..96),
+    ) {
+        let (mut nn_ckpt, _) = seeded_namenode(4, 0, checkpoint_ops);
+        let (mut nn_replay, _) = seeded_namenode(4, 0, 0);
+        let mut t = SimTime(1);
+        // Two directories and an open file with a block, so the drawn
+        // steps find something to act on from the start.
+        let prelude = [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 1), (4, 0, 0, 0, 0)];
+        for &step in prelude.iter().chain(&steps) {
+            t += SimDuration::from_secs(1);
+            prop_assert_eq!(run_step(&mut nn_ckpt, t, step), run_step(&mut nn_replay, t, step));
+        }
+        prop_assert!(
+            nn_ckpt.fsimage_bytes() != nn_replay.fsimage_bytes(),
+            "the checkpointing NameNode must actually have written an image"
+        );
+        let before = durable(&nn_ckpt);
+        prop_assert_eq!(&durable(&nn_replay), &before);
+
+        nn_ckpt.restart(t).unwrap();
+        nn_replay.restart(t).unwrap();
+
+        // Identical namespace, block metadata, leases and allocation marks
+        // — however much of the journey came from the image vs. the
+        // journal — and nothing the crash could lose was lost.
+        prop_assert_eq!(&durable(&nn_ckpt), &before);
+        prop_assert_eq!(&durable(&nn_replay), &before);
+        prop_assert_eq!(nn_ckpt.block_census().0, 0, "locations are not durable");
+
+        // Both recover the same world once DataNodes report back in.
+        let ids: Vec<BlockId> = nn_ckpt.block_manifest().iter().map(|&(id, _, _)| id).collect();
+        for i in 0..4 {
+            let held: Vec<bool> = ids.iter().map(|id| id.0 % 4 != i).collect();
+            let report = full_report(&nn_ckpt, &ids, &held);
+            let n = node(usize::try_from(i).unwrap_or(0));
+            for nn in [&mut nn_ckpt, &mut nn_replay] {
+                nn.register_datanode(t, n, u64::MAX / 2);
+                nn.process_block_report(t, n, &report);
             }
         }
-        // One of each remaining journaled op kind.
-        nn.set_replication("/a/b/f0", 3).unwrap();
-        nn.rename("/a/b/f2", "/a/b/renamed").unwrap();
-        nn.delete("/a/b/f4", false).unwrap();
-        let open_block = nn.namespace().file("/a/b/f1").unwrap().blocks[0];
-        nn.bump_gen_stamp(t, "/a/b/f1", open_block).unwrap();
-    };
-
-    let (mut nn_ckpt, _) = seeded_namenode(4, 0, 4);
-    let (mut nn_replay, _) = seeded_namenode(4, 0, 0);
-    run_ops(&mut nn_ckpt);
-    run_ops(&mut nn_replay);
-    assert!(
-        nn_ckpt.fsimage_bytes() != nn_replay.fsimage_bytes(),
-        "the checkpointing NameNode must actually have written an image"
-    );
-
-    let t = SimTime(2);
-    nn_ckpt.restart(t).unwrap();
-    nn_replay.restart(t).unwrap();
-
-    // Identical namespace, block metadata, leases, and census — however
-    // much of the journey came from the image vs. the journal.
-    assert_eq!(nn_ckpt.namespace(), nn_replay.namespace());
-    assert_eq!(nn_ckpt.block_manifest(), nn_replay.block_manifest());
-    assert_eq!(nn_ckpt.block_census(), nn_replay.block_census());
-    let leases = |nn: &NameNode| {
-        let mut open: Vec<String> = nn.open_files().iter().map(|l| l.path.clone()).collect();
-        open.sort();
-        open
-    };
-    assert_eq!(leases(&nn_ckpt), leases(&nn_replay));
-    assert_eq!(leases(&nn_ckpt), vec!["/a/b/f1", "/a/b/f3", "/a/b/f5"]);
-
-    // Both recover the same world once DataNodes report back in.
-    let ids: Vec<BlockId> = nn_ckpt.block_manifest().iter().map(|&(id, _, _)| id).collect();
-    for i in 0..4 {
-        let held: Vec<bool> = ids.iter().map(|id| id.0 % 4 != i).collect();
-        let report = full_report(&nn_ckpt, &ids, &held);
-        nn_ckpt.register_datanode(t, node(usize::try_from(i).unwrap_or(0)), u64::MAX / 2);
-        nn_replay.register_datanode(t, node(usize::try_from(i).unwrap_or(0)), u64::MAX / 2);
-        nn_ckpt.process_block_report(t, node(usize::try_from(i).unwrap_or(0)), &report);
-        nn_replay.process_block_report(t, node(usize::try_from(i).unwrap_or(0)), &report);
+        prop_assert_eq!(replication_state(&nn_ckpt, &ids), replication_state(&nn_replay, &ids));
     }
-    assert_eq!(replication_state(&nn_ckpt, &ids), replication_state(&nn_replay, &ids));
 }
