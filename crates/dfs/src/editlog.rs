@@ -75,6 +75,8 @@ impl EditOp {
     /// them, so a live caller can invalidate their replicas. An `Err`
     /// means the op does not fit the state (a corrupt journal, or an RPC
     /// its guards should have refused).
+    // Inlined so the namespace-only replay loop sheds the ledger arms.
+    #[inline]
     pub(crate) fn apply(
         &self,
         ns: &mut Namespace,
