@@ -1770,33 +1770,32 @@ mod tests {
         busy_life(&mut nn);
         let (image, journal) = (nn.fsimage_bytes().to_vec(), nn.editlog.serialize());
 
-        let mut victims = Vec::new();
+        // Counts (came up, stayed down) over every victim.
+        let mut outcomes = (0, 0);
+        let mut restart = |mut victim: NameNode| match victim.restart(SimTime(9)) {
+            Ok(()) => {
+                outcomes.0 += 1;
+                assert!(!victim.down && victim.safemode.is_on());
+            }
+            Err(_) => {
+                outcomes.1 += 1;
+                assert!(victim.down);
+                assert_eq!(victim.namespace, Namespace::new());
+                assert!(victim.blocks.is_empty() && victim.leases.is_empty());
+                assert!(matches!(victim.mkdirs("/x"), Err(HlError::DaemonDown(_))));
+            }
+        };
         for bad in corruptions(&image) {
             // Decodes or not, it must not panic; `restart` decodes it again.
             let _ = FsImage::from_bytes(&bad);
-            victims.push(from_durable_bytes(&bad, nn.editlog.clone()));
+            restart(from_durable_bytes(&bad, nn.editlog.clone()));
         }
         for bad in corruptions(&journal) {
             if let Ok(log) = EditLog::deserialize(&bad) {
-                victims.push(from_durable_bytes(&image, log));
+                restart(from_durable_bytes(&image, log));
             }
         }
-        let (mut came_up, mut stayed_down) = (0, 0);
-        for mut victim in victims {
-            match victim.restart(SimTime(9)) {
-                Ok(()) => {
-                    came_up += 1;
-                    assert!(!victim.down && victim.safemode.is_on());
-                }
-                Err(_) => {
-                    stayed_down += 1;
-                    assert!(victim.down);
-                    assert_eq!(victim.namespace, Namespace::new());
-                    assert!(victim.blocks.is_empty() && victim.leases.is_empty());
-                    assert!(matches!(victim.mkdirs("/x"), Err(HlError::DaemonDown(_))));
-                }
-            }
-        }
+        let (came_up, stayed_down) = outcomes;
         // Both outcomes occur: a flipped length or timestamp still loads,
         // a flipped tag or a cut-off record does not.
         assert!(came_up > 0 && stayed_down > 0, "{came_up} up, {stayed_down} down");
