@@ -7,7 +7,8 @@
 //! |    |                            | mapreduce::{engine, jobtracker}         |
 //! | R2 | sim-time                   | sim-facing crates (dfs, cluster,        |
 //! |    |                            | mapreduce, provision, hbase, core,      |
-//! |    |                            | chaos, metrics)                         |
+//! |    |                            | chaos, metrics): clocks, unseeded RNGs, |
+//! |    |                            | host threads outside `mapreduce::pool`  |
 //! | R3 | lossless-casts             | sortbuf / merge / block hot paths       |
 //! | R4 | writable-manifest          | whole workspace (`impl Writable` headers) |
 //! | R5 | counters-hygiene           | whole workspace (`incr*(.., 0)` call-sites) |
@@ -265,17 +266,31 @@ fn rule_r1(file: &str, sf: &ScannedFile, out: &mut Vec<Violation>) {
 
 /// R2: no wall-clock or unseeded randomness in sim-facing code. All time
 /// must flow through `common::simtime`; all RNGs must be seeded.
+///
+/// Host threads are the third way in for nondeterminism — what they do is
+/// ordered by the host's scheduler — so `available_parallelism` and
+/// `thread::scope` / `thread::spawn` are flagged too: threads enter through
+/// `mapreduce::pool`, which carries the waivers and their reasons.
 fn rule_r2(file: &str, sf: &ScannedFile, out: &mut Vec<Violation>) {
-    for (i, tok) in sf.tokens.iter().enumerate() {
+    let toks = &sf.tokens;
+    for (i, tok) in toks.iter().enumerate() {
         if sf.in_test[i] || tok.kind != TokKind::Ident {
             continue;
         }
-        let what = match tok.text.as_str() {
-            "Instant" => "std::time::Instant (wall clock)",
-            "SystemTime" => "std::time::SystemTime (wall clock)",
-            "thread_rng" => "rand::thread_rng (unseeded RNG)",
-            "from_entropy" => "SeedableRng::from_entropy (unseeded RNG)",
-            "OsRng" => "rand::rngs::OsRng (unseeded RNG)",
+        let path_to = |name: &str| {
+            toks.get(i + 1).is_some_and(|t| t.text == ":")
+                && toks.get(i + 2).is_some_and(|t| t.text == ":")
+                && toks.get(i + 3).is_some_and(|t| t.text == name)
+        };
+        let (what, instead) = match tok.text.as_str() {
+            "Instant" => ("std::time::Instant (wall clock)", CLOCK_AND_RNG),
+            "SystemTime" => ("std::time::SystemTime (wall clock)", CLOCK_AND_RNG),
+            "thread_rng" => ("rand::thread_rng (unseeded RNG)", CLOCK_AND_RNG),
+            "from_entropy" => ("SeedableRng::from_entropy (unseeded RNG)", CLOCK_AND_RNG),
+            "OsRng" => ("rand::rngs::OsRng (unseeded RNG)", CLOCK_AND_RNG),
+            "available_parallelism" => ("available_parallelism (host core count)", ONE_POOL),
+            "thread" if path_to("scope") => ("thread::scope (host threads)", ONE_POOL),
+            "thread" if path_to("spawn") => ("thread::spawn (host threads)", ONE_POOL),
             _ => continue,
         };
         push(
@@ -285,13 +300,15 @@ fn rule_r2(file: &str, sf: &ScannedFile, out: &mut Vec<Violation>) {
             file,
             tok,
             format!(
-                "{what} breaks simulation determinism — use \
-                 `common::simtime::{{SimTime, SimDuration}}` / a seeded \
-                 `ChaCha8Rng` (waive: `// lint:allow(R2): reason`)"
+                "{what} breaks simulation determinism — {instead} \
+                 (waive: `// lint:allow(R2): reason`)"
             ),
         );
     }
 }
+
+const CLOCK_AND_RNG: &str = "use `common::simtime::{SimTime, SimDuration}` / a seeded `ChaCha8Rng`";
+const ONE_POOL: &str = "compute on `mapreduce::pool`, whose results do not depend on thread timing";
 
 /// R3: narrowing `as` casts on the sort/merge/block hot paths. Lengths and
 /// offsets must use `try_into()` (or carry a waiver arguing the bound).
@@ -668,6 +685,19 @@ mod tests {
         let r2: Vec<_> = v.iter().filter(|v| v.rule == RuleId::R2).collect();
         assert_eq!(r2.len(), 3);
         assert_eq!((r2[0].line, r2[0].col), (2, 22));
+    }
+
+    #[test]
+    fn r2_catches_host_threads_but_not_other_uses_of_the_word() {
+        let v = active(
+            "fn f() {\n  let n = std::thread::available_parallelism();\n  std::thread::scope(|s| { s.spawn(|| 1); });\n  thread::spawn(g);\n  let thread = thread::current().id();\n}",
+        );
+        let r2: Vec<_> = v.iter().filter(|v| v.rule == RuleId::R2).collect();
+        assert_eq!(
+            r2.iter().map(|v| (v.line, v.col)).collect::<Vec<_>>(),
+            [(2, 24), (3, 8), (4, 3)]
+        );
+        assert!(r2[0].message.contains("mapreduce::pool"));
     }
 
     #[test]

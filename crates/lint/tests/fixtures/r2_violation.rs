@@ -6,3 +6,10 @@ fn race_the_clock() -> u64 {
     let _ = (start, epoch);
     rng.gen()
 }
+
+fn race_the_cores() -> usize {
+    let n = std::thread::available_parallelism().map_or(1, |n| n.get()); // line 11, col 26
+    std::thread::scope(|s| drop(s.spawn(|| ()))); // line 12, col 10
+    thread::spawn(|| ()); // line 13, col 5
+    n
+}

@@ -57,9 +57,12 @@ fn r1_waived_fixture_reports_waived_only() {
 #[test]
 fn r2_violation_fixture_exact_spans() {
     let vs = active("r2_violation.rs", RuleId::R2);
-    assert_eq!(spans(&vs), vec![(3, 28), (4, 17), (5, 19)]);
+    assert_eq!(spans(&vs), vec![(3, 28), (4, 17), (5, 19), (11, 26), (12, 10), (13, 5)]);
     assert!(vs[0].message.contains("Instant"));
     assert!(vs[2].message.contains("unseeded"));
+    assert!(vs[3].message.contains("available_parallelism"));
+    assert!(vs[4].message.contains("thread::scope"));
+    assert!(vs[5].message.contains("thread::spawn"));
 }
 
 #[test]
@@ -70,7 +73,7 @@ fn r2_clean_fixture_is_silent() {
 #[test]
 fn r2_waived_fixture_reports_waived_only() {
     assert_eq!(active("r2_waived.rs", RuleId::R2), vec![]);
-    assert_eq!(waived("r2_waived.rs", RuleId::R2).len(), 1);
+    assert_eq!(spans(&waived("r2_waived.rs", RuleId::R2)), vec![(4, 28), (11, 32), (13, 10)]);
 }
 
 #[test]

@@ -10,6 +10,20 @@
 //! `setup`/`cleanup` hooks — this is what makes both the in-mapper
 //! combining pattern from Lin's "Monoidify!" lecture and the cached
 //! side-file object from assignment 1 expressible.
+//!
+//! **The contract on user code.** A task's mapper (with its combiner) or
+//! reducer must be a *deterministic function of its input*: the split's
+//! records, or the key groups, plus the side files. The cluster engine
+//! runs that code **once per task**, on whichever host thread is free, and
+//! every *attempt* of the task — a retry after a crashed tracker, a
+//! speculative racer, the re-run of a preempted attempt — shares the one
+//! result and is only charged for it on the virtual clock. Hadoop makes
+//! the same demand (a backup attempt's output must be interchangeable with
+//! the primary's); here it is also what keeps a job's output, counters and
+//! simulated times independent of how many cores the host has. State kept
+//! in `self` between calls is fine; wall-clock reads, unseeded randomness
+//! and state shared between tasks are not. A panic in user code is not
+//! caught: it comes out of `run_job`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,6 +35,10 @@ use hl_common::writable::Writable;
 
 /// A map function over text input (Hadoop's `TextInputFormat`: byte offset
 /// + line).
+///
+/// One instance per map task, run once however many attempts the task
+/// takes: it must be a deterministic function of the split's records and
+/// the side files (see the module docs).
 pub trait Mapper: Send {
     /// Intermediate key type.
     type KOut: SortableKey;
@@ -37,7 +55,9 @@ pub trait Mapper: Send {
     fn cleanup(&mut self, _ctx: &mut MapContext<Self::KOut, Self::VOut>) {}
 }
 
-/// A reduce function.
+/// A reduce function. One instance per reduce task, run once however many
+/// attempts the task takes: it must be a deterministic function of its key
+/// groups and the side files (see the module docs).
 pub trait Reducer: Send {
     /// Intermediate key type (must match the mapper's `KOut`).
     type KIn: SortableKey;
@@ -56,7 +76,8 @@ pub trait Reducer: Send {
 
 /// A local fold of map output — same key/value types in and out, run at
 /// every spill and at merge time. Semantically it must be associative and
-/// commutative over values ("monoidify!").
+/// commutative over values ("monoidify!"), and — like the mapper whose
+/// task it runs in, once per task — a deterministic function of its input.
 pub trait Combiner: Send {
     /// Key type.
     type K: SortableKey;

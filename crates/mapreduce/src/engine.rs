@@ -11,13 +11,16 @@
 //!   the job's combiner;
 //! * reduces fetch their partition from every map's node (the shuffle),
 //!   k-way merge, reduce, and write `part-r-NNNNN` files back to HDFS;
+//! * a task's *body* — its user code over its bytes — runs once, on the
+//!   host pool ([`crate::pool`]) when its phase opens or at its first
+//!   attempt; every attempt only charges the clock for it (see
+//!   [`crate::task`]);
 //! * failed attempts retry up to `max_attempts`; stragglers can be
 //!   speculatively re-executed; heap-leaking jobs crash TaskTracker and
 //!   DataNode daemons exactly as in the paper's Version-1 meltdown;
 //! * submission is refused while the NameNode is in safe mode — the
 //!   "corrupted Hadoop cluster that stopped all the new jobs".
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
@@ -38,12 +41,12 @@ use crate::api::SideFiles;
 use crate::history::JobHistory;
 use crate::job::JobConf;
 use crate::jobtracker::{Flight, JobTracker, Launch, TaskBody};
+use crate::pool;
 use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
-use crate::sortbuf::MapOutput;
 use crate::speculate::{RunningTask, SpecAttempt, SpecOutcome, Speculator};
 use crate::split::{compute_splits, InputSplit};
-use crate::task::JobCode;
+use crate::task::{self, JobCode, MapBody, ReduceBody};
 
 /// One TaskTracker daemon.
 #[derive(Debug, Clone)]
@@ -100,7 +103,19 @@ pub struct MrCluster {
     pub metrics: MetricsRegistry,
     /// The pluggable task-assignment policy (`mapred.jobtracker.scheduler`).
     scheduler: Box<dyn Scheduler>,
+    /// Host threads a phase's bodies may use (this host's, read once).
+    body_workers: usize,
+    /// A phase with less input than this runs its bodies attempt by
+    /// attempt: [`POOL_MIN_PHASE_BYTES`] unless a test forced the pool.
+    pool_min_bytes: u64,
 }
+
+/// Phase input from which the host pool pays in every job shape measured
+/// (EXPERIMENTS.md, "Host parallelism": by 22 % or more on two cores, for
+/// 2, 4 and 8 tasks, with and without a combiner). Starting the threads
+/// costs tens of microseconds; around 32 KiB that is the whole gain, and
+/// the pool wins or loses by the job.
+const POOL_MIN_PHASE_BYTES: u64 = 128 * 1024;
 
 impl MrCluster {
     /// Stand up DFS + MapReduce daemons on every node of `spec`.
@@ -147,7 +162,36 @@ impl MrCluster {
             failed_jobs: 0,
             metrics: MetricsRegistry::new(),
             scheduler,
+            body_workers: pool::host_workers(),
+            pool_min_bytes: POOL_MIN_PHASE_BYTES,
         })
+    }
+
+    /// Test seam: compute every phase's bodies on `workers` host threads
+    /// whatever this host has and however small the phase (1 = each body
+    /// at its task's first attempt). No simulated quantity may depend on
+    /// it; `tests/host_pool.rs` holds the engine to that.
+    #[doc(hidden)]
+    pub fn force_body_workers(&mut self, workers: usize) {
+        self.body_workers = workers;
+        self.pool_min_bytes = 0;
+    }
+
+    /// A phase opens: its `n` bodies over `bytes` of input, computed here
+    /// and now on the host pool when that pays. A `None` (the pool was not
+    /// worth it, or `body` could not see its input) is filled by the
+    /// task's first attempt.
+    fn open_phase<T: Send>(
+        &self,
+        n: usize,
+        bytes: u64,
+        body: impl Fn(usize) -> Option<T> + Sync,
+    ) -> Vec<Option<T>> {
+        if self.body_workers > 1 && n > 1 && bytes >= self.pool_min_bytes {
+            pool::run_indexed(self.body_workers, n, body)
+        } else {
+            (0..n).map(|_| None).collect()
+        }
     }
 
     /// Swap the task-assignment policy (tests/experiments; normal callers
@@ -392,14 +436,14 @@ impl MrCluster {
     /// One launched task, to its flight: run it to a committed attempt
     /// and, when it was the phase's last pending task, run the phase's
     /// speculation pass over everything now standing.
-    fn run_task<T>(
+    fn run_task(
         &mut self,
         jt: &mut JobTracker,
         l: &Launch,
         phase: &Phase<'_>,
-        standing: &mut [Option<Attempt<T>>],
+        standing: &mut [Option<Attempt>],
         run: &mut JobRun,
-        exec: &mut ExecAttempt<'_, T>,
+        exec: &mut ExecAttempt<'_>,
     ) -> Result<Flight> {
         let attempt = self.run_attempts(jt, l, phase, run, exec)?;
         let gone = || HlError::Internal(format!("{}: task {} has no slot", phase.job_id, l.task));
@@ -417,21 +461,21 @@ impl MrCluster {
     /// migrates to the earliest slot the job may still use — reserving it
     /// from its `free_at` when that lies in the future — up to
     /// `max_attempts`.
-    fn run_attempts<T>(
+    fn run_attempts(
         &mut self,
         jt: &mut JobTracker,
         l: &Launch,
         phase: &Phase<'_>,
         run: &mut JobRun,
-        exec: &mut ExecAttempt<'_, T>,
-    ) -> Result<Attempt<T>> {
+        exec: &mut ExecAttempt<'_>,
+    ) -> Result<Attempt> {
         let (job_id, kind, task) = (phase.job_id, phase.kind, l.task);
         let mut cur = l.slot;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let Slot { node, free_at: start } = jt.slot(kind, cur);
-            let e = match exec(self, task, node, start, attempts, true) {
+            let at @ Slot { node, free_at: start } = jt.slot(kind, cur);
+            let e = match exec(self, task, at, attempts, true) {
                 Ok(mut a) => {
                     a.slot = cur;
                     let mut counters = std::mem::take(&mut a.counters);
@@ -513,14 +557,14 @@ impl MrCluster {
     /// scheduler assignments — a bad one increments `spec.invalid` and
     /// is refused (it never corrupts the job) — then raced for real,
     /// with the loser's burned time charged to `spec.wasted_us`.
-    fn speculate<T>(
+    fn speculate(
         &mut self,
         jt: &mut JobTracker,
         job: usize,
         phase: &Phase<'_>,
-        standing: &mut [Option<Attempt<T>>],
+        standing: &mut [Option<Attempt>],
         run: &mut JobRun,
-        exec: &mut ExecAttempt<'_, T>,
+        exec: &mut ExecAttempt<'_>,
     ) {
         let kind = phase.kind;
         let speculator = Speculator::from_conf(phase.conf);
@@ -535,7 +579,7 @@ impl MrCluster {
             if speculated.len() >= cap {
                 break;
             }
-            let Slot { node, free_at: now } = jt.slot(kind, si);
+            let at @ Slot { node, free_at: now } = jt.slot(kind, si);
             if !self.trackers.get(&node).is_some_and(|t| t.health.alive) {
                 continue;
             }
@@ -577,7 +621,7 @@ impl MrCluster {
             let commit_cost = p.end.since(p.compute_end);
             speculated.insert(task);
             self.metrics.incr("jobtracker", "spec.launched", 1);
-            let (outcome, metric, end, wasted) = match exec(self, task, node, now, 1, false) {
+            let (outcome, metric, end, wasted) = match exec(self, task, at, 1, false) {
                 Ok(mut a) if a.compute_end + commit_cost < p_end => {
                     // The racer wins: kill the primary at this instant.
                     // Its whole runtime was wasted work, but its slot
@@ -629,61 +673,6 @@ impl MrCluster {
         }
     }
 
-    /// How a map attempt's bytes arrive: the split's block through the DFS
-    /// client, decoded if the file has a codec, with the boundary lines
-    /// stitched from the neighbouring blocks. Advances `t` past every
-    /// charge and returns `(byte before the split, data, logical length)`.
-    fn read_split(
-        &mut self,
-        split: &InputSplit,
-        node: NodeId,
-        t: &mut SimTime,
-        cpu_mult: u32,
-    ) -> Result<(Option<u8>, Vec<u8>, usize)> {
-        // Read the split's block through the DFS client (charged, verified,
-        // locality-aware).
-        let read = self.dfs.read_block(&mut self.net, *t, split.block, Some(node), &split.path)?;
-        *t = read.completed_at;
-        // Compressed input: each block holds whole hl-codec frames (the
-        // writer cuts blocks on frame boundaries), so this split decodes
-        // independently of its neighbors. The disk and NIC moved only the
-        // stored bytes; inflating them is a CPU charge on this node.
-        let input_codec = self.dfs.file_codec(&split.path)?;
-        let mut data = logical_bytes(input_codec, &read.value)?.into_owned();
-        if input_codec != CodecId::Null {
-            *t += PerfProfile::scale_dur(
-                SimDuration::for_transfer(data.len() as u64, hl_codec::DECOMPRESS_BYTES_PER_SEC),
-                cpu_mult,
-            );
-        }
-        // The split's logical extent: decoded length for compressed input,
-        // the stored block length otherwise.
-        let logical_len = data.len();
-
-        // Stitch the boundary line: previous block's last byte decides
-        // whether our first partial line is ours; following block(s) finish
-        // our last line.
-        let file_blocks = self.dfs.file_blocks(&split.path)?;
-        let my_pos = file_blocks
-            .iter()
-            .position(|(b, _, _)| *b == split.block)
-            .ok_or_else(|| HlError::Internal("split block vanished".into()))?;
-        let prev_byte = match my_pos.checked_sub(1) {
-            None => None,
-            Some(prev) => {
-                let stored = self.neighbour_block(t, file_blocks[prev].0, node, &split.path)?;
-                logical_bytes(input_codec, &stored)?.last().copied()
-            }
-        };
-        let mut next = my_pos + 1;
-        while !data[logical_len..].contains(&b'\n') && next < file_blocks.len() {
-            let stored = self.neighbour_block(t, file_blocks[next].0, node, &split.path)?;
-            data.extend_from_slice(&logical_bytes(input_codec, &stored)?);
-            next += 1;
-        }
-        Ok((prev_byte, data, logical_len))
-    }
-
     /// A neighbouring block's stored bytes, for stitching the line that
     /// crosses a split boundary. Peek is free but refuses checksum-failing
     /// replicas; when every clean replica is gone, fall back to the
@@ -724,14 +713,18 @@ impl MrCluster {
         Ok(())
     }
 
+    /// One attempt of a map task on slot `at`: every charged read and every
+    /// charge, priced on the task's body — `memo`, which the attempt fills
+    /// first when nobody has.
     fn exec_map_attempt(
         &mut self,
         job: &dyn JobCode,
         split: &InputSplit,
-        node: NodeId,
-        start: SimTime,
+        memo: &mut Option<MapBody>,
+        at: Slot,
         attempt: u32,
-    ) -> Result<Attempt<MapOutput>> {
+    ) -> Result<Attempt> {
+        let Slot { node, free_at: start } = at;
         let conf = job.conf();
         if conf.fail_first_attempts >= attempt {
             return Err(HlError::TaskFailed(format!(
@@ -746,68 +739,70 @@ impl MrCluster {
 
         let locality =
             self.net.topology().best_locality(node, &split.holders).unwrap_or(Locality::OffRack);
-        let (prev_byte, data, logical_len) =
-            self.read_split(split, node, &mut t, profile.cpu_mult)?;
-
-        // Run the mapper for real.
-        let done = job.map_task(
-            &self.side_files,
-            self.spec.node.disk_bw,
-            prev_byte,
-            &data,
-            logical_len,
-            split.offset,
-        );
-        let (mut output, mut task_counters, records) = (done.output, done.counters, done.records);
+        // Read the split's block through the DFS client (charged, verified,
+        // locality-aware).
+        let read = self.dfs.read_block(&mut self.net, t, split.block, Some(node), &split.path)?;
+        t = read.completed_at;
+        // Compressed input: the disk and NIC moved only the stored bytes;
+        // inflating them is a CPU charge on this node.
+        let input_codec = self.dfs.file_codec(&split.path)?;
+        let inflate = |logical_len: usize| match input_codec {
+            CodecId::Null => SimDuration::ZERO,
+            _ => PerfProfile::scale_dur(
+                SimDuration::for_transfer(logical_len as u64, hl_codec::DECOMPRESS_BYTES_PER_SEC),
+                profile.cpu_mult,
+            ),
+        };
+        let body = match memo {
+            // The body has run: read what it read, in its order.
+            Some(body) => {
+                t += inflate(body.logical_len);
+                for &block in &body.neighbours {
+                    self.neighbour_block(&mut t, block, node, &split.path)?;
+                }
+                body
+            }
+            // Run the mapper for real, over the bytes this attempt's reads
+            // deliver.
+            None => {
+                let data = task::logical_bytes(input_codec, &read.value)?.into_owned();
+                t += inflate(data.len());
+                let blocks = self.dfs.file_blocks(&split.path)?;
+                let input = task::stitch_split(split, input_codec, &blocks, data, |block| {
+                    self.neighbour_block(&mut t, block, node, &split.path)
+                })?;
+                let disk_bw = self.spec.node.disk_bw;
+                memo.insert(task::map_body(job, &self.side_files, disk_bw, split.offset, input))
+            }
+        };
+        let (done, output) = (&body.done, &body.done.output);
+        let mut task_counters = done.counters.clone();
         task_counters.incr_fs(FileSystemCounter::HdfsBytesRead, split.len);
         if locality != Locality::NodeLocal {
             task_counters.incr_fs(FileSystemCounter::RemoteBytesRead, split.len);
         }
 
-        // Map-output compression: pack each partition's run into hl-codec
-        // frames. The sorted records themselves are untouched — job output
-        // stays byte-identical — but the spill-disk and shuffle-wire
-        // charges shrink to the framed sizes, paid for with compress CPU
-        // here and decompress CPU at each reducer.
-        if conf.compress_map_output {
-            let raw = output.total_bytes();
-            let mut wire = Vec::with_capacity(output.partitions.len());
-            let mut packed_total = 0u64;
-            for run in &output.partitions {
-                let mut plain = Vec::with_capacity(run.bytes() as usize);
-                for (k, v) in run.iter() {
-                    plain.extend_from_slice(k);
-                    plain.extend_from_slice(v);
-                }
-                let packed = hl_codec::compress_container(conf.map_output_codec, &plain);
-                packed_total += packed.len() as u64;
-                wire.push(packed.len() as u64);
-            }
+        // Map-output compression is paid for with compress CPU here and
+        // decompress CPU at each reducer.
+        if let Some((raw, packed)) = body.framed {
             t += PerfProfile::scale_dur(
                 SimDuration::for_transfer(raw, hl_codec::COMPRESS_BYTES_PER_SEC),
                 profile.cpu_mult,
             );
-            // Spills hit the disk already framed; charge the credit
-            // at the whole-output compression ratio (no-op on empty output).
-            let scale =
-                |bytes: u64| bytes.saturating_mul(packed_total).checked_div(raw).unwrap_or(bytes);
-            output.spill_bytes_written = scale(output.spill_bytes_written);
-            output.spill_bytes_read = scale(output.spill_bytes_read);
-            if let Some(q) = packed_total.saturating_mul(10_000).checked_div(raw) {
+            if let Some(q) = packed.saturating_mul(10_000).checked_div(raw) {
                 let bp = i64::try_from(q).unwrap_or(i64::MAX);
                 self.metrics.set_gauge("jobtracker", "codec.ratio", bp);
             }
-            output.wire_bytes = Some(wire);
             self.metrics.incr("jobtracker", "codec.in_bytes", raw);
-            self.metrics.incr("jobtracker", "codec.out_bytes", packed_total);
+            self.metrics.incr("jobtracker", "codec.out_bytes", packed);
         }
 
         // CPU + spill I/O charges (combiner invocations cost map-side CPU —
         // the "increased map task run time" students observed).
         let combine_in = task_counters.task(TaskCounter::CombineInputRecords);
         let cpu = PerfProfile::scale_dur(
-            conf.map_cpu_per_byte * logical_len as u64
-                + conf.map_cpu_per_record * records
+            conf.map_cpu_per_byte * body.logical_len as u64
+                + conf.map_cpu_per_record * done.records
                 + conf.combine_cpu_per_record * combine_in
                 + done.extra_time,
             profile.cpu_mult,
@@ -847,19 +842,22 @@ impl MrCluster {
             counters: task_counters,
             locality: Some(locality),
             peak_buffered: done.peak_buffered,
-            payload: output,
         })
     }
 
+    /// One attempt of reduce `r` on slot `at`: the shuffle from the standing
+    /// `maps`, the charges for the task's body (`bodies.reduces[r]`, filled
+    /// here first when nobody has) and, when it `commit`s, the part file.
     fn exec_reduce_attempt(
         &mut self,
         job: &dyn JobCode,
-        maps: &[Option<Attempt<MapOutput>>],
+        maps: &[Option<Attempt>],
+        bodies: &mut Bodies,
         r: usize,
-        node: NodeId,
-        start: SimTime,
+        at: Slot,
         commit: bool,
-    ) -> Result<(Attempt<()>, Option<String>)> {
+    ) -> Result<(Attempt, Option<String>)> {
+        let Slot { node, free_at: start } = at;
         let conf = job.conf();
         let profile = self.net.node_profile(node, start);
         let t0 = start + PerfProfile::scale_dur(conf.task_startup, profile.cpu_mult);
@@ -867,21 +865,20 @@ impl MrCluster {
 
         // Shuffle: fetch this reduce's partition from every map's node.
         // Fetches run concurrently (each charges its own source pipes).
-        let mut runs = Vec::new();
         let mut shuffle_done = t0;
         // Decoded at the reducer before the merge when the map side
         // compressed its output (raw bytes, for the decompress charge).
         let mut inflate_bytes = 0u64;
-        for Attempt { node: map_node, payload: out, .. } in maps.iter().flatten() {
+        for (map, body) in maps.iter().zip(&bodies.maps) {
+            let (Some(Attempt { node: map_node, .. }), Some(MapBody { done, .. })) = (map, body)
+            else {
+                continue;
+            };
+            let out = &done.output;
             // Compressed map output crosses the wire framed; the counter
             // records what actually moved, which is the combiner-style
             // "fewer shuffle bytes" trade students measure.
             let bytes = out.wire_partition_bytes(r);
-            // O(1): runs are Arc-backed, so this bumps two refcounts and
-            // copies no record bytes. Do NOT mem::take the partition out of
-            // the map output — a failed attempt is retried against the same
-            // `maps` slice, which must still hold the data.
-            let run = out.partitions[r].clone();
             if bytes > 0 && *map_node != node {
                 let c = self.net.transfer(t0, *map_node, node, bytes);
                 shuffle_done = shuffle_done.max(c.end);
@@ -890,7 +887,6 @@ impl MrCluster {
                 inflate_bytes += out.partition_bytes(r);
             }
             task_counters.incr_task(TaskCounter::ReduceShuffleBytes, bytes);
-            runs.push(run);
         }
         if inflate_bytes > 0 {
             shuffle_done += PerfProfile::scale_dur(
@@ -899,10 +895,18 @@ impl MrCluster {
             );
         }
 
-        // Merge, group and reduce for real.
-        let done = job.reduce_task(&self.side_files, self.spec.node.disk_bw, &runs)?;
+        // Merge, group and reduce for real — once per task.
+        let Bodies { maps: map_bodies, reduces } = bodies;
+        let gone = || HlError::Internal(format!("reduce {r} has no body slot"));
+        let done = reduces
+            .get_mut(r)
+            .ok_or_else(gone)?
+            .get_or_insert_with(|| {
+                task::reduce_body(job, &self.side_files, self.spec.node.disk_bw, map_bodies, r)
+            })
+            .as_ref()
+            .map_err(HlError::clone)?;
         task_counters.merge(&done.counters);
-        let lines = done.lines;
 
         let cpu = PerfProfile::scale_dur(
             conf.reduce_cpu_per_record * done.records + done.extra_time,
@@ -914,17 +918,15 @@ impl MrCluster {
         // Write part file to HDFS (real bytes, charged, replicated). A
         // speculative attempt racing a live primary never commits — the
         // primary's file is the one the job owns, and the racer's bytes
-        // are identical (same deterministic reducer over the same runs).
+        // are identical (every attempt charges for the one body).
         let compute_end = t;
-        let out_path = if lines.is_empty() || !commit {
+        let out_path = if done.text.is_empty() || !commit {
             None
         } else {
-            let mut text = lines.join("\n");
-            text.push('\n');
             let path = part_path(conf, r);
-            let put = self.dfs.put(&mut self.net, t, &path, text.as_bytes(), Some(node))?;
+            let put = self.dfs.put(&mut self.net, t, &path, done.text.as_bytes(), Some(node))?;
             t = put.completed_at;
-            task_counters.incr_fs(FileSystemCounter::HdfsBytesWritten, text.len() as u64);
+            task_counters.incr_fs(FileSystemCounter::HdfsBytesWritten, done.text.len() as u64);
             Some(path)
         };
 
@@ -937,7 +939,6 @@ impl MrCluster {
             counters: task_counters,
             locality: None,
             peak_buffered: 0,
-            payload: (),
         };
         Ok((attempt, out_path))
     }
@@ -967,12 +968,22 @@ struct RealJob<'a> {
     splits: Vec<InputSplit>,
     run: JobRun,
     /// Standing attempts: a task's primary, or the backup that beat it.
-    maps: Vec<Option<Attempt<MapOutput>>>,
-    reduces: Vec<Option<Attempt<()>>>,
+    maps: Vec<Option<Attempt>>,
+    reduces: Vec<Option<Attempt>>,
+    bodies: Bodies,
     /// When the last standing map committed; `None` during the map phase.
     maps_done: Option<SimTime>,
     output_files: Vec<String>,
     result: Option<Result<JobReport>>,
+}
+
+/// What a job's tasks computed, by task id: each body runs once, and
+/// every attempt of its task charges for the same result. `None` until
+/// then.
+#[derive(Default)]
+struct Bodies {
+    maps: Vec<Option<MapBody>>,
+    reduces: Vec<Option<Result<ReduceBody>>>,
 }
 
 /// The real [`TaskBody`]: user code over real bytes on the cluster, with
@@ -1035,6 +1046,7 @@ impl<'a> ClusterBody<'a> {
             run: JobRun::default(),
             maps,
             reduces: Vec::new(),
+            bodies: Bodies::default(),
             maps_done: None,
             output_files: Vec::new(),
             result: None,
@@ -1043,6 +1055,16 @@ impl<'a> ClusterBody<'a> {
             self.fail(jt, j, HlError::DaemonDown("no live tasktrackers".into()));
         } else if no_maps {
             self.start_reduces(jt, j, submitted_at);
+        } else {
+            // The map phase opens.
+            let (c, rj) = (&*self.cluster, &mut self.jobs[j]);
+            // Workers get the DFS and the side files, shared; never the cluster.
+            let (dfs, side, disk_bw) = (&c.dfs, &c.side_files, c.spec.node.disk_bw);
+            let splits = &rj.splits;
+            let bytes = splits.iter().map(|s| s.len).sum();
+            rj.bodies.maps = c.open_phase(splits.len(), bytes, |i| {
+                task::peek_map_body(dfs, job, side, disk_bw, &splits[i])
+            });
         }
         Ok(())
     }
@@ -1050,7 +1072,7 @@ impl<'a> ClusterBody<'a> {
     /// The job's last standing map committed at `maps_done`: its reduces
     /// are runnable from this instant.
     fn start_reduces(&mut self, jt: &mut JobTracker, j: usize, maps_done: SimTime) {
-        let rj = &mut self.jobs[j];
+        let (c, rj) = (&*self.cluster, &mut self.jobs[j]);
         let n = rj.job.conf().num_reduces;
         rj.maps_done = Some(maps_done);
         rj.reduces.resize_with(n, || None);
@@ -1058,7 +1080,14 @@ impl<'a> ClusterBody<'a> {
         if jt.usable(TaskKind::Reduce, j).is_empty() {
             let e = format!("{}: no live tasktrackers for reduce", rj.job_id);
             self.fail(jt, j, HlError::JobFailed(e));
+            return;
         }
+        // The reduce phase opens, over every map's output.
+        let (job, maps) = (rj.job, &rj.bodies.maps);
+        let (side, disk_bw) = (&c.side_files, c.spec.node.disk_bw);
+        let bytes = maps.iter().flatten().map(|m| m.done.output.total_bytes()).sum();
+        rj.bodies.reduces =
+            c.open_phase(n, bytes, |r| Some(task::reduce_body(job, side, disk_bw, maps, r)));
     }
 
     /// The job's last standing reduce committed: write the report and do
@@ -1089,6 +1118,7 @@ impl<'a> ClusterBody<'a> {
             spec_attempts: run.spec_attempts,
         };
         rj.maps = Vec::new();
+        rj.bodies = Bodies::default();
         c.now = c.now.max(finished_at);
         // Only *successful* jobs convert their per-job blacklistings
         // into global strikes (a failing job is as likely the job's
@@ -1126,6 +1156,7 @@ impl<'a> ClusterBody<'a> {
         let job_id = &rj.job_id;
         c.log.log_with(now, "jobtracker", || format!("{job_id} FAILED: {e}"));
         rj.maps = Vec::new();
+        rj.bodies = Bodies::default();
         rj.result = Some(Err(e));
     }
 
@@ -1158,39 +1189,33 @@ impl TaskBody for ClusterBody<'_> {
         if l.rerun {
             c.metrics.incr("jobtracker", "sched.rerun", 1);
         }
-        let RealJob { job, job_id, splits, run, maps, reduces, output_files, .. } =
+        let RealJob { job, job_id, splits, run, maps, reduces, bodies, output_files, .. } =
             &mut self.jobs[l.job];
         let (job, kind) = (*job, jt.jobs[l.job].kind);
         let phase = Phase::of(job_id, job.conf(), kind);
         let flight = match kind {
-            TaskKind::Map => c.run_task(
-                jt,
-                &l,
-                &phase,
-                maps,
-                run,
-                &mut |c, task, node, start, attempt, _commit| {
-                    let split = splits.get(task as usize).ok_or_else(|| {
-                        HlError::Internal(format!("{job_id}: map {task} has no split"))
-                    })?;
-                    c.exec_map_attempt(job, split, node, start, attempt)
-                },
-            ),
+            TaskKind::Map => {
+                c.run_task(jt, &l, &phase, maps, run, &mut |c, task, at, attempt, _commit| {
+                    let task = task as usize;
+                    let (Some(split), Some(memo)) = (splits.get(task), bodies.maps.get_mut(task))
+                    else {
+                        return Err(HlError::Internal(format!(
+                            "{job_id}: map {task} has no split"
+                        )));
+                    };
+                    c.exec_map_attempt(job, split, memo, at, attempt)
+                })
+            }
             // Reduces are locality-blind (their input is everywhere); the
             // policy still picks the slot and the next task.
-            TaskKind::Reduce => c.run_task(
-                jt,
-                &l,
-                &phase,
-                reduces,
-                run,
-                &mut |c, task, node, start, _attempt, commit| {
+            TaskKind::Reduce => {
+                c.run_task(jt, &l, &phase, reduces, run, &mut |c, task, at, _attempt, commit| {
                     let (attempt, out_path) =
-                        c.exec_reduce_attempt(job, maps, task as usize, node, start, commit)?;
+                        c.exec_reduce_attempt(job, maps, bodies, task as usize, at, commit)?;
                     output_files.extend(out_path);
                     Ok(attempt)
-                },
-            ),
+                })
+            }
         };
         match flight {
             Ok(flight) => Some(flight),
@@ -1213,8 +1238,9 @@ impl TaskBody for ClusterBody<'_> {
     }
 
     /// A preempted attempt already ran (attempts execute at launch), so
-    /// take back what it left: its summary and counters, its map output or
-    /// its committed part file. The re-run produces them again.
+    /// take back what it left: its summary and counters, its standing or
+    /// its committed part file. The re-run produces them again, from the
+    /// same body.
     fn preempted(&mut self, jt: &mut JobTracker, job: usize, task: u32, flight: &Flight) {
         let c = &mut *self.cluster;
         c.metrics.incr("jobtracker", "sched.preempted", 1);
@@ -1317,15 +1343,16 @@ impl<'a> Phase<'a> {
     }
 }
 
-/// Runs one attempt for the phase driver: `(cluster, task, node, start,
-/// attempt number, commit)`. Injected first-attempt failures (maps only)
+/// Runs one attempt for the phase driver: `(cluster, task, slot as it
+/// stands, attempt number, commit)` — the attempt starts on the slot's node
+/// when the slot frees up. Injected first-attempt failures (maps only)
 /// count the attempt number; a speculative racer passes `commit = false`.
-type ExecAttempt<'a, T> =
-    dyn FnMut(&mut MrCluster, u32, NodeId, SimTime, u32, bool) -> Result<Attempt<T>> + 'a;
+type ExecAttempt<'a> = dyn FnMut(&mut MrCluster, u32, Slot, u32, bool) -> Result<Attempt> + 'a;
 
 /// One successful task attempt, as the phase driver sees it. A task's
-/// *standing* attempt is its primary, or the backup that beat it.
-struct Attempt<T> {
+/// *standing* attempt is its primary, or the backup that beat it. What the
+/// task computed is not here: that is its body, shared by every attempt.
+struct Attempt {
     /// Index into the kind's slot table (filled in by the phase driver).
     slot: usize,
     node: NodeId,
@@ -1341,23 +1368,11 @@ struct Attempt<T> {
     locality: Option<Locality>,
     /// Sort-buffer high-water mark (maps only).
     peak_buffered: usize,
-    /// A map's output; nothing for a reduce (its part file is in HDFS).
-    payload: T,
 }
 
 /// Where reduce `r` of a job commits its output.
 fn part_path(conf: &JobConf, r: usize) -> String {
     format!("{}/part-r-{:05}", conf.output_path, r)
-}
-
-/// A stored block's logical bytes: a plain file's blocks are their own
-/// bytes; a file with a codec holds whole hl-codec frames per block.
-fn logical_bytes(codec: CodecId, stored: &[u8]) -> Result<Cow<'_, [u8]>> {
-    if codec == CodecId::Null {
-        Ok(Cow::Borrowed(stored))
-    } else {
-        hl_codec::decompress_container(stored).map(Cow::Owned)
-    }
 }
 
 fn locality_counter(l: Locality) -> &'static str {

@@ -210,8 +210,10 @@ impl JobConf {
 pub type Factory<T> = Arc<dyn Fn() -> T + Send + Sync>;
 
 /// A complete typed job: configuration plus mapper/reducer/combiner
-/// factories. Factories run once per task attempt, so task state
-/// (in-mapper combining tables, cached side files) is per-attempt.
+/// factories. Factories run once per task (every attempt of a task shares
+/// the one run of its user code), possibly on several host threads at
+/// once, so task state (in-mapper combining tables, cached side files) is
+/// per-task.
 pub struct Job<M, R, C>
 where
     M: Mapper,

@@ -30,6 +30,8 @@
 //!   commands without any HDFS support"); it and the engine run user code
 //!   through the same two task bodies (the private `task` module), so the
 //!   modes cannot drift;
+//! * `pool` (private) — the scoped host threads a phase's task bodies are
+//!   computed on, so the loop's thread only charges for them;
 //! * [`report`] — the job report and "JobTracker web UI" rendering the
 //!   combiner lecture has students read.
 //!
@@ -46,6 +48,7 @@ pub mod job;
 pub mod jobtracker;
 pub mod local;
 pub mod merge;
+mod pool;
 pub mod report;
 pub mod scheduler;
 pub mod sortbuf;

@@ -163,6 +163,13 @@ impl SortedRun {
         &self.arena[self.slots[i].key_range()]
     }
 
+    /// Every record's key and value bytes back to back in sorted order —
+    /// what [`SortedRun::iter`] yields, concatenated. The arena *is* those
+    /// bytes (see [`RunBuilder::finish`]), so this copies nothing.
+    pub fn record_bytes(&self) -> &[u8] {
+        &self.arena
+    }
+
     /// Iterate `(key, value)` slices in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
         (0..self.len()).map(|i| self.get(i))
@@ -845,5 +852,7 @@ mod tests {
         assert_eq!(k, b"bb");
         assert_eq!(u64::from_bytes(v).unwrap(), 7);
         assert_eq!(run.bytes(), 5 + 2 + v.len() as u64);
+        let flat: Vec<u8> = run.iter().flat_map(|(k, v)| [k, v].concat()).collect();
+        assert_eq!(run.record_bytes(), flat);
     }
 }

@@ -3,15 +3,30 @@
 //! The course runs *the same jars* twice — serially with no HDFS, then on
 //! the cluster — and so does this crate: [`crate::local::LocalRunner`] and
 //! [`crate::engine::MrCluster`] both run user code through the two
-//! functions here, so "local ≡ cluster" holds by construction. The callers
-//! keep what differs: how input bytes arrive (a local slice vs a charged,
-//! stitched, decoded DFS block), the file-system counters that bumps, and
-//! every virtual-time charge.
+//! functions of [`JobCode`], so "local ≡ cluster" holds by construction.
+//! The callers keep what differs: how input bytes arrive (a local slice vs
+//! a charged, stitched, decoded DFS block), the file-system counters that
+//! bumps, and every virtual-time charge.
+//!
+//! On the cluster a task is split in two. Its **body** ([`MapBody`],
+//! [`ReduceBody`]) is host work and a pure function of the job and the
+//! task's bytes: split assembly, input decode, the user code, map-output
+//! framing. Its **attempts** are everything that touches the simulated
+//! cluster, and live in the engine. A body runs once per task — on the
+//! host pool when its phase opens, or at the task's first attempt — and
+//! every attempt (retry, speculative racer, preempted re-run) charges for
+//! the same result.
 
+use std::borrow::Cow;
+
+use bytes::Bytes;
+use hl_codec::CodecId;
 use hl_common::counters::{Counters, TaskCounter};
 use hl_common::keys::SortableKey;
 use hl_common::prelude::*;
 use hl_common::writable::Writable;
+use hl_dfs::client::{Dfs, LocatedBlock};
+use hl_dfs::BlockId;
 
 use crate::api::{
     Combiner, MapContext, MapOutputSink, Mapper, ReduceContext, Reducer, SideFiles, TaskScope,
@@ -19,7 +34,7 @@ use crate::api::{
 use crate::job::{Job, JobConf};
 use crate::merge::merge_groups;
 use crate::sortbuf::{MapOutput, SortBuffer, SortedRun};
-use crate::split::LineReader;
+use crate::split::{InputSplit, LineReader};
 
 /// What a finished map task hands back to its runner.
 pub struct MapTaskOutput {
@@ -67,8 +82,10 @@ impl<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>> MapOutputSink<K, V>
 /// map task and of its reduce task, with the key/value types erased so
 /// jobs of different types can share one
 /// [`crate::engine::MrCluster::run_jobs`] batch. Implemented by every
-/// [`Job`] and by nothing else.
-pub trait JobCode {
+/// [`Job`] and by nothing else. `Sync`, because a phase's bodies run on
+/// several host threads at once (each with its own mapper, combiner and
+/// reducer from the job's factories).
+pub trait JobCode: Sync {
     /// The job's configuration.
     fn conf(&self) -> &JobConf;
 
@@ -189,4 +206,175 @@ where
         counters.incr_task(TaskCounter::ReduceInputRecords, records);
         Ok(ReduceTaskOutput { lines, counters, records, extra_time: scope.extra_time })
     }
+}
+
+/// A stored block's logical bytes: a plain file's blocks are their own
+/// bytes; a file with a codec holds whole hl-codec frames per block (the
+/// writer cuts blocks on frame boundaries), so a block decodes on its own.
+pub(crate) fn logical_bytes(codec: CodecId, stored: &[u8]) -> Result<Cow<'_, [u8]>> {
+    if codec == CodecId::Null {
+        Ok(Cow::Borrowed(stored))
+    } else {
+        hl_codec::decompress_container(stored).map(Cow::Owned)
+    }
+}
+
+/// A map task's input, assembled: what [`JobCode::map_task`] reads.
+pub(crate) struct SplitInput {
+    prev_byte: Option<u8>,
+    /// The split's logical bytes, then enough of what follows to finish
+    /// its last line.
+    data: Vec<u8>,
+    logical_len: usize,
+    neighbours: Vec<BlockId>,
+}
+
+/// Stitch the boundary lines onto a split's own logical bytes `data`: the
+/// previous block's last byte decides whether our first partial line is
+/// ours; the following block(s) finish our last line. `fetch` is how a
+/// neighbour's stored bytes arrive — peeked when the phase opens, peeked
+/// or (charged) read from inside an attempt — and is asked for the same
+/// blocks in the same order either way.
+pub(crate) fn stitch_split(
+    split: &InputSplit,
+    codec: CodecId,
+    file_blocks: &[LocatedBlock],
+    mut data: Vec<u8>,
+    mut fetch: impl FnMut(BlockId) -> Result<Bytes>,
+) -> Result<SplitInput> {
+    let logical_len = data.len();
+    let my_pos = file_blocks
+        .iter()
+        .position(|(b, _, _)| *b == split.block)
+        .ok_or_else(|| HlError::Internal("split block vanished".into()))?;
+    let mut neighbours = Vec::new();
+    let mut stored = |block: BlockId| {
+        neighbours.push(block);
+        fetch(block)
+    };
+    let prev_byte = match my_pos.checked_sub(1) {
+        None => None,
+        Some(prev) => logical_bytes(codec, &stored(file_blocks[prev].0)?)?.last().copied(),
+    };
+    let mut next = my_pos + 1;
+    while !data[logical_len..].contains(&b'\n') && next < file_blocks.len() {
+        data.extend_from_slice(&logical_bytes(codec, &stored(file_blocks[next].0)?)?);
+        next += 1;
+    }
+    Ok(SplitInput { prev_byte, data, logical_len, neighbours })
+}
+
+/// What a map task computes, wherever, whenever and however often the
+/// clock says it ran.
+pub(crate) struct MapBody {
+    /// The split's logical extent (decoded length for compressed input,
+    /// the stored block length otherwise): what input decode and parsing
+    /// are priced on.
+    pub logical_len: usize,
+    /// The neighbouring blocks the boundary lines came from, in the order
+    /// an attempt reads them.
+    pub neighbours: Vec<BlockId>,
+    /// The mapper's result; with `compress_map_output` its output is
+    /// already framed (`wire_bytes` set, spill bytes at the framed ratio).
+    pub done: MapTaskOutput,
+    /// `(raw, framed)` map-output bytes when the output was compressed.
+    pub framed: Option<(u64, u64)>,
+}
+
+/// Run the mapper for real over an assembled split and frame its output.
+pub(crate) fn map_body(
+    job: &dyn JobCode,
+    side: &SideFiles,
+    side_read_bw: u64,
+    offset: u64,
+    input: SplitInput,
+) -> MapBody {
+    let SplitInput { prev_byte, data, logical_len, neighbours } = input;
+    let mut done = job.map_task(side, side_read_bw, prev_byte, &data, logical_len, offset);
+    // Map-output compression: pack each partition's run into hl-codec
+    // frames. The sorted records themselves are untouched — job output
+    // stays byte-identical — but the spill-disk and shuffle-wire charges
+    // shrink to the framed sizes, paid for with compress CPU at the map
+    // and decompress CPU at each reducer.
+    let conf = job.conf();
+    let framed = conf.compress_map_output.then(|| {
+        let output = &mut done.output;
+        let raw = output.total_bytes();
+        let wire: Vec<u64> = output
+            .partitions
+            .iter()
+            .map(|run| {
+                hl_codec::compress_container(conf.map_output_codec, run.record_bytes()).len() as u64
+            })
+            .collect();
+        let packed: u64 = wire.iter().sum();
+        // Spills hit the disk already framed; charge the credit at the
+        // whole-output compression ratio (no-op on empty output).
+        let scale = |bytes: u64| bytes.saturating_mul(packed).checked_div(raw).unwrap_or(bytes);
+        output.spill_bytes_written = scale(output.spill_bytes_written);
+        output.spill_bytes_read = scale(output.spill_bytes_read);
+        output.wire_bytes = Some(wire);
+        (raw, packed)
+    });
+    MapBody { logical_len, neighbours, done, framed }
+}
+
+/// A map body from what can be seen without charging anyone: every block
+/// peeked from a clean live replica. `None` when one cannot be (or does
+/// not decode) — then the task's first attempt assembles the split through
+/// its charged reads, which fail or recover as they always have.
+pub(crate) fn peek_map_body(
+    dfs: &Dfs,
+    job: &dyn JobCode,
+    side: &SideFiles,
+    side_read_bw: u64,
+    split: &InputSplit,
+) -> Option<MapBody> {
+    let codec = dfs.file_codec(&split.path).ok()?;
+    let data = logical_bytes(codec, &dfs.peek_block_bytes(split.block)?).ok()?.into_owned();
+    let blocks = dfs.file_blocks(&split.path).ok()?;
+    let peek = |block| {
+        dfs.peek_block_bytes(block)
+            .ok_or(HlError::MissingBlock { block_id: block.0, path: String::new() })
+    };
+    let input = stitch_split(split, codec, &blocks, data, peek).ok()?;
+    Some(map_body(job, side, side_read_bw, split.offset, input))
+}
+
+/// What a reduce task computes, apart from where and when it ran.
+pub(crate) struct ReduceBody {
+    /// The part file's bytes: one `key \t value` line per output record;
+    /// empty when the reducer emitted nothing (no file is written).
+    pub text: String,
+    /// Framework, user and side-file counters; no file-system counters.
+    pub counters: Counters,
+    /// Values the reducer consumed.
+    pub records: u64,
+    /// Time the task charged explicitly.
+    pub extra_time: SimDuration,
+}
+
+/// Merge, group and reduce partition `r` of every map's output for real.
+pub(crate) fn reduce_body(
+    job: &dyn JobCode,
+    side: &SideFiles,
+    side_read_bw: u64,
+    maps: &[Option<MapBody>],
+    r: usize,
+) -> Result<ReduceBody> {
+    // O(1) each: runs are Arc-backed, so this bumps two refcounts and
+    // copies no record bytes.
+    let runs: Vec<SortedRun> =
+        maps.iter().flatten().map(|m| m.done.output.partitions[r].clone()).collect();
+    let done = job.reduce_task(side, side_read_bw, &runs)?;
+    let mut text = done.lines.join("\n");
+    if !done.lines.is_empty() {
+        text.push('\n');
+    }
+    Ok(ReduceBody {
+        text,
+        counters: done.counters,
+        records: done.records,
+        extra_time: done.extra_time,
+    })
 }

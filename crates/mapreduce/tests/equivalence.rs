@@ -227,6 +227,12 @@ fn check_against_reference<K, C>(
     assert_eq!(out.partitions.len(), rout.partitions.len(), "{ctx}");
     for p in 0..parts {
         assert_eq!(out.partitions[p].to_pairs(), rout.partitions[p], "partition {p}: {ctx}");
+        // What map-output framing compresses: the records and nothing else.
+        let flat: Vec<u8> = rout.partitions[p]
+            .iter()
+            .flat_map(|(k, v)| [k.as_slice(), v.as_slice()].concat())
+            .collect();
+        assert_eq!(out.partitions[p].record_bytes(), flat, "record_bytes {p}: {ctx}");
     }
     assert_eq!(out.num_spills, rout.num_spills, "num_spills: {ctx}");
     assert_eq!(out.spill_bytes_written, rout.spill_bytes_written, "spill_bytes_written: {ctx}");
