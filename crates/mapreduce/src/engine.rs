@@ -858,6 +858,7 @@ impl MrCluster {
         commit: bool,
     ) -> Result<(Attempt, Option<String>)> {
         let Slot { node, free_at: start } = at;
+        let Bodies { maps: map_bodies, reduces } = bodies;
         let conf = job.conf();
         let profile = self.net.node_profile(node, start);
         let t0 = start + PerfProfile::scale_dur(conf.task_startup, profile.cpu_mult);
@@ -869,7 +870,7 @@ impl MrCluster {
         // Decoded at the reducer before the merge when the map side
         // compressed its output (raw bytes, for the decompress charge).
         let mut inflate_bytes = 0u64;
-        for (map, body) in maps.iter().zip(&bodies.maps) {
+        for (map, body) in maps.iter().zip(map_bodies.iter()) {
             let (Some(Attempt { node: map_node, .. }), Some(MapBody { done, .. })) = (map, body)
             else {
                 continue;
@@ -896,7 +897,6 @@ impl MrCluster {
         }
 
         // Merge, group and reduce for real — once per task.
-        let Bodies { maps: map_bodies, reduces } = bodies;
         let gone = || HlError::Internal(format!("reduce {r} has no body slot"));
         let done = reduces
             .get_mut(r)
