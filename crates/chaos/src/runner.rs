@@ -510,7 +510,7 @@ impl ChaosRunner {
             return;
         }
         let idx = usize::try_from(victim % manifest.len() as u64).unwrap_or(0);
-        let (id, _, _) = manifest[idx];
+        let (id, ..) = manifest[idx];
         let holders: Vec<NodeId> = self
             .cluster
             .dfs
@@ -794,7 +794,7 @@ mod tests {
         let manifest = runner.cluster.dfs.namenode.block_manifest();
         let idx = manifest
             .iter()
-            .position(|(id, _, _)| packed_blocks.contains(id))
+            .position(|(id, ..)| packed_blocks.contains(id))
             .expect("framed corpus staged into the block map");
         runner.corrupt_block(idx as u64);
         assert_eq!(runner.corruptions.len(), 1);

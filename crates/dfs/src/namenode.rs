@@ -16,10 +16,13 @@
 //!   O(report) diff and dead-node cleanup an O(node's replicas) sweep;
 //! * the safe-mode census is a pair of incrementally-maintained counters
 //!   (`reported_count`, `total_location_count`) instead of a full scan;
-//! * under-/missing-/over-replicated blocks live in indexed sets updated
-//!   on every location change, so the replication monitor pops work in
-//!   O(tasks) — `under` is priority-bucketed by how many replicas short a
-//!   block is, mirroring HDFS's `UnderReplicatedBlocks` queues;
+//! * every replica location change — full and delta reports, pipeline
+//!   acks, dead-node sweeps — goes through `change_location`, which looks
+//!   the block up once and updates locations, census, per-node index and
+//!   the under-/over-replicated indexes from that one entry;
+//! * `under` maps each under-replicated block to how many replicas short
+//!   it is, and the replication monitor serves the most-degraded first,
+//!   mirroring HDFS's `UnderReplicatedBlocks` queues;
 //! * the fsimage is a serialized [`FsImage`] checkpoint (auto-written
 //!   every `fs.checkpoint.txns` journal ops), so restart loads the image
 //!   and replays only the edit-log *tail* instead of all history.
@@ -105,55 +108,88 @@ pub enum DnCommand {
 /// share the most-urgent bucket (HDFS caps its queue levels the same way).
 const MAX_REPLICATION_PRIORITY: usize = 8;
 
-/// Priority-bucketed index of under-replicated blocks: bucket `k` holds
-/// blocks missing `k` replicas, so the replication monitor serves the
-/// most-degraded blocks first without scanning the block map.
-#[derive(Debug, Clone)]
+/// The under-replicated blocks, each with its priority: how many replicas
+/// it is missing, capped. One ordered map, so a block walking 0 → 1 → 2 →
+/// 3 replicas during a report storm costs one tree operation per step; the
+/// replication monitor buckets by priority once per pass.
+#[derive(Debug, Clone, Default)]
 struct UnderReplicatedQueue {
-    buckets: Vec<BTreeSet<BlockId>>,
-    index: BTreeMap<BlockId, usize>,
+    priority: BTreeMap<BlockId, usize>,
 }
 
 impl UnderReplicatedQueue {
-    fn new() -> Self {
-        UnderReplicatedQueue {
-            buckets: vec![BTreeSet::new(); MAX_REPLICATION_PRIORITY + 1],
-            index: BTreeMap::new(),
-        }
-    }
-
-    /// Insert or re-bucket `id` as missing `need` replicas.
+    /// Insert or re-prioritize `id` as missing `need` replicas.
     fn set(&mut self, id: BlockId, need: u32) {
         let pri =
             usize::try_from(need).unwrap_or(MAX_REPLICATION_PRIORITY).min(MAX_REPLICATION_PRIORITY);
-        if let Some(&old) = self.index.get(&id) {
-            if old == pri {
-                return;
-            }
-            self.buckets[old].remove(&id);
-        }
-        self.buckets[pri].insert(id);
-        self.index.insert(id, pri);
+        self.priority.insert(id, pri);
     }
 
     fn remove(&mut self, id: BlockId) {
-        if let Some(pri) = self.index.remove(&id) {
-            self.buckets[pri].remove(&id);
-        }
+        self.priority.remove(&id);
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.priority.len()
     }
 
     /// Member ids in id order (deterministic reporting).
     fn ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.index.keys().copied()
+        self.priority.keys().copied()
     }
 
-    /// Work order: most-missing bucket first, id order within a bucket.
+    /// Work order: most-missing first, id order within a priority.
     fn priority_order(&self) -> Vec<BlockId> {
-        self.buckets.iter().rev().flat_map(|b| b.iter().copied()).collect()
+        let mut buckets = vec![Vec::new(); MAX_REPLICATION_PRIORITY + 1];
+        for (&id, &pri) in &self.priority {
+            if let Some(bucket) = buckets.get_mut(pri) {
+                bucket.push(id);
+            }
+        }
+        buckets.into_iter().rev().flatten().collect()
+    }
+}
+
+/// What a DataNode says about its replica of one block: the three ways a
+/// location changes.
+#[derive(Debug, Clone, Copy)]
+enum Replica {
+    /// Written or copied here just now: a location, and one in-flight
+    /// re-replication fewer.
+    Received,
+    /// Listed in a report with this generation stamp: a location when the
+    /// stamp is current, garbage to invalidate when it is stale (pipeline
+    /// recovery happened without this node) or the block is unknown
+    /// (deleted while the node was down).
+    Reported(u64),
+    /// No longer here.
+    Gone,
+}
+
+/// Recompute `id`'s membership in the under/over indexes from its entry.
+/// O(replicas of this block). Missing blocks need no index: "missing" is
+/// exactly "in the map with zero locations", so the census counters
+/// already give the count in O(1).
+fn reindex(
+    under: &mut UnderReplicatedQueue,
+    over: &mut BTreeSet<BlockId>,
+    decommissioning: &BTreeSet<NodeId>,
+    id: BlockId,
+    info: &BlockInfo,
+) {
+    let counted =
+        u32::try_from(info.locations.iter().filter(|n| !decommissioning.contains(n)).count())
+            .unwrap_or(u32::MAX);
+    let have = counted.saturating_add(info.pending_replicas);
+    if !info.locations.is_empty() && have < info.expected_replication {
+        under.set(id, info.expected_replication.saturating_sub(counted));
+    } else {
+        under.remove(id);
+    }
+    if u32::try_from(info.locations.len()).unwrap_or(u32::MAX) > info.expected_replication {
+        over.insert(id);
+    } else {
+        over.remove(&id);
     }
 }
 
@@ -235,7 +271,7 @@ impl NameNode {
             node_blocks: BTreeMap::new(),
             reported_count: 0,
             total_location_count: 0,
-            under: UnderReplicatedQueue::new(),
+            under: UnderReplicatedQueue::default(),
             over: BTreeSet::new(),
             next_block_id: 1,
             next_gen_stamp: FIRST_GEN_STAMP,
@@ -279,12 +315,15 @@ impl NameNode {
     }
 
     /// Compact manifest of the whole block map — `(block, len,
-    /// expected_replication)` in id order. Location-independent, so a
-    /// pre-crash manifest can be compared against a journal-recovered
-    /// NameNode whose replica locations are still empty (the chaos
-    /// harness's crash-recovery oracle).
-    pub fn block_manifest(&self) -> Vec<(BlockId, u64, u32)> {
-        self.blocks.iter().map(|(&id, b)| (id, b.len, b.expected_replication)).collect()
+    /// expected_replication, gen_stamp)` in id order: everything durable
+    /// about a block. Location-independent, so a pre-crash manifest can be
+    /// compared against a journal-recovered NameNode whose replica
+    /// locations are still empty (the crash-recovery oracles).
+    pub fn block_manifest(&self) -> Vec<(BlockId, u64, u32, u64)> {
+        self.blocks
+            .iter()
+            .map(|(&id, b)| (id, b.len, b.expected_replication, b.gen_stamp))
+            .collect()
     }
 
     /// Live replica locations of a block (empty when missing).
@@ -365,92 +404,85 @@ impl NameNode {
 
     // ----------------------------------------------------- location index
 
-    /// Record that `node` holds `id`; keeps every derived index (census
-    /// counters, per-node index, replication sets) exact. Returns `true`
-    /// when this was new information.
-    fn add_location(&mut self, id: BlockId, node: NodeId) -> bool {
-        let newly_reported = match self.blocks.get_mut(&id) {
-            Some(info) => {
-                match info.locations.binary_search(&node) {
-                    Ok(_) => return false,
-                    Err(at) => info.locations.insert(at, node),
-                }
-                info.locations.len() == 1
-            }
-            None => return false,
+    /// The one way a replica location changes. Looks `id` up once and
+    /// updates everything from that entry: `locations`, the census
+    /// counters, the per-node index and the under/over indexes; a
+    /// [`Replica::Reported`] that is not a location is queued for
+    /// invalidation, so full and delta reports share one verdict. Returns
+    /// `true` when `node` holds a live replica afterwards.
+    fn change_location(&mut self, id: BlockId, node: NodeId, replica: Replica) -> bool {
+        let info = self.blocks.get_mut(&id);
+        let live = match (replica, &info) {
+            (Replica::Gone, _) | (_, None) => false,
+            (Replica::Reported(stamp), Some(known)) => stamp >= known.gen_stamp,
+            (Replica::Received, Some(_)) => true,
         };
-        if newly_reported {
-            self.reported_count += 1;
+        if !live && matches!(replica, Replica::Reported(_)) {
+            self.invalidations.push((id, node));
         }
-        self.total_location_count += 1;
-        let held = self.node_blocks.entry(node).or_default();
-        if let Err(at) = held.binary_search(&id) {
-            held.insert(at, id);
+        let Some(info) = info else { return false };
+        if matches!(replica, Replica::Received) {
+            info.pending_replicas = info.pending_replicas.saturating_sub(1);
         }
-        self.reassess(id);
-        true
-    }
-
-    /// Forget that `node` holds `id` (mirror of [`Self::add_location`]).
-    fn remove_location(&mut self, id: BlockId, node: NodeId) -> bool {
-        let last_replica = match self.blocks.get_mut(&id) {
-            Some(info) => {
-                match info.locations.binary_search(&node) {
-                    Ok(at) => {
-                        info.locations.remove(at);
+        let moved = match (live, info.locations.binary_search(&node)) {
+            (true, Err(at)) => {
+                info.locations.insert(at, node);
+                self.reported_count += usize::from(info.locations.len() == 1);
+                self.total_location_count += 1;
+                let held = self.node_blocks.entry(node).or_default();
+                // A sorted report appends; anything else finds its place.
+                if held.last().is_none_or(|&last| last < id) {
+                    held.push(id);
+                } else if let Err(at) = held.binary_search(&id) {
+                    held.insert(at, id);
+                }
+                true
+            }
+            (false, Ok(at)) => {
+                info.locations.remove(at);
+                if info.locations.is_empty() {
+                    self.reported_count = self.reported_count.saturating_sub(1);
+                }
+                self.total_location_count = self.total_location_count.saturating_sub(1);
+                if let Some(held) = self.node_blocks.get_mut(&node) {
+                    if let Ok(at) = held.binary_search(&id) {
+                        held.remove(at);
                     }
-                    Err(_) => return false,
                 }
-                info.locations.is_empty()
+                true
             }
-            None => return false,
+            _ => false,
         };
-        if last_replica {
-            self.reported_count = self.reported_count.saturating_sub(1);
+        // A receipt lowered the pending count even if nothing moved.
+        if moved || matches!(replica, Replica::Received) {
+            reindex(&mut self.under, &mut self.over, &self.decommissioning, id, info);
         }
-        self.total_location_count = self.total_location_count.saturating_sub(1);
-        if let Some(held) = self.node_blocks.get_mut(&node) {
-            if let Ok(at) = held.binary_search(&id) {
-                held.remove(at);
-            }
-        }
-        self.reassess(id);
-        true
+        live
     }
 
-    /// Recompute `id`'s membership in the under/over indexes from its
-    /// current locations. O(replicas of this block). Missing blocks need
-    /// no index: "missing" is exactly "in the map with zero locations",
-    /// so the census counters already give the count in O(1).
-    fn reassess(&mut self, id: BlockId) {
-        let Some(info) = self.blocks.get(&id) else {
-            self.under.remove(id);
-            self.over.remove(&id);
-            return;
-        };
-        let counted = u32::try_from(
-            info.locations.iter().filter(|n| !self.decommissioning.contains(n)).count(),
-        )
-        .unwrap_or(u32::MAX);
-        let have = counted.saturating_add(info.pending_replicas);
-        if !info.locations.is_empty() && have < info.expected_replication {
-            self.under.set(id, info.expected_replication.saturating_sub(counted));
-        } else {
-            self.under.remove(id);
-        }
-        if u32::try_from(info.locations.len()).unwrap_or(u32::MAX) > info.expected_replication {
-            self.over.insert(id);
-        } else {
-            self.over.remove(&id);
-        }
-    }
-
-    /// Reassess every block with a replica on `node` (decommission
-    /// transitions change what "counted" means for exactly these blocks).
-    fn reassess_node(&mut self, node: NodeId) {
-        let ids: Vec<BlockId> = self.node_blocks.get(&node).map(|s| s.to_vec()).unwrap_or_default();
+    /// Retract every replica `node` was known to hold — O(node's replicas)
+    /// via the per-node index, not a full-map scan.
+    fn drop_replicas_of(&mut self, node: NodeId) {
+        let ids = self.node_blocks.get_mut(&node).map(std::mem::take).unwrap_or_default();
         for id in ids {
-            self.reassess(id);
+            self.change_location(id, node, Replica::Gone);
+        }
+    }
+
+    /// Change `id`'s entry, if it has one, and re-index it from the entry
+    /// in hand.
+    fn update_block(&mut self, id: BlockId, change: impl FnOnce(&mut BlockInfo)) {
+        if let Some(info) = self.blocks.get_mut(&id) {
+            change(info);
+            reindex(&mut self.under, &mut self.over, &self.decommissioning, id, info);
+        }
+    }
+
+    /// Re-index every block with a replica on `node` (decommission
+    /// transitions change what "counted" means for exactly these blocks).
+    fn reindex_node(&mut self, node: NodeId) {
+        for id in self.node_blocks.get(&node).cloned().unwrap_or_default() {
+            self.update_block(id, |_| {});
         }
     }
 
@@ -479,10 +511,7 @@ impl NameNode {
     /// from the include file after decommissioning). Its replicas are
     /// forgotten and it stops counting as live or draining.
     pub fn unregister_datanode(&mut self, node: NodeId) {
-        let ids: Vec<BlockId> = self.node_blocks.get(&node).map(|s| s.to_vec()).unwrap_or_default();
-        for id in ids {
-            self.remove_location(id, node);
-        }
+        self.drop_replicas_of(node);
         self.node_blocks.remove(&node);
         self.datanodes.remove(&node);
         self.decommissioning.remove(&node);
@@ -496,9 +525,8 @@ impl NameNode {
         }
     }
 
-    /// Sweep for dead DataNodes; removes their replicas from the block map
-    /// — O(dead node's replicas) via the per-node index, not a full-map
-    /// scan. Returns the newly-dead nodes.
+    /// Sweep for dead DataNodes; removes their replicas from the block map.
+    /// Returns the newly-dead nodes.
     pub fn check_heartbeats(&mut self, now: SimTime) -> Vec<NodeId> {
         let mut newly_dead = Vec::new();
         for (&node, info) in self.datanodes.iter_mut() {
@@ -508,11 +536,7 @@ impl NameNode {
             }
         }
         for &node in &newly_dead {
-            let ids: Vec<BlockId> =
-                self.node_blocks.get(&node).map(|s| s.to_vec()).unwrap_or_default();
-            for id in ids {
-                self.remove_location(id, node);
-            }
+            self.drop_replicas_of(node);
         }
         if !newly_dead.is_empty() {
             self.metrics.incr("namenode", "datanodes.declared_dead", newly_dead.len() as u64);
@@ -529,27 +553,10 @@ impl NameNode {
         self.datanodes.iter().filter(|(_, i)| i.alive).map(|(&n, _)| n).collect()
     }
 
-    /// The verdict on one reported replica, shared by full and delta
-    /// reports: a block the NameNode no longer knows (deleted while the
-    /// node was down) is queued for invalidation; a stale generation stamp
-    /// (pipeline recovery happened without this node) is not a location
-    /// and is invalidated too; anything else is a live replica. Returns
-    /// `true` when the replica counts as a location.
-    fn judge_replica(&mut self, node: NodeId, r: &ReplicaMeta) -> bool {
-        let live = self.blocks.get(&r.id).is_some_and(|info| r.gen_stamp >= info.gen_stamp);
-        if live {
-            self.add_location(r.id, node);
-        } else {
-            self.remove_location(r.id, node);
-            self.invalidations.push((r.id, node));
-        }
-        live
-    }
-
     /// Process a full block report from `node`: an O(report + previously
     /// known replicas on `node`) diff against the per-node index, each
-    /// replica judged by [`Self::judge_replica`]. Returns `true` when this
-    /// report (or its safe-mode consequence) exits safe mode.
+    /// replica a [`Replica::Reported`] location change. Returns `true` when
+    /// this report (or its safe-mode consequence) exits safe mode.
     pub fn process_block_report(
         &mut self,
         now: SimTime,
@@ -558,16 +565,22 @@ impl NameNode {
     ) -> bool {
         self.metrics.incr("namenode", "rpc.block_report", 1);
         let before: Vec<BlockId> = self.node_blocks.get(&node).cloned().unwrap_or_default();
-        let mut confirmed: BTreeSet<BlockId> = BTreeSet::new();
+        // DataNodes report in id order; one that does not is sorted once.
+        let mut confirmed: Vec<BlockId> = Vec::with_capacity(report.len());
+        let mut sorted = true;
         for r in report {
-            if self.judge_replica(node, r) {
-                confirmed.insert(r.id);
+            if self.change_location(r.id, node, Replica::Reported(r.gen_stamp)) {
+                sorted &= confirmed.last().is_none_or(|&last| last <= r.id);
+                confirmed.push(r.id);
             }
+        }
+        if !sorted {
+            confirmed.sort_unstable();
         }
         // Anything we believed this node held but it no longer reports.
         for id in before {
-            if !confirmed.contains(&id) {
-                self.remove_location(id, node);
+            if confirmed.binary_search(&id).is_err() {
+                self.change_location(id, node, Replica::Gone);
             }
         }
         self.update_safemode(now)
@@ -585,10 +598,10 @@ impl NameNode {
     ) -> bool {
         self.metrics.incr("namenode", "rpc.incremental_block_report", 1);
         for r in &report.received {
-            self.judge_replica(node, r);
+            self.change_location(r.id, node, Replica::Reported(r.gen_stamp));
         }
         for &id in &report.deleted {
-            self.remove_location(id, node);
+            self.change_location(id, node, Replica::Gone);
         }
         self.update_safemode(now)
     }
@@ -598,33 +611,21 @@ impl NameNode {
     pub fn block_received(&mut self, now: SimTime, node: NodeId, id: BlockId) -> Vec<DnCommand> {
         self.metrics.incr("namenode", "rpc.block_received", 1);
         let mut commands = Vec::new();
-        if self.blocks.contains_key(&id) {
-            self.add_location(id, node);
-            if let Some(info) = self.blocks.get_mut(&id) {
-                info.pending_replicas = info.pending_replicas.saturating_sub(1);
-            }
-            // Over-replication: evict replicas on decommissioning nodes
-            // first (that is the whole point of the drain), then the
-            // highest-id extra that isn't the one just written.
-            loop {
-                let victim = {
-                    let Some(info) = self.blocks.get(&id) else { break };
-                    let replicas = u32::try_from(info.locations.len()).unwrap_or(u32::MAX);
-                    if replicas <= info.expected_replication {
-                        break;
-                    }
-                    info.locations
-                        .iter()
-                        .find(|n| self.decommissioning.contains(n) && **n != node)
-                        .or_else(|| info.locations.iter().rev().find(|&&n| n != node))
-                        .copied()
-                        .unwrap_or(node)
-                };
-                self.remove_location(id, victim);
-                commands.push(DnCommand::Invalidate { block: id, node: victim });
-            }
-            // The pending decrement changed the under-replication math.
-            self.reassess(id);
+        self.change_location(id, node, Replica::Received);
+        // Over-replication: evict replicas on decommissioning nodes first
+        // (that is the whole point of the drain), then the highest-id
+        // extra that isn't the one just written.
+        while self.over.contains(&id) {
+            let Some(info) = self.blocks.get(&id) else { break };
+            let victim = info
+                .locations
+                .iter()
+                .find(|n| self.decommissioning.contains(n) && **n != node)
+                .or_else(|| info.locations.iter().rev().find(|&&n| n != node))
+                .copied()
+                .unwrap_or(node);
+            self.change_location(id, victim, Replica::Gone);
+            commands.push(DnCommand::Invalidate { block: id, node: victim });
         }
         self.update_safemode(now);
         commands
@@ -709,8 +710,9 @@ impl NameNode {
             len,
             gen_stamp: self.next_gen_stamp,
         };
+        // Nothing to index: with no replica reported yet the new block is
+        // neither under- nor over-replicated.
         self.apply(&op)?;
-        self.reassess(id);
         self.leases.renew(now, path);
         self.journal(op);
         Ok((id, targets))
@@ -767,7 +769,7 @@ impl NameNode {
         self.apply(&op)?;
         let blocks = self.namespace.file(path)?.blocks.clone();
         for &id in &blocks {
-            self.reassess(id);
+            self.update_block(id, |_| {});
         }
         self.journal(op);
         Ok(blocks)
@@ -958,10 +960,7 @@ impl NameNode {
             let targets =
                 placement::choose_targets(&self.topology, &candidates, None, 1, info.len, id.0);
             if let Some(&to) = targets.first() {
-                if let Some(info) = self.blocks.get_mut(&id) {
-                    info.pending_replicas += 1;
-                }
-                self.reassess(id);
+                self.update_block(id, |b| b.pending_replicas += 1);
                 commands.push(DnCommand::Replicate { block: id, from, to });
             }
         }
@@ -971,21 +970,11 @@ impl NameNode {
             if commands.len() >= max_tasks {
                 break;
             }
-            loop {
-                let victim = {
-                    let Some(info) = self.blocks.get(&id) else { break };
-                    let replicas = u32::try_from(info.locations.len()).unwrap_or(u32::MAX);
-                    if replicas <= info.expected_replication {
-                        break;
-                    }
-                    // The guard above guarantees a last element; degrade
-                    // gracefully anyway.
-                    match info.locations.iter().next_back() {
-                        Some(&v) => v,
-                        None => break,
-                    }
+            while self.over.contains(&id) {
+                let Some(&victim) = self.blocks.get(&id).and_then(|b| b.locations.last()) else {
+                    break;
                 };
-                self.remove_location(id, victim);
+                self.change_location(id, victim, Replica::Gone);
                 commands.push(DnCommand::Invalidate { block: id, node: victim });
             }
         }
@@ -998,10 +987,7 @@ impl NameNode {
     /// A scheduled re-replication failed (source died mid-copy); return
     /// the slot so the monitor can retry elsewhere.
     pub fn replication_failed(&mut self, id: BlockId) {
-        if let Some(info) = self.blocks.get_mut(&id) {
-            info.pending_replicas = info.pending_replicas.saturating_sub(1);
-        }
-        self.reassess(id);
+        self.update_block(id, |b| b.pending_replicas = b.pending_replicas.saturating_sub(1));
     }
 
     /// Begin draining a DataNode: it stops receiving new blocks and its
@@ -1009,14 +995,14 @@ impl NameNode {
     /// copies them elsewhere. The node keeps serving reads while draining.
     pub fn start_decommission(&mut self, node: NodeId) {
         if self.decommissioning.insert(node) {
-            self.reassess_node(node);
+            self.reindex_node(node);
         }
     }
 
     /// Abort a drain.
     pub fn cancel_decommission(&mut self, node: NodeId) {
         if self.decommissioning.remove(&node) {
-            self.reassess_node(node);
+            self.reindex_node(node);
         }
     }
 
@@ -1113,7 +1099,7 @@ impl NameNode {
         }
         self.reported_count = 0;
         self.total_location_count = 0;
-        self.under = UnderReplicatedQueue::new();
+        self.under = UnderReplicatedQueue::default();
         self.over.clear();
         for info in self.datanodes.values_mut() {
             info.alive = false;
@@ -1135,9 +1121,10 @@ impl NameNode {
         self.shutdown();
         let image = FsImage::from_bytes(&self.fsimage)?;
         let mut ns = image.namespace;
+        // By value: the decoded records are gone before the map is built.
         let mut blocks: BTreeMap<BlockId, BlockInfo> = image
             .blocks
-            .iter()
+            .into_iter()
             .map(|r| (r.id, BlockInfo::unreported(r.len, r.expected_replication, r.gen_stamp)))
             .collect();
         // Emptied by `shutdown`, so the clone carries only the limits.
@@ -1469,16 +1456,51 @@ mod tests {
         assert!(nn.metadata_ram_bytes() > before + 10 * 150);
     }
 
+    /// Everything [`NameNode::change_location`] maintains, recounted from
+    /// the block map alone and compared with the maintained state.
+    fn assert_matches_recount(nn: &NameNode) {
+        let (mut reported, mut locations) = (0usize, 0u64);
+        let mut held: BTreeMap<NodeId, Vec<BlockId>> = BTreeMap::new();
+        let (mut under, mut order, mut over) = (Vec::new(), Vec::new(), BTreeSet::new());
+        for (&id, b) in &nn.blocks {
+            assert!(b.locations.windows(2).all(|w| w[0] < w[1]), "{id}: {:?}", b.locations);
+            reported += usize::from(!b.locations.is_empty());
+            locations += b.locations.len() as u64;
+            for &node in &b.locations {
+                held.entry(node).or_default().push(id);
+            }
+            let counted =
+                b.locations.iter().filter(|n| !nn.decommissioning.contains(n)).count() as u32;
+            if !b.locations.is_empty() && counted + b.pending_replicas < b.expected_replication {
+                under.push((id, counted, b.expected_replication));
+                let need = (b.expected_replication - counted) as usize;
+                order.push((std::cmp::Reverse(need.min(MAX_REPLICATION_PRIORITY)), id));
+            }
+            if b.locations.len() as u32 > b.expected_replication {
+                over.insert(id);
+            }
+        }
+        assert_eq!((nn.reported_count, nn.total_location_count), (reported, locations));
+        let index: BTreeMap<NodeId, Vec<BlockId>> = nn
+            .node_blocks
+            .iter()
+            .filter(|(_, ids)| !ids.is_empty())
+            .map(|(&n, ids)| (n, ids.clone()))
+            .collect();
+        assert_eq!(index, held, "the per-node index is the inverse of `locations`");
+        assert_eq!(nn.under_replicated(), under);
+        // Most-missing first, id order within.
+        order.sort();
+        let order: Vec<BlockId> = order.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(nn.under.priority_order(), order);
+        assert_eq!(nn.over, over);
+    }
+
     #[test]
     fn census_counters_match_recount() {
         let mut nn = nn(4);
         populate(&mut nn, "/data/f", 5);
-        let recount = |nn: &NameNode| {
-            let reported = nn.blocks.values().filter(|b| !b.locations.is_empty()).count();
-            let locations: u64 = nn.blocks.values().map(|b| b.locations.len() as u64).sum();
-            (reported, locations)
-        };
-        assert_eq!((nn.reported_count, nn.total_location_count), recount(&nn));
+        assert_matches_recount(&nn);
         assert_eq!(nn.block_census(), (5, 5));
 
         // A node dies: counters track the removals exactly.
@@ -1487,13 +1509,179 @@ mod tests {
             nn.heartbeat(later, NodeId(i), u64::MAX / 2);
         }
         nn.check_heartbeats(later);
-        assert_eq!((nn.reported_count, nn.total_location_count), recount(&nn));
+        assert_matches_recount(&nn);
 
         // Deletion forgets blocks and all their locations.
         nn.safemode.force_leave();
         nn.delete("/data/f", false).unwrap();
-        assert_eq!((nn.reported_count, nn.total_location_count), recount(&nn));
+        assert_matches_recount(&nn);
         assert_eq!(nn.block_census(), (0, 0));
+    }
+
+    /// `PROPTEST_CASES` lets CI soak the property below in release mode.
+    fn cases(default_cases: u32) -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: cases(64),
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Whatever a small cluster does to replica locations — full
+        /// reports that are unsorted, repeat an id, carry a stale stamp or
+        /// an unknown block; delta reports; receipts into over-replication;
+        /// decommissions, `setrep` up and down, deletes, a node death, an
+        /// unregistration, monitor passes — after every step the maintained
+        /// indexes equal a recount of the block map, and the invalidation
+        /// queue holds the garbage replicas in the order they were heard.
+        #[test]
+        fn every_location_change_keeps_the_indexes_a_recount(
+            steps in proptest::collection::vec((0u8..15, 0u32..5, proptest::any::<u64>()), 1..60),
+        ) {
+            run_location_steps(steps);
+        }
+    }
+
+    /// `(kind, node, bits)` per step; see the property above.
+    fn run_location_steps(steps: Vec<(u8, u32, u64)>) {
+        const NODES: u32 = 5;
+        let mut nn = nn(NODES as usize);
+        populate(&mut nn, "/data/f0", 3);
+        populate(&mut nn, "/data/f1", 2);
+        let mut files = 2u64;
+        let mut t = SimTime::ZERO;
+        // The invalidation queue as the steps should have filled it.
+        let mut garbage: Vec<(BlockId, NodeId)> = Vec::new();
+        for (kind, n, x) in steps {
+            t += SimDuration::from_secs(1);
+            let node = NodeId(n);
+            let ids: Vec<BlockId> = nn.blocks.keys().copied().collect();
+            let pick = ids.get((x % (ids.len() as u64 + 1)) as usize).copied();
+            let path = format!("/data/f{}", x % files);
+            let bit = |i: usize| x >> (i % 64) & 1 == 1;
+            // The replicas a report lists: known blocks by 16 of `x`'s
+            // bits, stale by 16 more, then maybe one unknown block.
+            let listed = |from_bit: usize| -> Vec<ReplicaMeta> {
+                let known = ids.iter().enumerate().filter(|(i, _)| bit(from_bit + i % 16));
+                let unknown =
+                    ReplicaMeta { id: BlockId(9000 + (x >> 49 & 3)), len: 1, gen_stamp: 7 };
+                known
+                    .map(|(i, &id)| {
+                        let gen_stamp = nn.blocks[&id].gen_stamp - u64::from(bit(32 + i % 16));
+                        ReplicaMeta { id, len: 64, gen_stamp }
+                    })
+                    .chain(bit(48).then_some(unknown))
+                    .collect()
+            };
+            let is_live = |nn: &NameNode, r: &ReplicaMeta| {
+                nn.blocks.get(&r.id).is_some_and(|b| r.gen_stamp >= b.gen_stamp)
+            };
+            let not_live = |nn: &NameNode, report: &[ReplicaMeta]| -> Vec<(BlockId, NodeId)> {
+                report.iter().filter(|r| !is_live(nn, r)).map(|r| (r.id, node)).collect()
+            };
+            match kind {
+                0 | 1 => {
+                    let mut report = listed(0);
+                    if bit(52) {
+                        report.extend(report.first().cloned());
+                    }
+                    if bit(53) {
+                        report.reverse();
+                    }
+                    garbage.extend(not_live(&nn, &report));
+                    let mut live: Vec<BlockId> =
+                        report.iter().filter(|r| is_live(&nn, r)).map(|r| r.id).collect();
+                    live.sort();
+                    live.dedup();
+                    nn.process_block_report(t, node, &report);
+                    let held = nn.node_blocks.get(&node).cloned().unwrap_or_default();
+                    assert_eq!(held, live, "{report:?}");
+                }
+                2 => {
+                    let received = listed(0);
+                    let deleted = listed(16).iter().map(|r| r.id).collect();
+                    garbage.extend(not_live(&nn, &received));
+                    let delta = IncrementalBlockReport { received, deleted };
+                    nn.process_incremental_report(t, node, &delta);
+                }
+                3 | 4 => {
+                    if let Some(id) = pick {
+                        nn.block_received(t, node, id);
+                        assert!(!nn.over.contains(&id), "{id} trimmed on receipt");
+                    }
+                }
+                5 => nn.start_decommission(node),
+                6 => nn.cancel_decommission(node),
+                7 => drop(nn.set_replication(&path, (x >> 8) as u32 % 4 + 1)),
+                8 => drop(nn.delete(&path, false)),
+                9 => {
+                    // Everyone but `node` heartbeats across the timeout.
+                    t += SimDuration::from_mins(20);
+                    for other in (0..NODES).filter(|&o| o != n) {
+                        nn.heartbeat(t, NodeId(other), u64::MAX / 2);
+                    }
+                    // (A node that died earlier and only reported since
+                    // stays dead and keeps what it reported.)
+                    let died = nn.check_heartbeats(t);
+                    assert!(died.iter().all(|&dead| dead == node), "{died:?}");
+                    let held = nn.node_blocks.get(&node).is_some_and(|ids| !ids.is_empty());
+                    assert!(died.is_empty() || !held, "a death drops every replica");
+                }
+                10 => {
+                    let order = nn.under.priority_order();
+                    let mut expected = std::mem::take(&mut garbage);
+                    expected.sort();
+                    expected.dedup();
+                    let before = nn.clone();
+                    let commands = nn.replication_work(t, (x % 8) as usize + 1);
+                    // Garbage first, in (block, node) order, whatever the cap.
+                    let invalidated: Vec<(BlockId, NodeId)> = commands
+                        .iter()
+                        .take(expected.len())
+                        .filter_map(|c| match c {
+                            DnCommand::Invalidate { block, node } => Some((*block, *node)),
+                            DnCommand::Replicate { .. } => None,
+                        })
+                        .collect();
+                    assert_eq!(invalidated, expected);
+                    // Copies in priority order, holder to non-holder.
+                    let mut remaining = order.iter();
+                    for c in &commands {
+                        if let DnCommand::Replicate { block, from, to } = c {
+                            assert!(remaining.any(|id| id == block), "{block} out of order");
+                            let holders = &before.blocks[block].locations;
+                            assert!(holders.contains(from) && !holders.contains(to));
+                        }
+                    }
+                }
+                11 => {
+                    if nn.eligible_datanodes(NodeId(u32::MAX)) > 0 {
+                        populate(&mut nn, &format!("/data/f{files}"), (x % 3) as usize + 1);
+                        files += 1;
+                    }
+                }
+                12 => {
+                    let file = nn.namespace.file(&path).ok();
+                    if let Some(id) = file.and_then(|f| f.blocks.last().copied()) {
+                        nn.bump_gen_stamp(t, &path, id).unwrap();
+                    }
+                }
+                13 => {
+                    if let Some(id) = pick {
+                        nn.replication_failed(id);
+                    }
+                }
+                _ => {
+                    nn.unregister_datanode(node);
+                    assert!(!nn.node_blocks.contains_key(&node));
+                    nn.register_datanode(t, node, u64::MAX / 2);
+                }
+            }
+            assert_matches_recount(&nn);
+            assert_eq!(nn.invalidations, garbage);
+        }
     }
 
     #[test]
@@ -1680,10 +1868,7 @@ mod tests {
     fn durable(nn: &NameNode) -> impl PartialEq + std::fmt::Debug {
         (
             nn.namespace.clone(),
-            nn.blocks
-                .iter()
-                .map(|(&id, b)| (id, b.len, b.expected_replication, b.gen_stamp))
-                .collect::<Vec<_>>(),
+            nn.block_manifest(),
             nn.leases.leases().map(|l| (l.path.clone(), l.holder.clone())).collect::<Vec<_>>(),
             nn.next_block_id,
             nn.next_gen_stamp,

@@ -17,18 +17,18 @@ use crate::block::BlockId;
 /// Accepts `/`, `/a`, `/a/b/`, collapses duplicate slashes, rejects
 /// relative paths, empty components beyond slashes, and `.`/`..`.
 pub fn parse_path(path: &str) -> Result<Vec<String>> {
+    Ok(components(path)?.map(str::to_string).collect())
+}
+
+/// [`parse_path`]'s components, validated and borrowed from `path`: what a
+/// per-block lookup walks without allocating.
+fn components(path: &str) -> Result<impl Iterator<Item = &str>> {
     if !path.starts_with('/') {
         return Err(HlError::Config(format!("DFS paths must be absolute: {path:?}")));
     }
-    let mut parts = Vec::new();
-    for comp in path.split('/') {
-        match comp {
-            "" => {}
-            "." | ".." => {
-                return Err(HlError::Config(format!("'.'/'..' not supported in {path:?}")))
-            }
-            c => parts.push(c.to_string()),
-        }
+    let parts = path.split('/').filter(|c| !c.is_empty());
+    if parts.clone().any(|c| matches!(c, "." | "..")) {
+        return Err(HlError::Config(format!("'.'/'..' not supported in {path:?}")));
     }
     Ok(parts)
 }
@@ -106,22 +106,25 @@ impl Namespace {
         Namespace { root: INode::Directory(BTreeMap::new()) }
     }
 
-    fn walk(&self, parts: &[String]) -> Option<&INode> {
+    fn walk<S: AsRef<str>>(&self, parts: impl IntoIterator<Item = S>) -> Option<&INode> {
         let mut node = &self.root;
         for part in parts {
             match node {
-                INode::Directory(children) => node = children.get(part)?,
+                INode::Directory(children) => node = children.get(part.as_ref())?,
                 INode::File(_) => return None,
             }
         }
         Some(node)
     }
 
-    fn walk_mut(&mut self, parts: &[String]) -> Option<&mut INode> {
+    fn walk_mut<S: AsRef<str>>(
+        &mut self,
+        parts: impl IntoIterator<Item = S>,
+    ) -> Option<&mut INode> {
         let mut node = &mut self.root;
         for part in parts {
             match node {
-                INode::Directory(children) => node = children.get_mut(part)?,
+                INode::Directory(children) => node = children.get_mut(part.as_ref())?,
                 INode::File(_) => return None,
             }
         }
@@ -223,8 +226,7 @@ impl Namespace {
 
     /// Immutable file lookup.
     pub fn file(&self, path: &str) -> Result<&FileNode> {
-        let parts = parse_path(path)?;
-        match self.walk(&parts) {
+        match self.walk(components(path)?) {
             Some(INode::File(f)) => Ok(f),
             Some(INode::Directory(_)) => Err(HlError::NotADirectory(path.to_string())),
             None => Err(HlError::FileNotFound(path.to_string())),
@@ -233,8 +235,7 @@ impl Namespace {
 
     /// Mutable file lookup.
     pub fn file_mut(&mut self, path: &str) -> Result<&mut FileNode> {
-        let parts = parse_path(path)?;
-        match self.walk_mut(&parts) {
+        match self.walk_mut(components(path)?) {
             Some(INode::File(f)) => Ok(f),
             Some(INode::Directory(_)) => Err(HlError::NotADirectory(path.to_string())),
             None => Err(HlError::FileNotFound(path.to_string())),

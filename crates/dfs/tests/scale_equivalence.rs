@@ -140,22 +140,17 @@ fn cases(default_cases: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
 }
 
-/// Everything a restart must recover: namespace, per-block `(id, len,
-/// expected_replication, gen_stamp)`, `(path, holder)` per lease, and both
-/// allocation marks (read off the image a checkpoint of a copy writes —
-/// they have no accessor).
+/// Everything a restart must recover: namespace, the block manifest
+/// (`(id, len, expected_replication, gen_stamp)` per block), `(path,
+/// holder)` per lease, and both allocation marks (read off the image a
+/// checkpoint of a copy writes — they have no accessor).
 fn durable(nn: &NameNode) -> impl PartialEq + std::fmt::Debug {
-    let blocks: Vec<(BlockId, u64, u32, u64)> = nn
-        .block_manifest()
-        .iter()
-        .map(|&(id, len, replication)| (id, len, replication, nn.block(id).unwrap().gen_stamp))
-        .collect();
     let leases: Vec<(String, String)> =
         nn.open_files().iter().map(|l| (l.path.clone(), l.holder.clone())).collect();
     let mut copy = nn.clone();
     copy.checkpoint();
     let image = FsImage::from_bytes(copy.fsimage_bytes()).unwrap();
-    (nn.namespace().clone(), blocks, leases, image.next_block_id, image.next_gen_stamp)
+    (nn.namespace().clone(), nn.block_manifest(), leases, image.next_block_id, image.next_gen_stamp)
 }
 
 /// One step of a NameNode life: `(kind, dir, file, other dir, small
@@ -242,7 +237,7 @@ proptest! {
         prop_assert_eq!(nn_ckpt.block_census().0, 0, "locations are not durable");
 
         // Both recover the same world once DataNodes report back in.
-        let ids: Vec<BlockId> = nn_ckpt.block_manifest().iter().map(|&(id, _, _)| id).collect();
+        let ids: Vec<BlockId> = nn_ckpt.block_manifest().iter().map(|&(id, ..)| id).collect();
         for i in 0..4 {
             let held: Vec<bool> = ids.iter().map(|id| id.0 % 4 != i).collect();
             let report = full_report(&nn_ckpt, &ids, &held);

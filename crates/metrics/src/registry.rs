@@ -4,8 +4,10 @@
 //! "rpc.add_block")`, `("datanode.node003", "bytes.read")` — and come in
 //! the three classic kinds: monotonic [`MetricValue::Counter`]s,
 //! point-in-time [`MetricValue::Gauge`]s, and log2
-//! [`MetricValue::Histogram`]s. Storage is a `BTreeMap`, so iteration,
-//! snapshots, and serialization are deterministic by construction.
+//! [`MetricValue::Histogram`]s. Storage is a `BTreeMap` per daemon inside
+//! a `BTreeMap` of daemons, so iteration, snapshots, and serialization are
+//! deterministic by construction, and touching an existing instrument
+//! allocates nothing.
 
 use std::collections::BTreeMap;
 
@@ -207,7 +209,11 @@ impl Writable for MetricsSnapshot {
 /// kind, which keeps daemon code panic-free (lint rule R1).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsRegistry {
-    entries: BTreeMap<(String, String), MetricValue>,
+    /// daemon → name → value, so a `(&str, &str)` pair probes without
+    /// owning; nested iteration visits `(daemon, name)` in the same
+    /// lexicographic order a pair-keyed map would. An inner map is created
+    /// with its first instrument and never left empty.
+    entries: BTreeMap<String, BTreeMap<String, MetricValue>>,
 }
 
 impl MetricsRegistry {
@@ -216,40 +222,52 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    fn get(&self, daemon: &str, name: &str) -> Option<&MetricValue> {
+        self.entries.get(daemon)?.get(name)
+    }
+
+    fn get_mut(&mut self, daemon: &str, name: &str) -> Option<&mut MetricValue> {
+        self.entries.get_mut(daemon)?.get_mut(name)
+    }
+
+    /// Install `value` as `(daemon, name)`. A first touch is the only time
+    /// an instrument's strings are built.
+    fn set(&mut self, daemon: &str, name: &str, value: MetricValue) {
+        match self.get_mut(daemon, name) {
+            Some(v) => *v = value,
+            None => {
+                self.entries.entry(daemon.to_string()).or_default().insert(name.to_string(), value);
+            }
+        }
+    }
+
     /// Add `delta` to a monotonic counter, creating it at 0 first.
     pub fn incr(&mut self, daemon: &str, name: &str, delta: u64) {
-        let e = self
-            .entries
-            .entry((daemon.to_string(), name.to_string()))
-            .or_insert(MetricValue::Counter(0));
-        match e {
-            MetricValue::Counter(v) => *v = v.saturating_add(delta),
-            _ => *e = MetricValue::Counter(delta),
+        match self.get_mut(daemon, name) {
+            Some(MetricValue::Counter(v)) => *v = v.saturating_add(delta),
+            _ => self.set(daemon, name, MetricValue::Counter(delta)),
         }
     }
 
     /// Set a gauge to an absolute level.
     pub fn set_gauge(&mut self, daemon: &str, name: &str, level: i64) {
-        self.entries.insert((daemon.to_string(), name.to_string()), MetricValue::Gauge(level));
+        self.set(daemon, name, MetricValue::Gauge(level));
     }
 
     /// Record one sample into a histogram, creating it empty first.
     pub fn observe(&mut self, daemon: &str, name: &str, sample: u64) {
-        let e = self
-            .entries
-            .entry((daemon.to_string(), name.to_string()))
-            .or_insert_with(|| MetricValue::Histogram(Box::new(Histogram::new())));
-        if !matches!(e, MetricValue::Histogram(_)) {
-            *e = MetricValue::Histogram(Box::new(Histogram::new()));
-        }
-        if let MetricValue::Histogram(h) = e {
+        if let Some(MetricValue::Histogram(h)) = self.get_mut(daemon, name) {
             h.record(sample);
+            return;
         }
+        let mut h = Histogram::new();
+        h.record(sample);
+        self.set(daemon, name, MetricValue::Histogram(Box::new(h)));
     }
 
     /// Read a counter (0 when absent).
     pub fn counter(&self, daemon: &str, name: &str) -> u64 {
-        match self.entries.get(&(daemon.to_string(), name.to_string())) {
+        match self.get(daemon, name) {
             Some(MetricValue::Counter(v)) => *v,
             _ => 0,
         }
@@ -257,7 +275,7 @@ impl MetricsRegistry {
 
     /// Read a gauge (0 when absent).
     pub fn gauge(&self, daemon: &str, name: &str) -> i64 {
-        match self.entries.get(&(daemon.to_string(), name.to_string())) {
+        match self.get(daemon, name) {
             Some(MetricValue::Gauge(v)) => *v,
             _ => 0,
         }
@@ -265,7 +283,7 @@ impl MetricsRegistry {
 
     /// Read a histogram, if present.
     pub fn histogram(&self, daemon: &str, name: &str) -> Option<&Histogram> {
-        match self.entries.get(&(daemon.to_string(), name.to_string())) {
+        match self.get(daemon, name) {
             Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
         }
@@ -276,18 +294,16 @@ impl MetricsRegistry {
     /// **histograms** carry across — restarting must never double- or
     /// re-count history. Other daemons' instruments are untouched.
     pub fn restart_daemon(&mut self, daemon: &str) {
-        for ((d, _), v) in self.entries.iter_mut() {
-            if d == daemon {
-                if let MetricValue::Gauge(level) = v {
-                    *level = 0;
-                }
+        for v in self.entries.get_mut(daemon).into_iter().flat_map(BTreeMap::values_mut) {
+            if let MetricValue::Gauge(level) = v {
+                *level = 0;
             }
         }
     }
 
     /// Number of registered instruments.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(BTreeMap::len).sum()
     }
 
     /// True when nothing is registered.
@@ -302,10 +318,12 @@ impl MetricsRegistry {
             samples: self
                 .entries
                 .iter()
-                .map(|((daemon, name), value)| MetricSample {
-                    daemon: daemon.clone(),
-                    name: name.clone(),
-                    value: value.clone(),
+                .flat_map(|(daemon, names)| {
+                    names.iter().map(move |(name, value)| MetricSample {
+                        daemon: daemon.clone(),
+                        name: name.clone(),
+                        value: value.clone(),
+                    })
                 })
                 .collect(),
         }

@@ -70,7 +70,7 @@ fn meltdown_drill_crashes_node_and_rereplicates() {
         .namenode
         .block_manifest()
         .into_iter()
-        .filter(|&(id, _, _)| cluster.dfs.namenode.block_locations(id).contains(&victim))
+        .filter(|&(id, ..)| cluster.dfs.namenode.block_locations(id).contains(&victim))
         .collect();
     assert!(!held.is_empty(), "victim held replicas when it died");
 
@@ -82,7 +82,7 @@ fn meltdown_drill_crashes_node_and_rereplicates() {
     cluster.dfs.run_protocol(&mut cluster.net, from, until);
     cluster.now = until;
 
-    for (id, _, expected) in cluster.dfs.namenode.block_manifest() {
+    for (id, _, expected, _) in cluster.dfs.namenode.block_manifest() {
         let locations = cluster.dfs.namenode.block_locations(id);
         assert_eq!(locations.len() as u32, expected, "blk_{} not restored", id.0);
         assert!(!locations.contains(&victim), "blk_{} still on the dead node", id.0);
@@ -131,7 +131,7 @@ fn editlog_replay_recovers_namespace_and_block_map() {
     assert!(cluster.dfs.namenode.safemode.is_on());
     assert_eq!(cluster.dfs.namenode.namespace(), &ns_before);
     assert_eq!(cluster.dfs.namenode.block_manifest(), manifest_before);
-    assert!(manifest_before.iter().all(|&(id, _, _)| cluster
+    assert!(manifest_before.iter().all(|&(id, ..)| cluster
         .dfs
         .namenode
         .block_locations(id)
