@@ -565,18 +565,14 @@ impl NameNode {
     ) -> bool {
         self.metrics.incr("namenode", "rpc.block_report", 1);
         let before: Vec<BlockId> = self.node_blocks.get(&node).cloned().unwrap_or_default();
-        // DataNodes report in id order; one that does not is sorted once.
         let mut confirmed: Vec<BlockId> = Vec::with_capacity(report.len());
-        let mut sorted = true;
         for r in report {
             if self.change_location(r.id, node, Replica::Reported(r.gen_stamp)) {
-                sorted &= confirmed.last().is_none_or(|&last| last <= r.id);
                 confirmed.push(r.id);
             }
         }
-        if !sorted {
-            confirmed.sort_unstable();
-        }
+        // DataNodes report in id order, which the sort sees in one pass.
+        confirmed.sort_unstable();
         // Anything we believed this node held but it no longer reports.
         for id in before {
             if confirmed.binary_search(&id).is_err() {
