@@ -4,124 +4,37 @@
 //! repro                 # everything, Paper scale
 //! repro --quick         # everything, Quick scale (seconds)
 //! repro --fig1 --n5     # selected experiments only
+//! repro --quick > tests/golden/repro_quick.txt   # re-pin after an intended change
+//! repro > tests/golden/repro_paper.txt           # same, Paper scale (~2.5 min)
 //! ```
 //!
-//! Output is plain text, one section per artifact, with paper-reported
-//! values alongside measured ones where applicable. EXPERIMENTS.md is the
-//! curated record of one full run.
+//! Output is [`hl_bench::repro`]'s plain text, one section per artifact,
+//! with paper-reported values alongside measured ones where applicable;
+//! `cargo test` holds it to the two committed files (the Paper-scale one in
+//! an ignored arm the nightly workflow runs) and EXPERIMENTS.md quotes
+//! them. A flag no experiment answers to prints the usage and exits 2.
 
-use hl_core::experiments::{self, Scale};
+use std::process::ExitCode;
 
-struct Item {
-    flag: &'static str,
-    title: &'static str,
-    run: fn(Scale) -> String,
-}
+use hl_bench::{repro, repro_usage};
+use hl_core::Scale;
 
-fn items() -> Vec<Item> {
-    vec![
-        Item {
-            flag: "--fig1",
-            title: "Figure 1 — HPC vs Hadoop architecture",
-            run: |s| experiments::fig1::run(s).to_string(),
-        },
-        Item {
-            flag: "--fig2",
-            title: "Figure 2 — HDFS/MapReduce integration & locality",
-            run: |s| experiments::fig2::run(s).to_string(),
-        },
-        Item {
-            flag: "--tables",
-            title: "Tables I–IV — survey statistics",
-            run: |s| experiments::tables::run(s).to_string(),
-        },
-        Item {
-            flag: "--table5",
-            title: "Table V — curriculum map & course module",
-            run: |_| hl_core::course::CourseModule.to_string(),
-        },
-        Item {
-            flag: "--n1",
-            title: "N1 — combiner trade-off",
-            run: |s| experiments::n1::run(s).to_string(),
-        },
-        Item {
-            flag: "--n2",
-            title: "N2 — airline monoid variants",
-            run: |s| experiments::n2::run(s).to_string(),
-        },
-        Item {
-            flag: "--n3",
-            title: "N3 — side-file access",
-            run: |s| experiments::n3::run(s).to_string(),
-        },
-        Item {
-            flag: "--n4",
-            title: "N4 — serial vs cluster",
-            run: |s| experiments::n4::run(s).to_string(),
-        },
-        Item {
-            flag: "--n5",
-            title: "N5 — staging times",
-            run: |s| experiments::n5::run(s).to_string(),
-        },
-        Item {
-            flag: "--n6",
-            title: "N6 — meltdown & recovery drill",
-            run: |s| experiments::n6::run(s).to_string(),
-        },
-        Item {
-            flag: "--n7",
-            title: "N7 — myHadoop provisioning",
-            run: |s| experiments::n7::run(s).to_string(),
-        },
-        Item {
-            flag: "--jummp",
-            title: "JUMMP — maneuvering through preemption (paper ref [11])",
-            run: |s| experiments::jummp::run(s).to_string(),
-        },
-        Item {
-            flag: "--platforms",
-            title: "Section II — platform evolution (VM / shared / myHadoop)",
-            run: |s| experiments::platforms::run(s).to_string(),
-        },
-        Item {
-            flag: "--n8",
-            title: "N8 — assignment-1 runtimes",
-            run: |s| experiments::n8::run(s).to_string(),
-        },
-    ]
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", repro_usage());
+        return ExitCode::SUCCESS;
+    }
     let scale = if args.iter().any(|a| a == "--quick") { Scale::Quick } else { Scale::Paper };
-    let selected: Vec<&String> = args.iter().filter(|a| a.as_str() != "--quick").collect();
-    if selected.iter().any(|a| *a == "--help" || *a == "-h") {
-        println!("usage: repro [--quick] [--fig1 --fig2 --tables --table5 --n1..--n8]");
-        return;
-    }
-
-    let all = items();
-    let chosen: Vec<&Item> = if selected.is_empty() {
-        all.iter().collect()
-    } else {
-        all.iter().filter(|i| selected.iter().any(|a| *a == i.flag)).collect()
-    };
-    if chosen.is_empty() {
-        eprintln!("no matching experiment flags; try --help");
-        std::process::exit(2);
-    }
-
-    println!(
-        "HadoopLab repro — {} scale\nReproducing: Ngo, Apon & Duffy, \
-         \"Teaching HDFS/MapReduce Systems Concepts to Undergraduates\" (2014)\n",
-        if scale == Scale::Quick { "QUICK" } else { "PAPER" }
-    );
-    for item in chosen {
-        println!("================================================================");
-        println!("{}", item.title);
-        println!("================================================================");
-        println!("{}", (item.run)(scale));
+    let selected: Vec<&str> = args.iter().map(String::as_str).filter(|a| *a != "--quick").collect();
+    match repro(scale, &selected) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", repro_usage());
+            ExitCode::from(2)
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Golden tables: every simulated number and every JobTracker trace the
 //! repo quotes, pinned across commits by one mechanism — a committed text
-//! table under `tests/golden/`, an exact compare, and a mismatch that
-//! prints the replacement line.
+//! table under `tests/golden/`, `hl_bench::golden_diff`'s exact line-for-line
+//! compare in both directions, and a mismatch that prints the replacement
+//! line.
 //!
 //! * `chaos_traces.txt` — every chaos pack × seeds 0..3 (all three
 //!   scheduler policies via `seed % 3`, speculation, codec, retries,
@@ -37,13 +38,29 @@ use hadoop_lab::mapreduce::speculate::SpecOutcome;
 use hadoop_lab::mapreduce::MrCluster;
 use hadoop_lab::workloads::replay::{load_trace, replay, ReplayPolicy, ReplaySetup};
 use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
-use hl_bench::{scale_numbers, sim_numbers, table_diff};
+use hl_bench::{golden_diff, scale_numbers, sim_numbers};
 
 const GOLDEN: &str = include_str!("golden/chaos_traces.txt");
 const GOLDEN_REPLAY: &str = include_str!("golden/replay_hashes.txt");
 const GOLDEN_SIM: &str = include_str!("golden/sim_numbers.txt");
 /// Rows of `sim_numbers.txt` that only the ignored nightly arm produces.
 const NIGHTLY_ROWS: &str = "scale_1000x1000000/";
+
+/// `actual` must equal `pinned` line for line, in both directions.
+fn assert_golden(file: &str, pinned: &str, actual: &str) {
+    let moved = golden_diff(pinned, actual);
+    assert!(moved.is_empty(), "tests/golden/{file} moved:\n{}", moved.join("\n"));
+}
+
+/// The lines of `golden` that start with `prefix` (`nightly`) or that do
+/// not: the rows one arm of a table answers for.
+fn rows_of_arm(golden: &str, prefix: &str, nightly: bool) -> String {
+    golden
+        .lines()
+        .filter(|row| row.starts_with(prefix) == nightly)
+        .map(|row| format!("{row}\n"))
+        .collect()
+}
 
 #[test]
 fn chaos_trace_hashes_match_the_committed_table() {
@@ -55,10 +72,7 @@ fn chaos_trace_hashes_match_the_committed_table() {
             actual.push_str(&format!("{} {seed} {:#018x}\n", pack.name(), report.trace_hash));
         }
     }
-    for (want, got) in GOLDEN.lines().zip(actual.lines()) {
-        assert_eq!(want, got, "trace moved; replacement line for chaos_traces.txt: {got}");
-    }
-    assert_eq!(GOLDEN.lines().count(), actual.lines().count(), "full table:\n{actual}");
+    assert_golden("chaos_traces.txt", GOLDEN, &actual);
 }
 
 /// The Google-trace replay, 3 policies × {uncontended, contended}: the
@@ -82,23 +96,7 @@ fn replay_hashes_match_the_committed_table() {
             ));
         }
     }
-    for (want, got) in GOLDEN_REPLAY.lines().zip(actual.lines()) {
-        assert_eq!(want, got, "replay moved; replacement line for replay_hashes.txt: {got}");
-    }
-    assert_eq!(GOLDEN_REPLAY.lines().count(), actual.lines().count(), "full table:\n{actual}");
-}
-
-/// `actual` must equal, row for row and in both directions, the committed
-/// rows its arm answers for: the 1000 × 1M rows when `nightly`, all the
-/// others otherwise.
-fn assert_sim_rows(nightly: bool, actual: &str) {
-    let pinned: String = GOLDEN_SIM
-        .lines()
-        .filter(|row| row.starts_with(NIGHTLY_ROWS) == nightly)
-        .map(|row| format!("{row}\n"))
-        .collect();
-    let moved = table_diff(&pinned, actual);
-    assert!(moved.is_empty(), "sim_numbers.txt moved:\n{}", moved.join("\n"));
+    assert_golden("replay_hashes.txt", GOLDEN_REPLAY, &actual);
 }
 
 /// The five pinned MapReduce sections and the NameNode scale counters at
@@ -106,13 +104,19 @@ fn assert_sim_rows(nightly: bool, actual: &str) {
 /// missing or extra on either side.
 #[test]
 fn sim_numbers_match_the_committed_table() {
-    assert_sim_rows(false, &sim_numbers().expect("shape gates hold"));
+    let pinned = rows_of_arm(GOLDEN_SIM, NIGHTLY_ROWS, false);
+    assert_golden("sim_numbers.txt", &pinned, &sim_numbers().expect("shape gates hold"));
 }
 
 #[test]
 #[ignore = "1000 DataNodes x 1M blocks, ~5 s: the nightly workflow runs it"]
 fn sim_numbers_at_a_million_blocks_match_the_committed_table() {
-    assert_sim_rows(true, &scale_numbers(1000, 1_000_000).expect("census holds"));
+    let pinned = rows_of_arm(GOLDEN_SIM, NIGHTLY_ROWS, true);
+    assert_golden(
+        "sim_numbers.txt",
+        &pinned,
+        &scale_numbers(1000, 1_000_000).expect("census holds"),
+    );
 }
 
 /// FNV-1a over a rendering of everything the report says about *how* the
