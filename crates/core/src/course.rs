@@ -178,12 +178,4 @@ mod tests {
         // Exactly one Information Management row, as in the paper.
         assert_eq!(TABLE5.iter().filter(|r| r.area == "Information Management").count(), 1);
     }
-
-    #[test]
-    fn renders() {
-        let text = CourseModule.to_string();
-        assert!(text.contains("v1 (Fall 2012)"));
-        assert!(text.contains("Table V"));
-        assert!(text.contains("data locality"));
-    }
 }

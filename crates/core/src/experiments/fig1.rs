@@ -176,12 +176,4 @@ mod tests {
         // When saturated, the shared store runs near 100% busy.
         assert!(r.points.last().unwrap().hpc_storage_utilization > 0.7);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("Figure 1"));
-        assert!(text.contains("nodes"));
-        assert!(text.contains("wins >=2x"));
-    }
 }

@@ -173,13 +173,4 @@ mod tests {
             assert_eq!(holders.len(), 3, "3x replication visible in the map");
         }
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("Figure 2"));
-        assert!(text.contains("locality-aware"));
-        assert!(text.contains("fifo"));
-        assert!(text.contains("blk_"));
-    }
 }

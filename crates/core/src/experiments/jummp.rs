@@ -206,12 +206,4 @@ mod tests {
         assert!(r.naive.missing_blocks > 0, "4 preemptions at replication 3 must lose blocks");
         assert!(!r.naive.data_intact);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("JUMMP"));
-        assert!(text.contains("maneuvering"));
-        assert!(text.contains("naive"));
-    }
 }

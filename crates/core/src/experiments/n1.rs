@@ -154,12 +154,4 @@ mod tests {
         assert!(comb.combine_input_records > 0);
         assert_eq!(plain.combine_input_records, 0);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N1"));
-        assert!(text.contains("reducer-as-combiner"));
-        assert!(text.contains("shuffle x"));
-    }
 }

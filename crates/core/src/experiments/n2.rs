@@ -143,12 +143,4 @@ mod tests {
         // mapper's own table instead).
         assert!(v3.peak_mapper_buffer < v1.peak_mapper_buffer / 4);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N2"));
-        assert!(text.contains("v2-combiner"));
-        assert!(text.contains("ground truth"));
-    }
 }

@@ -145,11 +145,4 @@ mod tests {
         assert_eq!(r.naive_reads, r.ratings as u64, "one read per record");
         assert!(r.cached_reads < 64, "one read per task: {}", r.cached_reads);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N3"));
-        assert!(text.contains("slower"));
-    }
 }

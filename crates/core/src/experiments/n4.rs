@@ -115,11 +115,4 @@ mod tests {
         assert!(r.speedup() > 2.0, "speedup {:.2}", r.speedup());
         assert!(r.staging > SimDuration::ZERO);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N4"));
-        assert!(text.contains("speedup"));
-    }
 }

@@ -142,11 +142,4 @@ mod tests {
         let google = r.rows.iter().find(|row| row.name.contains("Google")).unwrap();
         assert_eq!(google.blocks as u64, 171 * 1024 / 64); // 2736
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N5"));
-        assert!(text.contains("Google trace"));
-    }
 }

@@ -209,6 +209,11 @@ mod tests {
             r.storm_task_deaths,
             r.daemons_crashed
         );
+        // The storm bleeds the cluster without failing a job: with five of
+        // eight nodes still up, a lost attempt is retried elsewhere and a
+        // write pipeline re-forms around its dead DataNode. New jobs stop
+        // only at the end state below.
+        assert_eq!(r.storm_failures, 0, "of {} storm submissions", r.storm_submissions);
         assert!(r.under_replicated_peak > 0, "dead DataNodes must expose under-replication");
         assert!(
             r.under_replicated_after_recovery < r.under_replicated_peak.max(1),
@@ -218,13 +223,5 @@ mod tests {
         );
         assert!(r.restart_to_safemode_exit >= SimDuration::from_secs(30), "extension floor");
         assert!(r.corrupted_cluster_refuses_jobs, "the paper's end state");
-    }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N6"));
-        assert!(text.contains("safe mode exited"));
-        assert!(text.contains("refuses new jobs: true"));
     }
 }

@@ -156,12 +156,4 @@ mod tests {
         assert!(with.median_cluster_up < SimDuration::from_hours(1), "{}", with.median_cluster_up);
         assert!(with.max_cluster_up < SimDuration::from_hours(2), "{}", with.max_cluster_up);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N7"));
-        assert!(text.contains("15-min cleanup cron"));
-        assert!(text.contains("no cleanup"));
-    }
 }

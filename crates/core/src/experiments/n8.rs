@@ -117,11 +117,4 @@ mod tests {
         // Order(s) of magnitude apart.
         assert!(r.factor() > 10.0, "factor {:.1}", r.factor());
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("N8"));
-        assert!(text.contains("slower"));
-    }
 }

@@ -165,11 +165,4 @@ mod tests {
         // be days, which is why the option was abandoned.
         assert!(r.rows[0].staging > SimDuration::from_hours(3), "{}", r.rows[0].staging);
     }
-
-    #[test]
-    fn renders() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("Platform evolution"));
-        assert!(text.contains("myHadoop"));
-    }
 }

@@ -163,13 +163,4 @@ mod tests {
             assert!(a.measured.0 > b.measured.0, "{}", b.label);
         }
     }
-
-    #[test]
-    fn renders_side_by_side() {
-        let text = run(Scale::Quick).to_string();
-        assert!(text.contains("Table I"));
-        assert!(text.contains("Hadoop MapReduce"));
-        assert!(text.contains("(paper 14)"));
-        assert!(text.contains("In-class lab"));
-    }
 }

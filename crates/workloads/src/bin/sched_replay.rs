@@ -5,14 +5,15 @@
 //!
 //! ```text
 //! sched-replay [--jobs N] [--tasks M] [--seed S]
-//!              [--policy fifo|fair|capacity|all] [--contended] [--verify]
+//!              [--policy fifo|fair|capacity|all] [--contended]
 //! ```
 //!
 //! `--contended` over-subscribes the slot farm (longer tasks, compressed
-//! arrivals, 1 s preemption timeout) so the policies actually diverge;
-//! `--verify` runs every policy twice and requires byte-identical
-//! assignment-log and metrics hashes. Exit 0 on a clean run, 1 on oracle
-//! violations or verify mismatches, 2 on bad arguments.
+//! arrivals, 1 s preemption timeout) so the policies actually diverge.
+//! Exit 0 on a clean run, 1 on oracle violations, 2 on bad arguments.
+//! `cargo test` pins every column of this table, and that a second run
+//! repeats it, in `tests/golden/replay_hashes.txt`: `--jobs 120 --tasks 6`
+//! in tier-1, the default 600 x 8 in the ignored arm the nightly runs.
 
 use hl_datagen::google_trace::GoogleTraceGen;
 use hl_workloads::replay::{load_trace, replay, ReplayOutcome, ReplayPolicy, ReplaySetup};
@@ -20,7 +21,7 @@ use hl_workloads::replay::{load_trace, replay, ReplayOutcome, ReplayPolicy, Repl
 fn usage() -> ! {
     eprintln!(
         "usage: sched-replay [--jobs N] [--tasks M] [--seed S] \
-         [--policy fifo|fair|capacity|all] [--contended] [--verify]"
+         [--policy fifo|fair|capacity|all] [--contended]"
     );
     std::process::exit(2);
 }
@@ -31,7 +32,6 @@ fn main() {
     let mut seed: u64 = 42;
     let mut policies = vec![ReplayPolicy::Fifo, ReplayPolicy::Fair, ReplayPolicy::Capacity];
     let mut contended = false;
-    let mut verify = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -54,7 +54,6 @@ fn main() {
                 };
             }
             "--contended" => contended = true,
-            "--verify" => verify = true,
             _ => usage(),
         }
         i += 1;
@@ -93,22 +92,6 @@ fn main() {
                 eprintln!(
                     "VIOLATION [{}]: worst replayed job {worst} != trace truth {truth_worst} ({n} resubmissions)",
                     out.policy
-                );
-                failed = true;
-            }
-        }
-        if verify {
-            let again = replay(&jobs, policy, &setup);
-            if again.assignment_hash != out.assignment_hash
-                || again.metrics_hash != out.metrics_hash
-            {
-                eprintln!(
-                    "VIOLATION [{}]: re-run diverged (log {:016x} vs {:016x}, metrics {:016x} vs {:016x})",
-                    out.policy,
-                    out.assignment_hash,
-                    again.assignment_hash,
-                    out.metrics_hash,
-                    again.metrics_hash
                 );
                 failed = true;
             }

@@ -1,26 +1,33 @@
-//! Golden tables: every simulated number and every JobTracker trace the
-//! repo quotes, pinned across commits by one mechanism — a committed text
-//! table under `tests/golden/`, `hl_bench::golden_diff`'s exact line-for-line
-//! compare in both directions, and a mismatch that prints the replacement
-//! line.
+//! Golden files: everything the repository prints for a lecture to quote
+//! and every JobTracker trace, pinned across commits by one mechanism — a
+//! committed text file under `tests/golden/`, `hl_bench::golden_diff`'s
+//! exact line-for-line compare in both directions, and a mismatch that
+//! names the line (and the section it stands in) and prints its replacement.
 //!
 //! * `chaos_traces.txt` — every chaos pack × seeds 0..3 (all three
 //!   scheduler policies via `seed % 3`, speculation, codec, retries,
 //!   blacklists) must reproduce its trace hash; `chaos-soak
 //!   --verify-trace` only compares a run with *itself*.
 //! * `replay_hashes.txt` — the Google-trace replay, 3 policies ×
-//!   {uncontended, contended}.
+//!   {uncontended, contended}: the two hashes and every column
+//!   `sched-replay` prints, each row from two runs that must agree. 120
+//!   jobs × 6 tasks here; `sched-replay`'s default 600 × 8 in the ignored
+//!   arm.
 //! * `sim_numbers.txt` — `hl_bench::sim_numbers()`: makespans, spill and
 //!   shuffle bytes, queue waits, the TPCx-HS 2×2 and the codec ablation,
 //!   plus the NameNode scale counters at 200 × 100 000 (and at 1000 × 1M
-//!   in an ignored arm the nightly workflow runs). Compared in both
-//!   directions: a value that falls, a row that vanishes and a row that
-//!   appears all fail. `bench-snapshot > tests/golden/sim_numbers.txt`
+//!   in the ignored arm). `bench-snapshot > tests/golden/sim_numbers.txt`
+//!   re-pins.
+//! * `repro_quick.txt` — `hl_bench::repro(Scale::Quick, ..)`, all that
+//!   `repro --quick` prints: Figures 1–2, Tables I–V, N1–N8, X1.
+//!   `repro_paper.txt` is the same at PAPER scale, ~2.5 min, in the
+//!   ignored arm. `repro [--quick] > tests/golden/repro_<scale>.txt`
 //!   re-pins.
 //! * three hand-built jobs pin a digest of their whole `JobReport` for the
 //!   corners no committed number covers.
 //!
-//! A restructuring that moves any of these changed behaviour; only accept
+//! The nightly workflow runs the ignored arm (`-- --ignored`). A
+//! restructuring that moves any of these changed behaviour; only accept
 //! the replacement for an *intended* change, in a `[bench-baseline]`
 //! commit (`scripts/bench_guard.sh`).
 
@@ -29,6 +36,7 @@ use hadoop_lab::cluster::node::{ClusterSpec, HeterogeneousClusterSpec};
 use hadoop_lab::common::config::keys;
 use hadoop_lab::common::hash::fnv1a;
 use hadoop_lab::common::prelude::*;
+use hadoop_lab::core::Scale;
 use hadoop_lab::datagen::google_trace::GoogleTraceGen;
 use hadoop_lab::datagen::CorpusGen;
 use hadoop_lab::mapreduce::api::NoCombiner;
@@ -38,13 +46,17 @@ use hadoop_lab::mapreduce::speculate::SpecOutcome;
 use hadoop_lab::mapreduce::MrCluster;
 use hadoop_lab::workloads::replay::{load_trace, replay, ReplayPolicy, ReplaySetup};
 use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
-use hl_bench::{golden_diff, scale_numbers, sim_numbers};
+use hl_bench::{golden_diff, repro, repro_flags, scale_numbers, sim_numbers};
 
 const GOLDEN: &str = include_str!("golden/chaos_traces.txt");
 const GOLDEN_REPLAY: &str = include_str!("golden/replay_hashes.txt");
 const GOLDEN_SIM: &str = include_str!("golden/sim_numbers.txt");
+const GOLDEN_REPRO_QUICK: &str = include_str!("golden/repro_quick.txt");
+const GOLDEN_REPRO_PAPER: &str = include_str!("golden/repro_paper.txt");
 /// Rows of `sim_numbers.txt` that only the ignored nightly arm produces.
 const NIGHTLY_ROWS: &str = "scale_1000x1000000/";
+/// Rows of `replay_hashes.txt` that only the ignored nightly arm produces.
+const NIGHTLY_REPLAY_ROWS: &str = "600x8-";
 
 /// `actual` must equal `pinned` line for line, in both directions.
 fn assert_golden(file: &str, pinned: &str, actual: &str) {
@@ -75,28 +87,54 @@ fn chaos_trace_hashes_match_the_committed_table() {
     assert_golden("chaos_traces.txt", GOLDEN, &actual);
 }
 
-/// The Google-trace replay, 3 policies × {uncontended, contended}: the
-/// assignment log and the metrics snapshot of a 120-job trace must hash to
-/// the committed values, so a change to the scheduling loop that moves a
-/// decision shows up here before it shows up in a lecture table.
-#[test]
-fn replay_hashes_match_the_committed_table() {
-    let (log, _) = GoogleTraceGen::new(42).with_jobs(120, 6).generate();
+/// The Google-trace replay of `jobs` jobs × `tasks` tasks, 3 policies ×
+/// {uncontended, contended}, one row each: the hashes of the assignment
+/// log and of the metrics snapshot, then the columns `sched-replay` prints
+/// (decisions, mean and p99 wait in ms, makespan in s, preemptions). Every
+/// row is produced twice and the two runs must agree.
+fn replay_rows(prefix: &str, jobs: u64, tasks: u32) -> String {
+    let (log, _) = GoogleTraceGen::new(42).with_jobs(jobs, tasks).generate();
     let jobs = load_trace(&log);
-    let mut actual = String::new();
+    let mut rows = String::new();
     for (label, setup) in
         [("uncontended", ReplaySetup::default()), ("contended", ReplaySetup::contended())]
     {
         for policy in [ReplayPolicy::Fifo, ReplayPolicy::Fair, ReplayPolicy::Capacity] {
-            let out = replay(&jobs, policy, &setup);
-            assert!(out.violations.is_empty(), "{label} {policy:?}: {:?}", out.violations);
-            actual.push_str(&format!(
-                "{label} {} {:#018x} {:#018x}\n",
-                out.policy, out.assignment_hash, out.metrics_hash
-            ));
+            let [row, again] = [(); 2].map(|()| {
+                let out = replay(&jobs, policy, &setup);
+                assert!(out.violations.is_empty(), "{label} {policy:?}: {:?}", out.violations);
+                format!(
+                    "{prefix}{label} {} {:#018x} {:#018x} {} {} {} {} {}\n",
+                    out.policy,
+                    out.assignment_hash,
+                    out.metrics_hash,
+                    out.decisions,
+                    out.mean_wait.0 / 1000,
+                    out.p99_wait.0 / 1000,
+                    out.makespan.0 / 1_000_000,
+                    out.policy_preemptions,
+                )
+            });
+            assert_eq!(row, again, "a second run of the same replay diverged");
+            rows.push_str(&row);
         }
     }
-    assert_golden("replay_hashes.txt", GOLDEN_REPLAY, &actual);
+    rows
+}
+
+/// A change to the scheduling loop that moves a decision shows up here
+/// before it shows up in a lecture table.
+#[test]
+fn replay_hashes_match_the_committed_table() {
+    let pinned = rows_of_arm(GOLDEN_REPLAY, NIGHTLY_REPLAY_ROWS, false);
+    assert_golden("replay_hashes.txt", &pinned, &replay_rows("", 120, 6));
+}
+
+#[test]
+#[ignore = "sched-replay's default 600-job trace, ~20 s in release: the nightly workflow runs it"]
+fn replay_of_the_600_job_trace_matches_the_committed_table() {
+    let pinned = rows_of_arm(GOLDEN_REPLAY, NIGHTLY_REPLAY_ROWS, true);
+    assert_golden("replay_hashes.txt", &pinned, &replay_rows(NIGHTLY_REPLAY_ROWS, 600, 8));
 }
 
 /// The five pinned MapReduce sections and the NameNode scale counters at
@@ -117,6 +155,43 @@ fn sim_numbers_at_a_million_blocks_match_the_committed_table() {
         &pinned,
         &scale_numbers(1000, 1_000_000).expect("census holds"),
     );
+}
+
+/// What `repro --quick` prints for N3 alone (`n3`) or for the other
+/// thirteen experiments must equal the header and those sections of
+/// `repro_quick.txt`. N3's 20 000 charged side-file reads are half of the
+/// sweep's host time, so it runs as a test of its own beside the rest;
+/// between them the two tests cover every pinned section.
+fn assert_repro_quick(n3: bool) {
+    let flags: Vec<&str> = repro_flags().filter(|flag| (*flag == "--n3") == n3).collect();
+    let actual = repro(Scale::Quick, &flags).expect("the flags are the table's own");
+
+    let bar = format!("{}\n", "=".repeat(64));
+    let mut chunks = GOLDEN_REPRO_QUICK.split(bar.as_str());
+    let mut pinned = chunks.next().unwrap_or_default().to_string();
+    while let (Some(title), Some(body)) = (chunks.next(), chunks.next()) {
+        if title.starts_with("N3 ") == n3 {
+            pinned.push_str(&[bar.as_str(), title, bar.as_str(), body].concat());
+        }
+    }
+    assert_golden("repro_quick.txt", &pinned, &actual);
+}
+
+#[test]
+fn repro_quick_matches_the_committed_text() {
+    assert_repro_quick(false);
+}
+
+#[test]
+fn repro_quick_n3_matches_the_committed_text() {
+    assert_repro_quick(true);
+}
+
+#[test]
+#[ignore = "every experiment at PAPER scale, ~2.5 min in release: the nightly workflow runs it"]
+fn repro_paper_matches_the_committed_text() {
+    let actual = repro(Scale::Paper, &[]).expect("no flag to reject");
+    assert_golden("repro_paper.txt", GOLDEN_REPRO_PAPER, &actual);
 }
 
 /// FNV-1a over a rendering of everything the report says about *how* the
