@@ -100,7 +100,7 @@ fn replay_rows(prefix: &str, jobs: u64, tasks: u32) -> String {
         [("uncontended", ReplaySetup::default()), ("contended", ReplaySetup::contended())]
     {
         for policy in [ReplayPolicy::Fifo, ReplayPolicy::Fair, ReplayPolicy::Capacity] {
-            let [row, again] = [(); 2].map(|()| {
+            let run = || {
                 let out = replay(&jobs, policy, &setup);
                 assert!(out.violations.is_empty(), "{label} {policy:?}: {:?}", out.violations);
                 format!(
@@ -114,7 +114,8 @@ fn replay_rows(prefix: &str, jobs: u64, tasks: u32) -> String {
                     out.makespan.0 / 1_000_000,
                     out.policy_preemptions,
                 )
-            });
+            };
+            let (row, again) = (run(), run());
             assert_eq!(row, again, "a second run of the same replay diverged");
             rows.push_str(&row);
         }
