@@ -11,6 +11,8 @@
 //! the nightly workflow runs). A section whose shape gate fails prints
 //! the reason and exits 2.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use hl_bench::{scale_numbers, sim_numbers};

@@ -14,6 +14,8 @@
 //! an ignored arm the nightly workflow runs) and EXPERIMENTS.md quotes
 //! them. A flag no experiment answers to prints the usage and exits 2.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use hl_bench::{repro, repro_usage};

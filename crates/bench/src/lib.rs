@@ -17,6 +17,8 @@
 //! `tests/golden_traces.rs` compares every file under `tests/golden/`
 //! with what the code produces today through [`golden_diff`].
 
+#![forbid(unsafe_code)]
+
 use hl_common::prelude::*;
 
 mod repro;

@@ -13,6 +13,8 @@
 //! seed printed with its one-command replay); 2 a seed failed to
 //! reproduce its own trace hash (determinism bug).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use hl_chaos::{ChaosRunner, ScenarioPack};

@@ -23,6 +23,8 @@
 //! across seed ranges and scenario packs and prints the first failing
 //! seed as a one-command replay.
 
+#![forbid(unsafe_code)]
+
 pub mod oracle;
 pub mod plan;
 pub mod runner;

@@ -15,6 +15,7 @@
 //! run.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod failure;

@@ -21,6 +21,7 @@
 //! has the table).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod frame;
 pub mod lz;

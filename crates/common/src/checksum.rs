@@ -3,20 +3,41 @@
 //! HDFS checksums every 512-byte chunk of every block with CRC32 and
 //! re-verifies on read and during the DataNode block scanner pass; the
 //! "15 minutes of data-integrity checking" students experienced after a
-//! cluster restart is this code path. We implement the reflected
-//! table-driven algorithm with **slicing-by-8** (the same scheme `zlib`
-//! and Hadoop's native CRC use): eight 256-entry tables, built at compile
-//! time, fold 8 input bytes per loop iteration instead of 1.
+//! cluster restart is this code path. Two kernels compute the same
+//! function, and which one runs is decided by the CPU and the length of
+//! the stretch in hand, never by an option:
 //!
-//! One such chain is bound by latency, not throughput: every step waits
+//! * **Carry-less multiply** (the private `clmul` module): on an x86-64
+//!   CPU that reports `pclmulqdq`, a stretch of 64 bytes or more is folded
+//!   64 bytes per step through four 128-bit accumulators and reduced to 32
+//!   bits once at its end — the scheme of Intel's "Fast CRC Computation
+//!   Using PCLMULQDQ", also in zlib and the Linux kernel. That is every
+//!   [`Crc32::update`] of 64 bytes or more, whatever state it continues
+//!   from, and every chunk of a [`ChunkedChecksum`] whose chunks are that
+//!   long (HDFS's 512 are), so block writes, reads, the block scanner and
+//!   the codec's frame CRCs all take it.
+//! * **Tables** (everything else in this file): the reflected
+//!   table-driven algorithm with **slicing-by-8** (the scheme `zlib` and
+//!   Hadoop's native CRC use without the instruction): eight 256-entry
+//!   tables, built at compile time, fold 8 input bytes per loop iteration
+//!   instead of 1. It runs on every other CPU, on stretches under 64
+//!   bytes, on the sub-16-byte tail the fold leaves, and in the tests as
+//!   the oracle the fold is held to, next to a bit-at-a-time reference.
+//!
+//! One table chain is bound by latency, not throughput: every step waits
 //! for the previous step's table loads. So wherever there are four
-//! stretches of bytes to hash, they are hashed **in lock-step** — four
-//! independent chains the CPU overlaps. [`ChunkedChecksum`] has them for
-//! free (four 512-byte chunks at a time); [`Crc32::update`] makes them by
-//! cutting a long input into four lanes and stitching the lane CRCs back
-//! together, which CRC's linearity allows: the state after `A ‖ B` is the
-//! state after `A`, advanced through `|B|` zero bytes, XOR the state `B`
-//! alone leaves from zero.
+//! stretches of bytes to hash, the table path hashes them **in
+//! lock-step** — four independent chains the CPU overlaps.
+//! [`ChunkedChecksum`] has them for free (four chunks at a time);
+//! [`Crc32::update`] makes them by cutting a long input into four lanes
+//! and stitching the lane CRCs back together, which CRC's linearity
+//! allows: the state after `A ‖ B` is the state after `A`, advanced
+//! through `|B|` zero bytes, XOR the state `B` alone leaves from zero.
+//!
+//! The fold is the one place in the workspace that needs `unsafe`: calling
+//! a function compiled for a CPU feature from one that is not. `hl-common`
+//! denies `unsafe_code` and allows it on that module alone; every other
+//! crate forbids it.
 
 /// Streaming CRC32 state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,6 +183,187 @@ fn shift_lane(crc: u32) -> u32 {
         ^ SHIFT[3][(crc >> 24) as usize]
 }
 
+/// A raw state through `data` on the table path. While at least
+/// `4 * LANE` bytes remain they go four lanes at a time — the running
+/// state rides the first lane, the other three start from zero, and each
+/// lane's result is shifted past the lanes after it as they are joined;
+/// what is left goes down a single slicing-by-8 chain.
+fn update_by_table(mut crc: u32, data: &[u8]) -> u32 {
+    let mut rounds = data.chunks_exact(4 * LANE);
+    for round in &mut rounds {
+        let lanes = fold4([crc, 0, 0, 0], quarters(round));
+        crc = lanes[0];
+        for lane in &lanes[1..] {
+            crc = shift_lane(crc) ^ lane;
+        }
+    }
+    fold(crc, rounds.remainder())
+}
+
+/// CRC32 by carry-less multiplication (`pclmulqdq`).
+///
+/// In the reflected bit order a 128-bit register `x` stands for a
+/// polynomial, and `x · t^n mod P` can be had from two 64×64 carry-less
+/// products with the constants `t^(n+32) mod P` and `t^(n-32) mod P`. So
+/// a register can be moved `n` bits down the message without reducing it:
+/// the loop keeps four registers, each folded 512 bits ahead onto the next
+/// 64 bytes of input; the four are then folded 128 bits at a time into
+/// one, the rest of the input 16 bytes at a time into that, and a Barrett
+/// reduction brings the 128 bits down to the 32-bit state. Everything but
+/// the detected call is safe code.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    use super::POLY;
+
+    /// The shortest stretch worth handing to [`update`]: one round of the
+    /// four-register loop.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// `t^n mod P` in the reflected bit order, shifted up one bit as the
+    /// 64-bit operands of `pclmulqdq` want it, and in `.1` the last 64
+    /// quotient bits of the same division (the newest highest).
+    const fn t_pow(n: u32) -> (i64, u64) {
+        let mut rem = 0x8000_0000u32;
+        let mut quotient = 0u64;
+        let mut step = 0;
+        while step < n {
+            quotient = (quotient >> 1) | ((rem as u64 & 1) << 63);
+            rem = if rem & 1 != 0 { (rem >> 1) ^ POLY } else { rem >> 1 };
+            step += 1;
+        }
+        ((rem as i64) << 1, quotient)
+    }
+
+    /// Fold a register 512 bits ahead: the four-register loop's step.
+    pub(super) const FOLD_512: (i64, i64) = (t_pow(512 + 32).0, t_pow(512 - 32).0);
+    /// Fold a register 128 bits ahead: four registers into one, then one
+    /// 16-byte block at a time.
+    pub(super) const FOLD_128: (i64, i64) = (t_pow(128 + 32).0, t_pow(128 - 32).0);
+    /// `t^64 mod P`: 96 bits down to 64.
+    pub(super) const FOLD_64: i64 = t_pow(64).0;
+    /// `P` itself, all 33 bits.
+    pub(super) const P: i64 = ((POLY as i64) << 1) | 1;
+    /// `⌊t^64 / P⌋`, Barrett's constant, 33 bits.
+    pub(super) const MU: i64 = (t_pow(64).1 >> 31) as i64;
+
+    /// Whether this CPU has the instruction (std caches the answer).
+    pub(super) fn detected() -> bool {
+        #[cfg(test)]
+        if super::tests::TABLES_ONLY.get() {
+            return false;
+        }
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+
+    /// The raw state `crc` advanced through `data`, or `None` when `data`
+    /// is shorter than [`MIN_LEN`] or the CPU cannot fold.
+    pub(super) fn update(crc: u32, data: &[u8]) -> Option<u32> {
+        if data.len() < MIN_LEN || !detected() {
+            return None;
+        }
+        // SAFETY: `fold` is a safe function whose one requirement on its
+        // caller is a CPU with `pclmulqdq` (SSE2 is x86-64's baseline),
+        // and `detected` saw that feature on this CPU on the line above.
+        Some(unsafe { fold(crc, data) })
+    }
+
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(crc: u32, data: &[u8]) -> u32 {
+        let mut rounds = data.chunks_exact(64);
+        let Some(first) = rounds.next() else {
+            return super::fold(crc, data);
+        };
+        // The running state is XORed onto the first four message bytes,
+        // as the byte-at-a-time algorithm does one byte at a time.
+        let mut x = load4(first);
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        let ahead_512 = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
+        for round in &mut rounds {
+            let next = load4(round);
+            for (reg, block) in x.iter_mut().zip(next) {
+                *reg = fold_onto(*reg, block, ahead_512);
+            }
+        }
+        let ahead_128 = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
+        let [mut acc, b, c, d] = x;
+        for block in [b, c, d] {
+            acc = fold_onto(acc, block, ahead_128);
+        }
+        let mut blocks = rounds.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            acc = fold_onto(acc, load(block), ahead_128);
+        }
+        super::fold(reduce(acc, ahead_128), blocks.remainder())
+    }
+
+    /// Sixteen message bytes as a register, first byte lowest.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(block: &[u8]) -> __m128i {
+        let (lo, hi) = block.split_at(8);
+        let lo = i64::from_le_bytes(lo.try_into().expect("the low half of a 16-byte block"));
+        let hi = i64::from_le_bytes(hi.try_into().expect("the high half of a 16-byte block"));
+        _mm_set_epi64x(hi, lo)
+    }
+
+    /// Sixty-four message bytes as four registers.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn load4(round: &[u8]) -> [__m128i; 4] {
+        [load(&round[..16]), load(&round[16..32]), load(&round[32..48]), load(&round[48..64])]
+    }
+
+    /// `reg` moved ahead by the distance `keys` stands for, XOR the
+    /// message `block` found there.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_onto(reg: __m128i, block: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(reg, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(reg, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(block, lo), hi)
+    }
+
+    /// 128 bits of folded message down to the 32-bit raw state.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn reduce(x: __m128i, ahead_128: __m128i) -> u32 {
+        let low_32 = _mm_set_epi32(0, 0, 0, !0);
+        // 128 -> 96 bits: the low half moves 64 bits ahead onto the high.
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, ahead_128, 0x10), _mm_srli_si128(x, 8));
+        // 96 -> 64 bits.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low_32), _mm_set_epi64x(0, FOLD_64), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (x mod t^32) * MU, T2 = (T1 mod t^32) * P, and the
+        // remainder is the second 32-bit word of x ^ T2.
+        let p_mu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low_32), p_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low_32), p_mu, 0x00);
+        _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32
+    }
+}
+
+/// No fold off x86-64: everything goes through the tables.
+#[cfg(not(target_arch = "x86_64"))]
+mod clmul {
+    pub(super) const MIN_LEN: usize = usize::MAX;
+
+    pub(super) fn detected() -> bool {
+        false
+    }
+
+    pub(super) fn update(_crc: u32, _data: &[u8]) -> Option<u32> {
+        None
+    }
+}
+
 impl Default for Crc32 {
     fn default() -> Self {
         Self::new()
@@ -174,22 +376,13 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feed more bytes. While at least `4 * LANE` remain they go four
-    /// lanes at a time — the running state rides the first lane, the
-    /// other three start from zero, and each lane's result is shifted
-    /// past the lanes after it as they are joined; what is left goes down
-    /// a single slicing-by-8 chain.
+    /// Feed more bytes: by carry-less multiply when the CPU has it and
+    /// `data` is long enough to fold, else through the tables.
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut rounds = data.chunks_exact(4 * LANE);
-        for round in &mut rounds {
-            let lanes = fold4([crc, 0, 0, 0], quarters(round));
-            crc = lanes[0];
-            for lane in &lanes[1..] {
-                crc = shift_lane(crc) ^ lane;
-            }
-        }
-        self.state = fold(crc, rounds.remainder());
+        self.state = match clmul::update(self.state, data) {
+            Some(crc) => crc,
+            None => update_by_table(self.state, data),
+        };
     }
 
     /// Final checksum value.
@@ -216,10 +409,19 @@ pub struct ChunkedChecksum {
 }
 
 /// Hand `visit` the CRC32 of each `chunk_size` chunk of `data`, in order,
-/// until it returns `false`. Full chunks are hashed four at a time in
-/// lock-step; the last one to three chunks (one of which may be short)
-/// one after another.
+/// until it returns `false`. Where chunks are long enough for the CPU's
+/// fold, one after another through it. Otherwise full chunks are hashed
+/// four at a time in lock-step on the table path; the last one to three
+/// chunks (one of which may be short) one after another.
 fn each_chunk_crc(data: &[u8], chunk_size: usize, mut visit: impl FnMut(u32) -> bool) {
+    if chunk_size >= clmul::MIN_LEN && clmul::detected() {
+        for chunk in data.chunks(chunk_size) {
+            if !visit(Crc32::checksum(chunk)) {
+                return;
+            }
+        }
+        return;
+    }
     let mut batches = data.chunks_exact(chunk_size.saturating_mul(4));
     for batch in &mut batches {
         for crc in fold4([0xFFFF_FFFF; 4], quarters(batch)) {
@@ -267,7 +469,30 @@ impl ChunkedChecksum {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    thread_local! {
+        /// While set, this thread's checksums take the table path whatever
+        /// the CPU has: the oracle side of the kernel tests.
+        pub(super) static TABLES_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `f` with the fold switched off on this thread.
+    fn by_tables<T>(f: impl FnOnce() -> T) -> T {
+        TABLES_ONLY.set(true);
+        let out = f();
+        TABLES_ONLY.set(false);
+        out
+    }
+
+    /// `PROPTEST_CASES` lets CI's `codec-fuzz` job soak the property below.
+    fn fuzz_cases(default_cases: u32) -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
+    }
 
     #[test]
     fn known_vectors() {
@@ -428,6 +653,119 @@ mod tests {
             let mut bad = data.clone();
             bad[chunk * 512] ^= 0x80;
             assert_eq!(sums.verify(&bad), Some(chunk));
+        }
+    }
+
+    // -- the fold against the tables against the bitwise reference ----------
+    //
+    // On a CPU without `pclmulqdq` (and off x86-64) both sides of these
+    // take the tables; they still pass, and still hold the tables to the
+    // bitwise reference.
+
+    #[test]
+    fn fold_matches_tables_and_bitwise_at_every_length_and_alignment() {
+        // 0..=1100 covers no round, one, seventeen and a bit, every count
+        // of 16-byte blocks after the rounds and every tail under 16.
+        let data = noise(1100 + 16);
+        for off in 0..16 {
+            for len in 0..=1100 {
+                let slice = &data[off..off + len];
+                let want = crc32_bitwise(slice);
+                assert_eq!(Crc32::checksum(slice), want, "fold, off={off} len={len}");
+                assert_eq!(
+                    by_tables(|| Crc32::checksum(slice)),
+                    want,
+                    "tables, off={off} len={len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_continues_from_any_incoming_state() {
+        // update(a); update(b) == update(a ‖ b) wherever the cut falls: each
+        // side takes the fold or the tables by its own length, and the
+        // second starts from a state that is not the initial one.
+        let data = noise(300);
+        let want = crc32_bitwise(&data);
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            let streamed = |()| {
+                let mut c = Crc32::new();
+                c.update(a);
+                c.update(b);
+                c.finish()
+            };
+            assert_eq!(streamed(()), want, "fold, cut={cut}");
+            assert_eq!(by_tables(|| streamed(())), want, "tables, cut={cut}");
+        }
+    }
+
+    #[test]
+    fn chunked_is_the_same_on_both_paths_at_every_chunk_size() {
+        // Chunk sizes under, at and over the fold's minimum, HDFS's own
+        // and a long one; data ending on a chunk, one byte past and short.
+        let data = noise(3 * 4096 + 77);
+        for chunk_size in [1, 63, 64, 65, 512, 4096] {
+            for len in [0, 1, chunk_size, 5 * chunk_size, 5 * chunk_size + 1, 7 * chunk_size - 1] {
+                let data = &data[..len.min(data.len())];
+                let sums = ChunkedChecksum::compute(data, chunk_size);
+                assert_eq!(sums, by_tables(|| ChunkedChecksum::compute(data, chunk_size)));
+                let want: Vec<u32> = data.chunks(chunk_size).map(crc32_bitwise).collect();
+                assert_eq!(sums.crcs, want, "chunk_size={chunk_size} len={len}");
+                assert_eq!(sums.verify(data), None);
+                // The first corrupt chunk, by both paths, wherever it is —
+                // the short last chunk included.
+                for chunk in 0..sums.crcs.len() {
+                    let mut bad = data.to_vec();
+                    bad[chunk * chunk_size] ^= 0x10;
+                    if let Some(last) = bad.last_mut() {
+                        *last ^= 0x01;
+                    }
+                    assert_eq!(sums.verify(&bad), Some(chunk), "chunk_size={chunk_size}");
+                    assert_eq!(by_tables(|| sums.verify(&bad)), Some(chunk));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_constants_are_the_published_ones() {
+        // The constants zlib, the Linux kernel and Intel's paper print for
+        // this polynomial; a slip in `t_pow` shows here by name before it
+        // shows as a wrong checksum above.
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(clmul::FOLD_512, (0x1_5444_2bd4, 0x1_c6e4_1596));
+            assert_eq!(clmul::FOLD_128, (0x1_7519_97d0, 0x0_ccaa_009e));
+            assert_eq!(clmul::FOLD_64, 0x1_63cd_6124);
+            assert_eq!(clmul::P, 0x1_db71_0641);
+            assert_eq!(clmul::MU, 0x1_f701_1641);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: fuzz_cases(64), ..ProptestConfig::default() })]
+
+        /// Random bytes, cut at a random point: one shot and streamed, by
+        /// the fold and by the tables, all equal the bitwise reference.
+        #[test]
+        fn prop_fold_equals_tables_equals_bitwise(
+            data in proptest::collection::vec(any::<u8>(), 0..5000),
+            cut in 0usize..5000,
+        ) {
+            let want = crc32_bitwise(&data);
+            let (a, b) = data.split_at(cut.min(data.len()));
+            let streamed = |()| {
+                let mut c = Crc32::new();
+                c.update(a);
+                c.update(b);
+                c.finish()
+            };
+            prop_assert_eq!(Crc32::checksum(&data), want);
+            prop_assert_eq!(streamed(()), want);
+            prop_assert_eq!(by_tables(|| Crc32::checksum(&data)), want);
+            prop_assert_eq!(by_tables(|| streamed(())), want);
         }
     }
 }

@@ -5,13 +5,15 @@
 //! [`Writable`][writable::Writable] serialization protocol with
 //! order-preserving key encodings, CRC32 checksums, job/file-system
 //! [`Counters`][counters::Counters], virtual [`SimTime`][simtime::SimTime],
-//! rack [`topology`], and partition [`hash`]ing.
+//! rack [`topology`], partition [`hash`]ing, and the host-thread [`pool`]
+//! every crate that wants a second core goes through.
 //!
 //! Everything here is dependency-light and purely computational so that the
 //! higher crates (`hl-dfs`, `hl-mapreduce`, `hl-cluster`, ...) can share one
 //! vocabulary without pulling in the simulator.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod checksum;
 pub mod config;
@@ -19,6 +21,7 @@ pub mod counters;
 pub mod error;
 pub mod hash;
 pub mod keys;
+pub mod pool;
 pub mod simtime;
 pub mod topology;
 pub mod units;

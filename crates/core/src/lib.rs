@@ -22,6 +22,7 @@
 //! EXPERIMENTS.md records paper-reported vs measured values.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod course;
 pub mod experiments;

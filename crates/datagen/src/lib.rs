@@ -22,6 +22,7 @@
 //! full published sizes separately (synthetic DFS payloads).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod airline;
 pub mod corpus;

@@ -22,6 +22,7 @@ use bytes::Bytes;
 use hl_cluster::network::ClusterNet;
 use hl_cluster::node::{ClusterSpec, PerfProfile};
 use hl_codec::CodecId;
+use hl_common::pool::Pool;
 use hl_common::prelude::*;
 use hl_metrics::{MetricsRegistry, MetricsSnapshot};
 
@@ -99,6 +100,12 @@ impl DeadNodes {
     }
 }
 
+/// Frames per unit of pooled compression in [`Dfs::put_compressed`]: 1 MiB
+/// of input, a few milliseconds of encoding, so a worker's 32 KiB matcher
+/// table and its thread's start are small beside it and the last group
+/// leaves little of the file to one core.
+const GROUP_FRAMES: usize = 16;
+
 /// Completion times of one pipelined block write.
 struct BlockFinish {
     /// When the slowest surviving replica finished ingesting.
@@ -133,6 +140,10 @@ pub struct Dfs {
     /// Instruments for the "dfs.client" and "datanode.*" daemons
     /// (per-node I/O bytes, pipeline recoveries, read failovers).
     pub metrics: MetricsRegistry,
+    /// Host threads for the part of a write that is a function of its
+    /// bytes alone (block copies and checksums, frame compression): this
+    /// host's, unless a test forced a worker count.
+    pool: Pool,
 }
 
 impl Dfs {
@@ -155,7 +166,17 @@ impl Dfs {
             armed_fault: None,
             dead_nodes: DeadNodes::new(0x4446_5343), // "DFSC"
             metrics: MetricsRegistry::new(),
+            pool: Pool::host(),
         })
+    }
+
+    /// Test seam: cut and compress every write on `workers` host threads
+    /// whatever this host has and however small the write (1 = on the
+    /// caller's). No stored byte and no simulated quantity may depend on
+    /// it; `tests/host_pool.rs` holds the client to that.
+    #[doc(hidden)]
+    pub fn force_write_workers(&mut self, workers: usize) {
+        self.pool = Pool::forced(workers);
     }
 
     /// Arm a fault against the next pipeline write (chaos injection).
@@ -389,7 +410,7 @@ impl Dfs {
         writer: Option<NodeId>,
     ) -> Result<Timed<()>> {
         let block_size = self.namenode.default_block_size();
-        let payloads = split_into_blocks(data, block_size);
+        let payloads = split_into_blocks(data, block_size, &self.pool);
         self.write_payloads(net, now, path, payloads, writer, None)
     }
 
@@ -419,7 +440,7 @@ impl Dfs {
         replication: u32,
     ) -> Result<Timed<()>> {
         let block_size = self.namenode.default_block_size();
-        let payloads = split_into_blocks(data, block_size);
+        let payloads = split_into_blocks(data, block_size, &self.pool);
         self.write_payloads(net, now, path, payloads, writer, Some(replication))
     }
 
@@ -434,6 +455,12 @@ impl Dfs {
     /// [`PerfProfile`]) before the first byte enters the pipeline, and the
     /// pipeline/disk then move only the *stored* bytes — the CPU-vs-I/O
     /// tradeoff the codec exists to teach.
+    ///
+    /// On the host a frame is a function of its chunk alone, so runs of
+    /// [`GROUP_FRAMES`] chunks are encoded on the pool when it pays for the
+    /// write; cutting the finished frames into blocks stays here, in file
+    /// order, so the stored bytes are those of one encoder going through
+    /// the file front to back.
     pub fn put_compressed(
         &mut self,
         net: &mut ClusterNet,
@@ -447,17 +474,31 @@ impl Dfs {
             return self.put(net, now, path, data, writer);
         }
         let block_size = self.namenode.default_block_size();
-        let mut encoder = hl_codec::FrameEncoder::new(codec);
+        let groups: Vec<&[u8]> = data.chunks(GROUP_FRAMES * hl_codec::FRAME_RAW_CHUNK).collect();
+        // Per group: its frames back to back, and where each one ends.
+        let encoded = self.pool.map_indexed(groups.len(), data.len() as u64, |g| {
+            let mut encoder = hl_codec::FrameEncoder::new(codec);
+            let mut frames = Vec::with_capacity(groups[g].len() / 2);
+            let mut ends = Vec::with_capacity(GROUP_FRAMES);
+            for chunk in groups[g].chunks(hl_codec::FRAME_RAW_CHUNK) {
+                encoder.encode_frame_into(chunk, &mut frames);
+                ends.push(frames.len());
+            }
+            (frames, ends)
+        });
         let mut payloads = Vec::new();
-        // Frames go straight into the block being filled; the one that
-        // overflows it is moved to open the next block.
+        // Whole frames fill a block; the one that would overflow it opens
+        // the next block instead.
         let mut current: Vec<u8> = Vec::new();
-        for chunk in data.chunks(hl_codec::FRAME_RAW_CHUNK) {
-            let frame_at = current.len();
-            encoder.encode_frame_into(chunk, &mut current);
-            if frame_at > 0 && current.len() as u64 > block_size {
-                let frame = current.split_off(frame_at);
-                payloads.push(BlockPayload::real(std::mem::replace(&mut current, frame)));
+        for (frames, ends) in encoded {
+            let mut frame_at = 0;
+            for end in ends {
+                let frame = &frames[frame_at..end];
+                if !current.is_empty() && (current.len() + frame.len()) as u64 > block_size {
+                    payloads.push(BlockPayload::real(std::mem::take(&mut current)));
+                }
+                current.extend_from_slice(frame);
+                frame_at = end;
             }
         }
         if !current.is_empty() {

@@ -28,6 +28,7 @@
 //! the paper's 171 GB Google trace without allocating it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod admin;
 pub mod block;

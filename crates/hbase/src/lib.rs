@@ -28,6 +28,7 @@
 //! put/delete/flush/compact/split sequences against a flat reference map.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cell;
 pub mod hfile;

@@ -11,6 +11,8 @@
 //! `DESIGN.md` § "Invariants & lint" for the rule catalog and waiver
 //! policy.
 
+#![forbid(unsafe_code)]
+
 pub mod confkeys;
 pub mod items;
 pub mod lexer;

@@ -10,6 +10,8 @@
 //! Exit codes: 0 no unwaived violation, 1 at least one, 2 usage or I/O
 //! error.
 
+#![forbid(unsafe_code)]
+
 use lint::manifest::Manifest;
 use lint::rules::{RuleId, Violation};
 use std::path::PathBuf;

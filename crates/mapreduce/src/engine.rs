@@ -12,7 +12,7 @@
 //! * reduces fetch their partition from every map's node (the shuffle),
 //!   k-way merge, reduce, and write `part-r-NNNNN` files back to HDFS;
 //! * a task's *body* — its user code over its bytes — runs once, on the
-//!   host pool ([`crate::pool`]) when its phase opens or at its first
+//!   host pool ([`hl_common::pool`]) when its phase opens or at its first
 //!   attempt; every attempt only charges the clock for it (see
 //!   [`crate::task`]);
 //! * failed attempts retry up to `max_attempts`; stragglers can be
@@ -31,6 +31,7 @@ use hl_cluster::network::ClusterNet;
 use hl_cluster::node::{ClusterSpec, HeterogeneousClusterSpec, PerfProfile};
 use hl_cluster::trace::EventLog;
 use hl_common::counters::{Counters, FileSystemCounter, TaskCounter};
+use hl_common::pool::Pool;
 use hl_common::prelude::*;
 use hl_common::topology::Locality;
 use hl_dfs::client::Dfs;
@@ -41,7 +42,7 @@ use crate::api::SideFiles;
 use crate::history::JobHistory;
 use crate::job::JobConf;
 use crate::jobtracker::{Flight, JobTracker, Launch, TaskBody};
-use crate::pool;
+
 use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
 use crate::speculate::{RunningTask, SpecAttempt, SpecOutcome, Speculator};
@@ -103,19 +104,11 @@ pub struct MrCluster {
     pub metrics: MetricsRegistry,
     /// The pluggable task-assignment policy (`mapred.jobtracker.scheduler`).
     scheduler: Box<dyn Scheduler>,
-    /// Host threads a phase's bodies may use (this host's, read once).
-    body_workers: usize,
-    /// A phase with less input than this runs its bodies attempt by
-    /// attempt: [`POOL_MIN_PHASE_BYTES`] unless a test forced the pool.
-    pool_min_bytes: u64,
+    /// Host threads for a phase's bodies: this host's, unless a test
+    /// forced a worker count. A phase the pool does not pay for runs its
+    /// bodies attempt by attempt.
+    pool: Pool,
 }
-
-/// Phase input from which the host pool pays in every job shape measured
-/// (EXPERIMENTS.md, "Host parallelism": by 22 % or more on two cores, for
-/// 2, 4 and 8 tasks, with and without a combiner). Starting the threads
-/// costs tens of microseconds; around 32 KiB that is the whole gain, and
-/// the pool wins or loses by the job.
-const POOL_MIN_PHASE_BYTES: u64 = 128 * 1024;
 
 impl MrCluster {
     /// Stand up DFS + MapReduce daemons on every node of `spec`.
@@ -162,8 +155,7 @@ impl MrCluster {
             failed_jobs: 0,
             metrics: MetricsRegistry::new(),
             scheduler,
-            body_workers: pool::host_workers(),
-            pool_min_bytes: POOL_MIN_PHASE_BYTES,
+            pool: Pool::host(),
         })
     }
 
@@ -173,8 +165,7 @@ impl MrCluster {
     /// it; `tests/host_pool.rs` holds the engine to that.
     #[doc(hidden)]
     pub fn force_body_workers(&mut self, workers: usize) {
-        self.body_workers = workers;
-        self.pool_min_bytes = 0;
+        self.pool = Pool::forced(workers);
     }
 
     /// A phase opens: its `n` bodies over `bytes` of input, computed here
@@ -187,8 +178,8 @@ impl MrCluster {
         bytes: u64,
         body: impl Fn(usize) -> Option<T> + Sync,
     ) -> Vec<Option<T>> {
-        if self.body_workers > 1 && n > 1 && bytes >= self.pool_min_bytes {
-            pool::run_indexed(self.body_workers, n, body)
+        if self.pool.pays(n, bytes) {
+            self.pool.run_indexed(n, body)
         } else {
             (0..n).map(|_| None).collect()
         }

@@ -40,6 +40,7 @@
 //! clock of the owning [`hl_cluster`] simulation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod engine;
@@ -48,7 +49,6 @@ pub mod job;
 pub mod jobtracker;
 pub mod local;
 pub mod merge;
-mod pool;
 pub mod report;
 pub mod scheduler;
 pub mod sortbuf;

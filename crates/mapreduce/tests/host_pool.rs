@@ -1,7 +1,7 @@
 //! The host pool changes how fast a job runs on the host and nothing else.
 //!
 //! A task's *body* (user code over the task's bytes) is computed once —
-//! on `crate::pool`'s scoped threads when its phase opens, or at the
+//! on `hl_common::pool`'s scoped threads when its phase opens, or at the
 //! task's first attempt — and the clock's thread only charges for it. Two
 //! families of tests hold the engine to that:
 //!

@@ -26,6 +26,7 @@
 //! [`Writable`]: hl_common::writable::Writable
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod histogram;
 pub mod registry;

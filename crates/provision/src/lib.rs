@@ -15,6 +15,7 @@
 //! had no file locking).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod campus;
 pub mod session;

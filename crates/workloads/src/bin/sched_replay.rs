@@ -15,6 +15,8 @@
 //! repeats it, in `tests/golden/replay_hashes.txt`: `--jobs 120 --tasks 6`
 //! in tier-1, the default 600 x 8 in the ignored arm the nightly runs.
 
+#![forbid(unsafe_code)]
+
 use hl_datagen::google_trace::GoogleTraceGen;
 use hl_workloads::replay::{load_trace, replay, ReplayOutcome, ReplayPolicy, ReplaySetup};
 

@@ -35,6 +35,7 @@
 //! engine (assignment-2 mode).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod airline;
 pub mod cooccurrence;

@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use hl_chaos as chaos;
 pub use hl_cluster as cluster;
 pub use hl_codec as codec;
