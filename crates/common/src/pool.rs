@@ -141,7 +141,7 @@ mod tests {
     fn work_under_the_floor_or_without_a_second_piece_or_core_is_not_worth_threads() {
         let two_cores = Pool { workers: 2, min_bytes: MIN_BYTES };
         assert!(two_cores.pays(2, MIN_BYTES));
-        assert!(!two_cores.pays(2, MIN_BYTES - 1), "under the floor");
+        assert!(!two_cores.pays(2, MIN_BYTES.saturating_sub(1)), "under the floor");
         assert!(!two_cores.pays(1, u64::MAX), "one piece");
         assert!(!Pool { workers: 1, min_bytes: MIN_BYTES }.pays(8, u64::MAX), "one core");
         // The seam has no floor, and one forced worker is the caller alone.
@@ -154,7 +154,8 @@ mod tests {
     fn work_that_does_not_pay_runs_on_the_callers_thread_in_order() {
         let here = std::thread::current().id();
         let two_cores = Pool { workers: 2, min_bytes: MIN_BYTES };
-        let ran_on = two_cores.map_indexed(6, MIN_BYTES - 1, |i| (i, std::thread::current().id()));
+        let ran_on = two_cores
+            .map_indexed(6, MIN_BYTES.saturating_sub(1), |i| (i, std::thread::current().id()));
         assert_eq!(ran_on, (0..6).map(|i| (i, here)).collect::<Vec<_>>());
         // At the floor the same six pieces are shared out; still in order.
         let shared = two_cores.map_indexed(6, MIN_BYTES, |i| i);

@@ -141,8 +141,8 @@ pub struct Dfs {
     /// (per-node I/O bytes, pipeline recoveries, read failovers).
     pub metrics: MetricsRegistry,
     /// Host threads for the part of a write that is a function of its
-    /// bytes alone (block copies and checksums, frame compression): this
-    /// host's, unless a test forced a worker count.
+    /// bytes alone (block checksums, frame compression): this host's,
+    /// unless a test forced a worker count.
     pool: Pool,
 }
 
@@ -170,7 +170,7 @@ impl Dfs {
         })
     }
 
-    /// Test seam: cut and compress every write on `workers` host threads
+    /// Test seam: checksum and compress every write on `workers` host threads
     /// whatever this host has and however small the write (1 = on the
     /// caller's). No stored byte and no simulated quantity may depend on
     /// it; `tests/host_pool.rs` holds the client to that.

@@ -1,8 +1,8 @@
 //! The host pool changes how fast a write runs on the host and nothing else.
 //!
-//! The part of a write that is a function of its bytes alone — cutting,
-//! copying and checksumming blocks in `put`, compressing frames in
-//! `put_compressed` — may run on `hl_common::pool`'s threads; everything
+//! The part of a write that is a function of its bytes alone —
+//! checksumming blocks in `put`, compressing frames in `put_compressed` —
+//! may run on `hl_common::pool`'s threads; everything
 //! with simulated state stays on the caller's. So the same write with one
 //! worker (no thread at all), two and five must leave the same bytes on
 //! the same DataNodes, the same journal and image, the same instant on
@@ -220,7 +220,7 @@ fn a_write_under_the_floor_takes_the_inline_path() {
     let host = Pool::host();
     for blocks in [1, 2, 16] {
         assert!(!host.pays(blocks, 64 * 1024), "a 64 KiB put in {blocks} block(s)");
-        assert!(!host.pays(blocks, MIN_BYTES - 1));
+        assert!(!host.pays(blocks, MIN_BYTES.saturating_sub(1)));
     }
     assert!(!host.pays(1, 1 << 30), "one block has nothing to share");
 }

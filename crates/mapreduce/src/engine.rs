@@ -42,7 +42,6 @@ use crate::api::SideFiles;
 use crate::history::JobHistory;
 use crate::job::JobConf;
 use crate::jobtracker::{Flight, JobTracker, Launch, TaskBody};
-
 use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
 use crate::speculate::{RunningTask, SpecAttempt, SpecOutcome, Speculator};
