@@ -28,6 +28,8 @@ use std::collections::BTreeMap;
 use hl_common::config::keys;
 use hl_common::prelude::*;
 
+use crate::report::TaskKind;
+
 /// One TaskTracker slot as the scheduler sees it: where it is and when it
 /// frees up. The engine hands the scheduler *all* slots of the relevant
 /// kind; `free_at` in the future means the slot is busy until then.
@@ -105,16 +107,18 @@ pub trait Scheduler: Send {
         env: &dyn SchedulerEnv,
     ) -> Option<Assignment>;
 
-    /// Tasks to preempt before this round's assignments. Default: none
+    /// Tasks to preempt before this round's assignments of `kind` slots;
+    /// `jobs` are the jobs whose current phase runs on them. Default: none
     /// (FIFO and Capacity never preempt; Hadoop 1.x Capacity didn't
     /// either).
     fn preemptions(
         &mut self,
         now: SimTime,
+        kind: TaskKind,
         total_slots: usize,
         jobs: &[JobView<'_>],
     ) -> Vec<Preemption> {
-        let _ = (now, total_slots, jobs);
+        let _ = (now, kind, total_slots, jobs);
         Vec::new()
     }
 }
@@ -198,8 +202,10 @@ impl Default for PoolSpec {
 pub struct FairScheduler {
     pools: BTreeMap<String, PoolSpec>,
     preemption_timeout: SimDuration,
-    /// Pool → when it was first observed below min-share with demand.
-    starved_since: BTreeMap<String, SimTime>,
+    /// (Slot kind, pool) → when the pool was first observed below its min
+    /// share of that kind's slots with demand for them. Map and reduce
+    /// slots are two farms, so a pool starves of each on its own clock.
+    starved_since: BTreeMap<(usize, String), SimTime>,
 }
 
 #[derive(Debug, Default)]
@@ -310,23 +316,26 @@ impl Scheduler for FairScheduler {
     fn preemptions(
         &mut self,
         now: SimTime,
+        kind: TaskKind,
         _total_slots: usize,
         jobs: &[JobView<'_>],
     ) -> Vec<Preemption> {
+        let k = kind as usize;
         let stats = self.pool_stats(jobs);
-        // Update starvation clocks: a pool is starved while it has demand
-        // and runs below min(min_share, deserved = running + pending).
+        // Update this kind's starvation clocks: a pool is starved while it
+        // has demand and runs below min(min_share, deserved = running +
+        // pending).
         let mut deficits: BTreeMap<String, u64> = BTreeMap::new();
         for (name, s) in &stats {
             let target = s.min_share.min(s.running + s.pending);
             if s.pending > 0 && s.running < target {
-                self.starved_since.entry(name.clone()).or_insert(now);
+                self.starved_since.entry((k, name.clone())).or_insert(now);
                 deficits.insert(name.clone(), target - s.running);
             } else {
-                self.starved_since.remove(name);
+                self.starved_since.remove(&(k, name.clone()));
             }
         }
-        self.starved_since.retain(|name, _| stats.contains_key(name));
+        self.starved_since.retain(|(of, name), _| *of != k || stats.contains_key(name));
         let mut out = Vec::new();
         // Victim pools: over min-share, largest running/weight ratio first.
         let mut victims: Vec<(&str, u64)> = stats
@@ -342,8 +351,8 @@ impl Scheduler for FairScheduler {
         let expired: Vec<String> = self
             .starved_since
             .iter()
-            .filter(|(_, &since)| now.since(since) >= timeout)
-            .map(|(n, _)| n.clone())
+            .filter(|((of, _), &since)| *of == k && now.since(since) >= timeout)
+            .map(|((_, n), _)| n.clone())
             .collect();
         let mut victim_running: BTreeMap<&str, u64> =
             victims.iter().map(|&(n, r)| (n, r)).collect();
@@ -380,7 +389,7 @@ impl Scheduler for FairScheduler {
             // Restart the clock: the freed slots reach the starved pool on
             // the very next assignment round, and a pool still starved
             // after that earns another timeout period, not a free repeat.
-            self.starved_since.insert(pool, now);
+            self.starved_since.insert((k, pool), now);
         }
         out
     }
@@ -758,17 +767,17 @@ mod tests {
         ];
         let views: Vec<JobView> = jobs.iter().map(|j| j.view()).collect();
         // First observation arms the clock; nothing is preempted yet.
-        assert!(s.preemptions(t(0), 4, &views).is_empty());
+        assert!(s.preemptions(t(0), TaskKind::Map, 4, &views).is_empty());
         // Still inside the timeout.
-        assert!(s.preemptions(SimTime(5_000_000), 4, &views).is_empty());
+        assert!(s.preemptions(SimTime(5_000_000), TaskKind::Map, 4, &views).is_empty());
         // Past the timeout: exactly the 2-slot deficit is preempted, from
         // the over-share pool's newest tasks.
-        let p = s.preemptions(SimTime(10_000_000), 4, &views);
+        let p = s.preemptions(SimTime(10_000_000), TaskKind::Map, 4, &views);
         assert_eq!(p.len(), 2);
         assert!(p.iter().all(|x| x.job == 0));
         assert_eq!(p[0].task, 3);
         // The clock restarted: an immediate re-check preempts nothing.
-        assert!(s.preemptions(SimTime(10_000_001), 4, &views).is_empty());
+        assert!(s.preemptions(SimTime(10_000_001), TaskKind::Map, 4, &views).is_empty());
     }
 
     #[test]
@@ -779,18 +788,45 @@ mod tests {
             OwnedJob::new("p", "prod", vec![0], vec![]),
         ];
         let views: Vec<JobView> = starved.iter().map(|j| j.view()).collect();
-        assert!(s.preemptions(t(0), 2, &views).is_empty());
+        assert!(s.preemptions(t(0), TaskKind::Map, 2, &views).is_empty());
         // Pool gets served → clock clears; starving again starts over.
         let served = [
             OwnedJob::new("a", "adhoc", vec![], vec![0, 1]),
             OwnedJob::new("p", "prod", vec![], vec![0]),
         ];
         let views: Vec<JobView> = served.iter().map(|j| j.view()).collect();
-        assert!(s.preemptions(SimTime(20_000_000), 2, &views).is_empty());
+        assert!(s.preemptions(SimTime(20_000_000), TaskKind::Map, 2, &views).is_empty());
         let views: Vec<JobView> = starved.iter().map(|j| j.view()).collect();
-        assert!(s.preemptions(SimTime(21_000_000), 2, &views).is_empty(), "clock rearms fresh");
-        assert!(s.preemptions(SimTime(25_000_000), 2, &views).is_empty(), "4 s < timeout");
-        assert_eq!(s.preemptions(SimTime(31_000_000), 2, &views).len(), 1);
+        assert!(
+            s.preemptions(SimTime(21_000_000), TaskKind::Map, 2, &views).is_empty(),
+            "clock rearms fresh"
+        );
+        assert!(
+            s.preemptions(SimTime(25_000_000), TaskKind::Map, 2, &views).is_empty(),
+            "4 s < timeout"
+        );
+        assert_eq!(s.preemptions(SimTime(31_000_000), TaskKind::Map, 2, &views).len(), 1);
+    }
+
+    /// The map and reduce calls of one instant see different jobs; neither
+    /// may reset the other kind's clocks.
+    #[test]
+    fn fair_keeps_a_starvation_clock_per_kind() {
+        let mut s = FairScheduler::new(SimDuration::from_secs(10)).pool("prod", 1, 1);
+        let reduces = [
+            OwnedJob::new("a", "adhoc", vec![], vec![0, 1]),
+            OwnedJob::new("p", "prod", vec![0], vec![]),
+        ];
+        let maps = [OwnedJob::new("b", "batch", vec![0], vec![0])];
+        let reduces: Vec<JobView> = reduces.iter().map(|j| j.view()).collect();
+        let maps: Vec<JobView> = maps.iter().map(|j| j.view()).collect();
+        for at in [t(0), SimTime(5_000_000)] {
+            assert!(s.preemptions(at, TaskKind::Map, 4, &maps).is_empty());
+            assert!(s.preemptions(at, TaskKind::Reduce, 2, &reduces).is_empty());
+        }
+        assert!(s.preemptions(SimTime(10_000_000), TaskKind::Map, 4, &maps).is_empty());
+        let p = s.preemptions(SimTime(10_000_000), TaskKind::Reduce, 2, &reduces);
+        assert_eq!(p, vec![Preemption { job: 0, task: 1 }]);
     }
 
     #[test]
