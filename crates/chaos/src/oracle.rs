@@ -405,7 +405,8 @@ pub(crate) fn verify_scheduler(r: &mut ChaosRunner) {
     }
 
     // Slot accounting: every task that ran to completion was placed by a
-    // recorded scheduler decision (retries add decisions, so `>=`).
+    // recorded scheduler decision (a retry is a decision of its own, so
+    // `>=`).
     let hist_count = |name: &str| match snap.get("jobtracker", name) {
         Some(hl_metrics::MetricValue::Histogram(h)) => h.count(),
         _ => 0,
