@@ -519,12 +519,14 @@ impl MrCluster {
             // Run the mapper for real, over the bytes this attempt's reads
             // deliver.
             None => {
-                let data = task::logical_bytes(input_codec, &read.value)?.into_owned();
-                t += inflate(data.len());
+                let own = task::logical_bytes(input_codec, &read.value)?;
+                t += inflate(own.len());
                 let blocks = self.dfs.file_blocks(&split.path)?;
-                let input = task::stitch_split(split, input_codec, &blocks, data, |block| {
+                let input = task::stitch_split(split, input_codec, &blocks, &own, |block| {
                     self.neighbour_block(&mut t, block, node, &split.path)
                 })?;
+                // A decoded block is freed before the mapper runs over its copy.
+                drop(own);
                 let disk_bw = self.spec.node.disk_bw;
                 memo.insert(task::map_body(job, &self.side_files, disk_bw, split.offset, input))
             }

@@ -229,20 +229,24 @@ pub(crate) struct SplitInput {
     neighbours: Vec<BlockId>,
 }
 
-/// Stitch the boundary lines onto a split's own logical bytes `data`: the
+/// Stitch the boundary lines onto a split's own logical bytes `own`: the
 /// previous block's last byte decides whether our first partial line is
 /// ours; the following block(s) finish our last line. `fetch` is how a
 /// neighbour's stored bytes arrive — peeked when the phase opens, peeked
 /// or (charged) read from inside an attempt — and is asked for the same
 /// blocks in the same order either way.
+///
+/// [`LineReader`] never reads past the first newline at or after the
+/// split's end, so of the following blocks only the bytes through their
+/// first newline are kept — a line, not a block — and the split's buffer
+/// is allocated once, at its final size.
 pub(crate) fn stitch_split(
     split: &InputSplit,
     codec: CodecId,
     file_blocks: &[LocatedBlock],
-    mut data: Vec<u8>,
+    own: &[u8],
     mut fetch: impl FnMut(BlockId) -> Result<Bytes>,
 ) -> Result<SplitInput> {
-    let logical_len = data.len();
     let my_pos = file_blocks
         .iter()
         .position(|(b, _, _)| *b == split.block)
@@ -256,12 +260,19 @@ pub(crate) fn stitch_split(
         None => None,
         Some(prev) => logical_bytes(codec, &stored(file_blocks[prev].0)?)?.last().copied(),
     };
+    let mut tail = Vec::new();
     let mut next = my_pos + 1;
-    while !data[logical_len..].contains(&b'\n') && next < file_blocks.len() {
-        data.extend_from_slice(&logical_bytes(codec, &stored(file_blocks[next].0)?)?);
+    while tail.last() != Some(&b'\n') && next < file_blocks.len() {
+        let block = stored(file_blocks[next].0)?;
+        let bytes = logical_bytes(codec, &block)?;
+        let end = bytes.iter().position(|&b| b == b'\n').map_or(bytes.len(), |i| i + 1);
+        tail.extend_from_slice(&bytes[..end]);
         next += 1;
     }
-    Ok(SplitInput { prev_byte, data, logical_len, neighbours })
+    let mut data = Vec::with_capacity(own.len() + tail.len());
+    data.extend_from_slice(own);
+    data.extend_from_slice(&tail);
+    Ok(SplitInput { prev_byte, data, logical_len: own.len(), neighbours })
 }
 
 /// What a map task computes, wherever, whenever and however often the
@@ -300,11 +311,13 @@ pub(crate) fn map_body(
     let framed = conf.compress_map_output.then(|| {
         let output = &mut done.output;
         let raw = output.total_bytes();
+        let mut flat = Vec::new();
         let wire: Vec<u64> = output
             .partitions
             .iter()
             .map(|run| {
-                hl_codec::compress_container(conf.map_output_codec, run.record_bytes()).len() as u64
+                let records = run.record_bytes(&mut flat);
+                hl_codec::compress_container(conf.map_output_codec, records).len() as u64
             })
             .collect();
         let packed: u64 = wire.iter().sum();
@@ -331,13 +344,15 @@ pub(crate) fn peek_map_body(
     split: &InputSplit,
 ) -> Option<MapBody> {
     let codec = dfs.file_codec(&split.path).ok()?;
-    let data = logical_bytes(codec, &dfs.peek_block_bytes(split.block)?).ok()?.into_owned();
+    let stored = dfs.peek_block_bytes(split.block)?;
     let blocks = dfs.file_blocks(&split.path).ok()?;
     let peek = |block| {
         dfs.peek_block_bytes(block)
             .ok_or(HlError::MissingBlock { block_id: block.0, path: String::new() })
     };
-    let input = stitch_split(split, codec, &blocks, data, peek).ok()?;
+    // A decoded block is freed before the mapper runs over its copy.
+    let input =
+        stitch_split(split, codec, &blocks, &logical_bytes(codec, &stored).ok()?, peek).ok()?;
     Some(map_body(job, side, side_read_bw, split.offset, input))
 }
 

@@ -12,13 +12,15 @@
 //!
 //! each once over wordcount-shaped keys and once over keys the sort's
 //! cached 8-byte prefix cannot decide (longer than the prefix, equal up
-//! to it, containing `0x00`, empty).
+//! to it, containing `0x00`, empty) — plus a sweep of key and value
+//! lengths at every width of a run's varint framing.
 
 use hl_common::counters::{Counters, TaskCounter};
 use hl_common::hash::default_partition;
 use hl_common::keys::SortableKey;
 use hl_common::writable::Writable;
 use hl_mapreduce::api::{Combiner, NoCombiner};
+use hl_mapreduce::merge::merge_groups;
 use hl_mapreduce::sortbuf::SortBuffer;
 
 // ---------------------------------------------------------------------------
@@ -85,7 +87,9 @@ impl RefBuffer {
         combiner: Option<&mut C>,
         counters: &mut Counters,
     ) {
-        if self.bytes_buffered == 0 {
+        // By records, not bytes: an empty key with an empty value is a
+        // record of no bytes.
+        if self.current.iter().all(Vec::is_empty) {
             return;
         }
         let mut combiner = combiner;
@@ -225,14 +229,17 @@ fn check_against_reference<K, C>(
     let rout = rbuf.finish(c2.as_mut(), &mut ref_counters);
 
     assert_eq!(out.partitions.len(), rout.partitions.len(), "{ctx}");
+    let mut scratch = Vec::new();
     for p in 0..parts {
         assert_eq!(out.partitions[p].to_pairs(), rout.partitions[p], "partition {p}: {ctx}");
-        // What map-output framing compresses: the records and nothing else.
+        assert_eq!(out.partitions[p].len(), rout.partitions[p].len(), "len {p}: {ctx}");
+        assert_eq!(out.partitions[p].bytes(), pairs_bytes(&rout.partitions[p]), "bytes {p}: {ctx}");
+        // What map-output compression packs: the records and nothing else.
         let flat: Vec<u8> = rout.partitions[p]
             .iter()
             .flat_map(|(k, v)| [k.as_slice(), v.as_slice()].concat())
             .collect();
-        assert_eq!(out.partitions[p].record_bytes(), flat, "record_bytes {p}: {ctx}");
+        assert_eq!(out.partitions[p].record_bytes(&mut scratch), flat, "record_bytes {p}: {ctx}");
     }
     assert_eq!(out.num_spills, rout.num_spills, "num_spills: {ctx}");
     assert_eq!(out.spill_bytes_written, rout.spill_bytes_written, "spill_bytes_written: {ctx}");
@@ -420,6 +427,103 @@ fn i64_keys_sort_by_the_prefix_alone() {
     for (parts, limit) in [(1, usize::MAX >> 1), (3, 512), (4, 1)] {
         assert_equivalent(&pairs, parts, limit, true);
         no_combiner_equivalent(&pairs, parts, limit);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lengths at the edges of a run's varint framing
+// ---------------------------------------------------------------------------
+
+/// A value that is its own bytes, of any length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RawValue(Vec<u8>);
+
+impl Writable for RawValue {
+    fn write(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0);
+    }
+    fn read(buf: &mut &[u8]) -> hl_common::error::Result<Self> {
+        Ok(RawValue(std::mem::take(buf).to_vec()))
+    }
+}
+
+/// Keeps the longest value of a group, so the combiner's output carries
+/// lengths as long as its input's.
+struct LongestValue;
+impl Combiner for LongestValue {
+    type K = RawKey;
+    type V = RawValue;
+    fn combine(&mut self, _k: &RawKey, values: Vec<RawValue>, out: &mut Vec<RawValue>) {
+        out.extend(values.into_iter().max_by_key(|v| v.0.len()));
+    }
+}
+
+/// [`check_against_reference`] for raw values, plus the runs merged once
+/// more through `merge_groups` against the reference's groups.
+fn framing_equivalent(pairs: &[(RawKey, RawValue)], parts: usize, limit: usize, combine: bool) {
+    let ctx = format!("parts={parts} limit={limit} combine={combine} n={}", pairs.len());
+    let (mut c1, mut c2) = (LongestValue, LongestValue);
+    let (mut c1, mut c2) = (combine.then_some(&mut c1), combine.then_some(&mut c2));
+
+    let mut counters = Counters::new();
+    let mut buf: SortBuffer<RawKey, RawValue> = SortBuffer::new(parts, limit);
+    for (k, v) in pairs {
+        buf.collect(k, v, c1.as_deref_mut(), &mut counters);
+    }
+    let out = buf.finish(c1, &mut counters);
+
+    let mut ref_counters = Counters::new();
+    let mut rbuf = RefBuffer::new(parts, limit);
+    for (k, v) in pairs {
+        rbuf.collect(k, v, c2.as_deref_mut(), &mut ref_counters);
+    }
+    let rout = rbuf.finish(c2, &mut ref_counters);
+
+    let mut scratch = Vec::new();
+    for p in 0..parts {
+        let (run, want) = (&out.partitions[p], &rout.partitions[p]);
+        assert_eq!(run.to_pairs(), *want, "partition {p}: {ctx}");
+        assert_eq!(run.bytes(), pairs_bytes(want), "bytes {p}: {ctx}");
+        let flat: Vec<u8> =
+            want.iter().flat_map(|(k, v)| [k.as_slice(), v.as_slice()].concat()).collect();
+        assert!(run.record_bytes(&mut scratch) == flat, "record_bytes {p}: {ctx}");
+    }
+    assert_eq!(out.spill_bytes_written, rout.spill_bytes_written, "spill_bytes_written: {ctx}");
+    assert_eq!(out.spill_bytes_read, rout.spill_bytes_read, "spill_bytes_read: {ctx}");
+    assert_eq!(out.num_spills, rout.num_spills, "num_spills: {ctx}");
+    assert_eq!(counters, ref_counters, "counters: {ctx}");
+
+    // The reduce side's merge over every partition at once, as if each were
+    // a map's segment: groups by key, values in run order.
+    let merged: Vec<(Vec<u8>, Vec<Vec<u8>>)> = merge_groups(&out.partitions)
+        .map(|(k, vs)| (k.to_vec(), vs.into_iter().map(<[u8]>::to_vec).collect()))
+        .collect();
+    let mut all: Vec<Pair> = rout.partitions.into_iter().flatten().collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    assert!(merged == group_pairs(all), "merge_groups: {ctx}");
+}
+
+#[test]
+fn lengths_at_every_varint_width_match_reference() {
+    // 0 and 127 frame in one byte, 128 and 16 383 in two, 16 384 in three,
+    // and a value past 2 MiB in four; keys include the empty key.
+    const LENS: [usize; 6] = [0, 127, 128, 16_383, 16_384, (2 << 20) + 5];
+    let mut pairs = Vec::new();
+    for (i, &k) in LENS[..5].iter().enumerate() {
+        for (j, &v) in LENS[..5].iter().enumerate() {
+            let key = RawKey(vec![b'a' + (i as u8 + j as u8) % 3; k]);
+            pairs.push((key, RawValue(vec![u8::try_from(j).unwrap(); v])));
+        }
+    }
+    pairs.push((RawKey(Vec::new()), RawValue(vec![7; LENS[5]])));
+    pairs.push((RawKey(b"big".to_vec()), RawValue(vec![8; LENS[5]])));
+    pairs.push((RawKey(Vec::new()), RawValue(Vec::new())));
+    // One spill, a few spills, and a spill per record.
+    for limit in [usize::MAX >> 1, 64 << 10, 1] {
+        for parts in [1, 3] {
+            framing_equivalent(&pairs, parts, limit, false);
+            framing_equivalent(&pairs, parts, limit, true);
+        }
     }
 }
 
