@@ -157,16 +157,16 @@ pub(crate) fn verify_lease_recovery(r: &mut ChaosRunner) {
         }
         return;
     }
-    // Drive the protocol until every lease is recovered: 150 heartbeat
-    // rounds × 3 s comfortably clears the 300 s hard limit even for a
+    // Let the clock run until every lease is recovered: 150 heartbeat
+    // intervals (450 s) comfortably clear the 300 s hard limit even for a
     // writer that crashed moments before teardown.
     let mut t = r.cluster.now;
     for _ in 0..150 {
         if r.cluster.dfs.namenode.open_files().is_empty() {
             break;
         }
-        t += SimDuration::from_secs(3);
-        r.cluster.dfs.heartbeat_round(&mut r.cluster.net, t);
+        t += r.cluster.dfs.namenode.heartbeat_interval();
+        r.cluster.dfs.advance_to(&mut r.cluster.net, t);
     }
     r.cluster.now = t;
     let stuck: Vec<String> = r
@@ -263,8 +263,8 @@ pub(crate) fn quiesce_replication(r: &mut ChaosRunner) {
         if r.cluster.dfs.namenode.under_replicated().is_empty() {
             break;
         }
-        t += SimDuration::from_secs(3);
-        r.cluster.dfs.heartbeat_round(&mut r.cluster.net, t);
+        t += r.cluster.dfs.namenode.heartbeat_interval();
+        r.cluster.dfs.advance_to(&mut r.cluster.net, t);
     }
     r.cluster.now = t;
     let leftover = r.cluster.dfs.namenode.under_replicated();

@@ -44,10 +44,6 @@ pub(crate) const SESSION_OWNER: &str = "chaos-session";
 /// every job runs a real multi-map, multi-reduce DAG.
 const CORPUS_WORDS: usize = 2000;
 
-/// Protocol time between fault injection and the round's job: long enough
-/// for the 60 s dead-node timeout to fire and re-replication to react.
-const ROUND_PROTOCOL_SECS: u64 = 90;
-
 /// A write the DFS acknowledged: the durability oracle holds it to that.
 #[derive(Debug, Clone)]
 pub struct AckedWrite {
@@ -280,11 +276,11 @@ impl ChaosRunner {
         for fault in faults {
             self.inject(fault);
         }
-        // Let the daemon protocol digest the damage: heartbeats, the
-        // dead-node sweep, re-replication.
-        let from = self.cluster.now;
-        let until = from + SimDuration::from_secs(ROUND_PROTOCOL_SECS);
-        self.cluster.dfs.run_protocol(&mut self.cluster.net, from, until);
+        // The cluster idles 90 s while the daemon protocol digests the
+        // damage: long enough for the 60 s dead-node timeout to fire and
+        // re-replication to react.
+        let until = self.cluster.now + SimDuration::from_secs(90);
+        self.cluster.dfs.advance_to(&mut self.cluster.net, until);
         self.cluster.now = until;
         self.campus.advance_to(until);
         // The round's workload, alternating the combiner variant. The

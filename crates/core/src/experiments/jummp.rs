@@ -80,16 +80,10 @@ fn run_arm(scale: Scale, maneuver: bool) -> (JummpArm, usize, u64) {
     for n in members..total {
         dfs.crash_datanode(NodeId(n as u32));
     }
-    // Make the NameNode aware the spares are gone before any placement.
-    dfs.namenode.check_heartbeats(SimTime::ZERO);
-    for n in 0..members {
-        dfs.namenode.heartbeat(SimTime::ZERO, NodeId(n as u32), u64::MAX / 2);
-    }
+    // The NameNode learns the spares are gone (their heartbeats stopped)
+    // before any placement.
     let later = SimTime::ZERO + SimDuration::from_mins(20);
-    for n in 0..members {
-        dfs.namenode.heartbeat(later, NodeId(n as u32), u64::MAX / 2);
-    }
-    dfs.namenode.check_heartbeats(later);
+    dfs.advance_to(&mut net, later);
 
     // Stage the dataset on the 6 members.
     let (text, _) = CorpusGen::new(99).with_vocab(200).generate(scale.pick(20_000, 100_000));
@@ -120,9 +114,8 @@ fn run_arm(scale: Scale, maneuver: bool) -> (JummpArm, usize, u64) {
     }
     if !maneuver {
         // Only after the preemption wave does the monitor get to react.
-        let window = SimDuration::from_secs(3 * 200) + SimDuration::from_mins(10);
-        dfs.run_protocol(&mut net, now, now + window);
-        now += window;
+        now += SimDuration::from_secs(3 * 200) + SimDuration::from_mins(10);
+        dfs.advance_to(&mut net, now);
     }
 
     let missing = dfs.namenode.missing_blocks().len();

@@ -102,16 +102,13 @@ pub fn run(scale: Scale) -> N6Result {
     // ---- Phase 2: heartbeat timeout exposes under-replication; the
     // replication monitor starts copying to the survivors.
     let dead_after = SimDuration::from_secs(3 * 200) + SimDuration::from_mins(1);
-    let from = c.now;
-    c.dfs.run_protocol(&mut c.net, from, from + dead_after);
-    c.now = from + dead_after;
+    c.now += dead_after;
+    c.dfs.advance_to(&mut c.net, c.now);
     let under_replicated_peak = c.dfs.namenode.under_replicated().len() + count_pending(&c);
     // Let the monitor work for a while (paper: students kept resubmitting
     // instead — we measure the clean path here; the stuck path is Phase 4).
-    let recover_window = SimDuration::from_mins(scale.pick(15, 120));
-    let from = c.now;
-    c.dfs.run_protocol(&mut c.net, from, from + recover_window);
-    c.now = from + recover_window;
+    c.now += SimDuration::from_mins(scale.pick(15, 120));
+    c.dfs.advance_to(&mut c.net, c.now);
     let under_replicated_after_recovery = c.dfs.namenode.under_replicated().len();
 
     // ---- Phase 3: full cluster restart; DataNodes scan before reporting.

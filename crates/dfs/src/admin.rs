@@ -232,9 +232,9 @@ pub fn balance(
     }
 }
 
-/// Drain a node completely: start decommission, drive the protocol until
-/// every replica has a home elsewhere, then retire the node. Returns the
-/// finish time.
+/// Drain a node completely: start decommission, advance the clock a
+/// heartbeat interval at a time until the protocol has given every replica
+/// a home elsewhere, then retire the node. Returns the finish time.
 pub fn decommission_node(
     dfs: &mut Dfs,
     net: &mut ClusterNet,
@@ -250,7 +250,7 @@ pub fn decommission_node(
     let mut t = now;
     while !dfs.namenode.decommission_complete(node) {
         t += step;
-        dfs.heartbeat_round(net, t);
+        dfs.advance_to(net, t);
         if t > deadline {
             // Name the blocks that are stuck, not just the fact: the
             // operator needs to know *what* cannot find a new home.

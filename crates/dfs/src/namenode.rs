@@ -375,8 +375,10 @@ impl NameNode {
             SimDuration::from_secs(config.get_u64(keys::DFS_LEASE_HARD_LIMIT_SECS, 300)?);
         let checkpoint_ops = config.get_u64(keys::DFS_CHECKPOINT_OPS, 10_000)?;
         let default_block_size = config.get_u64(keys::DFS_BLOCK_SIZE, 64 * 1024 * 1024)?;
-        if default_block_size == 0 {
-            return Err(HlError::Config(format!("{} must be positive", keys::DFS_BLOCK_SIZE)));
+        if default_block_size == 0 || heartbeat_secs == 0 {
+            let key =
+                if heartbeat_secs == 0 { keys::DFS_HEARTBEAT_SECS } else { keys::DFS_BLOCK_SIZE };
+            return Err(HlError::Config(format!("{key} must be positive")));
         }
         // A freshly formatted NameNode's image: empty tree, allocation
         // counters at their starting marks.

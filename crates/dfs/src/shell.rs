@@ -138,14 +138,13 @@ impl<'a> DfsShell<'a> {
                 let replication: u32 =
                     n.parse().map_err(|_| HlError::Config(format!("bad replication {n:?}")))?;
                 self.dfs.namenode.set_replication(path, replication)?;
-                // The monitor adds/trims one replica per block per pass;
-                // a few passes converge any realistic setrep delta.
-                for _ in 0..4 {
-                    self.dfs.heartbeat_round(self.net, now);
-                }
+                // The monitor adds/trims one replica per block per round;
+                // waiting four rounds converges any realistic setrep delta.
+                let done = now + self.dfs.namenode.heartbeat_interval() * 4;
+                self.dfs.advance_to(self.net, done);
                 Ok(ShellOutput {
                     stdout: format!("Replication {replication} set: {path}\n"),
-                    completed_at: now,
+                    completed_at: done,
                 })
             }
             ("-safemode", [action]) => {
@@ -276,14 +275,15 @@ mod tests {
         let mut shell = DfsShell { dfs: &mut dfs, net: &mut net, local: &mut local };
         shell.run(SimTime::ZERO, "-mkdir /d").unwrap();
         shell.run(SimTime::ZERO, "-put f /d/f").unwrap();
-        // Down to 2: excess replicas trimmed.
+        // Down to 2: excess replicas trimmed, four heartbeat rounds later.
         let out = shell.run(SimTime::ZERO, "-setrep 2 /d/f").unwrap();
         assert!(out.stdout.contains("Replication 2 set"));
+        assert_eq!(out.completed_at, SimTime::ZERO + SimDuration::from_secs(12));
         for (_, _, holders) in shell.dfs.file_blocks("/d/f").unwrap() {
             assert_eq!(holders.len(), 2);
         }
         // Back up to 4 (on a 4-node cluster): re-replicated.
-        shell.run(SimTime::ZERO, "-setrep 4 /d/f").unwrap();
+        shell.run(out.completed_at, "-setrep 4 /d/f").unwrap();
         for (_, _, holders) in shell.dfs.file_blocks("/d/f").unwrap() {
             assert_eq!(holders.len(), 4);
         }
@@ -332,7 +332,7 @@ mod tests {
         let out = shell.run(SimTime::ZERO, "-fsck /").unwrap();
         assert!(out.stdout.contains("RECOVERING"));
 
-        dfs.heartbeat_round(&mut net, SimTime(1));
+        dfs.advance_to(&mut net, SimTime(1));
         let mut shell = DfsShell { dfs: &mut dfs, net: &mut net, local: &mut local };
         let done = shell.run(SimTime(1), "-recoverLease /d/open").unwrap();
         assert!(done.stdout.contains("recoverLease SUCCEEDED on /d/open"));

@@ -1,7 +1,8 @@
 //! Property test: lease recovery converges from any interleaving of a
-//! writer crash, idle time, explicit `recoverLease` calls, and heartbeat
-//! rounds — the file always closes at a consistent, whole-block prefix
-//! of what the writer intended, and its bytes read back intact.
+//! writer crash, idle time, explicit `recoverLease` calls, and the clock
+//! advancing through heartbeat rounds — the file always closes at a
+//! consistent, whole-block prefix of what the writer intended, and its
+//! bytes read back intact.
 
 use proptest::prelude::*;
 
@@ -13,8 +14,13 @@ use hl_dfs::{Dfs, PipelineFault};
 
 const BLOCK: u64 = 1024;
 
+/// `PROPTEST_CASES` lets CI soak the property in release mode.
+fn cases(default_cases: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(48), ..ProptestConfig::default() })]
     #[test]
     fn lease_recovery_converges_to_a_consistent_prefix(
         after_blocks in 0u32..6,
@@ -41,14 +47,14 @@ proptest! {
             match a {
                 0 => {
                     t += SimDuration::from_secs(30);
-                    dfs.heartbeat_round(&mut net, t);
+                    dfs.advance_to(&mut net, t);
                 }
                 1 => {
                     let _ = dfs.namenode.recover_lease("/d/f");
                 }
                 _ => {
                     t += SimDuration::from_secs(400);
-                    dfs.heartbeat_round(&mut net, t);
+                    dfs.advance_to(&mut net, t);
                 }
             }
         }
@@ -57,7 +63,7 @@ proptest! {
         let mut rounds = 0;
         while !dfs.namenode.open_files().is_empty() {
             t += SimDuration::from_secs(30);
-            dfs.heartbeat_round(&mut net, t);
+            dfs.advance_to(&mut net, t);
             rounds += 1;
             prop_assert!(rounds < 40, "lease recovery failed to converge");
         }

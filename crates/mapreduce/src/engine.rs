@@ -1239,6 +1239,11 @@ impl TaskBody for ClusterBody<'_> {
         let topo = self.cluster.net.topology();
         topo.best_locality(node, &s.holders).map(|l| l.distance()).unwrap_or(u32::MAX)
     }
+
+    /// The DFS protocol rides the loop's clock, mid-job included.
+    fn advance_to(&mut self, now: SimTime) {
+        self.cluster.dfs.advance_to(&mut self.cluster.net, now);
+    }
 }
 
 /// Per-job state both phases write: the job report's raw material.

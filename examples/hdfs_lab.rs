@@ -49,9 +49,10 @@ fn main() {
     shell.dfs.datanode_mut(holders[0]).unwrap().corrupt_block(block, 123);
     let got = shell.dfs.read(shell.net, now, "/user/student/input/2008.csv", None).unwrap();
     println!("~ read still returned {} clean bytes (checksum failover)", got.value.len());
-    shell.dfs.heartbeat_round(shell.net, got.completed_at);
+    let t = got.completed_at + shell.dfs.namenode.heartbeat_interval();
+    shell.dfs.advance_to(shell.net, t);
     println!(
-        "~ after one heartbeat round, replicas: {:?}\n",
+        "~ after one heartbeat interval, replicas: {:?}\n",
         shell.dfs.namenode.block_locations(block).len()
     );
 
@@ -59,11 +60,8 @@ fn main() {
     let victim = holders[1];
     println!("~ crashing datanode on {victim}");
     shell.dfs.crash_datanode(victim);
-    let mut t = got.completed_at;
-    for _ in 0..220 {
-        t += SimDuration::from_secs(3);
-        shell.dfs.heartbeat_round(shell.net, t);
-    }
+    let t = t + SimDuration::from_secs(3 * 220);
+    shell.dfs.advance_to(shell.net, t);
     println!("~ at {t}: under-replicated blocks: {}", shell.dfs.namenode.under_replicated().len());
     let out = shell.run(t, "-fsck /user/student").unwrap();
     print!("{}", out.stdout);

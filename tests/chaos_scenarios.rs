@@ -77,10 +77,8 @@ fn meltdown_drill_crashes_node_and_rereplicates() {
     // Step 3: drive the protocol past the dead-node timeout. The sweep
     // declares the node dead and the replication monitor restores 3x on
     // the survivors.
-    let from = cluster.now;
-    let until = from + SimDuration::from_secs(90);
-    cluster.dfs.run_protocol(&mut cluster.net, from, until);
-    cluster.now = until;
+    cluster.now += SimDuration::from_secs(90);
+    cluster.dfs.advance_to(&mut cluster.net, cluster.now);
 
     for (id, _, expected, _) in cluster.dfs.namenode.block_manifest() {
         let locations = cluster.dfs.namenode.block_locations(id);
@@ -91,6 +89,31 @@ fn meltdown_drill_crashes_node_and_rereplicates() {
     assert!(report.is_healthy());
     assert_eq!(report.under_replicated, 0);
     assert_eq!(report.live_datanodes, 4);
+}
+
+/// The DFS protocol runs on the JobTracker's clock: the same OOM takes the
+/// DataNode down under a running attempt, and with a 3 s dead-node timeout
+/// the NameNode declares it dead while the failed attempt still burns its
+/// slot — before `run_job` returns, with no caller driving a round.
+#[test]
+fn a_datanode_that_dies_mid_job_is_declared_dead_before_the_job_returns() {
+    let mut config = Configuration::with_defaults();
+    config.set(keys::DFS_BLOCK_SIZE, 1024u64);
+    config.set(keys::DFS_HEARTBEAT_DEAD_AFTER, 1u64);
+    let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(5), config).unwrap();
+    stage_corpus(&mut cluster, 42, 2000);
+    let victim = NodeId(2);
+    cluster.tracker_mut(victim).unwrap().health.heap.leak_per_buggy_task = 900 * ByteSize::MIB;
+
+    let mut job = wordcount("/in/corpus.txt", "/out/melt", 2);
+    job.conf.leaks_memory = true;
+    let report = cluster.run_job(&job).expect("the job survives on the other trackers");
+
+    assert!(!cluster.dfs.datanode(victim).unwrap().alive, "the OOM took the DataNode down");
+    let snap = cluster.dfs.metrics_snapshot(cluster.now);
+    assert_eq!(snap.counter("namenode", "datanodes.declared_dead"), 1);
+    let live = cluster.dfs.namenode.live_datanodes();
+    assert_eq!(live, [0, 1, 3, 4].map(NodeId), "declared dead by {}", report.finished_at);
 }
 
 /// The NameNode crashes mid-workload. Its edit log — serialized,

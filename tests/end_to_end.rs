@@ -126,12 +126,8 @@ fn cluster_survives_node_loss_mid_semester() {
     stage(&mut c, "/in/2008.csv", csv.as_bytes());
     let victim = c.dfs.file_blocks("/in/2008.csv").unwrap()[0].2[0];
     c.dfs.crash_datanode(victim);
-    let mut t = c.now;
-    for _ in 0..230 {
-        t += SimDuration::from_secs(3);
-        c.dfs.heartbeat_round(&mut c.net, t);
-    }
-    c.now = t;
+    c.now += SimDuration::from_secs(3 * 230);
+    c.dfs.advance_to(&mut c.net, c.now);
     assert!(c.dfs.namenode.under_replicated().is_empty(), "healed");
     // The TaskTracker on the dead node is gone too in a real crash; here
     // only the DataNode died, so all 8 trackers still run maps — but none
