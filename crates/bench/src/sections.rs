@@ -6,7 +6,7 @@
 //!   spill volume), `shuffle_bytes` (reduce fetch volume). Every map's
 //!   output fits the default 100 MiB sort buffer, so each map spills once
 //!   at its end and `spill_bytes == shuffle_bytes`; a pinned job that
-//!   spills mid-map is ROADMAP 2(d) and its own re-pin;
+//!   spills mid-map is ROADMAP 2(a) and its own re-pin;
 //! * **sched** — the contended Google-trace replay under the Fair
 //!   scheduler: `decisions` (assignment count), `wall_time_us`
 //!   (makespan), `mean_wait_us` / `p99_wait_us` (queue latency), and

@@ -10,13 +10,12 @@
 //! fetch: a live RPC encodes its op there from the strings it was called
 //! with, and a restart decodes and applies them in place.
 
-use std::collections::BTreeMap;
-
 use hl_codec::CodecId;
 use hl_common::prelude::*;
 use hl_common::writable::{read_str, read_vu64, write_str, write_vu64, Writable};
 
 use crate::block::BlockId;
+use crate::blockmap::BlockMap;
 use crate::lease::LeaseManager;
 use crate::namenode::BlockInfo;
 use crate::namespace::{FileNode, Namespace};
@@ -59,7 +58,7 @@ pub enum EditOp<S = String> {
 /// field by field, so the live NameNode and the state a restart is still
 /// building go through the same [`EditOp::apply`].
 pub(crate) struct Ledger<'a> {
-    pub blocks: &'a mut BTreeMap<BlockId, BlockInfo>,
+    pub blocks: &'a mut BlockMap,
     pub leases: &'a mut LeaseManager,
     pub next_block_id: &'a mut u64,
     pub next_gen_stamp: &'a mut u64,
@@ -84,6 +83,10 @@ pub(crate) fn add_block(
     ledger: Option<&mut Ledger<'_>>,
 ) -> Result<()> {
     let (next_block_id, next_gen_stamp) = (mark_after(block.0)?, mark_after(gen_stamp)?);
+    // Ids are never reused, so only a corrupt journal names one twice.
+    if ledger.as_ref().is_some_and(|l| l.blocks.contains_key(block)) {
+        return Err(HlError::Codec(format!("journaled {block} is already in the block table")));
+    }
     file.append_block(path, block, len)?;
     if let Some(l) = ledger {
         l.blocks.insert(block, BlockInfo::unreported(len, file.replication, gen_stamp));
@@ -131,8 +134,7 @@ impl<S: AsRef<str>> EditOp<S> {
                 let ids = ns.delete(path.as_ref(), *recursive)?;
                 if let Some(l) = &mut ledger {
                     l.leases.release_under(path.as_ref());
-                    freed
-                        .extend(ids.into_iter().filter_map(|id| Some((id, l.blocks.remove(&id)?))));
+                    freed.extend(ids.into_iter().filter_map(|id| Some((id, l.blocks.remove(id)?))));
                 }
             }
             EditOp::Rename { src, dst } => {
@@ -146,7 +148,7 @@ impl<S: AsRef<str>> EditOp<S> {
                 file.replication = *replication;
                 if let Some(l) = &mut ledger {
                     for id in &file.blocks {
-                        if let Some(info) = l.blocks.get_mut(id) {
+                        if let Some(info) = l.blocks.get_mut(*id) {
                             info.expected_replication = *replication;
                         }
                     }
@@ -156,7 +158,7 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::BumpGenStamp { block, gen_stamp } => {
                 let next_gen_stamp = mark_after(*gen_stamp)?;
                 if let Some(l) = &mut ledger {
-                    let info = l.blocks.get_mut(block).ok_or_else(|| {
+                    let info = l.blocks.get_mut(*block).ok_or_else(|| {
                         HlError::Internal(format!("gen-stamp bump of unknown {block}"))
                     })?;
                     info.gen_stamp = *gen_stamp;
@@ -166,7 +168,7 @@ impl<S: AsRef<str>> EditOp<S> {
             EditOp::AbandonBlock { path, block, len } => {
                 ns.abandon_block(path.as_ref(), *block, *len)?;
                 if let Some(l) = &mut ledger {
-                    freed.extend(l.blocks.remove(block).map(|info| (*block, info)));
+                    freed.extend(l.blocks.remove(*block).map(|info| (*block, info)));
                 }
             }
             EditOp::SetCodec { path, codec } => ns.file_mut(path.as_ref())?.codec = *codec,

@@ -32,6 +32,7 @@
 
 pub mod admin;
 pub mod block;
+mod blockmap;
 pub mod client;
 pub mod datanode;
 pub mod editlog;

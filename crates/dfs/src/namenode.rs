@@ -44,6 +44,7 @@ use hl_common::prelude::*;
 use hl_metrics::MetricsRegistry;
 
 use crate::block::{BlockId, IncrementalBlockReport, ReplicaMeta, FIRST_GEN_STAMP};
+use crate::blockmap::BlockMap;
 use crate::editlog::{self, EditLog, EditOp, Ledger};
 use crate::fsimage::{BlockRecord, FsImage};
 use crate::lease::{Lease, LeaseManager};
@@ -319,7 +320,7 @@ pub struct NameNode {
     pub editlog: EditLog,
     /// Serialized [`FsImage`] written by the last checkpoint.
     fsimage: Vec<u8>,
-    blocks: BTreeMap<BlockId, BlockInfo>,
+    blocks: BlockMap,
     datanodes: BTreeMap<NodeId, DataNodeInfo>,
     decommissioning: BTreeSet<NodeId>,
     /// Which blocks each DataNode holds, per the latest reports — the
@@ -388,7 +389,7 @@ impl NameNode {
             namespace: Namespace::new(),
             editlog: EditLog::new(),
             fsimage: format_image.to_bytes(),
-            blocks: BTreeMap::new(),
+            blocks: BlockMap::default(),
             datanodes: BTreeMap::new(),
             decommissioning: BTreeSet::new(),
             node_blocks: BTreeMap::new(),
@@ -435,7 +436,7 @@ impl NameNode {
 
     /// Block info, read-only.
     pub fn block(&self, id: BlockId) -> Option<&BlockInfo> {
-        self.blocks.get(&id)
+        self.blocks.get(id)
     }
 
     /// Compact manifest of the whole block map — `(block, len,
@@ -444,15 +445,12 @@ impl NameNode {
     /// compared against a journal-recovered NameNode whose replica
     /// locations are still empty (the crash-recovery oracles).
     pub fn block_manifest(&self) -> Vec<(BlockId, u64, u32, u64)> {
-        self.blocks
-            .iter()
-            .map(|(&id, b)| (id, b.len, b.expected_replication, b.gen_stamp))
-            .collect()
+        self.blocks.iter().map(|(id, b)| (id, b.len, b.expected_replication, b.gen_stamp)).collect()
     }
 
     /// Live replica locations of a block (empty when missing).
     pub fn block_locations(&self, id: BlockId) -> Vec<NodeId> {
-        self.blocks.get(&id).map(|b| b.locations.to_vec()).unwrap_or_default()
+        self.blocks.get(id).map(|b| b.locations.to_vec()).unwrap_or_default()
     }
 
     /// The serialized fsimage as of the last checkpoint (what a secondary
@@ -535,7 +533,7 @@ impl NameNode {
     /// invalidation, so full and delta reports share one verdict. Returns
     /// `true` when `node` holds a live replica afterwards.
     fn change_location(&mut self, id: BlockId, node: NodeId, replica: Replica) -> bool {
-        let info = self.blocks.get_mut(&id);
+        let info = self.blocks.get_mut(id);
         let live = match (replica, &info) {
             (Replica::Gone, _) | (_, None) => false,
             (Replica::Reported(stamp), Some(known)) => stamp >= known.gen_stamp,
@@ -594,7 +592,7 @@ impl NameNode {
     /// Change `id`'s entry, if it has one, and re-index it from the entry
     /// in hand.
     fn update_block(&mut self, id: BlockId, change: impl FnOnce(&mut BlockInfo)) {
-        if let Some(info) = self.blocks.get_mut(&id) {
+        if let Some(info) = self.blocks.get_mut(id) {
             change(info);
             reindex(&mut self.under, &mut self.over, &self.decommissioning, id, info);
         }
@@ -734,7 +732,7 @@ impl NameNode {
         // (that is the whole point of the drain), then the highest-id
         // extra that isn't the one just written.
         while self.over.contains(&id) {
-            let Some(info) = self.blocks.get(&id) else { break };
+            let Some(info) = self.blocks.get(id) else { break };
             let victim = info
                 .locations
                 .iter()
@@ -984,7 +982,7 @@ impl NameNode {
         // Only the tail can be unconfirmed: pipelines write in order.
         let mut tail: Vec<BlockId> = file.blocks.clone();
         while let Some(&last) = tail.last() {
-            let info = self.blocks.get(&last);
+            let info = self.blocks.get(last);
             if info.is_some_and(|b| !b.locations.is_empty() || b.pending_replicas > 0) {
                 break;
             }
@@ -1016,7 +1014,7 @@ impl NameNode {
         self.under
             .ids()
             .filter_map(|id| {
-                let b = self.blocks.get(&id)?;
+                let b = self.blocks.get(id)?;
                 let counted = u32::try_from(
                     b.locations.iter().filter(|n| !self.decommissioning.contains(n)).count(),
                 )
@@ -1030,7 +1028,7 @@ impl NameNode {
     /// Derived by scanning the map (fsck/admin-report granularity); the
     /// *count* is available in O(1) from the census counters.
     pub fn missing_blocks(&self) -> Vec<BlockId> {
-        self.blocks.iter().filter(|(_, b)| b.locations.is_empty()).map(|(&id, _)| id).collect()
+        self.blocks.iter().filter(|(_, b)| b.locations.is_empty()).map(|(id, _)| id).collect()
     }
 
     /// One replication-monitor pass: emit copy commands for
@@ -1056,7 +1054,7 @@ impl NameNode {
             }
             // The queue is maintained eagerly, but stay panic-free if a
             // concurrent mutation path ever drops the entry mid-pass.
-            let Some(info) = self.blocks.get(&id) else { continue };
+            let Some(info) = self.blocks.get(id) else { continue };
             let Some(&from) = info.locations.first() else { continue };
             fill_usable(
                 &mut self.usable,
@@ -1078,7 +1076,7 @@ impl NameNode {
                 break;
             }
             while self.over.contains(&id) {
-                let Some(&victim) = self.blocks.get(&id).and_then(|b| b.locations.last()) else {
+                let Some(&victim) = self.blocks.get(id).and_then(|b| b.locations.last()) else {
                     break;
                 };
                 self.change_location(id, victim, Replica::Gone);
@@ -1132,7 +1130,7 @@ impl NameNode {
         let Some(ids) = self.node_blocks.get(&node) else { return Vec::new() };
         ids.iter()
             .filter(|id| {
-                let Some(b) = self.blocks.get(id) else { return false };
+                let Some(b) = self.blocks.get(**id) else { return false };
                 let elsewhere = u32::try_from(
                     b.locations
                         .iter()
@@ -1168,7 +1166,7 @@ impl NameNode {
             blocks: self
                 .blocks
                 .iter()
-                .map(|(&id, b)| BlockRecord {
+                .map(|(id, b)| BlockRecord {
                     id,
                     len: b.len,
                     expected_replication: b.expected_replication,
@@ -1228,12 +1226,21 @@ impl NameNode {
         self.shutdown();
         let image = FsImage::from_bytes(&self.fsimage)?;
         let mut ns = image.namespace;
-        // By value: the decoded records are gone before the map is built.
-        let mut blocks: BTreeMap<BlockId, BlockInfo> = image
-            .blocks
-            .into_iter()
-            .map(|r| (r.id, BlockInfo::unreported(r.len, r.expected_replication, r.gen_stamp)))
-            .collect();
+        // A checkpoint writes its records in id order, every id below the
+        // mark it writes beside them; anything else is not an image this
+        // NameNode wrote, and would overwrite an entry.
+        let mut blocks = BlockMap::default();
+        let mut last = None;
+        for r in image.blocks {
+            if last.is_some_and(|last| r.id <= last) || r.id.0 >= image.next_block_id {
+                return Err(HlError::Codec(format!(
+                    "image block {} out of order or not below next id {}",
+                    r.id, image.next_block_id
+                )));
+            }
+            last = Some(r.id);
+            blocks.insert(r.id, BlockInfo::unreported(r.len, r.expected_replication, r.gen_stamp));
+        }
         // Emptied by `shutdown`, so the clone carries only the limits.
         let mut leases = self.leases.clone();
         for l in &image.leases {
@@ -1569,7 +1576,7 @@ mod tests {
         let (mut reported, mut locations) = (0usize, 0u64);
         let mut held: BTreeMap<NodeId, Vec<BlockId>> = BTreeMap::new();
         let (mut under, mut order, mut over) = (Vec::new(), Vec::new(), BTreeSet::new());
-        for (&id, b) in &nn.blocks {
+        for (id, b) in nn.blocks.iter() {
             assert!(b.locations.windows(2).all(|w| w[0] < w[1]), "{id}: {:?}", b.locations);
             reported += usize::from(!b.locations.is_empty());
             locations += b.locations.len() as u64;
@@ -1691,7 +1698,7 @@ mod tests {
         for (kind, n, x) in steps {
             t += SimDuration::from_secs(1);
             let node = NodeId(n);
-            let ids: Vec<BlockId> = nn.blocks.keys().copied().collect();
+            let ids: Vec<BlockId> = nn.blocks.iter().map(|(id, _)| id).collect();
             let pick = ids.get((x % (ids.len() as u64 + 1)) as usize).copied();
             let path = format!("/data/f{}", x % files);
             let bit = |i: usize| x >> (i % 64) & 1 == 1;
@@ -1703,14 +1710,15 @@ mod tests {
                     ReplicaMeta { id: BlockId(9000 + (x >> 49 & 3)), len: 1, gen_stamp: 7 };
                 known
                     .map(|(i, &id)| {
-                        let gen_stamp = nn.blocks[&id].gen_stamp - u64::from(bit(32 + i % 16));
+                        let gen_stamp =
+                            nn.blocks.get(id).unwrap().gen_stamp - u64::from(bit(32 + i % 16));
                         ReplicaMeta { id, len: 64, gen_stamp }
                     })
                     .chain(bit(48).then_some(unknown))
                     .collect()
             };
             let is_live = |nn: &NameNode, r: &ReplicaMeta| {
-                nn.blocks.get(&r.id).is_some_and(|b| r.gen_stamp >= b.gen_stamp)
+                nn.blocks.get(r.id).is_some_and(|b| r.gen_stamp >= b.gen_stamp)
             };
             let not_live = |nn: &NameNode, report: &[ReplicaMeta]| -> Vec<(BlockId, NodeId)> {
                 report.iter().filter(|r| !is_live(nn, r)).map(|r| (r.id, node)).collect()
@@ -1785,7 +1793,7 @@ mod tests {
                     for c in &commands {
                         if let DnCommand::Replicate { block, from, to } = c {
                             assert!(remaining.any(|id| id == block), "{block} out of order");
-                            let holders = &before.blocks[block].locations;
+                            let holders = &before.blocks.get(*block).unwrap().locations;
                             assert!(holders.contains(from) && !holders.contains(to));
                         }
                     }
@@ -2055,7 +2063,61 @@ mod tests {
         }
     }
 
-    /// ROADMAP 4(b), first slice: every truncation and every single-bit
+    /// A stored block id indexes the block table, so every one is checked
+    /// before it lands there: image records strictly ascending and below
+    /// the image's next id, a journaled `AddBlock` for an id the table does
+    /// not hold yet. Each breach is a codec error that leaves the NameNode
+    /// down, never an overwritten entry.
+    #[test]
+    fn stored_block_ids_that_would_overwrite_an_entry_are_codec_errors() {
+        let mut nn = nn(4);
+        nn.mkdirs("/d").unwrap();
+        nn.create_file(SimTime::ZERO, "/d/f", None, None, "w").unwrap();
+        let ids: Vec<BlockId> =
+            (0..3).map(|_| nn.add_block(SimTime::ZERO, "/d/f", 1, None).unwrap().0).collect();
+        nn.checkpoint();
+        let image = FsImage::from_bytes(nn.fsimage_bytes()).unwrap();
+        assert_eq!(image.blocks.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+
+        let bad_images = [
+            // Out of order, and a repeated id.
+            FsImage {
+                blocks: vec![image.blocks[1], image.blocks[0], image.blocks[2]],
+                ..image.clone()
+            },
+            FsImage {
+                blocks: vec![image.blocks[0], image.blocks[0], image.blocks[2]],
+                ..image.clone()
+            },
+            // The last record reaches the mark it was written beside.
+            FsImage { next_block_id: ids[2].0, ..image.clone() },
+        ];
+        for bad in bad_images {
+            let mut victim = from_durable_bytes(&bad.to_bytes(), EditLog::new());
+            assert!(matches!(victim.restart(SimTime(1)), Err(HlError::Codec(_))), "{bad:?}");
+            assert!(victim.down && victim.blocks.len() == 0);
+        }
+
+        // The image's own bytes load; a journal that adds one of its ids
+        // again, or the same new id twice, does not.
+        let again = EditOp::AddBlock { path: "/d/f", block: ids[1], len: 1, gen_stamp: 7 };
+        let fresh = BlockId(ids[2].0 + 1);
+        let twice = EditOp::AddBlock { path: "/d/f", block: fresh, len: 1, gen_stamp: 7 };
+        for ops in [vec![&again], vec![&twice, &twice]] {
+            let mut journal = EditLog::new();
+            for op in ops {
+                journal.append(op);
+            }
+            let mut victim = from_durable_bytes(nn.fsimage_bytes(), journal);
+            assert!(matches!(victim.restart(SimTime(1)), Err(HlError::Codec(_))));
+            assert!(victim.down && victim.blocks.len() == 0);
+        }
+        let mut intact = from_durable_bytes(nn.fsimage_bytes(), EditLog::new());
+        intact.restart(SimTime(1)).unwrap();
+        assert_eq!(intact.block_manifest(), nn.block_manifest());
+    }
+
+    /// ROADMAP 7(a)/(b), first slice: every truncation and every single-bit
     /// flip of a small populated image and journal goes through the
     /// decoders and `restart`. `Ok` or `HlError`, never a panic, and an
     /// `Err` leaves the NameNode down and empty.
@@ -2085,7 +2147,7 @@ mod tests {
                 outcomes.1 += 1;
                 assert!(victim.down);
                 assert_eq!(victim.namespace, Namespace::new());
-                assert!(victim.blocks.is_empty() && victim.leases.is_empty());
+                assert!(victim.blocks.len() == 0 && victim.leases.is_empty());
                 assert!(matches!(victim.mkdirs("/x"), Err(HlError::DaemonDown(_))));
             }
         };
