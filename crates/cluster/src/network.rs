@@ -73,6 +73,23 @@ pub struct ClusterNet {
     /// entry run at [`PerfProfile::NOMINAL`]; every disk/NIC charge for a
     /// degraded node consults its model at charge time.
     degrades: BTreeMap<u32, DegradeModel>,
+    /// The instant of the op being charged, inside [`ClusterNet::op`].
+    op: Option<SimTime>,
+    /// See [`ClusterNet::late_charges`].
+    late: u64,
+}
+
+/// Book one hop of the op requested at `op` on `pipe`, at `now`.
+fn hop(
+    pipe: &mut PipeResource,
+    op: SimTime,
+    late: &mut u64,
+    now: SimTime,
+    bytes: u64,
+    mult: u32,
+) -> Charge {
+    *late += u64::from(pipe.note_op(op));
+    pipe.charge_scaled(now, bytes, mult)
 }
 
 impl ClusterNet {
@@ -105,6 +122,8 @@ impl ClusterNet {
             shared_storage,
             remote_bytes: 0,
             degrades: BTreeMap::new(),
+            op: None,
+            late: 0,
         }
     }
 
@@ -135,14 +154,13 @@ impl ClusterNet {
 
     /// Sequential read from a node's local disk.
     pub fn read_local_disk(&mut self, now: SimTime, node: NodeId, bytes: u64) -> Charge {
-        let mult = self.disk_mult(node, now);
-        self.disks[node.0 as usize].charge_scaled(now, bytes, mult)
+        let (op, mult) = (self.op_at(now), self.disk_mult(node, now));
+        hop(&mut self.disks[node.0 as usize], op, &mut self.late, now, bytes, mult)
     }
 
     /// Sequential write to a node's local disk.
     pub fn write_local_disk(&mut self, now: SimTime, node: NodeId, bytes: u64) -> Charge {
-        let mult = self.disk_mult(node, now);
-        self.disks[node.0 as usize].charge_scaled(now, bytes, mult)
+        self.read_local_disk(now, node, bytes)
     }
 
     /// Node-to-node transfer: source NIC → (rack uplinks if cross-rack) →
@@ -153,19 +171,29 @@ impl ClusterNet {
             return Charge { start: now, end: now };
         }
         self.remote_bytes += bytes;
+        let op = self.op_at(now);
         let src_mult = self.nic_mult(src, now);
-        let hop1 = self.nics[src.0 as usize].charge_scaled(now, bytes, src_mult);
+        let hop1 = hop(&mut self.nics[src.0 as usize], op, &mut self.late, now, bytes, src_mult);
         let mut at = hop1.end;
         let (src_rack, dst_rack) = (self.topology.rack(src), self.topology.rack(dst));
         if src_rack != dst_rack {
             // Rack uplinks are switch hardware, not node hardware: a
             // degraded *node* never slows its rack's shared uplink.
-            let up = self.uplinks[src_rack.0 as usize].charge(at, bytes);
-            let down = self.uplinks[dst_rack.0 as usize].charge(up.end, bytes);
+            let nominal = PerfProfile::NOMINAL_BP;
+            let up =
+                hop(&mut self.uplinks[src_rack.0 as usize], op, &mut self.late, at, bytes, nominal);
+            let down = hop(
+                &mut self.uplinks[dst_rack.0 as usize],
+                op,
+                &mut self.late,
+                up.end,
+                bytes,
+                nominal,
+            );
             at = down.end;
         }
         let dst_mult = self.nic_mult(dst, at);
-        let hop2 = self.nics[dst.0 as usize].charge_scaled(at, bytes, dst_mult);
+        let hop2 = hop(&mut self.nics[dst.0 as usize], op, &mut self.late, at, bytes, dst_mult);
         Charge { start: now, end: hop2.end }
     }
 
@@ -178,12 +206,14 @@ impl ClusterNet {
         holder: NodeId,
         bytes: u64,
     ) -> Charge {
-        let disk = self.read_local_disk(now, holder, bytes);
-        if reader == holder {
-            return Charge { start: now, end: disk.end };
-        }
-        let net = self.transfer(disk.end, holder, reader, bytes);
-        Charge { start: now, end: net.end }
+        self.op(now, |net| {
+            let disk = net.read_local_disk(now, holder, bytes);
+            if reader == holder {
+                return Charge { start: now, end: disk.end };
+            }
+            let wire = net.transfer(disk.end, holder, reader, bytes);
+            Charge { start: now, end: wire.end }
+        })
     }
 
     /// Read from the shared parallel FS (Figure 1(a) only): storage pipe,
@@ -196,15 +226,16 @@ impl ClusterNet {
         reader: NodeId,
         bytes: u64,
     ) -> Result<Charge> {
+        let (op, nominal) = (self.op_at(now), PerfProfile::NOMINAL_BP);
         let storage = self.shared_storage.as_mut().ok_or_else(|| {
             HlError::Internal("read_shared_storage on a local-disk cluster".into())
         })?;
         self.remote_bytes += bytes;
-        let s = storage.charge(now, bytes);
+        let s = hop(storage, op, &mut self.late, now, bytes, nominal);
         let rack = self.topology.rack(reader);
-        let up = self.uplinks[rack.0 as usize].charge(s.end, bytes);
+        let up = hop(&mut self.uplinks[rack.0 as usize], op, &mut self.late, s.end, bytes, nominal);
         let mult = self.nic_mult(reader, up.end);
-        let nic = self.nics[reader.0 as usize].charge_scaled(up.end, bytes, mult);
+        let nic = hop(&mut self.nics[reader.0 as usize], op, &mut self.late, up.end, bytes, mult);
         Ok(Charge { start: now, end: nic.end })
     }
 
@@ -222,16 +253,43 @@ impl ClusterNet {
         if self.shared_storage.is_none() {
             return Err(HlError::Internal("write_shared_storage on a local-disk cluster".into()));
         }
+        let (op, nominal) = (self.op_at(now), PerfProfile::NOMINAL_BP);
         let mult = self.nic_mult(writer, now);
-        let nic = self.nics[writer.0 as usize].charge_scaled(now, bytes, mult);
+        let nic = hop(&mut self.nics[writer.0 as usize], op, &mut self.late, now, bytes, mult);
         let rack = self.topology.rack(writer);
-        let up = self.uplinks[rack.0 as usize].charge(nic.end, bytes);
+        let up =
+            hop(&mut self.uplinks[rack.0 as usize], op, &mut self.late, nic.end, bytes, nominal);
         self.remote_bytes += bytes;
         let Some(storage) = self.shared_storage.as_mut() else {
             return Err(HlError::Internal("write_shared_storage on a local-disk cluster".into()));
         };
-        let s = storage.charge(up.end, bytes);
+        let s = hop(storage, op, &mut self.late, up.end, bytes, nominal);
         Ok(Charge { start: now, end: s.end })
+    }
+
+    /// Run `f` as one op requested at `now`: every charge it makes, at
+    /// whatever instant, is a later hop of that op — a block's replica
+    /// pipeline, a read that fails over, a copy's disk → wire → disk. An
+    /// op inside an op is a hop of the outer one.
+    pub fn op<T>(&mut self, now: SimTime, f: impl FnOnce(&mut ClusterNet) -> T) -> T {
+        let outer = self.op;
+        self.op = Some(self.op_at(now));
+        let out = f(self);
+        self.op = outer;
+        out
+    }
+
+    fn op_at(&self, now: SimTime) -> SimTime {
+        self.op.unwrap_or(now)
+    }
+
+    /// Charges booked on a pipe after an op requested later than theirs
+    /// had booked it (the later hops of one op count under the op's
+    /// instant). The contract every caller keeps is that this stays 0:
+    /// charges arrive in virtual-time order, so each pipe's FIFO
+    /// `now.max(free_at)` is exact.
+    pub fn late_charges(&self) -> u64 {
+        self.late
     }
 
     /// Bytes that crossed any network link (the data-locality metric).
@@ -450,5 +508,27 @@ mod tests {
         net.reset_accounting();
         assert_eq!(net.remote_bytes(), 0);
         assert_eq!(net.nics[0].total_bytes(), 0);
+    }
+
+    #[test]
+    fn late_charges_count_ops_out_of_virtual_time_order_but_not_an_ops_hops() {
+        let mut net = hadoop(2, 1);
+        let mib = 120 * ByteSize::MIB;
+        // A read's wire hops are requested at its disk end, then another
+        // op starts on node 1's disk before that instant: both in order.
+        let read = net.read_remote(SimTime::ZERO, NodeId(1), NodeId(0), mib);
+        net.read_local_disk(SimTime(1), NodeId(1), mib);
+        net.op(SimTime(2), |net| {
+            let d = net.read_local_disk(SimTime(2), NodeId(0), mib);
+            net.write_local_disk(d.end, NodeId(1), mib);
+        });
+        assert_eq!(net.late_charges(), 0);
+        assert!(read.end > SimTime(2), "the read's hops were booked past t=2");
+        // Ops requested before one already booked on the same pipes.
+        net.transfer(SimTime(5), NodeId(0), NodeId(1), 1);
+        net.transfer(SimTime(3), NodeId(0), NodeId(1), 1);
+        assert_eq!(net.late_charges(), 2, "one per NIC");
+        net.read_local_disk(SimTime(1), NodeId(0), 1);
+        assert_eq!(net.late_charges(), 3, "the op at t=2 booked node 0's disk");
     }
 }

@@ -20,6 +20,8 @@ pub struct PipeResource {
     free_at: SimTime,
     total_bytes: u64,
     busy: SimDuration,
+    /// The latest op instant booked here (see [`PipeResource::note_op`]).
+    latest_op: SimTime,
 }
 
 /// The interval a charge occupied its pipe.
@@ -40,7 +42,17 @@ impl PipeResource {
             free_at: SimTime::ZERO,
             total_bytes: 0,
             busy: SimDuration::ZERO,
+            latest_op: SimTime::ZERO,
         }
+    }
+
+    /// An op requested at `op` books this pipe. True when an op requested
+    /// *later* has booked it already: FIFO then served this charge after
+    /// work that virtual-time order would have served after it.
+    pub fn note_op(&mut self, op: SimTime) -> bool {
+        let late = op < self.latest_op;
+        self.latest_op = self.latest_op.max(op);
+        late
     }
 
     /// Charge a transfer of `bytes` requested at `now`; returns when it

@@ -199,9 +199,11 @@ pub fn balance(
         let Some(payload) = dfs.datanode(src.node).and_then(|dn| dn.payload(block)).cloned() else {
             break;
         };
-        let read = net.read_local_disk(t, src.node, len);
-        let xfer = net.transfer(read.end, src.node, dst.node, len);
-        let write = net.write_local_disk(xfer.end, dst.node, len);
+        let write = net.op(t, |net| {
+            let read = net.read_local_disk(t, src.node, len);
+            let xfer = net.transfer(read.end, src.node, dst.node, len);
+            net.write_local_disk(xfer.end, dst.node, len)
+        });
         let Some(dst_dn) = dfs.datanode_mut(dst.node) else { break };
         if dst_dn.store_block(block, payload).is_err() {
             break;

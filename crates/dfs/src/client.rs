@@ -220,6 +220,20 @@ impl Dfs {
         writer: Option<NodeId>,
         replication: Option<u32>,
     ) -> Result<Timed<()>> {
+        // One client write is one op: each block streams at the previous
+        // block's first-hop instant, and those are its later hops.
+        net.op(now, |net| self.write_file(net, now, path, payloads, writer, replication))
+    }
+
+    fn write_file(
+        &mut self,
+        net: &mut ClusterNet,
+        now: SimTime,
+        path: &str,
+        payloads: Vec<BlockPayload>,
+        writer: Option<NodeId>,
+        replication: Option<u32>,
+    ) -> Result<Timed<()>> {
         // The lease holder: one writer identity per client write, named by
         // the writing node (an off-cluster upload writes as the client).
         let holder = match writer {
@@ -549,6 +563,18 @@ impl Dfs {
         reader: Option<NodeId>,
         path_for_errors: &str,
     ) -> Result<Timed<Bytes>> {
+        // A read that fails over is one op: each retry is a later hop.
+        net.op(now, |net| self.read_block_op(net, now, id, reader, path_for_errors))
+    }
+
+    fn read_block_op(
+        &mut self,
+        net: &mut ClusterNet,
+        now: SimTime,
+        id: BlockId,
+        reader: Option<NodeId>,
+        path_for_errors: &str,
+    ) -> Result<Timed<Bytes>> {
         let holders = self.namenode.block_locations(id);
         let ordered = order_for_read(net.topology(), reader, &holders);
         // Failover ordering: banned (recently sick) nodes sink to the back
@@ -627,7 +653,9 @@ impl Dfs {
         let mut out = Vec::with_capacity(file.len as usize);
         let mut t = now;
         for id in &file.blocks {
-            let block = self.read_block(net, t, *id, reader, path)?;
+            // A whole-file read is one op: each block is read at the
+            // previous one's end.
+            let block = net.op(now, |net| self.read_block(net, t, *id, reader, path))?;
             t = block.completed_at;
             // A codec-framed file's blocks each hold whole frames, so a
             // block decodes on its own, straight onto the output.
@@ -726,9 +754,11 @@ impl Dfs {
                     match source {
                         Some((p, gs)) => {
                             let len = p.len();
-                            let read = net.read_local_disk(now, from, len);
-                            let xfer = net.transfer(read.end, from, to, len);
-                            let write = net.write_local_disk(xfer.end, to, len);
+                            let write = net.op(now, |net| {
+                                let read = net.read_local_disk(now, from, len);
+                                let xfer = net.transfer(read.end, from, to, len);
+                                net.write_local_disk(xfer.end, to, len)
+                            });
                             let stored = self
                                 .datanodes
                                 .get_mut(&to)
