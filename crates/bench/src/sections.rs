@@ -23,6 +23,10 @@
 //!   errors: the compressed arm's wordcount output must be byte-identical
 //!   to the plain arm's, and its spill and shuffle volumes must *shrink*
 //!   on the compressible corpus.
+//!
+//! Every MapReduce section is also gated on charge order: no pipe charge
+//! was requested before one already booked on the same pipe
+//! (`ClusterNet::late_charges` reads 0).
 
 use hl_cluster::node::{ClusterSpec, DegradeModel, HeterogeneousClusterSpec, PerfProfile};
 use hl_common::config::keys;
@@ -58,6 +62,17 @@ fn stage(cluster: &mut MrCluster, path: &str, text: &str) -> Result<()> {
     Ok(())
 }
 
+/// The charge-order gate: every pipe charge of the section was requested
+/// in virtual-time order (`ClusterNet::late_charges` is 0).
+fn charge_order(cluster: &MrCluster, section: &str) -> Result<()> {
+    match cluster.net.late_charges() {
+        0 => Ok(()),
+        n => Err(HlError::Config(format!(
+            "{section} charge-order gate: {n} charge(s) booked behind a later request"
+        ))),
+    }
+}
+
 /// What one pinned wordcount-shaped job reports.
 struct WcRun {
     wall_us: u64,
@@ -82,6 +97,7 @@ fn run_wc(total_order: bool, compress: bool) -> Result<WcRun> {
         job.conf.compress_map_output = compress;
         cluster.run_job(&job)?
     };
+    charge_order(&cluster, "wordcount")?;
     let snap = cluster.metrics_snapshot();
     Ok(WcRun {
         wall_us: report.elapsed().as_micros(),
@@ -197,6 +213,7 @@ fn run_hs_cell(speculative: bool, skewed: bool, compress: bool) -> Result<(u64, 
         )));
     }
 
+    charge_order(&cluster, "tpcxhs")?;
     let makespan = val_report.finished_at.since(sort_report.submitted_at).0;
     let wasted = cluster.metrics_snapshot().counter("jobtracker", "spec.wasted_us");
     Ok((makespan, wasted))

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hl_common::prelude::*;
 use hl_datagen::google_trace::{event, parse_event_full};
-use hl_mapreduce::jobtracker::{Flight, JobTracker, Launch, TaskBody};
+use hl_mapreduce::jobtracker::{Flight, JobTracker, Launch, Next, TaskBody};
 use hl_mapreduce::report::TaskKind;
 use hl_mapreduce::scheduler::{
     CapacityScheduler, FairScheduler, FifoScheduler, QueueSpec, Scheduler, SlotState,
@@ -380,11 +380,10 @@ impl TraceBody<'_> {
 }
 
 impl TaskBody for TraceBody<'_> {
-    fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<Flight> {
+    fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<SimTime> {
         let (now, job) = (jt.now(), &self.jobs[l.job]);
         let row = self.attempt(l.job, l.task);
         let dur = row.map_or(SimDuration(1), |a| SimDuration(a.duration.0 * self.duration_scale));
-        jt.occupy(TaskKind::Map, l.slot, now + dur);
         if !std::mem::replace(&mut self.progress[l.job].assigned, true) {
             let wait = now.since(jt.jobs[l.job].arrival);
             self.waits.push(wait);
@@ -398,14 +397,26 @@ impl TaskBody for TraceBody<'_> {
         self.metrics.incr("scheduler", &format!("user.{}.tasks", job.user), 1);
         self.log
             .push_str(&format!("t={} job={} task={} slot={}\n", now.0, job.job_id, l.task, l.slot));
-        let commits = row.is_none_or(|a| a.outcome == event::FINISH);
-        Some(Flight::new(l.slot, now, now + dur, commits))
+        Some(now + dur)
     }
 
-    fn finished(&mut self, jt: &mut JobTracker, j: usize, task: u32, flight: &Flight) {
+    /// A trace attempt is one stage: it ends the way its row ended.
+    fn stage(&mut self, _jt: &mut JobTracker, j: usize, task: u32, _: &Flight) -> Option<Next> {
+        let row = self.attempt(j, task);
+        Some(Next::Done(row.is_none_or(|a| a.outcome == event::FINISH)))
+    }
+
+    fn finished(
+        &mut self,
+        jt: &mut JobTracker,
+        j: usize,
+        task: u32,
+        flight: &Flight,
+        commits: bool,
+    ) {
         let (now, job) = (jt.now(), &self.jobs[j]);
         *self.pool_busy.entry(job.pool.clone()).or_default() += flight.end.since(flight.start).0;
-        if flight.commits {
+        if commits {
             self.progress[j].done += 1;
             if self.progress[j].done == job.tasks.len() {
                 self.completed += 1;
