@@ -42,6 +42,11 @@
 //!    a byte of job output — is the ground-truth oracle's job: every
 //!    successful round runs with speculation on and is diffed against
 //!    the unspeculated LocalJobRunner.)
+//! 10. **charge-order** — every disk, NIC and uplink charge of the run was
+//!     requested in virtual-time order: no op booked a pipe behind work an
+//!     op requested later had booked there already
+//!     (`ClusterNet::late_charges` is 0), so each pipe's FIFO queueing is
+//!     the queueing the modelled cluster would see.
 
 use std::collections::BTreeMap;
 
@@ -472,6 +477,14 @@ pub(crate) fn verify_speculation(r: &mut ChaosRunner) {
             "speculation",
             format!("{wasted} us of speculative waste charged with no attempts launched"),
         );
+    }
+}
+
+/// Oracle 10: the run booked its pipe charges in virtual-time order.
+pub(crate) fn verify_charge_order(r: &mut ChaosRunner) {
+    let late = r.cluster.net.late_charges();
+    if late != 0 {
+        r.violate("charge-order", format!("{late} charge(s) booked behind a later request"));
     }
 }
 

@@ -272,6 +272,8 @@ impl ChaosRunner {
     fn round(&mut self, round: u32) {
         let now = self.cluster.now;
         self.cluster.log.log(now, "chaos", format!("--- round {round} ---"));
+        // The protocol rounds due by now run before the faults land.
+        self.cluster.dfs.advance_to(&mut self.cluster.net, now);
         let faults: Vec<Fault> = self.plan.at(round).cloned().collect();
         for fault in faults {
             self.inject(fault);
@@ -663,6 +665,7 @@ impl ChaosRunner {
         oracle::verify_metrics(&mut self);
         oracle::verify_scheduler(&mut self);
         oracle::verify_speculation(&mut self);
+        oracle::verify_charge_order(&mut self);
 
         // The replay fingerprint covers both event logs, the exact
         // corruption set, and the final metrics report — so a same-seed
