@@ -6,7 +6,9 @@
 //! the op is encoded into the journal's bytes. So apart from a page of the
 //! block table per 1 024 ids, a warm NameNode allocates that one `Vec` per
 //! block. A block report gives each block up to three replicas, and those
-//! live inside the block's entry: no allocation per replica.
+//! live inside the block's entry: no allocation per replica. Re-reporting
+//! an unchanged node allocates only the list of what it confirmed, and a
+//! heartbeat nothing.
 //!
 //! One test, because the counter is process-wide: a second test on
 //! another thread would be counted into this one.
@@ -100,8 +102,32 @@ fn bulk_load_and_block_reports_allocate_per_block_only_the_targets() {
     // A few per report (its confirmed list, the node's index) and the
     // under-replicated queue's tree nodes: 304 when pinned, and a lookup
     // in the block table allocates nothing.
+    // Two per report (its confirmed list, the node's index growing from
+    // empty) and the under-replicated queue's pages, which come and go
+    // with their members: 45 when pinned. With the queue a `BTreeMap`,
+    // its tree nodes made it 304.
     assert!(
-        allocs <= 304,
+        allocs <= 45,
         "{allocs} allocations for {replicas} reported replicas of {FILE_BLOCKS} blocks"
     );
+
+    // The same reports again: nothing changes, and the diff walks the
+    // node's index in place. One allocation per report, its confirmed
+    // list (40 when the diff copied the index first).
+    let ((), allocs) = counted(|| {
+        for (n, report) in reports.iter().enumerate() {
+            nn.process_block_report(SimTime(2), NodeId(n as u32), report);
+        }
+    });
+    assert_eq!(nn.block_census().0, placed.len());
+    assert!(allocs <= u64::from(NODES), "{allocs} allocations for {NODES} unchanged re-reports");
+
+    // A heartbeat of a registered node is a counter bump through its
+    // handle and a write to the node's slot.
+    let ((), allocs) = counted(|| {
+        for beat in 0..10_000u32 {
+            nn.heartbeat(SimTime(3 + u64::from(beat)), NodeId(beat % NODES), u64::MAX / 2);
+        }
+    });
+    assert_eq!(allocs, 0, "10 000 heartbeats");
 }

@@ -33,5 +33,5 @@ pub mod registry;
 pub mod report;
 
 pub use histogram::Histogram;
-pub use registry::{MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use registry::{CounterHandle, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use report::MetricsReport;

@@ -4,10 +4,12 @@
 //! "rpc.add_block")`, `("datanode.node003", "bytes.read")` — and come in
 //! the three classic kinds: monotonic [`MetricValue::Counter`]s,
 //! point-in-time [`MetricValue::Gauge`]s, and log2
-//! [`MetricValue::Histogram`]s. Storage is a `BTreeMap` per daemon inside
-//! a `BTreeMap` of daemons, so iteration, snapshots, and serialization are
-//! deterministic by construction, and touching an existing instrument
-//! allocates nothing.
+//! [`MetricValue::Histogram`]s. Instruments live in one store of slots,
+//! named by a `BTreeMap` per daemon inside a `BTreeMap` of daemons, so
+//! iteration, snapshots, and serialization are deterministic by
+//! construction, and touching an existing instrument allocates nothing. A
+//! hot counter is bumped through a [`CounterHandle`], resolved once: one
+//! indexed add instead of two name lookups.
 
 use std::collections::BTreeMap;
 
@@ -207,14 +209,40 @@ impl Writable for MetricsSnapshot {
 /// clock. Kind mismatches (a counter name later used as a gauge) never
 /// panic — the instrument is deterministically re-created at the new
 /// kind, which keeps daemon code panic-free (lint rule R1).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Every instrument lives in one slot of one store, found by name or, for
+/// a counter bumped on a hot path, by a [`CounterHandle`] resolved once.
+/// Equality compares the instruments, not the order their slots were made
+/// in: two registries with the same history are equal however their
+/// handles were resolved.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    /// daemon → name → value, so a `(&str, &str)` pair probes without
-    /// owning; nested iteration visits `(daemon, name)` in the same
+    /// daemon → name → slot in `values`, so a `(&str, &str)` pair probes
+    /// without owning; nested iteration visits `(daemon, name)` in the same
     /// lexicographic order a pair-keyed map would. An inner map is created
-    /// with its first instrument and never left empty.
-    entries: BTreeMap<String, BTreeMap<String, MetricValue>>,
+    /// with its first slot and never left empty.
+    index: BTreeMap<String, BTreeMap<String, usize>>,
+    /// The store, by slot. `None` is a slot a handle resolved and nothing
+    /// has touched yet: not an instrument — no snapshot row, not counted —
+    /// until its first touch.
+    values: Vec<Option<MetricValue>>,
 }
+
+/// A counter of one [`MetricsRegistry`], resolved once by
+/// [`MetricsRegistry::counter_handle`]: [`MetricsRegistry::bump`] through
+/// it is one indexed add, with no name lookup. It names the same counter
+/// in every clone of that registry; in any other registry it names
+/// nothing, and a bump through it is ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterHandle(usize);
+
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.instruments().eq(other.instruments())
+    }
+}
+
+impl Eq for MetricsRegistry {}
 
 impl MetricsRegistry {
     /// Empty registry.
@@ -222,47 +250,75 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// `(daemon, name, value)` of every instrument, in `(daemon, name)`
+    /// order.
+    fn instruments(&self) -> impl Iterator<Item = (&str, &str, &MetricValue)> {
+        self.index.iter().flat_map(move |(daemon, names)| {
+            names.iter().filter_map(move |(name, &at)| {
+                Some((daemon.as_str(), name.as_str(), self.values.get(at)?.as_ref()?))
+            })
+        })
+    }
+
     fn get(&self, daemon: &str, name: &str) -> Option<&MetricValue> {
-        self.entries.get(daemon)?.get(name)
+        let &at = self.index.get(daemon)?.get(name)?;
+        self.values.get(at)?.as_ref()
     }
 
-    fn get_mut(&mut self, daemon: &str, name: &str) -> Option<&mut MetricValue> {
-        self.entries.get_mut(daemon)?.get_mut(name)
+    /// The slot of `(daemon, name)`, made empty on first sight. A first
+    /// sight is the only time an instrument's strings are built.
+    fn slot(&mut self, daemon: &str, name: &str) -> usize {
+        if let Some(&at) = self.index.get(daemon).and_then(|names| names.get(name)) {
+            return at;
+        }
+        let at = self.values.len();
+        self.values.push(None);
+        self.index.entry(daemon.to_string()).or_default().insert(name.to_string(), at);
+        at
     }
 
-    /// Install `value` as `(daemon, name)`. A first touch is the only time
-    /// an instrument's strings are built.
-    fn set(&mut self, daemon: &str, name: &str, value: MetricValue) {
-        match self.get_mut(daemon, name) {
-            Some(v) => *v = value,
-            None => {
-                self.entries.entry(daemon.to_string()).or_default().insert(name.to_string(), value);
-            }
+    /// Resolve the counter `(daemon, name)` for [`Self::bump`]. Resolving
+    /// adds no instrument: the counter appears with its first bump, as it
+    /// would with its first [`Self::incr`].
+    pub fn counter_handle(&mut self, daemon: &str, name: &str) -> CounterHandle {
+        CounterHandle(self.slot(daemon, name))
+    }
+
+    /// [`Self::incr`] on the counter `handle` names.
+    pub fn bump(&mut self, handle: CounterHandle, delta: u64) {
+        match self.values.get_mut(handle.0) {
+            Some(Some(MetricValue::Counter(v))) => *v = v.saturating_add(delta),
+            Some(slot) => *slot = Some(MetricValue::Counter(delta)),
+            None => {}
         }
     }
 
     /// Add `delta` to a monotonic counter, creating it at 0 first.
     pub fn incr(&mut self, daemon: &str, name: &str, delta: u64) {
-        match self.get_mut(daemon, name) {
-            Some(MetricValue::Counter(v)) => *v = v.saturating_add(delta),
-            _ => self.set(daemon, name, MetricValue::Counter(delta)),
-        }
+        let handle = self.counter_handle(daemon, name);
+        self.bump(handle, delta);
     }
 
     /// Set a gauge to an absolute level.
     pub fn set_gauge(&mut self, daemon: &str, name: &str, level: i64) {
-        self.set(daemon, name, MetricValue::Gauge(level));
+        let at = self.slot(daemon, name);
+        if let Some(slot) = self.values.get_mut(at) {
+            *slot = Some(MetricValue::Gauge(level));
+        }
     }
 
     /// Record one sample into a histogram, creating it empty first.
     pub fn observe(&mut self, daemon: &str, name: &str, sample: u64) {
-        if let Some(MetricValue::Histogram(h)) = self.get_mut(daemon, name) {
-            h.record(sample);
-            return;
+        let at = self.slot(daemon, name);
+        match self.values.get_mut(at) {
+            Some(Some(MetricValue::Histogram(h))) => h.record(sample),
+            Some(slot) => {
+                let mut h = Histogram::new();
+                h.record(sample);
+                *slot = Some(MetricValue::Histogram(Box::new(h)));
+            }
+            None => {}
         }
-        let mut h = Histogram::new();
-        h.record(sample);
-        self.set(daemon, name, MetricValue::Histogram(Box::new(h)));
     }
 
     /// Read a counter (0 when absent).
@@ -294,8 +350,8 @@ impl MetricsRegistry {
     /// **histograms** carry across — restarting must never double- or
     /// re-count history. Other daemons' instruments are untouched.
     pub fn restart_daemon(&mut self, daemon: &str) {
-        for v in self.entries.get_mut(daemon).into_iter().flat_map(BTreeMap::values_mut) {
-            if let MetricValue::Gauge(level) = v {
+        for &at in self.index.get(daemon).into_iter().flat_map(BTreeMap::values) {
+            if let Some(Some(MetricValue::Gauge(level))) = self.values.get_mut(at) {
                 *level = 0;
             }
         }
@@ -303,12 +359,12 @@ impl MetricsRegistry {
 
     /// Number of registered instruments.
     pub fn len(&self) -> usize {
-        self.entries.values().map(BTreeMap::len).sum()
+        self.values.iter().filter(|v| v.is_some()).count()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Snapshot every instrument at virtual time `at`.
@@ -316,14 +372,11 @@ impl MetricsRegistry {
         MetricsSnapshot {
             at_micros: at.as_micros(),
             samples: self
-                .entries
-                .iter()
-                .flat_map(|(daemon, names)| {
-                    names.iter().map(move |(name, value)| MetricSample {
-                        daemon: daemon.clone(),
-                        name: name.clone(),
-                        value: value.clone(),
-                    })
+                .instruments()
+                .map(|(daemon, name, value)| MetricSample {
+                    daemon: daemon.to_string(),
+                    name: name.to_string(),
+                    value: value.clone(),
                 })
                 .collect(),
         }
@@ -385,6 +438,67 @@ mod tests {
         assert_eq!(r.histogram("d", "x").unwrap().count(), 1);
         r.incr("d", "x", 9);
         assert_eq!(r.counter("d", "x"), 9);
+    }
+
+    /// One history told twice: counters bumped through handles in one
+    /// registry and by name in the other, interleaved with a gauge set on
+    /// a counter's name, histogram samples and restarts. Both registries
+    /// snapshot to the same bytes, and a resolved handle nobody bumped
+    /// adds no row.
+    #[test]
+    fn handles_and_names_give_the_same_bytes() {
+        let (mut by_handle, mut by_name) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let ops = by_handle.counter_handle("namenode", "rpc.add_block");
+        let beats = by_handle.counter_handle("namenode", "rpc.heartbeat");
+        let idle = by_handle.counter_handle("namenode", "rpc.rename");
+        let reads = by_handle.counter_handle("datanode.node001", "bytes.read");
+        assert!(by_handle.is_empty(), "resolving adds no instrument");
+        assert_eq!(
+            by_handle.snapshot(SimTime(1)).to_bytes(),
+            by_name.snapshot(SimTime(1)).to_bytes()
+        );
+        for round in 1..=40u64 {
+            by_handle.bump(ops, round);
+            by_name.incr("namenode", "rpc.add_block", round);
+            by_handle.bump(beats, 1);
+            by_name.incr("namenode", "rpc.heartbeat", 1);
+            if round % 3 == 0 {
+                by_handle.bump(reads, round * 7);
+                by_name.incr("datanode.node001", "bytes.read", round * 7);
+            }
+            for r in [&mut by_handle, &mut by_name] {
+                r.observe("namenode", "report.size", round);
+                if round % 10 == 0 {
+                    // The counter's name used as a gauge: re-created at the
+                    // new kind, then at the old one by the next bump.
+                    r.set_gauge("namenode", "rpc.heartbeat", -i64::try_from(round).unwrap());
+                }
+                if round % 13 == 0 {
+                    r.restart_daemon("namenode");
+                }
+            }
+            let at = SimTime(round);
+            assert_eq!(by_handle.snapshot(at).to_bytes(), by_name.snapshot(at).to_bytes());
+            assert_eq!(by_handle, by_name);
+        }
+        assert_eq!(by_handle.counter("namenode", "rpc.add_block"), 820);
+        assert_eq!(by_handle.gauge("namenode", "rpc.heartbeat"), -40);
+        by_handle.bump(beats, 1);
+        by_name.incr("namenode", "rpc.heartbeat", 1);
+        assert_eq!(by_handle.counter("namenode", "rpc.heartbeat"), 1, "a counter again");
+        assert_eq!(by_handle, by_name);
+        let snap = by_handle.snapshot(SimTime(41));
+        assert!(snap.get("namenode", "rpc.rename").is_none(), "{idle:?} was never bumped");
+        assert_eq!(snap.samples.len(), 4);
+        assert_eq!(by_handle.len(), 4);
+
+        // A clone shares the handles; another registry ignores them.
+        let mut twin = by_handle.clone();
+        twin.bump(ops, 1);
+        assert_eq!(twin.counter("namenode", "rpc.add_block"), 821);
+        let mut stranger = MetricsRegistry::new();
+        stranger.bump(ops, 1);
+        assert!(stranger.is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Touching an existing instrument allocates nothing.
 //!
-//! Every NameNode RPC, heartbeat and DataNode block write bumps a counter
-//! by `(&str, &str)`; building the two key `String`s per touch is two
-//! allocations on each of them. Strings are built once, when an instrument
-//! is created.
+//! Every DataNode block write bumps a counter by `(&str, &str)`, and every
+//! NameNode RPC and heartbeat through a handle resolved once; building the
+//! two key `String`s per touch would be two allocations on each of them.
+//! Strings are built once, when an instrument's slot is made.
 //!
 //! One test, because the counter is process-wide: a second test on
 //! another thread would be counted into this one.
@@ -121,4 +121,20 @@ fn touching_an_existing_instrument_allocates_nothing() {
         .all(|w| (w[0].daemon.as_str(), w[0].name.as_str())
             < (w[1].daemon.as_str(), w[1].name.as_str())));
     assert_eq!(snap.samples.len(), r.len());
+
+    let counters: Vec<_> = all.iter().filter(|(_, _, kind)| *kind == 0).collect();
+    let (handles, blocks) =
+        counted(|| counters.iter().map(|(d, n, _)| r.counter_handle(d, n)).collect::<Vec<_>>());
+    assert_eq!(blocks, 1, "resolving existing counters allocates only the list");
+    let ((), blocks) = counted(|| {
+        for round in 0..100 {
+            for &h in &handles {
+                r.bump(h, round);
+            }
+        }
+    });
+    assert_eq!(blocks, 0, "bumps through handles");
+    for (daemon, name, _) in counters {
+        assert_eq!(r.counter(daemon, name), 1 + 2 * (0..100).sum::<u64>());
+    }
 }
