@@ -44,7 +44,8 @@ impl Pool {
 
     /// Test seam: `workers` threads whatever this host has and however
     /// small the work (1 = never a thread). Only the `#[doc(hidden)]`
-    /// seams of `MrCluster` and `Dfs` build one.
+    /// seams of `MrCluster` and `Dfs`, and the corpus generator's tests,
+    /// build one.
     #[doc(hidden)]
     pub fn forced(workers: usize) -> Self {
         Pool { workers, min_bytes: 0 }

@@ -8,6 +8,8 @@
 //! ranges are ordered, concatenating `part-r-00000..part-r-NNNNN` yields a
 //! **globally sorted** result — something hash partitioning can never give.
 
+use std::collections::HashSet;
+
 use hl_mapreduce::api::{MapContext, Mapper, ReduceContext, Reducer};
 use hl_mapreduce::job::{Job, JobConf};
 
@@ -38,12 +40,17 @@ impl Reducer for CountReducer {
 }
 
 /// Build cut points by sampling every `stride`-th distinct token of the
-/// input — the "sampler job" TeraSort runs first, done inline here.
+/// input — the "sampler job" TeraSort runs first, done inline here. Only
+/// the distinct tokens are sorted, collected in first-seen order (the set
+/// is asked, never walked).
 pub fn sample_cut_points(text: &str, num_reduces: usize) -> Vec<String> {
-    let mut tokens: Vec<&str> = text.split_whitespace().collect();
+    if num_reduces <= 1 {
+        return Vec::new();
+    }
+    let mut seen = HashSet::new();
+    let mut tokens: Vec<&str> = text.split_whitespace().filter(|t| seen.insert(*t)).collect();
     tokens.sort_unstable();
-    tokens.dedup();
-    if tokens.is_empty() || num_reduces <= 1 {
+    if tokens.is_empty() {
         return Vec::new();
     }
     (1..num_reduces).map(|i| tokens[i * tokens.len() / num_reduces].to_string()).collect()
@@ -82,6 +89,44 @@ mod tests {
         assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
         assert!(sample_cut_points("", 4).is_empty());
         assert!(sample_cut_points("a b", 1).is_empty());
+    }
+
+    /// The sampler before it collected distinct tokens first: every token
+    /// sorted, then deduplicated.
+    fn sort_then_dedup_cut_points(text: &str, num_reduces: usize) -> Vec<String> {
+        let mut tokens: Vec<&str> = text.split_whitespace().collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        if tokens.is_empty() || num_reduces <= 1 {
+            return Vec::new();
+        }
+        (1..num_reduces).map(|i| tokens[i * tokens.len() / num_reduces].to_string()).collect()
+    }
+
+    #[test]
+    fn distinct_tokens_first_cut_where_sorting_every_token_did() {
+        let (hsgen_text, _) = crate::tpcxhs::hsgen(42, 30_000);
+        let (wide_text, _) = CorpusGen::new(3).generate(30_000);
+        let texts = [
+            hsgen_text.as_str(),
+            wide_text.as_str(),
+            "",
+            " \n\t ",
+            "solo",
+            "solo solo\nsolo",
+            "b a c a b\td\ne",
+        ];
+        for text in texts {
+            for reduces in [0, 1, 2, 3, 7, 64, 1_000] {
+                assert_eq!(
+                    sample_cut_points(text, reduces),
+                    sort_then_dedup_cut_points(text, reduces),
+                    "{reduces} reduces over {:?}",
+                    &text[..text.len().min(24)]
+                );
+            }
+        }
+        assert_eq!(sample_cut_points("solo", 3), ["solo", "solo"]);
     }
 
     #[test]
