@@ -13,10 +13,13 @@
 //! to the lowest-numbered run, so group values keep run order then
 //! intra-run order, which students observe as deterministic reducer input.
 //!
-//! A run whose next key repeats the key it just yielded keeps the
-//! tournament without a replay: it was the lowest-numbered run holding the
-//! smallest key, and it still is. Uncombined wordcount runs are mostly
-//! such repeats.
+//! A run whose next record is marked as repeating the key it just yielded
+//! keeps the tournament without a replay: it was the lowest-numbered run
+//! holding the smallest key, and it still is. Uncombined wordcount runs
+//! are mostly such repeats. The merge's own output marks its repeats the
+//! same way: while one run keeps winning, that run's marks hold for the
+//! output, and only where the champion switches runs is a key compared
+//! with the one yielded before it. Grouping reads those marks.
 
 use crate::sortbuf::{Record, Records, SortedRun};
 
@@ -44,10 +47,13 @@ pub struct MergeIter<'a> {
     /// `tree[leaves + r]` is leaf `r`. Internal nodes hold the run index
     /// winning that sub-tournament.
     tree: Vec<usize>,
-    /// The champion also won the previous replay, so its next key is worth
-    /// one comparison against the key it just yielded. Runs without
-    /// duplicate keys rarely win twice in a row and never pay for it.
+    /// The champion also won the previous replay, so it yielded the
+    /// record before, and its next record's repeat mark says whether it
+    /// still holds the smallest key.
     streak: bool,
+    /// The key yielded at the last replay; a streak yields only repeats of
+    /// it. A switch of runs compares the new champion's key with it.
+    last_key: Option<&'a [u8]>,
 }
 
 impl<'a> MergeIter<'a> {
@@ -65,7 +71,7 @@ impl<'a> MergeIter<'a> {
                 Cursor { head: rest.next(), rest }
             })
             .collect();
-        let mut it = MergeIter { cursors, leaves, tree, streak: false };
+        let mut it = MergeIter { cursors, leaves, tree, streak: false, last_key: None };
         for n in (1..leaves).rev() {
             it.tree[n] = it.play(it.tree[2 * n], it.tree[2 * n + 1]);
         }
@@ -96,21 +102,27 @@ impl<'a> MergeIter<'a> {
         }
     }
 
-    /// The next record, frame included — `next` for a merge that copies
-    /// records verbatim.
+    /// The next record, its `repeat` marking a key equal to the record
+    /// yielded before it.
     #[inline]
     pub(crate) fn next_record(&mut self) -> Option<Record<'a>> {
         let r = self.tree[1];
         let cursor = self.cursors.get_mut(r)?;
-        let record = cursor.head?;
+        let mut record = cursor.head?;
         let next = cursor.rest.next();
         cursor.head = next;
         debug_assert!(next.is_none_or(|n| n.key >= record.key), "run {r} not sorted");
-        if self.streak && next.is_some_and(|n| n.key == record.key) {
+        if !self.streak {
+            // A switch of runs (or the first record): the run's mark
+            // speaks of a record some other run may have yielded since.
+            record.repeat = self.last_key == Some(record.key);
+        }
+        if self.streak && next.is_some_and(|n| n.repeat) {
             // Still the lowest-numbered run holding the smallest key:
             // every match on its path would come out as it did.
             return Some(record);
         }
+        self.last_key = Some(record.key);
         self.replay(r);
         Some(record)
     }
@@ -140,7 +152,8 @@ impl<'a> Iterator for MergeIter<'a> {
 /// for one key gathered, still borrowing from the runs.
 pub struct GroupIter<'a> {
     inner: MergeIter<'a>,
-    pending: Option<(&'a [u8], &'a [u8])>,
+    /// The first record of the next group, read while ending this one.
+    pending: Option<Record<'a>>,
 }
 
 impl<'a> GroupIter<'a> {
@@ -149,20 +162,20 @@ impl<'a> GroupIter<'a> {
     /// merge allocates for the largest group only.
     pub fn next_into(&mut self, values: &mut Vec<&'a [u8]>) -> Option<&'a [u8]> {
         values.clear();
-        let (k, v) = match self.pending.take() {
-            Some(kv) => kv,
-            None => self.inner.next()?,
+        let first = match self.pending.take() {
+            Some(record) => record,
+            None => self.inner.next_record()?,
         };
-        values.push(v);
-        for (k2, v2) in self.inner.by_ref() {
-            if k2 == k {
-                values.push(v2);
+        values.push(first.value);
+        while let Some(record) = self.inner.next_record() {
+            if record.repeat {
+                values.push(record.value);
             } else {
-                self.pending = Some((k2, v2));
+                self.pending = Some(record);
                 break;
             }
         }
-        Some(k)
+        Some(first.key)
     }
 }
 
