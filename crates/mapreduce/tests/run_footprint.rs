@@ -2,10 +2,13 @@
 //!
 //! A map's output runs are framed as IFile frames a spill: two varint
 //! lengths per record beside the key and value bytes, and no per-record
-//! index. For wordcount every length is under 128, so a record costs its
-//! bytes plus two. A 12-byte slot per record, an arena reserved for more
-//! than it holds, or a spill kept past the final merge shows up here as
-//! megabytes over the budget.
+//! index. For wordcount every length is under 128, so a record costs at
+//! most its bytes plus two, the budget here; one that repeats the key
+//! before it stores no key and costs less (`sortbuf`'s
+//! `a_wordcount_split_frames_at_most_eleven_bytes_a_record` holds that
+//! saving). A 12-byte slot per record, an arena reserved for more than it
+//! holds, or a spill kept past the final merge shows up here as megabytes
+//! over the budget.
 //!
 //! One test, because the counter is process-wide: a second test on
 //! another thread would be counted into this one.
