@@ -22,14 +22,19 @@
 //! kind, `AttemptFinished`, stands for "a stage of this launch ends". A
 //! slot is busy from its attempt's launch until the attempt is over, and
 //! every slot an attempt runs on — first try, retry or backup — is idle at
-//! the instant the loop launches it. A task has a primary flight and at
-//! most one backup beside it; the first of them to reach its commit
-//! commits, and the loop kills the other then. A flight that ends without
-//! committing re-queues its task when it was the task's last one in the
-//! air. `EventQueue` has no cancel, so every launch is numbered and an
-//! event whose number the table no longer holds (a killed or preempted
-//! flight) is stale: it retires nothing and the instant it pops at is not
-//! visited.
+//! the instant the loop launches it.
+//!
+//! The flight table is the only record of a task's race. A task has a
+//! primary flight and at most one backup beside it; the first of them to
+//! reach its commit commits, and the loop kills the other then. A flight
+//! that fails leaves the other racing on alone, and a backup stays a backup
+//! when it is left alone. A flight that ends without committing re-queues
+//! its task when it was the task's last one in the air. The loop tells the
+//! body once for each flight that ends, and how it ended ([`Ending`]): the
+//! body books its attempt, and a backup's race, from that report alone.
+//! `EventQueue` has no cancel, so every launch is numbered and an event
+//! whose number the table no longer holds (a killed or preempted flight)
+//! is stale: it retires nothing and the instant it pops at is not visited.
 
 use std::collections::BTreeSet;
 
@@ -59,12 +64,13 @@ pub struct JobInProgress {
     /// Nodes this job has blacklisted in its current phase: their slots are
     /// hidden from it, and from it only.
     pub blacklist: Vec<NodeId>,
-    /// `running[i]`'s primary flight and its backup, if it has one.
-    flights: Vec<(Flight, Option<Flight>)>,
+    /// `running[i]`'s primary flight and its backup, each while it flies:
+    /// a flight's place is its [`Flight::backup`].
+    flights: Vec<[Option<Flight>; 2]>,
 }
 
-/// One launched attempt: where it runs, since when, and when its current
-/// stage ends.
+/// One launched attempt: where it runs, since when, when its current stage
+/// ends, and whether it is its task's speculative backup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flight {
     /// Index into the kind's slot table.
@@ -74,6 +80,9 @@ pub struct Flight {
     /// When its current stage ends and its `AttemptFinished` fires; once
     /// the attempt is over, when it ended.
     pub end: SimTime,
+    /// Launched by [`TaskBody::backups`]; still true once its primary is
+    /// gone and it flies alone.
+    pub backup: bool,
     /// Which launch this is; a killed or preempted attempt's event is stale.
     launch: u64,
 }
@@ -81,8 +90,24 @@ pub struct Flight {
 impl Flight {
     /// An attempt on `slot` since `start` whose current stage ends at `end`.
     pub fn new(slot: usize, start: SimTime, end: SimTime) -> Self {
-        Flight { slot, start, end, launch: 0 }
+        Flight { slot, start, end, backup: false, launch: 0 }
     }
+}
+
+/// How a flight ended, as the loop reports it to [`TaskBody::ended`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ending {
+    /// It committed its task.
+    Committed,
+    /// It failed: its task is back in `pending` unless the other flight
+    /// still flies.
+    Failed,
+    /// The task's other flight reached its commit first.
+    Killed,
+    /// The policy preempted its task, which is back in `pending`.
+    Preempted,
+    /// Its job was aborted ([`JobTracker::abort`]).
+    Aborted,
 }
 
 /// How an attempt goes on when one of its stages ends.
@@ -117,31 +142,33 @@ pub struct Launch {
 pub trait TaskBody {
     /// Start the attempt at [`JobTracker::now`] and run its first stage;
     /// returns when that stage ends, or `None` when the body aborted the
-    /// job instead.
+    /// job instead. A body aborts a job with [`JobTracker::abort`] and
+    /// reports the flights it hands back to its own [`TaskBody::ended`],
+    /// as [`Ending::Aborted`].
     fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<SimTime>;
 
     /// A stage of `f`, an attempt of `job`'s `task`, ended at
     /// [`JobTracker::now`]: run the next one. `None` when the body aborted
-    /// the job instead.
+    /// the job instead. Which flight wins a race is the loop's decision,
+    /// reported through [`TaskBody::ended`], not the body's.
     fn stage(&mut self, jt: &mut JobTracker, job: usize, task: u32, f: &Flight) -> Option<Next>;
 
-    /// `f` is over: the task committed (`ok`; its other flight, if any,
-    /// was killed), or it is back in `pending` unless its other flight is
-    /// still in the air. A body with a next phase starts it here
-    /// ([`JobTracker::start_phase`]); a job left with nothing pending and
-    /// nothing running is complete.
-    fn finished(&mut self, jt: &mut JobTracker, job: usize, task: u32, f: &Flight, ok: bool);
-
-    /// The policy preempted the task whose primary is `flight` at
-    /// [`JobTracker::now`]; the task is back in `pending` and the slots of
-    /// both its flights are free.
-    fn preempted(&mut self, jt: &mut JobTracker, job: usize, task: u32, flight: &Flight);
+    /// `f`, an attempt of `job`'s `task`, is over at [`JobTracker::now`]
+    /// (its `end`) the way `how` says, and its slot is free; called once
+    /// for each flight the loop launched. The table is already updated: a
+    /// task whose flights have all ended is back in `pending` or gone from
+    /// `running`. A preempted task's flights are reported primary first;
+    /// a committed flight after the other flight it killed. A body with a
+    /// next phase starts it on a commit ([`JobTracker::start_phase`]); a
+    /// job left with nothing pending and nothing running is complete.
+    fn ended(&mut self, jt: &mut JobTracker, job: usize, task: u32, f: &Flight, how: Ending);
 
     /// `idle` are the `kind` slots idle at [`JobTracker::now`] that no
     /// job's pending work wants, offered while a task of that kind is
     /// running. The body may start a backup of a running task on some of
     /// them and returns them as `(job, task, flight)`, each flight's `end`
-    /// the end of its first stage. None by default.
+    /// the end of its first stage; the loop puts each beside its task's
+    /// lone primary and marks it [`Flight::backup`]. None by default.
     fn backups(
         &mut self,
         _jt: &mut JobTracker,
@@ -151,7 +178,8 @@ pub trait TaskBody {
         Vec::new()
     }
 
-    /// Locality distance of running `job`'s `task` on `node`.
+    /// Locality distance of `job`'s map `task` on `node`; the loop asks
+    /// about maps only.
     fn distance(&self, _node: NodeId, _job: usize, _task: u32) -> u32 {
         0
     }
@@ -279,15 +307,20 @@ impl JobTracker {
     }
 
     /// Drop everything `job` still has queued or in flight (it failed).
-    pub fn abort(&mut self, job: usize) {
-        let j = &mut self.jobs[job];
+    /// Returns the flights it drained, each with its task and ended now,
+    /// for the body to report as [`Ending::Aborted`].
+    pub fn abort(&mut self, job: usize) -> Vec<(u32, Flight)> {
+        let (now, j) = (self.queue.now(), &mut self.jobs[job]);
+        let slots = &mut self.slots[j.kind as usize];
         j.pending.clear();
-        j.running.clear();
-        let (kind, now) = (j.kind as usize, self.queue.now());
-        for (p, b) in j.flights.drain(..) {
-            std::iter::once(p).chain(b).for_each(|f| self.slots[kind][f.slot].free_at = now);
-        }
         self.active.retain(|&a| a != job);
+        (j.running.drain(..).zip(j.flights.drain(..)))
+            .flat_map(|(t, pair)| pair.into_iter().flatten().map(move |f| (t, f)))
+            .map(|(t, f)| {
+                slots[f.slot].free_at = now;
+                (t, Flight { end: now, ..f })
+            })
+            .collect()
     }
 
     /// One slot of `kind`'s table.
@@ -369,16 +402,12 @@ impl JobTracker {
         Some(now)
     }
 
-    /// The flight launched as `launch` if it is still in the table: its
-    /// task's index in `running`, the flight and the task's other one.
-    fn find(&self, job: usize, task: u32, launch: u64) -> Option<(usize, Flight, Option<Flight>)> {
+    /// The flight launched as `launch` if it is still in the table, and its
+    /// task's index in `running`.
+    fn find(&self, job: usize, task: u32, launch: u64) -> Option<(usize, Flight)> {
         let j = &self.jobs[job];
         let i = j.running.binary_search(&task).ok()?;
-        match j.flights[i] {
-            (p, b) if p.launch == launch => Some((i, p, b)),
-            (p, Some(b)) if b.launch == launch => Some((i, b, Some(p))),
-            _ => None,
-        }
+        Some((i, j.flights[i].into_iter().flatten().find(|f| f.launch == launch)?))
     }
 
     /// Run the next stage of the flight launched as `launch`, unless it has
@@ -387,21 +416,16 @@ impl JobTracker {
     /// fails leaves it running. Returns whether a slot or a task changed
     /// hands.
     fn advance(&mut self, body: &mut dyn TaskBody, job: usize, task: u32, launch: u64) -> bool {
-        let Some((i, flight, other)) = self.find(job, task, launch) else { return false };
+        let Some((i, flight)) = self.find(job, task, launch) else { return false };
         let Some(next) = body.stage(self, job, task, &flight) else { return true };
-        let (kind, now, j) = (self.jobs[job].kind, self.now(), &mut self.jobs[job]);
+        let (j, b) = (&mut self.jobs[job], usize::from(flight.backup));
         let commits = matches!(next, Next::Commit(_) | Next::Done(true));
-        let (killed, other) = if commits { (other, None) } else { (None, other) };
+        let killed = if commits { j.flights[i][1 - b].take() } else { None };
+        j.flights[i][b] = None;
         if let Next::Stage(end) | Next::Commit(end) = next {
             self.queue.schedule_at(end, Event::AttemptFinished { job, task, launch });
-            let f = Flight { end, ..flight };
-            j.flights[i] = match other {
-                Some(p) if p.launch < launch => (p, Some(f)),
-                _ => (f, other),
-            };
-        } else if let Some(other) = other {
-            j.flights[i] = (other, None);
-        } else {
+            j.flights[i][b] = Some(Flight { end, ..flight });
+        } else if j.flights[i] == [None, None] {
             j.running.remove(i);
             j.flights.remove(i);
             if !commits {
@@ -409,17 +433,23 @@ impl JobTracker {
             }
         }
         if let Some(other) = killed {
-            self.release(kind, &other);
+            self.end(body, job, task, other, Ending::Killed);
         }
         let Next::Done(_) = next else { return killed.is_some() };
-        let flight = Flight { end: now, ..flight };
-        self.release(kind, &flight);
-        body.finished(self, job, task, &flight, commits);
+        self.end(body, job, task, flight, if commits { Ending::Committed } else { Ending::Failed });
         let j = &self.jobs[job];
         if j.pending.is_empty() && j.running.is_empty() {
             self.active.retain(|&a| a != job);
         }
         true
+    }
+
+    /// `flight` of `job`'s `task` is over now: its slot is idle from now,
+    /// and the body is told how it ended.
+    fn end(&mut self, body: &mut dyn TaskBody, job: usize, task: u32, flight: Flight, how: Ending) {
+        let flight = Flight { end: self.now(), ..flight };
+        self.slots[self.jobs[job].kind as usize][flight.slot].free_at = flight.end;
+        body.ended(self, job, task, &flight, how);
     }
 
     fn preempt(&mut self, body: &mut dyn TaskBody, kind: TaskKind) {
@@ -441,14 +471,13 @@ impl JobTracker {
             };
             let jip = &mut self.jobs[j];
             jip.running.remove(i);
-            let (flight, backup) = jip.flights.remove(i);
+            let pair = jip.flights.remove(i);
             jip.pending.push(task);
-            for f in std::iter::once(&flight).chain(&backup) {
-                self.release(kind, f);
-            }
             self.owed_rerun.insert((j, task));
             self.tally.preempted += 1;
-            body.preempted(self, j, task, &flight);
+            for f in pair.into_iter().flatten() {
+                self.end(body, j, task, f, Ending::Preempted);
+            }
         }
     }
 
@@ -478,7 +507,7 @@ impl JobTracker {
                 return;
             }
             let states: Vec<SlotState> = shown.iter().map(|&i| table[i]).collect();
-            let env = ViewEnv { body: &*body, ids: &ids };
+            let env = ViewEnv { body: (kind == TaskKind::Map).then_some(&*body), ids: &ids };
             let Some(a) = self.scheduler.next_assignment(now, &states, &views, &env) else {
                 return;
             };
@@ -506,7 +535,7 @@ impl JobTracker {
                 let jip = &mut self.jobs[job];
                 let at = jip.running.binary_search(&task).unwrap_or_else(|i| i);
                 jip.running.insert(at, task);
-                jip.flights.insert(at, (flight, None));
+                jip.flights.insert(at, [Some(flight), None]);
             }
         }
     }
@@ -530,18 +559,14 @@ impl JobTracker {
         }
         for (job, task, flight) in body.backups(self, kind, &idle) {
             let at = self.jobs.get(job).and_then(|j| j.running.binary_search(&task).ok());
-            let Some(i) = at.filter(|&i| self.jobs[job].flights[i].1.is_none()) else {
+            let Some(i) = at.filter(|&i| matches!(self.jobs[job].flights[i], [Some(_), None]))
+            else {
                 self.invalid = Some(format!("backed up ({job}, {task}), not a lone primary"));
                 return;
             };
-            let flight = self.schedule(kind, job, task, flight);
-            self.jobs[job].flights[i].1 = Some(flight);
+            let flight = self.schedule(kind, job, task, Flight { backup: true, ..flight });
+            self.jobs[job].flights[i][1] = Some(flight);
         }
-    }
-
-    /// `flight` is over: its `kind` slot is idle from now.
-    fn release(&mut self, kind: TaskKind, flight: &Flight) {
-        self.slots[kind as usize][flight.slot].free_at = self.now();
     }
 }
 
@@ -571,14 +596,15 @@ fn views<'a>(
 }
 
 /// The body's locality answers, re-indexed from the policy's job slice to
-/// the table.
+/// the table. Only a map has a distance: for reduces there is no `body` to
+/// ask, and every slot is 0.
 struct ViewEnv<'a> {
-    body: &'a dyn TaskBody,
+    body: Option<&'a dyn TaskBody>,
     ids: &'a [usize],
 }
 
 impl SchedulerEnv for ViewEnv<'_> {
     fn distance(&self, node: NodeId, job: usize, task: u32) -> u32 {
-        self.ids.get(job).map_or(u32::MAX, |&j| self.body.distance(node, j, task))
+        self.ids.get(job).map_or(u32::MAX, |&j| self.body.map_or(0, |b| b.distance(node, j, task)))
     }
 }

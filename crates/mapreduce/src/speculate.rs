@@ -6,11 +6,14 @@
 //! attempt of it on a different node — the LATE insight that on a
 //! heterogeneous cluster "slow relative to the median" beats "slow in
 //! absolute terms". This module is the policy half: the [`Speculator`]
-//! estimates and proposes; the engine validates every proposal (exactly
-//! as it validates scheduler assignments), runs it stage by stage, and
-//! settles the race: the first attempt of a task to reach its commit
-//! commits, and the other is killed then. Accounting is closed by
-//! construction:
+//! estimates and proposes, and the engine validates every proposal
+//! (exactly as it validates scheduler assignments) and runs it stage by
+//! stage. The JobTracker loop ([`crate::jobtracker`]) settles the race: the
+//! first flight of a task to reach its commit commits, and the loop kills
+//! the other then. The loop reports each flight's end once, and the engine
+//! books the race from that report ([`SpecAttempt`], `spec.*`): a backup
+//! that committed won, one that failed lost, and one that ended any other
+//! way was killed. Accounting is closed by construction:
 //!
 //! ```text
 //! spec.launched == spec.won + spec.lost + spec.killed
@@ -23,7 +26,9 @@
 //! * **killed** — the primary reached its commit first; the speculative
 //!   attempt is killed then, wasting its partial runtime;
 //! * **lost** — the speculative attempt itself died (injected failure,
-//!   OOM) before either could win.
+//!   OOM) before either could win;
+//! * a backup preempted with its task, or aborted with its job, is
+//!   **killed** too.
 //!
 //! The wasted side of each outcome accumulates in `spec.wasted_us` — the
 //! cost-model price of insurance that the TPCx-HS ablation (EXPERIMENTS
@@ -73,8 +78,9 @@ pub struct SpecAttempt {
     pub node: u32,
     /// When the speculative attempt launched.
     pub start: SimTime,
-    /// When the race settled (win: this attempt's commit; killed: the
-    /// primary's commit; lost: when the failure burned out).
+    /// When the race settled (win: when this attempt reached its commit;
+    /// killed: the primary's commit, or the preemption or abort; lost:
+    /// when the failure burned out).
     pub end: SimTime,
     /// Who won the race.
     pub outcome: SpecOutcome,

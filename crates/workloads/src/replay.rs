@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hl_common::prelude::*;
 use hl_datagen::google_trace::{event, parse_event_full};
-use hl_mapreduce::jobtracker::{Flight, JobTracker, Launch, Next, TaskBody};
+use hl_mapreduce::jobtracker::{Ending, Flight, JobTracker, Launch, Next, TaskBody};
 use hl_mapreduce::report::TaskKind;
 use hl_mapreduce::scheduler::{
     CapacityScheduler, FairScheduler, FifoScheduler, QueueSpec, Scheduler, SlotState,
@@ -347,7 +347,7 @@ impl ReplayOutcome {
 /// The trace [`TaskBody`]: an attempt runs for the duration its trace row
 /// recorded and ends the way the row ended. Also the run's bookkeeping —
 /// the assignment log, the metrics and the per-job/per-pool tallies all
-/// hang off the three moments the loop reports.
+/// hang off the launches and the ends the loop reports.
 struct TraceBody<'a> {
     jobs: &'a [ReplayJob],
     duration_scale: u64,
@@ -406,48 +406,44 @@ impl TaskBody for TraceBody<'_> {
         Some(Next::Done(row.is_none_or(|a| a.outcome == event::FINISH)))
     }
 
-    fn finished(
-        &mut self,
-        jt: &mut JobTracker,
-        j: usize,
-        task: u32,
-        flight: &Flight,
-        commits: bool,
-    ) {
+    /// A trace terminal other than FINISH consumes the attempt; a policy
+    /// preemption does not, and the same trace row runs again in full.
+    /// The replay launches no backups and aborts no job.
+    fn ended(&mut self, jt: &mut JobTracker, j: usize, task: u32, flight: &Flight, how: Ending) {
         let (now, job) = (jt.now(), &self.jobs[j]);
         *self.pool_busy.entry(job.pool.clone()).or_default() += flight.end.since(flight.start).0;
-        if commits {
-            self.progress[j].done += 1;
-            if self.progress[j].done == job.tasks.len() {
-                self.completed += 1;
-                self.makespan = self.makespan.max(now);
-                self.log.push_str(&format!("t={} job={} done\n", now.0, job.job_id));
+        match how {
+            Ending::Committed => {
+                self.progress[j].done += 1;
+                if self.progress[j].done == job.tasks.len() {
+                    self.completed += 1;
+                    self.makespan = self.makespan.max(now);
+                    self.log.push_str(&format!("t={} job={} done\n", now.0, job.job_id));
+                }
             }
-            return;
+            Ending::Failed => {
+                // Trace terminal: EVICT/FAIL/KILL/LOST → resubmission.
+                let outcome = self.attempt(j, task).map_or(0, |a| a.outcome);
+                *self.progress[j].next_attempt.entry(task).or_default() += 1;
+                *self.trace_requeues.entry(job.job_id).or_default() += 1;
+                self.metrics.incr("scheduler", "trace.requeued", 1);
+                if outcome == event::EVICT {
+                    *self.evict_requeues.entry(job.job_id).or_default() += 1;
+                    self.metrics.incr("scheduler", "trace.evicted", 1);
+                }
+                self.log.push_str(&format!(
+                    "t={} job={} task={task} requeue ev={outcome}\n",
+                    now.0, job.job_id
+                ));
+            }
+            Ending::Preempted => {
+                self.metrics.incr("scheduler", "preempted", 1);
+                self.metrics.incr("scheduler", "requeued", 1);
+                self.log
+                    .push_str(&format!("t={} job={} task={task} preempted\n", now.0, job.job_id));
+            }
+            Ending::Killed | Ending::Aborted => {}
         }
-        // Trace terminal: EVICT/FAIL/KILL/LOST → resubmission.
-        let outcome = self.attempt(j, task).map_or(0, |a| a.outcome);
-        *self.progress[j].next_attempt.entry(task).or_default() += 1;
-        *self.trace_requeues.entry(job.job_id).or_default() += 1;
-        self.metrics.incr("scheduler", "trace.requeued", 1);
-        if outcome == event::EVICT {
-            *self.evict_requeues.entry(job.job_id).or_default() += 1;
-            self.metrics.incr("scheduler", "trace.evicted", 1);
-        }
-        self.log.push_str(&format!(
-            "t={} job={} task={task} requeue ev={outcome}\n",
-            now.0, job.job_id
-        ));
-    }
-
-    /// A policy preemption does not consume the attempt: the same trace
-    /// row runs again in full.
-    fn preempted(&mut self, jt: &mut JobTracker, j: usize, task: u32, flight: &Flight) {
-        let (now, job) = (jt.now(), &self.jobs[j]);
-        *self.pool_busy.entry(job.pool.clone()).or_default() += now.since(flight.start).0;
-        self.metrics.incr("scheduler", "preempted", 1);
-        self.metrics.incr("scheduler", "requeued", 1);
-        self.log.push_str(&format!("t={} job={} task={task} preempted\n", now.0, job.job_id));
     }
 }
 
