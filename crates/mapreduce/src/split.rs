@@ -60,6 +60,9 @@ pub fn compute_splits(dfs: &Dfs, input_paths: &[String]) -> Result<Vec<InputSpli
 /// following blocks until a newline or EOF appears beyond the boundary).
 pub struct LineReader<'a> {
     data: &'a [u8],
+    /// `data` from the first owned record to its end, when that is valid
+    /// UTF-8 (checked once, in `new`), with the index it starts at.
+    text: Option<(usize, &'a str)>,
     split_len: usize,
     pos: usize,
     offset: u64,
@@ -78,28 +81,32 @@ impl<'a> LineReader<'a> {
     ///   this boundary are emitted.
     /// * `offset` — the split's byte offset in the file (for record keys).
     pub fn new(prev_byte: Option<u8>, data: &'a [u8], split_len: usize, offset: u64) -> Self {
-        let mut reader = LineReader { data, split_len: split_len.min(data.len()), pos: 0, offset };
-        if let Some(b) = prev_byte {
-            if b != b'\n' {
-                // Skip the tail of the previous split's last record.
-                match data.iter().position(|&x| x == b'\n') {
-                    Some(i) => reader.pos = i + 1,
-                    None => reader.pos = data.len(), // nothing starts here
-                }
-            }
+        let mut pos = 0;
+        if prev_byte.is_some_and(|b| b != b'\n') {
+            // Skip the tail of the previous split's last record; if no
+            // newline follows, nothing starts here.
+            pos = data.iter().position(|&x| x == b'\n').map_or(data.len(), |i| i + 1);
         }
-        reader
+        // Lines end at `\n`, an ASCII byte, so every line of valid text is
+        // valid text too, and is lent without another check.
+        let text = std::str::from_utf8(&data[pos..]).ok().map(|text| (pos, text));
+        LineReader { data, text, split_len: split_len.min(data.len()), pos, offset }
     }
 
     /// The next record as `(file offset of its first byte, line)`, the line
-    /// borrowed from the split's bytes. Only a line that is not valid
-    /// UTF-8 is copied (lossily, as `TextInputFormat` decodes it).
+    /// borrowed from the split's bytes. Only a split that is not valid
+    /// UTF-8 is decoded line by line, and only such a line is copied
+    /// (lossily, as `TextInputFormat` decodes it).
     pub fn next_line(&mut self) -> Option<(u64, Cow<'a, str>)> {
         if self.pos >= self.split_len {
             return None;
         }
         let start = self.pos;
-        let line_end = match self.data[start..].iter().position(|&b| b == b'\n') {
+        let newline = match self.text {
+            Some((base, text)) => text[start - base..].find('\n'),
+            None => self.data[start..].iter().position(|&b| b == b'\n'),
+        };
+        let mut end = match newline {
             Some(i) => {
                 self.pos = start + i + 1;
                 start + i
@@ -109,14 +116,14 @@ impl<'a> LineReader<'a> {
                 self.data.len()
             }
         };
-        let mut line = &self.data[start..line_end];
-        if line.last() == Some(&b'\r') {
-            line = &line[..line.len() - 1];
+        if end > start && self.data[end - 1] == b'\r' {
+            end -= 1;
         }
-        if line.is_empty() && line_end == self.data.len() && start == line_end {
-            return None; // trailing EOF with no content
-        }
-        Some((self.offset + start as u64, String::from_utf8_lossy(line)))
+        let line = match self.text {
+            Some((base, text)) => Cow::Borrowed(&text[start - base..end - base]),
+            None => String::from_utf8_lossy(&self.data[start..end]),
+        };
+        Some((self.offset + start as u64, line))
     }
 }
 
@@ -236,6 +243,70 @@ mod tests {
         assert_eq!(lines, vec!["cd"]);
     }
 
+    /// The reader before it checked a split's text once: every line found
+    /// byte by byte and decoded on its own.
+    fn reference(
+        prev_byte: Option<u8>,
+        data: &[u8],
+        split_len: usize,
+        offset: u64,
+    ) -> Vec<(u64, Cow<'_, str>)> {
+        let split_len = split_len.min(data.len());
+        let mut pos = 0;
+        if let Some(b) = prev_byte {
+            if b != b'\n' {
+                match data.iter().position(|&x| x == b'\n') {
+                    Some(i) => pos = i + 1,
+                    None => pos = data.len(),
+                }
+            }
+        }
+        let mut out = Vec::new();
+        while pos < split_len {
+            let start = pos;
+            let line_end = match data[start..].iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    pos = start + i + 1;
+                    start + i
+                }
+                None => {
+                    pos = data.len();
+                    data.len()
+                }
+            };
+            let mut line = &data[start..line_end];
+            if line.last() == Some(&b'\r') {
+                line = &line[..line.len() - 1];
+            }
+            if line.is_empty() && line_end == data.len() && start == line_end {
+                break;
+            }
+            out.push((offset + start as u64, String::from_utf8_lossy(line)));
+        }
+        out
+    }
+
+    /// Pieces of a file: letters, line ends of every kind and multi-byte
+    /// characters (a split may start inside one), then, from `VALID` on,
+    /// bytes that are not UTF-8.
+    const PIECES: [&[u8]; 14] = [
+        b"a",
+        b"b",
+        b" ",
+        b"word",
+        b"\n",
+        b"\n",
+        b"\r\n",
+        b"\r",
+        "\u{e9}".as_bytes(),
+        "\u{1F600}".as_bytes(),
+        b"\xFF",
+        b"\x80",
+        b"\xC3",
+        b"\xF0\x9F\x98",
+    ];
+    const VALID: usize = 10;
+
     proptest::proptest! {
         #[test]
         fn prop_lines_survive_random_cuts(
@@ -244,6 +315,41 @@ mod tests {
         ) {
             let joined = text.join("\n");
             check_split_reading(&joined, bs);
+        }
+
+        #[test]
+        fn prop_one_check_per_split_reads_what_each_line_decoded(
+            pieces in proptest::collection::vec(
+                proptest::prop_oneof![12 => 0..VALID, 1 => VALID..PIECES.len()],
+                0..60,
+            ),
+            valid_only: bool,
+            at in 0usize..1000,
+            split_len in 0usize..80,
+            first_prev in 0usize..3,
+        ) {
+            let data: Vec<u8> = pieces
+                .iter()
+                .filter(|&&i| !valid_only || i < VALID)
+                .flat_map(|&i| PIECES[i].iter().copied())
+                .collect();
+            // Anywhere in the file, mid-character included; at the start,
+            // no byte before, a newline before or another byte before.
+            let from = at * (data.len() + 1) / 1000;
+            let prev_byte = match from.checked_sub(1) {
+                Some(p) => Some(data[p]),
+                None => [None, Some(b'\n'), Some(b'x')][first_prev],
+            };
+            let split = &data[from..];
+            let mut reader = LineReader::new(prev_byte, split, split_len, from as u64);
+            let got: Vec<_> = std::iter::from_fn(|| reader.next_line()).collect();
+            let want = reference(prev_byte, split, split_len, from as u64);
+            // Offsets, text, and which lines are lent rather than copied.
+            let lent = |lines: &[(u64, Cow<str>)]| -> Vec<bool> {
+                lines.iter().map(|(_, l)| matches!(l, Cow::Borrowed(_))).collect()
+            };
+            proptest::prop_assert_eq!(&got, &want, "{:?} from {} prev {:?}", data, from, prev_byte);
+            proptest::prop_assert_eq!(lent(&got), lent(&want));
         }
 
         #[test]

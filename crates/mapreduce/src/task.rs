@@ -73,8 +73,8 @@ struct SpillSink<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>> {
 impl<K: SortableKey, V: Writable, C: Combiner<K = K, V = V>> MapOutputSink<K, V>
     for SpillSink<K, V, C>
 {
-    fn collect(&mut self, key: K, value: V) {
-        self.buf.collect(&key, &value, self.combiner.as_mut(), &mut self.counters);
+    fn collect(&mut self, key: &K, value: V) {
+        self.buf.collect(key, &value, self.combiner.as_mut(), &mut self.counters);
     }
 }
 

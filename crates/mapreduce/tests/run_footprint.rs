@@ -63,7 +63,7 @@ fn map_output_retains_its_records_and_two_bytes_each() {
     let data = text.as_bytes();
     let job = Job::new(
         JobConf::new("run-footprint").reduces(4).sort_buffer(64 << 10),
-        || WcMapper,
+        WcMapper::default,
         || WcReducer,
     );
     let side = SideFiles::new();

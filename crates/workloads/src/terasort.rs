@@ -10,19 +10,25 @@
 
 use std::collections::HashSet;
 
-use hl_mapreduce::api::{MapContext, Mapper, ReduceContext, Reducer};
+use hl_mapreduce::api::{words, MapContext, Mapper, ReduceContext, Reducer};
 use hl_mapreduce::job::{Job, JobConf};
 
 /// Identity-ish mapper: emits `(word, 1)` per token (we sort the corpus's
-/// vocabulary with counts, which keeps outputs small and checkable).
-pub struct TokenMapper;
+/// vocabulary with counts, which keeps outputs small and checkable). Like
+/// `WcMapper`, it reuses one key `String` for the whole task.
+#[derive(Default)]
+pub struct TokenMapper {
+    token: String,
+}
 
 impl Mapper for TokenMapper {
     type KOut = String;
     type VOut = u64;
     fn map(&mut self, _o: u64, line: &str, ctx: &mut MapContext<String, u64>) {
-        for tok in line.split_whitespace() {
-            ctx.emit(tok.to_string(), 1);
+        for tok in words(line) {
+            self.token.clear();
+            self.token.push_str(tok);
+            ctx.emit(&self.token, 1);
         }
     }
 }
@@ -48,7 +54,7 @@ pub fn sample_cut_points(text: &str, num_reduces: usize) -> Vec<String> {
         return Vec::new();
     }
     let mut seen = HashSet::new();
-    let mut tokens: Vec<&str> = text.split_whitespace().filter(|t| seen.insert(*t)).collect();
+    let mut tokens: Vec<&str> = words(text).filter(|t| seen.insert(*t)).collect();
     tokens.sort_unstable();
     if tokens.is_empty() {
         return Vec::new();
@@ -66,7 +72,7 @@ pub fn sorted_wordcount(
     let reduces = cut_points.len() + 1;
     Job::new(
         JobConf::new("total-order-wordcount").input(input).output(output).reduces(reduces),
-        || TokenMapper,
+        TokenMapper::default,
         || CountReducer,
     )
     .partitioned_by(move |key: &String, _bytes, n| {
@@ -159,7 +165,7 @@ mod tests {
         let (text, _) = CorpusGen::new(8).with_vocab(300).generate(15_000);
         let job = Job::new(
             JobConf::new("hashed").input("/i").output("/o").reduces(4),
-            || TokenMapper,
+            TokenMapper::default,
             || CountReducer,
         );
         let report = LocalRunner::serial()

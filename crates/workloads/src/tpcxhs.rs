@@ -56,7 +56,7 @@ pub fn hssort(
     let reduces = cut_points.len() + 1;
     Job::new(
         JobConf::new("hssort").input(input).output(output).reduces(reduces),
-        || TokenMapper,
+        TokenMapper::default,
         || CountReducer,
     )
     .partitioned_by(move |key: &String, _bytes, n| {
@@ -263,7 +263,7 @@ mod tests {
         let (corpus, _) = hsgen(7, 5_000);
         let job = Job::new(
             JobConf::new("hashed").input("/i").output("/o").reduces(3),
-            || TokenMapper,
+            TokenMapper::default,
             || CountReducer,
         );
         let hashed = run_local(&job, &[("c.txt".to_string(), corpus.into_bytes())]);

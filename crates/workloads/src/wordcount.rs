@@ -13,18 +13,28 @@
 
 use std::collections::BTreeMap;
 
-use hl_mapreduce::api::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use hl_mapreduce::api::{words, Combiner, MapContext, Mapper, ReduceContext, Reducer};
 use hl_mapreduce::job::{Job, JobConf};
 
 /// Tokenizing mapper: emits `(word, 1)` per token.
-pub struct WcMapper;
+///
+/// It keeps one `String` for the task, overwrites it with each word and
+/// emits it by reference, as Hadoop's WordCount sets one reused `Text`
+/// per word: `emit` serializes the key at once, so a fresh `String` per
+/// word would only be a `malloc` and a `free` per record.
+#[derive(Default)]
+pub struct WcMapper {
+    word: String,
+}
 
 impl Mapper for WcMapper {
     type KOut = String;
     type VOut = u64;
     fn map(&mut self, _offset: u64, line: &str, ctx: &mut MapContext<String, u64>) {
-        for word in line.split_whitespace() {
-            ctx.emit(word.to_string(), 1);
+        for word in words(line) {
+            self.word.clear();
+            self.word.push_str(word);
+            ctx.emit(&self.word, 1);
         }
     }
 }
@@ -63,7 +73,7 @@ impl Mapper for InMapperWcMapper {
     type VOut = u64;
 
     fn map(&mut self, _offset: u64, line: &str, _ctx: &mut MapContext<String, u64>) {
-        for word in line.split_whitespace() {
+        for word in words(line) {
             *self.table.entry(word.to_string()).or_default() += 1;
         }
     }
@@ -112,7 +122,7 @@ pub fn wordcount(
 ) -> Job<WcMapper, WcReducer, hl_mapreduce::api::NoCombiner<String, u64>> {
     Job::new(
         JobConf::new("wordcount").input(input).output(output).reduces(reduces),
-        || WcMapper,
+        WcMapper::default,
         || WcReducer,
     )
 }
@@ -125,7 +135,7 @@ pub fn wordcount_combiner(
 ) -> Job<WcMapper, WcReducer, WcCombiner> {
     Job::with_combiner(
         JobConf::new("wordcount+combiner").input(input).output(output).reduces(reduces),
-        || WcMapper,
+        WcMapper::default,
         || WcReducer,
         || WcCombiner,
     )
@@ -148,7 +158,7 @@ pub fn wordcount_inmapper(
 pub fn top_word(input: &str, output: &str) -> Job<WcMapper, TopWordReducer, WcCombiner> {
     Job::with_combiner(
         JobConf::new("top-word").input(input).output(output).reduces(1),
-        || WcMapper,
+        WcMapper::default,
         TopWordReducer::default,
         || WcCombiner,
     )
