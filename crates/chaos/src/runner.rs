@@ -705,6 +705,8 @@ fn slow_node_bp(factor_pct: u32) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use hl_common::pool::Pool;
+
     use super::*;
 
     #[test]
@@ -809,7 +811,9 @@ mod tests {
             .into_iter()
             .filter_map(|n| runner.cluster.dfs.datanode(n))
             .filter(|d| d.has_block(id))
-            .filter(|d| matches!(d.read_block(id), Err(HlError::ChecksumMismatch { .. })))
+            .filter(|d| {
+                matches!(d.read_block(id, &Pool::host()), Err(HlError::ChecksumMismatch { .. }))
+            })
             .count();
         assert_eq!(bad, 1, "exactly one replica rotted");
         // A client read fails over to a clean replica and still decodes
@@ -843,7 +847,9 @@ mod tests {
             .into_iter()
             .filter_map(|n| runner.cluster.dfs.datanode(n))
             .filter(|d| d.has_block(id))
-            .filter(|d| matches!(d.read_block(id), Err(HlError::ChecksumMismatch { .. })))
+            .filter(|d| {
+                matches!(d.read_block(id, &Pool::host()), Err(HlError::ChecksumMismatch { .. }))
+            })
             .count();
         assert_eq!(bad, 1, "exactly one replica rotted");
     }

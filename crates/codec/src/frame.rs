@@ -20,6 +20,7 @@
 //! [`ChunkedChecksum`]: hl_common::checksum::ChunkedChecksum
 
 use hl_common::checksum::Crc32;
+use hl_common::pool::Pool;
 use hl_common::prelude::*;
 use hl_common::writable::{read_vu64, write_vu64, Writable};
 
@@ -167,19 +168,37 @@ pub fn decode_frame_into(header: &FrameHeader, payload: &[u8], out: &mut Vec<u8>
     let raw_len = usize::try_from(header.raw_len)
         .map_err(|_| HlError::Codec("frame raw_len overflows usize".into()))?;
     let start = out.len();
+    out.resize(start + raw_len, 0);
+    let result = decode_frame_to(header, payload, &mut out[start..]);
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
+}
+
+/// Decode one parsed frame into `dst`, which holds exactly its raw bytes,
+/// verifying the CRC.
+pub fn decode_frame_to(header: &FrameHeader, payload: &[u8], dst: &mut [u8]) -> Result<()> {
+    if dst.len() as u64 != header.raw_len {
+        return Err(HlError::Codec(format!(
+            "frame declared {} raw bytes, given {} to decode into",
+            header.raw_len,
+            dst.len()
+        )));
+    }
     match header.method {
-        CodecId::Null if payload.len() != raw_len => {
+        CodecId::Null if payload.len() != dst.len() => {
             return Err(HlError::Codec(format!(
-                "stored payload is {} bytes, frame declared {raw_len}",
-                payload.len()
+                "stored payload is {} bytes, frame declared {}",
+                payload.len(),
+                dst.len()
             )));
         }
-        CodecId::Null => out.extend_from_slice(payload),
-        CodecId::Hlz => lz::decompress_block_into(payload, raw_len, out)?,
+        CodecId::Null => dst.copy_from_slice(payload),
+        CodecId::Hlz => lz::decompress_block_to(payload, dst)?,
     }
-    let crc = Crc32::checksum(&out[start..]);
+    let crc = Crc32::checksum(dst);
     if crc != header.crc {
-        out.truncate(start);
         return Err(HlError::Codec(format!(
             "frame CRC mismatch: header says {:08x}, decoded bytes hash to {crc:08x}",
             header.crc
@@ -201,6 +220,58 @@ pub fn decode_frames_into(bytes: &[u8], at: usize, out: &mut Vec<u8>) -> Result<
         pos = next;
     }
     Ok(())
+}
+
+/// Decode the frames of `parts`, each a run of whole frames as every block
+/// of a codec-framed DFS file is, into one buffer: `run_frames` frames to
+/// a piece of `pool`'s work.
+///
+/// The headers are parsed front to back first, so that each run knows
+/// where its bytes go. The buffer is allocated here, at the sum of their
+/// raw lengths (each at most [`MAX_FRAME_RAW_LEN`]). Each run then decodes
+/// and CRC-checks its frames into its own slice of it. The result is what
+/// [`decode_frames_into`] gives over `parts` one after another, error
+/// included: that of the first frame in order that fails to parse or to
+/// decode.
+pub fn decode_frame_runs(
+    parts: &[impl AsRef<[u8]>],
+    run_frames: usize,
+    pool: &Pool,
+) -> Result<Vec<u8>> {
+    let mut frames = Vec::new();
+    let mut unparsed = Ok(());
+    'parts: for part in parts {
+        let part = part.as_ref();
+        let mut at = 0;
+        while at < part.len() {
+            match parse_frame(part, at) {
+                Ok((header, payload, next)) => {
+                    frames.push((header, payload));
+                    at = next;
+                }
+                Err(e) => {
+                    unparsed = Err(e);
+                    break 'parts;
+                }
+            }
+        }
+    }
+    // `parse_frame` bounds every raw length, so each fits a `usize`.
+    let raw_len = |header: &FrameHeader| usize::try_from(header.raw_len).unwrap_or(usize::MAX);
+    let runs: Vec<&[(FrameHeader, &[u8])]> = frames.chunks(run_frames.max(1)).collect();
+    let lens: Vec<usize> = runs.iter().map(|run| run.iter().map(|f| raw_len(&f.0)).sum()).collect();
+    let total: usize = lens.iter().sum();
+    let mut out = vec![0; total];
+    let decoded = pool.fill_indexed(&mut out, lens, total as u64, |r, mut dst| {
+        for (header, payload) in runs[r] {
+            let (frame, rest) = std::mem::take(&mut dst).split_at_mut(raw_len(header));
+            decode_frame_to(header, payload, frame)?;
+            dst = rest;
+        }
+        Ok(())
+    });
+    decoded.into_iter().collect::<Result<()>>()?;
+    unparsed.map(|()| out)
 }
 
 /// Decode a whole container back to its original bytes.
@@ -359,8 +430,101 @@ mod tests {
         assert_eq!(find_sync(&container, container.len().saturating_sub(7)), None);
     }
 
+    /// `container` cut at the frame boundaries `cuts` picks, as a DFS file
+    /// is cut into blocks, after `damage` flipped bytes of it and dropped
+    /// its last `short` bytes.
+    fn damaged_parts(
+        container: &[u8],
+        cuts: &[usize],
+        damage: &[(usize, u8)],
+        short: usize,
+    ) -> Vec<Vec<u8>> {
+        let boundaries = frame_boundaries(container);
+        let mut bytes = container.to_vec();
+        for &(at, mask) in damage {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+        }
+        bytes.truncate(bytes.len().saturating_sub(short));
+        let mut ends: Vec<usize> =
+            cuts.iter().map(|c| boundaries[c % boundaries.len()].min(bytes.len())).collect();
+        ends.push(bytes.len());
+        ends.sort_unstable();
+        let mut from = 0;
+        ends.into_iter()
+            .map(|end| {
+                let part = bytes[from..end].to_vec();
+                from = end;
+                part
+            })
+            .collect()
+    }
+
+    /// What decoding `parts` one after another gives: the bytes, or the
+    /// first error's text.
+    fn frame_after_frame(parts: &[Vec<u8>]) -> std::result::Result<Vec<u8>, String> {
+        let mut out = Vec::new();
+        for part in parts {
+            decode_frames_into(part, 0, &mut out).map_err(|e| e.to_string())?;
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn frame_runs_decode_each_frame_into_its_own_slice() {
+        let data = b"runs of frames decode side by side ".repeat(9_000);
+        let container = compress_container(CodecId::Hlz, &data);
+        let n = data.len().div_ceil(FRAME_RAW_CHUNK);
+        for cuts in [vec![], vec![1], vec![2, 3]] {
+            let parts = damaged_parts(&container, &cuts, &[], 0);
+            for (run_frames, workers) in [(1, 1), (1, 3), (2, 2), (n, 2), (n + 1, 4)] {
+                let got = decode_frame_runs(&parts, run_frames, &Pool::forced(workers)).unwrap();
+                assert!(got == data, "cuts {cuts:?}, {run_frames} frames a run, {workers} workers");
+            }
+        }
+        // Two bad frames in different runs: the earlier one's error comes out.
+        let boundaries = frame_boundaries(&container);
+        let (early, late) = (boundaries[1] + 40, boundaries[n - 1] + 40);
+        let parts = damaged_parts(&container, &[2], &[(late, 0x10), (early, 0x04)], 0);
+        let want = frame_after_frame(&parts).unwrap_err();
+        let got = decode_frame_runs(&parts, 1, &Pool::forced(3)).unwrap_err().to_string();
+        assert_eq!(got, want);
+        assert!(decode_frame_runs(&[[0u8; 0]; 3], 4, &Pool::forced(2)).unwrap().is_empty());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: fuzz_cases(64), ..ProptestConfig::default() })]
+
+        /// Frame runs on one to five workers decode what frame after frame
+        /// decodes, over whole and damaged containers cut into parts at
+        /// frame boundaries, and fail with the same first error.
+        #[test]
+        fn prop_frame_runs_decode_what_frame_after_frame_decodes(
+            unit in proptest::collection::vec(any::<u8>(), 1..24),
+            len in 0usize..(4 * FRAME_RAW_CHUNK + 100),
+            noisy in any::<bool>(),
+            cuts in proptest::collection::vec(any::<usize>(), 0..4),
+            run_frames in 1usize..6,
+            workers in 1usize..6,
+            damage in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..3),
+            short in prop_oneof![Just(0usize), 1usize..40],
+        ) {
+            let data = if noisy {
+                crate::lcg_bytes(len as u64, len)
+            } else {
+                unit.repeat(len / unit.len() + 1)[..len].to_vec()
+            };
+            let container = compress_container(CodecId::Hlz, &data);
+            let whole = damaged_parts(&container, &cuts, &[], 0);
+            let pool = Pool::forced(workers);
+            let got = decode_frame_runs(&whole, run_frames, &pool).map_err(|e| e.to_string());
+            prop_assert_eq!(got, Ok(data));
+            let parts = damaged_parts(&container, &cuts, &damage, short);
+            let got = decode_frame_runs(&parts, run_frames, &pool).map_err(|e| e.to_string());
+            prop_assert_eq!(got, frame_after_frame(&parts));
+        }
 
         #[test]
         fn prop_container_round_trips(

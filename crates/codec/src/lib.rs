@@ -27,8 +27,9 @@ pub mod frame;
 pub mod lz;
 
 pub use frame::{
-    compress_container, decode_frame_into, decode_frames_into, decompress_container, find_sync,
-    parse_frame, FrameEncoder, FrameHeader, FRAME_RAW_CHUNK, SYNC_MARKER,
+    compress_container, decode_frame_into, decode_frame_runs, decode_frame_to, decode_frames_into,
+    decompress_container, find_sync, parse_frame, FrameEncoder, FrameHeader, FRAME_RAW_CHUNK,
+    SYNC_MARKER,
 };
 
 use hl_common::prelude::*;

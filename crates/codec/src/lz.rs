@@ -200,14 +200,15 @@ const WIDE: usize = 16;
 pub fn decompress_block_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
     let start = out.len();
     out.resize(start + raw_len, 0);
-    let result = decode(src, &mut out[start..]);
+    let result = decompress_block_to(src, &mut out[start..]);
     if result.is_err() {
         out.truncate(start);
     }
     result
 }
 
-/// Decode `src` so that it fills `dst` exactly.
+/// Decompress one block so that it fills `dst` exactly: the decoder
+/// itself, which [`decompress_block_into`] runs on the tail it appends.
 ///
 /// The slack rule: a wide copy writes `WIDE` bytes at the cursor and then
 /// advances it by the sequence's real length, so it may scribble up to
@@ -216,7 +217,7 @@ pub fn decompress_block_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> R
 /// every later sequence overwrites them before anything reads them,
 /// because a match may only read below the cursor. Near either buffer's
 /// end the exact-length copies take over.
-fn decode(src: &[u8], dst: &mut [u8]) -> Result<()> {
+pub fn decompress_block_to(src: &[u8], dst: &mut [u8]) -> Result<()> {
     let mut i = 0usize; // read cursor in src
     let mut o = 0usize; // write cursor in dst
     loop {

@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 
+use hl_common::pool::Pool;
 use hl_common::prelude::*;
 
 use crate::block::{
@@ -120,13 +121,14 @@ impl DataNode {
         self.blocks.get(&id).map(|s| s.gen_stamp)
     }
 
-    /// Read a replica's bytes, verifying checksums.
-    pub fn read_block(&self, id: BlockId) -> Result<Bytes> {
+    /// Read a replica's bytes, verifying checksums in runs of chunks on
+    /// `pool` when that pays.
+    pub fn read_block(&self, id: BlockId, pool: &Pool) -> Result<Bytes> {
         if !self.alive {
             return Err(HlError::DaemonDown(format!("datanode/{}", self.node)));
         }
         match self.blocks.get(&id) {
-            Some(stored) => stored.read_verified(),
+            Some(stored) => stored.read_verified(pool),
             None => Err(HlError::MissingBlock { block_id: id.0, path: String::new() }),
         }
     }
@@ -280,7 +282,7 @@ mod tests {
         let mut d = dn();
         d.store_block(BlockId(1), BlockPayload::real(vec![9u8; 4096])).unwrap();
         assert!(d.has_block(BlockId(1)));
-        assert_eq!(d.read_block(BlockId(1)).unwrap().len(), 4096);
+        assert_eq!(d.read_block(BlockId(1), &Pool::host()).unwrap().len(), 4096);
         assert_eq!(d.used_bytes(), 4096);
         assert_eq!(d.num_blocks(), 1);
     }
@@ -321,21 +323,21 @@ mod tests {
         let mut d = dn();
         d.store_block(BlockId(1), BlockPayload::real(vec![1u8; 10])).unwrap();
         d.crash();
-        assert!(matches!(d.read_block(BlockId(1)), Err(HlError::DaemonDown(_))));
+        assert!(matches!(d.read_block(BlockId(1), &Pool::host()), Err(HlError::DaemonDown(_))));
         assert!(matches!(
             d.store_block(BlockId(2), BlockPayload::real(vec![1u8; 10])),
             Err(HlError::DaemonDown(_))
         ));
         d.restart();
         // Blocks survived the process crash.
-        assert_eq!(d.read_block(BlockId(1)).unwrap().len(), 10);
+        assert_eq!(d.read_block(BlockId(1), &Pool::host()).unwrap().len(), 10);
     }
 
     #[test]
     fn missing_block_error() {
         let d = dn();
         assert!(matches!(
-            d.read_block(BlockId(404)),
+            d.read_block(BlockId(404), &Pool::host()),
             Err(HlError::MissingBlock { block_id: 404, .. })
         ));
     }

@@ -1,12 +1,17 @@
-//! The host pool changes how fast a write runs on the host and nothing else.
+//! The host pool changes how fast a write or a read runs on the host and
+//! nothing else.
 //!
-//! The part of a write that is a function of its bytes alone —
-//! checksumming blocks in `put`, compressing frames in `put_compressed` —
-//! may run on `hl_common::pool`'s threads; everything
-//! with simulated state stays on the caller's. So the same write with one
+//! The part of a write that is a function of its bytes alone — copying
+//! and checksumming blocks in `put`, compressing frames in
+//! `put_compressed` — may run on `hl_common::pool`'s threads, and so may
+//! that of a read: verifying a replica's checksums, decoding runs of
+//! frames, copying blocks into the file's buffer. Everything with
+//! simulated state stays on the caller's. So the same write with one
 //! worker (no thread at all), two and five must leave the same bytes on
 //! the same DataNodes, the same journal and image, the same instant on
-//! the clock and the same metrics.
+//! the clock and the same metrics; and the same read must hand back the
+//! same bytes at the same instant, with the same metrics and the same
+//! network charges.
 //!
 //! CI runs this file a second time under `taskset -c 0`; the forced
 //! worker counts start their threads there too, on one CPU.
@@ -21,6 +26,7 @@ use hl_common::prelude::*;
 use hl_common::writable::Writable;
 use hl_dfs::block::BlockPayload;
 use hl_dfs::{Dfs, PipelineFault};
+use hl_metrics::MetricsRegistry;
 
 const BLOCK: usize = 96 * 1024;
 const FRAME: usize = hl_codec::FRAME_RAW_CHUNK;
@@ -87,7 +93,7 @@ fn write(workers: usize, data: &[u8], codec: CodecId, fault: Option<PipelineFaul
     // A checkpoint inside every multi-block write: the image is compared too.
     config.set(keys::DFS_CHECKPOINT_OPS, 3u64);
     let mut dfs = Dfs::format(&config, &spec).unwrap();
-    dfs.force_write_workers(workers);
+    dfs.force_host_workers(workers);
     let mut net = ClusterNet::new(&spec);
     dfs.namenode.mkdirs("/w").unwrap();
     if let Some(fault) = fault {
@@ -223,4 +229,91 @@ fn a_write_under_the_floor_takes_the_inline_path() {
         assert!(!host.pays(blocks, MIN_BYTES.saturating_sub(1)));
     }
     assert!(!host.pays(1, 1 << 30), "one block has nothing to share");
+}
+
+/// What one read left behind, as comparable values.
+#[derive(Debug, PartialEq, Eq)]
+struct ReadOutcome {
+    /// Blocks the file was stored in.
+    blocks: usize,
+    /// The bytes and `completed_at` in µs, or the error's text.
+    got: std::result::Result<(Vec<u8>, u64), String>,
+    metrics_hash: u64,
+    /// Every pipe's and disk's charges, as the network exports them.
+    net_hash: u64,
+    remote_bytes: u64,
+    late_charges: u64,
+    corrupt_replicas: u64,
+}
+
+/// `data` written with `codec` in blocks of `block` bytes, with one worker,
+/// then read back from `NodeId(2)` by a client on `workers` threads; with
+/// `rot`, the reader's own replica of the first block is corrupt first.
+fn read(workers: usize, data: &[u8], codec: CodecId, block: u64, rot: bool) -> ReadOutcome {
+    let spec = ClusterSpec::course_hadoop(5);
+    let mut config = Configuration::with_defaults();
+    config.set(keys::DFS_BLOCK_SIZE, block);
+    let mut dfs = Dfs::format(&config, &spec).unwrap();
+    dfs.force_host_workers(1);
+    let mut net = ClusterNet::new(&spec);
+    dfs.namenode.mkdirs("/r").unwrap();
+    let put = dfs.put_compressed(&mut net, SimTime::ZERO, "/r/f", data, None, codec).unwrap();
+    let mut reader = NodeId(2);
+    let blocks = dfs.file_blocks("/r/f").unwrap();
+    if rot {
+        let (id, _, holders) = blocks[0].clone();
+        reader = holders[0];
+        assert!(dfs.datanode_mut(reader).unwrap().corrupt_block(id, 4_000));
+    }
+    dfs.force_host_workers(workers);
+    let got = dfs.read(&mut net, put.completed_at, "/r/f", Some(reader));
+    let done = got.as_ref().map_or(put.completed_at, |t| t.completed_at);
+    let snapshot = dfs.metrics_snapshot(done);
+    let mut charges = MetricsRegistry::new();
+    net.export_metrics(done, &mut charges);
+    ReadOutcome {
+        blocks: blocks.len(),
+        got: got.map(|t| (t.value, t.completed_at.as_micros())).map_err(|e| e.to_string()),
+        metrics_hash: fnv1a(&snapshot.to_bytes()),
+        net_hash: fnv1a(&charges.snapshot(done).to_bytes()),
+        remote_bytes: net.remote_bytes(),
+        late_charges: net.late_charges(),
+        corrupt_replicas: snapshot.counter("dfs.client", "read.corrupt_replicas"),
+    }
+}
+
+/// The read on one worker, checked against what was written, after
+/// holding the two- and five-worker reads to it.
+fn read_the_same_on_every_pool(data: &[u8], codec: CodecId, block: u64, rot: bool) -> ReadOutcome {
+    let inline = read(1, data, codec, block, rot);
+    for workers in [2, 5] {
+        let pooled = read(workers, data, codec, block, rot);
+        assert!(pooled == inline, "{workers} workers, {codec}, {} bytes, rot {rot}", data.len());
+    }
+    let (bytes, _) = inline.got.as_ref().expect("the file reads back");
+    assert!(bytes == data, "the file reads back as written");
+    assert_eq!(inline.late_charges, 0);
+    assert_eq!(inline.corrupt_replicas, u64::from(rot));
+    inline
+}
+
+#[test]
+fn reads_are_the_same_on_every_pool() {
+    let text = compressible(40 * FRAME + 7);
+    let noise = incompressible(5 * FRAME + 17);
+    for rot in [false, true] {
+        // One block of many frame runs: two runs of sixteen frames and a
+        // short one.
+        let out = read_the_same_on_every_pool(&text, CodecId::Hlz, 8 << 20, rot);
+        assert_eq!(out.blocks, 1);
+        // Many blocks, plain and framed.
+        let plain = &text[..6 * BLOCK + 100];
+        assert_eq!(read_the_same_on_every_pool(plain, CodecId::Null, BLOCK as u64, rot).blocks, 7);
+        assert!(read_the_same_on_every_pool(&text, CodecId::Hlz, BLOCK as u64, rot).blocks > 2);
+        // Every frame stored: one a block, the 17-byte one riding along.
+        assert_eq!(read_the_same_on_every_pool(&noise, CodecId::Hlz, BLOCK as u64, rot).blocks, 5);
+    }
+    // One plain block, verified in runs of chunks and copied in pieces.
+    let out = read_the_same_on_every_pool(&text[..2 * BLOCK], CodecId::Null, 8 << 20, true);
+    assert_eq!(out.blocks, 1);
 }

@@ -10,6 +10,7 @@
 
 use std::collections::HashSet;
 
+use hl_common::hash::FnvBuildHasher;
 use hl_mapreduce::api::{words, MapContext, Mapper, ReduceContext, Reducer};
 use hl_mapreduce::job::{Job, JobConf};
 
@@ -48,12 +49,12 @@ impl Reducer for CountReducer {
 /// Build cut points by sampling every `stride`-th distinct token of the
 /// input — the "sampler job" TeraSort runs first, done inline here. Only
 /// the distinct tokens are sorted, collected in first-seen order (the set
-/// is asked, never walked).
+/// is asked, never walked, so an FNV-1a hasher serves it).
 pub fn sample_cut_points(text: &str, num_reduces: usize) -> Vec<String> {
     if num_reduces <= 1 {
         return Vec::new();
     }
-    let mut seen = HashSet::new();
+    let mut seen = HashSet::with_hasher(FnvBuildHasher::default());
     let mut tokens: Vec<&str> = words(text).filter(|t| seen.insert(*t)).collect();
     tokens.sort_unstable();
     if tokens.is_empty() {
