@@ -60,6 +60,7 @@ pub fn scale_numbers(nodes: u64, blocks: u64) -> Result<String> {
 /// and, for an indented line, the heading it stands under (the nearest
 /// line above it that starts in column 0: the first line of a `repro`
 /// section); empty means the two agree.
+// lint:allow(R9): the comparer tests/golden_traces.rs calls; tested below
 pub fn golden_diff(golden: &str, actual: &str) -> Vec<String> {
     let (mut pinned, mut produced) = (golden.lines(), actual.lines());
     let mut heading = "";

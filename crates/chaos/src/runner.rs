@@ -30,12 +30,12 @@ use crate::plan::{Fault, FaultPlan};
 use crate::scenario::{ScenarioPack, NODES};
 
 /// The staged input every round's job reads.
-pub const INPUT: &str = "/in/corpus.txt";
+const INPUT: &str = "/in/corpus.txt";
 
 /// The same corpus stored through the hl-codec frame path: blocks hold
 /// whole frames, reads decode transparently. The compressed-path pack
 /// points its rounds here; every pack's durability oracle re-reads it.
-pub const INPUT_PACKED: &str = "/in/corpus.hlz";
+const INPUT_PACKED: &str = "/in/corpus.hlz";
 
 /// Owner string for the session's own (live, legitimate) port bindings.
 pub(crate) const SESSION_OWNER: &str = "chaos-session";
@@ -739,7 +739,10 @@ mod tests {
     fn ghost_injection_blocks_rebind_until_cron() {
         let mut runner = ChaosRunner::new(ScenarioPack::GhostPorts, 3).unwrap();
         runner.ghost_daemon(NodeId(1), 50_100);
-        assert_eq!(runner.campus.ports.ghosts_on(NodeId(1)), 1);
+        assert_eq!(
+            runner.campus.ports.holder(NodeId(1), 50_100).map(|(_, alive)| alive),
+            Some(false)
+        );
         assert!(runner.violations.is_empty(), "{:?}", runner.violations);
         // The teardown oracle sweeps it.
         oracle::verify_ports(&mut runner);

@@ -57,7 +57,7 @@ pub struct HeapLeakModel {
 impl HeapLeakModel {
     /// Hadoop-1-era defaults: 1 GB daemon heap, ~200 MB resident after
     /// start, and a leaky student task pinning ~64 MB per run.
-    pub fn hadoop1_default() -> Self {
+    fn hadoop1_default() -> Self {
         Self::new(ByteSize::GIB, 200 * ByteSize::MIB, 64 * ByteSize::MIB)
     }
 

@@ -242,6 +242,7 @@ impl ClusterNet {
     /// Write to the shared parallel FS (Figure 1(a) only). Same contract
     /// as [`ClusterNet::read_shared_storage`]: no shared store is a
     /// wiring error, not a panic.
+    // lint:allow(R9): Figure 1's shared-store writes; ROADMAP 2(b) gives it its DFS caller
     pub fn write_shared_storage(
         &mut self,
         now: SimTime,

@@ -26,7 +26,7 @@ pub struct NodeSpec {
 impl NodeSpec {
     /// The paper's dedicated-cluster node: dual 8-core, 64 GB RAM, 850 GB
     /// HDD (~120 MB/s sequential), gigabit Ethernet (~117 MiB/s).
-    pub fn palmetto_2013() -> Self {
+    fn palmetto_2013() -> Self {
         NodeSpec {
             cores: 16,
             ram_bytes: 64 * ByteSize::GIB,
@@ -37,7 +37,7 @@ impl NodeSpec {
     }
 
     /// A diskless HPC compute node (storage lives on the parallel FS).
-    pub fn hpc_compute_2013() -> Self {
+    fn hpc_compute_2013() -> Self {
         NodeSpec { disk_bytes: 0, ..Self::palmetto_2013() }
     }
 }
@@ -78,11 +78,6 @@ impl PerfProfile {
     pub fn uniform(bp: u32) -> Self {
         let bp = bp.clamp(1, Self::NOMINAL_BP);
         PerfProfile { cpu_mult: bp, disk_mult: bp, nic_mult: bp }
-    }
-
-    /// True when all three components run at nominal speed.
-    pub fn is_nominal(&self) -> bool {
-        *self == Self::NOMINAL
     }
 
     /// Scale a pipe bandwidth by a basis-point multiplier, never below
@@ -321,7 +316,7 @@ impl HeterogeneousClusterSpec {
     /// Throttled-VM tier: `count` nodes pinned to a static `bp` profile
     /// from time zero — the paper's Version-1 supercomputer VMs whose
     /// virtual NICs never ran at spec.
-    pub fn throttled_tier(self, seed: u64, count: usize, bp: u32) -> Self {
+    fn throttled_tier(self, seed: u64, count: usize, bp: u32) -> Self {
         let mut spec = self;
         for node in spec.pick_nodes(seed, 0x5456, count) {
             spec = spec.with_model(node, DegradeModel::Static(PerfProfile::uniform(bp)));
@@ -332,7 +327,7 @@ impl HeterogeneousClusterSpec {
     /// Noisy neighbors: `count` nodes suffer a co-tenant interference
     /// window at half speed, each window's start and length varied by the
     /// seed (30–90 s in, 60–180 s long).
-    pub fn noisy_neighbors(self, seed: u64, count: usize) -> Self {
+    fn noisy_neighbors(self, seed: u64, count: usize) -> Self {
         let mut spec = self;
         let mut state = seed ^ (0x4e4e << 32);
         for node in spec.pick_nodes(seed, 0x4e4e, count) {
@@ -351,7 +346,7 @@ impl HeterogeneousClusterSpec {
     /// Progressive stragglers: `count` nodes decay toward `floor_bp` over
     /// a seed-varied 60–180 s ramp starting 10–40 s in — the slowly dying
     /// disk that steps nowhere.
-    pub fn progressive_stragglers(self, seed: u64, count: usize, floor_bp: u32) -> Self {
+    fn progressive_stragglers(self, seed: u64, count: usize, floor_bp: u32) -> Self {
         let mut spec = self;
         let mut state = seed ^ (0x5053 << 32);
         for node in spec.pick_nodes(seed, 0x5053, count) {
@@ -431,7 +426,7 @@ mod tests {
             ramp: SimDuration::from_secs(10),
             floor: PerfProfile::uniform(2_000),
         };
-        assert!(m.profile_at(SimTime::ZERO).is_nominal());
+        assert_eq!(m.profile_at(SimTime::ZERO), PerfProfile::NOMINAL);
         let mid = m.profile_at(SimTime(6_000_000)); // halfway down the ramp
         assert_eq!(mid.cpu_mult, 6_000);
         let low = m.profile_at(SimTime(60_000_000));
@@ -445,9 +440,9 @@ mod tests {
             until: SimTime(10_000_000),
             during: PerfProfile::uniform(5_000),
         };
-        assert!(w.profile_at(SimTime(4_999_999)).is_nominal());
+        assert_eq!(w.profile_at(SimTime(4_999_999)), PerfProfile::NOMINAL);
         assert_eq!(w.profile_at(SimTime(5_000_000)).nic_mult, 5_000);
-        assert!(w.profile_at(SimTime(10_000_000)).is_nominal());
+        assert_eq!(w.profile_at(SimTime(10_000_000)), PerfProfile::NOMINAL);
 
         let p = DegradeModel::Periodic {
             from: SimTime::ZERO,
@@ -456,7 +451,7 @@ mod tests {
             during: PerfProfile::uniform(1_000),
         };
         assert_eq!(p.profile_at(SimTime(1_000_000)).disk_mult, 1_000);
-        assert!(p.profile_at(SimTime(3_000_000)).is_nominal());
+        assert_eq!(p.profile_at(SimTime(3_000_000)), PerfProfile::NOMINAL);
         assert_eq!(p.profile_at(SimTime(6_000_000)).disk_mult, 1_000, "second period");
     }
 

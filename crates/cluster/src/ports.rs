@@ -52,7 +52,7 @@ struct Binding {
 /// Tracks which (node, port) pairs are bound and by whom.
 #[derive(Debug, Clone, Default)]
 pub struct PortRegistry {
-    // Ordered map: ghost sweeps and `ghosts_on` iterate, and the chaos
+    // Ordered map: ghost sweeps iterate, and the chaos
     // soak hashes event traces — iteration order must be deterministic.
     bindings: BTreeMap<(NodeId, u16), Binding>,
 }
@@ -124,11 +124,6 @@ impl PortRegistry {
         self.bindings.get(&(node, port)).map(|b| (b.owner.as_str(), b.owner_alive))
     }
 
-    /// Count of ghost bindings on a node.
-    pub fn ghosts_on(&self, node: NodeId) -> usize {
-        self.bindings.iter().filter(|((n, _), b)| *n == node && !b.owner_alive).count()
-    }
-
     /// Total bindings.
     pub fn len(&self) -> usize {
         self.bindings.len()
@@ -169,7 +164,7 @@ mod tests {
         let mut reg = PortRegistry::new();
         reg.bind(SimTime::ZERO, NodeId(3), well_known::TASKTRACKER_HTTP, "alice").unwrap();
         assert_eq!(reg.orphan_owner("alice"), 1);
-        assert_eq!(reg.ghosts_on(NodeId(3)), 1);
+        assert_eq!(reg.holder(NodeId(3), well_known::TASKTRACKER_HTTP), Some(("alice", false)));
         // Bob gets the node next and cannot bind.
         let err = reg.bind(SimTime(1), NodeId(3), well_known::TASKTRACKER_HTTP, "bob");
         assert!(err.is_err());

@@ -20,47 +20,27 @@ pub struct TraceEntry {
     pub message: String,
 }
 
-/// An append-only, optionally disabled event log.
+/// An append-only event log.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     entries: Vec<TraceEntry>,
-    /// When false, `log` is a no-op (benches disable tracing).
-    pub enabled: bool,
 }
 
 impl EventLog {
-    /// An enabled log.
+    /// An empty log.
     pub fn new() -> Self {
-        EventLog { entries: Vec::new(), enabled: true }
+        Self::default()
     }
 
-    /// Append a line.
-    ///
-    /// Disabled logs return before allocating anything, but the caller has
-    /// usually already paid to build the message (a `format!` argument is
-    /// evaluated before the call). Hot paths should prefer
-    /// [`EventLog::log_with`], which defers that construction too.
+    /// Append a line. A message built with `format_args!` is formatted
+    /// once, straight into the entry.
     #[inline]
     pub fn log(&mut self, at: SimTime, source: &str, message: impl fmt::Display) {
-        if !self.enabled {
-            return;
-        }
         self.entries.push(TraceEntry {
             at,
             source: source.to_string(),
             message: message.to_string(),
         });
-    }
-
-    /// Append a line with a lazily-built message: `message` is only invoked
-    /// when the log is enabled, so a disabled log costs one branch even
-    /// where the message would be an expensive `format!`.
-    #[inline]
-    pub fn log_with(&mut self, at: SimTime, source: &str, message: impl FnOnce() -> String) {
-        if !self.enabled {
-            return;
-        }
-        self.entries.push(TraceEntry { at, source: source.to_string(), message: message() });
     }
 
     /// All entries in append order (timestamps are monotone because the
@@ -117,31 +97,6 @@ mod tests {
         let text = log.to_string();
         assert!(text.contains("[t=1.00s] namenode: safe mode ON"));
         assert!(text.contains("datanode/node001"));
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = EventLog { enabled: false, ..EventLog::new() };
-        log.log(SimTime::ZERO, "x", "y");
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn disabled_log_never_builds_lazy_messages() {
-        let mut log = EventLog { enabled: false, ..EventLog::new() };
-        let mut built = false;
-        log.log_with(SimTime::ZERO, "x", || {
-            built = true;
-            "expensive".to_string()
-        });
-        assert!(!built, "disabled log must not evaluate the message closure");
-        assert!(log.is_empty());
-
-        log.enabled = true;
-        log.log_with(SimTime(3), "y", || "cheap now".to_string());
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.entries()[0].message, "cheap now");
-        assert_eq!(log.entries()[0].at, SimTime(3));
     }
 
     #[test]

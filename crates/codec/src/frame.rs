@@ -39,7 +39,7 @@ pub const FRAME_RAW_CHUNK: usize = 64 * 1024;
 
 /// Upper bound a decoder will accept for one frame's uncompressed length —
 /// an allocation guard against corrupt or hostile headers.
-pub const MAX_FRAME_RAW_LEN: u64 = 16 * 1024 * 1024;
+const MAX_FRAME_RAW_LEN: u64 = 16 * 1024 * 1024;
 
 /// Everything after a frame's sync marker, before its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

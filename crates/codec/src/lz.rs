@@ -22,10 +22,10 @@
 use hl_common::prelude::*;
 
 /// Shortest match worth encoding (below this a literal is cheaper).
-pub const MIN_MATCH: usize = 4;
+const MIN_MATCH: usize = 4;
 
 /// Farthest a match may reach back (2-byte offset).
-pub const MAX_OFFSET: usize = 0xFFFF;
+const MAX_OFFSET: usize = 0xFFFF;
 
 /// Hash-table size: 2^13 slots of last-seen positions.
 const HASH_BITS: u32 = 13;
@@ -190,25 +190,11 @@ fn read_len_ext(src: &[u8], i: &mut usize) -> Result<usize> {
 /// whatever its real length, when both buffers have that much room.
 const WIDE: usize = 16;
 
-/// Decompress one block that must expand to exactly `raw_len` bytes,
-/// straight onto the end of `out`. On any error `out` is left at the
-/// length it came in with.
+/// Decompress one block so that it fills `dst` exactly.
 ///
-/// Match offsets count back from the write position *within this block*:
-/// an offset that reaches before the block's first byte is rejected even
-/// when `out` already holds earlier blocks' bytes there.
-pub fn decompress_block_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let start = out.len();
-    out.resize(start + raw_len, 0);
-    let result = decompress_block_to(src, &mut out[start..]);
-    if result.is_err() {
-        out.truncate(start);
-    }
-    result
-}
-
-/// Decompress one block so that it fills `dst` exactly: the decoder
-/// itself, which [`decompress_block_into`] runs on the tail it appends.
+/// Match offsets count back from the start of `dst`: an offset that
+/// reaches before the block's first byte is rejected even when `dst` is
+/// the tail of a buffer that holds earlier blocks' bytes.
 ///
 /// The slack rule: a wide copy writes `WIDE` bytes at the cursor and then
 /// advances it by the sequence's real length, so it may scribble up to
@@ -383,6 +369,18 @@ mod tests {
         let mut out = Vec::new();
         Encoder::new().compress_block_into(src, &mut out);
         out
+    }
+
+    /// Decompress one block onto the end of `out`; on any error `out` is
+    /// left at the length it came in with.
+    fn decompress_block_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
+        let start = out.len();
+        out.resize(start + raw_len, 0);
+        let result = decompress_block_to(src, &mut out[start..]);
+        if result.is_err() {
+            out.truncate(start);
+        }
+        result
     }
 
     fn decompress_block(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {

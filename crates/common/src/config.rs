@@ -151,16 +151,6 @@ impl Configuration {
         }
     }
 
-    /// Boolean lookup with default; accepts `true/false/1/0/yes/no`.
-    pub fn get_bool(&self, key: &str, default: bool) -> Result<bool> {
-        match self.get(key) {
-            None => Ok(default),
-            Some("true") | Some("1") | Some("yes") => Ok(true),
-            Some("false") | Some("0") | Some("no") => Ok(false),
-            Some(raw) => Err(HlError::Config(format!("key {key}: cannot parse {raw:?} as bool"))),
-        }
-    }
-
     /// Merge `other` on top of `self` (other wins), like loading a second
     /// `*-site.xml` on top of the defaults.
     pub fn merge(&mut self, other: &Configuration) {
@@ -215,10 +205,6 @@ mod tests {
         assert_eq!(c.get_u64("k", 0).unwrap(), 123);
         c.set("k", "not-a-number");
         assert!(c.get_u64("k", 0).is_err());
-        c.set("flag", "yes");
-        assert!(c.get_bool("flag", false).unwrap());
-        c.set("flag", "maybe");
-        assert!(c.get_bool("flag", false).is_err());
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl WellKnown {
 /// The two well-known groups are fixed arrays indexed by their enum, so the
 /// framework's per-record and per-task bumps are one array operation;
 /// `None` is a counter that was never registered, `Some(0)` one that was
-/// [touched](Counters::touch). Everything else — user groups, and unknown
+/// [touched](Counters::touch_task). Everything else — user groups, and unknown
 /// names inside the two well-known groups — lives in the string map. A
 /// well-known `(group, name)` is only ever held in its slot, whichever API
 /// wrote it, and the map never holds an empty group, so the derived `==`
@@ -175,23 +175,10 @@ impl Counters {
         *self.fs[c as usize].get_or_insert(0) += delta;
     }
 
-    /// Ensure a counter (and its group) exists at 0 without changing its
+    /// Register a well-known task counter at 0 without changing its
     /// value. Hadoop's job report prints every registered counter even
     /// when it never fired; call this at task setup for counters the
     /// report must always show.
-    pub fn touch(&mut self, group: &str, counter: &str) {
-        match WellKnown::find(group, counter) {
-            Some(WellKnown::Task(c)) => self.touch_task(c),
-            Some(WellKnown::Fs(c)) => {
-                self.fs[c as usize].get_or_insert(0);
-            }
-            None => {
-                self.user_entry(group, counter);
-            }
-        }
-    }
-
-    /// Register a well-known task counter at 0 (see [`Counters::touch`]).
     pub fn touch_task(&mut self, c: TaskCounter) {
         self.task[c as usize].get_or_insert(0);
     }
@@ -454,7 +441,6 @@ mod tests {
         Incr(usize, usize, u64),
         IncrTask(usize, u64),
         IncrFs(usize, u64),
-        Touch(usize, usize),
         TouchTask(usize),
         /// Merge the other side's counters into this side's.
         Merge,
@@ -463,10 +449,9 @@ mod tests {
     fn op() -> impl Strategy<Value = Op> {
         let (g, n) = (0..GROUPS.len(), 0..names().len());
         prop_oneof![
-            4 => (g.clone(), n.clone(), 0u64..1000).prop_map(|(g, n, d)| Op::Incr(g, n, d)),
+            4 => (g, n, 0u64..1000).prop_map(|(g, n, d)| Op::Incr(g, n, d)),
             2 => (0..TaskCounter::ALL.len(), 0u64..1000).prop_map(|(c, d)| Op::IncrTask(c, d)),
             2 => (0..FileSystemCounter::ALL.len(), 0u64..1000).prop_map(|(c, d)| Op::IncrFs(c, d)),
-            2 => (g, n).prop_map(|(g, n)| Op::Touch(g, n)),
             1 => (0..TaskCounter::ALL.len()).prop_map(Op::TouchTask),
             1 => Just(Op::Merge),
         ]
@@ -514,10 +499,6 @@ mod tests {
                     Op::IncrFs(c, d) => {
                         new[me].incr_fs(FileSystemCounter::ALL[c], d);
                         model[me].incr(FS_GROUP, FileSystemCounter::ALL[c].name(), d);
-                    }
-                    Op::Touch(g, n) => {
-                        new[me].touch(GROUPS[g], names[n]);
-                        model[me].touch(GROUPS[g], names[n]);
                     }
                     Op::TouchTask(c) => {
                         new[me].touch_task(TaskCounter::ALL[c]);

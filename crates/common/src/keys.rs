@@ -95,6 +95,7 @@ signed_sortable!((i8, u8), (i16, u16), (i32, u32), (i64, u64));
 /// Raw `f64` is not `Ord`, so jobs that key by a float (e.g. "album with the
 /// highest average rating" sorted output) wrap it in `OrderedF64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(R9): the float key a lab job sorts by; its order is property-tested below
 pub struct OrderedF64(pub f64);
 
 impl OrderedF64 {

@@ -19,7 +19,7 @@ impl ByteSize {
     /// One gibibyte.
     pub const GIB: u64 = 1024 * 1024 * 1024;
     /// One tebibyte.
-    pub const TIB: u64 = 1024 * 1024 * 1024 * 1024;
+    const TIB: u64 = 1024 * 1024 * 1024 * 1024;
 
     /// Format a byte count the way `hadoop fs -du -h` does: the largest
     /// binary unit that keeps the mantissa below 1024, one decimal.

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// One offering of the Hadoop MapReduce module.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Offering {
+struct Offering {
     /// "Version 1" … "Version 4".
     pub version: u32,
     /// Semester label.
@@ -22,7 +22,7 @@ pub struct Offering {
 }
 
 /// The module's evolution, straight from Section II.
-pub const OFFERINGS: [Offering; 4] = [
+const OFFERINGS: [Offering; 4] = [
     Offering {
         version: 1,
         semester: "Fall 2012",
@@ -64,7 +64,7 @@ pub const OFFERINGS: [Offering; 4] = [
 /// One Table V row: an ACM/IEEE PDC learning outcome and where this
 /// repository demonstrates it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutcomeRow {
+struct OutcomeRow {
     /// Bloom-ish level from the curriculum ("Familiarity", "Usage", ...).
     pub level: &'static str,
     /// Knowledge area.
@@ -78,7 +78,7 @@ pub struct OutcomeRow {
 }
 
 /// Table V, extended with the per-outcome repro artifact.
-pub const TABLE5: [OutcomeRow; 6] = [
+const TABLE5: [OutcomeRow; 6] = [
     OutcomeRow {
         level: "Familiarity",
         area: "Parallel & Distributed Computing",

@@ -50,7 +50,7 @@ pub struct Fig1Result {
 impl Fig1Result {
     /// The smallest node count where the Hadoop layout is at least 2×
     /// faster (the "architecture matters" crossover).
-    pub fn crossover_nodes(&self) -> Option<usize> {
+    fn crossover_nodes(&self) -> Option<usize> {
         self.points
             .iter()
             .find(|p| p.hpc_time.as_micros() >= 2 * p.hadoop_time.as_micros().max(1))

@@ -39,7 +39,7 @@ pub struct N4Result {
 
 impl N4Result {
     /// Cluster speedup over serial execution.
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.serial.as_secs_f64() / self.cluster.as_secs_f64().max(1e-9)
     }
 }

@@ -24,7 +24,7 @@ use super::Scale;
 
 /// Single-stream bandwidth out of the campus parallel store (calibrated:
 /// one `hadoop fs -copyFromLocal` over NFS-mounted scratch, 2013).
-pub const SOURCE_STREAM_BW: u64 = 45 * ByteSize::MIB;
+const SOURCE_STREAM_BW: u64 = 45 * ByteSize::MIB;
 
 /// One dataset's staging measurement.
 #[derive(Debug, Clone, PartialEq)]

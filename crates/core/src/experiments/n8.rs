@@ -22,7 +22,7 @@ use hl_workloads::movielens;
 use super::Scale;
 
 /// Ratings in the real MovieLens 10M release.
-pub const REAL_RATINGS: u64 = 10_000_000;
+const REAL_RATINGS: u64 = 10_000_000;
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,7 +15,7 @@ use rand_chacha::ChaCha8Rng;
 /// The carriers we synthesize, with (mean arrival delay, spread) minutes —
 /// loosely shaped like the 2008 Data Expo reality (everyone is late, some
 /// more than others).
-pub const CARRIERS: [(&str, f64, f64); 10] = [
+const CARRIERS: [(&str, f64, f64); 10] = [
     ("AA", 9.5, 28.0),
     ("AQ", 1.2, 12.0),
     ("B6", 11.8, 33.0),
@@ -33,7 +33,7 @@ const AIRPORTS: [&str; 12] =
     ["ATL", "ORD", "DFW", "DEN", "LAX", "CLT", "PHX", "IAH", "SFO", "SEA", "GSP", "CAE"];
 
 /// CSV header matching the Data Expo subset we emit.
-pub const HEADER: &str =
+const HEADER: &str =
     "Year,Month,DayofMonth,DayOfWeek,DepTime,UniqueCarrier,FlightNum,ArrDelay,DepDelay,Origin,Dest,Distance";
 
 /// Exact ground truth accumulated while generating.

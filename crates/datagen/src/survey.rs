@@ -44,7 +44,7 @@ pub mod paper {
         [("Senior", 7), ("Junior", 14), ("Sophomore", 6), ("Freshman", 2)];
 
     /// Respondents (29 of 39 enrolled returned the form).
-    pub const RESPONDENTS: usize = 29;
+    pub(super) const RESPONDENTS: usize = 29;
     /// Class enrollment.
     pub const ENROLLED: usize = 39;
 }

@@ -20,11 +20,6 @@ pub struct YahooTruth {
 }
 
 impl YahooTruth {
-    /// Album average.
-    pub fn avg(&self, album: u32) -> Option<f64> {
-        self.per_album.get(&album).map(|&(n, s)| s as f64 / n as f64)
-    }
-
     /// `(album, average)` with the highest average (ties by lowest id).
     pub fn best_album(&self) -> Option<(u32, f64)> {
         self.per_album

@@ -24,7 +24,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// Bytes-per-checksum, Hadoop's `io.bytes.per.checksum` default.
-pub const BYTES_PER_CHECKSUM: usize = 512;
+const BYTES_PER_CHECKSUM: usize = 512;
 
 /// First generation stamp the NameNode hands out, mirroring HDFS's
 /// `GenerationStamp.FIRST_VALID_STAMP`. Pipeline recovery bumps allocate
@@ -126,15 +126,8 @@ pub enum BlockPayload {
 }
 
 impl BlockPayload {
-    /// Build a real payload, computing checksums.
-    pub fn real(data: impl Into<Bytes>) -> Self {
-        let data = data.into();
-        let checksums = ChunkedChecksum::compute(&data, BYTES_PER_CHECKSUM);
-        BlockPayload::Real { data, checksums }
-    }
-
     /// Build a synthetic payload of `len` bytes.
-    pub fn synthetic(len: u64) -> Self {
+    pub(crate) fn synthetic(len: u64) -> Self {
         BlockPayload::Synthetic { len }
     }
 
@@ -261,6 +254,16 @@ pub fn split_synthetic(len: u64, block_size: u64) -> Vec<BlockPayload> {
         remaining -= this;
     }
     blocks
+}
+
+#[cfg(test)]
+impl BlockPayload {
+    /// Build a real payload, computing checksums.
+    pub(crate) fn real(data: impl Into<Bytes>) -> Self {
+        let data = data.into();
+        let checksums = ChunkedChecksum::compute(&data, BYTES_PER_CHECKSUM);
+        BlockPayload::Real { data, checksums }
+    }
 }
 
 #[cfg(test)]

@@ -182,6 +182,7 @@ impl Dfs {
     /// file (1 = on the caller's). No byte and no simulated quantity may
     /// depend on it; `tests/host_pool.rs` holds the client to that.
     #[doc(hidden)]
+    // lint:allow(R9): test seam: tests/host_pool.rs forces the DFS pool's worker count
     pub fn force_host_workers(&mut self, workers: usize) {
         self.pool = Pool::forced(workers);
     }
@@ -451,6 +452,7 @@ impl Dfs {
     }
 
     /// Write with an explicit replication factor.
+    // lint:allow(R9): `-D dfs.replication=N -put`; golden and property tests use it
     pub fn put_with_replication(
         &mut self,
         net: &mut ClusterNet,

@@ -64,7 +64,7 @@ pub struct FsckReport {
 impl FsckReport {
     /// `fsck` is healthy when no block is missing (under-replication is a
     /// warning, not corruption — matching HDFS).
-    pub fn is_healthy(&self) -> bool {
+    fn is_healthy(&self) -> bool {
         self.missing == 0
     }
 }

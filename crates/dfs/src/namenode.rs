@@ -188,7 +188,7 @@ impl Replicas {
 
 /// Per-DataNode registration state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataNodeInfo {
+struct DataNodeInfo {
     /// Last heartbeat time.
     pub last_heartbeat: SimTime,
     /// Free disk as of the last heartbeat.
@@ -526,11 +526,6 @@ impl NameNode {
     /// Heartbeat period DataNodes should use.
     pub fn heartbeat_interval(&self) -> SimDuration {
         self.heartbeat_interval
-    }
-
-    /// Default replication for new files.
-    pub fn default_replication(&self) -> u32 {
-        self.default_replication
     }
 
     /// Default block size for new files.
@@ -1058,6 +1053,7 @@ impl NameNode {
     /// files whose recovery is due. Idles during safe mode (like the real
     /// LeaseManager — no namespace mutations before the image is safe).
     /// Returns the paths finalized this tick.
+    // lint:allow(R9): the lease monitor's step; scale_equivalence drives it at drawn instants
     pub fn check_leases(&mut self, now: SimTime) -> Vec<String> {
         if self.safemode.is_on() {
             return Vec::new();
@@ -1209,13 +1205,6 @@ impl NameNode {
     /// copies them elsewhere. The node keeps serving reads while draining.
     pub fn start_decommission(&mut self, node: NodeId) {
         if self.decommissioning.insert(node) {
-            self.reindex_node(node);
-        }
-    }
-
-    /// Abort a drain.
-    pub fn cancel_decommission(&mut self, node: NodeId) {
-        if self.decommissioning.remove(&node) {
             self.reindex_node(node);
         }
     }
@@ -1867,7 +1856,12 @@ mod tests {
                     }
                 }
                 5 => nn.start_decommission(node),
-                6 => nn.cancel_decommission(node),
+                6 => {
+                    // A drain aborted: the node counts toward targets again.
+                    if nn.decommissioning.remove(&node) {
+                        nn.reindex_node(node);
+                    }
+                }
                 7 => drop(nn.set_replication(&path, (x >> 8) as u32 % 4 + 1)),
                 8 => drop(nn.delete(&path, false)),
                 9 => {

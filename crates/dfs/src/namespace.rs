@@ -16,7 +16,7 @@ use crate::block::BlockId;
 ///
 /// Accepts `/`, `/a`, `/a/b/`, collapses duplicate slashes, rejects
 /// relative paths, empty components beyond slashes, and `.`/`..`.
-pub fn parse_path(path: &str) -> Result<Vec<String>> {
+fn parse_path(path: &str) -> Result<Vec<String>> {
     Ok(components(path)?.map(str::to_string).collect())
 }
 
@@ -34,7 +34,7 @@ fn components(path: &str) -> Result<impl Iterator<Item = &str>> {
 }
 
 /// Join components back into a canonical path string.
-pub fn join_path(parts: &[String]) -> String {
+fn join_path(parts: &[String]) -> String {
     if parts.is_empty() {
         "/".to_string()
     } else {
@@ -82,7 +82,7 @@ impl FileNode {
 
 /// A namespace node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum INode {
+enum INode {
     /// A directory with named children.
     Directory(BTreeMap<String, INode>),
     /// A file.

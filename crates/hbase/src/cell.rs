@@ -39,7 +39,7 @@ impl Cell {
     /// The storage sort key: `(row, column, ts desc, tombstone-first)`.
     /// Scanning in this order visits the winning version of each
     /// `(row, column)` first.
-    pub fn sort_key(&self) -> (&str, &str, std::cmp::Reverse<u64>, bool) {
+    fn sort_key(&self) -> (&str, &str, std::cmp::Reverse<u64>, bool) {
         // `false < true`, so tombstone (value=None → !is_tombstone = false)
         // sorts before a put at the same timestamp — the delete wins ties.
         (&self.row, &self.column, std::cmp::Reverse(self.ts), !self.is_tombstone())

@@ -45,7 +45,7 @@ impl HTable {
     }
 
     /// Next auto-assigned timestamp.
-    pub fn next_timestamp(&mut self) -> u64 {
+    fn next_timestamp(&mut self) -> u64 {
         let ts = self.next_ts;
         self.next_ts += 1;
         ts

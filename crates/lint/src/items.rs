@@ -91,11 +91,6 @@ impl FileItems {
     pub fn struct_named(&self, name: &str) -> Option<&StructDef> {
         self.structs.iter().find(|s| s.name == name)
     }
-
-    /// True when this file declares an enum named `name`.
-    pub fn has_enum(&self, name: &str) -> bool {
-        self.enums.iter().any(|e| e == name)
-    }
 }
 
 /// Walk the token stream and collect item spans.
@@ -483,8 +478,8 @@ mod tests {
     #[test]
     fn enums_are_recorded_by_name() {
         let it = items("enum Fault { A { x: u8 }, B }\nstruct NotEnum { y: u8 }");
-        assert!(it.has_enum("Fault"));
-        assert!(!it.has_enum("NotEnum"));
+        assert!(it.enums.iter().any(|e| e == "Fault"));
+        assert!(!it.enums.iter().any(|e| e == "NotEnum"));
         // Variant fields never leak into struct defs.
         assert!(it.struct_named("Fault").is_none());
     }

@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 
 pub mod confkeys;
+pub mod deadpub;
 pub mod items;
 pub mod lexer;
 pub mod manifest;
@@ -29,7 +30,8 @@ use std::path::Path;
 
 /// Lint one source buffer with every rule enabled, ignoring path scoping.
 /// This is the entry point the fixture tests drive; R4 runs against the
-/// provided `manifest` with no filesystem integrity pass.
+/// provided `manifest` with no filesystem integrity pass. R7's key census
+/// and R9 need the whole workspace and do not run here.
 pub fn lint_source_all_rules(file: &str, src: &str, manifest: &Manifest) -> Vec<Violation> {
     let sf = ScannedFile::new(src);
     let mut violations = rules::lint_tokens(file, &sf, &RuleId::all());
@@ -62,6 +64,8 @@ pub struct WorkspaceLint {
     pub violations: Vec<Violation>,
     /// Files scanned.
     pub files_scanned: usize,
+    /// The public items R9 weighed (`deadpub::PublicItems::count`).
+    pub public_items: usize,
 }
 
 impl WorkspaceLint {
@@ -90,8 +94,8 @@ pub fn lint_workspace(root: &Path) -> Result<WorkspaceLint, String> {
     };
 
     // Lex everything up front: the per-file rules, the R4 manifest pass,
-    // and the R7 key census all read from the same scanned set.
-    let scanned: Vec<(String, ScannedFile)> =
+    // the R7 key census and R9 all read from the same scanned set.
+    let mut scanned: Vec<(String, ScannedFile)> =
         files.iter().map(|(rel, src)| (rel.clone(), ScannedFile::new(src))).collect();
 
     let mut violations = Vec::new();
@@ -120,7 +124,13 @@ pub fn lint_workspace(root: &Path) -> Result<WorkspaceLint, String> {
     }
     violations.extend(manifest.check(root, &impls));
     violations.extend(confkeys::check_keys(&scanned));
+    // R9 also reads the examples and `benchmark/src` for references.
+    let references = workspace::reference_files(root)
+        .map_err(|e| format!("scanning references at {}: {e}", root.display()))?;
+    scanned.extend(references.iter().map(|(rel, src)| (rel.clone(), ScannedFile::new(src))));
+    let public = deadpub::check_public_items(&scanned);
+    violations.extend(public.violations);
     violations
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(WorkspaceLint { violations, files_scanned: files.len() })
+    Ok(WorkspaceLint { violations, files_scanned: files.len(), public_items: public.count })
 }

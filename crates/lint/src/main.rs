@@ -145,6 +145,7 @@ fn cmd_check(root: &std::path::Path, format: Format) -> ExitCode {
     for rule in RuleId::all() {
         println!("  {rule} [{}]: {} active", rule.name(), ws.rule_count(rule));
     }
+    println!("public items (R9's census of crates/*/src): {}", ws.public_items);
 
     if active.is_empty() {
         println!("\nOK: no unwaived violations");
@@ -200,6 +201,7 @@ fn print_json(ws: &lint::WorkspaceLint, active: &[Violation]) {
     out.push_str(&format!("  \"files_scanned\": {},\n", ws.files_scanned));
     out.push_str(&format!("  \"active\": {},\n", active.len()));
     out.push_str(&format!("  \"waived\": {},\n", ws.violations.len() - active.len()));
+    out.push_str(&format!("  \"public_items\": {},\n", ws.public_items));
     out.push_str("  \"rules\": [\n");
     let rules: Vec<String> = RuleId::all()
         .iter()

@@ -1,5 +1,5 @@
-//! The eight workspace invariants: token-level rules R1–R5, structural
-//! rules R6–R8.
+//! The nine workspace invariants: token-level rules R1–R5, structural
+//! rules R6–R8, and R9's public-item census.
 //!
 //! | id | name                       | scope (production code only)            |
 //! |----|----------------------------|-----------------------------------------|
@@ -18,6 +18,8 @@
 //! |    |                            | but `common/src/config.rs`; key census  |
 //! |    |                            | at workspace level (see `confkeys`)     |
 //! | R8 | deterministic-collections  | sim-facing crates (same scope as R2)    |
+//! | R9 | dead-public-items          | `pub` items in `crates/*/src`, at       |
+//! |    |                            | workspace level (see `deadpub`)         |
 //!
 //! Every rule reports `file:line:col`, an explanation, and the waiver
 //! syntax; violations inside `#[cfg(test)]` regions are skipped, and
@@ -41,10 +43,11 @@ pub enum RuleId {
     R6,
     R7,
     R8,
+    R9,
 }
 
 impl RuleId {
-    /// Parse "R1".."R8" (case-insensitive).
+    /// Parse "R1".."R9" (case-insensitive).
     pub fn parse(s: &str) -> Option<RuleId> {
         match s.to_ascii_uppercase().as_str() {
             "R1" => Some(RuleId::R1),
@@ -55,6 +58,7 @@ impl RuleId {
             "R6" => Some(RuleId::R6),
             "R7" => Some(RuleId::R7),
             "R8" => Some(RuleId::R8),
+            "R9" => Some(RuleId::R9),
             _ => None,
         }
     }
@@ -70,11 +74,12 @@ impl RuleId {
             RuleId::R6 => "writable-field-coverage",
             RuleId::R7 => "config-key-hygiene",
             RuleId::R8 => "deterministic-collections",
+            RuleId::R9 => "dead-public-items",
         }
     }
 
     /// All rules, in report order.
-    pub fn all() -> [RuleId; 8] {
+    pub fn all() -> [RuleId; 9] {
         [
             RuleId::R1,
             RuleId::R2,
@@ -84,6 +89,7 @@ impl RuleId {
             RuleId::R6,
             RuleId::R7,
             RuleId::R8,
+            RuleId::R9,
         ]
     }
 }
@@ -197,6 +203,7 @@ pub fn lint_tokens(file: &str, sf: &ScannedFile, rules: &[RuleId]) -> Vec<Violat
             }
             RuleId::R7 => rule_r7_call_sites(file, sf, &mut out),
             RuleId::R8 => rule_r8(file, sf, &mut out),
+            RuleId::R9 => {} // workspace-level; see deadpub::check_public_items
         }
     }
     out.sort_by_key(|v| (v.line, v.col, v.rule));

@@ -12,19 +12,28 @@ use std::path::{Path, PathBuf};
 /// Every lintable `(workspace-relative path, source)` pair, sorted by
 /// path for deterministic reports.
 pub fn source_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
+    let mut dirs = Vec::new();
     let crates_dir = root.join("crates");
     if let Ok(entries) = fs::read_dir(&crates_dir) {
-        for entry in entries.flatten() {
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                walk_rs(&src, &mut files)?;
-            }
-        }
+        dirs.extend(entries.flatten().map(|entry| entry.path().join("src")));
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        walk_rs(&root_src, &mut files)?;
+    dirs.push(root.join("src"));
+    read_rs(root, &dirs)
+}
+
+/// The sources R9 reads for references only: `examples/` and
+/// `benchmark/src` (a package of its own that compiles against the
+/// crates' public API).
+pub fn reference_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    read_rs(root, &[root.join("examples"), root.join("benchmark/src")])
+}
+
+/// Every `.rs` file under the existing `dirs`, as sorted
+/// `(workspace-relative path, source)` pairs.
+fn read_rs(root: &Path, dirs: &[PathBuf]) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        walk_rs(dir, &mut files)?;
     }
     let mut out = Vec::with_capacity(files.len());
     for path in files {

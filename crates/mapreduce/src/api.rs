@@ -128,7 +128,7 @@ impl SideFiles {
 /// connection setup a 2013 HDFS open paid. This, multiplied by millions of
 /// records, is what turned the naive read-inside-`map()` pattern into
 /// hours.
-pub const SIDE_ACCESS_LATENCY: SimDuration = SimDuration::from_millis(2);
+const SIDE_ACCESS_LATENCY: SimDuration = SimDuration::from_millis(2);
 
 /// I/O accounting shared by both contexts: counters plus the *extra*
 /// virtual CPU/IO time the task incurred beyond the engine's base charges
@@ -160,12 +160,6 @@ impl TaskScope {
         self.counters.incr("Side Files", "reads", 1);
         self.counters.incr("Side Files", "bytes read", bytes.len() as u64);
         Ok(bytes)
-    }
-
-    /// Charge additional virtual compute time (e.g. an expensive model
-    /// evaluation per record).
-    pub fn charge_compute(&mut self, d: SimDuration) {
-        self.extra_time += d;
     }
 }
 
@@ -419,13 +413,5 @@ mod tests {
             let want: Vec<&str> = text.split_whitespace().collect();
             proptest::prop_assert_eq!(got, want, "{:?}", text);
         }
-    }
-
-    #[test]
-    fn charge_compute_accumulates() {
-        let mut scope = TaskScope::new(SideFiles::new(), 1);
-        scope.charge_compute(SimDuration::from_millis(5));
-        scope.charge_compute(SimDuration::from_millis(7));
-        assert_eq!(scope.extra_time, SimDuration::from_millis(12));
     }
 }

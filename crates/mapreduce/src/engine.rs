@@ -48,7 +48,7 @@ use hl_metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::api::SideFiles;
 use crate::history::JobHistory;
 use crate::job::JobConf;
-use crate::jobtracker::{Ending, Flight, JobTracker, Launch, Next, TaskBody};
+use crate::jobtracker::{Ending, Flight, JobTracker, Launch, Next, Tally, TaskBody};
 use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
 use crate::speculate::{RunningTask, Span, SpecAttempt, SpecOutcome, Speculator, MIN_COMPLETED};
@@ -167,6 +167,7 @@ impl MrCluster {
     /// at its task's first attempt). No simulated quantity may depend on
     /// it; `tests/host_pool.rs` holds the engine to that.
     #[doc(hidden)]
+    // lint:allow(R9): test seam: tests/host_pool.rs forces the body pool's worker count
     pub fn force_body_workers(&mut self, workers: usize) {
         self.pool = Pool::forced(workers);
     }
@@ -190,6 +191,7 @@ impl MrCluster {
 
     /// Swap the task-assignment policy (tests/experiments; normal callers
     /// set `mapred.jobtracker.scheduler` in the config instead).
+    // lint:allow(R9): test seam: tests install recording and Fair schedulers
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = scheduler;
     }
@@ -214,12 +216,8 @@ impl MrCluster {
         Ok(cluster)
     }
 
-    /// Tracker state (tests/experiments).
-    pub fn tracker(&self, node: NodeId) -> Option<&Tracker> {
-        self.trackers.get(&node)
-    }
-
-    /// Mutable tracker state (fault injection tunes heap models).
+    /// A tracker's state, mutable: fault injection tunes its heap model
+    /// and slots.
     pub fn tracker_mut(&mut self, node: NodeId) -> Option<&mut Tracker> {
         self.trackers.get_mut(&node)
     }
@@ -285,7 +283,7 @@ impl MrCluster {
 
     /// Trackers currently blacklisted cluster-wide (enough per-job
     /// blacklistings that the JobTracker stopped scheduling on them).
-    pub fn blacklisted_trackers(&self) -> Vec<NodeId> {
+    fn blacklisted_trackers(&self) -> Vec<NodeId> {
         self.blacklist_strikes
             .iter()
             .filter(|(_, &strikes)| strikes >= self.max_tracker_blacklists)
@@ -316,6 +314,7 @@ impl MrCluster {
 
     /// Pull a DFS file's bytes into the distributed cache (charged as one
     /// read at `now`).
+    // lint:allow(R9): DistributedCache from DFS; the MovieLens tests use it
     pub fn cache_from_dfs(&mut self, path: &str) -> Result<()> {
         let t = self.now;
         let data = self.dfs.read(&mut self.net, t, path, None)?;
@@ -377,9 +376,26 @@ impl MrCluster {
         for rj in body.jobs {
             results[rj.batch_index] = rj.result;
         }
+        self.book_tally(jt.tally);
         self.scheduler = jt.into_scheduler();
         let lost = || Err(HlError::Internal("job left the batch without a result".into()));
         results.into_iter().map(|r| r.unwrap_or_else(lost)).collect()
+    }
+
+    /// Book a batch's decision counts from the loop's tally, once. A zero
+    /// is not booked: it would add a row to the metrics snapshot.
+    fn book_tally(&mut self, tally: Tally) {
+        let Tally { decisions, preempted, rerun } = tally;
+        for (name, n) in [
+            ("sched.decisions", decisions),
+            ("sched.rerun", rerun),
+            ("sched.preempted", preempted),
+            ("sched.requeued", preempted),
+        ] {
+            if n > 0 {
+                self.metrics.incr("jobtracker", name, n);
+            }
+        }
     }
 
     /// Fold one completed job's report into the "jobtracker" instruments:
@@ -675,8 +691,7 @@ impl<'a> ClusterBody<'a> {
         c.next_job_id += 1;
         c.metrics.incr("jobtracker", "jobs.submitted", 1);
         let submitted_at = arrival.max(c.now);
-        c.log
-            .log_with(submitted_at, "jobtracker", || format!("{job_id} ({}) submitted", conf.name));
+        c.log.log(submitted_at, "jobtracker", format_args!("{job_id} ({}) submitted", conf.name));
 
         c.dfs.namenode.mkdirs(&conf.output_path)?;
         let splits = compute_splits(&c.dfs, &conf.input_paths)?;
@@ -778,15 +793,17 @@ impl<'a> ClusterBody<'a> {
             *strikes += 1;
             if *strikes == c.max_tracker_blacklists {
                 let (n, at) = (*strikes, finished_at);
-                c.log.log_with(at, "jobtracker", || {
-                    format!("tracker on {node} blacklisted cluster-wide after {n} strike(s)")
-                });
+                c.log.log(
+                    at,
+                    "jobtracker",
+                    format_args!("tracker on {node} blacklisted cluster-wide after {n} strike(s)"),
+                );
             }
         }
         c.record_job_metrics(&report);
         c.history.record(&report);
         let (now, elapsed, job_id) = (c.now, report.elapsed(), &rj.job_id);
-        c.log.log_with(now, "jobtracker", || format!("{job_id} completed in {elapsed}"));
+        c.log.log(now, "jobtracker", format_args!("{job_id} completed in {elapsed}"));
         rj.result = Some(Ok(report));
     }
 
@@ -807,7 +824,7 @@ impl<'a> ClusterBody<'a> {
         c.dfs.apply_commands(&mut c.net, now, &cmds);
         c.history.record_failed(&rj.job_id, &conf.name, rj.submitted_at, now);
         let job_id = &rj.job_id;
-        c.log.log_with(now, "jobtracker", || format!("{job_id} FAILED: {e}"));
+        c.log.log(now, "jobtracker", format_args!("{job_id} FAILED: {e}"));
         rj.map_nodes = Vec::new();
         rj.bodies = Bodies::default();
         rj.result = Some(Err(e));
@@ -934,9 +951,11 @@ impl<'a> ClusterBody<'a> {
         }
         let (job_id, run, task) = (&rj.job_id, &mut rj.run, key.0);
         let name = format!("{}_{task:05}", if kind == TaskKind::Map { 'm' } else { 'r' });
-        c.log.log_with(now, "jobtracker", || {
-            format!("{job_id} {name} attempt {attempt} failed on {node}: {e}")
-        });
+        c.log.log(
+            now,
+            "jobtracker",
+            format_args!("{job_id} {name} attempt {attempt} failed on {node}: {e}"),
+        );
         if attempt >= conf.max_attempts {
             let e = format!("{job_id}: task {name} failed {attempt} attempts: {e}");
             self.fail(jt, j, HlError::JobFailed(e));
@@ -955,9 +974,11 @@ impl<'a> ClusterBody<'a> {
             jt.jobs[j].blacklist.push(node);
             run.counters.incr("Job Counters", "Trackers blacklisted", 1);
             let n = *strikes;
-            c.log.log_with(now, "jobtracker", || {
-                format!("{job_id} blacklisted tracker on {node} after {n} failed attempt(s)")
-            });
+            c.log.log(
+                now,
+                "jobtracker",
+                format_args!("{job_id} blacklisted tracker on {node} after {n} failed attempt(s)"),
+            );
         }
         Some(burn)
     }
@@ -1085,11 +1106,6 @@ impl TaskBody for ClusterBody<'_> {
     /// One attempt, from [`JobTracker::now`]: its startup stage, or the
     /// burn of an injected failure.
     fn launch(&mut self, jt: &mut JobTracker, l: Launch) -> Option<SimTime> {
-        let c = &mut *self.cluster;
-        c.metrics.incr("jobtracker", "sched.decisions", 1);
-        if l.rerun {
-            c.metrics.incr("jobtracker", "sched.rerun", 1);
-        }
         self.begin(jt, l.job, (l.task, false), l.slot)
     }
 
@@ -1154,12 +1170,12 @@ impl TaskBody for ClusterBody<'_> {
                 }
                 // The task's first flight reported, its primary, re-queues it.
                 if std::mem::take(&mut rj.tries[t]) > 0 {
-                    c.metrics.incr("jobtracker", "sched.preempted", 1);
-                    c.metrics.incr("jobtracker", "sched.requeued", 1);
                     let (job_id, ran) = (&rj.job_id, now.since(f.start));
-                    c.log.log_with(now, "jobtracker", || {
-                        format!("{job_id} task {task} preempted after {ran}; re-queued")
-                    });
+                    c.log.log(
+                        now,
+                        "jobtracker",
+                        format_args!("{job_id} task {task} preempted after {ran}; re-queued"),
+                    );
                 }
             }
             _ => {}
@@ -1258,6 +1274,10 @@ fn neighbour_block(
     Ok(got.value)
 }
 
+/// Virtual CPU charge per combiner input record: the "increased map task
+/// run time" half of the combiner trade-off.
+const COMBINE_CPU_PER_RECORD: SimDuration = SimDuration::from_micros(2);
+
 /// A map attempt's compute stage on a node at `profile`: inflating
 /// compressed input, the mapper's (and combiner's) CPU, compressing its
 /// output, and its spill I/O — time at the node's disk rate, not a charge
@@ -1288,7 +1308,7 @@ fn map_compute(
     let combine_in = done.counters.task(TaskCounter::CombineInputRecords);
     t += cpu(conf.map_cpu_per_byte * body.logical_len as u64
         + conf.map_cpu_per_record * done.records
-        + conf.combine_cpu_per_record * combine_in
+        + COMBINE_CPU_PER_RECORD * combine_in
         + done.extra_time);
     let disk_bw = PerfProfile::scale_bw(disk_bw, profile.disk_mult).max(1);
     let out = &done.output;
@@ -2246,6 +2266,7 @@ mod tests {
         while jt.step(&mut rec).is_some() {}
         let Recorder { body, flights } = rec;
         let results: Vec<_> = body.jobs.into_iter().map(|j| j.result.unwrap()).collect();
+        cluster.book_tally(jt.tally);
         cluster.scheduler = jt.into_scheduler();
 
         assert!(flights.iter().all(|r| r.how.is_some()), "a flight never ended");
@@ -2380,7 +2401,7 @@ mod tests {
         job.conf.spec_cap_pct = 50;
         let report = cluster.run_job(&job).unwrap();
 
-        assert!(!cluster.tracker(slow).unwrap().health.alive);
+        assert!(!cluster.trackers[&slow].health.alive);
         // The backup that won is the one whose primary died.
         let mut won = report.spec_attempts.iter().filter(|a| a.outcome == SpecOutcome::Won);
         let rescued = won.next().expect("no backup won");

@@ -37,7 +37,7 @@ pub struct HistoryEntry {
 
 impl HistoryEntry {
     /// Build from a full report.
-    pub fn from_report(report: &JobReport) -> Self {
+    fn from_report(report: &JobReport) -> Self {
         HistoryEntry {
             job_id: report.job_id.clone(),
             name: report.name.clone(),
@@ -52,26 +52,17 @@ impl HistoryEntry {
     }
 }
 
-/// The history: append-only, bounded like Hadoop's retained-jobs setting.
-#[derive(Debug, Clone)]
+/// Jobs the history keeps (oldest evicted first), like Hadoop's
+/// retained-jobs setting.
+const RETAIN: usize = 100;
+
+/// The history: append-only, bounded at [`RETAIN`] jobs.
+#[derive(Debug, Clone, Default)]
 pub struct JobHistory {
     entries: Vec<HistoryEntry>,
-    /// Maximum retained entries (oldest evicted first).
-    pub retain: usize,
-}
-
-impl Default for JobHistory {
-    fn default() -> Self {
-        Self::new(100)
-    }
 }
 
 impl JobHistory {
-    /// History retaining up to `retain` jobs.
-    pub fn new(retain: usize) -> Self {
-        JobHistory { entries: Vec::new(), retain: retain.max(1) }
-    }
-
     /// Record a completed job.
     pub fn record(&mut self, report: &JobReport) {
         self.push(HistoryEntry::from_report(report));
@@ -101,8 +92,8 @@ impl JobHistory {
 
     fn push(&mut self, entry: HistoryEntry) {
         self.entries.push(entry);
-        if self.entries.len() > self.retain {
-            let drop = self.entries.len() - self.retain;
+        if self.entries.len() > RETAIN {
+            let drop = self.entries.len() - RETAIN;
             self.entries.drain(..drop);
         }
     }
@@ -123,7 +114,7 @@ impl JobHistory {
     }
 
     /// Completed-successfully count.
-    pub fn succeeded(&self) -> usize {
+    pub(crate) fn succeeded(&self) -> usize {
         self.entries.iter().filter(|e| e.success).count()
     }
 
@@ -200,7 +191,7 @@ mod tests {
 
     #[test]
     fn records_and_aggregates() {
-        let mut h = JobHistory::new(10);
+        let mut h = JobHistory::default();
         assert!(h.is_empty());
         h.record(&report(1, "wordcount", 10));
         h.record(&report(2, "airline", 99));
@@ -213,18 +204,18 @@ mod tests {
 
     #[test]
     fn retention_evicts_oldest() {
-        let mut h = JobHistory::new(3);
-        for i in 1..=5 {
-            h.record(&report(i, "j", i as u64));
+        let mut h = JobHistory::default();
+        for i in 1..=RETAIN as u32 + 2 {
+            h.record(&report(i, "j", u64::from(i)));
         }
-        assert_eq!(h.len(), 3);
+        assert_eq!(h.len(), RETAIN);
         assert_eq!(h.entries()[0].job_id, "job_0003");
-        assert_eq!(h.entries()[2].job_id, "job_0005");
+        assert_eq!(h.entries()[RETAIN - 1].job_id, "job_0102");
     }
 
     #[test]
     fn renders_table() {
-        let mut h = JobHistory::new(10);
+        let mut h = JobHistory::default();
         h.record(&report(7, "wordcount+combiner", 61));
         let text = h.to_string();
         assert!(text.contains("job_0007"));

@@ -32,9 +32,6 @@ pub struct JobConf {
     /// Speculative execution of straggler reduces (additionally gated on
     /// `speculative`, like Hadoop's separate map/reduce switches).
     pub speculative_reduces: bool,
-    /// Launch threshold: speculate a running task once its estimated
-    /// total duration exceeds this percent of the median completed one.
-    pub spec_slowtask_pct: u32,
     /// Cap on speculative attempts per phase, percent of the phase's
     /// tasks (floor 1).
     pub spec_cap_pct: u32,
@@ -48,9 +45,6 @@ pub struct JobConf {
     pub map_cpu_per_record: SimDuration,
     /// Virtual CPU charge per reduce input record.
     pub reduce_cpu_per_record: SimDuration,
-    /// Virtual CPU charge per combiner input record (the "increased map
-    /// task run time" half of the combiner trade-off).
-    pub combine_cpu_per_record: SimDuration,
     /// JVM spawn cost per task attempt (Hadoop 1.x: ~1 s).
     pub task_startup: SimDuration,
     /// Fault injection: this job's tasks leak daemon heap (the Version-1
@@ -87,14 +81,12 @@ impl JobConf {
             sort_buffer_bytes: 100 * 1024 * 1024,
             speculative: true,
             speculative_reduces: true,
-            spec_slowtask_pct: 150,
             spec_cap_pct: 10,
             spec_heartbeat: SimDuration::from_secs(3),
             max_attempts: 4,
             map_cpu_per_byte: SimDuration::from_micros(1) / 80, // ~80 MB/s
             map_cpu_per_record: SimDuration::from_micros(2),
             reduce_cpu_per_record: SimDuration::from_micros(1),
-            combine_cpu_per_record: SimDuration::from_micros(2),
             task_startup: SimDuration::from_secs(1),
             leaks_memory: false,
             fail_first_attempts: 0,
@@ -182,12 +174,6 @@ impl JobConf {
     /// Toggle map-output compression (spill files and shuffle transfer).
     pub fn compress_map_output(mut self, on: bool) -> Self {
         self.compress_map_output = on;
-        self
-    }
-
-    /// Set the map-output codec (only consulted when compression is on).
-    pub fn map_output_codec(mut self, codec: hl_codec::CodecId) -> Self {
-        self.map_output_codec = codec;
         self
     }
 

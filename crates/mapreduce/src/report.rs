@@ -123,7 +123,7 @@ impl JobReport {
     }
 
     /// Sum of reduce-task durations.
-    pub fn total_reduce_time(&self) -> SimDuration {
+    fn total_reduce_time(&self) -> SimDuration {
         self.tasks
             .iter()
             .filter(|t| t.kind == TaskKind::Reduce)
@@ -137,7 +137,7 @@ impl JobReport {
     }
 
     /// Speculative attempts that beat their primary.
-    pub fn spec_wins(&self) -> usize {
+    fn spec_wins(&self) -> usize {
         self.spec_attempts.iter().filter(|a| a.outcome == SpecOutcome::Won).count()
     }
 

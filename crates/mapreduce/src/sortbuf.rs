@@ -247,21 +247,6 @@ pub struct SortedRun {
 }
 
 impl SortedRun {
-    /// Build a run from owned pairs of already-serialized bytes, sorting
-    /// them by raw key (stable, so equal keys keep insertion order).
-    /// Convenience for tests and benchmarks; the hot path builds runs
-    /// from the collect buffer.
-    pub fn from_pairs(mut pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut b = RunBuilder::new();
-        let mut last: Option<&[u8]> = None;
-        for (k, v) in &pairs {
-            b.push_raw(k, v, last == Some(k));
-            last = Some(k);
-        }
-        b.finish()
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.count
@@ -307,12 +292,6 @@ impl SortedRun {
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
         self.records().map(|r| (r.key, r.value))
     }
-
-    /// Copy out owned pairs (tests and debugging; the hot path never does
-    /// this).
-    pub fn to_pairs(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
-    }
 }
 
 /// Accumulates serialized records into a fresh arena, in push order.
@@ -321,7 +300,6 @@ impl SortedRun {
 /// repeat the key before them: every push says so. The crate keeps it to
 /// itself because the flag is trusted, not checked: a record marked as
 /// a repeat whose key differs would read back the previous key.
-/// [`SortedRun::from_pairs`] is the way to build a run from outside.
 #[derive(Debug, Default)]
 pub(crate) struct RunBuilder {
     arena: Vec<u8>,
@@ -575,7 +553,7 @@ impl<K: SortableKey, V: Writable> SortBuffer<K, V> {
     }
 
     /// Force a spill of the current buffer (sort, combine, "write").
-    pub fn spill<C>(&mut self, combiner: Option<&mut C>, counters: &mut Counters)
+    fn spill<C>(&mut self, combiner: Option<&mut C>, counters: &mut Counters)
     where
         C: Combiner<K = K, V = V>,
     {
@@ -889,6 +867,29 @@ impl<'c, C: Combiner> Combining<'c, C> {
             counters.incr_task(TaskCounter::CombineInputRecords, self.input_records);
             counters.incr_task(TaskCounter::CombineOutputRecords, self.output_records);
         }
+    }
+}
+
+#[cfg(test)]
+impl SortedRun {
+    /// Build a run from owned pairs of already-serialized bytes, sorting
+    /// them by raw key (stable, so equal keys keep insertion order). The
+    /// unit tests' fixture builder; the engine builds runs from the
+    /// collect buffer.
+    pub(crate) fn from_pairs(mut pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut b = RunBuilder::new();
+        let mut last: Option<&[u8]> = None;
+        for (k, v) in &pairs {
+            b.push_raw(k, v, last == Some(k));
+            last = Some(k);
+        }
+        b.finish()
+    }
+
+    /// Copy out owned pairs (the unit tests compare runs by them).
+    pub(crate) fn to_pairs(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
     }
 }
 

@@ -45,6 +45,11 @@ use crate::job::JobConf;
 /// median (Hadoop waits for a similar warm-up before speculating).
 pub const MIN_COMPLETED: usize = 3;
 
+/// Launch threshold: a running task is a straggler once its estimated
+/// total duration exceeds this percent of the median completed one
+/// (Hadoop's `mapred.speculative.slowtaskthreshold` at its 1.x default).
+const SLOWTASK_PCT: u64 = 150;
+
 /// How a finished speculative attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecOutcome {
@@ -134,7 +139,6 @@ pub struct RunningTask {
 /// heartbeats plus the `mapred.speculative.*` thresholds.
 #[derive(Debug, Clone)]
 pub struct Speculator {
-    threshold_pct: u32,
     cap_pct: u32,
     heartbeat: SimDuration,
 }
@@ -143,7 +147,6 @@ impl Speculator {
     /// A speculator tuned by a job's `mapred.speculative.*` settings.
     pub fn from_conf(conf: &JobConf) -> Self {
         Speculator {
-            threshold_pct: conf.spec_slowtask_pct.max(100),
             cap_pct: conf.spec_cap_pct,
             heartbeat: SimDuration(conf.spec_heartbeat.0.max(1)),
         }
@@ -183,7 +186,7 @@ impl Speculator {
     /// Propose which running task (if any) to speculate on a slot that
     /// freed up on `slot_node` at `now`. LATE-style: estimate each
     /// running task's total duration from its reported progress rate,
-    /// keep those beyond `threshold_pct` of the median completed
+    /// keep those beyond [`SLOWTASK_PCT`] of the median completed
     /// duration whose estimated remaining time still exceeds a fresh
     /// median-length attempt, and pick the one finishing furthest out.
     pub fn propose(
@@ -199,7 +202,7 @@ impl Speculator {
         }
         completed_us.sort_unstable();
         let median = completed_us[completed_us.len() / 2].max(1);
-        let threshold = median.saturating_mul(u64::from(self.threshold_pct)) / 100;
+        let threshold = median.saturating_mul(SLOWTASK_PCT) / 100;
         // (estimated finish, task id): max finish, min id on ties.
         let mut best: Option<(u64, u32)> = None;
         for r in running {

@@ -46,7 +46,7 @@ pub struct MapTaskOutput {
     pub records: u64,
     /// Sort-buffer high-water mark.
     pub peak_buffered: usize,
-    /// Time the task charged explicitly (side-file reads, `charge_compute`).
+    /// Time the task charged explicitly (side-file reads).
     pub extra_time: SimDuration,
 }
 
@@ -58,7 +58,7 @@ pub struct ReduceTaskOutput {
     pub counters: Counters,
     /// Values the reducer consumed.
     pub records: u64,
-    /// Time the task charged explicitly (side-file reads, `charge_compute`).
+    /// Time the task charged explicitly (side-file reads).
     pub extra_time: SimDuration,
 }
 

@@ -21,7 +21,7 @@ use hl_common::keys::SortableKey;
 use hl_common::writable::Writable;
 use hl_mapreduce::api::{Combiner, NoCombiner};
 use hl_mapreduce::merge::merge_groups;
-use hl_mapreduce::sortbuf::SortBuffer;
+use hl_mapreduce::sortbuf::{SortBuffer, SortedRun};
 
 // ---------------------------------------------------------------------------
 // Naive reference: the pre-kvbuffer pipeline, owned pairs all the way.
@@ -45,6 +45,11 @@ struct RefBuffer {
     peak_buffered: usize,
     spills: Vec<Vec<Vec<Pair>>>,
     spill_bytes_written: u64,
+}
+
+/// A run's records as owned pairs, in sorted order.
+fn to_pairs(run: &SortedRun) -> Vec<Pair> {
+    run.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
 }
 
 fn pairs_bytes(run: &[Pair]) -> u64 {
@@ -231,7 +236,7 @@ fn check_against_reference<K, C>(
     assert_eq!(out.partitions.len(), rout.partitions.len(), "{ctx}");
     let mut scratch = Vec::new();
     for p in 0..parts {
-        assert_eq!(out.partitions[p].to_pairs(), rout.partitions[p], "partition {p}: {ctx}");
+        assert_eq!(to_pairs(&out.partitions[p]), rout.partitions[p], "partition {p}: {ctx}");
         assert_eq!(out.partitions[p].len(), rout.partitions[p].len(), "len {p}: {ctx}");
         assert_eq!(out.partitions[p].bytes(), pairs_bytes(&rout.partitions[p]), "bytes {p}: {ctx}");
         // What map-output compression packs: the records and nothing else.
@@ -482,7 +487,7 @@ fn framing_equivalent(pairs: &[(RawKey, RawValue)], parts: usize, limit: usize, 
     let mut scratch = Vec::new();
     for p in 0..parts {
         let (run, want) = (&out.partitions[p], &rout.partitions[p]);
-        assert_eq!(run.to_pairs(), *want, "partition {p}: {ctx}");
+        assert_eq!(to_pairs(run), *want, "partition {p}: {ctx}");
         assert_eq!(run.bytes(), pairs_bytes(want), "bytes {p}: {ctx}");
         let flat: Vec<u8> =
             want.iter().flat_map(|(k, v)| [k.as_slice(), v.as_slice()].concat()).collect();

@@ -11,7 +11,7 @@ use hl_common::writable::{read_vu64, write_vu64, Writable};
 use hl_common::{HlError, Result};
 
 /// Number of buckets: one for zero plus one per bit of a `u64`.
-pub const NUM_BUCKETS: usize = 65;
+const NUM_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram over `u64` samples.
 ///
@@ -110,13 +110,13 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(bucket index, count)` in index order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c))
     }
 }
 
 /// Inclusive upper bound of bucket `i` (0 for the zero bucket).
-pub fn bucket_upper_bound(i: usize) -> u64 {
+fn bucket_upper_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 64 {

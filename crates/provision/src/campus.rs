@@ -66,10 +66,10 @@ mod tests {
         campus.ports.orphan_owner("alice");
         // Before the period: nothing.
         assert_eq!(campus.advance_to(SimTime::ZERO + SimDuration::from_mins(5)), 0);
-        assert_eq!(campus.ports.ghosts_on(NodeId(0)), 1);
+        assert_eq!(campus.ports.holder(NodeId(0), 50060), Some(("alice", false)));
         // At 15 minutes: swept.
         assert_eq!(campus.advance_to(SimTime::ZERO + SimDuration::from_mins(15)), 1);
-        assert_eq!(campus.ports.ghosts_on(NodeId(0)), 0);
+        assert_eq!(campus.ports.holder(NodeId(0), 50060), None);
         assert_eq!(campus.log.grep("swept").count(), 1);
     }
 

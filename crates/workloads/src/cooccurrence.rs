@@ -23,7 +23,7 @@ use hl_mapreduce::api::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
 use hl_mapreduce::job::{Job, JobConf};
 
 /// Neighborhood window: words within this distance co-occur.
-pub const WINDOW: usize = 2;
+const WINDOW: usize = 2;
 
 /// A stripe: co-occurrence counts for one left word.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

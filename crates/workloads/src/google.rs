@@ -66,22 +66,6 @@ impl Reducer for WorstJobReducer {
     }
 }
 
-/// Emits every job's resubmission count (`job \t resubmissions`).
-pub struct ResubmissionsReducer;
-
-impl Reducer for ResubmissionsReducer {
-    type KIn = u64;
-    type VIn = u32;
-    fn reduce(&mut self, job: u64, tasks: Vec<u32>, ctx: &mut ReduceContext) {
-        let mut submits_per_task: BTreeMap<u32, u64> = BTreeMap::new();
-        for t in tasks {
-            *submits_per_task.entry(t).or_default() += 1;
-        }
-        let resubmissions: u64 = submits_per_task.values().map(|&n| n - 1).sum();
-        ctx.emit(job, resubmissions);
-    }
-}
-
 /// The assignment job: single worst offender.
 pub fn worst_job(
     input: &str,
@@ -95,23 +79,6 @@ pub fn worst_job(
             .reduces(1),
         || SubmitEventMapper,
         WorstJobReducer::default,
-    )
-}
-
-/// All jobs' resubmission counts.
-pub fn all_resubmissions(
-    input: &str,
-    output: &str,
-    reduces: usize,
-) -> Job<SubmitEventMapper, ResubmissionsReducer, hl_mapreduce::api::NoCombiner<u64, u32>> {
-    Job::new(
-        JobConf::new("google-trace-resubmissions")
-            .map_cpu_per_record(JAVA_PARSE_CPU)
-            .input(input)
-            .output(output)
-            .reduces(reduces),
-        || SubmitEventMapper,
-        || ResubmissionsReducer,
     )
 }
 
@@ -137,24 +104,6 @@ mod tests {
         let (tj, tn) = truth.worst_job().unwrap();
         assert_eq!(job.parse::<u64>().unwrap(), tj);
         assert_eq!(n.parse::<u64>().unwrap(), tn);
-    }
-
-    #[test]
-    fn per_job_counts_match_truth() {
-        let (log, truth) = GoogleTraceGen::new(3).with_jobs(100, 15).generate();
-        let report = LocalRunner::serial()
-            .run(
-                &all_resubmissions("/i", "/o", 4),
-                &[("events.csv".to_string(), log.into_bytes())],
-                &SideFiles::new(),
-            )
-            .unwrap();
-        let mut got: BTreeMap<u64, u64> = BTreeMap::new();
-        for line in &report.output {
-            let (j, n) = line.split_once('\t').unwrap();
-            got.insert(j.parse().unwrap(), n.parse().unwrap());
-        }
-        assert_eq!(got, truth.resubmissions);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use hl_mapreduce::scheduler::{
 use hl_metrics::MetricsRegistry;
 
 /// Number of scheduler pools the replay spreads users across.
-pub const NUM_POOLS: u64 = 8;
+const NUM_POOLS: u64 = 8;
 
 /// One task attempt: how long it ran in the trace and how it ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,9 +7,6 @@
 //! 3. [`InMapperWcMapper`]: in-mapper combining — a per-task hash table,
 //!    flushed in `cleanup`, trading task memory for even less shuffle and
 //!    no combiner-invocation overhead.
-//!
-//! Plus the Fall-2012 assignment-1 twist: [`TopWordReducer`] finds "the
-//! word with highest count in the complete Shakespeare collection".
 
 use std::collections::BTreeMap;
 
@@ -85,35 +82,6 @@ impl Mapper for InMapperWcMapper {
     }
 }
 
-/// Single-reducer "word with the highest count": tracks the max across
-/// groups, emits once in `cleanup`. Run with `reduces(1)`.
-#[derive(Default)]
-pub struct TopWordReducer {
-    best: Option<(String, u64)>,
-}
-
-impl Reducer for TopWordReducer {
-    type KIn = String;
-    type VIn = u64;
-
-    fn reduce(&mut self, key: String, values: Vec<u64>, _ctx: &mut ReduceContext) {
-        let total: u64 = values.into_iter().sum();
-        let better = match &self.best {
-            None => true,
-            Some((w, n)) => total > *n || (total == *n && key < *w),
-        };
-        if better {
-            self.best = Some((key, total));
-        }
-    }
-
-    fn cleanup(&mut self, ctx: &mut ReduceContext) {
-        if let Some((word, count)) = self.best.take() {
-            ctx.emit(word, count);
-        }
-    }
-}
-
 /// Standard WordCount job (no combiner).
 pub fn wordcount(
     input: &str,
@@ -151,16 +119,6 @@ pub fn wordcount_inmapper(
         JobConf::new("wordcount-inmapper").input(input).output(output).reduces(reduces),
         InMapperWcMapper::default,
         || WcReducer,
-    )
-}
-
-/// The Fall-2012 assignment: the single most frequent word.
-pub fn top_word(input: &str, output: &str) -> Job<WcMapper, TopWordReducer, WcCombiner> {
-    Job::with_combiner(
-        JobConf::new("top-word").input(input).output(output).reduces(1),
-        WcMapper::default,
-        TopWordReducer::default,
-        || WcCombiner,
     )
 }
 
@@ -219,24 +177,5 @@ mod tests {
             "in-mapper: {}",
             inmapper.counters.task(TaskCounter::MapOutputRecords)
         );
-    }
-
-    #[test]
-    fn top_word_finds_the_zipf_head() {
-        let gen = CorpusGen::new(11).with_vocab(500);
-        let (text, truth) = gen.generate(30_000);
-        let expected =
-            truth.iter().max_by_key(|(w, &n)| (n, std::cmp::Reverse((*w).clone()))).unwrap();
-        let report = LocalRunner::serial()
-            .run(
-                &top_word("/i", "/o"),
-                &[("c.txt".to_string(), text.into_bytes())],
-                &SideFiles::new(),
-            )
-            .unwrap();
-        assert_eq!(report.output.len(), 1);
-        let (word, count) = report.output[0].split_once('\t').unwrap();
-        assert_eq!(word, expected.0);
-        assert_eq!(count.parse::<u64>().unwrap(), *expected.1);
     }
 }

@@ -95,21 +95,6 @@ impl Reducer for BestAlbumReducer {
     }
 }
 
-/// Emits every album's average (`album \t avg \t count`) — the
-/// intermediate table students eyeball before picking the max.
-pub struct AlbumAvgReducer;
-
-impl Reducer for AlbumAvgReducer {
-    type KIn = u32;
-    type VIn = SumCount;
-    fn reduce(&mut self, album: u32, values: Vec<SumCount>, ctx: &mut ReduceContext) {
-        let total = values.into_iter().fold(SumCount::default(), SumCount::merge);
-        if let Some(mean) = total.mean() {
-            ctx.emit(album, format!("{mean:.4}\t{}", total.count));
-        }
-    }
-}
-
 /// The assignment's headline job: best album, single output line.
 pub fn best_album(
     ratings: &str,
@@ -125,26 +110,6 @@ pub fn best_album(
             .reduces(1),
         move || AlbumRatingMapper::new(songs.clone()),
         BestAlbumReducer::default,
-        || AlbumCombiner,
-    )
-}
-
-/// All album averages (multi-reduce OK).
-pub fn album_averages(
-    ratings: &str,
-    songs: &str,
-    output: &str,
-    reduces: usize,
-) -> Job<AlbumRatingMapper, AlbumAvgReducer, AlbumCombiner> {
-    let songs = songs.to_string();
-    Job::with_combiner(
-        JobConf::new("yahoo-album-averages")
-            .map_cpu_per_record(JAVA_PARSE_CPU)
-            .input(ratings)
-            .output(output)
-            .reduces(reduces),
-        move || AlbumRatingMapper::new(songs.clone()),
-        || AlbumAvgReducer,
         || AlbumCombiner,
     )
 }
@@ -175,24 +140,6 @@ mod tests {
         let (album, avg) = data.truth.best_album().unwrap();
         assert_eq!(fields[0].parse::<u32>().unwrap(), album);
         assert!((fields[1].parse::<f64>().unwrap() - avg).abs() < 1e-3);
-    }
-
-    #[test]
-    fn album_averages_match_truth_for_every_album() {
-        let (inputs, side, data) = setup(20_000);
-        let report = LocalRunner::serial()
-            .run(&album_averages("/i", "/cache/songs.txt", "/o", 3), &inputs, &side)
-            .unwrap();
-        assert_eq!(report.output.len(), data.truth.per_album.len());
-        for line in &report.output {
-            let mut f = line.split('\t');
-            let album: u32 = f.next().unwrap().parse().unwrap();
-            let avg: f64 = f.next().unwrap().parse().unwrap();
-            let count: u64 = f.next().unwrap().parse().unwrap();
-            let &(tn, ts) = data.truth.per_album.get(&album).unwrap();
-            assert_eq!(count, tn);
-            assert!((avg - ts as f64 / tn as f64).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -325,7 +325,7 @@ fn reduce_phase_blacklisting_is_pinned() {
     let report = cluster.run_job(&job).unwrap();
 
     assert_eq!(report.blacklisted_trackers, vec![victim]);
-    assert!(!cluster.tracker(victim).unwrap().health.alive);
+    assert!(!cluster.tracker_mut(victim).unwrap().health.alive);
     let (maps, reduces): (Vec<_>, Vec<_>) = report.tasks.iter().partition(|t| t.locality.is_some());
     assert!(maps.iter().all(|t| t.attempts == 1), "no map may have failed");
     assert!(reduces.iter().any(|t| t.attempts == 2), "a reduce must have retried");
