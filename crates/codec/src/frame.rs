@@ -152,6 +152,14 @@ pub fn parse_frame(bytes: &[u8], at: usize) -> Result<(FrameHeader, &[u8], usize
     if header.method == CodecId::Null && header.comp_len != header.raw_len {
         return Err(HlError::Codec("stored frame with comp_len != raw_len".into()));
     }
+    // A reader sizes its buffer from the headers before it decodes, so a
+    // claim the payload cannot back is refused here.
+    if header.method == CodecId::Hlz && header.raw_len > lz::max_decoded_len(header.comp_len) {
+        return Err(HlError::Codec(format!(
+            "Hlz frame claims {} raw bytes from {} stored",
+            header.raw_len, header.comp_len
+        )));
+    }
     let header_len = before - buf.len();
     let comp_len = usize::try_from(header.comp_len)
         .map_err(|_| HlError::Codec("frame comp_len overflows usize".into()))?;
@@ -228,7 +236,8 @@ pub fn decode_frames_into(bytes: &[u8], at: usize, out: &mut Vec<u8>) -> Result<
 ///
 /// The headers are parsed front to back first, so that each run knows
 /// where its bytes go. The buffer is allocated here, at the sum of their
-/// raw lengths (each at most [`MAX_FRAME_RAW_LEN`]). Each run then decodes
+/// raw lengths (each at most [`MAX_FRAME_RAW_LEN`], and at most what its
+/// payload can decode to). Each run then decodes
 /// and CRC-checks its frames into its own slice of it. The result is what
 /// [`decode_frames_into`] gives over `parts` one after another, error
 /// included: that of the first frame in order that fails to parse or to

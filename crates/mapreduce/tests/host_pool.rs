@@ -313,7 +313,7 @@ fn speculating(workers: Workers, built: &Built) -> (MrCluster, JobReport) {
 
     let mut job = wc("wc", 12, built);
     job.combiner = None;
-    job.conf = job.conf.speculative(true).speculative_reduces(true);
+    job.conf = job.conf.speculative(true);
     job.conf.spec_heartbeat = SimDuration::from_millis(100);
     job.conf.spec_cap_pct = 50;
     job.conf.reduce_cpu_per_record = SimDuration::from_micros(500);

@@ -91,7 +91,6 @@ fn conf(d: &Draw, name: &str, user: &str) -> JobConf {
         .output(format!("/out/{name}"))
         .reduces(6)
         .speculative(d.speculative)
-        .speculative_reduces(d.speculative)
         .fail_first_attempts(d.fail_first);
     conf.user = user.into();
     conf.compress_map_output = d.codec;

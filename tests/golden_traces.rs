@@ -278,7 +278,7 @@ fn speculation_on_a_skewed_cluster_is_pinned() {
     stage(&mut cluster, 24_000, 6);
 
     let mut job = wc("/out/spec", 12);
-    job.conf = job.conf.speculative(true).speculative_reduces(true);
+    job.conf = job.conf.speculative(true);
     // Test timescale: tasks run for seconds, so the progress heartbeat
     // must tick well inside that; CPU-bound reduces make the throttled
     // tier straggle in the reduce phase too.
