@@ -138,6 +138,9 @@ pub(crate) fn counters(nodes: u64, blocks: u64) -> Result<Metrics> {
 
     // Phase 4: checkpoint, tail edits, restart.
     nn.checkpoint();
+    if !nn.editlog.is_empty() {
+        return Err(HlError::Internal("the checkpoint left ops in the journal".into()));
+    }
     let fsimage_bytes = u64::try_from(nn.fsimage_bytes().len()).unwrap_or(u64::MAX);
     let now = horizon;
     nn.mkdirs("/tail")?;

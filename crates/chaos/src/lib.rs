@@ -30,7 +30,5 @@ pub mod plan;
 pub mod runner;
 pub mod scenario;
 
-pub use oracle::Violation;
-pub use plan::{Fault, FaultPlan, PlannedFault};
 pub use runner::{AckedWrite, ChaosReport, ChaosRunner};
 pub use scenario::{ScenarioPack, NODES, ROUNDS};

@@ -12,7 +12,7 @@ use hl_common::writable::{read_vu64, write_vu64, Writable};
 
 /// One typed fault event the runner knows how to inject.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Fault {
+pub(crate) enum Fault {
     /// `kill -9` one daemon's JVM. TaskTracker kills leave the colocated
     /// DataNode running (and vice versa) — composing both is the planner's
     /// job, crashing both at once is what [`Fault::HeapLeak`] is for.
@@ -123,7 +123,7 @@ pub enum Fault {
 impl Fault {
     /// Stable counter/trace label, one per variant (the accounting oracle
     /// matches injections against these).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Fault::KillDaemon { .. } => "KillDaemon",
             Fault::HeapLeak { .. } => "HeapLeak",
@@ -307,7 +307,7 @@ fn read_narrow<T: TryFrom<u64>>(buf: &mut &[u8], what: &str) -> Result<T> {
 
 /// A fault scheduled for a specific round of the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedFault {
+pub(crate) struct PlannedFault {
     /// Zero-based round the fault fires at (before that round's job).
     pub at: u32,
     /// What happens.
@@ -327,7 +327,7 @@ impl Writable for PlannedFault {
 
 /// A complete, seeded fault schedule for one chaos run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     /// The seed every random choice in the run derives from.
     pub seed: u64,
     /// Number of workload rounds the runner drives.
@@ -338,18 +338,13 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Faults scheduled for `round`, in plan order.
-    pub fn at(&self, round: u32) -> impl Iterator<Item = &Fault> {
+    pub(crate) fn at(&self, round: u32) -> impl Iterator<Item = &Fault> {
         self.faults.iter().filter(move |p| p.at == round).map(|p| &p.fault)
     }
 
     /// Total scheduled fault count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.faults.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 
@@ -440,6 +435,5 @@ mod tests {
         assert_eq!(plan.at(1).count(), 0);
         assert_eq!(plan.at(2).count(), 1);
         assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
     }
 }

@@ -83,24 +83,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Advance `now` directly (used when a data-path charge finishes later
-    /// than any protocol event). Never moves backwards.
-    pub fn advance_to(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
 }
 
 /// A bucketed timer wheel for per-node recurring timers (heartbeats, block
@@ -179,16 +161,6 @@ impl<K: Ord + Copy> TimerWheel<K> {
         }
         keys.into_iter().collect()
     }
-
-    /// Number of pending timers (keys, not rounds).
-    pub fn len(&self) -> usize {
-        self.slot.len()
-    }
-
-    /// True when no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.slot.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -217,23 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_never_rewinds() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_to(SimTime(500));
-        assert_eq!(q.now(), SimTime(500));
-        q.advance_to(SimTime(100));
-        assert_eq!(q.now(), SimTime(500));
-    }
-
-    #[test]
     fn len_and_empty() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         q.schedule_at(SimTime(1), ());
-        assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime(1)));
         q.pop();
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
     }
 
@@ -245,7 +206,6 @@ mod tests {
             let at = if node % 2 == 0 { SimTime(150) } else { SimTime(250) };
             w.schedule(node, at);
         }
-        assert_eq!(w.len(), 1000);
         assert_eq!(w.next_due(), Some(SimTime(200)));
 
         // Nothing due before the round boundary.
@@ -259,7 +219,6 @@ mod tests {
 
         let due = w.pop_due(SimTime(300));
         assert_eq!(due, (0..1000).filter(|n| n % 2 == 1).collect::<Vec<_>>());
-        assert!(w.is_empty());
         assert_eq!(w.next_due(), None);
     }
 
@@ -279,7 +238,7 @@ mod tests {
         let mut w: TimerWheel<u8> = TimerWheel::new(SimDuration::from_micros(10));
         w.schedule(7, SimTime(10));
         w.schedule(7, SimTime(50));
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.next_due(), Some(SimTime(50)));
         assert!(w.pop_due(SimTime(10)).is_empty());
         assert_eq!(w.pop_due(SimTime(50)), vec![7]);
         // Rescheduling into the same round is a no-op, not a duplicate.

@@ -62,13 +62,13 @@ impl HeapLeakModel {
     }
 
     /// Custom model.
-    pub fn new(heap_limit: u64, base_heap: u64, leak_per_buggy_task: u64) -> Self {
+    pub(crate) fn new(heap_limit: u64, base_heap: u64, leak_per_buggy_task: u64) -> Self {
         HeapLeakModel { heap_limit, base_heap, leak_per_buggy_task, current: base_heap }
     }
 
     /// Host one task; `buggy` tasks leak. Returns `true` when the daemon
     /// OOM-crashes on this task.
-    pub fn host_task(&mut self, buggy: bool) -> bool {
+    pub(crate) fn host_task(&mut self, buggy: bool) -> bool {
         if buggy {
             self.current = self.current.saturating_add(self.leak_per_buggy_task);
         }
@@ -76,7 +76,7 @@ impl HeapLeakModel {
     }
 
     /// Restart the JVM: heap back to base.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.current = self.base_heap;
     }
 }

@@ -25,10 +25,3 @@ pub mod ports;
 pub mod resource;
 pub mod scheduler;
 pub mod trace;
-
-pub use event::EventQueue;
-pub use network::{ClusterNet, NetArchitecture};
-pub use node::{ClusterSpec, NodeSpec};
-pub use ports::PortRegistry;
-pub use resource::PipeResource;
-pub use scheduler::{BatchScheduler, Reservation, ReservationRequest};

@@ -40,12 +40,12 @@ pub enum NetArchitecture {
 
 impl NetArchitecture {
     /// Hadoop layout with a 10 GbE-class rack uplink.
-    pub fn hadoop_local_disks() -> Self {
+    pub(crate) fn hadoop_local_disks() -> Self {
         NetArchitecture::HadoopLocalDisks { rack_uplink_bw: 1170 * ByteSize::MIB }
     }
 
     /// HPC layout with the given parallel-storage aggregate bandwidth.
-    pub fn hpc_parallel_fs(storage_aggregate_bw: u64) -> Self {
+    pub(crate) fn hpc_parallel_fs(storage_aggregate_bw: u64) -> Self {
         NetArchitecture::HpcParallelFs {
             storage_aggregate_bw,
             rack_uplink_bw: 1170 * ByteSize::MIB,
@@ -239,35 +239,6 @@ impl ClusterNet {
         Ok(Charge { start: now, end: nic.end })
     }
 
-    /// Write to the shared parallel FS (Figure 1(a) only). Same contract
-    /// as [`ClusterNet::read_shared_storage`]: no shared store is a
-    /// wiring error, not a panic.
-    // lint:allow(R9): Figure 1's shared-store writes; ROADMAP 2(b) gives it its DFS caller
-    pub fn write_shared_storage(
-        &mut self,
-        now: SimTime,
-        writer: NodeId,
-        bytes: u64,
-    ) -> Result<Charge> {
-        // Check before charging the NIC/uplink: the error path must not
-        // leave half a transfer accounted against the pipes.
-        if self.shared_storage.is_none() {
-            return Err(HlError::Internal("write_shared_storage on a local-disk cluster".into()));
-        }
-        let (op, nominal) = (self.op_at(now), PerfProfile::NOMINAL_BP);
-        let mult = self.nic_mult(writer, now);
-        let nic = hop(&mut self.nics[writer.0 as usize], op, &mut self.late, now, bytes, mult);
-        let rack = self.topology.rack(writer);
-        let up =
-            hop(&mut self.uplinks[rack.0 as usize], op, &mut self.late, nic.end, bytes, nominal);
-        self.remote_bytes += bytes;
-        let Some(storage) = self.shared_storage.as_mut() else {
-            return Err(HlError::Internal("write_shared_storage on a local-disk cluster".into()));
-        };
-        let s = hop(storage, op, &mut self.late, up.end, bytes, nominal);
-        Ok(Charge { start: now, end: s.end })
-    }
-
     /// Run `f` as one op requested at `now`: every charge it makes, at
     /// whatever instant, is a later hop of that op — a block's replica
     /// pipeline, a read that fails over, a copy's disk → wire → disk. An
@@ -429,8 +400,7 @@ mod tests {
     fn shared_io_on_hadoop_is_an_error_not_a_panic() {
         let mut net = hadoop(2, 1);
         assert!(net.read_shared_storage(SimTime::ZERO, NodeId(0), 1).is_err());
-        assert!(net.write_shared_storage(SimTime::ZERO, NodeId(0), 1).is_err());
-        // The failed write must not count against any pipe.
+        // The failed read must not count against any pipe.
         assert_eq!(net.remote_bytes(), 0);
         assert_eq!(net.nics[0].total_bytes(), 0);
     }

@@ -66,7 +66,7 @@ impl PerfProfile {
     pub const NOMINAL_BP: u32 = 10_000;
 
     /// Full nominal speed on all three components.
-    pub const NOMINAL: PerfProfile = PerfProfile {
+    pub(crate) const NOMINAL: PerfProfile = PerfProfile {
         cpu_mult: Self::NOMINAL_BP,
         disk_mult: Self::NOMINAL_BP,
         nic_mult: Self::NOMINAL_BP,
@@ -166,7 +166,7 @@ pub enum DegradeModel {
 
 impl DegradeModel {
     /// The node's effective profile at `now`.
-    pub fn profile_at(&self, now: SimTime) -> PerfProfile {
+    pub(crate) fn profile_at(&self, now: SimTime) -> PerfProfile {
         match self {
             DegradeModel::Static(p) => *p,
             DegradeModel::Decay { from, ramp, floor } => {

@@ -49,7 +49,7 @@ impl PipeResource {
     /// An op requested at `op` books this pipe. True when an op requested
     /// *later* has booked it already: FIFO then served this charge after
     /// work that virtual-time order would have served after it.
-    pub fn note_op(&mut self, op: SimTime) -> bool {
+    pub(crate) fn note_op(&mut self, op: SimTime) -> bool {
         let late = op < self.latest_op;
         self.latest_op = self.latest_op.max(op);
         late
@@ -73,7 +73,7 @@ impl PipeResource {
     /// (10 000 = nominal, and an exact alias for `charge`). Degradation
     /// is per-charge, not per-pipe state, so time-varying
     /// [`crate::node::DegradeModel`]s need no event scheduling.
-    pub fn charge_scaled(&mut self, now: SimTime, bytes: u64, mult_bp: u32) -> Charge {
+    pub(crate) fn charge_scaled(&mut self, now: SimTime, bytes: u64, mult_bp: u32) -> Charge {
         use crate::node::PerfProfile;
         if mult_bp >= PerfProfile::NOMINAL_BP {
             return self.charge(now, bytes);
@@ -89,18 +89,18 @@ impl PipeResource {
     }
 
     /// Earliest instant a new charge could start.
-    pub fn free_at(&self) -> SimTime {
+    pub(crate) fn free_at(&self) -> SimTime {
         self.free_at
     }
 
     /// Total bytes ever charged (the per-link traffic counters behind the
     /// Figure 1 experiment).
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
 
     /// Utilization in `[0,1]` over the window ending at `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn utilization(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {
             return 0.0;
         }
@@ -108,7 +108,7 @@ impl PipeResource {
     }
 
     /// Forget accumulated accounting but keep the queue state.
-    pub fn reset_accounting(&mut self) {
+    pub(crate) fn reset_accounting(&mut self) {
         self.total_bytes = 0;
         self.busy = SimDuration::ZERO;
     }

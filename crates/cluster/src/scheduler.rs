@@ -200,15 +200,6 @@ impl BatchScheduler {
     pub fn running(&self, id: ReservationId) -> Option<&Reservation> {
         self.running.get(&id)
     }
-
-    /// Overall utilization: busy nodes / total (the paper cites ~90% on the
-    /// shared machine).
-    pub fn utilization(&self) -> f64 {
-        if self.total_nodes == 0 {
-            return 0.0;
-        }
-        (self.total_nodes - self.free.len()) as f64 / self.total_nodes as f64
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +225,6 @@ mod tests {
         assert_eq!(out.started[0].nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(out.started[1].nodes, vec![NodeId(3), NodeId(4), NodeId(5), NodeId(6)]);
         assert_eq!(s.free.len(), 1);
-        assert!((s.utilization() - 7.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -58,21 +58,6 @@ impl EventLog {
     pub fn grep<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a TraceEntry> {
         self.entries.iter().filter(move |e| e.message.contains(needle))
     }
-
-    /// Number of lines.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 impl fmt::Display for EventLog {
@@ -93,7 +78,7 @@ mod tests {
         let mut log = EventLog::new();
         log.log(SimTime(1_000_000), "namenode", "safe mode ON");
         log.log(SimTime(2_000_000), "datanode/node001", "sent block report (10 blocks)");
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.entries.len(), 2);
         let text = log.to_string();
         assert!(text.contains("[t=1.00s] namenode: safe mode ON"));
         assert!(text.contains("datanode/node001"));
@@ -108,7 +93,5 @@ mod tests {
         assert_eq!(log.grep("safe mode").count(), 2);
         assert_eq!(log.from_source("namenode").count(), 2);
         assert_eq!(log.grep("job_").count(), 1);
-        log.clear();
-        assert!(log.is_empty());
     }
 }

@@ -57,7 +57,7 @@ pub enum CodecId {
 
 impl CodecId {
     /// Configuration-file name (`mapred.output.compression.codec` value).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CodecId::Null => "none",
             CodecId::Hlz => "hlz",

@@ -67,7 +67,7 @@ pub struct Configuration {
 
 impl Configuration {
     /// An empty configuration (every getter falls back to its default).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -101,7 +101,7 @@ impl Configuration {
     }
 
     /// Raw string lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 
@@ -150,29 +150,6 @@ impl Configuration {
             None => Ok(default),
         }
     }
-
-    /// Merge `other` on top of `self` (other wins), like loading a second
-    /// `*-site.xml` on top of the defaults.
-    pub fn merge(&mut self, other: &Configuration) {
-        for (k, v) in &other.values {
-            self.values.insert(k.clone(), v.clone());
-        }
-    }
-
-    /// Iterate over all pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// Number of explicitly-set keys.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no keys are set.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 impl fmt::Display for Configuration {
@@ -205,17 +182,6 @@ mod tests {
         assert_eq!(c.get_u64("k", 0).unwrap(), 123);
         c.set("k", "not-a-number");
         assert!(c.get_u64("k", 0).is_err());
-    }
-
-    #[test]
-    fn merge_overrides_in_order() {
-        let mut base = Configuration::with_defaults();
-        let mut site = Configuration::new();
-        site.set(keys::DFS_REPLICATION, "2");
-        base.merge(&site);
-        assert_eq!(base.get_u32(keys::DFS_REPLICATION, 0).unwrap(), 2);
-        // untouched keys survive
-        assert_eq!(base.get_u32(keys::MAPRED_MAP_SLOTS, 0).unwrap(), 8);
     }
 
     #[test]

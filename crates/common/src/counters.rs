@@ -50,7 +50,7 @@ impl TaskCounter {
     ];
 
     /// Display name matching the Hadoop job report.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TaskCounter::MapInputRecords => "Map input records",
             TaskCounter::MapOutputRecords => "Map output records",
@@ -94,7 +94,7 @@ impl FileSystemCounter {
     ];
 
     /// Display name matching the Hadoop job report.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FileSystemCounter::HdfsBytesRead => "HDFS_BYTES_READ",
             FileSystemCounter::HdfsBytesWritten => "HDFS_BYTES_WRITTEN",
@@ -253,11 +253,6 @@ impl Counters {
         rows.sort_unstable_by_key(|&(g, c, _)| (g, c));
         rows
     }
-
-    /// True when nothing has been counted.
-    pub fn is_empty(&self) -> bool {
-        self.user.is_empty() && self.task.iter().chain(&self.fs).all(Option::is_none)
-    }
 }
 
 /// Sum `theirs` into `mine`, slot by slot; a slot they never registered
@@ -314,9 +309,9 @@ mod tests {
     #[test]
     fn touch_registers_zero_without_incrementing() {
         let mut c = Counters::new();
-        assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
         c.touch_task(TaskCounter::MapOutputBytes);
-        assert!(!c.is_empty());
+        assert_eq!(c.iter().count(), 1);
         assert_eq!(c.task(TaskCounter::MapOutputBytes), 0);
         assert!(c.to_string().contains("    Map output bytes=0\n"));
         // Touching an existing counter must not disturb its value.
@@ -403,10 +398,6 @@ mod tests {
                 .iter()
                 .flat_map(|(g, cs)| cs.iter().map(move |(c, v)| (g.as_str(), c.as_str(), *v)))
         }
-
-        fn is_empty(&self) -> bool {
-            self.groups.is_empty()
-        }
     }
 
     impl fmt::Display for MapCounters {
@@ -460,7 +451,6 @@ mod tests {
     fn assert_agree(new: &Counters, model: &MapCounters) {
         assert_eq!(new.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
         assert_eq!(new.to_string(), model.to_string());
-        assert_eq!(new.is_empty(), model.is_empty());
         for g in GROUPS {
             for n in names() {
                 assert_eq!(new.get(g, n), model.get(g, n), "get({g:?}, {n:?})");

@@ -90,59 +90,6 @@ macro_rules! signed_sortable {
 
 signed_sortable!((i8, u8), (i16, u16), (i32, u32), (i64, u64));
 
-/// A totally-ordered `f64` key (NaN sorts above +inf, like IEEE totalOrder).
-///
-/// Raw `f64` is not `Ord`, so jobs that key by a float (e.g. "album with the
-/// highest average rating" sorted output) wrap it in `OrderedF64`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// lint:allow(R9): the float key a lab job sorts by; its order is property-tested below
-pub struct OrderedF64(pub f64);
-
-impl OrderedF64 {
-    fn total_bits(self) -> u64 {
-        let bits = self.0.to_bits();
-        if bits & (1 << 63) != 0 {
-            !bits // negative: flip everything
-        } else {
-            bits | (1 << 63) // positive: flip sign bit
-        }
-    }
-}
-
-impl Eq for OrderedF64 {}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.total_bits().cmp(&other.total_bits())
-    }
-}
-
-impl Writable for OrderedF64 {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.0.write(buf);
-    }
-    fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(OrderedF64(f64::read(buf)?))
-    }
-}
-
-impl SortableKey for OrderedF64 {
-    fn encode_ordered(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.total_bits().to_be_bytes());
-    }
-    fn decode_ordered(buf: &mut &[u8]) -> Result<Self> {
-        let bits = u64::from_be_bytes(take(buf, 8)?.try_into().unwrap());
-        let raw = if bits & (1 << 63) != 0 { bits & !(1 << 63) } else { !bits };
-        Ok(OrderedF64(f64::from_bits(raw)))
-    }
-}
-
 impl SortableKey for String {
     /// UTF-8 bytes compare exactly like `str`; a trailing `0x00` terminator
     /// makes the encoding self-delimiting inside composite keys. Interior
@@ -244,47 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn float_edge_cases() {
-        let vals = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.0,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        // The list is written in strictly increasing IEEE total order
-        // (note -0.0 < 0.0 there); encodings must be strictly increasing too.
-        for w in vals.windows(2) {
-            let (ea, eb) = (OrderedF64(w[0]).ordered_bytes(), OrderedF64(w[1]).ordered_bytes());
-            assert!(ea < eb, "{} should encode below {}", w[0], w[1]);
-        }
-        for &a in &vals {
-            let oa = OrderedF64(a);
-            let bytes = oa.ordered_bytes();
-            let mut slice = bytes.as_slice();
-            assert_eq!(OrderedF64::decode_ordered(&mut slice).unwrap().0.to_bits(), a.to_bits());
-        }
-        // NaN sorts at the top and round-trips.
-        let nan = OrderedF64(f64::NAN);
-        assert!(nan > OrderedF64(f64::INFINITY));
-        let mut s = nan.ordered_bytes();
-        let mut slice = s.as_mut_slice() as &[u8];
-        assert!(OrderedF64::decode_ordered(&mut slice).unwrap().0.is_nan());
-    }
-
-    #[test]
     fn writable_round_trips_for_key_types() {
         // The Writable (value) path, distinct from the SortableKey
         // (ordered-encoding) path exercised above.
-        for v in [0.0f64, -0.0, 2.5, f64::NEG_INFINITY, 1e300] {
-            let k = OrderedF64(v);
-            assert_eq!(OrderedF64::from_bytes(&k.to_bytes()).unwrap(), k);
-        }
         let p = Pair("carrier".to_string(), -42i64);
         assert_eq!(Pair::<String, i64>::from_bytes(&p.to_bytes()).unwrap(), p);
         let nested = Pair(Pair(1u64, 2u64), "tail".to_string());
@@ -486,12 +395,6 @@ mod tests {
                 prop_assert_eq!(new, old, "bytes consumed");
             }
             prop_assert_eq!(got, want);
-        }
-
-        #[test]
-        fn prop_f64_order(a: f64, b: f64) {
-            let (oa, ob) = (OrderedF64(a), OrderedF64(b));
-            prop_assert_eq!(oa.cmp(&ob), oa.ordered_bytes().cmp(&ob.ordered_bytes()));
         }
 
         #[test]

@@ -37,7 +37,6 @@ pub mod prelude {
     pub use crate::counters::{Counters, FileSystemCounter, TaskCounter};
     pub use crate::error::{HlError, Result};
     pub use crate::hash::fnv1a;
-    pub use crate::keys::SortableKey;
     pub use crate::simtime::{SimDuration, SimTime};
     pub use crate::topology::{NodeId, RackId, Topology};
     pub use crate::units::ByteSize;

@@ -43,7 +43,7 @@ pub struct N3Result {
 
 impl N3Result {
     /// The slowdown factor of the naive implementation.
-    pub fn factor(&self) -> f64 {
+    pub(crate) fn factor(&self) -> f64 {
         self.naive.as_secs_f64() / self.cached.as_secs_f64().max(1e-9)
     }
 }

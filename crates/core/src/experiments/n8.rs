@@ -41,7 +41,7 @@ pub struct N8Result {
 
 impl N8Result {
     /// Naive-over-cached slowdown.
-    pub fn factor(&self) -> f64 {
+    pub(crate) fn factor(&self) -> f64 {
         self.naive_sample.as_secs_f64() / self.cached_sample.as_secs_f64().max(1e-9)
     }
 }

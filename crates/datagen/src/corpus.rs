@@ -187,7 +187,7 @@ impl CorpusGen {
     }
 
     /// The `i`-th vocabulary word ("w0000013"-style, rank order).
-    pub fn word(&self, rank: usize) -> String {
+    pub(crate) fn word(&self, rank: usize) -> String {
         format!("w{rank:07}")
     }
 

@@ -33,4 +33,3 @@ pub mod survey;
 pub mod yahoo_music;
 
 pub use corpus::CorpusGen;
-pub use stats::mean_std;

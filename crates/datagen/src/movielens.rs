@@ -56,11 +56,6 @@ impl GenreStats {
         e.2 = e.2.min(rating);
         e.3 = e.3.max(rating);
     }
-
-    /// Mean rating of a genre.
-    pub fn mean(&self, genre: &str) -> Option<f64> {
-        self.per_genre.get(genre).map(|&(n, s, _, _)| s / n as f64)
-    }
 }
 
 /// Ground truth for both parts of assignment 1.

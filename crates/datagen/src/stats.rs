@@ -5,7 +5,7 @@
 /// The paper reports `mean ± std` rows; survey literature in this venue
 /// conventionally uses the population form, and at n = 29 the difference
 /// is below the table's printed precision either way.
-pub fn mean_std(values: &[f64]) -> (f64, f64) {
+pub(crate) fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
         return (0.0, 0.0);
     }
@@ -18,7 +18,7 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 /// Shift and scale `values` so their mean/std match the targets exactly
 /// (used to pin synthesized survey responses to the published moments
 /// before clipping to the instrument's scale).
-pub fn fit_moments(values: &mut [f64], target_mean: f64, target_std: f64) {
+pub(crate) fn fit_moments(values: &mut [f64], target_mean: f64, target_std: f64) {
     let (mean, std) = mean_std(values);
     let scale = if std > 1e-12 { target_std / std } else { 0.0 };
     for v in values.iter_mut() {
@@ -27,7 +27,7 @@ pub fn fit_moments(values: &mut [f64], target_mean: f64, target_std: f64) {
 }
 
 /// Clamp every value into `[lo, hi]` (survey scales are bounded).
-pub fn clamp_all(values: &mut [f64], lo: f64, hi: f64) {
+pub(crate) fn clamp_all(values: &mut [f64], lo: f64, hi: f64) {
     for v in values.iter_mut() {
         *v = v.clamp(lo, hi);
     }

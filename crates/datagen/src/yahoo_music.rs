@@ -58,14 +58,6 @@ impl YahooMusicGen {
         YahooMusicGen { num_songs: 1000, num_albums: 100, num_users: 500, seed }
     }
 
-    /// Resize.
-    pub fn with_sizes(mut self, songs: u32, albums: u32, users: u32) -> Self {
-        self.num_songs = songs.max(1);
-        self.num_albums = albums.max(1).min(songs.max(1));
-        self.num_users = users.max(1);
-        self
-    }
-
     /// Generate `num_ratings` ratings plus the song catalog and truth.
     pub fn generate(&self, num_ratings: usize) -> YahooData {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -144,7 +136,7 @@ mod tests {
 
     #[test]
     fn catalog_shape() {
-        let gen = YahooMusicGen::new(1).with_sizes(100, 10, 50);
+        let gen = YahooMusicGen { num_songs: 100, num_albums: 10, num_users: 50, seed: 1 };
         let data = gen.generate(1000);
         assert_eq!(data.songs.lines().count(), 100);
         for line in data.songs.lines() {

@@ -33,7 +33,7 @@ pub struct DataNodeReportRow {
 
 impl DataNodeReportRow {
     /// Disk utilization in [0,1].
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         if self.capacity == 0 {
             0.0
         } else {

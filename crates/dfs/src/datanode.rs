@@ -50,7 +50,7 @@ pub struct ScanReport {
 
 impl DataNode {
     /// A fresh, empty, live DataNode.
-    pub fn new(node: NodeId, capacity: u64) -> Self {
+    pub(crate) fn new(node: NodeId, capacity: u64) -> Self {
         DataNode {
             node,
             capacity,
@@ -64,13 +64,13 @@ impl DataNode {
 
     /// Store a replica stamped with [`FIRST_GEN_STAMP`]. Fails when the
     /// disk is full or the daemon is down.
-    pub fn store_block(&mut self, id: BlockId, payload: BlockPayload) -> Result<()> {
+    pub(crate) fn store_block(&mut self, id: BlockId, payload: BlockPayload) -> Result<()> {
         self.store_block_stamped(id, payload, FIRST_GEN_STAMP)
     }
 
     /// Store a replica under an explicit generation stamp (the pipeline
     /// write path). Fails when the disk is full or the daemon is down.
-    pub fn store_block_stamped(
+    pub(crate) fn store_block_stamped(
         &mut self,
         id: BlockId,
         payload: BlockPayload,
@@ -100,7 +100,7 @@ impl DataNode {
     /// Re-stamp a held replica after pipeline recovery. Returns false when
     /// the daemon is down or the replica is absent (the caller then treats
     /// this node as lost to the pipeline too).
-    pub fn update_gen_stamp(&mut self, id: BlockId, gen_stamp: u64) -> bool {
+    pub(crate) fn update_gen_stamp(&mut self, id: BlockId, gen_stamp: u64) -> bool {
         if !self.alive {
             return false;
         }
@@ -117,7 +117,7 @@ impl DataNode {
     }
 
     /// The generation stamp this node holds for a replica, if present.
-    pub fn gen_stamp_of(&self, id: BlockId) -> Option<u64> {
+    pub(crate) fn gen_stamp_of(&self, id: BlockId) -> Option<u64> {
         self.blocks.get(&id).map(|s| s.gen_stamp)
     }
 
@@ -144,7 +144,7 @@ impl DataNode {
     }
 
     /// Drop a replica (NameNode invalidation command).
-    pub fn delete_block(&mut self, id: BlockId) -> bool {
+    pub(crate) fn delete_block(&mut self, id: BlockId) -> bool {
         let Some(removed) = self.blocks.remove(&id) else { return false };
         self.used -= removed.payload.len();
         self.pending_received.remove(&id);
@@ -163,7 +163,7 @@ impl DataNode {
     }
 
     /// Number of replicas held.
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
 
@@ -184,7 +184,7 @@ impl DataNode {
     /// replicas dropped. Returns `None` when the daemon is down or there
     /// is nothing to tell, so heartbeats stay message-free in the steady
     /// state.
-    pub fn drain_incremental(&mut self) -> Option<IncrementalBlockReport> {
+    pub(crate) fn drain_incremental(&mut self) -> Option<IncrementalBlockReport> {
         if !self.alive || (self.pending_received.is_empty() && self.pending_deleted.is_empty()) {
             return None;
         }
@@ -224,13 +224,13 @@ impl DataNode {
     }
 
     /// Virtual time the startup integrity scan takes at `disk_bw` bytes/s.
-    pub fn scan_duration(&self, disk_bw: u64) -> SimDuration {
+    pub(crate) fn scan_duration(&self, disk_bw: u64) -> SimDuration {
         SimDuration::for_transfer(self.used_bytes(), disk_bw)
     }
 
     /// Kill the daemon process (blocks stay on disk — this is a process
     /// crash, not a disk loss).
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.alive = false;
     }
 

@@ -25,7 +25,7 @@ use crate::namespace::{FileNode, Namespace};
 /// journal's bytes, `String` (the default) for an op kept on its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field meanings follow the variant docs directly
-pub enum EditOp<S = String> {
+pub(crate) enum EditOp<S = String> {
     /// `mkdir -p`.
     Mkdirs { path: S },
     /// File creation (timestamp journaled so replay reproduces metadata;
@@ -322,12 +322,12 @@ pub struct EditLog {
 
 impl EditLog {
     /// Empty journal.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append one op.
-    pub fn append<S: AsRef<str>>(&mut self, op: &EditOp<S>) {
+    pub(crate) fn append<S: AsRef<str>>(&mut self, op: &EditOp<S>) {
         op.encode(&mut self.bytes);
         self.ops += 1;
     }
@@ -345,7 +345,7 @@ impl EditLog {
     /// The journaled ops since the last checkpoint, oldest first, decoded
     /// in place. Every record was encoded by [`Self::append`] or checked by
     /// [`Self::deserialize`], so an `Err` here is a bug, not damage.
-    pub fn ops(&self) -> impl Iterator<Item = Result<EditOp<&str>>> + '_ {
+    pub(crate) fn ops(&self) -> impl Iterator<Item = Result<EditOp<&str>>> + '_ {
         let mut buf = self.bytes.as_slice();
         (0..self.ops).map(move |_| EditOp::decode(&mut buf))
     }
@@ -386,7 +386,7 @@ impl EditLog {
 
     /// Checkpoint: the caller snapshots the namespace (fsimage) and the
     /// journal empties.
-    pub fn checkpoint(&mut self) {
+    pub(crate) fn checkpoint(&mut self) {
         self.bytes.clear();
         self.ops = 0;
     }

@@ -98,7 +98,7 @@ fn at_or_under(path: &str, root: &str) -> bool {
 
 /// The NameNode's lease table.
 #[derive(Debug, Clone, Default)]
-pub struct LeaseManager {
+pub(crate) struct LeaseManager {
     leases: BTreeMap<String, Lease>,
     soft_limit: SimDuration,
     hard_limit: SimDuration,
@@ -106,12 +106,12 @@ pub struct LeaseManager {
 
 impl LeaseManager {
     /// Build a manager with the given expiry limits.
-    pub fn new(soft_limit: SimDuration, hard_limit: SimDuration) -> Self {
+    pub(crate) fn new(soft_limit: SimDuration, hard_limit: SimDuration) -> Self {
         LeaseManager { leases: BTreeMap::new(), soft_limit, hard_limit }
     }
 
     /// Grant `holder` the lease on `path` (file creation).
-    pub fn acquire(&mut self, now: SimTime, path: &str, holder: &str) {
+    pub(crate) fn acquire(&mut self, now: SimTime, path: &str, holder: &str) {
         self.leases.insert(
             path.to_string(),
             Lease {
@@ -124,7 +124,7 @@ impl LeaseManager {
     }
 
     /// Renew the lease on `path` (writer made progress).
-    pub fn renew(&mut self, now: SimTime, path: &str) {
+    pub(crate) fn renew(&mut self, now: SimTime, path: &str) {
         if let Some(lease) = self.leases.get_mut(path) {
             lease.renewed_at = now;
             lease.state = LeaseState::Active;
@@ -132,26 +132,26 @@ impl LeaseManager {
     }
 
     /// Drop the lease (file closed or deleted).
-    pub fn release(&mut self, path: &str) -> Option<Lease> {
+    pub(crate) fn release(&mut self, path: &str) -> Option<Lease> {
         self.leases.remove(path)
     }
 
     /// Drop the lease on `path` and on everything under it (recursive
     /// delete of a directory with files open for write).
-    pub fn release_under(&mut self, path: &str) {
+    pub(crate) fn release_under(&mut self, path: &str) {
         let root = path.trim_end_matches('/');
         self.leases.retain(|p, _| !at_or_under(p, root));
     }
 
     /// Drop every lease (NameNode restart: the table is rebuilt from the
     /// fsimage + edit-log tail, not carried across the crash).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.leases.clear();
     }
 
     /// Rename bookkeeping: a lease follows its file, and a renamed
     /// directory carries the lease of every file open for write under it.
-    pub fn rename(&mut self, src: &str, dst: &str) {
+    pub(crate) fn rename(&mut self, src: &str, dst: &str) {
         let (src, dst) = (src.trim_end_matches('/'), dst.trim_end_matches('/'));
         let moved: Vec<String> =
             self.leases.keys().filter(|p| at_or_under(p, src)).cloned().collect();
@@ -164,28 +164,23 @@ impl LeaseManager {
     }
 
     /// The lease on `path`, if the file is open for write.
-    pub fn lease(&self, path: &str) -> Option<&Lease> {
+    pub(crate) fn lease(&self, path: &str) -> Option<&Lease> {
         self.leases.get(path)
     }
 
     /// Every outstanding lease, path-ordered.
-    pub fn leases(&self) -> impl Iterator<Item = &Lease> {
+    pub(crate) fn leases(&self) -> impl Iterator<Item = &Lease> {
         self.leases.values()
     }
 
     /// Number of files open for write.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.leases.len()
-    }
-
-    /// True when no file is open for write.
-    pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
     }
 
     /// Mark `path` for recovery (explicit `recoverLease` or hard expiry).
     /// Returns false if no lease exists.
-    pub fn start_recovery(&mut self, path: &str) -> bool {
+    pub(crate) fn start_recovery(&mut self, path: &str) -> bool {
         match self.leases.get_mut(path) {
             Some(lease) => {
                 lease.state = LeaseState::Recovering;
@@ -202,7 +197,7 @@ impl LeaseManager {
     /// limit, and Recovering leases (set by the previous tick or by
     /// `recoverLease`) are handed back for finalization — one tick later,
     /// so the `RECOVERING` state is observable.
-    pub fn check(&mut self, now: SimTime) -> Vec<String> {
+    pub(crate) fn check(&mut self, now: SimTime) -> Vec<String> {
         let mut to_finalize = Vec::new();
         for lease in self.leases.values_mut() {
             match lease.state {
@@ -311,7 +306,7 @@ mod tests {
         assert_eq!(lm.lease("/new").map(|l| l.path.as_str()), Some("/new"));
         assert_eq!(lm.len(), 1);
         assert!(lm.release("/new").is_some());
-        assert!(lm.is_empty());
+        assert_eq!(lm.len(), 0);
 
         // A renamed directory carries every lease under it, and only those.
         lm.acquire(SimTime::ZERO, "/a/f", "w1");

@@ -47,6 +47,4 @@ pub mod shell;
 
 pub use block::{BlockId, BlockPayload, ReplicaMeta};
 pub use client::{Dfs, PipelineFault};
-pub use datanode::DataNode;
-pub use lease::{Lease, LeaseState};
 pub use namenode::NameNode;

@@ -730,7 +730,7 @@ impl NameNode {
     /// Remove a DataNode from the cluster entirely (the operator pulled it
     /// from the include file after decommissioning). Its replicas are
     /// forgotten and it stops counting as live or draining.
-    pub fn unregister_datanode(&mut self, node: NodeId) {
+    pub(crate) fn unregister_datanode(&mut self, node: NodeId) {
         self.drop_replicas_of(node);
         self.nodes.unregister(node);
         self.decommissioning.remove(&node);
@@ -738,7 +738,7 @@ impl NameNode {
 
     /// Update a DataNode's free-space figure without touching its
     /// heartbeat clock (used on the synchronous write path).
-    pub fn update_free_space(&mut self, node: NodeId, free_bytes: u64) {
+    pub(crate) fn update_free_space(&mut self, node: NodeId, free_bytes: u64) {
         if let Some(info) = self.nodes.get_mut(node).and_then(|slot| slot.info.as_mut()) {
             info.free_bytes = free_bytes;
         }
@@ -1139,7 +1139,7 @@ impl NameNode {
     /// One replication-monitor pass: emit copy commands for
     /// under-replicated blocks (bounded per pass, like the real monitor),
     /// most-degraded blocks first via the priority buckets.
-    pub fn replication_work(&mut self, _now: SimTime, max_tasks: usize) -> Vec<DnCommand> {
+    pub(crate) fn replication_work(&mut self, _now: SimTime, max_tasks: usize) -> Vec<DnCommand> {
         if self.safemode.is_on() {
             return Vec::new(); // the monitor idles during safe mode
         }
@@ -1196,27 +1196,27 @@ impl NameNode {
 
     /// A scheduled re-replication failed (source died mid-copy); return
     /// the slot so the monitor can retry elsewhere.
-    pub fn replication_failed(&mut self, id: BlockId) {
+    pub(crate) fn replication_failed(&mut self, id: BlockId) {
         self.update_block(id, |b| b.pending_replicas = b.pending_replicas.saturating_sub(1));
     }
 
     /// Begin draining a DataNode: it stops receiving new blocks and its
     /// replicas stop counting toward replication targets, so the monitor
     /// copies them elsewhere. The node keeps serving reads while draining.
-    pub fn start_decommission(&mut self, node: NodeId) {
+    pub(crate) fn start_decommission(&mut self, node: NodeId) {
         if self.decommissioning.insert(node) {
             self.reindex_node(node);
         }
     }
 
     /// Nodes currently draining.
-    pub fn decommissioning_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn decommissioning_nodes(&self) -> Vec<NodeId> {
         self.decommissioning.iter().copied().collect()
     }
 
     /// True once every block that has a replica on `node` also has a full
     /// replica set elsewhere — the node may be removed.
-    pub fn decommission_complete(&self, node: NodeId) -> bool {
+    pub(crate) fn decommission_complete(&self, node: NodeId) -> bool {
         self.decommission_stuck_blocks(node).is_empty()
     }
 
@@ -1224,7 +1224,7 @@ impl NameNode {
     /// it but not enough counted replicas elsewhere. What an operator
     /// staring at a wedged decommission actually needs to see. Served from
     /// the per-node index: O(node's replicas), not O(blocks).
-    pub fn decommission_stuck_blocks(&self, node: NodeId) -> Vec<BlockId> {
+    pub(crate) fn decommission_stuck_blocks(&self, node: NodeId) -> Vec<BlockId> {
         let Some(slot) = self.nodes.get(node) else { return Vec::new() };
         slot.blocks
             .iter()
@@ -1390,7 +1390,7 @@ impl NameNode {
     /// aggregator just before every snapshot so the gauges reflect the
     /// namespace/replication picture at snapshot time. O(1) reads of the
     /// maintained indexes, and a count of the live DataNodes in the table.
-    pub fn sample_gauges(&mut self) {
+    pub(crate) fn sample_gauges(&mut self) {
         fn g(n: usize) -> i64 {
             i64::try_from(n).unwrap_or(i64::MAX)
         }
@@ -1417,7 +1417,7 @@ impl NameNode {
     /// report). ~150 B per inode + ~(150 + 30·replicas) B per block, the
     /// folklore numbers for Hadoop 1.x. O(1): replica totals are counted
     /// incrementally.
-    pub fn metadata_ram_bytes(&self) -> u64 {
+    pub(crate) fn metadata_ram_bytes(&self) -> u64 {
         let (dirs, files, _) = self.namespace.stats();
         let inode_bytes = 150 * (dirs + files) as u64;
         let block_bytes =
@@ -2274,7 +2274,7 @@ mod tests {
                 outcomes.1 += 1;
                 assert!(victim.down);
                 assert_eq!(victim.namespace, Namespace::new());
-                assert!(victim.blocks.len() == 0 && victim.leases.is_empty());
+                assert!(victim.blocks.len() == 0 && victim.leases.len() == 0);
                 assert!(matches!(victim.mkdirs("/x"), Err(HlError::DaemonDown(_))));
             }
         };

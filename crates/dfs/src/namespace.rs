@@ -148,7 +148,7 @@ impl Namespace {
     }
 
     /// `mkdir -p`: create all missing directories along `path`.
-    pub fn mkdirs(&mut self, path: &str) -> Result<()> {
+    pub(crate) fn mkdirs(&mut self, path: &str) -> Result<()> {
         let parts = parse_path(path)?;
         let mut node = &mut self.root;
         for part in &parts {
@@ -166,7 +166,7 @@ impl Namespace {
     }
 
     /// Create a file inode (parents must exist). The file starts incomplete.
-    pub fn create_file(
+    pub(crate) fn create_file(
         &mut self,
         path: &str,
         replication: u32,
@@ -200,7 +200,7 @@ impl Namespace {
     }
 
     /// Mark a file complete (writer closed it).
-    pub fn complete_file(&mut self, path: &str) -> Result<()> {
+    pub(crate) fn complete_file(&mut self, path: &str) -> Result<()> {
         self.file_mut(path)?.complete = true;
         Ok(())
     }
@@ -208,7 +208,7 @@ impl Namespace {
     /// Drop the trailing block of an incomplete file (lease recovery: the
     /// writer crashed before any DataNode confirmed it). `len` is the
     /// length the block contributed to the file when it was appended.
-    pub fn abandon_block(&mut self, path: &str, block: BlockId, len: u64) -> Result<()> {
+    pub(crate) fn abandon_block(&mut self, path: &str, block: BlockId, len: u64) -> Result<()> {
         let file = self.file_mut(path)?;
         if file.complete {
             return Err(HlError::Internal(format!("abandon on completed file {path}")));
@@ -235,7 +235,7 @@ impl Namespace {
     }
 
     /// Mutable file lookup.
-    pub fn file_mut(&mut self, path: &str) -> Result<&mut FileNode> {
+    pub(crate) fn file_mut(&mut self, path: &str) -> Result<&mut FileNode> {
         match self.walk_mut(components(path)?) {
             Some(INode::File(f)) => Ok(f),
             Some(INode::Directory(_)) => Err(HlError::NotADirectory(path.to_string())),
@@ -254,7 +254,7 @@ impl Namespace {
     }
 
     /// List a directory (one row per child) or a file (one row).
-    pub fn list(&self, path: &str) -> Result<Vec<FileStatus>> {
+    pub(crate) fn list(&self, path: &str) -> Result<Vec<FileStatus>> {
         let parts = parse_path(path)?;
         let node = self.walk(&parts).ok_or_else(|| HlError::FileNotFound(path.to_string()))?;
         let status = |path: String, node: &INode| match node {
@@ -284,7 +284,7 @@ impl Namespace {
 
     /// Delete a path. Directories require `recursive` (like `-rmr`).
     /// Returns the block ids freed so the BlockManager can invalidate them.
-    pub fn delete(&mut self, path: &str, recursive: bool) -> Result<Vec<BlockId>> {
+    pub(crate) fn delete(&mut self, path: &str, recursive: bool) -> Result<Vec<BlockId>> {
         let parts = parse_path(path)?;
         let (name, parent) =
             parts.split_last().ok_or_else(|| HlError::Config("cannot delete /".to_string()))?;
@@ -309,7 +309,7 @@ impl Namespace {
     }
 
     /// Rename `src` to `dst` (dst must not exist; parents of dst must).
-    pub fn rename(&mut self, src: &str, dst: &str) -> Result<()> {
+    pub(crate) fn rename(&mut self, src: &str, dst: &str) -> Result<()> {
         let dst_parts = parse_path(dst)?;
         if self.exists(dst) {
             return Err(HlError::AlreadyExists(dst.to_string()));
@@ -347,7 +347,7 @@ impl Namespace {
     }
 
     /// All files under `path` (depth-first), as `(path, &FileNode)`.
-    pub fn files_under(&self, path: &str) -> Result<Vec<(String, &FileNode)>> {
+    pub(crate) fn files_under(&self, path: &str) -> Result<Vec<(String, &FileNode)>> {
         let parts = parse_path(path)?;
         let node = self.walk(&parts).ok_or_else(|| HlError::FileNotFound(path.to_string()))?;
         let mut out = Vec::new();
@@ -356,7 +356,7 @@ impl Namespace {
     }
 
     /// Total bytes under a path (`hadoop fs -du -s`).
-    pub fn du(&self, path: &str) -> Result<u64> {
+    pub(crate) fn du(&self, path: &str) -> Result<u64> {
         Ok(self.files_under(path)?.iter().map(|(_, f)| f.len).sum())
     }
 

@@ -23,7 +23,7 @@ use hl_common::prelude::*;
 /// `writer` is the client's node when the client runs on a cluster node
 /// (the MapReduce output path), `None` for off-cluster uploads
 /// (`copyFromLocal` from a login node).
-pub fn choose_targets(
+pub(crate) fn choose_targets(
     topology: &Topology,
     usable: &[NodeId],
     writer: Option<NodeId>,
@@ -89,7 +89,7 @@ fn pick_rotating(
 
 /// Order replica holders by read preference for a reader at `reader`:
 /// node-local first, then rack-local, then off-rack (ties by node id).
-pub fn order_for_read(
+pub(crate) fn order_for_read(
     topology: &Topology,
     reader: Option<NodeId>,
     holders: &[NodeId],

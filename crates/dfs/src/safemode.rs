@@ -32,7 +32,7 @@ enum State {
 
 impl SafeMode {
     /// Enter safe mode with the given exit policy (NameNode startup).
-    pub fn new(threshold: f64, extension: SimDuration) -> Self {
+    pub(crate) fn new(threshold: f64, extension: SimDuration) -> Self {
         SafeMode { threshold, extension, state: State::On { threshold_met_at: None } }
     }
 

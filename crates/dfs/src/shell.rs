@@ -41,16 +41,11 @@ impl LocalFs {
     }
 
     /// Read a local file.
-    pub fn read(&self, path: &str) -> Result<&[u8]> {
+    pub(crate) fn read(&self, path: &str) -> Result<&[u8]> {
         self.files
             .get(path)
             .map(Vec::as_slice)
             .ok_or_else(|| HlError::FileNotFound(path.to_string()))
-    }
-
-    /// Does the file exist?
-    pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
     }
 }
 

@@ -22,17 +22,17 @@ pub struct Cell {
 
 impl Cell {
     /// A put cell.
-    pub fn put(row: &str, column: &str, ts: u64, value: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn put(row: &str, column: &str, ts: u64, value: impl Into<Vec<u8>>) -> Self {
         Cell { row: row.into(), column: column.into(), ts, value: Some(value.into()) }
     }
 
     /// A delete tombstone.
-    pub fn tombstone(row: &str, column: &str, ts: u64) -> Self {
+    pub(crate) fn tombstone(row: &str, column: &str, ts: u64) -> Self {
         Cell { row: row.into(), column: column.into(), ts, value: None }
     }
 
     /// True for tombstones.
-    pub fn is_tombstone(&self) -> bool {
+    pub(crate) fn is_tombstone(&self) -> bool {
         self.value.is_none()
     }
 
@@ -86,7 +86,7 @@ impl Writable for Cell {
 
 /// Sort cells into canonical storage order and resolve the winner per
 /// `(row, column)`: the first cell of each group under [`Cell::sort_key`].
-pub fn sort_canonical(cells: &mut [Cell]) {
+pub(crate) fn sort_canonical(cells: &mut [Cell]) {
     cells.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 }
 

@@ -5,9 +5,9 @@
 //! charged), which is the lecture's point: HBase's durability *is* HDFS.
 
 use hl_cluster::network::ClusterNet;
-use hl_common::error::{HlError, Result};
+use hl_common::error::Result;
 use hl_common::prelude::*;
-use hl_common::writable::{read_vu64, write_vu64, Writable};
+use hl_common::writable::{write_vu64, Writable};
 use hl_dfs::client::Dfs;
 
 use crate::cell::Cell;
@@ -19,13 +19,12 @@ const MAGIC: &[u8; 6] = b"HFILE1";
 pub struct HFile {
     /// Where the file lives in HDFS.
     pub path: String,
-    /// Cached cells, canonical order (the region keeps them warm; a cold
-    /// open re-reads from DFS).
+    /// Cached cells, canonical order (the region keeps them warm).
     pub cells: Vec<Cell>,
 }
 
 /// Serialize cells (must already be in canonical order).
-pub fn encode(cells: &[Cell]) -> Vec<u8> {
+pub(crate) fn encode(cells: &[Cell]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     write_vu64(cells.len() as u64, &mut buf);
@@ -35,28 +34,10 @@ pub fn encode(cells: &[Cell]) -> Vec<u8> {
     buf
 }
 
-/// Parse an HFile image.
-pub fn decode(mut bytes: &[u8]) -> Result<Vec<Cell>> {
-    let buf = &mut bytes;
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(HlError::Codec("not an HFile (bad magic)".into()));
-    }
-    *buf = &buf[MAGIC.len()..];
-    let n = read_vu64(buf)? as usize;
-    let mut cells = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        cells.push(Cell::read(buf)?);
-    }
-    if !buf.is_empty() {
-        return Err(HlError::Codec("trailing bytes after HFile".into()));
-    }
-    Ok(cells)
-}
-
 impl HFile {
     /// Write `cells` to `path` in HDFS (replicated, charged) and return the
     /// warm handle plus the completion time.
-    pub fn create(
+    pub(crate) fn create(
         dfs: &mut Dfs,
         net: &mut ClusterNet,
         now: SimTime,
@@ -68,21 +49,9 @@ impl HFile {
         Ok((HFile { path: path.to_string(), cells }, put.completed_at))
     }
 
-    /// Cold-open an HFile from HDFS (charged read + parse).
-    pub fn open(
-        dfs: &mut Dfs,
-        net: &mut ClusterNet,
-        now: SimTime,
-        path: &str,
-    ) -> Result<(HFile, SimTime)> {
-        let got = dfs.read(net, now, path, None)?;
-        let cells = decode(&got.value)?;
-        Ok((HFile { path: path.to_string(), cells }, got.completed_at))
-    }
-
     /// The winning cell for `(row, column)` in this file, if present.
     /// Cells are canonical-sorted, so the first hit is the winner.
-    pub fn get(&self, row: &str, column: &str) -> Option<&Cell> {
+    pub(crate) fn get(&self, row: &str, column: &str) -> Option<&Cell> {
         // Binary search for the group start, then check the first entry.
         let idx =
             self.cells.partition_point(|c| (c.row.as_str(), c.column.as_str()) < (row, column));
@@ -107,16 +76,6 @@ mod tests {
         ];
         sort_canonical(&mut cells);
         cells
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let cells = sample_cells();
-        assert_eq!(decode(&encode(&cells)).unwrap(), cells);
-        assert!(decode(b"not an hfile").is_err());
-        let mut bad = encode(&cells);
-        bad.push(0);
-        assert!(decode(&bad).is_err());
     }
 
     #[test]
@@ -146,7 +105,7 @@ mod tests {
         assert!(!located.is_empty());
         assert!(located.iter().all(|(_, _, h)| h.len() == 3));
 
-        let (cold, _) = HFile::open(&mut dfs, &mut net, t1, "/hbase/t/r0/hf0").unwrap();
-        assert_eq!(cold.cells, warm.cells);
+        let cold = dfs.read(&mut net, t1, "/hbase/t/r0/hf0", None).unwrap();
+        assert_eq!(cold.value[..], encode(&warm.cells)[..]);
     }
 }

@@ -36,5 +36,4 @@ pub mod memstore;
 pub mod region;
 pub mod table;
 
-pub use cell::Cell;
 pub use table::HTable;

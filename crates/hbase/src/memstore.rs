@@ -22,23 +22,15 @@ fn key_of(c: &Cell) -> Key {
 
 impl MemStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Insert a cell (put or tombstone).
-    pub fn insert(&mut self, cell: Cell) {
+    pub(crate) fn insert(&mut self, cell: Cell) {
         self.bytes +=
             cell.row.len() + cell.column.len() + 16 + cell.value.as_ref().map_or(0, Vec::len);
         self.cells.insert(key_of(&cell), cell.value);
-    }
-
-    /// The winning cell for `(row, column)` among buffered versions, if any.
-    /// Returns `Some(None)` when the winner is a tombstone.
-    pub fn get(&self, row: &str, column: &str) -> Option<Option<&[u8]>> {
-        let lo = (row.to_string(), column.to_string(), std::cmp::Reverse(u64::MAX), false);
-        let hi = (row.to_string(), column.to_string(), std::cmp::Reverse(0), true);
-        self.cells.range(lo..=hi).next().map(|(_, v)| v.as_deref())
     }
 
     /// Approximate resident bytes.
@@ -47,17 +39,17 @@ impl MemStore {
     }
 
     /// Number of buffered cell versions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
     }
 
     /// True when empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
 
     /// Drain everything in canonical order (for a flush).
-    pub fn drain_sorted(&mut self) -> Vec<Cell> {
+    pub(crate) fn drain_sorted(&mut self) -> Vec<Cell> {
         let cells = std::mem::take(&mut self.cells);
         self.bytes = 0;
         cells
@@ -67,7 +59,7 @@ impl MemStore {
     }
 
     /// Iterate buffered cells in canonical order without draining.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = Cell> + '_ {
+    pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = Cell> + '_ {
         self.cells.iter().map(|((row, column, std::cmp::Reverse(ts), _), value)| Cell {
             row: row.clone(),
             column: column.clone(),
@@ -81,13 +73,18 @@ impl MemStore {
 mod tests {
     use super::*;
 
+    /// The version a read sees: the first of its cells in canonical order.
+    fn winner(m: &MemStore, row: &str, column: &str) -> Option<Option<Vec<u8>>> {
+        m.iter_sorted().find(|c| c.row == row && c.column == column).map(|c| c.value)
+    }
+
     #[test]
     fn newest_version_wins() {
         let mut m = MemStore::new();
         m.insert(Cell::put("r", "c", 1, b"v1".to_vec()));
         m.insert(Cell::put("r", "c", 3, b"v3".to_vec()));
         m.insert(Cell::put("r", "c", 2, b"v2".to_vec()));
-        assert_eq!(m.get("r", "c"), Some(Some(b"v3".as_slice())));
+        assert_eq!(winner(&m, "r", "c"), Some(Some(b"v3".to_vec())));
         assert_eq!(m.len(), 3);
     }
 
@@ -96,15 +93,15 @@ mod tests {
         let mut m = MemStore::new();
         m.insert(Cell::put("r", "c", 5, b"v".to_vec()));
         m.insert(Cell::tombstone("r", "c", 5));
-        assert_eq!(m.get("r", "c"), Some(None), "tombstone wins the tie");
+        assert_eq!(winner(&m, "r", "c"), Some(None), "tombstone wins the tie");
         m.insert(Cell::put("r", "c", 6, b"revived".to_vec()));
-        assert_eq!(m.get("r", "c"), Some(Some(b"revived".as_slice())));
+        assert_eq!(winner(&m, "r", "c"), Some(Some(b"revived".to_vec())));
     }
 
     #[test]
     fn get_misses_are_none() {
         let m = MemStore::new();
-        assert_eq!(m.get("nope", "c"), None);
+        assert_eq!(winner(&m, "nope", "c"), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct Region {
 
 impl Region {
     /// A fresh region starting at `start_row`, storing files under `dir`.
-    pub fn new(start_row: &str, dir: &str, flush_threshold: usize) -> Self {
+    pub(crate) fn new(start_row: &str, dir: &str, flush_threshold: usize) -> Self {
         Region {
             start_row: start_row.to_string(),
             dir: dir.to_string(),
@@ -44,7 +44,7 @@ impl Region {
 
     /// Buffer a cell; flushes to HDFS when the memstore is full. Returns
     /// the time the operation (including any flush) completed.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         dfs: &mut Dfs,
         net: &mut ClusterNet,
@@ -59,7 +59,12 @@ impl Region {
     }
 
     /// Force-flush the memstore into a new HFile on HDFS.
-    pub fn flush(&mut self, dfs: &mut Dfs, net: &mut ClusterNet, now: SimTime) -> Result<SimTime> {
+    pub(crate) fn flush(
+        &mut self,
+        dfs: &mut Dfs,
+        net: &mut ClusterNet,
+        now: SimTime,
+    ) -> Result<SimTime> {
         if self.memstore.is_empty() {
             return Ok(now);
         }
@@ -73,7 +78,7 @@ impl Region {
     }
 
     /// Point lookup: newest version of `(row, column)`, tombstones masking.
-    pub fn get(&self, row: &str, column: &str) -> Option<Vec<u8>> {
+    pub(crate) fn get(&self, row: &str, column: &str) -> Option<Vec<u8>> {
         // The memstore always holds the newest versions... except it
         // doesn't have to: timestamps are caller-supplied, so an old-ts put
         // can arrive after a flush. Correctness requires comparing winners
@@ -103,7 +108,7 @@ impl Region {
 
     /// All live `(row, column, value)` triples in `[from, to)` row range,
     /// row-then-column order.
-    pub fn scan(&self, from: &str, to: Option<&str>) -> Vec<(String, String, Vec<u8>)> {
+    pub(crate) fn scan(&self, from: &str, to: Option<&str>) -> Vec<(String, String, Vec<u8>)> {
         // Merge every source, canonical order; first version of each
         // (row, column) wins.
         let mut all: Vec<Cell> = self.memstore.iter_sorted().collect();
@@ -137,7 +142,7 @@ impl Region {
     /// Major compaction: merge all HFiles + memstore into one HFile,
     /// dropping shadowed versions and tombstones, and delete the old files
     /// from HDFS.
-    pub fn compact(
+    pub(crate) fn compact(
         &mut self,
         dfs: &mut Dfs,
         net: &mut ClusterNet,
@@ -180,13 +185,13 @@ impl Region {
     }
 
     /// Total cell versions across memstore and HFiles (split heuristic).
-    pub fn total_cells(&self) -> usize {
+    pub(crate) fn total_cells(&self) -> usize {
         self.memstore.len() + self.hfiles.iter().map(|h| h.cells.len()).sum::<usize>()
     }
 
     /// The median row key currently stored (the split point), if the
     /// region holds at least two distinct rows.
-    pub fn split_point(&self) -> Option<String> {
+    pub(crate) fn split_point(&self) -> Option<String> {
         let mut rows: Vec<String> = self
             .memstore
             .iter_sorted()

@@ -88,7 +88,7 @@ impl HTable {
     }
 
     /// Apply an explicit cell (caller-controlled timestamp).
-    pub fn apply(
+    pub(crate) fn apply(
         &mut self,
         dfs: &mut Dfs,
         net: &mut ClusterNet,
@@ -295,10 +295,10 @@ mod tests {
         // Restart the DFS underneath; HFiles must still be readable (their
         // blocks are replicated HDFS blocks).
         let r = dfs.restart_all(&mut net, now).unwrap();
-        let path = table.regions[0].hfiles[0].path.clone();
-        let (reopened, _) =
-            crate::hfile::HFile::open(&mut dfs, &mut net, r.completed_at, &path).unwrap();
-        assert_eq!(reopened.cells.len(), 30);
+        let hfile = &table.regions[0].hfiles[0];
+        let stored = dfs.read(&mut net, r.completed_at, &hfile.path, None).unwrap();
+        assert_eq!(stored.value[..], crate::hfile::encode(&hfile.cells)[..]);
+        assert_eq!(hfile.cells.len(), 30);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::scan::ScannedFile;
 
 /// Workspace-relative path of the config module — the one file where
 /// bare key strings are legitimate, and the source of the key census.
-pub const CONFIG_PATH: &str = "crates/common/src/config.rs";
+pub(crate) const CONFIG_PATH: &str = "crates/common/src/config.rs";
 
 /// One `pub const NAME: &str = "key.string";` inside `mod keys`.
 struct KeyConst {
@@ -37,7 +37,7 @@ struct KeyConst {
 /// Run the census. `scanned` is every production source file, already
 /// lexed, keyed by workspace-relative path. No config module in the
 /// file set (e.g. fixture runs) means no census.
-pub fn check_keys(scanned: &[(String, ScannedFile)]) -> Vec<Violation> {
+pub(crate) fn check_keys(scanned: &[(String, ScannedFile)]) -> Vec<Violation> {
     let Some((_, config)) = scanned.iter().find(|(rel, _)| rel == CONFIG_PATH) else {
         return Vec::new();
     };

@@ -26,7 +26,7 @@ use std::ops::Range;
 
 /// One named struct field.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldDef {
+pub(crate) struct FieldDef {
     pub name: String,
     pub line: u32,
     pub col: u32,
@@ -34,7 +34,7 @@ pub struct FieldDef {
 
 /// A `struct` item and its named fields (empty for tuple/unit structs).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructDef {
+pub(crate) struct StructDef {
     pub name: String,
     pub line: u32,
     pub col: u32,
@@ -48,7 +48,7 @@ pub struct StructDef {
 
 /// A directly-nested `fn` inside an impl body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnSpan {
+pub(crate) struct FnSpan {
     pub name: String,
     pub line: u32,
     pub col: u32,
@@ -58,7 +58,7 @@ pub struct FnSpan {
 
 /// An `impl` block header plus its method spans.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplBlock {
+pub(crate) struct ImplBlock {
     /// Last identifier of the trait path (`Writable` for
     /// `hl_common::writable::Writable`), `None` for inherent impls.
     pub trait_name: Option<String>,
@@ -79,7 +79,7 @@ pub struct ImplBlock {
 
 /// Everything the structural rules need from one file.
 #[derive(Debug, Default)]
-pub struct FileItems {
+pub(crate) struct FileItems {
     pub structs: Vec<StructDef>,
     /// Names of enums declared in this file.
     pub enums: Vec<String>,
@@ -88,13 +88,13 @@ pub struct FileItems {
 
 impl FileItems {
     /// The struct named `name`, if this file declares one.
-    pub fn struct_named(&self, name: &str) -> Option<&StructDef> {
+    pub(crate) fn struct_named(&self, name: &str) -> Option<&StructDef> {
         self.structs.iter().find(|s| s.name == name)
     }
 }
 
 /// Walk the token stream and collect item spans.
-pub fn collect_items(sf: &ScannedFile) -> FileItems {
+pub(crate) fn collect_items(sf: &ScannedFile) -> FileItems {
     let toks = &sf.tokens;
     let mut items = FileItems::default();
     let mut i = 0;

@@ -36,7 +36,7 @@ pub struct Token {
 
 /// A comment, kept out of the token stream but retained for waivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// Comment body without the `//` / `/*` markers.
     pub text: String,
     /// Line the comment starts on.
@@ -51,7 +51,7 @@ pub struct Comment {
 /// The lexer never fails: bytes it cannot classify become single-char
 /// `Punct` tokens, so rules degrade gracefully on exotic input instead of
 /// masking a whole file.
-pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
+pub(crate) fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
     Lexer::new(src).run()
 }
 

@@ -48,7 +48,7 @@ impl Manifest {
     /// Evaluate R4 over all collected impls, with filesystem access to
     /// verify that registered tests still exist. `root` is the workspace
     /// root; `impls` is `(file, WritableImpl)` for every non-test impl.
-    pub fn check(&self, root: &Path, impls: &[(String, WritableImpl)]) -> Vec<Violation> {
+    pub(crate) fn check(&self, root: &Path, impls: &[(String, WritableImpl)]) -> Vec<Violation> {
         let mut out = Vec::new();
         for (file, im) in impls {
             if im.macro_template {

@@ -48,7 +48,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Parse "R1".."R9" (case-insensitive).
-    pub fn parse(s: &str) -> Option<RuleId> {
+    pub(crate) fn parse(s: &str) -> Option<RuleId> {
         match s.to_ascii_uppercase().as_str() {
             "R1" => Some(RuleId::R1),
             "R2" => Some(RuleId::R2),
@@ -134,7 +134,7 @@ impl fmt::Display for Violation {
 ///
 /// Fixture tests bypass this via [`lint_source_all_rules`]; the CLI goes
 /// through it so scope changes live in exactly one place.
-pub fn rules_for_path(path: &str) -> Vec<RuleId> {
+pub(crate) fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = Vec::new();
     let daemon_crate = path.starts_with("crates/dfs/src/")
         || path.starts_with("crates/cluster/src/")
@@ -183,7 +183,7 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
 /// Evaluate `rules` against one scanned file. R4 is not in this list —
 /// it needs the cross-file manifest and runs at workspace level via
 /// [`collect_writable_impls`].
-pub fn lint_tokens(file: &str, sf: &ScannedFile, rules: &[RuleId]) -> Vec<Violation> {
+pub(crate) fn lint_tokens(file: &str, sf: &ScannedFile, rules: &[RuleId]) -> Vec<Violation> {
     let mut out = Vec::new();
     // R6 is the only per-file rule that needs the item-level pass; build it
     // once, only when asked for.
@@ -549,7 +549,7 @@ fn rule_r8(file: &str, sf: &ScannedFile, out: &mut Vec<Violation>) {
 
 /// A `impl Writable for T` header found in a file (R4's raw material).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WritableImpl {
+pub(crate) struct WritableImpl {
     /// The implementing type's head identifier (`Cell`, `Vec`, `(tuple)`),
     /// generic arguments stripped.
     pub type_name: String,
@@ -562,7 +562,7 @@ pub struct WritableImpl {
 
 /// Find every `impl [<..>] [path::]Writable for Type` header outside test
 /// code.
-pub fn collect_writable_impls(sf: &ScannedFile) -> Vec<WritableImpl> {
+pub(crate) fn collect_writable_impls(sf: &ScannedFile) -> Vec<WritableImpl> {
     let toks = &sf.tokens;
     let mut found = Vec::new();
     let mut i = 0;

@@ -45,7 +45,7 @@ impl ScannedFile {
     /// // lint:allow(R1): poisoned mutex means the process is done anyway
     /// let g = lock.lock().unwrap();
     /// ```
-    pub fn is_waived(&self, rule: RuleId, line: u32) -> bool {
+    pub(crate) fn is_waived(&self, rule: RuleId, line: u32) -> bool {
         let hit = |l: &u32| self.waived_lines.get(l).is_some_and(|rs| rs.contains(&rule));
         hit(&line) || (line > 0 && hit(&(line - 1)))
     }
@@ -62,7 +62,7 @@ impl ScannedFile {
     /// // lint: skip-field(wall-clock only; never persisted)
     /// pub last_touched: SimTime,
     /// ```
-    pub fn is_field_skipped(&self, line: u32) -> bool {
+    pub(crate) fn is_field_skipped(&self, line: u32) -> bool {
         self.skip_field_lines.contains(&line)
             || (line > 0 && self.skip_field_lines.contains(&(line - 1)))
     }

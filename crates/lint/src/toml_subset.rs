@@ -6,11 +6,11 @@
 use std::collections::BTreeMap;
 
 /// One `[[name]]` entry: key → string value (integers kept as strings).
-pub type Entry = BTreeMap<String, String>;
+pub(crate) type Entry = BTreeMap<String, String>;
 
 /// Parsed document: top-level keys plus ordered `[[array]]` entries.
 #[derive(Debug, Default, Clone)]
-pub struct Doc {
+pub(crate) struct Doc {
     pub top: Entry,
     /// (array name, entry) in file order.
     pub entries: Vec<(String, Entry)>,
@@ -18,7 +18,7 @@ pub struct Doc {
 
 /// Parse the subset. Unknown syntax is an error naming the line — these
 /// files are generated, so leniency would only hide corruption.
-pub fn parse(text: &str) -> Result<Doc, String> {
+pub(crate) fn parse(text: &str) -> Result<Doc, String> {
     let mut doc = Doc::default();
     let mut current: Option<usize> = None;
     for (idx, raw) in text.lines().enumerate() {

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 /// Every lintable `(workspace-relative path, source)` pair, sorted by
 /// path for deterministic reports.
-pub fn source_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+pub(crate) fn source_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut dirs = Vec::new();
     let crates_dir = root.join("crates");
     if let Ok(entries) = fs::read_dir(&crates_dir) {
@@ -24,7 +24,7 @@ pub fn source_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 /// The sources R9 reads for references only: `examples/` and
 /// `benchmark/src` (a package of its own that compiles against the
 /// crates' public API).
-pub fn reference_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+pub(crate) fn reference_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     read_rs(root, &[root.join("examples"), root.join("benchmark/src")])
 }
 

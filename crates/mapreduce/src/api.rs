@@ -111,11 +111,6 @@ impl SideFiles {
         self.files.insert(path.to_string(), Arc::new(bytes));
     }
 
-    /// Paths registered.
-    pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
-    }
-
     fn get(&self, path: &str) -> Result<Arc<Vec<u8>>> {
         self.files
             .get(path)
@@ -153,7 +148,7 @@ impl TaskScope {
     /// Read a side file, charging one full pass over it. Calling this from
     /// `map()` per record is the classic assignment-1 mistake; calling it
     /// from `setup()` is the fix.
-    pub fn read_side_file(&mut self, path: &str) -> Result<Arc<Vec<u8>>> {
+    pub(crate) fn read_side_file(&mut self, path: &str) -> Result<Arc<Vec<u8>>> {
         let bytes = self.side.get(path)?;
         self.extra_time += SIDE_ACCESS_LATENCY
             + SimDuration::for_transfer(bytes.len() as u64, self.side_read_bw.max(1));
@@ -173,7 +168,7 @@ pub struct MapContext<'a, K: SortableKey, V: Writable> {
 /// A custom partitioner: `(key, ordered key bytes, num_partitions) ->
 /// partition`. The default is hash partitioning; range partitioners (the
 /// total-order-sort lecture trick) are the classic custom one.
-pub type PartitionFn<K> = Arc<dyn Fn(&K, &[u8], usize) -> usize + Send + Sync>;
+pub(crate) type PartitionFn<K> = Arc<dyn Fn(&K, &[u8], usize) -> usize + Send + Sync>;
 
 /// Where map output goes (the sort buffer in the engine, a plain vec in
 /// unit tests).
@@ -289,16 +284,6 @@ impl<'a> ReduceContext<'a> {
     pub fn emit(&mut self, key: impl std::fmt::Display, value: impl std::fmt::Display) {
         self.scope.counters.incr_task(TaskCounter::ReduceOutputRecords, 1);
         self.lines.push(format!("{key}\t{value}"));
-    }
-
-    /// Increment a user counter.
-    pub fn incr_counter(&mut self, group: &str, name: &str, delta: u64) {
-        self.scope.counters.incr(group, name, delta);
-    }
-
-    /// Read a side file (charged).
-    pub fn read_side_file(&mut self, path: &str) -> Result<Arc<Vec<u8>>> {
-        self.scope.read_side_file(path)
     }
 }
 

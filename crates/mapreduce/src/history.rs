@@ -64,13 +64,13 @@ pub struct JobHistory {
 
 impl JobHistory {
     /// Record a completed job.
-    pub fn record(&mut self, report: &JobReport) {
+    pub(crate) fn record(&mut self, report: &JobReport) {
         self.push(HistoryEntry::from_report(report));
     }
 
     /// Record a job that failed outright at `failed_at`: no report exists,
     /// so the entry carries no task counts or counters.
-    pub fn record_failed(
+    pub(crate) fn record_failed(
         &mut self,
         job_id: &str,
         name: &str,
@@ -103,23 +103,13 @@ impl JobHistory {
         &self.entries
     }
 
-    /// Count of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Completed-successfully count.
     pub(crate) fn succeeded(&self) -> usize {
         self.entries.iter().filter(|e| e.success).count()
     }
 
     /// Total map+reduce tasks executed across retained jobs.
-    pub fn total_tasks(&self) -> usize {
+    pub(crate) fn total_tasks(&self) -> usize {
         self.entries.iter().map(|e| e.maps + e.reduces).sum()
     }
 }
@@ -129,7 +119,7 @@ impl fmt::Display for JobHistory {
         writeln!(
             f,
             "Job History ({} retained, {} succeeded, {} tasks total)",
-            self.len(),
+            self.entries.len(),
             self.succeeded(),
             self.total_tasks()
         )?;
@@ -192,10 +182,10 @@ mod tests {
     #[test]
     fn records_and_aggregates() {
         let mut h = JobHistory::default();
-        assert!(h.is_empty());
+        assert_eq!(h.entries().len(), 0);
         h.record(&report(1, "wordcount", 10));
         h.record(&report(2, "airline", 99));
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.entries().len(), 2);
         assert_eq!(h.succeeded(), 2);
         assert_eq!(h.total_tasks(), 2);
         assert_eq!(h.entries()[0].input_records, 100);
@@ -208,7 +198,7 @@ mod tests {
         for i in 1..=RETAIN as u32 + 2 {
             h.record(&report(i, "j", u64::from(i)));
         }
-        assert_eq!(h.len(), RETAIN);
+        assert_eq!(h.entries().len(), RETAIN);
         assert_eq!(h.entries()[0].job_id, "job_0003");
         assert_eq!(h.entries()[RETAIN - 1].job_id, "job_0102");
     }

@@ -89,7 +89,7 @@ pub struct Flight {
 
 impl Flight {
     /// An attempt on `slot` since `start` whose current stage ends at `end`.
-    pub fn new(slot: usize, start: SimTime, end: SimTime) -> Self {
+    pub(crate) fn new(slot: usize, start: SimTime, end: SimTime) -> Self {
         Flight { slot, start, end, backup: false, launch: 0 }
     }
 }
@@ -245,12 +245,12 @@ impl JobTracker {
     }
 
     /// Give the policy back once the run is over.
-    pub fn into_scheduler(self) -> Box<dyn Scheduler> {
+    pub(crate) fn into_scheduler(self) -> Box<dyn Scheduler> {
         self.scheduler
     }
 
     /// The policy's name.
-    pub fn policy(&self) -> &'static str {
+    pub(crate) fn policy(&self) -> &'static str {
         self.scheduler.name()
     }
 
@@ -299,7 +299,7 @@ impl JobTracker {
 
     /// Make `tasks` tasks of `kind` runnable for `job` from now on. The new
     /// phase starts with every live tracker usable again.
-    pub fn start_phase(&mut self, job: usize, kind: TaskKind, tasks: usize) {
+    pub(crate) fn start_phase(&mut self, job: usize, kind: TaskKind, tasks: usize) {
         let j = &mut self.jobs[job];
         j.kind = kind;
         j.blacklist.clear();
@@ -309,7 +309,7 @@ impl JobTracker {
     /// Drop everything `job` still has queued or in flight (it failed).
     /// Returns the flights it drained, each with its task and ended now,
     /// for the body to report as [`Ending::Aborted`].
-    pub fn abort(&mut self, job: usize) -> Vec<(u32, Flight)> {
+    pub(crate) fn abort(&mut self, job: usize) -> Vec<(u32, Flight)> {
         let (now, j) = (self.queue.now(), &mut self.jobs[job]);
         let slots = &mut self.slots[j.kind as usize];
         j.pending.clear();
@@ -324,13 +324,13 @@ impl JobTracker {
     }
 
     /// One slot of `kind`'s table.
-    pub fn slot(&self, kind: TaskKind, slot: usize) -> SlotState {
+    pub(crate) fn slot(&self, kind: TaskKind, slot: usize) -> SlotState {
         self.slots[kind as usize][slot]
     }
 
     /// Table indices of the `kind` slots `job` may use: live trackers it
     /// has not blacklisted.
-    pub fn usable(&self, kind: TaskKind, job: usize) -> Vec<usize> {
+    pub(crate) fn usable(&self, kind: TaskKind, job: usize) -> Vec<usize> {
         let hidden = &self.jobs[job].blacklist;
         let slots = &self.slots[kind as usize];
         (0..slots.len())
@@ -339,7 +339,7 @@ impl JobTracker {
     }
 
     /// `node`'s tracker died: its slots leave the pool for every job.
-    pub fn drop_node(&mut self, node: NodeId) {
+    pub(crate) fn drop_node(&mut self, node: NodeId) {
         if !self.dead.contains(&node) {
             self.dead.push(node);
         }

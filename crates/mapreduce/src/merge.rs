@@ -38,7 +38,7 @@ struct Cursor<'a> {
 
 /// Streaming record-level merge: yields `(key, value)` slices in
 /// ascending key order, borrowing from the input runs.
-pub struct MergeIter<'a> {
+pub(crate) struct MergeIter<'a> {
     /// One cursor per run, indexed by run number.
     cursors: Vec<Cursor<'a>>,
     /// Leaf count, `runs.len()` padded up to a power of two (min 1).
@@ -58,7 +58,7 @@ pub struct MergeIter<'a> {
 
 impl<'a> MergeIter<'a> {
     /// Build the tournament over `runs`.
-    pub fn new(runs: &'a [SortedRun]) -> Self {
+    pub(crate) fn new(runs: &'a [SortedRun]) -> Self {
         let leaves = runs.len().next_power_of_two().max(1);
         let mut tree = vec![NO_RUN; 2 * leaves];
         for r in 0..runs.len() {
@@ -160,7 +160,7 @@ impl<'a> GroupIter<'a> {
     /// The next group's key, with `values` emptied and refilled with the
     /// group's values: a caller that keeps one `values` across the whole
     /// merge allocates for the largest group only.
-    pub fn next_into(&mut self, values: &mut Vec<&'a [u8]>) -> Option<&'a [u8]> {
+    pub(crate) fn next_into(&mut self, values: &mut Vec<&'a [u8]>) -> Option<&'a [u8]> {
         values.clear();
         let first = match self.pending.take() {
             Some(record) => record,
@@ -191,7 +191,7 @@ impl<'a> Iterator for GroupIter<'a> {
 }
 
 /// Record-level streaming merge of `runs`.
-pub fn merge_iter(runs: &[SortedRun]) -> MergeIter<'_> {
+pub(crate) fn merge_iter(runs: &[SortedRun]) -> MergeIter<'_> {
     MergeIter::new(runs)
 }
 
@@ -201,7 +201,7 @@ pub fn merge_groups(runs: &[SortedRun]) -> GroupIter<'_> {
 }
 
 /// Total serialized bytes of a set of runs (charging helper).
-pub fn runs_bytes(runs: &[SortedRun]) -> u64 {
+pub(crate) fn runs_bytes(runs: &[SortedRun]) -> u64 {
     runs.iter().map(SortedRun::bytes).sum()
 }
 

@@ -89,12 +89,12 @@ impl JobReport {
     }
 
     /// Number of map tasks.
-    pub fn num_maps(&self) -> usize {
+    pub(crate) fn num_maps(&self) -> usize {
         self.tasks.iter().filter(|t| t.kind == TaskKind::Map).count()
     }
 
     /// Number of reduce tasks.
-    pub fn num_reduces(&self) -> usize {
+    pub(crate) fn num_reduces(&self) -> usize {
         self.tasks.iter().filter(|t| t.kind == TaskKind::Reduce).count()
     }
 

@@ -417,14 +417,14 @@ pub struct MapOutput {
 
 impl MapOutput {
     /// Serialized size of one partition's run.
-    pub fn partition_bytes(&self, p: usize) -> u64 {
+    pub(crate) fn partition_bytes(&self, p: usize) -> u64 {
         self.partitions[p].bytes()
     }
 
     /// Bytes partition `p` actually occupies on the shuffle wire: the
     /// framed size when map output is compressed, the serialized size
     /// otherwise.
-    pub fn wire_partition_bytes(&self, p: usize) -> u64 {
+    pub(crate) fn wire_partition_bytes(&self, p: usize) -> u64 {
         match &self.wire_bytes {
             Some(w) => w[p],
             None => self.partition_bytes(p),
@@ -438,7 +438,7 @@ impl MapOutput {
 
     /// Move partition `r` out, leaving an empty run (single-consumer
     /// runners that will not retry the reduce).
-    pub fn take_partition(&mut self, r: usize) -> SortedRun {
+    pub(crate) fn take_partition(&mut self, r: usize) -> SortedRun {
         std::mem::take(&mut self.partitions[r])
     }
 }

@@ -43,7 +43,7 @@ use crate::job::JobConf;
 
 /// Completed primary attempts needed before the estimator trusts its
 /// median (Hadoop waits for a similar warm-up before speculating).
-pub const MIN_COMPLETED: usize = 3;
+pub(crate) const MIN_COMPLETED: usize = 3;
 
 /// Launch threshold: a running task is a straggler once its estimated
 /// total duration exceeds this percent of the median completed one
@@ -123,7 +123,7 @@ impl Writable for SpecAttempt {
 /// One primary attempt still running at a decision instant, as the
 /// JobTracker sees it through heartbeat reports.
 #[derive(Debug, Clone, Copy)]
-pub struct RunningTask {
+pub(crate) struct RunningTask {
     /// Task index within its phase.
     pub task: u32,
     /// Node the primary attempt runs on.
@@ -145,7 +145,7 @@ pub struct Speculator {
 
 impl Speculator {
     /// A speculator tuned by a job's `mapred.speculative.*` settings.
-    pub fn from_conf(conf: &JobConf) -> Self {
+    pub(crate) fn from_conf(conf: &JobConf) -> Self {
         Speculator {
             cap_pct: conf.spec_cap_pct,
             heartbeat: SimDuration(conf.spec_heartbeat.0.max(1)),
@@ -153,7 +153,7 @@ impl Speculator {
     }
 
     /// Most speculative attempts one phase of `total_tasks` may launch.
-    pub fn cap(&self, total_tasks: usize) -> usize {
+    pub(crate) fn cap(&self, total_tasks: usize) -> usize {
         let pct = usize::try_from(self.cap_pct).unwrap_or(usize::MAX);
         (total_tasks.saturating_mul(pct) / 100).max(1)
     }
@@ -166,7 +166,12 @@ impl Speculator {
     /// homogeneous cluster the share is elapsed over total. `None` before
     /// the first heartbeat — the JobTracker can't estimate a rate from
     /// zero reports.
-    pub fn observed_progress(&self, now: SimTime, stages: &[Span], plan: &[u64]) -> Option<u32> {
+    pub(crate) fn observed_progress(
+        &self,
+        now: SimTime,
+        stages: &[Span],
+        plan: &[u64],
+    ) -> Option<u32> {
         let start = stages.first()?.0;
         let hb = self.heartbeat.0.max(1);
         let at = SimTime(start.0 + now.since(start).0 / hb * hb);
@@ -189,7 +194,7 @@ impl Speculator {
     /// keep those beyond [`SLOWTASK_PCT`] of the median completed
     /// duration whose estimated remaining time still exceeds a fresh
     /// median-length attempt, and pick the one finishing furthest out.
-    pub fn propose(
+    pub(crate) fn propose(
         &self,
         now: SimTime,
         slot_node: NodeId,
@@ -235,7 +240,7 @@ impl Speculator {
 }
 
 /// When a stage of an attempt starts and ends.
-pub type Span = (SimTime, SimTime);
+pub(crate) type Span = (SimTime, SimTime);
 
 /// Basis points of a whole (progress and multiplier denominators).
 const BP: u32 = 10_000;

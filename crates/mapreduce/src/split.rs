@@ -97,7 +97,7 @@ impl<'a> LineReader<'a> {
     /// borrowed from the split's bytes. Only a split that is not valid
     /// UTF-8 is decoded line by line, and only such a line is copied
     /// (lossily, as `TextInputFormat` decodes it).
-    pub fn next_line(&mut self) -> Option<(u64, Cow<'a, str>)> {
+    pub(crate) fn next_line(&mut self) -> Option<(u64, Cow<'a, str>)> {
         if self.pos >= self.split_len {
             return None;
         }

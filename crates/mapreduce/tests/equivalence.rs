@@ -238,6 +238,7 @@ fn check_against_reference<K, C>(
     for p in 0..parts {
         assert_eq!(to_pairs(&out.partitions[p]), rout.partitions[p], "partition {p}: {ctx}");
         assert_eq!(out.partitions[p].len(), rout.partitions[p].len(), "len {p}: {ctx}");
+        assert_eq!(out.partitions[p].is_empty(), rout.partitions[p].is_empty(), "{p}: {ctx}");
         assert_eq!(out.partitions[p].bytes(), pairs_bytes(&rout.partitions[p]), "bytes {p}: {ctx}");
         // What map-output compression packs: the records and nothing else.
         let flat: Vec<u8> = rout.partitions[p]

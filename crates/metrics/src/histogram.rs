@@ -40,12 +40,12 @@ fn bucket_of(v: u64) -> usize {
 
 impl Histogram {
     /// Empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one sample.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
@@ -58,29 +58,19 @@ impl Histogram {
         self.count
     }
 
-    /// Saturating sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
     /// Mean sample, rounded down (`None` when empty).
-    pub fn mean(&self) -> Option<u64> {
+    pub(crate) fn mean(&self) -> Option<u64> {
         (self.count > 0).then(|| self.sum / self.count)
     }
 
     /// Upper bound of the bucket holding the `q`-quantile (`q` in
     /// per-mille, e.g. 500 = median, 950 = p95). `None` when empty.
-    pub fn quantile_bound(&self, q_per_mille: u64) -> Option<u64> {
+    pub(crate) fn quantile_bound(&self, q_per_mille: u64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -99,7 +89,7 @@ impl Histogram {
 
     /// Merge another histogram into this one (bucket-wise addition;
     /// associative and commutative).
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b = b.saturating_add(*o);
         }
@@ -174,7 +164,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 10);
-        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.min, 0);
         assert_eq!(h.max(), Some(u64::MAX));
         let got: Vec<(usize, u64)> = h.nonzero_buckets().collect();
         // 0→b0, 1→b1, {2,3}→b2, {4,7}→b3, 8→b4, 1023→b10, 1024→b11, MAX→b64.
@@ -201,7 +191,6 @@ mod tests {
     fn empty_histogram_has_no_extrema() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.mean(), None);
     }
@@ -216,8 +205,7 @@ mod tests {
         b.record(0);
         a.merge(&b);
         assert_eq!(a.count(), 4);
-        assert_eq!(a.sum(), 106);
-        assert_eq!(a.min(), Some(0));
+        assert_eq!((a.sum, a.min), (106, 0));
         assert_eq!(a.max(), Some(100));
         let got: Vec<(usize, u64)> = a.nonzero_buckets().collect();
         assert_eq!(got, vec![(0, 1), (2, 2), (7, 1)]);

@@ -32,6 +32,5 @@ pub mod histogram;
 pub mod registry;
 pub mod report;
 
-pub use histogram::Histogram;
 pub use registry::{CounterHandle, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use report::MetricsReport;

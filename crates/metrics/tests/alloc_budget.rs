@@ -120,7 +120,7 @@ fn touching_an_existing_instrument_allocates_nothing() {
         .windows(2)
         .all(|w| (w[0].daemon.as_str(), w[0].name.as_str())
             < (w[1].daemon.as_str(), w[1].name.as_str())));
-    assert_eq!(snap.samples.len(), r.len());
+    assert_eq!(snap.samples.len(), all.len());
 
     let counters: Vec<_> = all.iter().filter(|(_, _, kind)| *kind == 0).collect();
     let (handles, blocks) =

@@ -48,7 +48,7 @@ impl Campus {
 
     /// Time until the next cleanup pass at or after `t` (for students
     /// deciding whether to wait out a ghost).
-    pub fn next_cleanup_after(&self, t: SimTime) -> SimTime {
+    pub(crate) fn next_cleanup_after(&self, t: SimTime) -> SimTime {
         // The cron runs on multiples of the period from the last firing;
         // conservatively, the worst case is one full period.
         t + self.scheduler.cleanup_period

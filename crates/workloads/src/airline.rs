@@ -22,7 +22,7 @@ use hl_mapreduce::job::{Job, JobConf};
 
 /// Per-record map CPU for these jobs: splitting a CSV/`::` row, boxing
 /// fields, and hash lookups cost a 2013 JVM ~10 µs per record.
-pub const JAVA_PARSE_CPU: hl_common::SimDuration = hl_common::SimDuration::from_micros(10);
+pub(crate) const JAVA_PARSE_CPU: hl_common::SimDuration = hl_common::SimDuration::from_micros(10);
 
 use crate::types::SumCount;
 

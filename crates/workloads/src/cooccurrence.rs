@@ -31,7 +31,7 @@ pub struct Stripe(pub BTreeMap<String, u64>);
 
 impl Stripe {
     /// Element-wise merge (the stripe monoid).
-    pub fn merge(mut self, other: Stripe) -> Stripe {
+    pub(crate) fn merge(mut self, other: Stripe) -> Stripe {
         for (w, n) in other.0 {
             *self.0.entry(w).or_default() += n;
         }

@@ -47,5 +47,3 @@ pub mod tpcxhs;
 pub mod types;
 pub mod wordcount;
 pub mod yahoo;
-
-pub use types::SumCount;

@@ -25,7 +25,7 @@ use hl_mapreduce::job::{Job, JobConf};
 
 /// Per-record map CPU for these jobs: splitting a CSV/`::` row, boxing
 /// fields, and hash lookups cost a 2013 JVM ~10 µs per record.
-pub const JAVA_PARSE_CPU: hl_common::SimDuration = hl_common::SimDuration::from_micros(10);
+pub(crate) const JAVA_PARSE_CPU: hl_common::SimDuration = hl_common::SimDuration::from_micros(10);
 
 use crate::types::{RatingEvent, Stats};
 
@@ -75,7 +75,7 @@ pub struct CachedGenreMapper {
 
 impl CachedGenreMapper {
     /// New mapper reading the catalog from `movies_path`.
-    pub fn new(movies_path: impl Into<String>) -> Self {
+    pub(crate) fn new(movies_path: impl Into<String>) -> Self {
         CachedGenreMapper { movies_path: movies_path.into(), catalog: BTreeMap::new() }
     }
 }
@@ -135,7 +135,7 @@ pub struct UserActivityMapper {
 
 impl UserActivityMapper {
     /// New mapper.
-    pub fn new(movies_path: impl Into<String>) -> Self {
+    pub(crate) fn new(movies_path: impl Into<String>) -> Self {
         UserActivityMapper { movies_path: movies_path.into(), catalog: BTreeMap::new() }
     }
 }

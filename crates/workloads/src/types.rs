@@ -20,17 +20,17 @@ pub struct SumCount {
 
 impl SumCount {
     /// A single observation.
-    pub fn of(value: f64) -> Self {
+    pub(crate) fn of(value: f64) -> Self {
         SumCount { sum: value, count: 1 }
     }
 
     /// Monoid combine.
-    pub fn merge(self, other: SumCount) -> SumCount {
+    pub(crate) fn merge(self, other: SumCount) -> SumCount {
         SumCount { sum: self.sum + other.sum, count: self.count + other.count }
     }
 
     /// The final average (`None` for the empty aggregate).
-    pub fn mean(self) -> Option<f64> {
+    pub(crate) fn mean(self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 }
@@ -67,12 +67,12 @@ impl Default for Stats {
 
 impl Stats {
     /// A single observation.
-    pub fn of(value: f64) -> Self {
+    pub(crate) fn of(value: f64) -> Self {
         Stats { count: 1, sum: value, min: value, max: value }
     }
 
     /// Monoid combine.
-    pub fn merge(self, other: Stats) -> Stats {
+    pub(crate) fn merge(self, other: Stats) -> Stats {
         Stats {
             count: self.count + other.count,
             sum: self.sum + other.sum,
@@ -82,7 +82,7 @@ impl Stats {
     }
 
     /// Mean (`None` when empty).
-    pub fn mean(self) -> Option<f64> {
+    pub(crate) fn mean(self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 }

@@ -35,7 +35,7 @@ fn cooccurrence_pairs_and_stripes_agree_on_the_cluster() {
     // Stripes shuffles less.
     assert!(stripes_report.shuffle_bytes() < pairs_report.shuffle_bytes());
     // Both landed in the JobTracker history.
-    assert_eq!(c.history.len(), 2);
+    assert_eq!(c.history.entries().len(), 2);
     assert!(c.history.to_string().contains("cooccurrence-pairs"));
 }
 
