@@ -15,6 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use hl_cluster::failure::{BitRot, DaemonKind};
 use hl_cluster::node::{ClusterSpec, DegradeModel, PerfProfile};
 use hl_cluster::ports::well_known;
+use hl_cluster::provision::Campus;
 use hl_common::config::keys;
 use hl_common::prelude::*;
 use hl_datagen::CorpusGen;
@@ -22,7 +23,6 @@ use hl_dfs::{BlockPayload, PipelineFault};
 use hl_mapreduce::api::{Combiner, Mapper, Reducer, SideFiles};
 use hl_mapreduce::local::LocalRunner;
 use hl_mapreduce::{Job, MrCluster};
-use hl_provision::Campus;
 use hl_workloads::wordcount::{wordcount, wordcount_combiner};
 
 use crate::oracle::{self, Violation};

@@ -6,8 +6,10 @@
 //! compute/storage separation vs Hadoop storage-on-compute), a PBS-like
 //! [`scheduler`] with the queueing and cleanup behaviour of Clemson's
 //! Palmetto machine, the [`ports`] registry whose stale bindings produce
-//! the paper's "ghost daemon" failures, and [`failure`] injectors modeling
-//! the Java-heap-leak crashes that corrupted the Version-1 course cluster.
+//! the paper's "ghost daemon" failures, [`failure`] injectors modeling
+//! the Java-heap-leak crashes that corrupted the Version-1 course cluster,
+//! and the myHadoop scripts that [`provision`] each student's cluster on
+//! the shared scheduler.
 //!
 //! Time is virtual ([`hl_common::SimTime`]): operations *charge* bandwidth
 //! against FIFO [`resource`]s and protocol steps run on an [`event`] queue,
@@ -22,6 +24,7 @@ pub mod failure;
 pub mod network;
 pub mod node;
 pub mod ports;
+pub mod provision;
 pub mod resource;
 pub mod scheduler;
 pub mod trace;

@@ -1,9 +1,9 @@
 //! Shared campus state: the batch scheduler and the cluster-wide port
 //! registry, plus the cleanup cron that sweeps ghost daemons.
 
-use hl_cluster::ports::PortRegistry;
-use hl_cluster::scheduler::BatchScheduler;
-use hl_cluster::trace::EventLog;
+use crate::ports::PortRegistry;
+use crate::scheduler::BatchScheduler;
+use crate::trace::EventLog;
 use hl_common::prelude::*;
 
 /// The shared supercomputer, as one student's myHadoop session sees it.

@@ -8,11 +8,11 @@
 //! run the example job → export output to the home directory → stop
 //! daemons. Exiting without the final step orphans the daemons.
 
-use hl_cluster::ports::well_known;
-use hl_cluster::scheduler::{Priority, ReservationRequest};
+use crate::ports::well_known;
+use crate::scheduler::{Priority, ReservationRequest};
 use hl_common::prelude::*;
 
-use crate::campus::Campus;
+use super::campus::Campus;
 
 /// What a student does (and gets wrong), plus the cluster shape they ask
 /// for.

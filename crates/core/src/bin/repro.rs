@@ -8,7 +8,7 @@
 //! repro > tests/golden/repro_paper.txt           # same, Paper scale (~2.5 min)
 //! ```
 //!
-//! Output is [`hl_bench::repro`]'s plain text, one section per artifact,
+//! Output is [`hl_core::repro`]'s plain text, one section per artifact,
 //! with paper-reported values alongside measured ones where applicable;
 //! `cargo test` holds it to the two committed files (the Paper-scale one in
 //! an ignored arm the nightly workflow runs) and EXPERIMENTS.md quotes
@@ -18,8 +18,8 @@
 
 use std::process::ExitCode;
 
-use hl_bench::{repro, repro_usage};
 use hl_core::Scale;
+use hl_core::{repro, repro_usage};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

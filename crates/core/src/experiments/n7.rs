@@ -9,8 +9,8 @@
 
 use std::fmt;
 
+use hl_cluster::provision::{Campus, Session, SessionOutcome, SessionSpec};
 use hl_common::prelude::*;
-use hl_provision::{Campus, Session, SessionOutcome, SessionSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

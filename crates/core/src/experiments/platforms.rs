@@ -17,10 +17,10 @@
 
 use std::fmt;
 
+use hl_cluster::provision::{Campus, Session, SessionOutcome, SessionSpec};
 use hl_cluster::resource::PipeResource;
 use hl_common::prelude::*;
 use hl_common::units::ByteSize;
-use hl_provision::{Campus, Session, SessionOutcome, SessionSpec};
 
 use super::Scale;
 

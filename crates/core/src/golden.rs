@@ -2,7 +2,7 @@
 //! whose text `cargo test` pins exactly: the simulated-number table and
 //! `repro`'s tables and figures.
 //!
-//! [`repro`] is every paper artifact at one scale (`repro.rs`);
+//! [`repro`](crate::repro()) is every paper artifact at one scale (`repro.rs`);
 //! `tests/golden/repro_quick.txt` and `repro_paper.txt` are its committed
 //! output, and `repro [--quick] > tests/golden/repro_<scale>.txt` re-pins.
 //!
@@ -17,18 +17,12 @@
 //! `tests/golden_traces.rs` compares every file under `tests/golden/`
 //! with what the code produces today through [`golden_diff`].
 
-#![forbid(unsafe_code)]
-
 use hl_common::prelude::*;
 
-mod repro;
-mod scale;
-mod sections;
-
-pub use repro::{repro, repro_flags, repro_usage};
+use crate::{scale, sections};
 
 /// One section's `(metric, value)` pairs, in table order.
-type Metrics = Vec<(&'static str, u64)>;
+pub(crate) type Metrics = Vec<(&'static str, u64)>;
 
 fn rows(section: &str, metrics: &[(&'static str, u64)]) -> String {
     metrics.iter().map(|(metric, value)| format!("{section}/{metric} {value}\n")).collect()

@@ -18,13 +18,22 @@
 //!   ACM/IEEE PDC outcome mapping.
 //!
 //! Each experiment exposes `run(scale)` returning a typed, `Display`able
-//! result; the `hl-bench` crate's `repro` binary prints them all, and
-//! EXPERIMENTS.md records paper-reported vs measured values.
+//! result; [`repro()`] prints them all (the `repro` binary is its command
+//! line), and EXPERIMENTS.md records paper-reported vs measured values.
+//! [`sim_numbers`] is the pinned simulated-number table (`bench-snapshot`
+//! prints it), and [`golden_diff`] is how `tests/golden_traces.rs` holds
+//! both to their committed copies under `tests/golden/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod course;
 pub mod experiments;
+mod golden;
+mod repro;
+mod scale;
+mod sections;
 
 pub use experiments::Scale;
+pub use golden::{golden_diff, scale_numbers, sim_numbers};
+pub use repro::{repro, repro_flags, repro_usage};

@@ -1,8 +1,8 @@
 //! Everything `repro` prints: one section per paper artifact, in the
 //! paper's order, each the `Display` of its experiment's typed result.
 
+use crate::experiments::{self, Scale};
 use hl_common::prelude::*;
-use hl_core::experiments::{self, Scale};
 
 struct Item {
     flag: &'static str,
@@ -29,7 +29,7 @@ const ITEMS: [Item; 14] = [
     Item {
         flag: "--table5",
         title: "Table V — curriculum map & course module",
-        run: |_| hl_core::course::CourseModule.to_string(),
+        run: |_| crate::course::CourseModule.to_string(),
     },
     Item {
         flag: "--n1",

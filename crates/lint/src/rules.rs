@@ -3,11 +3,11 @@
 //!
 //! | id | name                       | scope (production code only)            |
 //! |----|----------------------------|-----------------------------------------|
-//! | R1 | panic-free-daemons         | dfs, cluster, provision,                |
+//! | R1 | panic-free-daemons         | dfs, cluster (provision included),      |
 //! |    |                            | mapreduce::{engine, jobtracker}         |
 //! | R2 | sim-time                   | sim-facing crates (common, dfs, cluster,|
-//! |    |                            | mapreduce, provision, hbase, core,      |
-//! |    |                            | chaos, metrics): clocks, unseeded RNGs, |
+//! |    |                            | mapreduce, hbase, core, chaos,          |
+//! |    |                            | metrics): clocks, unseeded RNGs,        |
 //! |    |                            | host threads outside `common::pool`     |
 //! | R3 | lossless-casts             | sortbuf / merge / block hot paths       |
 //! | R4 | writable-manifest          | whole workspace (`impl Writable` headers) |
@@ -138,7 +138,6 @@ pub(crate) fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = Vec::new();
     let daemon_crate = path.starts_with("crates/dfs/src/")
         || path.starts_with("crates/cluster/src/")
-        || path.starts_with("crates/provision/src/")
         || path == "crates/mapreduce/src/engine.rs"
         || path == "crates/mapreduce/src/jobtracker.rs";
     if daemon_crate {
@@ -147,7 +146,6 @@ pub(crate) fn rules_for_path(path: &str) -> Vec<RuleId> {
     let sim_facing = path.starts_with("crates/dfs/src/")
         || path.starts_with("crates/cluster/src/")
         || path.starts_with("crates/mapreduce/src/")
-        || path.starts_with("crates/provision/src/")
         || path.starts_with("crates/hbase/src/")
         || path.starts_with("crates/core/src/")
         || path.starts_with("crates/chaos/src/")

@@ -54,6 +54,7 @@
 
 pub use hl_chaos as chaos;
 pub use hl_cluster as cluster;
+pub use hl_cluster::provision;
 pub use hl_codec as codec;
 pub use hl_common as common;
 pub use hl_core as core;
@@ -62,5 +63,4 @@ pub use hl_dfs as dfs;
 pub use hl_hbase as hbase;
 pub use hl_mapreduce as mapreduce;
 pub use hl_metrics as metrics;
-pub use hl_provision as provision;
 pub use hl_workloads as workloads;

@@ -1,6 +1,6 @@
 //! Golden files: everything the repository prints for a lecture to quote
 //! and every JobTracker trace, pinned across commits by one mechanism — a
-//! committed text file under `tests/golden/`, `hl_bench::golden_diff`'s
+//! committed text file under `tests/golden/`, `hadoop_lab::core::golden_diff`'s
 //! exact line-for-line compare in both directions, and a mismatch that
 //! names the line (and the section it stands in) and prints its replacement.
 //!
@@ -13,12 +13,12 @@
 //!   `sched-replay` prints, each row from two runs that must agree. 120
 //!   jobs × 6 tasks here; `sched-replay`'s default 600 × 8 in the ignored
 //!   arm.
-//! * `sim_numbers.txt` — `hl_bench::sim_numbers()`: makespans, spill and
+//! * `sim_numbers.txt` — `hadoop_lab::core::sim_numbers()`: makespans, spill and
 //!   shuffle bytes, queue waits, the TPCx-HS 2×2 and the codec ablation,
 //!   plus the NameNode scale counters at 200 × 100 000 (and at 1000 × 1M
 //!   in the ignored arm). `bench-snapshot > tests/golden/sim_numbers.txt`
 //!   re-pins.
-//! * `repro_quick.txt` — `hl_bench::repro(Scale::Quick, ..)`, all that
+//! * `repro_quick.txt` — `hadoop_lab::core::repro(Scale::Quick, ..)`, all that
 //!   `repro --quick` prints: Figures 1–2, Tables I–V, N1–N8, X1.
 //!   `repro_paper.txt` is the same at PAPER scale, ~2.5 min, in the
 //!   ignored arm. `repro [--quick] > tests/golden/repro_<scale>.txt`
@@ -37,7 +37,7 @@ use hadoop_lab::cluster::node::{ClusterSpec, HeterogeneousClusterSpec};
 use hadoop_lab::common::config::keys;
 use hadoop_lab::common::hash::fnv1a;
 use hadoop_lab::common::prelude::*;
-use hadoop_lab::core::Scale;
+use hadoop_lab::core::{golden_diff, repro, repro_flags, scale_numbers, sim_numbers, Scale};
 use hadoop_lab::datagen::google_trace::GoogleTraceGen;
 use hadoop_lab::datagen::CorpusGen;
 use hadoop_lab::mapreduce::api::NoCombiner;
@@ -47,7 +47,6 @@ use hadoop_lab::mapreduce::speculate::SpecOutcome;
 use hadoop_lab::mapreduce::MrCluster;
 use hadoop_lab::workloads::replay::{load_trace, replay, ReplayPolicy, ReplaySetup};
 use hadoop_lab::workloads::wordcount::{wordcount, WcMapper, WcReducer};
-use hl_bench::{golden_diff, repro, repro_flags, scale_numbers, sim_numbers};
 
 const GOLDEN: &str = include_str!("golden/chaos_traces.txt");
 const GOLDEN_REPLAY: &str = include_str!("golden/replay_hashes.txt");
