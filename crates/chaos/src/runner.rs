@@ -194,8 +194,7 @@ impl ChaosRunner {
         cluster.dfs.namenode.mkdirs("/in")?;
         cluster.dfs.namenode.mkdirs("/out")?;
         let (corpus, expected) = CorpusGen::new(seed).generate(CORPUS_WORDS);
-        let put = cluster.dfs.put(&mut cluster.net, cluster.now, INPUT, corpus.as_bytes(), None)?;
-        cluster.now = put.completed_at;
+        cluster.put_input(INPUT, corpus.as_bytes())?;
         // The compressed copy rides in every pack: its framed blocks sit in
         // the manifest where bit-rot can chew them, and the durability
         // oracle holds the *logical* bytes (reads decode transparently), so

@@ -6,7 +6,7 @@
 //! what makes every experiment in EXPERIMENTS.md exactly repeatable.
 //! Inside the library the JobTracker loop (`hl-mapreduce::jobtracker`) is
 //! the [`EventQueue`]'s caller; the NameNode scale harnesses
-//! (`hl_bench::scale_numbers`, `benchmark/`) keep DataNode timers on the
+//! (`hl_core::scale_numbers`, `benchmark/`) keep DataNode timers on the
 //! [`TimerWheel`].
 
 use std::cmp::Reverse;

@@ -15,21 +15,21 @@ use hl_common::prelude::*;
 /// The standard Hadoop 1.x daemon ports the course's myHadoop scripts used.
 pub mod well_known {
     /// NameNode RPC.
-    pub const NAMENODE_RPC: u16 = 8020;
+    pub(crate) const NAMENODE_RPC: u16 = 8020;
     /// NameNode web UI.
-    pub const NAMENODE_HTTP: u16 = 50070;
+    pub(crate) const NAMENODE_HTTP: u16 = 50070;
     /// DataNode data transfer.
-    pub const DATANODE_DATA: u16 = 50010;
+    pub(crate) const DATANODE_DATA: u16 = 50010;
     /// JobTracker RPC.
-    pub const JOBTRACKER_RPC: u16 = 8021;
+    pub(crate) const JOBTRACKER_RPC: u16 = 8021;
     /// JobTracker web UI.
-    pub const JOBTRACKER_HTTP: u16 = 50030;
+    pub(crate) const JOBTRACKER_HTTP: u16 = 50030;
     /// TaskTracker HTTP (shuffle service).
-    pub const TASKTRACKER_HTTP: u16 = 50060;
+    pub(crate) const TASKTRACKER_HTTP: u16 = 50060;
     /// HBase master (the ecosystem lecture's extra daemon).
-    pub const HBASE_MASTER: u16 = 60000;
+    pub(crate) const HBASE_MASTER: u16 = 60000;
     /// HBase region server.
-    pub const HBASE_REGIONSERVER: u16 = 60020;
+    pub(crate) const HBASE_REGIONSERVER: u16 = 60020;
 
     /// Every port a full node (all daemons colocated) needs.
     pub const ALL: [u16; 6] = [
@@ -59,7 +59,7 @@ pub struct PortRegistry {
 
 impl PortRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -99,7 +99,7 @@ impl PortRegistry {
     }
 
     /// Cleanup every node (the 15-minute cron pass).
-    pub fn cleanup_all(&mut self) -> usize {
+    pub(crate) fn cleanup_all(&mut self) -> usize {
         let before = self.bindings.len();
         self.bindings.retain(|_, b| b.owner_alive);
         before - self.bindings.len()

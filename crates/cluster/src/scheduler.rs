@@ -57,7 +57,7 @@ pub struct Reservation {
 
 /// What happened on a scheduler tick.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TickOutcome {
+pub(crate) struct TickOutcome {
     /// Reservations that started this tick.
     pub started: Vec<Reservation>,
     /// Reservations force-ended (walltime) this tick.
@@ -81,7 +81,7 @@ pub struct BatchScheduler {
 
 impl BatchScheduler {
     /// Scheduler over `total_nodes` initially-free nodes.
-    pub fn new(total_nodes: usize) -> Self {
+    pub(crate) fn new(total_nodes: usize) -> Self {
         BatchScheduler {
             total_nodes,
             free: (0..total_nodes as u32).rev().map(NodeId).collect(),
@@ -94,7 +94,7 @@ impl BatchScheduler {
     }
 
     /// Submit a request; it queues FIFO within its priority class.
-    pub fn submit(&mut self, now: SimTime, request: ReservationRequest) -> ReservationId {
+    pub(crate) fn submit(&mut self, now: SimTime, request: ReservationRequest) -> ReservationId {
         let id = ReservationId(self.next_id);
         self.next_id += 1;
         if request.priority == Priority::Research {
@@ -113,7 +113,7 @@ impl BatchScheduler {
 
     /// Run one scheduling pass at `now`: expire walltimes, preempt students
     /// if a research job needs nodes, start whatever fits, FIFO order.
-    pub fn tick(&mut self, now: SimTime) -> TickOutcome {
+    pub(crate) fn tick(&mut self, now: SimTime) -> TickOutcome {
         let mut outcome = TickOutcome::default();
 
         // 1. Walltime expiry.
@@ -179,7 +179,7 @@ impl BatchScheduler {
     }
 
     /// Voluntarily end a reservation (the student's job script finished).
-    pub fn release(&mut self, id: ReservationId) -> Option<Reservation> {
+    pub(crate) fn release(&mut self, id: ReservationId) -> Option<Reservation> {
         let res = self.running.remove(&id)?;
         self.free.extend(res.nodes.iter().copied());
         Some(res)
@@ -187,7 +187,7 @@ impl BatchScheduler {
 
     /// True when the periodic cleanup cron should fire at `now`; advances
     /// the cron clock when it does.
-    pub fn cleanup_due(&mut self, now: SimTime) -> bool {
+    pub(crate) fn cleanup_due(&mut self, now: SimTime) -> bool {
         if now.since(self.last_cleanup) >= self.cleanup_period {
             self.last_cleanup = now;
             true
@@ -197,7 +197,7 @@ impl BatchScheduler {
     }
 
     /// Currently running reservation, by id.
-    pub fn running(&self, id: ReservationId) -> Option<&Reservation> {
+    pub(crate) fn running(&self, id: ReservationId) -> Option<&Reservation> {
         self.running.get(&id)
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper's clusters taught compression as a CPU-vs-I/O tradeoff: LZO
 //! on the wordcount corpus traded a little CPU for a lot of disk and
-//! network (the arXiv:1307.1517 study HadoopLab's ROADMAP 2(a)/5(b) cite).
+//! network (the arXiv:1307.1517 study HadoopLab's ROADMAP 1(c)/5(b) cite).
 //! This crate supplies the mechanism: [`lz`] is the raw LZ4-family block
 //! format, [`frame`] wraps blocks in a sync-marked, CRC-protected,
 //! *splittable* container, and [`CodecId`] is what the DFS client, the

@@ -129,7 +129,7 @@ const TABLE5: [OutcomeRow; 6] = [
 
 /// Renderable course summary.
 #[derive(Debug, Clone, Default)]
-pub struct CourseModule;
+pub(crate) struct CourseModule;
 
 impl fmt::Display for CourseModule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -21,7 +21,7 @@ use super::Scale;
 
 /// One cluster size's measurements.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig1Point {
+pub(crate) struct Fig1Point {
     /// Nodes in the cluster.
     pub nodes: usize,
     /// Scan time on the Hadoop (local disk) layout.
@@ -38,7 +38,7 @@ pub struct Fig1Point {
 
 /// The whole series.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig1Result {
+pub(crate) struct Fig1Result {
     /// Dataset size scanned at every point.
     pub dataset_bytes: u64,
     /// Aggregate bandwidth of the modeled parallel store.
@@ -59,7 +59,7 @@ impl Fig1Result {
 }
 
 /// Run the scan on both layouts across node counts.
-pub fn run(scale: Scale) -> Fig1Result {
+pub(crate) fn run(scale: Scale) -> Fig1Result {
     let dataset = scale.pick(8 * ByteSize::GIB, 171 * ByteSize::GIB);
     // A mid-size parallel store: ~1.2 GB/s aggregate (2013-era Lustre slice
     // for a department allocation).

@@ -26,7 +26,7 @@ use super::Scale;
 
 /// One scheduling arm's outcome.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SchedulingArm {
+pub(crate) struct SchedulingArm {
     /// "locality-aware" or "fifo".
     pub name: &'static str,
     /// (data-local, rack-local, off-rack) map task counts.
@@ -39,7 +39,7 @@ pub struct SchedulingArm {
 
 /// The full Figure 2 experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig2Result {
+pub(crate) struct Fig2Result {
     /// Input size staged.
     pub input_bytes: u64,
     /// Blocks × replicas rows from fsck (first few shown in Display).
@@ -70,10 +70,7 @@ fn run_arm(
     let (text, _) = CorpusGen::new(2014).with_vocab(500).generate(words);
     let input_bytes = text.len() as u64;
     cluster.dfs.namenode.mkdirs("/in").unwrap();
-    let t = cluster.now;
-    let put =
-        cluster.dfs.put(&mut cluster.net, t, "/in/corpus.txt", text.as_bytes(), None).unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/in/corpus.txt", text.as_bytes()).unwrap();
     cluster.net.reset_accounting();
 
     let job = wordcount::wordcount("/in/corpus.txt", "/out/wc", 4);
@@ -100,7 +97,7 @@ fn run_arm(
 }
 
 /// Run both arms.
-pub fn run(scale: Scale) -> Fig2Result {
+pub(crate) fn run(scale: Scale) -> Fig2Result {
     let (aware, block_map, metadata_ram, input_bytes) = run_arm(scale, true);
     let (fifo, _, _, _) = run_arm(scale, false);
     Fig2Result { input_bytes, block_map, metadata_ram, arms: vec![aware, fifo] }

@@ -33,7 +33,7 @@ use super::Scale;
 
 /// One arm's outcome.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JummpArm {
+pub(crate) struct JummpArm {
     /// Arm label.
     pub name: &'static str,
     /// Preemptions survived.
@@ -52,7 +52,7 @@ pub struct JummpArm {
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JummpResult {
+pub(crate) struct JummpResult {
     /// Cluster membership size.
     pub members: usize,
     /// Data staged.
@@ -142,7 +142,7 @@ fn run_arm(scale: Scale, maneuver: bool) -> (JummpArm, usize, u64) {
 }
 
 /// Run both arms on the same preemption schedule.
-pub fn run(scale: Scale) -> JummpResult {
+pub(crate) fn run(scale: Scale) -> JummpResult {
     let (jummp, members, data_bytes) = run_arm(scale, true);
     let (naive, _, _) = run_arm(scale, false);
     JummpResult { members, data_bytes, jummp, naive }

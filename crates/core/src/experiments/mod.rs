@@ -32,7 +32,7 @@ pub enum Scale {
 
 impl Scale {
     /// Pick a value by scale.
-    pub fn pick<T>(self, quick: T, paper: T) -> T {
+    pub(crate) fn pick<T>(self, quick: T, paper: T) -> T {
         match self {
             Scale::Quick => quick,
             Scale::Paper => paper,

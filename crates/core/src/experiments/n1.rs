@@ -22,7 +22,7 @@ use super::Scale;
 
 /// One variant's row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VariantRow {
+pub(crate) struct VariantRow {
     /// Variant name.
     pub name: &'static str,
     /// Sum of map-task durations (the JobTracker-web-UI observable).
@@ -39,7 +39,7 @@ pub struct VariantRow {
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N1Result {
+pub(crate) struct N1Result {
     /// Corpus size.
     pub input_bytes: u64,
     /// Rows: plain, +combiner, in-mapper.
@@ -67,7 +67,7 @@ fn row(name: &'static str, report: &JobReport) -> VariantRow {
 }
 
 /// Run all three variants on identical data.
-pub fn run(scale: Scale) -> N1Result {
+pub(crate) fn run(scale: Scale) -> N1Result {
     let words = scale.pick(60_000, 5_000_000);
     let (text, _) = CorpusGen::new(41).with_vocab(2_000).generate(words);
     let input_bytes = text.len() as u64;
@@ -76,9 +76,7 @@ pub fn run(scale: Scale) -> N1Result {
     for (name, which) in [("plain", 0), ("reducer-as-combiner", 1), ("in-mapper", 2)] {
         let mut c = cluster(scale);
         c.dfs.namenode.mkdirs("/in").unwrap();
-        let t = c.now;
-        let put = c.dfs.put(&mut c.net, t, "/in/corpus.txt", text.as_bytes(), None).unwrap();
-        c.now = put.completed_at;
+        c.put_input("/in/corpus.txt", text.as_bytes()).unwrap();
         let report = match which {
             0 => c.run_job(&wordcount::wordcount("/in/corpus.txt", "/out", 4)).unwrap(),
             1 => c.run_job(&wordcount::wordcount_combiner("/in/corpus.txt", "/out", 4)).unwrap(),

@@ -20,7 +20,7 @@ use super::Scale;
 
 /// One variant's measurements.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MonoidRow {
+pub(crate) struct MonoidRow {
     /// v1/v2/v3 label.
     pub name: &'static str,
     /// Records crossing the map→reduce boundary.
@@ -37,7 +37,7 @@ pub struct MonoidRow {
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N2Result {
+pub(crate) struct N2Result {
     /// Rows flown.
     pub flights: usize,
     /// v1, v2, v3.
@@ -47,7 +47,7 @@ pub struct N2Result {
 }
 
 /// Run all three variants on identical data.
-pub fn run(scale: Scale) -> N2Result {
+pub(crate) fn run(scale: Scale) -> N2Result {
     let flights = scale.pick(40_000, 2_000_000);
     let (csv, truth) = AirlineGen::new(2008).generate(flights);
     let truth_ha_avg = truth.avg_delay("HA").unwrap();
@@ -61,9 +61,7 @@ pub fn run(scale: Scale) -> N2Result {
         );
         let mut c = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
         c.dfs.namenode.mkdirs("/in").unwrap();
-        let t = c.now;
-        let put = c.dfs.put(&mut c.net, t, "/in/2008.csv", csv.as_bytes(), None).unwrap();
-        c.now = put.completed_at;
+        c.put_input("/in/2008.csv", csv.as_bytes()).unwrap();
         let report = match which {
             0 => c.run_job(&airline::avg_delay_plain("/in/2008.csv", "/out")).unwrap(),
             1 => c.run_job(&airline::avg_delay_combiner("/in/2008.csv", "/out")).unwrap(),

@@ -24,7 +24,7 @@ use super::Scale;
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N3Result {
+pub(crate) struct N3Result {
     /// Ratings processed.
     pub ratings: usize,
     /// Side-file size.
@@ -49,7 +49,7 @@ impl N3Result {
 }
 
 /// Run both implementations.
-pub fn run(scale: Scale) -> N3Result {
+pub(crate) fn run(scale: Scale) -> N3Result {
     // The naive implementation *really* re-parses the catalog per record,
     // so the sample is bounded to keep the harness's own wall time sane;
     // charged virtual time carries the paper-scale story.
@@ -70,10 +70,7 @@ pub fn run(scale: Scale) -> N3Result {
         );
         let mut c = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
         c.dfs.namenode.mkdirs("/in").unwrap();
-        let t = c.now;
-        let put =
-            c.dfs.put(&mut c.net, t, "/in/ratings.dat", data.ratings.as_bytes(), None).unwrap();
-        c.now = put.completed_at;
+        c.put_input("/in/ratings.dat", data.ratings.as_bytes()).unwrap();
         c.register_side_file("/cache/movies.dat", data.movies.clone().into_bytes());
 
         let report = if naive {

@@ -24,7 +24,7 @@ use super::Scale;
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N4Result {
+pub(crate) struct N4Result {
     /// Flights processed.
     pub flights: usize,
     /// Serial (one-lane LocalJobRunner) virtual time.
@@ -45,7 +45,7 @@ impl N4Result {
 }
 
 /// Run both modes over identical data.
-pub fn run(scale: Scale) -> N4Result {
+pub(crate) fn run(scale: Scale) -> N4Result {
     let flights = scale.pick(800_000, 5_000_000);
     let (csv, _) = AirlineGen::new(77).generate(flights);
 
@@ -69,9 +69,8 @@ pub fn run(scale: Scale) -> N4Result {
     let mut c = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
     c.dfs.namenode.mkdirs("/in").unwrap();
     let t0 = c.now;
-    let put = c.dfs.put(&mut c.net, t0, "/in/2008.csv", csv.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
-    let staging = put.completed_at.since(t0);
+    c.put_input("/in/2008.csv", csv.as_bytes()).unwrap();
+    let staging = c.now.since(t0);
     let report = c.run_job(&airline::avg_delay_combiner("/in/2008.csv", "/out")).unwrap();
     let mut cluster_out: Vec<String> =
         c.read_output("/out").unwrap().lines().map(str::to_string).collect();

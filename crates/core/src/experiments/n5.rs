@@ -28,7 +28,7 @@ const SOURCE_STREAM_BW: u64 = 45 * ByteSize::MIB;
 
 /// One dataset's staging measurement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StagingRow {
+pub(crate) struct StagingRow {
     /// Dataset name.
     pub name: &'static str,
     /// Modeled size.
@@ -45,14 +45,14 @@ pub struct StagingRow {
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N5Result {
+pub(crate) struct N5Result {
     /// Per-dataset rows.
     pub rows: Vec<StagingRow>,
 }
 
 /// Stage all four course datasets (virtual sizes are the published ones at
 /// any scale — synthetic payloads make this cheap).
-pub fn run(_scale: Scale) -> N5Result {
+pub(crate) fn run(_scale: Scale) -> N5Result {
     let datasets: [(&str, u64); 4] = [
         ("MovieLens (assignment 1)", 250 * ByteSize::MIB),
         ("Yahoo! Music (assignment 2)", 10 * ByteSize::GIB),

@@ -67,9 +67,7 @@ pub fn run(scale: Scale) -> N6Result {
     c.dfs.namenode.mkdirs("/in").unwrap();
     c.dfs.namenode.mkdirs("/data").unwrap();
     let (text, _) = CorpusGen::new(6).with_vocab(300).generate(scale.pick(20_000, 200_000));
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, "/in/corpus.txt", text.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
+    c.put_input("/in/corpus.txt", text.as_bytes()).unwrap();
     let bulk: u64 = scale.pick(512 * ByteSize::MIB, (171 + 12 + 10) * ByteSize::GIB);
     let t = c.now;
     let put = c.dfs.put_synthetic(&mut c.net, t, "/data/bulk", bulk, None).unwrap();

@@ -18,7 +18,7 @@ use super::Scale;
 
 /// One arm's aggregate results.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArmStats {
+pub(crate) struct ArmStats {
     /// Arm label.
     pub name: &'static str,
     /// Sessions attempted.
@@ -37,7 +37,7 @@ pub struct ArmStats {
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N7Result {
+pub(crate) struct N7Result {
     /// With the 15-minute cleanup cron.
     pub with_cleanup: ArmStats,
     /// With cleanup effectively disabled.
@@ -93,7 +93,7 @@ fn run_arm(
 }
 
 /// Run both arms with identical student behaviour.
-pub fn run(scale: Scale) -> N7Result {
+pub(crate) fn run(scale: Scale) -> N7Result {
     let sessions = scale.pick(24, 80);
     N7Result {
         with_cleanup: run_arm(

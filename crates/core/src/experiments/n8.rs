@@ -26,7 +26,7 @@ const REAL_RATINGS: u64 = 10_000_000;
 
 /// The experiment result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct N8Result {
+pub(crate) struct N8Result {
     /// Sample size actually executed.
     pub sample_ratings: usize,
     /// Sample-size virtual time, naive.
@@ -47,7 +47,7 @@ impl N8Result {
 }
 
 /// Run both serial implementations.
-pub fn run(scale: Scale) -> N8Result {
+pub(crate) fn run(scale: Scale) -> N8Result {
     // Bounded sample (the naive arm re-parses the catalog per record for
     // real); virtual time scales linearly to the full 10 M ratings.
     let sample = scale.pick(5_000, 20_000);

@@ -26,7 +26,7 @@ use super::Scale;
 
 /// One platform's cost breakdown.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlatformRow {
+pub(crate) struct PlatformRow {
     /// Platform name.
     pub name: &'static str,
     /// Time to a usable environment.
@@ -41,7 +41,7 @@ pub struct PlatformRow {
 
 /// The comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlatformsResult {
+pub(crate) struct PlatformsResult {
     /// Lab dataset size used for staging.
     pub dataset_bytes: u64,
     /// One row per platform.
@@ -49,7 +49,7 @@ pub struct PlatformsResult {
 }
 
 /// Compare the three platforms on the same student workflow.
-pub fn run(scale: Scale) -> PlatformsResult {
+pub(crate) fn run(scale: Scale) -> PlatformsResult {
     let dataset = scale.pick(4 * ByteSize::GIB, 12 * ByteSize::GIB);
 
     // --- Version-1 VM: setup was SSH tunnels + GUI-over-wireless (the

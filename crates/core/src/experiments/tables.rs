@@ -12,7 +12,7 @@ use super::Scale;
 
 /// One recomputed `mean ± std` cell with its paper target.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// Row label.
     pub label: &'static str,
     /// Recomputed (mean, std).
@@ -23,7 +23,7 @@ pub struct Cell {
 
 /// All four survey tables, recomputed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SurveyTables {
+pub(crate) struct SurveyTables {
     /// Table I: (before, after) per topic.
     pub table1: Vec<(Cell, Cell)>,
     /// Table II.
@@ -38,7 +38,7 @@ pub struct SurveyTables {
 
 /// Recompute Tables I–IV from synthesized forms. `Scale` is accepted for
 /// interface uniformity; the survey is always its real size (n = 29).
-pub fn run(_scale: Scale) -> SurveyTables {
+pub(crate) fn run(_scale: Scale) -> SurveyTables {
     let forms: Vec<SurveyResponse> = survey::generate(2014);
 
     let table1 = paper::TABLE1

@@ -6,7 +6,7 @@
 //!   spill volume), `shuffle_bytes` (reduce fetch volume). Every map's
 //!   output fits the default 100 MiB sort buffer, so each map spills once
 //!   at its end and `spill_bytes == shuffle_bytes`; a pinned job that
-//!   spills mid-map is ROADMAP 2(a) and its own re-pin;
+//!   spills mid-map is ROADMAP 1(b) and its own re-pin;
 //! * **sched** — the contended Google-trace replay under the Fair
 //!   scheduler: `decisions` (assignment count), `wall_time_us`
 //!   (makespan), `mean_wait_us` / `p99_wait_us` (queue latency), and
@@ -54,14 +54,6 @@ fn pinned_config() -> Configuration {
     config
 }
 
-fn stage(cluster: &mut MrCluster, path: &str, text: &str) -> Result<()> {
-    cluster.dfs.namenode.mkdirs("/in")?;
-    let t = cluster.now;
-    let put = cluster.dfs.put(&mut cluster.net, t, path, text.as_bytes(), None)?;
-    cluster.now = put.completed_at;
-    Ok(())
-}
-
 /// The charge-order gate: every pipe charge of the section was requested
 /// in virtual-time order (`ClusterNet::late_charges` is 0).
 fn charge_order(cluster: &MrCluster, section: &str) -> Result<()> {
@@ -86,7 +78,8 @@ struct WcRun {
 fn run_wc(total_order: bool, compress: bool) -> Result<WcRun> {
     let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(8), pinned_config())?;
     let (corpus, _) = CorpusGen::new(SEED).generate(WORDS);
-    stage(&mut cluster, "/in/corpus.txt", &corpus)?;
+    cluster.dfs.namenode.mkdirs("/in")?;
+    cluster.put_input("/in/corpus.txt", corpus.as_bytes())?;
     let report = if total_order {
         let cuts = sample_cut_points(&corpus, 4);
         let mut job = sorted_wordcount("/in/corpus.txt", "/out/job", cuts);
@@ -175,7 +168,8 @@ fn run_hs_cell(speculative: bool, skewed: bool, compress: bool) -> Result<(u64, 
         MrCluster::new(ClusterSpec::course_hadoop(8), config)?
     };
     let (corpus, truth) = hsgen(SEED, WORDS);
-    stage(&mut cluster, "/in/hs.txt", &corpus)?;
+    cluster.dfs.namenode.mkdirs("/in")?;
+    cluster.put_input("/in/hs.txt", corpus.as_bytes())?;
 
     // Bench-scale speculation knobs: a third of the maps sit on the
     // throttled tier and can straggle at once, so the cap must cover them

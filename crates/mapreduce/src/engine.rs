@@ -577,6 +577,15 @@ impl MrCluster {
         self.now = t;
         Ok(text)
     }
+
+    /// Write `data` to the file `path` (`hadoop fs -put`): the write
+    /// starts at `now`, from no particular node, and `now` advances to its
+    /// completion. The parent directory must already exist.
+    pub fn put_input(&mut self, path: &str, data: &[u8]) -> Result<()> {
+        let put = self.dfs.put(&mut self.net, self.now, path, data, None)?;
+        self.now = put.completed_at;
+        Ok(())
+    }
 }
 
 /// One job of a [`MrCluster::run_jobs`] batch: what the real
@@ -1371,9 +1380,7 @@ mod tests {
 
     fn stage(cluster: &mut MrCluster, path: &str, text: &str) {
         cluster.dfs.namenode.mkdirs("/in").unwrap();
-        let t = cluster.now;
-        let put = cluster.dfs.put(&mut cluster.net, t, path, text.as_bytes(), None).unwrap();
-        cluster.now = put.completed_at;
+        cluster.put_input(path, text.as_bytes()).unwrap();
     }
 
     fn parse_counts(text: &str) -> std::collections::BTreeMap<String, u64> {

@@ -425,9 +425,7 @@ fn the_loop_hands_the_policy_every_slot_and_the_true_running_lists() {
     let mut cluster = hl_mapreduce::MrCluster::new(spec, config).unwrap();
     cluster.dfs.namenode.mkdirs("/in").unwrap();
     let text = "the quick brown fox jumps over the lazy dog\n".repeat(1500);
-    let t = cluster.now;
-    let put = cluster.dfs.put(&mut cluster.net, t, "/in/t.txt", text.as_bytes(), None).unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/in/t.txt", text.as_bytes()).unwrap();
 
     let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     cluster.set_scheduler(Box::new(Recording(calls.clone())));

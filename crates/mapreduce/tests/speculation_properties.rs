@@ -116,9 +116,7 @@ fn wc_conf(speculative: bool) -> JobConf {
 /// Run wordcount on the given cluster and return the concatenated output.
 fn run_on_cluster(mut c: MrCluster, text: &str, speculative: bool) -> (String, u64) {
     c.dfs.namenode.mkdirs("/in").unwrap();
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, "/in/data.txt", text.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
+    c.put_input("/in/data.txt", text.as_bytes()).unwrap();
     let job = Job::new(wc_conf(speculative), || WcMap, || WcReduce);
     let report = c.run_job(&job).unwrap();
     assert!(report.success);

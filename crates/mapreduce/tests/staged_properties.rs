@@ -151,10 +151,7 @@ fn run(d: Draw) {
     cluster.dfs.namenode.mkdirs("/in").unwrap();
     let inputs = [text(d.seed, 12_000), text(d.seed.wrapping_add(1), 8_000)];
     for (name, input) in ["a", "b"].into_iter().zip(&inputs) {
-        let now = cluster.now;
-        let path = format!("/in/{name}.txt");
-        let put = cluster.dfs.put(&mut cluster.net, now, &path, input.as_bytes(), None).unwrap();
-        cluster.now = put.completed_at;
+        cluster.put_input(&format!("/in/{name}.txt"), input.as_bytes()).unwrap();
     }
     let a = Job::new(conf(&d, "a", "alice"), || WcMap, || WcReduce);
     let b = Job::new(conf(&d, "b", "bob"), || WcMap, || WcReduce);

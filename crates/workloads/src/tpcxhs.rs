@@ -23,7 +23,7 @@
 //! against [`expected_digest`] computed from the generator's truth table
 //! without re-sorting anything.
 //!
-//! The `tpcxhs` section of `hl_bench::sim_numbers` runs the suite 2×2 —
+//! The `tpcxhs` section of `hl_core::sim_numbers` runs the suite 2×2 —
 //! speculative execution on/off × homogeneous/skewed cluster — which is
 //! the degraded-mode ablation in EXPERIMENTS.md.
 

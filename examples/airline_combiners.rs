@@ -24,10 +24,7 @@ fn main() {
         config.set(keys::DFS_BLOCK_SIZE, 1024 * 1024u64);
         let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
         cluster.dfs.namenode.mkdirs("/in").unwrap();
-        let t = cluster.now;
-        let put =
-            cluster.dfs.put(&mut cluster.net, t, "/in/2008.csv", csv.as_bytes(), None).unwrap();
-        cluster.now = put.completed_at;
+        cluster.put_input("/in/2008.csv", csv.as_bytes()).unwrap();
 
         let report = match which {
             0 => cluster.run_job(&airline::avg_delay_plain("/in/2008.csv", "/out")),

@@ -54,12 +54,7 @@ fn main() {
     config.set(keys::DFS_BLOCK_SIZE, 512 * 1024u64);
     let mut cluster = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
     cluster.dfs.namenode.mkdirs("/in").unwrap();
-    let t = cluster.now;
-    let put = cluster
-        .dfs
-        .put(&mut cluster.net, t, "/in/ratings.dat", data.ratings.as_bytes(), None)
-        .unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/in/ratings.dat", data.ratings.as_bytes()).unwrap();
     cluster.register_side_file("/cache/movies.dat", data.movies.into_bytes());
     let report = cluster
         .run_job(&movielens::genre_stats_cached(
@@ -75,12 +70,7 @@ fn main() {
     );
 
     let ydata = YahooMusicGen::new(7).generate(50_000);
-    let t = cluster.now;
-    let put = cluster
-        .dfs
-        .put(&mut cluster.net, t, "/in/song_ratings.txt", ydata.ratings.as_bytes(), None)
-        .unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/in/song_ratings.txt", ydata.ratings.as_bytes()).unwrap();
     cluster.register_side_file("/cache/songs.txt", ydata.songs.into_bytes());
     cluster
         .run_job(&yahoo::best_album("/in/song_ratings.txt", "/cache/songs.txt", "/out/album"))

@@ -22,10 +22,7 @@ fn main() {
 
     let (text, _) = CorpusGen::new(99).with_vocab(500).generate(50_000);
     cluster.dfs.namenode.mkdirs("/in").unwrap();
-    let t = cluster.now;
-    let put =
-        cluster.dfs.put(&mut cluster.net, t, "/in/corpus.txt", text.as_bytes(), None).unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/in/corpus.txt", text.as_bytes()).unwrap();
 
     // A realistic session: five students submit within a few seconds of
     // each other — three WordCount variants and both co-occurrence

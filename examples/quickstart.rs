@@ -23,12 +23,8 @@ fn main() {
         .repeat(2000);
     cluster.dfs.namenode.mkdirs("/user/student").expect("mkdir");
     let t = cluster.now;
-    let put = cluster
-        .dfs
-        .put(&mut cluster.net, t, "/user/student/input.txt", text.as_bytes(), None)
-        .expect("put");
-    cluster.now = put.completed_at;
-    println!("staged {} bytes into HDFS in {}", text.len(), put.completed_at.since(t));
+    cluster.put_input("/user/student/input.txt", text.as_bytes()).expect("put");
+    println!("staged {} bytes into HDFS in {}", text.len(), cluster.now.since(t));
 
     // Run WordCount with the reducer as a combiner.
     let job = wordcount::wordcount_combiner("/user/student/input.txt", "/user/student/out", 2);

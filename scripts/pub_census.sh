@@ -23,9 +23,12 @@
 # narrowed re-exports nothing uses. On a tree that keeps the rule, all
 # three lists are empty.
 #
-# A report, not a gate, and slow: every round rebuilds the crates above
-# the ones it touched (2-8 min on 2 cores). The working tree is never
-# touched; the extract and its build go when the script exits.
+# Exit status: 0 when all three lists are empty, 1 when any is not (the
+# report is printed either way), 1 too when the builds fail for a reason
+# no narrowed item explains. Slow, so it runs nightly rather than per
+# push: every round rebuilds the crates above the ones it touched (2-8
+# min on 2 cores). The working tree is never touched; the extract and its
+# build go when the script exits.
 #
 # Usage: scripts/pub_census.sh [<rev>]
 set -euo pipefail
@@ -197,12 +200,14 @@ for diag, base in messages:
 
 print(f"{weighed} bare-pub items weighed in crates/*/src, {len(narrowed)} need no "
       f"`pub` ({rounds} rounds)")
-for title, rows in [
+lists = [
     ("no other crate names these", [str(it) for it in sorted(narrowed, key=lambda it: (it.rel, it.line))]),
     ("dead once narrowed: cargo check --workspace --lib", sorted(set(dead))),
     ("narrowed re-exports nothing uses", sorted(set(unused))),
-]:
+]
+for title, rows in lists:
     print(f"\n== {title} ({len(rows)}) ==")
     for row in rows:
         print(row)
+sys.exit(1 if any(rows for _, rows in lists) else 0)
 PY

@@ -34,10 +34,7 @@
 //!
 //! // Stage a file into HDFS (bytes are real, time is virtual).
 //! cluster.dfs.namenode.mkdirs("/user/student")?;
-//! let t = cluster.now;
-//! let put = cluster.dfs.put(&mut cluster.net, t, "/user/student/in.txt",
-//!                           b"so shaken as we are so wan with care\n", None)?;
-//! cluster.now = put.completed_at;
+//! cluster.put_input("/user/student/in.txt", b"so shaken as we are so wan with care\n")?;
 //!
 //! // Run WordCount with the reducer as a combiner.
 //! let job = wordcount::wordcount_combiner("/user/student/in.txt", "/user/student/out", 1);

@@ -20,9 +20,7 @@ fn cooccurrence_pairs_and_stripes_agree_on_the_cluster() {
     let mut c = MrCluster::new(ClusterSpec::course_hadoop(8), config).unwrap();
     let (text, _) = CorpusGen::new(31).with_vocab(100).generate(8_000);
     c.dfs.namenode.mkdirs("/in").unwrap();
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, "/in/c.txt", text.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
+    c.put_input("/in/c.txt", text.as_bytes()).unwrap();
 
     let pairs_report = c.run_job(&cooccurrence::pairs("/in/c.txt", "/out/p", 3)).unwrap();
     let stripes_report = c.run_job(&cooccurrence::stripes("/in/c.txt", "/out/s", 3)).unwrap();
@@ -72,9 +70,7 @@ fn decommission_then_run_a_job_on_the_survivors() {
     let mut c = MrCluster::new(ClusterSpec::course_hadoop(6), config).unwrap();
     let (text, truth) = CorpusGen::new(5).with_vocab(60).generate(4_000);
     c.dfs.namenode.mkdirs("/in").unwrap();
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, "/in/c.txt", text.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
+    c.put_input("/in/c.txt", text.as_bytes()).unwrap();
 
     // Drain node 2 completely, then retire it.
     let t = c.now;
@@ -105,9 +101,7 @@ fn dfsadmin_report_tracks_a_session() {
 
     let (text, _) = CorpusGen::new(1).with_vocab(40).generate(3_000);
     c.dfs.namenode.mkdirs("/in").unwrap();
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, "/in/c.txt", text.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
+    c.put_input("/in/c.txt", text.as_bytes()).unwrap();
     c.run_job(&wordcount::wordcount("/in/c.txt", "/out", 1)).unwrap();
 
     let after = admin::report(&c.dfs);
@@ -130,9 +124,7 @@ fn total_order_sort_holds_on_the_cluster_too() {
     let mut c = MrCluster::new(ClusterSpec::course_hadoop(6), config).unwrap();
     let (text, truth) = CorpusGen::new(77).with_vocab(250).generate(10_000);
     c.dfs.namenode.mkdirs("/in").unwrap();
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, "/in/c.txt", text.as_bytes(), None).unwrap();
-    c.now = put.completed_at;
+    c.put_input("/in/c.txt", text.as_bytes()).unwrap();
 
     let cuts = terasort::sample_cut_points(&text, 4);
     let job = terasort::sorted_wordcount("/in/c.txt", "/out", cuts);

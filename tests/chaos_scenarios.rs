@@ -27,10 +27,7 @@ fn chaos_cluster(extension_secs: u64) -> MrCluster {
 fn stage_corpus(cluster: &mut MrCluster, seed: u64, words: usize) -> String {
     cluster.dfs.namenode.mkdirs("/in").unwrap();
     let (corpus, _) = CorpusGen::new(seed).generate(words);
-    let t = cluster.now;
-    let put =
-        cluster.dfs.put(&mut cluster.net, t, "/in/corpus.txt", corpus.as_bytes(), None).unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/in/corpus.txt", corpus.as_bytes()).unwrap();
     corpus
 }
 
@@ -129,9 +126,7 @@ fn editlog_replay_recovers_namespace_and_block_map() {
     // created and deleted.
     cluster.run_job(&wordcount("/in/corpus.txt", "/out/wc", 2)).unwrap();
     cluster.dfs.namenode.mkdirs("/scratch").unwrap();
-    let t = cluster.now;
-    let put = cluster.dfs.put(&mut cluster.net, t, "/scratch/tmp", b"temporary\n", None).unwrap();
-    cluster.now = put.completed_at;
+    cluster.put_input("/scratch/tmp", b"temporary\n").unwrap();
     let cmds = cluster.dfs.namenode.delete("/scratch/tmp", false).unwrap();
     let now = cluster.now;
     cluster.dfs.apply_commands(&mut cluster.net, now, &cmds);

@@ -23,9 +23,7 @@ fn stage(c: &mut MrCluster, path: &str, bytes: &[u8]) {
     if !dir.is_empty() {
         c.dfs.namenode.mkdirs(dir).unwrap();
     }
-    let t = c.now;
-    let put = c.dfs.put(&mut c.net, t, path, bytes, None).unwrap();
-    c.now = put.completed_at;
+    c.put_input(path, bytes).unwrap();
 }
 
 #[test]

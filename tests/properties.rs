@@ -85,9 +85,7 @@ proptest! {
         config.set(keys::DFS_BLOCK_SIZE, block_size);
         let mut c = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
         c.dfs.namenode.mkdirs("/in").unwrap();
-        let t = c.now;
-        let put = c.dfs.put(&mut c.net, t, "/in/t.txt", joined.as_bytes(), None).unwrap();
-        c.now = put.completed_at;
+        c.put_input("/in/t.txt", joined.as_bytes()).unwrap();
         let job = wordcount::wordcount_combiner("/in/t.txt", "/out", reduces);
         c.run_job(&job).unwrap();
         let out: Vec<String> =
@@ -106,9 +104,7 @@ proptest! {
             config.set(keys::DFS_BLOCK_SIZE, 2048u64);
             let mut c = MrCluster::new(ClusterSpec::course_hadoop(4), config).unwrap();
             c.dfs.namenode.mkdirs("/in").unwrap();
-            let t = c.now;
-            let put = c.dfs.put(&mut c.net, t, "/in/c.txt", text.as_bytes(), None).unwrap();
-            c.now = put.completed_at;
+            c.put_input("/in/c.txt", text.as_bytes()).unwrap();
             let report =
                 c.run_job(&wordcount::wordcount("/in/c.txt", "/out", 2)).unwrap();
             (report.finished_at, report.shuffle_bytes(), report.counters)
