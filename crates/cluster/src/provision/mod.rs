@@ -12,8 +12,8 @@
 //! unsupported persistent-storage mode (Palmetto's parallel store had no
 //! file locking).
 
-pub mod campus;
-pub mod session;
+mod campus;
+mod session;
 
 pub use campus::Campus;
 pub use session::{Session, SessionOutcome, SessionSpec};

@@ -95,23 +95,23 @@ pub enum SessionOutcome {
 
 /// Per-step durations of the myHadoop pipeline (course-calibrated).
 #[derive(Debug, Clone)]
-pub struct StepTimes {
+struct StepTimes {
     /// Environment setup + writing site configs.
-    pub configure: SimDuration,
+    configure: SimDuration,
     /// `hadoop namenode -format`.
-    pub format: SimDuration,
+    format: SimDuration,
     /// Daemon start per node (staggered ssh loop).
-    pub start_per_node: SimDuration,
+    start_per_node: SimDuration,
     /// Health check (`dfsadmin -report` until all DataNodes report).
-    pub health_check: SimDuration,
+    health_check: SimDuration,
     /// Staging the lab dataset into HDFS.
-    pub load_data: SimDuration,
+    load_data: SimDuration,
     /// The example MapReduce job.
-    pub run_job: SimDuration,
+    run_job: SimDuration,
     /// Exporting output back to the home directory.
-    pub export: SimDuration,
+    export: SimDuration,
     /// `stop-all.sh`.
-    pub teardown: SimDuration,
+    teardown: SimDuration,
 }
 
 impl Default for StepTimes {
@@ -133,9 +133,9 @@ impl Default for StepTimes {
 #[derive(Debug, Clone)]
 pub struct Session {
     /// The student's behaviour and request.
-    pub spec: SessionSpec,
+    spec: SessionSpec,
     /// Step cost model.
-    pub times: StepTimes,
+    times: StepTimes,
 }
 
 impl Session {
