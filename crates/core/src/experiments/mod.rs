@@ -7,19 +7,19 @@
 //! (full dataset sizes in virtual time, more rows of real data where the
 //! answer is computed for real).
 
-pub mod fig1;
-pub mod fig2;
-pub mod jummp;
-pub mod n1;
-pub mod n2;
-pub mod n3;
-pub mod n4;
-pub mod n5;
+pub(crate) mod fig1;
+pub(crate) mod fig2;
+pub(crate) mod jummp;
+pub(crate) mod n1;
+pub(crate) mod n2;
+pub(crate) mod n3;
+pub(crate) mod n4;
+pub(crate) mod n5;
 pub mod n6;
-pub mod n7;
-pub mod n8;
-pub mod platforms;
-pub mod tables;
+pub(crate) mod n7;
+pub(crate) mod n8;
+pub(crate) mod platforms;
+pub(crate) mod tables;
 
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
