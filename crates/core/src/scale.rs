@@ -26,7 +26,7 @@ use hl_common::prelude::*;
 use hl_dfs::block::ReplicaMeta;
 use hl_dfs::namenode::NameNode;
 
-use crate::golden::Metrics;
+use crate::Metrics;
 
 /// Blocks per file during bulk load — many blocks, few namespace entries,
 /// like a real ingest of large files.

@@ -39,7 +39,7 @@ use hl_workloads::terasort::{sample_cut_points, sorted_wordcount};
 use hl_workloads::tpcxhs::{expected_digest, hsgen, hssort, hsvalidate, parse_verdict};
 use hl_workloads::wordcount::wordcount;
 
-use crate::golden::Metrics;
+use crate::Metrics;
 
 /// Seed for the input corpus — pinned so every run sees identical data.
 const SEED: u64 = 42;
