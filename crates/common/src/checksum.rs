@@ -44,7 +44,7 @@
 //! share runs of chunks out on the host [`Pool`]; each run goes through
 //! the same loop as the serial forms.
 
-use crate::pool::Pool;
+use crate::pool::{Pool, COPY_WORK_SHARE};
 
 /// Streaming CRC32 state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -450,12 +450,6 @@ fn each_chunk_crc(data: &[u8], chunk_size: usize, mut visit: impl FnMut(u32) -> 
 /// core.
 const RUN_CHUNKS: usize = 512;
 
-/// What a byte of checksumming weighs against the pool's size floor: CRC32
-/// folds ~20 GB/s here, so a block pays for a thread only from 16 ×
-/// `pool::MIN_BYTES` = 2 MiB (a verify measured 49 µs on one thread and
-/// 53 µs on two at 1 MiB, 100 and 83 µs at 2 MiB, 324 and 132 µs at 4 MiB).
-const CRC_WORK_SHARE: u64 = 16;
-
 /// The CRC32 of each `chunk_size` chunk of `data` into `crcs`, which has
 /// one slot per chunk.
 fn fill_crcs(data: &[u8], chunk_size: usize, crcs: &mut [u32]) {
@@ -498,7 +492,7 @@ impl ChunkedChecksum {
         let run = chunk_size.saturating_mul(run_chunks);
         let mut crcs = vec![0; data.len().div_ceil(chunk_size)];
         let lens: Vec<usize> = crcs.chunks(run_chunks).map(<[u32]>::len).collect();
-        pool.fill_indexed(&mut crcs, lens, data.len() as u64 / CRC_WORK_SHARE, |r, slots| {
+        pool.fill_indexed(&mut crcs, lens, data.len() as u64 / COPY_WORK_SHARE, |r, slots| {
             let from = r * run;
             fill_crcs(&data[from..data.len().min(from.saturating_add(run))], chunk_size, slots);
         });
@@ -529,7 +523,7 @@ impl ChunkedChecksum {
             .chunks(self.chunk_size.saturating_mul(run_chunks))
             .zip(self.crcs.chunks(run_chunks))
             .collect();
-        pool.map_indexed(runs.len(), data.len() as u64 / CRC_WORK_SHARE, |r| {
+        pool.map_indexed(runs.len(), data.len() as u64 / COPY_WORK_SHARE, |r| {
             let (data, crcs) = runs[r];
             first_bad_chunk(data, self.chunk_size, crcs).map(|chunk| r * run_chunks + chunk)
         })

@@ -7,27 +7,42 @@
 //! copy and checksum, its per-frame compression. Such work can be computed
 //! on every core at once; the clock's thread then only *charges* for it,
 //! in its own order. Nothing a thread's timing can vary leaves this
-//! module: results come back by index, and the workers are handed shared
+//! module: results come back by index, and the helpers are handed shared
 //! references only.
 //!
-//! Work nests: a task body on a worker may read a DFS block, whose
+//! The helper threads are started once, the first time a call that pays
+//! needs them, and park between calls. A call posts its job, runs pieces
+//! on its own thread too, and returns once every helper that took a seat
+//! at it has finished: waking a parked helper and waiting for it costs
+//! under 20 µs, where starting and joining a thread cost 50–60 (EXPERIMENTS.md,
+//! "Host parallelism"). One call at a time has the helpers; a call from
+//! another thread while one is in flight runs all its pieces itself.
+//!
+//! Work nests: a task body on a helper may read a DFS block, whose
 //! checksum would go on the pool too. The pool's threads are all busy by
-//! then, so a body already running on one of them starts no more threads
-//! and does the inner work itself.
+//! then, so a body already running on one of them asks for no helper and
+//! does the inner work itself.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Bytes of work from which threads pay in every shape measured
-/// (EXPERIMENTS.md, "Host parallelism": by 22 % or more on two cores, for
-/// 2, 4 and 8 map tasks, with and without a combiner; "DFS byte path" for
-/// a write's blocks and frames). Starting the threads costs tens of
-/// microseconds — around 32 KiB that is the whole gain — and the first
-/// thread a process starts moves glibc's `malloc` off its single-threaded
-/// path for good, so work under the floor never starts one.
+/// Bytes of work from which helpers pay in every shape measured
+/// (EXPERIMENTS.md, "Host parallelism": 2, 4 and 8 map tasks, with and
+/// without a combiner, on two cores). Under it the wake and the wait
+/// take what a second core would save.
 // lint:allow(R9): the pool's size floor; the DFS host-pool test writes just under it
-pub const MIN_BYTES: u64 = 128 * 1024;
+pub const MIN_BYTES: u64 = 32 * 1024;
+
+/// What a byte of copying or checksumming weighs against [`MIN_BYTES`]:
+/// both stream at gigabytes a second, so a copy or a CRC pass pays for a
+/// helper only from this many times the floor (EXPERIMENTS.md, "DFS byte
+/// path"). A DFS write's block fill (a copy and a CRC pass) and
+/// [`Pool::concat`] count their bytes at this share, as a checksum run does.
+pub const COPY_WORK_SHARE: u64 = 32;
 
 /// Bytes per piece of [`Pool::concat`]'s copy: a few hundred microseconds
 /// of copying, so that two workers share even a file of one block.
@@ -42,7 +57,7 @@ pub struct Pool {
 
 thread_local! {
     /// Set while this thread runs bodies for [`Pool::run_indexed`]: the
-    /// caller's thread and every worker.
+    /// caller's thread and every helper.
     static IN_BODY: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -60,6 +75,145 @@ impl Drop for InBody {
     fn drop(&mut self) {
         IN_BODY.set(self.0);
     }
+}
+
+/// A call's work as the helpers see it: the caller's closure, with its
+/// borrow's lifetime erased by [`Dispatch::post`].
+type Job = &'static (dyn Fn() + Sync);
+
+/// Where the helpers meet a call: its job, and who sits at it.
+struct Table {
+    /// The job in flight; cleared when its caller has no piece left.
+    job: Option<Job>,
+    /// Seats at the job in flight that no helper has taken yet.
+    open_seats: usize,
+    /// Helpers running a job, the cleared one included.
+    seated: usize,
+    /// Helpers started; they park between calls and never stop.
+    helpers: usize,
+}
+
+/// The pool's one table and its two wake-ups.
+struct Helpers {
+    table: Mutex<Table>,
+    /// Helpers wait here for a seat.
+    posted: Condvar,
+    /// A caller waits here for its seated helpers to finish.
+    drained: Condvar,
+}
+
+static HELPERS: Helpers = Helpers {
+    table: Mutex::new(Table { job: None, open_seats: 0, seated: 0, helpers: 0 }),
+    posted: Condvar::new(),
+    drained: Condvar::new(),
+};
+
+/// The table, locked. No body runs under the lock, so a poisoned lock
+/// means a panic in this module's bookkeeping, which left it consistent.
+fn table() -> MutexGuard<'static, Table> {
+    HELPERS.table.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A helper's life: park until a seat opens, run the job, leave the seat.
+fn helper() {
+    let mut table = table();
+    loop {
+        match table.job {
+            Some(job) if table.open_seats > 0 => {
+                table.open_seats -= 1;
+                table.seated += 1;
+                drop(table);
+                let _seat = Seat;
+                job();
+                drop(_seat);
+                table = self::table();
+            }
+            _ => table = HELPERS.posted.wait(table).unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
+
+/// A helper's seat at a job, left when dropped, also if the job unwinds.
+struct Seat;
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        let mut table = table();
+        table.seated -= 1;
+        if table.seated == 0 {
+            HELPERS.drained.notify_all();
+        }
+    }
+}
+
+/// A call's hold on the helpers. Dropping it — on return or on unwind —
+/// clears the job and waits until every seated helper has finished.
+struct Dispatch<'a> {
+    posted: bool,
+    work: PhantomData<&'a ()>,
+}
+
+impl<'a> Dispatch<'a> {
+    /// Posts `work` with up to `seats` helper seats, starting the helpers
+    /// the pool lacks. Posts nothing when `seats` is 0 or another call has
+    /// the helpers; the caller then runs every piece itself. A helper the
+    /// OS refuses to start is a seat fewer.
+    #[allow(unsafe_code)]
+    fn post(work: &'a (dyn Fn() + Sync + 'a), seats: usize) -> Self {
+        let mut table = table();
+        if seats == 0 || table.job.is_some() || table.seated > 0 {
+            return Dispatch { posted: false, work: PhantomData };
+        }
+        #[cfg(test)]
+        tests::MOST_SEATS.fetch_max(seats, Ordering::Relaxed);
+        // SAFETY: the helpers call `work` only between taking a seat, which
+        // needs the job posted, and leaving it. The returned guard borrows
+        // `work` for `'a`, and its drop clears the job (no seat is taken
+        // after that) and waits until `seated` is 0 (every seat is left)
+        // before the borrow can end. `run_indexed` holds the guard on the
+        // stack until `work`'s last use, on every path, unwinding included:
+        // `std::thread::scope`'s argument, kept across calls.
+        let job = unsafe { std::mem::transmute::<&'a (dyn Fn() + Sync + 'a), Job>(work) };
+        table.job = Some(job);
+        let parked = seats.min(table.helpers);
+        table.open_seats = parked;
+        let missing = seats - parked;
+        drop(table);
+        for _ in 0..parked {
+            HELPERS.posted.notify_one();
+        }
+        for _ in 0..missing {
+            // lint:allow(R2): a pool helper; it runs bodies only for a call that waits for it
+            if std::thread::Builder::new().name("hl-pool".into()).spawn(helper).is_err() {
+                break;
+            }
+            let mut table = self::table();
+            table.helpers += 1;
+            table.open_seats += 1;
+            drop(table);
+            HELPERS.posted.notify_one();
+        }
+        Dispatch { posted: true, work: PhantomData }
+    }
+}
+
+impl Drop for Dispatch<'_> {
+    fn drop(&mut self) {
+        if !self.posted {
+            return;
+        }
+        let mut table = table();
+        table.job = None;
+        table.open_seats = 0;
+        while table.seated > 0 {
+            table = HELPERS.drained.wait(table).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// `m`, locked; a body never runs under it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Pool {
@@ -110,34 +264,36 @@ impl Pool {
 
     /// `body(i)` for every `i < n`, each exactly once, on this pool's
     /// threads of which the caller is one; the results in index order. A
-    /// panic in a body is re-raised here once every worker has stopped.
+    /// panic in a body is re-raised here once every helper has stopped.
     pub fn run_indexed<T: Send>(&self, n: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
         // Relaxed: the counter hands out indices and publishes nothing; the
-        // results travel through the join.
+        // results travel through `done`'s lock.
         let next = AtomicUsize::new(0);
+        let done = Mutex::new(Vec::with_capacity(n));
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let work = || {
             let _in_body = InBody::enter();
-            let mut done = Vec::new();
-            loop {
+            let mut mine = Vec::new();
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
-                    return done;
+                    break;
                 }
-                done.push((i, body(i)));
+                mine.push((i, body(i)));
+            }));
+            lock(&done).append(&mut mine);
+            if let Err(payload) = ran {
+                lock(&panicked).get_or_insert(payload);
             }
         };
-        // lint:allow(R2): scoped workers borrow `&` state and are joined before this returns
-        let mut done = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..self.workers.min(n)).map(|_| s.spawn(work)).collect();
-            let mut done = work();
-            for h in helpers {
-                match h.join() {
-                    Ok(theirs) => done.extend(theirs),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            done
-        });
+        {
+            let _dispatch = Dispatch::post(&work, self.workers.min(n).saturating_sub(1));
+            work();
+        }
+        if let Some(payload) = lock(&panicked).take() {
+            panic::resume_unwind(payload);
+        }
+        let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
         done.sort_unstable_by_key(|&(i, _)| i);
         done.into_iter().map(|(_, result)| result).collect()
     }
@@ -181,7 +337,8 @@ impl Pool {
     pub fn concat<P: AsRef<[u8]>>(&self, parts: &[P]) -> Vec<u8> {
         let pieces: Vec<&[u8]> = parts.iter().flat_map(|p| p.as_ref().chunks(COPY_BYTES)).collect();
         let len: usize = pieces.iter().map(|p| p.len()).sum();
-        if !self.pays(pieces.len(), len as u64) {
+        let work = len as u64 / COPY_WORK_SHARE;
+        if !self.pays(pieces.len(), work) {
             let mut out = Vec::with_capacity(len);
             for piece in pieces {
                 out.extend_from_slice(piece);
@@ -189,7 +346,7 @@ impl Pool {
             return out;
         }
         let mut out = vec![0; len];
-        self.fill_indexed(&mut out, pieces.iter().map(|p| p.len()), len as u64, |i, slot| {
+        self.fill_indexed(&mut out, pieces.iter().map(|p| p.len()), work, |i, slot| {
             slot.copy_from_slice(pieces[i]);
         });
         out
@@ -199,6 +356,15 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
+
+    /// The most helper seats any call of this process has posted.
+    pub(super) static MOST_SEATS: AtomicUsize = AtomicUsize::new(0);
+
+    fn on_helper() -> bool {
+        std::thread::current().name() == Some("hl-pool")
+    }
 
     #[test]
     fn every_index_runs_once_and_results_come_back_in_order() {
@@ -292,5 +458,93 @@ mod tests {
             assert_eq!(lens, [3, 0, 4, 2]);
             assert_eq!(buf, [1, 1, 1, 3, 3, 3, 3, 4, 4, 0], "{pool:?}");
         }
+    }
+
+    #[test]
+    fn calls_from_four_threads_each_get_their_own_results_in_order() {
+        // One of the four has the helpers at a time; the others run their
+        // pieces inline. A piece on a helper takes a little longer, so a
+        // call that returned before its helpers finished would miss it.
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                s.spawn(move || {
+                    for call in 0..200u64 {
+                        let out = Pool::forced(3).run_indexed(6, |i| {
+                            if on_helper() {
+                                std::thread::sleep(Duration::from_micros(20));
+                            }
+                            (t, call, i)
+                        });
+                        let want: Vec<_> = (0..6).map(|i| (t, call, i)).collect();
+                        assert_eq!(out, want, "thread {t}, call {call}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_helper_panic_is_re_raised_after_every_seated_helper_finished() {
+        // A call that the helpers join: its caller's pieces wait until the
+        // first piece on a helper has panicked, so the panic lands while
+        // the caller still holds pieces and the other helper may be mid-piece.
+        // Another test's call may hold the helpers; then this one ran
+        // inline, and the scenario is tried again.
+        for _ in 0..50 {
+            let panicked = AtomicBool::new(false);
+            let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Pool::forced(3).run_indexed(12, |i| {
+                    if on_helper() {
+                        assert!(panicked.swap(true, Ordering::SeqCst), "helper body {i} blew up");
+                        started.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(2));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        let waited = Instant::now();
+                        while !panicked.load(Ordering::SeqCst)
+                            && waited.elapsed() < Duration::from_millis(200)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                    i
+                })
+            }));
+            if !panicked.load(Ordering::SeqCst) {
+                assert_eq!(caught.expect("no body panicked"), (0..12).collect::<Vec<_>>());
+                continue;
+            }
+            assert_eq!(
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+                "the panic came out while a helper was still running a piece"
+            );
+            let payload = caught.expect_err("the helper's panic must come out");
+            let message = payload.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.starts_with("helper body ") && message.ends_with(" blew up"),
+                "{message}"
+            );
+            assert_eq!(Pool::forced(3).run_indexed(5, |i| i * 2), [0, 2, 4, 6, 8]);
+            return;
+        }
+        panic!("no call in 50 had a helper");
+    }
+
+    #[test]
+    fn the_pool_never_holds_more_helpers_than_one_call_asked_for() {
+        for call in 0..1000 {
+            let workers = 2 + call % 3;
+            let out = Pool::forced(workers).run_indexed(4, |i| i + call);
+            assert_eq!(out, [call, call + 1, call + 2, call + 3]);
+        }
+        let helpers = table().helpers;
+        assert!(helpers >= 1, "a call that asked for helpers started one");
+        assert!(
+            helpers <= MOST_SEATS.load(Ordering::Relaxed),
+            "{helpers} helpers, but no call asked for more than {} seats",
+            MOST_SEATS.load(Ordering::Relaxed)
+        );
     }
 }

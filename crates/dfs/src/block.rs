@@ -9,7 +9,7 @@
 use bytes::Bytes;
 
 use hl_common::checksum::ChunkedChecksum;
-use hl_common::pool::Pool;
+use hl_common::pool::{Pool, COPY_WORK_SHARE};
 use hl_common::prelude::*;
 use hl_common::writable::{read_vu64, write_vu64};
 
@@ -200,25 +200,22 @@ pub(crate) fn split_into_blocks(data: &[u8], block_size: u64, pool: &Pool) -> Ve
 /// checksums are a function of its parts alone, so they run on `pool`
 /// when it pays: block by block for a file of several, the checksums in
 /// runs of chunks for a file of one (a block that is already a piece of
-/// the pool's work takes its chunks in order on its own thread). The
-/// parts are appended to the empty buffer, so no byte is written twice,
+/// the pool's work takes its chunks in order on its own thread). A copy
+/// and a CRC pass weigh their bytes at `COPY_WORK_SHARE`, as a checksum
+/// run does, so a lab-sized file is written inline. The parts are appended to the empty buffer, so no byte is written twice,
 /// and the full buffer becomes the block's `Bytes` as it is.
 pub(crate) fn real_payloads(blocks: &[Vec<&[u8]>], pool: &Pool) -> Vec<BlockPayload> {
     let lens: Vec<usize> = blocks.iter().map(|parts| parts.iter().map(|p| p.len()).sum()).collect();
     let mut buffers: Vec<Vec<u8>> = lens.iter().map(|&len| Vec::with_capacity(len)).collect();
-    let bytes = lens.iter().map(|&len| len as u64).sum();
-    let checksums = pool.fill_indexed(
-        &mut buffers,
-        std::iter::repeat_n(1, blocks.len()),
-        bytes,
-        |i, buffer| {
+    let work = lens.iter().map(|&len| len as u64).sum::<u64>() / COPY_WORK_SHARE;
+    let checksums =
+        pool.fill_indexed(&mut buffers, std::iter::repeat_n(1, blocks.len()), work, |i, buffer| {
             let buffer = &mut buffer[0];
             for part in &blocks[i] {
                 buffer.extend_from_slice(part);
             }
             ChunkedChecksum::compute_on(buffer, BYTES_PER_CHECKSUM, pool)
-        },
-    );
+        });
     buffers
         .into_iter()
         .zip(checksums)

@@ -21,7 +21,7 @@ use hl_cluster::node::ClusterSpec;
 use hl_codec::CodecId;
 use hl_common::config::keys;
 use hl_common::hash::fnv1a;
-use hl_common::pool::{Pool, MIN_BYTES};
+use hl_common::pool::{Pool, COPY_WORK_SHARE, MIN_BYTES};
 use hl_common::prelude::*;
 use hl_common::writable::Writable;
 use hl_dfs::block::BlockPayload;
@@ -220,13 +220,18 @@ fn faulted_writes_are_the_same_on_every_pool() {
 
 #[test]
 fn a_write_under_the_floor_takes_the_inline_path() {
-    // The gate `Dfs` asks before every write, on a host with cores to
-    // spare: `small-jobs` stages 64 KiB inputs and writes smaller part
-    // files, as one block or as sixteen, and none of them starts a thread.
+    // The gate a write's block fill asks, on a host with cores to spare: a
+    // copy and a CRC pass weigh their bytes at `COPY_WORK_SHARE`.
+    // `small-jobs` stages 64 KiB inputs and writes smaller part files, as
+    // one block or as sixteen, and none of them wakes a helper.
     let host = Pool::host();
+    let floor = MIN_BYTES * COPY_WORK_SHARE;
     for blocks in [1, 2, 16] {
-        assert!(!host.pays(blocks, 64 * 1024), "a 64 KiB put in {blocks} block(s)");
-        assert!(!host.pays(blocks, MIN_BYTES.saturating_sub(1)));
+        assert!(
+            !host.pays(blocks, 64 * 1024 / COPY_WORK_SHARE),
+            "a 64 KiB put in {blocks} block(s)"
+        );
+        assert!(!host.pays(blocks, (floor - 1) / COPY_WORK_SHARE));
     }
     assert!(!host.pays(1, 1 << 30), "one block has nothing to share");
 }

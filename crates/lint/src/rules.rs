@@ -298,6 +298,7 @@ fn rule_r2(file: &str, sf: &ScannedFile, out: &mut Vec<Violation>) {
             "available_parallelism" => ("available_parallelism (host core count)", ONE_POOL),
             "thread" if path_to("scope") => ("thread::scope (host threads)", ONE_POOL),
             "thread" if path_to("spawn") => ("thread::spawn (host threads)", ONE_POOL),
+            "thread" if path_to("Builder") => ("thread::Builder (host threads)", ONE_POOL),
             _ => continue,
         };
         push(

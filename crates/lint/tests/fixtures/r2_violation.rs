@@ -11,5 +11,6 @@ fn race_the_cores() -> usize {
     let n = std::thread::available_parallelism().map_or(1, |n| n.get()); // line 11, col 26
     std::thread::scope(|s| drop(s.spawn(|| ()))); // line 12, col 10
     thread::spawn(|| ()); // line 13, col 5
+    let _ = std::thread::Builder::new().spawn(|| ()); // line 14, col 18
     n
 }

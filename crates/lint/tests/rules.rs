@@ -58,12 +58,13 @@ fn r1_waived_fixture_reports_waived_only() {
 #[test]
 fn r2_violation_fixture_exact_spans() {
     let vs = active("r2_violation.rs", RuleId::R2);
-    assert_eq!(spans(&vs), vec![(3, 28), (4, 17), (5, 19), (11, 26), (12, 10), (13, 5)]);
+    assert_eq!(spans(&vs), vec![(3, 28), (4, 17), (5, 19), (11, 26), (12, 10), (13, 5), (14, 18)]);
     assert!(vs[0].message.contains("Instant"));
     assert!(vs[2].message.contains("unseeded"));
     assert!(vs[3].message.contains("available_parallelism"));
     assert!(vs[4].message.contains("thread::scope"));
     assert!(vs[5].message.contains("thread::spawn"));
+    assert!(vs[6].message.contains("thread::Builder"));
 }
 
 #[test]

@@ -3,10 +3,9 @@
 # choosing-metrics section 8 asks a host-clock claim to be measured.
 #
 # Builds `benchmark/` at <base-ref> (A) and at HEAD (B), each side twice,
-# in two checkouts of its own: where a build lives moves code layout, and
-# with it host rates by a few percent. Checkouts are git worktrees, or
-# `git archive` extracts where a worktree cannot be added. The four
-# builds serve every workload named. Then, one workload after another,
+# in two `git archive` extracts of its own: where a build lives moves code
+# layout, and with it host rates by a few percent. The four builds serve
+# every workload named. Then, one workload after another,
 # runs it `pairs` times per side with the benchmark's published settings
 # (`--seconds 10 --trace 0`), alternating which side goes first and
 # rotating the four binaries, so that every pairing of an A build with a
@@ -14,13 +13,15 @@
 # and end-to-end metric, each side's median and quartiles over the runs,
 # how many pairs B won, and whether section 8's rule for claiming a gain
 # holds (B wins at least nine tenths of the pairs, and the medians differ
-# by more than A's interquartile range); then `benchmark compare` on the
-# two runs nearest their side's median `host_work_per_s`. Uncommitted
-# changes are not measured: commit first.
+# by more than A's interquartile range; scripts/bench_summary.py); then
+# `benchmark compare` on the two runs nearest their side's median
+# `host_work_per_s`. Uncommitted changes are not measured: commit first.
 #
 # Usage: scripts/bench_ab.sh <base-ref> <workload>[,<workload>...|all] [pairs=10]
 #   `all` is every workload BENCHMARK.json lists, in its order. Result
-#   files and each workload's summary stay in target/bench-ab/<workload>/.
+#   files and each workload's summary.md and summary.json stay in
+#   target/bench-ab/<workload>/; target/bench-ab/ledger.json lists every
+#   workload's summary.json, the shape of a committed BENCH_<n>.json.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -41,35 +42,29 @@ for workload in $workloads; do
   esac
 done
 out="$root/target/bench-ab"
+a_commit=$(git rev-parse --verify "$base_ref^{commit}")
+b_commit=$(git rev-parse HEAD)
 checkouts=()
 cleanup() {
-  for dir in "${checkouts[@]}"; do
-    git worktree remove --force "$dir" 2>/dev/null || rm -rf "$dir"
-  done
+  for dir in "${checkouts[@]}"; do rm -rf "$dir"; done
 }
 trap cleanup EXIT
 rm -rf "$out"
-git worktree prune
 mkdir -p "$out"
 for workload in $workloads; do mkdir -p "$out/$workload"; done
 
-build() { # <checkout name> <ref>
+build() { # <checkout name> <commit>
   local dir="$out/wt-$1"
   checkouts+=("$dir")
-  if ! git worktree add --quiet --detach "$dir" "$2" 2>/dev/null; then
-    # An extract has no .git of its own: its result files name this
-    # repository's HEAD as their commit, whichever ref was extracted.
-    rm -rf "$dir"
-    mkdir -p "$dir"
-    git archive "$2" | tar -x -C "$dir"
-  fi
+  mkdir -p "$dir"
+  git archive "$2" | tar -x -C "$dir"
   cargo build --release --quiet --offline \
     --manifest-path "$dir/benchmark/Cargo.toml" --bin benchmark
 }
-build a1 "$base_ref"
-build a2 "$base_ref"
-build b1 HEAD
-build b2 HEAD
+build a1 "$a_commit"
+build a2 "$a_commit"
+build b1 "$b_commit"
+build b2 "$b_commit"
 
 run() { # <workload> <side> <checkout> <pair>: one untraced run, from inside that checkout
   (cd "$out/wt-$3" &&
@@ -91,45 +86,8 @@ measure() { # <workload>: the pairs, then the summary
     echo "$workload: pair $pair/$pairs done ($order)" >&2
   done
 
-  python3 - "$dir" "$pairs" "$base_ref" "$workload" <<'PY' | tee "$dir/summary.md"
-import json, math, statistics, sys
-out, pairs, base_ref, workload = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
-contract = json.load(open("BENCHMARK.json"))
-runs = {s: [json.load(open(f"{out}/{s}-{p}.json")) for p in range(1, pairs + 1)] for s in "ab"}
-
-def quartiles(v):
-    if len(v) < 2:
-        return v[0], v[0], v[0]
-    q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
-    return q1, q2, q3
-
-need = math.ceil(0.9 * pairs)
-print(f"### {workload}: A = {base_ref}, B = HEAD, {pairs} alternating pairs, "
-      f"two builds per side\n")
-print("| metric | A median [q1, q3] | B median [q1, q3] | B vs A | pairs won by B "
-      f"| gain holds (≥ {need}/{pairs} won, \\|Δ median\\| > A's q3 − q1) |")
-print("|---|---|---|---|---|---|")
-for m in contract["end_to_end"]:
-    name, higher = m["name"], m["better"] == "higher"
-    a = [r["metrics"][name]["value"] for r in runs["a"]]
-    b = [r["metrics"][name]["value"] for r in runs["b"]]
-    wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-    ties = sum(x == y for x, y in zip(a, b))
-    (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
-    delta = f"{(b2 - a2) / abs(a2) * 100:+.1f}%" if a2 else "n/a"
-    won = f"{wins}/{pairs}" + (f" ({ties} ties)" if ties else "")
-    holds = "yes" if wins >= need and abs(b2 - a2) > a3 - a1 else "no"
-    print(f"| `{name}` ({m['unit']}, {m['better']}) | {a2:.4f} [{a1:.4f}, {a3:.4f}] "
-          f"| {b2:.4f} [{b1:.4f}, {b3:.4f}] | {delta} | {won} | {holds} |")
-failed = {s: sum(r["failed"] for r in runs[s]) for s in "ab"}
-print(f"\nfailed checks: A {failed['a']}, B {failed['b']}")
-
-def nearest_median(side):
-    values = [r["metrics"]["host_work_per_s"]["value"] for r in runs[side]]
-    mid = statistics.median_low(values)
-    return values.index(mid) + 1
-open(f"{out}/median-pair", "w").write(f"{nearest_median('a')} {nearest_median('b')}\n")
-PY
+  python3 "$root/scripts/bench_summary.py" "$dir" "$pairs" "$a_commit" "$b_commit" "$workload" |
+    tee "$dir/summary.md"
 
   local pa pb
   read -r pa pb <"$dir/median-pair"
@@ -143,3 +101,11 @@ for workload in $workloads; do
   measure "$workload"
   echo
 done
+python3 - "$out" $workloads <<'PY'
+import json, sys
+out, workloads = sys.argv[1], sys.argv[2:]
+ledger = [json.load(open(f"{out}/{w}/summary.json")) for w in workloads]
+with open(f"{out}/ledger.json", "w") as f:
+    json.dump(ledger, f, indent=1)
+    f.write("\n")
+PY
