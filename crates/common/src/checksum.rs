@@ -34,10 +34,11 @@
 //! allows: the state after `A ‖ B` is the state after `A`, advanced
 //! through `|B|` zero bytes, XOR the state `B` alone leaves from zero.
 //!
-//! The fold is the one place in the workspace that needs `unsafe`: calling
-//! a function compiled for a CPU feature from one that is not. `hl-common`
-//! denies `unsafe_code` and allows it on that module alone; every other
-//! crate forbids it.
+//! The fold is one of the two places in the workspace that need `unsafe`:
+//! calling a function compiled for a CPU feature from one that is not (the
+//! other hands the pool's parked helpers a borrowed job). `hl-common`
+//! denies `unsafe_code` and allows it on that module and on
+//! `pool::Dispatch::post` alone; every other crate forbids it.
 //!
 //! A block's chunk CRCs are independent of each other, so
 //! [`ChunkedChecksum::compute_on`] and [`ChunkedChecksum::verify_on`]

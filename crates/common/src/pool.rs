@@ -14,9 +14,9 @@
 //! needs them, and park between calls. A call posts its job, runs pieces
 //! on its own thread too, and returns once every helper that took a seat
 //! at it has finished: waking a parked helper and waiting for it costs
-//! under 20 µs, where starting and joining a thread cost 50–60 (EXPERIMENTS.md,
-//! "Host parallelism"). One call at a time has the helpers; a call from
-//! another thread while one is in flight runs all its pieces itself.
+//! about a third of starting and joining a thread (EXPERIMENTS.md, "Host
+//! parallelism"). One call at a time has the helpers; a call from another
+//! thread while one is in flight runs all its pieces itself.
 //!
 //! Work nests: a task body on a helper may read a DFS block, whose
 //! checksum would go on the pool too. The pool's threads are all busy by
@@ -108,25 +108,29 @@ static HELPERS: Helpers = Helpers {
     drained: Condvar::new(),
 };
 
-/// The table, locked. No body runs under the lock, so a poisoned lock
-/// means a panic in this module's bookkeeping, which left it consistent.
-fn table() -> MutexGuard<'static, Table> {
-    HELPERS.table.lock().unwrap_or_else(PoisonError::into_inner)
+/// The most helper seats any one call has posted, kept by test builds
+/// only: the pool never holds more helpers than this.
+static MOST_SEATS: AtomicUsize = AtomicUsize::new(0);
+
+/// `m`, locked. No body runs under the pool's locks, and each update
+/// under them leaves the data whole, so a poisoned lock is taken as is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A helper's life: park until a seat opens, run the job, leave the seat.
 fn helper() {
-    let mut table = table();
+    let mut table = lock(&HELPERS.table);
     loop {
         match table.job {
             Some(job) if table.open_seats > 0 => {
                 table.open_seats -= 1;
                 table.seated += 1;
                 drop(table);
-                let _seat = Seat;
+                let seat = Seat;
                 job();
-                drop(_seat);
-                table = self::table();
+                drop(seat);
+                table = lock(&HELPERS.table);
             }
             _ => table = HELPERS.posted.wait(table).unwrap_or_else(PoisonError::into_inner),
         }
@@ -138,7 +142,7 @@ struct Seat;
 
 impl Drop for Seat {
     fn drop(&mut self) {
-        let mut table = table();
+        let mut table = lock(&HELPERS.table);
         table.seated -= 1;
         if table.seated == 0 {
             HELPERS.drained.notify_all();
@@ -149,6 +153,7 @@ impl Drop for Seat {
 /// A call's hold on the helpers. Dropping it — on return or on unwind —
 /// clears the job and waits until every seated helper has finished.
 struct Dispatch<'a> {
+    /// Whether this call posted a job; if not, it has no helper to wait for.
     posted: bool,
     work: PhantomData<&'a ()>,
 }
@@ -160,19 +165,22 @@ impl<'a> Dispatch<'a> {
     /// OS refuses to start is a seat fewer.
     #[allow(unsafe_code)]
     fn post(work: &'a (dyn Fn() + Sync + 'a), seats: usize) -> Self {
-        let mut table = table();
+        let mut table = lock(&HELPERS.table);
         if seats == 0 || table.job.is_some() || table.seated > 0 {
             return Dispatch { posted: false, work: PhantomData };
         }
-        #[cfg(test)]
-        tests::MOST_SEATS.fetch_max(seats, Ordering::Relaxed);
+        if cfg!(test) {
+            MOST_SEATS.fetch_max(seats, Ordering::Relaxed);
+        }
         // SAFETY: the helpers call `work` only between taking a seat, which
         // needs the job posted, and leaving it. The returned guard borrows
         // `work` for `'a`, and its drop clears the job (no seat is taken
         // after that) and waits until `seated` is 0 (every seat is left)
-        // before the borrow can end. `run_indexed` holds the guard on the
-        // stack until `work`'s last use, on every path, unwinding included:
-        // `std::thread::scope`'s argument, kept across calls.
+        // before the borrow can end. `post` is private to this module, and
+        // its one caller, `run_indexed`, holds the guard on the stack until
+        // after `work`'s last use and never leaks it, so the drop runs on
+        // every path, unwinding included: `std::thread::scope`'s argument,
+        // kept across calls.
         let job = unsafe { std::mem::transmute::<&'a (dyn Fn() + Sync + 'a), Job>(work) };
         table.job = Some(job);
         let parked = seats.min(table.helpers);
@@ -187,7 +195,7 @@ impl<'a> Dispatch<'a> {
             if std::thread::Builder::new().name("hl-pool".into()).spawn(helper).is_err() {
                 break;
             }
-            let mut table = self::table();
+            let mut table = lock(&HELPERS.table);
             table.helpers += 1;
             table.open_seats += 1;
             drop(table);
@@ -202,18 +210,13 @@ impl Drop for Dispatch<'_> {
         if !self.posted {
             return;
         }
-        let mut table = table();
+        let mut table = lock(&HELPERS.table);
         table.job = None;
         table.open_seats = 0;
         while table.seated > 0 {
             table = HELPERS.drained.wait(table).unwrap_or_else(PoisonError::into_inner);
         }
     }
-}
-
-/// `m`, locked; a body never runs under it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Pool {
@@ -358,9 +361,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::time::{Duration, Instant};
-
-    /// The most helper seats any call of this process has posted.
-    pub(super) static MOST_SEATS: AtomicUsize = AtomicUsize::new(0);
 
     fn on_helper() -> bool {
         std::thread::current().name() == Some("hl-pool")
@@ -539,7 +539,7 @@ mod tests {
             let out = Pool::forced(workers).run_indexed(4, |i| i + call);
             assert_eq!(out, [call, call + 1, call + 2, call + 3]);
         }
-        let helpers = table().helpers;
+        let helpers = lock(&HELPERS.table).helpers;
         assert!(helpers >= 1, "a call that asked for helpers started one");
         assert!(
             helpers <= MOST_SEATS.load(Ordering::Relaxed),

@@ -202,8 +202,9 @@ pub(crate) fn split_into_blocks(data: &[u8], block_size: u64, pool: &Pool) -> Ve
 /// runs of chunks for a file of one (a block that is already a piece of
 /// the pool's work takes its chunks in order on its own thread). A copy
 /// and a CRC pass weigh their bytes at `COPY_WORK_SHARE`, as a checksum
-/// run does, so a lab-sized file is written inline. The parts are appended to the empty buffer, so no byte is written twice,
-/// and the full buffer becomes the block's `Bytes` as it is.
+/// run does, so a lab-sized file is written inline. The parts are
+/// appended to the empty buffer, so no byte is written twice, and the
+/// full buffer becomes the block's `Bytes` as it is.
 pub(crate) fn real_payloads(blocks: &[Vec<&[u8]>], pool: &Pool) -> Vec<BlockPayload> {
     let lens: Vec<usize> = blocks.iter().map(|parts| parts.iter().map(|p| p.len()).sum()).collect();
     let mut buffers: Vec<Vec<u8>> = lens.iter().map(|&len| Vec::with_capacity(len)).collect();

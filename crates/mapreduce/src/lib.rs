@@ -30,8 +30,9 @@
 //!   commands without any HDFS support"); it and the engine run user code
 //!   through the same two task bodies (the private `task` module), so the
 //!   modes cannot drift;
-//! * `pool` (private) — the scoped host threads a phase's task bodies are
-//!   computed on, so the loop's thread only charges for them;
+//! * `hl_common::pool` (not a module here) — the host threads a phase's
+//!   task bodies are computed on, so the loop's thread only charges for
+//!   them;
 //! * [`report`] — the job report and "JobTracker web UI" rendering the
 //!   combiner lecture has students read.
 //!
