@@ -267,7 +267,8 @@ impl Pool {
 
     /// `body(i)` for every `i < n`, each exactly once, on this pool's
     /// threads of which the caller is one; the results in index order. A
-    /// panic in a body is re-raised here once every helper has stopped.
+    /// panic in a body is re-raised here once every helper that took a
+    /// seat at this call has left it.
     pub fn run_indexed<T: Send>(&self, n: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
         // Relaxed: the counter hands out indices and publishes nothing; the
         // results travel through `done`'s lock.
@@ -493,6 +494,7 @@ mod tests {
         for _ in 0..50 {
             let panicked = AtomicBool::new(false);
             let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let deadline = Instant::now() + Duration::from_millis(200);
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 Pool::forced(3).run_indexed(12, |i| {
                     if on_helper() {
@@ -501,10 +503,7 @@ mod tests {
                         std::thread::sleep(Duration::from_millis(2));
                         finished.fetch_add(1, Ordering::SeqCst);
                     } else {
-                        let waited = Instant::now();
-                        while !panicked.load(Ordering::SeqCst)
-                            && waited.elapsed() < Duration::from_millis(200)
-                        {
+                        while !panicked.load(Ordering::SeqCst) && Instant::now() < deadline {
                             std::thread::yield_now();
                         }
                     }
