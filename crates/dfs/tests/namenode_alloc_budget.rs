@@ -10,10 +10,12 @@
 //! an unchanged node allocates only the list of what it confirmed, and a
 //! heartbeat nothing.
 //!
-//! One test, because the counter is process-wide: a second test on
-//! another thread would be counted into this one.
+//! Only the thread inside `counted`'s closure is counted. The NameNode
+//! runs on its caller's thread, so nothing it allocates is missed, and
+//! the test harness's own threads are not counted in.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hl_common::config::keys;
@@ -21,17 +23,25 @@ use hl_common::prelude::*;
 use hl_dfs::block::ReplicaMeta;
 use hl_dfs::NameNode;
 
-/// Counts fresh blocks, as `crates/metrics/tests/alloc_budget.rs` does.
+/// Counts fresh blocks on a thread inside [`counted`].
 struct Counting;
 
 static BLOCKS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on this thread while `counted` runs its closure. `const`, so
+    /// reading it allocates nothing and needs no lazy initialisation.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no memory the
 // allocator manages.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            BLOCKS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: the caller's obligations for `alloc` are `System`'s.
         unsafe { System.alloc(layout) }
     }
@@ -48,10 +58,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `f`'s result and the number of blocks allocated while it ran.
+/// `f`'s result and the number of blocks it allocated on this thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = BLOCKS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     let out = f();
+    COUNTING.set(false);
     (out, BLOCKS.load(Ordering::Relaxed) - before)
 }
 

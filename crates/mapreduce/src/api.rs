@@ -6,6 +6,13 @@
 //! optionally folds map output locally, and a [`Reducer`] sees each key
 //! once with all its values.
 //!
+//! As in Hadoop's `reduce(K, Iterable<V>, Context)`, a group's values
+//! are a stream to iterate once, and its key is lent for the call: the
+//! engine keeps one key and one value buffer for a whole task and refills
+//! them group by group, the way Hadoop reuses its key and value objects.
+//! Clone the key to keep it past the call; collect the values to walk
+//! them twice.
+//!
 //! Mappers and reducers are *stateful per task* (`&mut self`) with
 //! `setup`/`cleanup` hooks — this is what makes both the in-mapper
 //! combining pattern from Lin's "Monoidify!" lecture and the cached
@@ -27,6 +34,7 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::str::SplitWhitespace;
 use std::sync::Arc;
 
@@ -70,7 +78,16 @@ pub trait Reducer: Send {
     fn setup(&mut self, _ctx: &mut ReduceContext) {}
 
     /// Called once per distinct key with every value for that key.
-    fn reduce(&mut self, key: Self::KIn, values: Vec<Self::VIn>, ctx: &mut ReduceContext);
+    ///
+    /// `values` can be iterated once; `key` is lent for the call (the
+    /// engine refills one key per task), so clone it to keep it. An owned
+    /// key and a `Vec` satisfy both bounds.
+    fn reduce(
+        &mut self,
+        key: impl Borrow<Self::KIn>,
+        values: impl IntoIterator<Item = Self::VIn>,
+        ctx: &mut ReduceContext,
+    );
 
     /// Called once per task after all groups.
     fn cleanup(&mut self, _ctx: &mut ReduceContext) {}
@@ -87,7 +104,15 @@ pub trait Combiner: Send {
     type V: Writable;
 
     /// Fold `values` for `key` into (usually fewer) output values.
-    fn combine(&mut self, key: &Self::K, values: Vec<Self::V>, out: &mut Vec<Self::V>);
+    ///
+    /// `values` can be iterated once, and `key` is the pass's one decoded
+    /// key, refilled for each group: clone it to keep it.
+    fn combine(
+        &mut self,
+        key: &Self::K,
+        values: impl IntoIterator<Item = Self::V>,
+        out: &mut Vec<Self::V>,
+    );
 }
 
 /// Side files a task may read (the movie-genre / song-album lookup files).
@@ -271,19 +296,38 @@ impl<'a> Iterator for Words<'a> {
 pub struct ReduceContext<'a> {
     /// Counters / side files / charges.
     pub scope: &'a mut TaskScope,
-    pub(crate) lines: &'a mut Vec<String>,
+    out: ReduceOut<'a>,
+}
+
+/// Where a [`ReduceContext`] writes its records.
+enum ReduceOut<'a> {
+    /// One `String` per record, without its newline.
+    Lines(&'a mut Vec<String>),
+    /// The part file's text: each record and its `\n`, back to back.
+    Text(&'a mut String),
 }
 
 impl<'a> ReduceContext<'a> {
     /// Build a context writing lines into `lines`.
     pub fn new(scope: &'a mut TaskScope, lines: &'a mut Vec<String>) -> Self {
-        ReduceContext { scope, lines }
+        ReduceContext { scope, out: ReduceOut::Lines(lines) }
+    }
+
+    /// Build a context appending each record, with its newline, to `text`.
+    pub(crate) fn to_text(scope: &'a mut TaskScope, text: &'a mut String) -> Self {
+        ReduceContext { scope, out: ReduceOut::Text(text) }
     }
 
     /// Emit one output record as `key \t value`.
     pub fn emit(&mut self, key: impl std::fmt::Display, value: impl std::fmt::Display) {
         self.scope.counters.incr_task(TaskCounter::ReduceOutputRecords, 1);
-        self.lines.push(format!("{key}\t{value}"));
+        match &mut self.out {
+            ReduceOut::Lines(lines) => lines.push(format!("{key}\t{value}")),
+            ReduceOut::Text(text) => {
+                // Writing to a `String` cannot fail.
+                let _ = writeln!(text, "{key}\t{value}");
+            }
+        }
     }
 }
 
@@ -299,7 +343,7 @@ impl<K, V> Default for NoCombiner<K, V> {
 impl<K: SortableKey + Send, V: Writable + Send> Combiner for NoCombiner<K, V> {
     type K = K;
     type V = V;
-    fn combine(&mut self, _key: &K, values: Vec<V>, out: &mut Vec<V>) {
+    fn combine(&mut self, _key: &K, values: impl IntoIterator<Item = V>, out: &mut Vec<V>) {
         out.extend(values);
     }
 }
@@ -352,6 +396,12 @@ mod tests {
         ctx.emit("DL", -3);
         assert_eq!(lines, vec!["UA\t12.5", "DL\t-3"]);
         assert_eq!(scope.counters.task(TaskCounter::ReduceOutputRecords), 2);
+        let mut text = String::new();
+        let mut ctx = ReduceContext::to_text(&mut scope, &mut text);
+        ctx.emit("UA", 12.5);
+        ctx.emit("DL", -3);
+        assert_eq!(text, "UA\t12.5\nDL\t-3\n");
+        assert_eq!(scope.counters.task(TaskCounter::ReduceOutputRecords), 4);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
 use crate::speculate::{RunningTask, Span, SpecAttempt, SpecOutcome, Speculator, MIN_COMPLETED};
 use crate::split::{compute_splits, InputSplit};
-use crate::task::{self, JobCode, MapBody, ReduceBody};
+use crate::task::{self, JobCode, MapBody, ReduceTaskOutput};
 
 /// One TaskTracker daemon.
 #[derive(Debug, Clone)]
@@ -618,7 +618,7 @@ struct RealJob<'a> {
 #[derive(Default)]
 struct Bodies {
     maps: Vec<Option<MapBody>>,
-    reduces: Vec<Option<Result<ReduceBody>>>,
+    reduces: Vec<Option<Result<ReduceTaskOutput>>>,
 }
 
 /// An attempt in the air: where it runs, how far it has got and which
@@ -1347,8 +1347,13 @@ mod tests {
     impl Reducer for WcReduce {
         type KIn = String;
         type VIn = u64;
-        fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-            ctx.emit(key, values.into_iter().sum::<u64>());
+        fn reduce(
+            &mut self,
+            key: impl std::borrow::Borrow<String>,
+            values: impl IntoIterator<Item = u64>,
+            ctx: &mut ReduceContext,
+        ) {
+            ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
         }
     }
 
@@ -1356,7 +1361,12 @@ mod tests {
     impl Combiner for WcCombine {
         type K = String;
         type V = u64;
-        fn combine(&mut self, _k: &String, values: Vec<u64>, out: &mut Vec<u64>) {
+        fn combine(
+            &mut self,
+            _k: &String,
+            values: impl IntoIterator<Item = u64>,
+            out: &mut Vec<u64>,
+        ) {
             out.push(values.into_iter().sum());
         }
     }

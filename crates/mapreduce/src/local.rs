@@ -108,10 +108,9 @@ impl LocalRunner {
         for r in 0..num_reduces {
             let runs: Vec<SortedRun> =
                 map_outputs.iter_mut().map(|o| o.take_partition(r)).collect();
-            let done = job.reduce_task(side, self.disk_bw, &runs)?;
+            let done = job.reduce_task(side, self.disk_bw, &runs, Some(&mut output))?;
             counters.merge(&done.counters);
             virtual_time += job.conf.reduce_cpu_per_record * done.records + done.extra_time;
-            output.extend(done.lines);
         }
 
         Ok(LocalReport { output, counters, virtual_time })
@@ -124,6 +123,7 @@ mod tests {
     use crate::api::{MapContext, ReduceContext};
     use crate::job::JobConf;
     use hl_common::counters::TaskCounter;
+    use std::borrow::Borrow;
 
     struct WcMap;
     impl Mapper for WcMap {
@@ -139,8 +139,13 @@ mod tests {
     impl Reducer for WcReduce {
         type KIn = String;
         type VIn = u64;
-        fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-            ctx.emit(key, values.into_iter().sum::<u64>());
+        fn reduce(
+            &mut self,
+            key: impl Borrow<String>,
+            values: impl IntoIterator<Item = u64>,
+            ctx: &mut ReduceContext,
+        ) {
+            ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
         }
     }
 

@@ -198,7 +198,7 @@ struct SumCombiner<K>(std::marker::PhantomData<fn() -> K>);
 impl<K: SortableKey + Send> Combiner for SumCombiner<K> {
     type K = K;
     type V = u64;
-    fn combine(&mut self, _k: &K, values: Vec<u64>, out: &mut Vec<u64>) {
+    fn combine(&mut self, _k: &K, values: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
         out.push(values.into_iter().sum());
     }
 }
@@ -459,7 +459,12 @@ struct LongestValue;
 impl Combiner for LongestValue {
     type K = RawKey;
     type V = RawValue;
-    fn combine(&mut self, _k: &RawKey, values: Vec<RawValue>, out: &mut Vec<RawValue>) {
+    fn combine(
+        &mut self,
+        _k: &RawKey,
+        values: impl IntoIterator<Item = RawValue>,
+        out: &mut Vec<RawValue>,
+    ) {
         out.extend(values.into_iter().max_by_key(|v| v.0.len()));
     }
 }

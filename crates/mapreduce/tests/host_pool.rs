@@ -79,7 +79,7 @@ struct WcCombine;
 impl Combiner for WcCombine {
     type K = String;
     type V = u64;
-    fn combine(&mut self, _k: &String, values: Vec<u64>, out: &mut Vec<u64>) {
+    fn combine(&mut self, _k: &String, values: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
         out.push(values.into_iter().sum());
     }
 }
@@ -88,8 +88,13 @@ struct WcReduce;
 impl Reducer for WcReduce {
     type KIn = String;
     type VIn = u64;
-    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-        ctx.emit(key, values.into_iter().sum::<u64>());
+    fn reduce(
+        &mut self,
+        key: impl std::borrow::Borrow<String>,
+        values: impl IntoIterator<Item = u64>,
+        ctx: &mut ReduceContext,
+    ) {
+        ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
     }
 }
 

@@ -408,8 +408,13 @@ struct Sum;
 impl hl_mapreduce::Reducer for Sum {
     type KIn = String;
     type VIn = u64;
-    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut hl_mapreduce::ReduceContext) {
-        ctx.emit(key, values.into_iter().sum::<u64>());
+    fn reduce(
+        &mut self,
+        key: impl std::borrow::Borrow<String>,
+        values: impl IntoIterator<Item = u64>,
+        ctx: &mut hl_mapreduce::ReduceContext,
+    ) {
+        ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
     }
 }
 

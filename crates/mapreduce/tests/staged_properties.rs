@@ -47,8 +47,13 @@ struct WcReduce;
 impl Reducer for WcReduce {
     type KIn = String;
     type VIn = u64;
-    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-        ctx.emit(key, values.into_iter().sum::<u64>());
+    fn reduce(
+        &mut self,
+        key: impl std::borrow::Borrow<String>,
+        values: impl IntoIterator<Item = u64>,
+        ctx: &mut ReduceContext,
+    ) {
+        ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
     }
 }
 

@@ -14,6 +14,7 @@
 //!   carrier table (bounded: ~20 carriers), flushed in `cleanup`. Least
 //!   shuffle, most task memory.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_datagen::airline::parse_carrier_delay;
@@ -48,7 +49,12 @@ pub struct SumCountCombiner;
 impl Combiner for SumCountCombiner {
     type K = String;
     type V = SumCount;
-    fn combine(&mut self, _key: &String, values: Vec<SumCount>, out: &mut Vec<SumCount>) {
+    fn combine(
+        &mut self,
+        _key: &String,
+        values: impl IntoIterator<Item = SumCount>,
+        out: &mut Vec<SumCount>,
+    ) {
         out.push(values.into_iter().fold(SumCount::default(), SumCount::merge));
     }
 }
@@ -60,10 +66,15 @@ pub struct AvgReducer;
 impl Reducer for AvgReducer {
     type KIn = String;
     type VIn = SumCount;
-    fn reduce(&mut self, key: String, values: Vec<SumCount>, ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        key: impl Borrow<String>,
+        values: impl IntoIterator<Item = SumCount>,
+        ctx: &mut ReduceContext,
+    ) {
         let total = values.into_iter().fold(SumCount::default(), SumCount::merge);
         if let Some(mean) = total.mean() {
-            ctx.emit(key, format!("{mean:.2}"));
+            ctx.emit(key.borrow(), format!("{mean:.2}"));
         }
     }
 }

@@ -14,6 +14,7 @@
 //! is the general form of the combiner lesson, so it rounds out the
 //! module's ablations.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_common::error::Result;
@@ -80,7 +81,12 @@ pub struct PairsSum;
 impl Combiner for PairsSum {
     type K = Pair<String, String>;
     type V = u64;
-    fn combine(&mut self, _k: &Pair<String, String>, values: Vec<u64>, out: &mut Vec<u64>) {
+    fn combine(
+        &mut self,
+        _k: &Pair<String, String>,
+        values: impl IntoIterator<Item = u64>,
+        out: &mut Vec<u64>,
+    ) {
         out.push(values.into_iter().sum());
     }
 }
@@ -91,8 +97,14 @@ pub struct PairsReducer;
 impl Reducer for PairsReducer {
     type KIn = Pair<String, String>;
     type VIn = u64;
-    fn reduce(&mut self, key: Pair<String, String>, values: Vec<u64>, ctx: &mut ReduceContext) {
-        ctx.emit(format!("{} {}", key.0, key.1), values.into_iter().sum::<u64>());
+    fn reduce(
+        &mut self,
+        key: impl Borrow<Pair<String, String>>,
+        values: impl IntoIterator<Item = u64>,
+        ctx: &mut ReduceContext,
+    ) {
+        let Pair(w1, w2) = key.borrow();
+        ctx.emit(format_args!("{w1} {w2}"), values.into_iter().sum::<u64>());
     }
 }
 
@@ -123,7 +135,12 @@ pub struct StripesCombiner;
 impl Combiner for StripesCombiner {
     type K = String;
     type V = Stripe;
-    fn combine(&mut self, _k: &String, values: Vec<Stripe>, out: &mut Vec<Stripe>) {
+    fn combine(
+        &mut self,
+        _k: &String,
+        values: impl IntoIterator<Item = Stripe>,
+        out: &mut Vec<Stripe>,
+    ) {
         out.push(values.into_iter().fold(Stripe::default(), Stripe::merge));
     }
 }
@@ -134,10 +151,16 @@ pub struct StripesReducer;
 impl Reducer for StripesReducer {
     type KIn = String;
     type VIn = Stripe;
-    fn reduce(&mut self, key: String, values: Vec<Stripe>, ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        key: impl Borrow<String>,
+        values: impl IntoIterator<Item = Stripe>,
+        ctx: &mut ReduceContext,
+    ) {
+        let key = key.borrow();
         let merged = values.into_iter().fold(Stripe::default(), Stripe::merge);
         for (w2, n) in merged.0 {
-            ctx.emit(format!("{key} {w2}"), n);
+            ctx.emit(format_args!("{key} {w2}"), n);
         }
     }
 }

@@ -7,6 +7,7 @@
 //! within each job* before summing — a grouping-inside-the-group pattern
 //! one step beyond WordCount.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_datagen::google_trace::{event, parse_event};
@@ -44,7 +45,13 @@ impl Reducer for WorstJobReducer {
     type KIn = u64;
     type VIn = u32;
 
-    fn reduce(&mut self, job: u64, tasks: Vec<u32>, _ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        job: impl Borrow<u64>,
+        tasks: impl IntoIterator<Item = u32>,
+        _ctx: &mut ReduceContext,
+    ) {
+        let job = *job.borrow();
         let mut submits_per_task: BTreeMap<u32, u64> = BTreeMap::new();
         for t in tasks {
             *submits_per_task.entry(t).or_default() += 1;

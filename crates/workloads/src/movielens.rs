@@ -17,6 +17,7 @@
 //! ("the information needed in the reduce step requires several values for
 //! each key") and a single reducer tracking the global maximum.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_datagen::movielens::{parse_movie, parse_rating};
@@ -107,7 +108,12 @@ pub struct StatsCombiner;
 impl hl_mapreduce::api::Combiner for StatsCombiner {
     type K = String;
     type V = Stats;
-    fn combine(&mut self, _key: &String, values: Vec<Stats>, out: &mut Vec<Stats>) {
+    fn combine(
+        &mut self,
+        _key: &String,
+        values: impl IntoIterator<Item = Stats>,
+        out: &mut Vec<Stats>,
+    ) {
         out.push(values.into_iter().fold(Stats::default(), Stats::merge));
     }
 }
@@ -118,10 +124,15 @@ pub struct GenreStatsReducer;
 impl Reducer for GenreStatsReducer {
     type KIn = String;
     type VIn = Stats;
-    fn reduce(&mut self, key: String, values: Vec<Stats>, ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        key: impl Borrow<String>,
+        values: impl IntoIterator<Item = Stats>,
+        ctx: &mut ReduceContext,
+    ) {
         let s = values.into_iter().fold(Stats::default(), Stats::merge);
         if let Some(mean) = s.mean() {
-            ctx.emit(key, format!("{},{:.4},{},{}", s.count, mean, s.min, s.max));
+            ctx.emit(key.borrow(), format!("{},{:.4},{},{}", s.count, mean, s.min, s.max));
         }
     }
 }
@@ -170,7 +181,16 @@ impl Reducer for MostActiveUserReducer {
     type KIn = u32;
     type VIn = RatingEvent;
 
-    fn reduce(&mut self, user: u32, values: Vec<RatingEvent>, _ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        user: impl Borrow<u32>,
+        values: impl IntoIterator<Item = RatingEvent>,
+        _ctx: &mut ReduceContext,
+    ) {
+        // The tally borrows genre names from the group's events, so the
+        // group is kept whole: an `Iterable` buffered, as in Hadoop.
+        let (user, values): (u32, Vec<RatingEvent>) =
+            (*user.borrow(), values.into_iter().collect());
         let count = values.len() as u64;
         let mut genre_counts: BTreeMap<&str, u64> = BTreeMap::new();
         for event in &values {

@@ -8,6 +8,7 @@
 //! ranges are ordered, concatenating `part-r-00000..part-r-NNNNN` yields a
 //! **globally sorted** result — something hash partitioning can never give.
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 use hl_common::hash::FnvBuildHasher;
@@ -41,8 +42,13 @@ pub struct CountReducer;
 impl Reducer for CountReducer {
     type KIn = String;
     type VIn = u64;
-    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-        ctx.emit(key, values.into_iter().sum::<u64>());
+    fn reduce(
+        &mut self,
+        key: impl Borrow<String>,
+        values: impl IntoIterator<Item = u64>,
+        ctx: &mut ReduceContext,
+    ) {
+        ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
     }
 }
 

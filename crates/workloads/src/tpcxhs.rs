@@ -27,6 +27,7 @@
 //! speculative execution on/off × homogeneous/skewed cluster — which is
 //! the degraded-mode ablation in EXPERIMENTS.md.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_common::checksum::Crc32;
@@ -129,14 +130,20 @@ impl Reducer for ValidateReducer {
         self.ordered = true;
     }
 
-    fn reduce(&mut self, first: String, values: Vec<String>, _ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        first: impl Borrow<String>,
+        values: impl IntoIterator<Item = String>,
+        _ctx: &mut ReduceContext,
+    ) {
+        let first = first.borrow();
         for summary in values {
             let mut parts = summary.split('|');
             let last = parts.next().unwrap_or_default().to_string();
             let sorted = parts.next() == Some("1");
             let crc: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
             let count: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-            if !sorted || last < first {
+            if !sorted || last < *first {
                 self.ordered = false;
             }
             // Distinct words mean split boundaries must be strict.

@@ -8,6 +8,7 @@
 //!    flushed in `cleanup`, trading task memory for even less shuffle and
 //!    no combiner-invocation overhead.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_mapreduce::api::{words, Combiner, MapContext, Mapper, ReduceContext, Reducer};
@@ -42,8 +43,13 @@ pub struct WcReducer;
 impl Reducer for WcReducer {
     type KIn = String;
     type VIn = u64;
-    fn reduce(&mut self, key: String, values: Vec<u64>, ctx: &mut ReduceContext) {
-        ctx.emit(key, values.into_iter().sum::<u64>());
+    fn reduce(
+        &mut self,
+        key: impl Borrow<String>,
+        values: impl IntoIterator<Item = u64>,
+        ctx: &mut ReduceContext,
+    ) {
+        ctx.emit(key.borrow(), values.into_iter().sum::<u64>());
     }
 }
 
@@ -54,7 +60,12 @@ pub struct WcCombiner;
 impl Combiner for WcCombiner {
     type K = String;
     type V = u64;
-    fn combine(&mut self, _key: &String, values: Vec<u64>, out: &mut Vec<u64>) {
+    fn combine(
+        &mut self,
+        _key: &String,
+        values: impl IntoIterator<Item = u64>,
+        out: &mut Vec<u64>,
+    ) {
         out.push(values.into_iter().sum());
     }
 }

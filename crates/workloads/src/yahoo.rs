@@ -7,6 +7,7 @@
 //! rating data files." — the same cached-side-file join as assignment 1,
 //! now against the song→album catalog, plus the averaging monoid.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use hl_datagen::yahoo_music::{parse_rating, parse_song};
@@ -60,7 +61,12 @@ pub struct AlbumCombiner;
 impl Combiner for AlbumCombiner {
     type K = u32;
     type V = SumCount;
-    fn combine(&mut self, _key: &u32, values: Vec<SumCount>, out: &mut Vec<SumCount>) {
+    fn combine(
+        &mut self,
+        _key: &u32,
+        values: impl IntoIterator<Item = SumCount>,
+        out: &mut Vec<SumCount>,
+    ) {
         out.push(values.into_iter().fold(SumCount::default(), SumCount::merge));
     }
 }
@@ -76,7 +82,13 @@ impl Reducer for BestAlbumReducer {
     type KIn = u32;
     type VIn = SumCount;
 
-    fn reduce(&mut self, album: u32, values: Vec<SumCount>, _ctx: &mut ReduceContext) {
+    fn reduce(
+        &mut self,
+        album: impl Borrow<u32>,
+        values: impl IntoIterator<Item = SumCount>,
+        _ctx: &mut ReduceContext,
+    ) {
+        let album = *album.borrow();
         let total = values.into_iter().fold(SumCount::default(), SumCount::merge);
         let Some(mean) = total.mean() else { return };
         let better = match &self.best {
