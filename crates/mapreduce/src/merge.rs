@@ -21,6 +21,9 @@
 //! output, and only where the champion switches runs is a key compared
 //! with the one yielded before it. Grouping reads those marks.
 
+use hl_common::error::Result;
+use hl_common::keys::SortableKey;
+
 use crate::sortbuf::{Record, Records, SortedRun};
 
 /// Marks an empty leaf in a tournament tree padded to a power of two. No
@@ -187,6 +190,18 @@ impl<'a> Iterator for GroupIter<'a> {
         let mut values = Vec::new();
         let k = self.next_into(&mut values)?;
         Some((k, values))
+    }
+}
+
+/// Decode a group's ordered key bytes into `slot`, refilling the key a
+/// previous group left there, so a stream of groups keeps one key.
+pub(crate) fn decode_key<'k, K: SortableKey>(
+    slot: &'k mut Option<K>,
+    mut kbytes: &[u8],
+) -> Result<&'k mut K> {
+    match slot {
+        Some(key) => K::decode_ordered_into(&mut kbytes, key).map(|()| key),
+        None => K::decode_ordered(&mut kbytes).map(|key| slot.insert(key)),
     }
 }
 
