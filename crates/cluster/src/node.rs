@@ -360,10 +360,13 @@ impl HeterogeneousClusterSpec {
         spec
     }
 
-    /// The combined skew preset the TPCx-HS ablation runs against: one
-    /// throttled node, one noisy neighbor, one progressive straggler
-    /// (distinct salts keep the picks independent; later presets win on
-    /// collision).
+    /// The combined skew preset: one throttled node, one noisy neighbor,
+    /// one progressive straggler (distinct salts keep the picks
+    /// independent; later presets win on collision). Its windows and
+    /// onsets fall tens of virtual seconds in, chaos-soak timescales; the
+    /// golden-trace, staged-property and host-pool tests run jobs against
+    /// it. The TPCx-HS ablation's jobs end sooner, so it pins its own skew
+    /// with `with_model`.
     pub fn skewed(base: ClusterSpec, seed: u64) -> Self {
         HeterogeneousClusterSpec::new(base)
             .throttled_tier(seed, 1, 2_000)

@@ -11,9 +11,10 @@
 //!   the job's combiner;
 //! * reduces fetch their partition from every map's node (the shuffle),
 //!   k-way merge, reduce, and write `part-r-NNNNN` files back to HDFS;
-//! * a task's *body* — its user code over its bytes — runs once, on the
-//!   host pool ([`hl_common::pool`]) when its phase opens or in its first
-//!   attempt; every attempt only charges the clock for it (see
+//! * a task's *body* — its user code over its bytes — runs once, when its
+//!   phase opens (on the host pool, [`hl_common::pool`], when that pays),
+//!   or at its first attempt's read for a map whose blocks could not be
+//!   peeked then; every attempt only charges the clock for it (see
 //!   [`crate::task`]);
 //! * every attempt is launched by the JobTracker loop
 //!   ([`crate::jobtracker`]) on a slot idle at that instant and runs stage
@@ -48,7 +49,7 @@ use hl_metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::api::SideFiles;
 use crate::history::JobHistory;
 use crate::job::JobConf;
-use crate::jobtracker::{Ending, Flight, JobTracker, Launch, Next, Tally, TaskBody};
+use crate::jobtracker::{Ending, Flight, JobTracker, Launch, Next, TaskBody};
 use crate::report::{JobReport, TaskKind, TaskSummary};
 use crate::scheduler::{scheduler_from_config, FifoScheduler, Scheduler, SlotState};
 use crate::speculate::{RunningTask, Span, SpecAttempt, SpecOutcome, Speculator, MIN_COMPLETED};
@@ -109,8 +110,8 @@ pub struct MrCluster {
     /// The pluggable task-assignment policy (`mapred.jobtracker.scheduler`).
     scheduler: Box<dyn Scheduler>,
     /// Host threads for a phase's bodies: this host's, unless a test
-    /// forced a worker count. A phase the pool does not pay for runs its
-    /// bodies attempt by attempt.
+    /// forced a worker count. A phase the pool does not pay for computes
+    /// its bodies one after another as it opens.
     pool: Pool,
 }
 
@@ -163,30 +164,13 @@ impl MrCluster {
     }
 
     /// Test seam: compute every phase's bodies on `workers` host threads
-    /// whatever this host has and however small the phase (1 = each body
-    /// at its task's first attempt). No simulated quantity may depend on
+    /// whatever this host has and however small the phase (1 = one after
+    /// another as the phase opens). No simulated quantity may depend on
     /// it; `tests/host_pool.rs` holds the engine to that.
     #[doc(hidden)]
     // lint:allow(R9): test seam: tests/host_pool.rs forces the body pool's worker count
     pub fn force_body_workers(&mut self, workers: usize) {
         self.pool = Pool::forced(workers);
-    }
-
-    /// A phase opens: its `n` bodies over `bytes` of input, computed here
-    /// and now on the host pool when that pays. A `None` (the pool was not
-    /// worth it, or `body` could not see its input) is filled by the
-    /// task's first attempt.
-    fn open_phase<T: Send>(
-        &self,
-        n: usize,
-        bytes: u64,
-        body: impl Fn(usize) -> Option<T> + Sync,
-    ) -> Vec<Option<T>> {
-        if self.pool.pays(n, bytes) {
-            self.pool.run_indexed(n, body)
-        } else {
-            (0..n).map(|_| None).collect()
-        }
     }
 
     /// Swap the task-assignment policy (tests/experiments; normal callers
@@ -376,26 +360,10 @@ impl MrCluster {
         for rj in body.jobs {
             results[rj.batch_index] = rj.result;
         }
-        self.book_tally(jt.tally);
+        jt.tally.book(&mut self.metrics, "jobtracker", "sched.");
         self.scheduler = jt.into_scheduler();
         let lost = || Err(HlError::Internal("job left the batch without a result".into()));
         results.into_iter().map(|r| r.unwrap_or_else(lost)).collect()
-    }
-
-    /// Book a batch's decision counts from the loop's tally, once. A zero
-    /// is not booked: it would add a row to the metrics snapshot.
-    fn book_tally(&mut self, tally: Tally) {
-        let Tally { decisions, preempted, rerun } = tally;
-        for (name, n) in [
-            ("sched.decisions", decisions),
-            ("sched.rerun", rerun),
-            ("sched.preempted", preempted),
-            ("sched.requeued", preempted),
-        ] {
-            if n > 0 {
-                self.metrics.incr("jobtracker", name, n);
-            }
-        }
     }
 
     /// Fold one completed job's report into the "jobtracker" instruments:
@@ -465,9 +433,10 @@ impl MrCluster {
     /// A map attempt's read stage on `node` at `now`, as one op: the
     /// split's block through the DFS client (charged, verified,
     /// locality-aware), then its neighbours' for the boundary lines —
-    /// peeked, or read when no clean replica can be. A task whose body has
-    /// not run (`memo` empty) runs it here, over the bytes this read
-    /// delivers. Returns when the reads end.
+    /// peeked, or read when no clean replica can be. A map whose split
+    /// could not be peeked when its phase opened (`memo` empty) runs its
+    /// body here, over the bytes this read delivers. Returns when the
+    /// reads end.
     fn read_split(
         &mut self,
         now: SimTime,
@@ -612,13 +581,14 @@ struct RealJob<'a> {
     result: Option<Result<JobReport>>,
 }
 
-/// What a job's tasks computed, by task id: each body runs once, and
-/// every attempt of its task charges for the same result. `None` until
-/// then.
+/// What a job's tasks computed, by task id, as their phase opened: each
+/// body runs once, and every attempt of its task charges for the same
+/// result. A map whose split could not be peeked then is `None` until its
+/// first attempt's read.
 #[derive(Default)]
 struct Bodies {
     maps: Vec<Option<MapBody>>,
-    reduces: Vec<Option<Result<ReduceTaskOutput>>>,
+    reduces: Vec<Result<ReduceTaskOutput>>,
 }
 
 /// An attempt in the air: where it runs, how far it has got and which
@@ -742,7 +712,7 @@ impl<'a> ClusterBody<'a> {
             let (dfs, side, disk_bw) = (&c.dfs, &c.side_files, c.spec.node.disk_bw);
             let splits = &rj.splits;
             let bytes = splits.iter().map(|s| s.len).sum();
-            rj.bodies.maps = c.open_phase(splits.len(), bytes, |i| {
+            rj.bodies.maps = c.pool.map_indexed(splits.len(), bytes, |i| {
                 task::peek_map_body(dfs, job, side, disk_bw, &splits[i])
             });
         }
@@ -767,7 +737,7 @@ impl<'a> ClusterBody<'a> {
         let (side, disk_bw) = (&c.side_files, c.spec.node.disk_bw);
         let bytes = maps.iter().flatten().map(|m| m.done.output.total_bytes()).sum();
         rj.bodies.reduces =
-            c.open_phase(n, bytes, |r| Some(task::reduce_body(job, side, disk_bw, maps, r)));
+            c.pool.map_indexed(n, bytes, |r| task::reduce_body(job, side, disk_bw, maps, r));
     }
 
     /// The job's last reduce committed: write the report and do the
@@ -899,12 +869,8 @@ impl<'a> ClusterBody<'a> {
                 now + SimDuration(a.plan[2])
             }
             Step::Fetch => {
-                // Merge, group and reduce for real — once per task.
-                let side = &c.side_files;
-                let body = bodies.reduces[t]
-                    .get_or_insert_with(|| task::reduce_body(*job, side, disk_bw, &bodies.maps, t))
-                    .as_ref()
-                    .map_err(HlError::clone)?;
+                let body =
+                    bodies.reduces.get(t).ok_or_else(gone)?.as_ref().map_err(HlError::clone)?;
                 let cpu = conf.reduce_cpu_per_record * body.records + body.extra_time;
                 let written = body.text.len() as u64;
                 let (end, moved, remote, inflate) = c.fetch(now, node, t, map_nodes, &bodies.maps);
@@ -921,7 +887,7 @@ impl<'a> ClusterBody<'a> {
             Step::Commit => {
                 c.charge_heap(conf.leaks_memory, node, now)?;
                 let text = match bodies.reduces.get(t) {
-                    Some(Some(Ok(b))) if kind == TaskKind::Reduce && !b.text.is_empty() => &b.text,
+                    Some(Ok(b)) if kind == TaskKind::Reduce && !b.text.is_empty() => &b.text,
                     _ => return Ok(Next::Done(true)),
                 };
                 // The part file, to HDFS (real bytes, charged, replicated).
@@ -1004,7 +970,7 @@ impl<'a> ClusterBody<'a> {
             run.counters.merge(&b.done.counters);
             run.peak_buffer = run.peak_buffer.max(b.done.peak_buffered);
             rj.map_nodes[t] = Some(a.node);
-        } else if let Some(Some(Ok(b))) = rj.bodies.reduces.get(t) {
+        } else if let Some(Ok(b)) = rj.bodies.reduces.get(t) {
             run.counters.merge(&b.counters);
             if a.next == Step::Written {
                 rj.output_files.push(part_path(rj.job.conf(), t));
@@ -2280,7 +2246,7 @@ mod tests {
         while jt.step(&mut rec).is_some() {}
         let Recorder { body, flights } = rec;
         let results: Vec<_> = body.jobs.into_iter().map(|j| j.result.unwrap()).collect();
-        cluster.book_tally(jt.tally);
+        jt.tally.book(&mut cluster.metrics, "jobtracker", "sched.");
         cluster.scheduler = jt.into_scheduler();
 
         assert!(flights.iter().all(|r| r.how.is_some()), "a flight never ended");

@@ -40,6 +40,7 @@ use std::collections::BTreeSet;
 
 use hl_cluster::event::EventQueue;
 use hl_common::prelude::*;
+use hl_metrics::MetricsRegistry;
 
 use crate::report::TaskKind;
 use crate::scheduler::{Assignment, JobView, Preemption, Scheduler, SchedulerEnv, SlotState};
@@ -202,6 +203,26 @@ pub struct Tally {
     pub preempted: u64,
     /// Preempted tasks launched again.
     pub rerun: u64,
+}
+
+impl Tally {
+    /// Book the counts, once per run, as `daemon`'s counters
+    /// `{prefix}decisions`, `rerun`, `preempted` and `requeued` (each
+    /// preemption re-queued its task), in that order. A zero is not
+    /// booked: it would add a row to the metrics snapshot.
+    pub fn book(self, metrics: &mut MetricsRegistry, daemon: &str, prefix: &str) {
+        let Tally { decisions, preempted, rerun } = self;
+        for (name, n) in [
+            ("decisions", decisions),
+            ("rerun", rerun),
+            ("preempted", preempted),
+            ("requeued", preempted),
+        ] {
+            if n > 0 {
+                metrics.incr(daemon, &format!("{prefix}{name}"), n);
+            }
+        }
+    }
 }
 
 /// The table and the loop.

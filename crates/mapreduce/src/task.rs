@@ -12,8 +12,9 @@
 //! [`ReduceTaskOutput`]) is host work and a pure function of the job and the
 //! task's bytes: split assembly, input decode, the user code, map-output
 //! framing. Its **attempts** are everything that touches the simulated
-//! cluster, and live in the engine. A body runs once per task — on the
-//! host pool when its phase opens, or at the task's first attempt — and
+//! cluster, and live in the engine. A body runs once per task, when its
+//! phase opens (on the host pool when that pays) — or, for a map whose
+//! blocks could not be peeked then, at its first attempt's read — and
 //! every attempt (retry, speculative racer, preempted re-run) charges for
 //! the same result.
 
@@ -345,10 +346,11 @@ pub(crate) fn map_body(
     MapBody { logical_len, neighbours, done, framed }
 }
 
-/// A map body from what can be seen without charging anyone: every block
-/// peeked from a clean live replica. `None` when one cannot be (or does
-/// not decode) — then the task's first attempt assembles the split through
-/// its charged reads, which fail or recover as they always have.
+/// A map body, as its phase opens, from what can be seen without charging
+/// anyone: every block peeked from a clean live replica. `None` when one
+/// cannot be (or does not decode) — then the task's first attempt
+/// assembles the split through its charged reads, which fail or recover
+/// as they always have: the one body computed at an attempt.
 pub(crate) fn peek_map_body(
     dfs: &Dfs,
     job: &dyn JobCode,

@@ -1,13 +1,15 @@
 //! The host pool changes how fast a job runs on the host and nothing else.
 //!
-//! A task's *body* (user code over the task's bytes) is computed once —
-//! on `hl_common::pool`'s scoped threads when its phase opens, or at the
-//! task's first attempt — and the clock's thread only charges for it. Two
-//! families of tests hold the engine to that:
+//! A task's *body* (user code over the task's bytes) is computed once, when
+//! its phase opens — on `hl_common::pool`'s threads when that pays, else
+//! one after another on the clock's thread; a map whose blocks could not
+//! be peeked then, at its first attempt's read — and the clock's thread
+//! only charges for it. Two families of tests hold the engine to that:
 //!
 //! * **determinism**: the same cluster seed and jobs on the host's own
-//!   pool, with one worker (every body at its first attempt) and with four
-//!   give identical output bytes, job reports, metrics and event logs;
+//!   pool, with one worker (every body inline as its phase opens) and with
+//!   four give identical output bytes, job reports, metrics and event
+//!   logs;
 //! * **run once**: user map, combine and reduce code runs once per task,
 //!   not once per attempt, under retries, speculation and preemption, and
 //!   a panic in it on a worker thread comes out of `run_job` as a panic.
@@ -144,7 +146,7 @@ fn config(block: u64) -> Configuration {
 }
 
 /// `None`: the pool this host gives a cluster. `Some(n)`: every phase on
-/// `n` workers, however small (`1`: every body at its first attempt).
+/// `n` workers, however small (`1`: every body inline as its phase opens).
 type Workers = Option<usize>;
 
 fn cluster_on(spec: ClusterSpec, config: Configuration, workers: Workers) -> MrCluster {
@@ -205,15 +207,15 @@ fn trace(cluster: &mut MrCluster, results: &[Result<JobReport>]) -> String {
 /// Run `scenario` on the host's own pool, on one worker and on four, and
 /// demand the same trace from all three.
 fn same_on_every_pool(scenario: impl Fn(Workers) -> String) -> String {
-    let lazy = scenario(Some(1));
+    let inline = scenario(Some(1));
     for workers in [None, Some(4)] {
         let got = scenario(workers);
         assert!(
-            got == lazy,
-            "workers = {workers:?} diverged from one worker:\n{got}\n--- vs ---\n{lazy}"
+            got == inline,
+            "workers = {workers:?} diverged from one worker:\n{got}\n--- vs ---\n{inline}"
         );
     }
-    lazy
+    inline
 }
 
 fn one_job(
@@ -235,18 +237,25 @@ fn one_job(
 fn wordcount_with_and_without_a_combiner_is_the_same_on_every_pool() {
     // 256 KiB in eight splits: past the size below which the host's own
     // pool is left alone, so the `None` arm is the pool wherever the host
-    // has a second core.
-    for combine in [true, false] {
-        let t = same_on_every_pool(|workers| {
-            one_job(workers, 32 * 1024, 256 * 1024, CodecId::Null, |_| {
-                let mut job = wc("wc", 3, &Built::default());
-                if !combine {
-                    job.combiner = None;
-                }
-                job
-            })
-        });
-        assert!(t.contains("success: true"), "{t}");
+    // has a second core. 16 KiB in one split with one reduce, the course's
+    // lab shape: one task a phase, which no pool takes.
+    for (input, splits, reduces) in [(256 * 1024, 8, 3), (16 * 1024, 1, 1)] {
+        for combine in [true, false] {
+            let t = same_on_every_pool(|workers| {
+                let built = Built::default();
+                let t = one_job(workers, 32 * 1024, input, CodecId::Null, |_| {
+                    let mut job = wc("wc", reduces, &built);
+                    if !combine {
+                        job.combiner = None;
+                    }
+                    job
+                });
+                let combiners = if combine { splits } else { 0 };
+                assert_eq!(built.counts(), (splits, combiners, reduces), "workers = {workers:?}");
+                t
+            });
+            assert!(t.contains("success: true"), "{t}");
+        }
     }
 }
 

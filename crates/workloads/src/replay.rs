@@ -501,18 +501,8 @@ pub fn replay(jobs: &[ReplayJob], policy: ReplayPolicy, setup: &ReplaySetup) -> 
             tally.preempted, tally.preempted, tally.rerun
         ));
     }
-    // The loop's counts, booked once; a zero books no row.
     let TraceBody { mut metrics, waits, pool_busy, .. } = body;
-    for (name, n) in [
-        ("decisions", tally.decisions),
-        ("rerun", tally.rerun),
-        ("preempted", tally.preempted),
-        ("requeued", tally.preempted),
-    ] {
-        if n > 0 {
-            metrics.incr("scheduler", name, n);
-        }
-    }
+    tally.book(&mut metrics, "scheduler", "");
 
     let mut sorted_waits = waits.clone();
     sorted_waits.sort_unstable();
